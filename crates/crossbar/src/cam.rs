@@ -45,15 +45,15 @@
 //!    per-device cycle-to-cycle noise through the caller's RNG, in the
 //!    bit-serial reference's device order.
 //!
-//! [`ReferenceCamArray`] is the always-sampling bit-serial ground truth
-//! ([`crate::reference::ReferenceDigitalArray`]'s counterpart); the
-//! `cam_equivalence` proptest suite pins the two against each other and
-//! against the host scalar reference [`host_match`].
+//! [`crate::reference::ReferenceCamArray`] is the always-sampling
+//! bit-serial ground truth; the `cam_equivalence` proptest suite pins
+//! the two against each other and against the host scalar reference
+//! [`host_match`].
 
 use crate::digital::{clip_factors, DigitalArray, DigitalStats, SENSE_AMP_ENERGY};
 use crate::energy::OperationCost;
 use cim_device::bank::ReramBank;
-use cim_device::reram::{ReramDevice, ReramParams};
+use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::rng::{log_normal, seeded};
 use cim_simkit::units::Joules;
@@ -113,7 +113,7 @@ impl MatchKind {
 /// decision is `I > lo_ref` (absent when `lo == 0`; zero mismatches draw
 /// exactly zero current) and `I < hi_ref`. Boundaries sit halfway
 /// between adjacent nominal levels `m · i_low`.
-fn window_references(params: &ReramParams, lo: usize, hi: usize) -> (Option<f64>, f64) {
+pub(crate) fn window_references(params: &ReramParams, lo: usize, hi: usize) -> (Option<f64>, f64) {
     let i_nom = params.i_low().0;
     let lo_ref = (lo > 0).then_some((lo as f64 - 0.5) * i_nom);
     let hi_ref = (hi as f64 + 0.5) * i_nom;
@@ -377,151 +377,6 @@ impl CamArray {
     }
 }
 
-/// Bit-serial reference CAM: one [`ReramDevice`] struct per cell, a
-/// noisy current draw per conducting cell on every search, scalar
-/// match-line sums. Deliberately un-optimized — the behavioural ground
-/// truth the word-parallel path is property-tested against, fabricated
-/// in the identical device order so stored states are bit-identical.
-#[derive(Debug, Clone)]
-pub struct ReferenceCamArray {
-    entries: usize,
-    width: usize,
-    params: ReramParams,
-    /// Row-major over `2·entries` rows: entry `s`'s value cells at row
-    /// `2s`, care cells at row `2s + 1`.
-    devices: Vec<ReramDevice>,
-    stats: DigitalStats,
-}
-
-impl ReferenceCamArray {
-    /// Fabricates the reference CAM in the same device order as
-    /// [`CamArray::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
-        entries: usize,
-        width: usize,
-        params: ReramParams,
-        rng: &mut R,
-    ) -> Self {
-        assert!(entries > 0 && width > 0, "CAM dimensions must be nonzero");
-        let devices = (0..2 * entries * width)
-            .map(|_| ReramDevice::new(params, rng))
-            .collect();
-        ReferenceCamArray {
-            entries,
-            width,
-            params,
-            devices,
-            stats: DigitalStats::default(),
-        }
-    }
-
-    /// CAM dimensions `(entries, width)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.entries, self.width)
-    }
-
-    /// Accumulated execution statistics.
-    pub fn stats(&self) -> &DigitalStats {
-        &self.stats
-    }
-
-    /// Writes one entry, one device at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is out of range or a width does not match.
-    pub fn write_key(&mut self, slot: usize, value: &BitVec, care: &BitVec) -> OperationCost {
-        assert!(
-            slot < self.entries,
-            "CAM slot {slot} out of range {}",
-            self.entries
-        );
-        assert_eq!(value.len(), self.width, "value width mismatch");
-        assert_eq!(care.len(), self.width, "care width mismatch");
-        let mut energy = Joules::ZERO;
-        for j in 0..self.width {
-            energy += self.devices[2 * slot * self.width + j].write(value.get(j));
-        }
-        for j in 0..self.width {
-            energy += self.devices[(2 * slot + 1) * self.width + j].write(care.get(j));
-        }
-        let cost = OperationCost {
-            energy,
-            latency: self.params.write_latency + self.params.write_latency,
-        };
-        self.stats.row_writes += 2;
-        self.stats.energy += cost.energy;
-        self.stats.busy_time += cost.latency;
-        cost
-    }
-
-    /// The stored `(value, care)` pair of one slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is out of range.
-    pub fn stored_key(&self, slot: usize) -> (BitVec, BitVec) {
-        assert!(
-            slot < self.entries,
-            "CAM slot {slot} out of range {}",
-            self.entries
-        );
-        let row =
-            |r: usize| BitVec::from_fn(self.width, |j| self.devices[r * self.width + j].bit());
-        (row(2 * slot), row(2 * slot + 1))
-    }
-
-    /// Searches every slot against `key`, drawing one noisy current per
-    /// conducting (cared, mismatching) cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width does not match or a range window is
-    /// empty.
-    pub fn search<R: Rng + ?Sized>(
-        &mut self,
-        key: &BitVec,
-        kind: MatchKind,
-        rng: &mut R,
-    ) -> (BitVec, OperationCost) {
-        assert_eq!(key.len(), self.width, "key width mismatch");
-        let (lo, hi) = kind.window();
-        let (lo_ref, hi_ref) = window_references(&self.params, lo, hi);
-        let out = BitVec::from_fn(self.entries, |s| {
-            let mut i = 0.0;
-            for j in 0..self.width {
-                let care = self.devices[(2 * s + 1) * self.width + j].bit();
-                let value = self.devices[2 * s * self.width + j].bit();
-                if care && value != key.get(j) {
-                    i += self.devices[(2 * s + 1) * self.width + j]
-                        .read_current(rng)
-                        .0;
-                }
-            }
-            lo_ref.is_none_or(|l| i > l) && i < hi_ref
-        });
-        // Pre-refactor costing: re-derive every activated device's read
-        // energy (a `V/R` division each) on every search.
-        let mut energy = SENSE_AMP_ENERGY * self.entries as f64;
-        for d in &self.devices {
-            energy += d.read_energy();
-        }
-        let cost = OperationCost {
-            energy,
-            latency: self.params.read_latency,
-        };
-        self.stats.searches += 1;
-        self.stats.match_pulses += self.entries as u64;
-        self.stats.energy += cost.energy;
-        self.stats.busy_time += cost.latency;
-        (out, cost)
-    }
-}
-
 /// Host scalar reference for one entry: walks the key bit by bit,
 /// counting mismatches over cared positions — the CPU baseline every
 /// CAM path must reproduce bit-identically.
@@ -644,6 +499,7 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceCamArray;
 
     /// A CAM whose entry `s` mismatches the all-zero key in exactly `s`
     /// cared positions.

@@ -22,13 +22,14 @@
 //!
 //! [`digital::DigitalArray`] hosts binary ReRAM rows for scouting-logic
 //! workloads (bitmap queries, XOR encryption, HD bitwise steps) on a
-//! word-parallel struct-of-arrays fast path; the original bit-serial
-//! simulator survives as [`reference::ReferenceDigitalArray`], the
-//! behavioural ground truth the fast path is property-tested against.
-//! The [`cam`] module adds a third discipline on the same tiles:
-//! content-addressable (match-line) search with exact, ternary and
-//! analog range semantics, mirrored by its own bit-serial
-//! [`cam::ReferenceCamArray`] ground truth.
+//! word-parallel struct-of-arrays fast path. The [`cam`] module adds a
+//! third discipline on the same tiles: content-addressable (match-line)
+//! search with exact, ternary and analog range semantics.
+//!
+//! The original per-device simulators of every tile kind survive in
+//! [`mod@reference`] as the behavioural ground truth the fast paths are
+//! property-tested against — test oracles, which no serving path uses.
+//!
 //! [`energy`] rolls per-event device/converter costs into per-operation
 //! budgets — reproducing the paper's 222 mW / 222 nJ crossbar read point.
 //!
@@ -63,12 +64,13 @@ pub mod scouting;
 pub mod tiled;
 
 pub use analog::{AnalogCrossbar, AnalogParams, DifferentialCrossbar};
-pub use cam::{CamArray, MatchKind, ReferenceCamArray, Rule, RuleSet};
+pub use cam::{CamArray, MatchKind, Rule, RuleSet};
 pub use digital::DigitalArray;
 pub use energy::{CrossbarEnergyModel, OperationCost, ReadBudget};
 pub use mapping::ConductanceMapping;
 pub use reference::{
-    ReferenceAnalogCrossbar, ReferenceDifferentialCrossbar, ReferenceDigitalArray,
+    ReferenceAnalogCrossbar, ReferenceCamArray, ReferenceDifferentialCrossbar,
+    ReferenceDigitalArray,
 };
 pub use scouting::{ScoutOp, SenseAmplifier};
 pub use tiled::TiledMatrixEngine;

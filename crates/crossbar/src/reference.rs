@@ -22,10 +22,14 @@
 //! [`crate::analog::AnalogCrossbar`] by the `analog_equivalence` suite and
 //! raced by the `analog_mvm` perf-smoke group.
 //!
-//! The APIs mirror [`crate::digital::DigitalArray`]'s and
-//! [`crate::analog::AnalogCrossbar`]'s access surfaces.
+//! [`ReferenceCamArray`] is the same ground truth for match-line search,
+//! pinned against [`crate::cam::CamArray`] by the `cam_equivalence`
+//! suite.
+//!
+//! The APIs mirror the fast arrays' access surfaces.
 
 use crate::analog::{AnalogParams, CrossbarStats};
+use crate::cam::{window_references, MatchKind};
 use crate::digital::{DigitalStats, SENSE_AMP_ENERGY};
 use crate::energy::{CrossbarEnergyModel, OperationCost};
 use crate::mapping::{split_signed, ConductanceMapping};
@@ -616,6 +620,151 @@ impl ReferenceDifferentialCrossbar {
     /// Combined statistics of both tiles.
     pub fn stats(&self) -> CrossbarStats {
         self.positive.stats().merged(self.negative.stats())
+    }
+}
+
+/// Bit-serial reference CAM: one [`ReramDevice`] struct per cell, a
+/// noisy current draw per conducting cell on every search, scalar
+/// match-line sums. Deliberately un-optimized — the behavioural ground
+/// truth the word-parallel path is property-tested against, fabricated
+/// in the identical device order so stored states are bit-identical.
+#[derive(Debug, Clone)]
+pub struct ReferenceCamArray {
+    entries: usize,
+    width: usize,
+    params: ReramParams,
+    /// Row-major over `2·entries` rows: entry `s`'s value cells at row
+    /// `2s`, care cells at row `2s + 1`.
+    devices: Vec<ReramDevice>,
+    stats: DigitalStats,
+}
+
+impl ReferenceCamArray {
+    /// Fabricates the reference CAM in the same device order as
+    /// [`crate::cam::CamArray::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn new<R: Rng + ?Sized>(
+        entries: usize,
+        width: usize,
+        params: ReramParams,
+        rng: &mut R,
+    ) -> Self {
+        assert!(entries > 0 && width > 0, "CAM dimensions must be nonzero");
+        let devices = (0..2 * entries * width)
+            .map(|_| ReramDevice::new(params, rng))
+            .collect();
+        ReferenceCamArray {
+            entries,
+            width,
+            params,
+            devices,
+            stats: DigitalStats::default(),
+        }
+    }
+
+    /// CAM dimensions `(entries, width)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.entries, self.width)
+    }
+
+    /// Accumulated execution statistics.
+    pub fn stats(&self) -> &DigitalStats {
+        &self.stats
+    }
+
+    /// Writes one entry, one device at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range or a width does not match.
+    pub fn write_key(&mut self, slot: usize, value: &BitVec, care: &BitVec) -> OperationCost {
+        assert!(
+            slot < self.entries,
+            "CAM slot {slot} out of range {}",
+            self.entries
+        );
+        assert_eq!(value.len(), self.width, "value width mismatch");
+        assert_eq!(care.len(), self.width, "care width mismatch");
+        let mut energy = Joules::ZERO;
+        for j in 0..self.width {
+            energy += self.devices[2 * slot * self.width + j].write(value.get(j));
+        }
+        for j in 0..self.width {
+            energy += self.devices[(2 * slot + 1) * self.width + j].write(care.get(j));
+        }
+        let cost = OperationCost {
+            energy,
+            latency: self.params.write_latency + self.params.write_latency,
+        };
+        self.stats.row_writes += 2;
+        self.stats.energy += cost.energy;
+        self.stats.busy_time += cost.latency;
+        cost
+    }
+
+    /// The stored `(value, care)` pair of one slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range.
+    pub fn stored_key(&self, slot: usize) -> (BitVec, BitVec) {
+        assert!(
+            slot < self.entries,
+            "CAM slot {slot} out of range {}",
+            self.entries
+        );
+        let row =
+            |r: usize| BitVec::from_fn(self.width, |j| self.devices[r * self.width + j].bit());
+        (row(2 * slot), row(2 * slot + 1))
+    }
+
+    /// Searches every slot against `key`, drawing one noisy current per
+    /// conducting (cared, mismatching) cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width does not match or a range window is
+    /// empty.
+    pub fn search<R: Rng + ?Sized>(
+        &mut self,
+        key: &BitVec,
+        kind: MatchKind,
+        rng: &mut R,
+    ) -> (BitVec, OperationCost) {
+        assert_eq!(key.len(), self.width, "key width mismatch");
+        let (lo, hi) = kind.window();
+        let (lo_ref, hi_ref) = window_references(&self.params, lo, hi);
+        let out = BitVec::from_fn(self.entries, |s| {
+            let mut i = 0.0;
+            for j in 0..self.width {
+                let care = self.devices[(2 * s + 1) * self.width + j].bit();
+                let value = self.devices[2 * s * self.width + j].bit();
+                if care && value != key.get(j) {
+                    i += self.devices[(2 * s + 1) * self.width + j]
+                        .read_current(rng)
+                        .0;
+                }
+            }
+            lo_ref.is_none_or(|l| i > l) && i < hi_ref
+        });
+        // Pre-refactor costing: re-derive every activated device's read
+        // energy (a `V/R` division each) on every search.
+        let mut energy = SENSE_AMP_ENERGY * self.entries as f64;
+        for d in &self.devices {
+            energy += d.read_energy();
+        }
+        let cost = OperationCost {
+            energy,
+            latency: self.params.read_latency,
+        };
+        self.stats.searches += 1;
+        self.stats.match_pulses += self.entries as u64;
+        self.stats.energy += cost.energy;
+        self.stats.busy_time += cost.latency;
+        (out, cost)
     }
 }
 

@@ -62,9 +62,7 @@ impl PoolClient {
     /// verifier now blocks at the front door.
     #[cfg(test)]
     pub(crate) fn submit_unverified(&self, spec: &WorkloadSpec) -> Result<JobHandle, CompileError> {
-        let job = self
-            .shared
-            .submit_spec_unverified(self.tenant, spec, true)?;
+        let job = self.shared.submit_spec(self.tenant, spec, false)?;
         Ok(JobHandle {
             shared: Arc::clone(&self.shared),
             job,

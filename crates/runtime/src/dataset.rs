@@ -24,6 +24,7 @@ use cim_crossbar::cam::RuleSet;
 use cim_hdc::lang::LanguageTask;
 use cim_nn::binarized::BinarizedMlp;
 use cim_obs::SpanId;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A data set that can be made resident in pool tiles and queried
@@ -223,9 +224,16 @@ impl ResidentPayload {
 /// runs unlocked.
 #[derive(Debug, Clone)]
 pub(crate) struct ResidentView {
+    /// The dataset's id.
+    pub id: DatasetId,
     pub payload: ResidentPayload,
     /// Number of digital tiles the dataset pins.
     pub digital_tiles: usize,
+    /// Number of analog tiles the dataset pins (every one programmed).
+    pub analog_tiles: usize,
+    /// The resident rows of each virtual digital tile, which queries may
+    /// read but never overwrite.
+    pub resident_rows: Vec<Range<usize>>,
     /// The dataset's resident window.
     pub placement: Option<AddressMap>,
     /// Bytes resident in the pinned tiles.
@@ -271,6 +279,8 @@ pub(crate) struct DatasetRecord {
     pub payload: ResidentPayload,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
+    /// The resident rows of each virtual digital tile.
+    pub resident_rows: Vec<Range<usize>>,
     /// The dataset's resident window in the extended address space.
     pub placement: Option<AddressMap>,
     pub load: LoadProgress,
@@ -292,11 +302,14 @@ pub(crate) struct DatasetRecord {
 }
 
 impl DatasetRecord {
-    /// Snapshots what query compilation needs.
-    pub fn view(&self) -> ResidentView {
+    /// Snapshots what query compilation needs of dataset `id`.
+    pub fn view(&self, id: DatasetId) -> ResidentView {
         ResidentView {
+            id,
             payload: self.payload.clone(),
             digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
+            analog_tiles: self.placements.iter().map(|p| p.analog_tiles.len()).sum(),
+            resident_rows: self.resident_rows.clone(),
             placement: self.placement,
             resident_bytes: self.resident_bytes,
         }

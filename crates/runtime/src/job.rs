@@ -1,7 +1,7 @@
 //! Jobs: what tenants submit and what the pool returns.
 //!
 //! A [`WorkloadSpec`] names one application kernel with its parameters.
-//! The compile layer lowers it to a [`crate::compile::CompiledJob`]; the
+//! The compile layer lowers it to an instruction stream; the
 //! scheduler executes it on a shard and returns a [`JobReport`] with the
 //! decoded [`JobOutput`], per-job [`ExecutionStats`] and the
 //! speedup-vs-host estimate from the `cim-arch` analytical models.

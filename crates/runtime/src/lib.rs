@@ -31,20 +31,24 @@
 //!   ([`cim_core::AddressMap`]). With this layer every application
 //!   crate in the workspace serves through the runtime: MVM-heavy
 //!   kernels (NN, HDC) over analog tiles, row-access-heavy kernels
-//!   (Q6, image neighbourhoods) over digital tiles.
+//!   (Q6, image neighbourhoods) over digital tiles. Each workload
+//!   family is defined in one submodule: lowering, dataset load,
+//!   host-side decoding and host reference together.
 //! * **[`schedule`]** — a job queue with deterministic shard selection,
 //!   per-tile admission over free (un-pinned) tiles, cost-aware batch
 //!   coalescing, and one worker thread per shard (std threads +
-//!   channels; no async dependency). Admission doubles as a TDO-CIM
-//!   style offload planner: every compiled job is sealed with the
-//!   `cim-lint` cost pass's certified [`cim_lint::CostEnvelope`], and
-//!   under [`PoolConfig::offload_policy`] jobs whose host fallback
-//!   beats their envelope's latency bound execute on a host lane —
-//!   bit-identical output, `shards: []`, [`JobRoute::Host`] in the
-//!   report — while [`PoolConfig::max_inflight_cost`] backpressures
-//!   submission on the summed in-flight envelope cost. Per-job seeded noise streams and
-//!   exclusive tile leases make batched execution bit-identical to
-//!   sequential execution, and tile scrubbing keeps tenants from ever
+//!   channels; no async dependency). Every job lives in one pool-side
+//!   table from admission until its handle takes the report.
+//!   Admission doubles as a TDO-CIM style offload planner: every
+//!   compiled job is sealed with the `cim-lint` cost pass's certified
+//!   [`cim_lint::CostEnvelope`], and under
+//!   [`PoolConfig::offload_policy`] jobs whose host fallback beats their
+//!   envelope's latency bound execute on a host lane — bit-identical
+//!   output, `shards: []`, [`JobRoute::Host`] in the report — while
+//!   [`PoolConfig::max_inflight_cost`] backpressures submission on the
+//!   summed in-flight envelope cost. Per-job seeded noise streams and
+//!   exclusive tile leases make coalesced execution bit-identical to
+//!   one job per batch, and tile scrubbing keeps tenants from ever
 //!   observing each other's data. Tile-parallel jobs (and `Q6Table`
 //!   datasets) bigger than any one shard are scatter-gathered: split
 //!   into per-tile chunks across shards, executed in parallel, and
@@ -126,7 +130,7 @@ pub use cim_crossbar::analog::AnalogParams;
 pub use cim_device::reram::ReramParams;
 pub use cim_lint::{CostEnvelope, Diagnostic, LintReport, RuleCode, Severity};
 pub use client::{JobHandle, PoolClient};
-pub use compile::{CompileError, CompiledJob, Finalizer, HostProfile, TileDemand};
+pub use compile::{CompileError, TileDemand};
 pub use dataset::{DatasetHandle, DatasetSpec};
 pub use job::{
     DatasetId, HdcOutcome, ImgFilterOp, JobError, JobId, JobKind, JobOutput, JobReport, JobRoute,

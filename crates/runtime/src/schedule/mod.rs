@@ -1,14 +1,14 @@
 //! The scheduler layer: shard pool, admission, batching and workers.
 //!
-//! A [`RuntimePool`] owns a set of [`CimAccelerator`] *shards*, each
-//! driven by its own worker thread (std threads and channels — no async
-//! runtime). Sessions ([`crate::PoolClient`]) submit workloads, which
-//! are compiled immediately ([`crate::compile`]) and queued; a *flush*
-//! (explicit, or implied by any `wait`) plans the queue
-//! deterministically and dispatches it:
+//! A [`RuntimePool`] owns a set of [`cim_core::CimAccelerator`]
+//! *shards*, each driven by its own worker thread (std threads and
+//! channels — no async runtime). Sessions ([`crate::PoolClient`])
+//! submit workloads, which are compiled immediately
+//! ([`crate::compile`]) and queued; a *flush* (explicit, or implied by
+//! any `wait`) plans the queue deterministically and dispatches it:
 //!
 //! 1. **Shard selection** — each job goes to the least-loaded shard
-//!    (estimated by queued [`CompiledJob::estimated_cost`], ties to the
+//!    (estimated by the queued jobs' envelope `cost_units`, ties to the
 //!    lowest index); jobs against a resident dataset are routed to the
 //!    dataset's shard. The plan is a pure function of the submission
 //!    order, never of thread timing.
@@ -28,10 +28,17 @@
 //!    one it happens to share a queue with.
 //!
 //! Every job draws its stochastic behaviour from a private seeded
-//! stream ([`CimAccelerator::execute_with_rng`]) and leases exclusive
-//! tiles, so its results are independent of co-tenants, batch shape and
-//! execution order: batched and sequential drains are bit-identical —
-//! the invariant `tests/runtime_pipeline.rs` pins.
+//! stream ([`cim_core::CimAccelerator::execute_with_rng`]) and leases
+//! exclusive tiles, so its results are independent of co-tenants, batch
+//! shape and execution order: coalesced and one-job-per-batch schedules are
+//! bit-identical — the invariant `tests/runtime_pipeline.rs` pins.
+//!
+//! The pool tracks every submitted job in one table, from admission
+//! until its handle takes the report: lifecycle state, wall-clock and
+//! span bookkeeping, in-flight envelope cost and, for a job split
+//! across shards, its gather state. This module owns that table and
+//! admission; the planner lives in `plan` and the shard workers in
+//! `worker`.
 //!
 //! After each job the runtime scrubs every tile row the job wrote (and
 //! every analog tile it programmed) so no data survives into the next
@@ -39,34 +46,37 @@
 //! datasets are the deliberate exception: their tiles are scrubbed only
 //! when the last [`crate::DatasetHandle`] drops.
 
+mod plan;
+mod worker;
+
 use crate::client::PoolClient;
 use crate::compile::{
-    compile, compile_dataset_load, split_by_digital_tile, split_load_by_tile, CompileError,
-    CompiledJob, DatasetProgram, Finalizer,
+    compile, compile_dataset_load, split_load_by_tile, CompileError, CompiledJob, DatasetProgram,
+    Finalize, HostProfile, Lowering, TileDemand,
 };
-use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ShardPlacement};
+use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ResidentView, ShardPlacement};
 use crate::job::{
     DatasetId, JobError, JobId, JobKind, JobOutput, JobReport, JobRoute, JobStatus, JobTiming,
     TenantId, WorkloadSpec,
 };
-use crate::telemetry::{stats_accumulate, stats_delta, PoolTelemetry};
+use crate::telemetry::{stats_accumulate, PoolTelemetry};
 use crate::trace::{Attr, Tracer};
 use cim_arch::cim::CimSystem;
 use cim_arch::conventional::ConventionalMachine;
-use cim_core::isa::{CimInstruction, CimResponse};
 use cim_core::offload::{OffloadEstimate, Program};
-use cim_core::{AddressMap, CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
+use cim_core::{AddressMap, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
 use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
 use cim_obs::{NullSink, SpanId, TraceSink, Value};
-use cim_simkit::rng::seeded;
 use cim_simkit::units::ByteSize;
+use plan::{mark_dispatched, plan, scatter_assignment};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use worker::{relocate, written_rows, Completion, Worker, WorkerMsg};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -117,11 +127,14 @@ pub struct PoolConfig {
     pub seed: u64,
     /// Maximum jobs coalesced into one batch.
     pub max_batch_jobs: usize,
-    /// Maximum summed [`CompiledJob::estimated_cost`] of one batch (the
-    /// first job is always admitted). Bounds how long a batch can keep
-    /// a shard busy, so admission packs by cost, not tile count alone.
+    /// Maximum summed envelope [`cim_lint::CostEnvelope::cost_units`]
+    /// of one batch (the first job is always admitted). Bounds how long
+    /// a batch can keep a shard busy, so admission packs by cost, not
+    /// tile count alone.
     pub max_batch_cost: u64,
-    /// Whether to coalesce compatible jobs at all.
+    /// Whether to coalesce compatible jobs at all. Without coalescing
+    /// every job dispatches in a batch of its own — the reference
+    /// schedule coalescing must reproduce bit-identically.
     pub coalesce: bool,
     /// Run the `cim-lint` static verifier on *every* compiled program
     /// at submission, not just raw streams. Raw instruction streams
@@ -251,89 +264,17 @@ pub(crate) fn mix_seed(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A job with its virtual→physical tile maps on a shard.
-struct PlacedJob {
-    compiled: CompiledJob,
-    /// Physical digital tile of each virtual digital tile.
-    digital_map: Vec<usize>,
-    /// Physical analog tile of each virtual analog tile.
-    analog_map: Vec<usize>,
-    /// `Some(index)` when this is one sub-program of a cross-shard
-    /// split job: its report routes to the gather step instead of
-    /// completing the job directly.
-    part: Option<u32>,
-    /// The job's root trace span (stamped by `mark_dispatched`, NONE
-    /// when tracing is disabled).
-    root: SpanId,
-    /// The per-part dispatch span, opened at dispatch and closed by the
-    /// worker once the part completes.
-    dispatch: SpanId,
-}
-
-/// One dispatch unit: co-resident jobs on one shard, executed in order.
-struct Batch {
-    id: u64,
-    jobs: Vec<PlacedJob>,
-}
-
-/// What the pool sends a shard worker.
-enum WorkerMsg {
-    /// Execute a batch of placed jobs.
-    Batch(Batch),
-    /// Execute a dataset's load program (already on physical tiles).
-    LoadDataset {
-        id: DatasetId,
-        instructions: Vec<CimInstruction>,
-        seed: u64,
-        /// The dataset's `dataset_load` span, parent of the worker's
-        /// per-chunk `load_execute` span.
-        span: SpanId,
-    },
-    /// Scrub a released dataset's pinned tiles.
-    ReleaseDataset {
-        id: DatasetId,
-        rows: Vec<(usize, usize)>,
-        analog_tiles: Vec<usize>,
-        seed: u64,
-    },
-    /// Exit the worker loop (sent by `RuntimePool::drop`).
-    Shutdown,
-}
-
-/// What a shard worker sends back.
-enum Completion {
-    Job {
-        report: Box<JobReport>,
-        /// `Some` for one sub-program of a split job.
-        part: Option<u32>,
-    },
-    DatasetLoaded {
-        id: DatasetId,
-        result: Result<(ExecutionStats, DeviceCounters), String>,
-    },
-    DatasetReleased {
-        id: DatasetId,
-        maintenance: OperationCost,
-    },
-}
-
-/// Lifecycle of one submitted job, pool-side. `claimed` records whether
-/// a live [`crate::JobHandle`] owns the slot (legacy `drain` only
-/// returns unclaimed reports).
-enum Slot {
-    Queued {
-        claimed: bool,
-    },
-    Dispatched {
-        claimed: bool,
-    },
-    Done {
-        claimed: bool,
-        report: Box<JobReport>,
-    },
-    /// The handle was dropped before completion; the report is
+/// Where a submitted job is, pool-side.
+enum JobState {
+    /// Admitted, waiting for a flush to plan it.
+    Queued,
+    /// Planned onto a shard (or several); no report yet.
+    Dispatched,
+    /// The handle was dropped before completion: the report is
     /// discarded (after telemetry) when it arrives.
     Abandoned,
+    /// The report, waiting for its handle.
+    Done(Box<JobReport>),
 }
 
 /// Gather state of one cross-shard split job: sub-reports accumulate
@@ -346,19 +287,19 @@ struct GatherState {
     /// Arrived sub-reports, keyed by part index (= chunk order).
     parts: BTreeMap<u32, Box<JobReport>>,
     /// The parent job's host-side decoder.
-    finalizer: Finalizer,
+    finalizer: Arc<dyn Finalize>,
     /// The offload estimate over the whole (unsplit) job.
     offload: OffloadEstimate,
-    /// The parent job's root span (gather/finalize spans nest under it).
-    root: SpanId,
     /// The gather span, opened when the first part arrives.
     span: SpanId,
 }
 
-/// Wall-clock and span bookkeeping of one in-flight job, kept from
-/// submission to report completion. Maintained even when tracing is
-/// disabled: the `Instant`s become [`JobTiming`] on the report.
-struct JobLifecycle {
+/// The pool's record of one submitted job, from admission until its
+/// handle takes the report (or, for an abandoned job, until the report
+/// arrives). Maintained even when tracing is disabled: the `Instant`s
+/// become the report's [`JobTiming`].
+struct JobEntry {
+    state: JobState,
     /// The job's root span (NONE when tracing is disabled).
     root: SpanId,
     /// The queue span, open from admission until first dispatch.
@@ -366,23 +307,25 @@ struct JobLifecycle {
     submitted: Instant,
     /// Set when the first part dispatches.
     dispatched: Option<Instant>,
+    /// Envelope cost the job holds in the in-flight ledger until it
+    /// completes (zero for jobs that never enqueue).
+    inflight: u64,
+    /// Set while a job split across shards is in flight.
+    gather: Option<Box<GatherState>>,
 }
 
 /// Mutable pool state, behind [`PoolShared::state`].
 struct PoolState {
     pending: Vec<CompiledJob>,
-    /// Envelope cost of every CIM-routed job admitted but not yet
-    /// completed, keyed by job id; `inflight_total` is its running sum.
-    /// [`PoolConfig::max_inflight_cost`] gates submissions against the
-    /// total.
-    inflight: BTreeMap<u64, u64>,
+    /// Every job from admission until its report is taken, by id.
+    jobs: BTreeMap<u64, JobEntry>,
+    /// Jobs admitted but not completed, and their summed envelope cost —
+    /// what [`PoolConfig::max_inflight_cost`] gates submissions against.
+    /// Jobs that never enqueue complete under the lock that admitted
+    /// them, so only queued and dispatched jobs are ever observed here.
+    inflight_jobs: usize,
     inflight_total: u64,
-    slots: BTreeMap<u64, Slot>,
-    /// Per-job wall-clock/span bookkeeping, keyed by job id.
-    lifecycles: BTreeMap<u64, JobLifecycle>,
     datasets: BTreeMap<u64, DatasetRecord>,
-    /// In-flight cross-shard split jobs, keyed by job id.
-    gathers: BTreeMap<u64, GatherState>,
     /// Physical digital tiles pinned by datasets, per shard.
     pinned_digital: Vec<BTreeSet<usize>>,
     /// Physical analog tiles pinned by datasets, per shard.
@@ -391,6 +334,100 @@ struct PoolState {
     next_batch: u64,
     next_dataset: u64,
     telemetry: PoolTelemetry,
+}
+
+impl std::fmt::Debug for PoolState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolState")
+            .field("pending", &self.pending.len())
+            .field("jobs", &self.jobs.len())
+            .field("datasets", &self.datasets.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl PoolState {
+    /// Records a job's admission; `queue` is its open queue span (NONE
+    /// for a job that fails before queueing) and `inflight` the
+    /// envelope cost it holds until completion.
+    fn admit(&mut self, job: JobId, root: SpanId, queue: SpanId, inflight: u64) {
+        self.inflight_jobs += 1;
+        self.inflight_total = self.inflight_total.saturating_add(inflight);
+        self.jobs.insert(
+            job.0,
+            JobEntry {
+                state: JobState::Queued,
+                root,
+                queue,
+                submitted: Instant::now(),
+                dispatched: None,
+                inflight,
+                gather: None,
+            },
+        );
+    }
+
+    /// Whether the job has no report yet.
+    fn awaiting_report(&self, job: JobId) -> bool {
+        self.jobs
+            .get(&job.0)
+            .is_some_and(|e| matches!(e.state, JobState::Queued | JobState::Dispatched))
+    }
+
+    /// Unpinned tiles of `shard`: `(digital, analog)`.
+    fn free(&self, cfg: &PoolConfig, shard: usize) -> (usize, usize) {
+        (
+            cfg.digital_tiles - self.pinned_digital[shard].len(),
+            cfg.analog_tiles - self.pinned_analog[shard].len(),
+        )
+    }
+
+    /// The retryable error for a `demand` no shard's free tiles can hold
+    /// right now: the digital shortfall against the best shard if there
+    /// is one, the analog shortfall otherwise.
+    fn shortfall(&self, cfg: &PoolConfig, demand: TileDemand) -> CompileError {
+        let best = |pick: fn((usize, usize)) -> usize| {
+            (0..cfg.shards)
+                .map(|s| pick(self.free(cfg, s)))
+                .max()
+                .unwrap_or(0)
+        };
+        let digital = best(|(d, _)| d);
+        if demand.digital > digital {
+            return CompileError::NeedsMoreDigitalTiles {
+                required: demand.digital,
+                available: digital,
+            };
+        }
+        CompileError::NeedsMoreAnalogTiles {
+            required: demand.analog,
+            available: best(|(_, a)| a),
+        }
+    }
+
+    /// Snapshots the resident view of the dataset a spec queries, after
+    /// checking it exists and belongs to `tenant`.
+    fn resolve_dataset(
+        &self,
+        tenant: TenantId,
+        spec: &WorkloadSpec,
+    ) -> Result<Option<ResidentView>, CompileError> {
+        let Some(id) = spec.dataset() else {
+            return Ok(None);
+        };
+        let record = self
+            .datasets
+            .get(&id.0)
+            .filter(|r| !r.released)
+            .ok_or(CompileError::UnknownDataset { dataset: id })?;
+        if record.tenant != tenant {
+            return Err(CompileError::DatasetAccessDenied {
+                dataset: id,
+                owner: record.tenant,
+            });
+        }
+        Ok(Some(record.view(id)))
+    }
 }
 
 /// State shared between the pool, its sessions and its handles.
@@ -407,21 +444,8 @@ pub(crate) struct PoolShared {
     tracer: Tracer,
 }
 
-impl std::fmt::Debug for PoolState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolState")
-            .field("pending", &self.pending.len())
-            .field("slots", &self.slots.len())
-            .field("datasets", &self.datasets.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// The multi-tenant accelerator pool.
-///
-/// Sessions are opened with [`RuntimePool::client`]; the legacy
-/// [`RuntimePool::submit`] / [`RuntimePool::drain`] pair survives as a
-/// deprecated shim over the same machinery.
+/// The multi-tenant accelerator pool. Sessions are opened with
+/// [`RuntimePool::client`].
 pub struct RuntimePool {
     shared: Arc<PoolShared>,
     joins: Vec<JoinHandle<()>>,
@@ -464,21 +488,23 @@ impl RuntimePool {
         let mut joins = Vec::with_capacity(cfg.shards);
         for shard in 0..cfg.shards {
             let shard_seed = mix_seed(cfg.seed, 0xD1A5 + shard as u64);
-            let accelerator = CimAcceleratorBuilder::new()
-                .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
-                .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
-                .reram_params(cfg.reram_params)
-                .analog_params(cfg.analog_params)
-                .seed(shard_seed)
-                .build();
+            let worker = Worker {
+                shard,
+                accelerator: CimAcceleratorBuilder::new()
+                    .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
+                    .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
+                    .reram_params(cfg.reram_params)
+                    .analog_params(cfg.analog_params)
+                    .seed(shard_seed)
+                    .build(),
+                shard_seed,
+                completions: report_tx.clone(),
+                tracer: tracer.clone(),
+            };
             let (tx, rx) = channel();
-            let report_tx = report_tx.clone();
-            let worker_tracer = tracer.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("cim-shard-{shard}"))
-                .spawn(move || {
-                    worker_loop(shard, accelerator, shard_seed, rx, report_tx, worker_tracer)
-                })
+                .spawn(move || worker.run(rx))
                 .unwrap_or_else(|e| panic!("spawn shard worker: {e}"));
             to_shards.push(tx);
             joins.push(handle);
@@ -487,12 +513,10 @@ impl RuntimePool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
                     pending: Vec::new(),
-                    inflight: BTreeMap::new(),
+                    jobs: BTreeMap::new(),
+                    inflight_jobs: 0,
                     inflight_total: 0,
-                    slots: BTreeMap::new(),
-                    lifecycles: BTreeMap::new(),
                     datasets: BTreeMap::new(),
-                    gathers: BTreeMap::new(),
                     pinned_digital: vec![BTreeSet::new(); cfg.shards],
                     pinned_analog: vec![BTreeSet::new(); cfg.shards],
                     next_job: 0,
@@ -538,83 +562,9 @@ impl RuntimePool {
     }
 
     /// Dispatches every queued job to the shards without waiting for
-    /// results (the non-blocking half of the legacy `drain`).
+    /// results.
     pub fn flush(&self) {
         self.shared.flush();
-    }
-
-    /// Compiles and enqueues a workload for `tenant`.
-    ///
-    /// Compilation errors (workload does not fit the pool geometry,
-    /// empty work) surface immediately; execution errors surface in the
-    /// job's report.
-    #[deprecated(
-        note = "open a session with `RuntimePool::client` and use `PoolClient::submit`, \
-                which returns a non-blocking `JobHandle`"
-    )]
-    pub fn submit(&mut self, tenant: TenantId, spec: &WorkloadSpec) -> Result<JobId, CompileError> {
-        self.shared.submit_spec(tenant, spec, false)
-    }
-
-    /// Executes every queued job with batching per the pool policy,
-    /// shards running concurrently, and blocks for all of their
-    /// reports. Returns reports sorted by job id. Jobs owned by a live
-    /// [`crate::JobHandle`] are executed too but their reports stay
-    /// claimable through the handle.
-    #[deprecated(
-        note = "use `PoolClient::submit` + `JobHandle::wait` (or `PoolClient::wait_all`) \
-                for per-job completion instead of a pool-wide blocking drain"
-    )]
-    pub fn drain(&mut self) -> Vec<JobReport> {
-        self.shared.drain_unclaimed()
-    }
-
-    /// Executes every queued job strictly one at a time, in submission
-    /// order, with no coalescing — the reference schedule batching must
-    /// reproduce bit-identically. Returns the reports of jobs not
-    /// claimed by a [`crate::JobHandle`], sorted by job id (reports of
-    /// handle-claimed jobs remain claimable through their handles).
-    pub fn drain_sequential(&mut self) -> Vec<JobReport> {
-        let mut batches = {
-            let mut st = lock(&self.shared.state);
-            let mut batches = plan(&mut st, &self.shared.cfg, false, 1, &self.shared.tracer);
-            st.telemetry.batches += batches.len() as u64;
-            mark_dispatched(&mut st, &self.shared.tracer, &mut batches);
-            batches
-        };
-        // One job per batch: order globally by job id for a strict
-        // serial schedule. A cross-shard split job appears as several
-        // adjacent batches sharing one job id — all of its sub-batches
-        // dispatch before the wait, because its report only assembles
-        // once every part completes.
-        batches.sort_by_key(|(_, b)| b.jobs[0].compiled.job);
-        let mut batches = batches.into_iter().peekable();
-        while let Some((shard, batch)) = batches.next() {
-            let job = batch.jobs[0].compiled.job;
-            self.shared.to_shards[shard]
-                .send(WorkerMsg::Batch(batch))
-                .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
-            while let Some((_, next)) = batches.peek() {
-                if next.jobs[0].compiled.job != job {
-                    break;
-                }
-                let Some((shard, batch)) = batches.next() else {
-                    unreachable!("peeked above");
-                };
-                self.shared.to_shards[shard]
-                    .send(WorkerMsg::Batch(batch))
-                    .unwrap_or_else(|_| {
-                        panic!("shard worker disconnected before the pool shut down")
-                    });
-            }
-            self.shared.pump_until(|st| {
-                !matches!(
-                    st.slots.get(&job.0),
-                    Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. })
-                )
-            });
-        }
-        self.shared.take_unclaimed_done()
     }
 }
 
@@ -630,36 +580,26 @@ impl Drop for RuntimePool {
 }
 
 impl PoolShared {
-    /// Compiles and enqueues a workload; `claimed` records whether a
-    /// [`crate::JobHandle`] owns the resulting slot.
+    /// Sends a message to a shard worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker exited before the pool shut down.
+    fn send(&self, shard: usize, message: WorkerMsg) {
+        self.to_shards[shard]
+            .send(message)
+            .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
+    }
+
+    /// Compiles and enqueues a workload. `verify` = false bypasses the
+    /// admission verifier — a test seam that keeps the runtime's
+    /// last-line containment paths (relocation tile faults, in-shard
+    /// panic capture) reachable behind the verifier, which rejects such
+    /// streams up front.
     pub(crate) fn submit_spec(
         &self,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
-    ) -> Result<JobId, CompileError> {
-        self.submit_spec_inner(tenant, spec, claimed, true)
-    }
-
-    /// Test seam: submits with the static verifier bypassed, so the
-    /// runtime's last-line containment paths (relocation tile faults,
-    /// in-shard panic capture) stay exercisable now that admission
-    /// rejects such streams up front.
-    #[cfg(test)]
-    pub(crate) fn submit_spec_unverified(
-        &self,
-        tenant: TenantId,
-        spec: &WorkloadSpec,
-        claimed: bool,
-    ) -> Result<JobId, CompileError> {
-        self.submit_spec_inner(tenant, spec, claimed, false)
-    }
-
-    fn submit_spec_inner(
-        &self,
-        tenant: TenantId,
-        spec: &WorkloadSpec,
-        claimed: bool,
         verify: bool,
     ) -> Result<JobId, CompileError> {
         // Phase 1 (locked): assign the id and snapshot the queried
@@ -668,29 +608,11 @@ impl PoolShared {
         // stall every other session's submit/poll/telemetry. A failed
         // compile leaves a gap in the id sequence, which is harmless:
         // ids only need to be unique and ordered.
-        let (job, seed, resident) = {
+        let (job, resident) = {
             let mut st = lock(&self.state);
             let job = JobId(st.next_job);
             st.next_job += 1;
-            let seed = mix_seed(self.cfg.seed, 0x0B0B ^ job.0);
-            let resident = match spec.dataset() {
-                Some(id) => {
-                    let record = st
-                        .datasets
-                        .get(&id.0)
-                        .filter(|r| !r.released)
-                        .ok_or(CompileError::UnknownDataset { dataset: id })?;
-                    if record.tenant != tenant {
-                        return Err(CompileError::DatasetAccessDenied {
-                            dataset: id,
-                            owner: record.tenant,
-                        });
-                    }
-                    Some(record.view())
-                }
-                None => None,
-            };
-            (job, seed, resident)
+            (job, st.resolve_dataset(tenant, spec)?)
         };
         // The job's root span: every later stage (compile, queue,
         // dispatch, execute, gather, finalize, report) nests under it.
@@ -711,7 +633,7 @@ impl PoolShared {
             .tracer
             .open("job", SpanId::NONE, &root_attrs[..root_attr_count]);
         // Closes the root span for submissions rejected with a
-        // retryable error: no slot exists, so no report ever will.
+        // retryable error: no entry exists, so no report ever will.
         let reject = |err: CompileError| -> CompileError {
             self.tracer
                 .close(root, 0.0, &[("outcome", Value::Str("rejected"))]);
@@ -720,12 +642,7 @@ impl PoolShared {
         let compile_span = self.tracer.open("compile", root, &[]);
         let compile_result = compile(
             spec,
-            job,
-            tenant,
-            &self.cfg,
-            seed,
-            self.cfg.window_base(job.0),
-            resident.as_ref(),
+            &Lowering::new(job, tenant, &self.cfg, resident.as_ref()),
         );
         self.tracer.close(
             compile_span,
@@ -747,37 +664,25 @@ impl PoolShared {
                 required,
                 available,
             }) => {
-                return self.fail_terminal(
-                    job,
-                    tenant,
-                    spec,
-                    claimed,
-                    root,
-                    JobError::WorkloadTooLarge {
-                        digital_required: required,
-                        analog_required: 0,
-                        digital_capacity: available,
-                        analog_capacity: self.cfg.analog_tiles,
-                    },
-                );
+                let error = JobError::WorkloadTooLarge {
+                    digital_required: required,
+                    analog_required: 0,
+                    digital_capacity: available,
+                    analog_capacity: self.cfg.analog_tiles,
+                };
+                return Ok(self.fail_terminal(job, tenant, spec, root, error));
             }
             Err(CompileError::NeedsMoreAnalogTiles {
                 required,
                 available,
             }) => {
-                return self.fail_terminal(
-                    job,
-                    tenant,
-                    spec,
-                    claimed,
-                    root,
-                    JobError::WorkloadTooLarge {
-                        digital_required: 0,
-                        analog_required: required,
-                        digital_capacity: self.cfg.digital_tiles,
-                        analog_capacity: available,
-                    },
-                );
+                let error = JobError::WorkloadTooLarge {
+                    digital_required: 0,
+                    analog_required: required,
+                    digital_capacity: self.cfg.digital_tiles,
+                    analog_capacity: available,
+                };
+                return Ok(self.fail_terminal(job, tenant, spec, root, error));
             }
             Err(other) => return Err(reject(other)),
         };
@@ -794,11 +699,7 @@ impl PoolShared {
                 let error = JobError::RejectedByVerifier {
                     diagnostics: report.errors(),
                 };
-                let mut st = lock(&self.state);
-                let st = &mut *st;
-                st.slots.insert(job.0, Slot::Queued { claimed });
-                open_queue_lifecycle(st, &self.tracer, job, root);
-                fail_at_dispatch(st, &self.tracer, compiled, 0, error);
+                self.fail_queued(compiled, root, error);
                 return Ok(job);
             }
         }
@@ -810,20 +711,18 @@ impl PoolShared {
         // analytical host delay beats the envelope's CIM latency bound
         // by the configured margin. Ineligible jobs (raw streams,
         // analog-score HDC) always run on the pool.
-        let host_route = match self.cfg.offload_policy {
-            OffloadPolicy::AlwaysCim => false,
-            OffloadPolicy::AlwaysHost => compiled.host.is_some(),
-            OffloadPolicy::CostDriven { threshold } => {
-                compiled.host.is_some() && {
-                    let host = ConventionalMachine::xeon_e5_2680();
-                    let cim_system = CimSystem::paper_default();
-                    let est = offload_estimate(&compiled, &host, &cim_system);
-                    est.conventional_delay.0 <= threshold * compiled.envelope.latency_bound.0
+        let host_route = compiled.host.is_some()
+            && match self.cfg.offload_policy {
+                OffloadPolicy::AlwaysCim => false,
+                OffloadPolicy::AlwaysHost => true,
+                OffloadPolicy::CostDriven { threshold } => {
+                    offload_estimate(&compiled).conventional_delay.0
+                        <= threshold * compiled.envelope.latency_bound.0
                 }
-            }
-        };
+            };
         if host_route {
-            return self.execute_host(compiled, claimed, root);
+            self.execute_host(compiled, root);
+            return Ok(job);
         }
 
         // Submit-side backpressure: block (flushing and pumping
@@ -831,95 +730,79 @@ impl PoolShared {
         // overrun the budget. An empty in-flight set always admits, so
         // one oversized job still runs.
         if self.cfg.max_inflight_cost != u64::MAX {
-            let cost = compiled.envelope.cost_units;
-            self.await_inflight_budget(cost);
+            self.await_inflight_budget(compiled.envelope.cost_units);
         }
 
         // Phase 2 (locked): validate capacity against the pins as they
         // are now, and enqueue.
         let mut st = lock(&self.state);
-        let st = &mut *st;
-        if compiled.dataset.is_none() {
-            // Fresh leases are carved from un-pinned tiles: the job
-            // must fit the free budget of one shard — or, for a
-            // tile-parallel (splittable) job, the pool's *aggregate*
-            // free budget, in which case the planner scatters it across
-            // shards and gathers the chunk results host-side.
-            let free_digital = |s: usize| self.cfg.digital_tiles - st.pinned_digital[s].len();
-            let free_analog = |s: usize| self.cfg.analog_tiles - st.pinned_analog[s].len();
-            let fits_one_shard = (0..self.cfg.shards).any(|s| {
-                compiled.demand.digital <= free_digital(s)
-                    && compiled.demand.analog <= free_analog(s)
-            });
-            if !fits_one_shard {
-                if compiled.splittable && compiled.demand.analog == 0 {
-                    let pool_capacity = self.cfg.digital_tiles * self.cfg.shards;
-                    if compiled.demand.digital > pool_capacity {
-                        // Never fits — not even split across every
-                        // shard of an idle pool. Terminal: synthesize
-                        // the failure report so the caller can tell it
-                        // apart from retryable admission pressure.
-                        let error = JobError::WorkloadTooLarge {
-                            digital_required: compiled.demand.digital,
-                            analog_required: compiled.demand.analog,
-                            digital_capacity: pool_capacity,
-                            analog_capacity: self.cfg.analog_tiles,
-                        };
-                        st.slots.insert(job.0, Slot::Queued { claimed });
-                        open_queue_lifecycle(st, &self.tracer, job, root);
-                        fail_at_dispatch(st, &self.tracer, compiled, 0, error);
-                        return Ok(job);
-                    }
-                    let pool_free: usize = (0..self.cfg.shards).map(free_digital).sum();
-                    if compiled.demand.digital > pool_free {
-                        // Would fit once pinned datasets release their
-                        // tiles: transient, retryable.
-                        return Err(reject(CompileError::NeedsMoreDigitalTiles {
-                            required: compiled.demand.digital,
-                            available: pool_free,
-                        }));
-                    }
-                    // Fits the pool's aggregate free tiles: enqueue;
-                    // the planner splits it across shards at dispatch.
-                } else {
-                    if compiled.demand.digital > self.cfg.digital_tiles
-                        || compiled.demand.analog > self.cfg.analog_tiles
-                    {
-                        // Bigger than a whole shard and not splittable:
-                        // can never fit on this pool. Terminal.
-                        let error = JobError::WorkloadTooLarge {
-                            digital_required: compiled.demand.digital,
-                            analog_required: compiled.demand.analog,
-                            digital_capacity: self.cfg.digital_tiles,
-                            analog_capacity: self.cfg.analog_tiles,
-                        };
-                        st.slots.insert(job.0, Slot::Queued { claimed });
-                        open_queue_lifecycle(st, &self.tracer, job, root);
-                        fail_at_dispatch(st, &self.tracer, compiled, 0, error);
-                        return Ok(job);
-                    }
-                    let best_digital = (0..self.cfg.shards).map(free_digital).max().unwrap_or(0);
-                    if compiled.demand.digital > best_digital {
-                        return Err(reject(CompileError::NeedsMoreDigitalTiles {
-                            required: compiled.demand.digital,
-                            available: best_digital,
-                        }));
-                    }
-                    return Err(reject(CompileError::NeedsMoreAnalogTiles {
-                        required: compiled.demand.analog,
-                        available: (0..self.cfg.shards).map(free_analog).max().unwrap_or(0),
-                    }));
+        if let Err(admission) = self.check_capacity(&st, &compiled) {
+            drop(st);
+            return match admission {
+                Admission::Retry(err) => Err(reject(err)),
+                Admission::Never(error) => {
+                    self.fail_queued(compiled, root, error);
+                    Ok(job)
                 }
-            }
+            };
         }
-        st.slots.insert(job.0, Slot::Queued { claimed });
-        open_queue_lifecycle(st, &self.tracer, job, root);
-        st.inflight.insert(job.0, compiled.envelope.cost_units);
-        st.inflight_total = st
-            .inflight_total
-            .saturating_add(compiled.envelope.cost_units);
+        let queue = self.tracer.open("queue", root, &[]);
+        st.admit(job, root, queue, compiled.envelope.cost_units);
         st.pending.push(compiled);
         Ok(job)
+    }
+
+    /// Checks a fresh-lease job against the tiles the pool could grant
+    /// it now. Fresh leases are carved from un-pinned tiles: the job
+    /// must fit the free budget of one shard — or, for a tile-parallel
+    /// (splittable) job, the pool's *aggregate* free budget, in which
+    /// case the planner scatters it across shards and gathers the chunk
+    /// results host-side. Dataset jobs reuse their pins and always pass.
+    fn check_capacity(&self, st: &PoolState, compiled: &CompiledJob) -> Result<(), Admission> {
+        let cfg = &self.cfg;
+        let demand = compiled.demand;
+        if compiled.dataset.is_some()
+            || (0..cfg.shards).any(|s| {
+                let (fd, fa) = st.free(cfg, s);
+                demand.digital <= fd && demand.analog <= fa
+            })
+        {
+            return Ok(());
+        }
+        if compiled.splittable && demand.analog == 0 {
+            let pool_capacity = cfg.digital_tiles * cfg.shards;
+            if demand.digital > pool_capacity {
+                // Never fits — not even split across every shard of an
+                // idle pool.
+                return Err(Admission::Never(JobError::WorkloadTooLarge {
+                    digital_required: demand.digital,
+                    analog_required: demand.analog,
+                    digital_capacity: pool_capacity,
+                    analog_capacity: cfg.analog_tiles,
+                }));
+            }
+            let pool_free: usize = (0..cfg.shards).map(|s| st.free(cfg, s).0).sum();
+            if demand.digital > pool_free {
+                // Would fit once pinned datasets release their tiles.
+                return Err(Admission::Retry(CompileError::NeedsMoreDigitalTiles {
+                    required: demand.digital,
+                    available: pool_free,
+                }));
+            }
+            // Fits the pool's aggregate free tiles: the planner splits
+            // it across shards at dispatch.
+            return Ok(());
+        }
+        if demand.digital > cfg.digital_tiles || demand.analog > cfg.analog_tiles {
+            // Bigger than a whole shard and not splittable.
+            return Err(Admission::Never(JobError::WorkloadTooLarge {
+                digital_required: demand.digital,
+                analog_required: demand.analog,
+                digital_capacity: cfg.digital_tiles,
+                analog_capacity: cfg.analog_tiles,
+            }));
+        }
+        Err(Admission::Retry(st.shortfall(cfg, demand)))
     }
 
     /// Blocks until `cost` more envelope units fit under
@@ -928,29 +811,14 @@ impl PoolShared {
     /// actually drains, then folds in one completion.
     fn await_inflight_budget(&self, cost: u64) {
         let fits = |st: &PoolState| {
-            st.inflight.is_empty()
+            st.inflight_jobs == 0
                 || st.inflight_total.saturating_add(cost) <= self.cfg.max_inflight_cost
         };
-        loop {
-            {
-                let st = lock(&self.state);
-                if fits(&st) {
-                    return;
-                }
-            }
+        while !fits(&lock(&self.state)) {
             self.flush();
-            let completion = {
-                let rx = lock(&self.completions);
-                {
-                    let st = lock(&self.state);
-                    if fits(&st) {
-                        return;
-                    }
-                }
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"))
-            };
-            self.process(completion);
+            if let Some(completion) = self.recv_unless(fits) {
+                self.process(completion);
+            }
         }
     }
 
@@ -959,19 +827,11 @@ impl PoolShared {
     /// immediately — empty `shards`, no batch id consumed, no device
     /// state touched — under a `host_execute` span, and telemetry books
     /// it in the host-routed ledger instead of the speedup mean.
-    fn execute_host(
-        &self,
-        mut compiled: CompiledJob,
-        claimed: bool,
-        root: SpanId,
-    ) -> Result<JobId, CompileError> {
+    fn execute_host(&self, mut compiled: CompiledJob, root: SpanId) {
         let output = match compiled.host.take() {
             Some(output) => output,
             None => unreachable!("host routing requires a precomputed host reference"),
         };
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim_system = CimSystem::paper_default();
-        let offload = offload_estimate(&compiled, &host, &cim_system);
         let span = self.tracer.open(
             "host_execute",
             root,
@@ -979,34 +839,27 @@ impl PoolShared {
         );
         self.tracer
             .close(span, 0.0, &[("outcome", Value::Str("ok"))]);
-        let report = JobReport {
-            job: compiled.job,
-            tenant: compiled.tenant,
-            kind: compiled.kind,
-            dataset: compiled.dataset,
-            shard: 0,
-            shards: Vec::new(),
-            batch: u64::MAX,
-            route: JobRoute::Host,
-            output: Ok(output),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
-            offload,
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
-        };
-        let job = compiled.job;
+        let report = unexecuted_report(&compiled, 0, JobRoute::Host, Ok(output));
         let mut st = lock(&self.state);
-        let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued { claimed });
-        open_queue_lifecycle(st, &self.tracer, job, root);
+        let queue = self.tracer.open("queue", root, &[]);
+        st.admit(compiled.job, root, queue, 0);
         st.telemetry.record(&report);
-        complete_job_slot(st, &self.tracer, Box::new(report));
-        Ok(job)
+        complete(&mut st, &self.tracer, Box::new(report));
+    }
+
+    /// Completes a compiled job with a terminal failure before it ever
+    /// queues for a shard (verifier rejection, never-fits demand): the
+    /// entry is created and immediately finished, so `wait` returns the
+    /// report without blocking.
+    fn fail_queued(&self, compiled: CompiledJob, root: SpanId, error: JobError) {
+        let mut st = lock(&self.state);
+        let queue = self.tracer.open("queue", root, &[]);
+        st.admit(compiled.job, root, queue, 0);
+        fail_at_dispatch(&mut st, &self.tracer, compiled, 0, error);
     }
 
     /// Completes a submission with a terminal synthesized failure
-    /// report before it was ever compiled into a stream: the slot is
+    /// report before it was ever compiled into a stream: the entry is
     /// created and immediately finished, so `wait` returns the report
     /// without blocking and the caller can tell the permanent failure
     /// apart from retryable admission errors.
@@ -1015,13 +868,9 @@ impl PoolShared {
         job: JobId,
         tenant: TenantId,
         spec: &WorkloadSpec,
-        claimed: bool,
         root: SpanId,
         error: JobError,
-    ) -> Result<JobId, CompileError> {
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim_system = CimSystem::paper_default();
-        let offload = Program::streaming(ByteSize(64), 0.5, 0.5, 0.5).estimate(&host, &cim_system);
+    ) -> JobId {
         let report = JobReport {
             job,
             tenant,
@@ -1034,34 +883,24 @@ impl PoolShared {
             output: Err(error),
             stats: ExecutionStats::default(),
             maintenance: OperationCost::default(),
-            offload,
+            offload: estimate(0, HostProfile::UNKNOWN),
             device: DeviceCounters::default(),
             timing: JobTiming::default(),
         };
         let mut st = lock(&self.state);
-        let st = &mut *st;
-        st.slots.insert(job.0, Slot::Queued { claimed });
         // The job never queues (it failed before compiling into a
-        // stream), so its lifecycle has no queue span: the traced route
-        // is job → compile → report.
-        st.lifecycles.insert(
-            job.0,
-            JobLifecycle {
-                root,
-                queue: SpanId::NONE,
-                submitted: Instant::now(),
-                dispatched: None,
-            },
-        );
+        // stream), so it has no queue span: the traced route is
+        // job → compile → report.
+        st.admit(job, root, SpanId::NONE, 0);
         st.telemetry.record(&report);
-        complete_job_slot(st, &self.tracer, Box::new(report));
-        Ok(job)
+        complete(&mut st, &self.tracer, Box::new(report));
+        job
     }
 
     /// Compiles `spec` exactly as a submission would and runs both
     /// static passes on the result — the safety verifier and the cost
     /// analyzer — without enqueuing anything: no job id is consumed, no
-    /// slot or report is created, and no shard is touched. Dataset
+    /// entry or report is created, and no shard is touched. Dataset
     /// resolution and access checks match submission, so a clean
     /// verdict here means the same spec would pass the admission
     /// verifier, and the returned envelope is exactly what the offload
@@ -1071,37 +910,13 @@ impl PoolShared {
         tenant: TenantId,
         spec: &WorkloadSpec,
     ) -> Result<(cim_lint::LintReport, cim_lint::CostEnvelope), CompileError> {
-        let (probe, seed, resident) = {
+        let (probe, resident) = {
             let st = lock(&self.state);
-            let probe = JobId(st.next_job);
-            let seed = mix_seed(self.cfg.seed, 0x0B0B ^ probe.0);
-            let resident = match spec.dataset() {
-                Some(id) => {
-                    let record = st
-                        .datasets
-                        .get(&id.0)
-                        .filter(|r| !r.released)
-                        .ok_or(CompileError::UnknownDataset { dataset: id })?;
-                    if record.tenant != tenant {
-                        return Err(CompileError::DatasetAccessDenied {
-                            dataset: id,
-                            owner: record.tenant,
-                        });
-                    }
-                    Some(record.view())
-                }
-                None => None,
-            };
-            (probe, seed, resident)
+            (JobId(st.next_job), st.resolve_dataset(tenant, spec)?)
         };
         let compiled = compile(
             spec,
-            probe,
-            tenant,
-            &self.cfg,
-            seed,
-            self.cfg.window_base(probe.0),
-            resident.as_ref(),
+            &Lowering::new(probe, tenant, &self.cfg, resident.as_ref()),
         )?;
         let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
         Ok((report, compiled.envelope))
@@ -1123,13 +938,7 @@ impl PoolShared {
             SpanId::NONE,
             &[("pending", Value::U64(st.pending.len() as u64))],
         );
-        let mut batches = plan(
-            &mut st,
-            &self.cfg,
-            self.cfg.coalesce,
-            self.cfg.max_batch_jobs,
-            &self.tracer,
-        );
+        let mut batches = plan(&mut st, &self.cfg, &self.tracer);
         st.telemetry.batches += batches.len() as u64;
         let jobs_placed: usize = batches.iter().map(|(_, b)| b.jobs.len()).sum();
         if !batches.is_empty() {
@@ -1146,9 +955,7 @@ impl PoolShared {
         );
         mark_dispatched(&mut st, &self.tracer, &mut batches);
         for (shard, batch) in batches {
-            self.to_shards[shard]
-                .send(WorkerMsg::Batch(batch))
-                .unwrap_or_else(|_| panic!("shard worker disconnected before the pool shut down"));
+            self.send(shard, WorkerMsg::Batch(batch));
         }
     }
 
@@ -1175,28 +982,24 @@ impl PoolShared {
             demand,
             payload,
             resident_bytes,
+            resident_rows,
         } = compile_dataset_load(spec, &self.cfg, seed)?;
 
         let shards: Vec<usize> = {
             let mut st = lock(&self.state);
             let st = &mut *st;
+            let cfg = &self.cfg;
 
-            let free = |st: &PoolState, s: usize| {
-                (
-                    self.cfg.digital_tiles - st.pinned_digital[s].len(),
-                    self.cfg.analog_tiles - st.pinned_analog[s].len(),
-                )
-            };
             // Most-free shard that fits the whole pin, ties to the
             // lowest index: datasets spread out, leaving fresh-lease
             // headroom.
-            let single = (0..self.cfg.shards)
+            let single = (0..cfg.shards)
                 .filter(|&s| {
-                    let (fd, fa) = free(st, s);
+                    let (fd, fa) = st.free(cfg, s);
                     demand.digital <= fd && demand.analog <= fa
                 })
                 .max_by_key(|&s| {
-                    let (fd, fa) = free(st, s);
+                    let (fd, fa) = st.free(cfg, s);
                     (fd + fa, std::cmp::Reverse(s))
                 });
 
@@ -1204,7 +1007,7 @@ impl PoolShared {
             let assignment: Vec<(usize, usize)> = match single {
                 Some(shard) => vec![(shard, demand.digital)],
                 None if demand.analog == 0 && demand.digital > 0 => {
-                    match scatter_assignment(self.cfg.shards, |s| free(st, s).0, demand.digital) {
+                    match scatter_assignment(cfg.shards, |s| st.free(cfg, s).0, demand.digital) {
                         Some(chunks) => chunks,
                         None => {
                             // Transient: the pool-wide *capacity* was
@@ -1213,30 +1016,12 @@ impl PoolShared {
                             // current pins stand in the way.
                             return Err(CompileError::NeedsMoreDigitalTiles {
                                 required: demand.digital,
-                                available: (0..self.cfg.shards).map(|s| free(st, s).0).sum(),
+                                available: (0..cfg.shards).map(|s| st.free(cfg, s).0).sum(),
                             });
                         }
                     }
                 }
-                None => {
-                    let best_digital = (0..self.cfg.shards)
-                        .map(|s| free(st, s).0)
-                        .max()
-                        .unwrap_or(0);
-                    if demand.digital > best_digital {
-                        return Err(CompileError::NeedsMoreDigitalTiles {
-                            required: demand.digital,
-                            available: best_digital,
-                        });
-                    }
-                    return Err(CompileError::NeedsMoreAnalogTiles {
-                        required: demand.analog,
-                        available: (0..self.cfg.shards)
-                            .map(|s| free(st, s).1)
-                            .max()
-                            .unwrap_or(0),
-                    });
-                }
+                None => return Err(st.shortfall(cfg, demand)),
             };
 
             // Split the load program into per-shard chunks, pin and
@@ -1252,11 +1037,11 @@ impl PoolShared {
             for ((shard, digital_chunk), chunk_instructions) in
                 assignment.iter().copied().zip(chunk_programs)
             {
-                let digital_tiles: Vec<usize> = (0..self.cfg.digital_tiles)
+                let digital_tiles: Vec<usize> = (0..cfg.digital_tiles)
                     .filter(|t| !st.pinned_digital[shard].contains(t))
                     .take(digital_chunk)
                     .collect();
-                let analog_tiles: Vec<usize> = (0..self.cfg.analog_tiles)
+                let analog_tiles: Vec<usize> = (0..cfg.analog_tiles)
                     .filter(|t| !st.pinned_analog[shard].contains(t))
                     .take(demand.analog)
                     .collect();
@@ -1267,33 +1052,21 @@ impl PoolShared {
                     Ok(relocated) => relocated,
                     Err(_) => unreachable!("load program stays inside its demand"),
                 };
-                let scrub_rows: Vec<(usize, usize)> = relocated
-                    .iter()
-                    .flat_map(|i| match i {
-                        CimInstruction::WriteRow { tile, row, .. } => vec![(*tile, *row)],
-                        // A key write pulses both rows of the entry's
-                        // row pair; release must scrub them both.
-                        CimInstruction::WriteKey { tile, slot, .. } => {
-                            vec![(*tile, 2 * slot), (*tile, 2 * slot + 1)]
-                        }
-                        _ => vec![],
-                    })
-                    .collect();
                 placements.push(ShardPlacement {
                     shard,
+                    scrub_rows: written_rows(&relocated).collect(),
                     digital_tiles,
                     analog_tiles,
-                    scrub_rows,
                 });
                 sends.push((shard, relocated));
             }
 
             let placement = (demand.digital > 0).then(|| {
                 AddressMap::new(
-                    self.cfg.dataset_window_base(id.0),
+                    cfg.dataset_window_base(id.0),
                     demand.digital,
-                    self.cfg.tile_rows,
-                    self.cfg.tile_cols.div_ceil(8),
+                    cfg.tile_rows,
+                    cfg.tile_cols.div_ceil(8),
                 )
             });
             let shards: Vec<usize> = placements.iter().map(|p| p.shard).collect();
@@ -1316,6 +1089,7 @@ impl PoolShared {
                     placements,
                     payload,
                     resident_bytes,
+                    resident_rows,
                     placement,
                     load: LoadProgress {
                         pending: sends.len(),
@@ -1329,16 +1103,15 @@ impl PoolShared {
                 },
             );
             for (shard, instructions) in sends {
-                self.to_shards[shard]
-                    .send(WorkerMsg::LoadDataset {
+                self.send(
+                    shard,
+                    WorkerMsg::LoadDataset {
                         id,
                         instructions,
                         seed,
                         span,
-                    })
-                    .unwrap_or_else(|_| {
-                        panic!("shard worker disconnected before the pool shut down")
-                    });
+                    },
+                );
             }
             shards
         };
@@ -1404,7 +1177,7 @@ impl PoolShared {
         match completion {
             Completion::Job { report, part: None } => {
                 st.telemetry.record(&report);
-                complete_job_slot(st, &self.tracer, report);
+                complete(st, &self.tracer, report);
             }
             Completion::Job {
                 report,
@@ -1413,30 +1186,32 @@ impl PoolShared {
                 // One sub-program of a cross-shard split job: park it in
                 // the gather, and assemble the job's single report once
                 // every part arrived.
-                let job = report.job.0;
-                let Some(gather) = st.gathers.get_mut(&job) else {
+                let Some(entry) = st.jobs.get_mut(&report.job.0) else {
+                    unreachable!("sub-report for a job the pool no longer tracks");
+                };
+                let root = entry.root;
+                let Some(gather) = entry.gather.as_mut() else {
                     unreachable!("sub-report for a job with no gather state");
                 };
-                if !gather.span.is_some() && gather.root.is_some() {
+                if !gather.span.is_some() && root.is_some() {
                     // The gather opens when the first part lands.
                     gather.span = self.tracer.open(
                         "gather",
-                        gather.root,
+                        root,
                         &[("parts", Value::U64(gather.expected as u64))],
                     );
                 }
                 gather.parts.insert(part, report);
                 if gather.parts.len() == gather.expected {
-                    let Some(gather) = st.gathers.remove(&job) else {
+                    let Some(gather) = entry.gather.take() else {
                         unreachable!("present above");
                     };
-                    let (gather_span, root) = (gather.span, gather.root);
-                    self.tracer.close(gather_span, 0.0, &[]);
+                    self.tracer.close(gather.span, 0.0, &[]);
                     let finalize = self.tracer.open("finalize", root, &[]);
-                    let (report, shard_stats) = assemble_gathered(gather);
+                    let (report, shard_stats) = assemble_gathered(*gather);
                     self.tracer.close(finalize, 0.0, &[]);
                     st.telemetry.record_gathered(&report, shard_stats);
-                    complete_job_slot(st, &self.tracer, Box::new(report));
+                    complete(st, &self.tracer, Box::new(report));
                 }
             }
             Completion::DatasetLoaded { id, result } => {
@@ -1488,36 +1263,38 @@ impl PoolShared {
         }
     }
 
-    /// Pumps completions until `done(&state)` holds. Safe against
-    /// concurrent pumpers: the predicate is re-checked while holding
-    /// the completions lock, so a completion that another thread
-    /// consumed between the unlocked check and the blocking `recv`
-    /// cannot strand this waiter — once it holds the receiver lock, it
-    /// is the only thread that can consume completions.
+    /// Blocks for the next completion unless `done(&state)` holds once
+    /// the receiver is held. Safe against concurrent pumpers: the
+    /// predicate is re-checked under the completions lock, so a
+    /// completion another thread consumed between the caller's unlocked
+    /// check and the blocking `recv` cannot strand this waiter — once
+    /// it holds the receiver lock, it is the only thread that can
+    /// consume completions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool shuts down while the predicate is false.
+    fn recv_unless(&self, done: impl Fn(&PoolState) -> bool) -> Option<Completion> {
+        let rx = lock(&self.completions);
+        if done(&lock(&self.state)) {
+            return None;
+        }
+        Some(
+            rx.recv()
+                .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding")),
+        )
+    }
+
+    /// Pumps completions until `done(&state)` holds.
     ///
     /// # Panics
     ///
     /// Panics if the pool shuts down before the predicate holds.
     fn pump_until(&self, done: impl Fn(&PoolState) -> bool) {
-        loop {
-            {
-                let st = lock(&self.state);
-                if done(&st) {
-                    return;
-                }
+        while !done(&lock(&self.state)) {
+            if let Some(completion) = self.recv_unless(&done) {
+                self.process(completion);
             }
-            let completion = {
-                let rx = lock(&self.completions);
-                {
-                    let st = lock(&self.state);
-                    if done(&st) {
-                        return;
-                    }
-                }
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding"))
-            };
-            self.process(completion);
         }
     }
 
@@ -1532,27 +1309,14 @@ impl PoolShared {
         }
     }
 
-    /// Removes and returns the job's report if it is ready.
-    fn try_take_done(&self, job: JobId) -> Option<JobReport> {
-        let mut st = lock(&self.state);
-        if matches!(st.slots.get(&job.0), Some(Slot::Done { .. })) {
-            let Some(Slot::Done { report, .. }) = st.slots.remove(&job.0) else {
-                unreachable!("checked above");
-            };
-            return Some(*report);
-        }
-        None
-    }
-
     /// Non-blocking status of a job.
     pub(crate) fn poll_job(&self, job: JobId) -> JobStatus {
         self.try_pump();
-        let st = lock(&self.state);
-        match st.slots.get(&job.0) {
-            Some(Slot::Queued { .. }) => JobStatus::Queued,
-            Some(Slot::Dispatched { .. }) => JobStatus::Dispatched,
-            // A missing slot means the report was already taken.
-            Some(Slot::Done { .. }) | Some(Slot::Abandoned) | None => JobStatus::Completed,
+        match lock(&self.state).jobs.get(&job.0).map(|e| &e.state) {
+            Some(JobState::Queued) => JobStatus::Queued,
+            Some(JobState::Dispatched) => JobStatus::Dispatched,
+            // A missing entry means the report was already taken.
+            Some(JobState::Abandoned | JobState::Done(_)) | None => JobStatus::Completed,
         }
     }
 
@@ -1564,149 +1328,68 @@ impl PoolShared {
     /// Panics if the pool was dropped before the report arrived.
     pub(crate) fn wait_job(&self, job: JobId) -> JobReport {
         self.flush();
-        self.pump_until(|st| {
-            !matches!(
-                st.slots.get(&job.0),
-                Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. })
-            )
-        });
-        self.try_take_done(job).unwrap_or_else(|| {
-            panic!("the waited job's slot holds its report (handles are the sole takers)")
-        })
+        self.pump_until(|st| !st.awaiting_report(job));
+        let mut st = lock(&self.state);
+        match st.jobs.remove(&job.0).map(|e| e.state) {
+            Some(JobState::Done(report)) => *report,
+            _ => panic!("the waited job's entry holds its report (handles are the sole takers)"),
+        }
     }
 
     /// Drops a handle's claim: if the report is ready it is discarded,
     /// otherwise it will be discarded (after telemetry) on arrival.
     pub(crate) fn abandon_job(&self, job: JobId) {
         let mut st = lock(&self.state);
-        match st.slots.get(&job.0) {
-            Some(Slot::Done { .. }) => {
-                st.slots.remove(&job.0);
-            }
-            Some(Slot::Queued { .. }) | Some(Slot::Dispatched { .. }) => {
-                st.slots.insert(job.0, Slot::Abandoned);
-            }
-            Some(Slot::Abandoned) | None => {}
-        }
-    }
-
-    /// Legacy drain: flush, block until every unclaimed job completes,
-    /// return their reports sorted by id.
-    pub(crate) fn drain_unclaimed(&self) -> Vec<JobReport> {
-        self.flush();
-        self.pump_until(|st| {
-            !st.slots.values().any(|slot| {
-                matches!(
-                    slot,
-                    Slot::Queued { claimed: false } | Slot::Dispatched { claimed: false }
-                )
-            })
-        });
-        self.take_unclaimed_done()
-    }
-
-    /// Removes and returns every unclaimed completed report, sorted by
-    /// job id.
-    fn take_unclaimed_done(&self) -> Vec<JobReport> {
-        let mut st = lock(&self.state);
-        let ids: Vec<u64> = st
-            .slots
-            .iter()
-            .filter(|(_, slot)| matches!(slot, Slot::Done { claimed: false, .. }))
-            .map(|(id, _)| *id)
-            .collect();
-        let mut reports = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(Slot::Done { report, .. }) = st.slots.remove(&id) {
-                reports.push(*report);
-            }
-        }
-        reports.sort_by_key(|r| r.job);
-        reports
-    }
-}
-
-/// Opens the job's queue span and records its lifecycle entry — the
-/// common admission tail of every path that creates a queued slot.
-fn open_queue_lifecycle(st: &mut PoolState, tracer: &Tracer, job: JobId, root: SpanId) {
-    let queue = tracer.open("queue", root, &[]);
-    st.lifecycles.insert(
-        job.0,
-        JobLifecycle {
-            root,
-            queue,
-            submitted: Instant::now(),
-            dispatched: None,
-        },
-    );
-}
-
-/// Marks every planned job as dispatched, preserving its claim; stamps
-/// the dispatch wall-clock, closes the queue span and opens one
-/// `dispatch` span per placed part (a split job dispatches several).
-fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut [(usize, Batch)]) {
-    let now = Instant::now();
-    for (shard, batch) in batches.iter_mut() {
-        let batch_id = batch.id;
-        for placed in batch.jobs.iter_mut() {
-            let id = placed.compiled.job.0;
-            if let Some(Slot::Queued { claimed }) = st.slots.get(&id) {
-                let claimed = *claimed;
-                st.slots.insert(id, Slot::Dispatched { claimed });
-            }
-            if let Some(lc) = st.lifecycles.get_mut(&id) {
-                if lc.dispatched.is_none() {
-                    lc.dispatched = Some(now);
-                    tracer.close(lc.queue, 0.0, &[]);
-                    lc.queue = SpanId::NONE;
+        if let Some(entry) = st.jobs.get_mut(&job.0) {
+            match entry.state {
+                JobState::Done(_) => {
+                    st.jobs.remove(&job.0);
                 }
-                placed.root = lc.root;
-                let mut attrs: [Attr; 3] = [
-                    ("shard", Value::U64(*shard as u64)),
-                    ("batch", Value::U64(batch_id)),
-                    ("part", Value::U64(0)),
-                ];
-                let count = match placed.part {
-                    Some(part) => {
-                        attrs[2] = ("part", Value::U64(part as u64));
-                        3
-                    }
-                    None => 2,
-                };
-                placed.dispatch = tracer.open("dispatch", lc.root, &attrs[..count]);
+                JobState::Queued | JobState::Dispatched => entry.state = JobState::Abandoned,
+                JobState::Abandoned => {}
             }
         }
     }
+}
+
+/// Why phase-2 admission refused a job.
+enum Admission {
+    /// Transient pressure (pins in the way): a retryable error.
+    Retry(CompileError),
+    /// The job can never fit this pool: a terminal failure report.
+    Never(JobError),
+}
+
+/// The analytical host-vs-CIM estimate of a kernel with `resident_bytes`
+/// of CIM-resident data and the given cache profile, against the
+/// paper's host and CIM system models.
+fn estimate(resident_bytes: u64, profile: HostProfile) -> OffloadEstimate {
+    Program::streaming(
+        ByteSize(resident_bytes.max(64)),
+        profile.accel_fraction,
+        profile.l1_miss,
+        profile.l2_miss,
+    )
+    .estimate(
+        &ConventionalMachine::xeon_e5_2680(),
+        &CimSystem::paper_default(),
+    )
 }
 
 /// The analytical host-vs-CIM estimate of a compiled job.
-fn offload_estimate(
-    compiled: &CompiledJob,
-    host: &ConventionalMachine,
-    cim_system: &CimSystem,
-) -> OffloadEstimate {
-    Program::streaming(
-        ByteSize(compiled.resident_bytes.max(64)),
-        compiled.host_profile.accel_fraction,
-        compiled.host_profile.l1_miss,
-        compiled.host_profile.l2_miss,
-    )
-    .estimate(host, cim_system)
+fn offload_estimate(compiled: &CompiledJob) -> OffloadEstimate {
+    estimate(compiled.resident_bytes, compiled.host_profile)
 }
 
-/// Fails a job at dispatch time (no shard ever saw it): synthesizes its
-/// report, completes its slot and records telemetry.
-fn fail_at_dispatch(
-    st: &mut PoolState,
-    tracer: &Tracer,
-    compiled: CompiledJob,
+/// The report of a compiled job that completed without executing on a
+/// shard: host-routed, or failed before dispatch.
+fn unexecuted_report(
+    compiled: &CompiledJob,
     shard: usize,
-    error: JobError,
-) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
-    let offload = offload_estimate(&compiled, &host, &cim_system);
-    let report = JobReport {
+    route: JobRoute,
+    output: Result<JobOutput, JobError>,
+) -> JobReport {
+    JobReport {
         job: compiled.job,
         tenant: compiled.tenant,
         kind: compiled.kind,
@@ -1714,58 +1397,66 @@ fn fail_at_dispatch(
         shard,
         shards: Vec::new(),
         batch: u64::MAX,
-        route: JobRoute::Cim,
-        output: Err(error),
+        route,
+        output,
         stats: ExecutionStats::default(),
         maintenance: OperationCost::default(),
-        offload,
+        offload: offload_estimate(compiled),
         device: DeviceCounters::default(),
         timing: JobTiming::default(),
-    };
-    st.telemetry.record(&report);
-    complete_job_slot(st, tracer, Box::new(report));
+    }
 }
 
-/// Moves a finished report into its slot (or discards it if the handle
-/// was dropped) — the common tail of direct, gathered and synthesized
-/// completions. Stamps the report's wall-clock [`JobTiming`] from the
-/// job's lifecycle, then closes the lifecycle's spans: the queue span
-/// if still open (the job never dispatched), a `report` child marking
-/// completion, and finally the root span carrying the job's simulated
-/// busy time.
-fn complete_job_slot(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
-    // The job's envelope leaves the in-flight ledger (no-op for jobs
-    // that never enqueued: host-routed, failed-terminal), releasing
-    // submit-side backpressure.
-    if let Some(cost) = st.inflight.remove(&report.job.0) {
-        st.inflight_total = st.inflight_total.saturating_sub(cost);
-    }
+/// Fails a job at dispatch time (no shard ever saw it): synthesizes its
+/// report, completes it and records telemetry.
+fn fail_at_dispatch(
+    st: &mut PoolState,
+    tracer: &Tracer,
+    compiled: CompiledJob,
+    shard: usize,
+    error: JobError,
+) {
+    let report = unexecuted_report(&compiled, shard, JobRoute::Cim, Err(error));
+    st.telemetry.record(&report);
+    complete(st, tracer, Box::new(report));
+}
+
+/// Moves a finished report into its job's entry (or drops the entry if
+/// the handle was abandoned) — the common tail of direct, gathered and
+/// synthesized completions. Releases the job's in-flight envelope,
+/// stamps the report's wall-clock [`JobTiming`], then closes the job's
+/// spans: the queue span if still open (the job never dispatched), a
+/// `report` child marking completion, and finally the root span
+/// carrying the job's simulated busy time.
+fn complete(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
+    let id = report.job.0;
+    let Some(entry) = st.jobs.get_mut(&id) else {
+        return;
+    };
+    st.inflight_jobs = st.inflight_jobs.saturating_sub(1);
+    st.inflight_total = st.inflight_total.saturating_sub(entry.inflight);
     let now = Instant::now();
-    if let Some(lc) = st.lifecycles.remove(&report.job.0) {
-        // `Instant::duration_since` saturates to zero, so a dispatch
-        // stamped after `now` (racing flusher) cannot panic here.
-        let dispatched = lc.dispatched.unwrap_or(now);
-        report.timing = JobTiming {
-            queued: dispatched.duration_since(lc.submitted),
-            service: now.duration_since(dispatched),
-            total: now.duration_since(lc.submitted),
-        };
-        tracer.close(lc.queue, 0.0, &[]);
-        let outcome = Value::Str(if report.output.is_ok() { "ok" } else { "err" });
-        let report_span = tracer.open("report", lc.root, &[]);
-        tracer.close(report_span, 0.0, &[("outcome", outcome)]);
-        tracer.close(lc.root, report.stats.busy_time.0, &[("outcome", outcome)]);
-    }
-    match st.slots.get(&report.job.0) {
-        Some(Slot::Abandoned) => {
-            st.slots.remove(&report.job.0);
-        }
-        Some(Slot::Queued { claimed }) | Some(Slot::Dispatched { claimed }) => {
-            let claimed = *claimed;
-            st.slots
-                .insert(report.job.0, Slot::Done { claimed, report });
-        }
-        Some(Slot::Done { .. }) | None => {}
+    // `Instant::duration_since` saturates to zero, so a dispatch
+    // stamped after `now` (racing flusher) cannot panic here.
+    let dispatched = entry.dispatched.unwrap_or(now);
+    report.timing = JobTiming {
+        queued: dispatched.duration_since(entry.submitted),
+        service: now.duration_since(dispatched),
+        total: now.duration_since(entry.submitted),
+    };
+    tracer.close(entry.queue, 0.0, &[]);
+    let outcome = Value::Str(if report.output.is_ok() { "ok" } else { "err" });
+    let report_span = tracer.open("report", entry.root, &[]);
+    tracer.close(report_span, 0.0, &[("outcome", outcome)]);
+    tracer.close(
+        entry.root,
+        report.stats.busy_time.0,
+        &[("outcome", outcome)],
+    );
+    if matches!(entry.state, JobState::Abandoned) {
+        st.jobs.remove(&id);
+    } else {
+        entry.state = JobState::Done(report);
     }
 }
 
@@ -1781,753 +1472,48 @@ fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionSt
         offload,
         ..
     } = gather;
-    let mut meta: Option<(JobId, TenantId, crate::job::JobKind, Option<DatasetId>, u64)> = None;
-    let mut stats = ExecutionStats::default();
-    let mut maintenance = OperationCost::default();
-    let mut device = DeviceCounters::default();
-    let mut shards = Vec::with_capacity(parts.len());
-    let mut shard_stats = Vec::with_capacity(parts.len());
+    let mut parts = parts.into_values();
+    let Some(first) = parts.next() else {
+        unreachable!("a gather holds at least one part");
+    };
+    let mut report = JobReport {
+        job: first.job,
+        tenant: first.tenant,
+        kind: first.kind,
+        dataset: first.dataset,
+        shard: first.shard,
+        shards: Vec::with_capacity(parts.len() + 1),
+        batch: first.batch,
+        route: JobRoute::Cim,
+        output: Ok(JobOutput::Responses(Vec::new())),
+        stats: ExecutionStats::default(),
+        maintenance: OperationCost::default(),
+        offload,
+        device: DeviceCounters::default(),
+        timing: JobTiming::default(),
+    };
+    let mut shard_stats = Vec::with_capacity(parts.len() + 1);
     let mut responses = Vec::new();
     let mut error: Option<JobError> = None;
-    for part in parts.into_values() {
-        if meta.is_none() {
-            meta = Some((part.job, part.tenant, part.kind, part.dataset, part.batch));
-        }
-        stats_accumulate(&mut stats, &part.stats);
-        maintenance = maintenance.then(part.maintenance);
-        device.accumulate(&part.device);
-        shards.push(part.shard);
+    for part in std::iter::once(first).chain(parts) {
+        stats_accumulate(&mut report.stats, &part.stats);
+        report.maintenance = report.maintenance.then(part.maintenance);
+        report.device.accumulate(&part.device);
+        report.shards.push(part.shard);
         shard_stats.push((part.shard, part.stats));
         match part.output {
             Ok(JobOutput::Responses(mut chunk)) => responses.append(&mut chunk),
-            Ok(_) => unreachable!("sub-programs decode through Finalizer::Raw"),
+            Ok(_) => unreachable!("sub-programs decode verbatim"),
             Err(e) => {
                 error.get_or_insert(e);
             }
         }
     }
-    let Some((job, tenant, kind, dataset, batch)) = meta else {
-        unreachable!("a gather holds at least one part");
-    };
-    let output = match error {
+    report.output = match error {
         Some(e) => Err(e),
         None => Ok(finalizer.finalize(responses)),
     };
-    let report = JobReport {
-        job,
-        tenant,
-        kind,
-        dataset,
-        shard: shards[0],
-        shards: shards.clone(),
-        batch,
-        route: JobRoute::Cim,
-        output,
-        stats,
-        maintenance,
-        offload,
-        device,
-        timing: JobTiming::default(),
-    };
     (report, shard_stats)
-}
-
-/// A pending job routed to its shard, with pinned tile maps resolved
-/// for dataset jobs.
-struct RoutedJob {
-    compiled: CompiledJob,
-    /// `Some` for dataset jobs: the dataset's pinned physical tiles.
-    pinned: Option<(Vec<usize>, Vec<usize>)>,
-    /// `Some(index)` for one sub-program of a cross-shard split job.
-    part: Option<u32>,
-}
-
-/// Greedy digital-tile scatter used by both dataset pins and fresh-job
-/// splits: assigns `demand` tiles across shards as `(shard, tiles)`
-/// chunks, most free tiles first (fewest chunks), ties to the lowest
-/// index — a pure function of the free counts, so placement stays
-/// deterministic and identical for the two callers. Returns `None`
-/// when the free tiles cannot cover the demand.
-fn scatter_assignment(
-    shards: usize,
-    free_digital: impl Fn(usize) -> usize,
-    demand: usize,
-) -> Option<Vec<(usize, usize)>> {
-    let mut order: Vec<usize> = (0..shards).collect();
-    order.sort_by_key(|&s| (std::cmp::Reverse(free_digital(s)), s));
-    let mut assignment = Vec::new();
-    let mut remaining = demand;
-    for s in order {
-        if remaining == 0 {
-            break;
-        }
-        let take = free_digital(s).min(remaining);
-        if take > 0 {
-            assignment.push((s, take));
-            remaining -= take;
-        }
-    }
-    (remaining == 0).then_some(assignment)
-}
-
-/// Registers gather state for a job about to scatter into `expected`
-/// sub-programs across shards. `root` is the parent job's root span
-/// (gather/finalize spans open under it once parts arrive).
-fn register_gather(
-    gathers: &mut BTreeMap<u64, GatherState>,
-    parent: &CompiledJob,
-    expected: usize,
-    root: SpanId,
-) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
-    gathers.insert(
-        parent.job.0,
-        GatherState {
-            expected,
-            parts: BTreeMap::new(),
-            finalizer: parent.finalizer.clone(),
-            offload: offload_estimate(parent, &host, &cim_system),
-            root,
-            span: SpanId::NONE,
-        },
-    );
-}
-
-/// Plans the pending queue: deterministic shard selection, cost-aware
-/// batch packing over free (un-pinned) tiles, shortest-job-first
-/// ordering — and cross-shard scatter for jobs (or dataset queries)
-/// whose tiles span more than one shard. Returns `(shard, batch)` pairs
-/// in dispatch order.
-fn plan(
-    st: &mut PoolState,
-    cfg: &PoolConfig,
-    coalesce: bool,
-    max_batch_jobs: usize,
-    tracer: &Tracer,
-) -> Vec<(usize, Batch)> {
-    let max_batch_jobs = max_batch_jobs.max(1);
-    let mut shard_queues: Vec<Vec<RoutedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-    let mut loads = vec![0u64; cfg.shards];
-    let mut failures: Vec<(CompiledJob, usize, JobError)> = Vec::new();
-
-    // 1. Route jobs to shards, in job-id order so the plan is a pure
-    // function of submission order even when sessions submitted
-    // concurrently.
-    let mut pending = std::mem::take(&mut st.pending);
-    pending.sort_by_key(|job| job.job);
-    for job in pending {
-        match job.dataset {
-            Some(id) => match st.datasets.get(&id.0).filter(|r| !r.released) {
-                Some(record) if record.placements.len() == 1 => {
-                    let placement = &record.placements[0];
-                    loads[placement.shard] += job.estimated_cost();
-                    shard_queues[placement.shard].push(RoutedJob {
-                        pinned: Some((
-                            placement.digital_tiles.clone(),
-                            placement.analog_tiles.clone(),
-                        )),
-                        part: None,
-                        compiled: job,
-                    });
-                }
-                Some(record) if !job.splittable || job.demand.analog != 0 => {
-                    // A query that cannot be tile-split against a
-                    // dataset that spans shards: no shard can run it
-                    // whole. Nothing in the pool compiles to this
-                    // combination today (only digital Q6 pins scatter),
-                    // but a future multi-shard dataset kind must fail
-                    // its queries cleanly here rather than panic the
-                    // planner on the split precondition.
-                    let required = job.demand;
-                    failures.push((
-                        job,
-                        record.primary_shard(),
-                        JobError::WorkloadTooLarge {
-                            digital_required: required.digital,
-                            analog_required: required.analog,
-                            digital_capacity: cfg.digital_tiles,
-                            analog_capacity: cfg.analog_tiles,
-                        },
-                    ));
-                }
-                Some(record) => {
-                    // The dataset spans shards: scatter the query so
-                    // each chunk of reductions runs on the shard
-                    // pinning its tiles, gathered host-side.
-                    let chunks: Vec<usize> = record
-                        .placements
-                        .iter()
-                        .map(|p| p.digital_tiles.len())
-                        .collect();
-                    let parts = split_by_digital_tile(&job, &chunks, cfg);
-                    let root = st
-                        .lifecycles
-                        .get(&job.job.0)
-                        .map_or(SpanId::NONE, |lc| lc.root);
-                    register_gather(&mut st.gathers, &job, parts.len(), root);
-                    for (index, (part, placement)) in
-                        parts.into_iter().zip(&record.placements).enumerate()
-                    {
-                        loads[placement.shard] += part.estimated_cost();
-                        shard_queues[placement.shard].push(RoutedJob {
-                            pinned: Some((
-                                placement.digital_tiles.clone(),
-                                placement.analog_tiles.clone(),
-                            )),
-                            part: Some(index as u32),
-                            compiled: part,
-                        });
-                    }
-                }
-                None => {
-                    let shard = st.datasets.get(&id.0).map_or(0, |r| r.primary_shard());
-                    failures.push((job, shard, JobError::DatasetReleased { dataset: id }));
-                }
-            },
-            None => {
-                // Least-loaded shard whose free (un-pinned) tiles fit
-                // the lease. A splittable job no single shard can hold
-                // scatters across shards by free capacity instead. If
-                // neither works (datasets pinned tiles after
-                // submit-time validation), fall back to the
-                // least-loaded shard and let packing fail the job
-                // cleanly with `AdmissionFailed`.
-                let free_digital = |s: usize| cfg.digital_tiles - st.pinned_digital[s].len();
-                let fits = |s: usize| {
-                    job.demand.digital <= free_digital(s)
-                        && job.demand.analog <= cfg.analog_tiles - st.pinned_analog[s].len()
-                };
-                if let Some(shard) = (0..cfg.shards)
-                    .filter(|&s| fits(s))
-                    .min_by_key(|&s| (loads[s], s))
-                {
-                    loads[shard] += job.estimated_cost();
-                    shard_queues[shard].push(RoutedJob {
-                        compiled: job,
-                        pinned: None,
-                        part: None,
-                    });
-                    continue;
-                }
-                if job.splittable && job.demand.analog == 0 {
-                    if let Some(assignment) =
-                        scatter_assignment(cfg.shards, free_digital, job.demand.digital)
-                    {
-                        let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
-                        let parts = split_by_digital_tile(&job, &sizes, cfg);
-                        let root = st
-                            .lifecycles
-                            .get(&job.job.0)
-                            .map_or(SpanId::NONE, |lc| lc.root);
-                        register_gather(&mut st.gathers, &job, parts.len(), root);
-                        for (index, (part, &(shard, _))) in
-                            parts.into_iter().zip(&assignment).enumerate()
-                        {
-                            loads[shard] += part.estimated_cost();
-                            shard_queues[shard].push(RoutedJob {
-                                compiled: part,
-                                pinned: None,
-                                part: Some(index as u32),
-                            });
-                        }
-                        continue;
-                    }
-                    // Pool-wide free shrank since submit validation:
-                    // fail cleanly, like the single-shard path below.
-                    let pool_free = (0..cfg.shards).map(free_digital).sum::<usize>();
-                    let error = JobError::AdmissionFailed {
-                        digital_required: job.demand.digital,
-                        digital_free: pool_free,
-                        analog_required: 0,
-                        analog_free: 0,
-                    };
-                    failures.push((job, 0, error));
-                    continue;
-                }
-                let shard = (0..cfg.shards)
-                    .min_by_key(|&s| (loads[s], s))
-                    .unwrap_or_else(|| unreachable!("at least one shard"));
-                loads[shard] += job.estimated_cost();
-                shard_queues[shard].push(RoutedJob {
-                    compiled: job,
-                    pinned: None,
-                    part: None,
-                });
-            }
-        }
-    }
-
-    // 2. Pack per-shard batches.
-    let mut out = Vec::new();
-    for (shard, mut queue) in shard_queues.into_iter().enumerate() {
-        let free_digital: Vec<usize> = (0..cfg.digital_tiles)
-            .filter(|t| !st.pinned_digital[shard].contains(t))
-            .collect();
-        let free_analog: Vec<usize> = (0..cfg.analog_tiles)
-            .filter(|t| !st.pinned_analog[shard].contains(t))
-            .collect();
-        let mut shard_batches: Vec<(u64, Vec<PlacedJob>)> = Vec::new();
-        while !queue.is_empty() {
-            let first = queue.remove(0);
-            let kind = first.compiled.kind;
-            let dataset = first.compiled.dataset;
-            let mut batch_cost = first.compiled.estimated_cost();
-            let mut jobs = Vec::new();
-
-            let (mut digital_used, mut analog_used) = match first.pinned {
-                Some((digital_map, analog_map)) => {
-                    jobs.push(PlacedJob {
-                        compiled: first.compiled,
-                        digital_map,
-                        analog_map,
-                        part: first.part,
-                        root: SpanId::NONE,
-                        dispatch: SpanId::NONE,
-                    });
-                    // Dataset jobs share the pinned tiles; no free-tile
-                    // budget is consumed.
-                    (0, 0)
-                }
-                None => {
-                    let need = first.compiled.demand;
-                    if need.digital > free_digital.len() || need.analog > free_analog.len() {
-                        failures.push((
-                            first.compiled,
-                            shard,
-                            JobError::AdmissionFailed {
-                                digital_required: need.digital,
-                                digital_free: free_digital.len(),
-                                analog_required: need.analog,
-                                analog_free: free_analog.len(),
-                            },
-                        ));
-                        continue;
-                    }
-                    jobs.push(PlacedJob {
-                        compiled: first.compiled,
-                        digital_map: free_digital[..need.digital].to_vec(),
-                        analog_map: free_analog[..need.analog].to_vec(),
-                        part: first.part,
-                        root: SpanId::NONE,
-                        dispatch: SpanId::NONE,
-                    });
-                    (need.digital, need.analog)
-                }
-            };
-
-            // Coalesce compatible jobs from anywhere in the shard
-            // queue, preserving their relative order. Jobs are
-            // order-independent by construction (private noise
-            // streams, exclusive or serially-shared leases), so
-            // pulling a same-kind job forward cannot change any
-            // result.
-            if coalesce {
-                let mut i = 0;
-                while jobs.len() < max_batch_jobs && i < queue.len() {
-                    let candidate = &queue[i];
-                    let compatible = candidate.compiled.kind == kind
-                        && candidate.compiled.dataset == dataset
-                        && batch_cost + candidate.compiled.estimated_cost() <= cfg.max_batch_cost;
-                    let fits = if dataset.is_some() {
-                        compatible
-                    } else {
-                        compatible
-                            && digital_used + candidate.compiled.demand.digital
-                                <= free_digital.len()
-                            && analog_used + candidate.compiled.demand.analog <= free_analog.len()
-                    };
-                    if fits {
-                        let routed = queue.remove(i);
-                        batch_cost += routed.compiled.estimated_cost();
-                        let placed = match routed.pinned {
-                            Some((digital_map, analog_map)) => PlacedJob {
-                                compiled: routed.compiled,
-                                digital_map,
-                                analog_map,
-                                part: routed.part,
-                                root: SpanId::NONE,
-                                dispatch: SpanId::NONE,
-                            },
-                            None => {
-                                let need = routed.compiled.demand;
-                                let placed = PlacedJob {
-                                    digital_map: free_digital
-                                        [digital_used..digital_used + need.digital]
-                                        .to_vec(),
-                                    analog_map: free_analog[analog_used..analog_used + need.analog]
-                                        .to_vec(),
-                                    part: routed.part,
-                                    compiled: routed.compiled,
-                                    root: SpanId::NONE,
-                                    dispatch: SpanId::NONE,
-                                };
-                                digital_used += need.digital;
-                                analog_used += need.analog;
-                                placed
-                            }
-                        };
-                        jobs.push(placed);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-
-            // Shortest job first inside the batch: a cheap co-batched
-            // job reports before an expensive one.
-            jobs.sort_by_key(|p| (p.compiled.estimated_cost(), p.compiled.job));
-            shard_batches.push((batch_cost, jobs));
-        }
-        // Cheapest batch first on the shard, for the same reason.
-        shard_batches.sort_by_key(|(cost, jobs)| {
-            (
-                *cost,
-                jobs.iter()
-                    .map(|p| p.compiled.job)
-                    .min()
-                    .unwrap_or_else(|| unreachable!("nonempty")),
-            )
-        });
-        for (_, jobs) in shard_batches {
-            out.push((
-                shard,
-                Batch {
-                    id: st.next_batch,
-                    jobs,
-                },
-            ));
-            st.next_batch += 1;
-        }
-    }
-
-    for (compiled, shard, error) in failures {
-        fail_at_dispatch(st, tracer, compiled, shard, error);
-    }
-    out
-}
-
-/// Relocates a compiled stream onto physical tiles via per-class maps
-/// (virtual index → physical tile), rejecting any instruction that
-/// escapes the lease. Tile indices are patched in place — the stream is
-/// owned by the batch and executed exactly once, so no payload (bin
-/// rows, weight matrices, query vectors) is copied on the worker hot
-/// path.
-fn relocate(
-    mut instructions: Vec<CimInstruction>,
-    digital_map: &[usize],
-    analog_map: &[usize],
-) -> Result<Vec<CimInstruction>, JobError> {
-    let digital = |tile: usize| -> Result<usize, JobError> {
-        digital_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: digital_map.len(),
-            analog: false,
-        })
-    };
-    let analog = |tile: usize| -> Result<usize, JobError> {
-        analog_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: analog_map.len(),
-            analog: true,
-        })
-    };
-    let mut have_bits = false;
-    for (index, instr) in instructions.iter_mut().enumerate() {
-        match instr {
-            CimInstruction::WriteRow { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::WriteKey { tile, .. } => *tile = digital(*tile)?,
-            // Match sets are entry-indexed, not tile-width: the
-            // accelerator never latches them as a `StoreLast` operand.
-            CimInstruction::MatchSearch { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::ReadRow { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::Logic { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::StoreLast { tile, .. } => {
-                if !have_bits {
-                    return Err(JobError::StoreWithoutResult { index });
-                }
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::ProgramMatrix { tile, .. }
-            | CimInstruction::Mvm { tile, .. }
-            | CimInstruction::MvmT { tile, .. } => *tile = analog(*tile)?,
-        }
-    }
-    Ok(instructions)
-}
-
-/// Renders a contained panic payload.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
-}
-
-fn worker_loop(
-    shard: usize,
-    mut accelerator: CimAccelerator,
-    shard_seed: u64,
-    messages: Receiver<WorkerMsg>,
-    completions: Sender<Completion>,
-    tracer: Tracer,
-) {
-    let host = ConventionalMachine::xeon_e5_2680();
-    let cim_system = CimSystem::paper_default();
-    while let Ok(message) = messages.recv() {
-        match message {
-            WorkerMsg::Batch(batch) => {
-                for placed in batch.jobs {
-                    let part = placed.part;
-                    let dispatch = placed.dispatch;
-                    let report = run_job(
-                        shard,
-                        batch.id,
-                        &mut accelerator,
-                        shard_seed,
-                        placed,
-                        &host,
-                        &cim_system,
-                        &tracer,
-                    );
-                    tracer.close(dispatch, 0.0, &[]);
-                    let completion = Completion::Job {
-                        report: Box::new(report),
-                        part,
-                    };
-                    if completions.send(completion).is_err() {
-                        return; // pool dropped
-                    }
-                }
-            }
-            WorkerMsg::LoadDataset {
-                id,
-                instructions,
-                seed,
-                span,
-            } => {
-                let exec_span =
-                    tracer.open("load_execute", span, &[("shard", Value::U64(shard as u64))]);
-                let before = *accelerator.stats();
-                let device_before = accelerator.device_counters();
-                accelerator.reset_pipeline();
-                accelerator.set_last_bits_tracking(
-                    instructions
-                        .iter()
-                        .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
-                );
-                let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut rng = seeded(seed);
-                    for instr in instructions {
-                        accelerator.execute_with_rng(instr, &mut rng);
-                    }
-                }));
-                accelerator.reset_pipeline();
-                let stats = stats_delta(accelerator.stats(), &before);
-                let device = accelerator.device_counters().delta(&device_before);
-                tracer.close(exec_span, stats.busy_time.0, &[]);
-                let result = executed.map(|()| (stats, device)).map_err(panic_message);
-                if completions
-                    .send(Completion::DatasetLoaded { id, result })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            WorkerMsg::ReleaseDataset {
-                id,
-                rows,
-                analog_tiles,
-                seed,
-            } => {
-                let mut maintenance = OperationCost::default();
-                let mut scrub_rng = seeded(mix_seed(shard_seed, 0x5C12 ^ seed));
-                for (tile, row) in rows {
-                    maintenance = maintenance.then(accelerator.scrub_digital_row(tile, row));
-                }
-                for tile in analog_tiles {
-                    maintenance =
-                        maintenance.then(accelerator.scrub_analog_tile(tile, &mut scrub_rng));
-                }
-                if completions
-                    .send(Completion::DatasetReleased { id, maintenance })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            WorkerMsg::Shutdown => return,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_job(
-    shard: usize,
-    batch: u64,
-    accelerator: &mut CimAccelerator,
-    shard_seed: u64,
-    placed: PlacedJob,
-    host: &ConventionalMachine,
-    cim_system: &CimSystem,
-    tracer: &Tracer,
-) -> JobReport {
-    let PlacedJob {
-        compiled,
-        digital_map,
-        analog_map,
-        part,
-        root,
-        dispatch,
-    } = placed;
-    let offload = offload_estimate(&compiled, host, cim_system);
-
-    let (job, tenant, kind, dataset) = (
-        compiled.job,
-        compiled.tenant,
-        compiled.kind,
-        compiled.dataset,
-    );
-    let base_report = move |output, stats, maintenance, device| JobReport {
-        job,
-        tenant,
-        kind,
-        dataset,
-        shard,
-        shards: vec![shard],
-        batch,
-        route: JobRoute::Cim,
-        output,
-        stats,
-        maintenance,
-        offload,
-        device,
-        timing: JobTiming::default(),
-    };
-
-    let mut exec_attrs: [Attr; 4] = [
-        ("job", Value::U64(job.0)),
-        ("shard", Value::U64(shard as u64)),
-        ("batch", Value::U64(batch)),
-        ("part", Value::U64(0)),
-    ];
-    let exec_attr_count = match part {
-        Some(index) => {
-            exec_attrs[3] = ("part", Value::U64(index as u64));
-            4
-        }
-        None => 3,
-    };
-    let exec_span = tracer.open("execute", dispatch, &exec_attrs[..exec_attr_count]);
-
-    let instructions = match relocate(compiled.instructions, &digital_map, &analog_map) {
-        Ok(instructions) => instructions,
-        Err(e) => {
-            tracer.close(exec_span, 0.0, &[("outcome", Value::Str("err"))]);
-            return base_report(
-                Err(e),
-                cim_core::ExecutionStats::default(),
-                OperationCost::default(),
-                DeviceCounters::default(),
-            );
-        }
-    };
-
-    // Track what the job touches so it can be scrubbed afterwards.
-    // Dataset queries write only scratch rows (their StoreLast
-    // write-backs), so the resident rows survive for the next query.
-    let mut written_rows: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut programmed_tiles: BTreeSet<usize> = BTreeSet::new();
-    let mut uses_store_last = false;
-    for instr in &instructions {
-        match instr {
-            CimInstruction::StoreLast { tile, row } => {
-                written_rows.insert((*tile, *row));
-                uses_store_last = true;
-            }
-            CimInstruction::WriteRow { tile, row, .. } => {
-                written_rows.insert((*tile, *row));
-            }
-            CimInstruction::WriteKey { tile, slot, .. } => {
-                written_rows.insert((*tile, 2 * slot));
-                written_rows.insert((*tile, 2 * slot + 1));
-            }
-            CimInstruction::ProgramMatrix { tile, .. } => {
-                programmed_tiles.insert(*tile);
-            }
-            _ => {}
-        }
-    }
-
-    let before = *accelerator.stats();
-    let device_before = accelerator.device_counters();
-    accelerator.reset_pipeline();
-    // Streams without StoreLast skip the per-instruction operand clone.
-    accelerator.set_last_bits_tracking(uses_store_last);
-    // A malformed stream that slips past validation (e.g. a raw job
-    // with a shape mismatch) panics inside the accelerator; contain it
-    // so one tenant cannot take the shard down.
-    let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut job_rng = seeded(compiled.seed);
-        let output_set: BTreeSet<usize> = compiled.outputs.iter().copied().collect();
-        let mut outputs: Vec<CimResponse> = Vec::with_capacity(output_set.len());
-        for (index, instr) in instructions.into_iter().enumerate() {
-            let (response, _cost) = accelerator.execute_with_rng(instr, &mut job_rng);
-            if output_set.contains(&index) {
-                outputs.push(response);
-            }
-        }
-        outputs
-    }));
-    accelerator.reset_pipeline();
-    let stats = stats_delta(accelerator.stats(), &before);
-    // The device delta is taken before the scrub so the job's counters
-    // reflect only its own work, not lease maintenance.
-    let device = accelerator.device_counters().delta(&device_before);
-    tracer.close(
-        exec_span,
-        stats.busy_time.0,
-        &[(
-            "outcome",
-            Value::Str(if executed.is_ok() { "ok" } else { "err" }),
-        )],
-    );
-
-    // Scrub the lease before the next tenant takes it.
-    let mut maintenance = OperationCost::default();
-    let mut scrub_rng = seeded(mix_seed(shard_seed, 0x5C12 ^ job.0));
-    for (tile, row) in written_rows {
-        maintenance = maintenance.then(accelerator.scrub_digital_row(tile, row));
-    }
-    for tile in programmed_tiles {
-        maintenance = maintenance.then(accelerator.scrub_analog_tile(tile, &mut scrub_rng));
-    }
-
-    let output = match executed {
-        Ok(outputs) => {
-            // Split parts skip the finalize span: the parent's single
-            // finalize runs host-side at gather completion.
-            let finalize = if part.is_none() {
-                tracer.open("finalize", root, &[])
-            } else {
-                SpanId::NONE
-            };
-            let output = Ok(compiled.finalizer.finalize(outputs));
-            tracer.close(finalize, 0.0, &[]);
-            output
-        }
-        Err(panic) => Err(JobError::ExecutionPanic {
-            message: panic_message(panic),
-        }),
-    };
-    base_report(output, stats, maintenance, device)
 }
 
 #[cfg(test)]
@@ -2537,11 +1523,13 @@ mod tests {
     use crate::job::{JobKind, JobOutput};
     use cim_bitmap_db::query::q6_scan;
     use cim_bitmap_db::tpch::{LineItemTable, Q6Params};
+    use cim_core::isa::CimInstruction;
     use cim_crossbar::cam::{key_bits, MatchKind, RuleSet};
     use cim_crossbar::scouting::ScoutOp;
     use cim_lint::RuleCode;
     use cim_nn::binarized::BinarizedMlp;
     use cim_simkit::bitvec::BitVec;
+    use cim_simkit::rng::seeded;
     use cim_xor_cipher::otp::OneTimePad;
 
     #[test]
@@ -2871,24 +1859,6 @@ mod tests {
         assert!(report.shard < 2);
     }
 
-    #[test]
-    fn legacy_shim_still_serves() {
-        #![allow(deprecated)]
-        let mut pool = RuntimePool::new(PoolConfig::with_shards(1));
-        pool.submit(
-            TenantId(0),
-            &WorkloadSpec::XorEncrypt {
-                message: vec![1; 16],
-                key_seed: 4,
-            },
-        )
-        .unwrap();
-        let reports = pool.drain();
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].output.is_ok());
-        assert_eq!(pool.telemetry().jobs, 1);
-    }
-
     /// Satellite "smarter batching": with cost-aware packing, a cheap
     /// job submitted after an expensive one is no longer head-of-line
     /// blocked — it dispatches first, both across batches and inside a
@@ -2922,7 +1892,7 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), &Tracer::disabled())
         };
         assert_eq!(batches.len(), 2, "XOR and Q6 form separate batches");
         // The cheap XOR batch dispatches before the expensive Q6 batch.
@@ -3038,7 +2008,7 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), &Tracer::disabled())
         };
         assert_eq!(batches.len(), 1, "same-kind raw jobs coalesce");
         let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
@@ -3426,13 +2396,13 @@ mod tests {
             .unwrap();
         let batches = {
             let mut st = pool.shared.state.lock().unwrap();
-            plan(&mut st, pool.config(), true, 8, &Tracer::disabled())
+            plan(&mut st, pool.config(), &Tracer::disabled())
         };
         let order: Vec<(u64, JobId)> = batches
             .iter()
             .map(|(_, b)| {
                 (
-                    b.jobs.iter().map(|p| p.compiled.estimated_cost()).sum(),
+                    b.jobs.iter().map(|p| p.compiled.envelope.cost_units).sum(),
                     b.jobs[0].compiled.job,
                 )
             })

@@ -1,0 +1,394 @@
+//! The shard side of the pool: what the pool sends a shard, and the
+//! worker thread that executes it on the shard's accelerator — relocating
+//! each job onto its leased tiles, containing panics, scrubbing the
+//! lease and decoding the job's outputs.
+
+use super::{mix_seed, offload_estimate};
+use crate::compile::CompiledJob;
+use crate::job::{DatasetId, JobError, JobOutput, JobReport, JobRoute, JobTiming};
+use crate::telemetry::stats_delta;
+use crate::trace::{Attr, Tracer};
+use cim_core::isa::{CimInstruction, CimResponse};
+use cim_core::{CimAccelerator, DeviceCounters, ExecutionStats};
+use cim_crossbar::energy::OperationCost;
+use cim_obs::{SpanId, Value};
+use cim_simkit::rng::seeded;
+use std::collections::BTreeSet;
+use std::sync::mpsc::{Receiver, Sender};
+
+/// A job with its virtual→physical tile maps on a shard.
+pub(super) struct PlacedJob {
+    pub(super) compiled: CompiledJob,
+    /// Physical digital tile of each virtual digital tile.
+    pub(super) digital_map: Vec<usize>,
+    /// Physical analog tile of each virtual analog tile.
+    pub(super) analog_map: Vec<usize>,
+    /// `Some(index)` when this is one sub-program of a cross-shard
+    /// split job: its report routes to the gather step instead of
+    /// completing the job directly.
+    pub(super) part: Option<u32>,
+    /// The job's root trace span (stamped by `mark_dispatched`, NONE
+    /// when tracing is disabled).
+    pub(super) root: SpanId,
+    /// The per-part dispatch span, opened at dispatch and closed by the
+    /// worker once the part completes.
+    pub(super) dispatch: SpanId,
+}
+
+/// One dispatch unit: co-resident jobs on one shard, executed in order.
+pub(super) struct Batch {
+    pub(super) id: u64,
+    pub(super) jobs: Vec<PlacedJob>,
+}
+
+/// What the pool sends a shard worker.
+pub(super) enum WorkerMsg {
+    /// Execute a batch of placed jobs.
+    Batch(Batch),
+    /// Execute a dataset's load program (already on physical tiles).
+    LoadDataset {
+        id: DatasetId,
+        instructions: Vec<CimInstruction>,
+        seed: u64,
+        /// The dataset's `dataset_load` span, parent of the worker's
+        /// per-chunk `load_execute` span.
+        span: SpanId,
+    },
+    /// Scrub a released dataset's pinned tiles.
+    ReleaseDataset {
+        id: DatasetId,
+        rows: Vec<(usize, usize)>,
+        analog_tiles: Vec<usize>,
+        seed: u64,
+    },
+    /// Exit the worker loop (sent by `RuntimePool::drop`).
+    Shutdown,
+}
+
+/// What a shard worker sends back.
+pub(super) enum Completion {
+    Job {
+        report: Box<JobReport>,
+        /// `Some` for one sub-program of a split job.
+        part: Option<u32>,
+    },
+    DatasetLoaded {
+        id: DatasetId,
+        result: Result<(ExecutionStats, DeviceCounters), String>,
+    },
+    DatasetReleased {
+        id: DatasetId,
+        maintenance: OperationCost,
+    },
+}
+
+/// Relocates a compiled stream onto physical tiles via per-class maps
+/// (virtual index → physical tile), rejecting any instruction that
+/// escapes the lease. Tile indices are patched in place — the stream is
+/// owned by the batch and executed exactly once, so no payload (bin
+/// rows, weight matrices, query vectors) is copied on the worker hot
+/// path.
+pub(super) fn relocate(
+    mut instructions: Vec<CimInstruction>,
+    digital_map: &[usize],
+    analog_map: &[usize],
+) -> Result<Vec<CimInstruction>, JobError> {
+    let digital = |tile: usize| -> Result<usize, JobError> {
+        digital_map.get(tile).copied().ok_or(JobError::TileFault {
+            virtual_tile: tile,
+            granted: digital_map.len(),
+            analog: false,
+        })
+    };
+    let analog = |tile: usize| -> Result<usize, JobError> {
+        analog_map.get(tile).copied().ok_or(JobError::TileFault {
+            virtual_tile: tile,
+            granted: analog_map.len(),
+            analog: true,
+        })
+    };
+    let mut have_bits = false;
+    for (index, instr) in instructions.iter_mut().enumerate() {
+        match instr {
+            CimInstruction::WriteRow { tile, .. } => *tile = digital(*tile)?,
+            CimInstruction::WriteKey { tile, .. } => *tile = digital(*tile)?,
+            // Match sets are entry-indexed, not tile-width: the
+            // accelerator never latches them as a `StoreLast` operand.
+            CimInstruction::MatchSearch { tile, .. } => *tile = digital(*tile)?,
+            CimInstruction::ReadRow { tile, .. } => {
+                have_bits = true;
+                *tile = digital(*tile)?;
+            }
+            CimInstruction::Logic { tile, .. } => {
+                have_bits = true;
+                *tile = digital(*tile)?;
+            }
+            CimInstruction::StoreLast { tile, .. } => {
+                if !have_bits {
+                    return Err(JobError::StoreWithoutResult { index });
+                }
+                *tile = digital(*tile)?;
+            }
+            CimInstruction::ProgramMatrix { tile, .. }
+            | CimInstruction::Mvm { tile, .. }
+            | CimInstruction::MvmT { tile, .. } => *tile = analog(*tile)?,
+        }
+    }
+    Ok(instructions)
+}
+
+/// The `(tile, row)` pairs a stream writes, in stream order — what a
+/// scrub must clean. A key write pulses both rows of its entry's row
+/// pair.
+pub(super) fn written_rows(
+    instructions: &[CimInstruction],
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    instructions.iter().flat_map(|instr| {
+        let (tile, rows) = match *instr {
+            CimInstruction::WriteRow { tile, row, .. }
+            | CimInstruction::StoreLast { tile, row } => (tile, [Some(row), None]),
+            CimInstruction::WriteKey { tile, slot, .. } => {
+                (tile, [Some(2 * slot), Some(2 * slot + 1)])
+            }
+            _ => (0, [None, None]),
+        };
+        rows.into_iter().flatten().map(move |row| (tile, row))
+    })
+}
+
+/// Renders a contained panic payload.
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
+}
+
+/// One shard: its accelerator, driven by a worker thread that executes
+/// what the pool sends and reports back on the completion channel.
+pub(super) struct Worker {
+    pub(super) shard: usize,
+    pub(super) accelerator: CimAccelerator,
+    pub(super) shard_seed: u64,
+    pub(super) completions: Sender<Completion>,
+    pub(super) tracer: Tracer,
+}
+
+/// What executing a stream produced: the collected output responses
+/// (or the contained panic) and the stream's own stats and device
+/// counters.
+type Executed = (
+    Result<Vec<CimResponse>, String>,
+    ExecutionStats,
+    DeviceCounters,
+);
+
+impl Worker {
+    /// The worker loop; returns on shutdown or once the pool is gone.
+    pub(super) fn run(mut self, messages: Receiver<WorkerMsg>) {
+        while let Ok(message) = messages.recv() {
+            let completion = match message {
+                WorkerMsg::Batch(batch) => {
+                    for placed in batch.jobs {
+                        let (part, dispatch) = (placed.part, placed.dispatch);
+                        let report = Box::new(self.run_job(batch.id, placed));
+                        self.tracer.close(dispatch, 0.0, &[]);
+                        if self
+                            .completions
+                            .send(Completion::Job { report, part })
+                            .is_err()
+                        {
+                            return; // pool dropped
+                        }
+                    }
+                    continue;
+                }
+                WorkerMsg::LoadDataset {
+                    id,
+                    instructions,
+                    seed,
+                    span,
+                } => {
+                    let shard = Value::U64(self.shard as u64);
+                    let exec_span = self.tracer.open("load_execute", span, &[("shard", shard)]);
+                    let (executed, stats, device) = self.execute(instructions, seed, &[]);
+                    self.tracer.close(exec_span, stats.busy_time.0, &[]);
+                    Completion::DatasetLoaded {
+                        id,
+                        result: executed.map(|_| (stats, device)),
+                    }
+                }
+                WorkerMsg::ReleaseDataset {
+                    id,
+                    rows,
+                    analog_tiles,
+                    seed,
+                } => Completion::DatasetReleased {
+                    id,
+                    maintenance: self.scrub(rows, analog_tiles, seed),
+                },
+                WorkerMsg::Shutdown => return,
+            };
+            if self.completions.send(completion).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Executes a physical-tile stream under a private noise stream
+    /// seeded with `seed`, collecting the responses of the `outputs`
+    /// instruction indices. A malformed stream that slips past
+    /// validation (e.g. a raw job with a shape mismatch) panics inside
+    /// the accelerator; the panic is contained so one tenant cannot take
+    /// the shard down.
+    fn execute(
+        &mut self,
+        instructions: Vec<CimInstruction>,
+        seed: u64,
+        outputs: &[usize],
+    ) -> Executed {
+        let accelerator = &mut self.accelerator;
+        let before = *accelerator.stats();
+        let device_before = accelerator.device_counters();
+        accelerator.reset_pipeline();
+        // Streams without StoreLast skip the per-instruction operand
+        // clone.
+        accelerator.set_last_bits_tracking(
+            instructions
+                .iter()
+                .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
+        );
+        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut rng = seeded(seed);
+            let output_set: BTreeSet<usize> = outputs.iter().copied().collect();
+            let mut responses = Vec::with_capacity(output_set.len());
+            for (index, instr) in instructions.into_iter().enumerate() {
+                let (response, _cost) = accelerator.execute_with_rng(instr, &mut rng);
+                if output_set.contains(&index) {
+                    responses.push(response);
+                }
+            }
+            responses
+        }));
+        accelerator.reset_pipeline();
+        let stats = stats_delta(accelerator.stats(), &before);
+        let device = accelerator.device_counters().delta(&device_before);
+        (executed.map_err(panic_message), stats, device)
+    }
+
+    /// Scrubs written rows and programmed analog tiles so no data
+    /// survives into the next lease, under a scrub noise stream derived
+    /// from `salt`; returns the maintenance cost.
+    fn scrub(
+        &mut self,
+        rows: impl IntoIterator<Item = (usize, usize)>,
+        analog_tiles: impl IntoIterator<Item = usize>,
+        salt: u64,
+    ) -> OperationCost {
+        let mut maintenance = OperationCost::default();
+        let mut scrub_rng = seeded(mix_seed(self.shard_seed, 0x5C12 ^ salt));
+        for (tile, row) in rows {
+            maintenance = maintenance.then(self.accelerator.scrub_digital_row(tile, row));
+        }
+        for tile in analog_tiles {
+            maintenance =
+                maintenance.then(self.accelerator.scrub_analog_tile(tile, &mut scrub_rng));
+        }
+        maintenance
+    }
+
+    /// Relocates, executes, scrubs and decodes one placed job.
+    fn run_job(&mut self, batch: u64, placed: PlacedJob) -> JobReport {
+        let PlacedJob {
+            compiled,
+            digital_map,
+            analog_map,
+            part,
+            root,
+            dispatch,
+        } = placed;
+        let shard = self.shard;
+        let mut report = JobReport {
+            job: compiled.job,
+            tenant: compiled.tenant,
+            kind: compiled.kind,
+            dataset: compiled.dataset,
+            shard,
+            shards: vec![shard],
+            batch,
+            route: JobRoute::Cim,
+            output: Ok(JobOutput::Responses(Vec::new())),
+            stats: ExecutionStats::default(),
+            maintenance: OperationCost::default(),
+            offload: offload_estimate(&compiled),
+            device: DeviceCounters::default(),
+            timing: JobTiming::default(),
+        };
+
+        let mut exec_attrs: [Attr; 4] = [
+            ("job", Value::U64(compiled.job.0)),
+            ("shard", Value::U64(shard as u64)),
+            ("batch", Value::U64(batch)),
+            ("part", Value::U64(0)),
+        ];
+        let exec_attr_count = match part {
+            Some(index) => {
+                exec_attrs[3] = ("part", Value::U64(index as u64));
+                4
+            }
+            None => 3,
+        };
+        let exec_span = self
+            .tracer
+            .open("execute", dispatch, &exec_attrs[..exec_attr_count]);
+
+        let instructions = match relocate(compiled.instructions, &digital_map, &analog_map) {
+            Ok(instructions) => instructions,
+            Err(e) => {
+                self.tracer
+                    .close(exec_span, 0.0, &[("outcome", Value::Str("err"))]);
+                report.output = Err(e);
+                return report;
+            }
+        };
+
+        // Track what the job touches so it can be scrubbed afterwards.
+        // Dataset queries write only scratch rows (their StoreLast
+        // write-backs), so the resident rows survive for the next query.
+        let written: BTreeSet<(usize, usize)> = written_rows(&instructions).collect();
+        let programmed: BTreeSet<usize> = instructions
+            .iter()
+            .filter_map(|i| match i {
+                CimInstruction::ProgramMatrix { tile, .. } => Some(*tile),
+                _ => None,
+            })
+            .collect();
+
+        // The device delta is taken before the scrub so the job's
+        // counters reflect only its own work, not lease maintenance.
+        let (executed, stats, device) =
+            self.execute(instructions, compiled.seed, &compiled.outputs);
+        let outcome = Value::Str(if executed.is_ok() { "ok" } else { "err" });
+        self.tracer
+            .close(exec_span, stats.busy_time.0, &[("outcome", outcome)]);
+        report.maintenance = self.scrub(written, programmed, compiled.job.0);
+        report.output = match executed {
+            Ok(outputs) => {
+                // Split parts skip the finalize span: the parent's single
+                // finalize runs host-side at gather completion.
+                let finalize = match part {
+                    None => self.tracer.open("finalize", root, &[]),
+                    Some(_) => SpanId::NONE,
+                };
+                let output = compiled.finalizer.finalize(outputs);
+                self.tracer.close(finalize, 0.0, &[]);
+                Ok(output)
+            }
+            Err(message) => Err(JobError::ExecutionPanic { message }),
+        };
+        report.stats = stats;
+        report.device = device;
+        report
+    }
+}

@@ -191,7 +191,7 @@ impl PoolTelemetry {
 
     /// Folds one job report into the aggregates.
     pub fn record(&mut self, report: &JobReport) {
-        self.record_with_shard_stats(report, std::iter::once((report.shard, report.stats)));
+        self.record_gathered(report, std::iter::once((report.shard, report.stats)));
     }
 
     /// Folds one scatter-gathered job: the job/tenant/pool/dataset
@@ -202,14 +202,6 @@ impl PoolTelemetry {
     /// actual cross-shard parallelism of a split job instead of piling
     /// the whole job onto one shard.
     pub fn record_gathered(
-        &mut self,
-        report: &JobReport,
-        parts: impl IntoIterator<Item = (usize, ExecutionStats)>,
-    ) {
-        self.record_with_shard_stats(report, parts);
-    }
-
-    fn record_with_shard_stats(
         &mut self,
         report: &JobReport,
         shard_stats: impl IntoIterator<Item = (usize, ExecutionStats)>,

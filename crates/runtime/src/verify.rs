@@ -10,12 +10,12 @@
 //!
 //! This module's job is building the [`LintTarget`]: the compiled job's
 //! declared tile demand plus whatever the queried dataset already made
-//! resident (Q6 bin rows, CAM entry row pairs, programmed prototype or
-//! weight matrices), so reads of resident data verify clean while
+//! resident (the rows its load program wrote, its programmed prototype
+//! or weight matrices), so reads of resident data verify clean while
 //! writes over it are rejected.
 
-use crate::compile::{q6_row_bases, CompiledJob, TileDemand};
-use crate::dataset::{ResidentPayload, ResidentView};
+use crate::compile::{CompiledJob, TileDemand};
+use crate::dataset::ResidentView;
 use crate::schedule::PoolConfig;
 use cim_arch::cim::CimUnitParams;
 use cim_core::isa::CimInstruction;
@@ -55,8 +55,9 @@ pub(crate) fn envelope_of(
 }
 
 /// Builds the lint target a job with `demand` runs against: the pool's
-/// per-tile geometry with the job's own tile counts, plus the resident
-/// rows/matrices of the dataset it queries, if any.
+/// per-tile geometry with the job's own tile counts, plus what the
+/// dataset it queries made resident — the rows its load wrote, and every
+/// analog tile the job demands (all programmed by the dataset).
 pub(crate) fn lint_target(
     demand: TileDemand,
     cfg: &PoolConfig,
@@ -66,28 +67,11 @@ pub(crate) fn lint_target(
     let Some(view) = resident else {
         return target;
     };
-    match &view.payload {
-        // Q6 bins occupy every row below the scratch region on each
-        // pinned tile; queries may only write the scratch rows above.
-        ResidentPayload::Q6 { widths, .. } => {
-            let (_, _, _, scratch_base) = q6_row_bases();
-            for tile in 0..widths.len() {
-                target = target.with_resident_rows(tile, 0..scratch_base);
-            }
-        }
-        // CAM entries are (value, care) row pairs from row 0 up.
-        ResidentPayload::CamRules { entries, .. } | ResidentPayload::CamKeys { entries, .. } => {
-            for (tile, &n) in entries.iter().enumerate() {
-                target = target.with_resident_rows(tile, 0..2 * n);
-            }
-        }
-        // Prototype / weight matrices: every analog tile the job
-        // demands is programmed by the dataset.
-        ResidentPayload::Hdc { .. } | ResidentPayload::Nn { .. } => {
-            for tile in 0..demand.analog {
-                target = target.with_resident_analog(tile);
-            }
-        }
+    for (tile, rows) in view.resident_rows.iter().enumerate() {
+        target = target.with_resident_rows(tile, rows.clone());
+    }
+    for tile in 0..demand.analog {
+        target = target.with_resident_analog(tile);
     }
     target
 }

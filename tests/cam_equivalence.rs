@@ -19,7 +19,8 @@
 //!   same dataset served whole by one shard with twice the tiles, and
 //!   both equal the host scan.
 
-use cim_repro::cim_crossbar::cam::{host_match, CamArray, MatchKind, ReferenceCamArray, RuleSet};
+use cim_repro::cim_crossbar::cam::{host_match, CamArray, MatchKind, RuleSet};
+use cim_repro::cim_crossbar::reference::ReferenceCamArray;
 use cim_repro::cim_device::reram::ReramParams;
 use cim_repro::cim_runtime::{
     DatasetSpec, JobOutput, PoolConfig, RuntimePool, TenantId, WorkloadSpec,

@@ -1,10 +1,9 @@
 //! End-to-end tests of the `cim-runtime` serving path.
 //!
 //! Pins the runtime invariants:
-//! 1. batched execution is bit-identical to sequential execution for a
-//!    fixed pool seed,
-//! 2. the session API (`PoolClient` + `JobHandle`) returns exactly the
-//!    reports the legacy `submit`/`drain` shim returns,
+//! 1. batched execution is bit-identical to one-job-per-batch execution
+//!    for a fixed pool seed,
+//! 2. a handle's report does not depend on how or when it is collected,
 //! 3. pool-wide telemetry equals the sum of per-job statistics,
 //! 4. tenants cannot read each other's tiles,
 //! 5. resident datasets pay their load writes once, stay resident
@@ -97,14 +96,18 @@ fn batched_equals_sequential_for_fixed_seed() {
     let handles = submit_all(&batched, &jobs);
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let sequential_reports = {
-        let mut sequential = RuntimePool::new(PoolConfig::with_shards(2));
-        for (tenant, spec) in &jobs {
-            sequential.submit(*tenant, spec).expect("workload fits");
-        }
-        sequential.drain_sequential()
-    };
+    // The reference schedule: every job in a batch of its own.
+    let sequential = RuntimePool::new(PoolConfig {
+        coalesce: false,
+        ..PoolConfig::with_shards(2)
+    });
+    let handles = submit_all(&sequential, &jobs);
+    let sequential_reports = sequential.client(TenantId(0)).wait_all(handles);
+    assert_eq!(
+        sequential.telemetry().batches,
+        sequential_reports.len() as u64,
+        "one job per batch"
+    );
 
     assert_eq!(batched_reports.len(), sequential_reports.len());
     for (b, s) in batched_reports.iter().zip(&sequential_reports) {
@@ -129,11 +132,11 @@ fn batched_equals_sequential_for_fixed_seed() {
     assert!(batched.telemetry().batches < batched_reports.len() as u64);
 }
 
-/// Satellite: the non-blocking handle path returns bit-identical
-/// reports to the legacy blocking `drain` for a fixed seed — the shim
-/// and the session API are the same machine.
+/// A handle's report does not depend on how it is collected:
+/// `wait_all` in job order and individual `wait`s in reverse order
+/// return bit-identical reports for a fixed seed.
 #[test]
-fn handle_wait_matches_legacy_drain() {
+fn handle_wait_matches_wait_all() {
     let jobs = mixed_workload();
 
     let session_pool = RuntimePool::new(PoolConfig::with_shards(2));
@@ -148,16 +151,15 @@ fn handle_wait_matches_legacy_drain() {
     }
     let session_reports = session_pool.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let legacy_reports = {
-        let mut legacy = RuntimePool::new(PoolConfig::with_shards(2));
-        for (tenant, spec) in &jobs {
-            legacy.submit(*tenant, spec).expect("workload fits");
-        }
-        legacy.drain()
-    };
+    let reverse_pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let mut reverse_reports: Vec<_> = submit_all(&reverse_pool, &jobs)
+        .into_iter()
+        .rev()
+        .map(JobHandle::wait)
+        .collect();
+    reverse_reports.reverse();
 
-    assert_eq!(session_reports, legacy_reports);
+    assert_eq!(session_reports, reverse_reports);
 }
 
 #[test]

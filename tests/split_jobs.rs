@@ -302,7 +302,7 @@ fn oversized_scout_bulk_reduction_is_exact() {
 }
 
 /// The pool's core invariant survives the scatter-gather: batched
-/// dispatch (with splitting) is bit-identical to the strict sequential
+/// dispatch (with splitting) is bit-identical to the one-job-per-batch
 /// schedule, job by job, for a mixed queue containing oversized work.
 #[test]
 fn split_jobs_batched_equals_sequential() {
@@ -348,14 +348,17 @@ fn split_jobs_batched_equals_sequential() {
         .collect();
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
 
-    #[allow(deprecated)]
-    let sequential_reports = {
-        let mut sequential = pool(4);
-        for (tenant, spec) in &jobs {
-            sequential.submit(*tenant, spec).unwrap();
-        }
-        sequential.drain_sequential()
-    };
+    // The reference schedule: every job (and every part) in a batch of
+    // its own.
+    let sequential = RuntimePool::new(PoolConfig {
+        coalesce: false,
+        ..PoolConfig::with_shards(4)
+    });
+    let handles: Vec<_> = jobs
+        .iter()
+        .map(|(tenant, spec)| sequential.client(*tenant).submit(spec).unwrap())
+        .collect();
+    let sequential_reports = sequential.client(TenantId(0)).wait_all(handles);
 
     assert_eq!(batched_reports.len(), sequential_reports.len());
     for (b, s) in batched_reports.iter().zip(&sequential_reports) {
