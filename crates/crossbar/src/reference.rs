@@ -10,9 +10,9 @@
 //! * the `soa_equivalence` proptest suite pins stored states, sensed
 //!   outputs (whenever `sigma_c2c == 0`) and energy/latency accounting of
 //!   the fast path against this model across random geometries;
-//! * the `runtime_throughput` perf-smoke microbench measures the fast
-//!   path's wall-clock speedup over this pre-refactor inner loop and
-//!   asserts it stays above its floor.
+//! * the `perf_smoke` bench binary measures the fast path's wall-clock
+//!   speedup over this pre-refactor inner loop and asserts it stays
+//!   above its floor.
 //!
 //! [`ReferenceAnalogCrossbar`] and [`ReferenceDifferentialCrossbar`] play
 //! the same two roles for the analog layer: they are the pre-refactor

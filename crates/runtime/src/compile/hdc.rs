@@ -59,6 +59,16 @@ impl Task {
         }
     }
 
+    /// Rejects tasks `LanguageTask::train` cannot build: no classes, a
+    /// zero dimension or n-gram size, or training text no longer than
+    /// one n-gram.
+    fn validate(&self) -> Result<(), CompileError> {
+        if self.classes == 0 || self.d == 0 || self.ngram == 0 || self.train_len <= self.ngram {
+            return Err(CompileError::EmptyWorkload);
+        }
+        Ok(())
+    }
+
     /// Trains on the host (one-shot prototype construction is setup
     /// work, exactly as `LanguageTask` does) and returns the task with
     /// its finalized prototypes.
@@ -78,6 +88,15 @@ impl Task {
         }
         Ok(())
     }
+}
+
+/// Rejects query batches with no samples, or with samples too short to
+/// hold one `ngram`-gram (`ngram` is nonzero for every validated task).
+fn check_samples(samples: usize, sample_len: usize, ngram: usize) -> Result<(), CompileError> {
+    if samples == 0 || sample_len < ngram {
+        return Err(CompileError::EmptyWorkload);
+    }
+    Ok(())
 }
 
 /// The prototypes as a 0/1 conductance matrix padded to the analog
@@ -172,9 +191,8 @@ pub(super) fn classify(
     samples: usize,
     sample_len: usize,
 ) -> Result<CompiledJob, CompileError> {
-    if spec.classes == 0 || samples == 0 || sample_len == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
+    spec.validate()?;
+    check_samples(samples, sample_len, spec.ngram)?;
     spec.fits_analog(lw.cfg)?;
     let (task, prototypes) = spec.train(lw.seed);
     let mut instructions = vec![CimInstruction::ProgramMatrix {
@@ -210,9 +228,7 @@ pub(super) fn query(
     let ResidentPayload::Hdc { task, classes, d } = &lw.dataset().payload else {
         return Err(lw.mismatch());
     };
-    if samples == 0 || sample_len == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
+    check_samples(samples, sample_len, task.encoder.n())?;
     let mut instructions = Vec::with_capacity(samples);
     let queries = sample_queries(task, *classes, samples, sample_len, lw.seed);
     let (outputs, expected) = emit_mvm_queries(&mut instructions, queries, *d, lw.cfg);
@@ -239,9 +255,7 @@ pub(super) fn load(
     spec: Task,
     seed: u64,
 ) -> Result<DatasetProgram, CompileError> {
-    if spec.classes == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
+    spec.validate()?;
     spec.fits_analog(cfg)?;
     let (task, prototypes) = spec.train(seed);
     Ok(DatasetProgram {
@@ -363,9 +377,8 @@ pub(super) fn assoc(
     sample_len: usize,
 ) -> Result<CompiledJob, CompileError> {
     let (cfg, classes, d) = (lw.cfg, spec.classes, spec.d);
-    if classes == 0 || samples == 0 || sample_len == 0 {
-        return Err(CompileError::EmptyWorkload);
-    }
+    spec.validate()?;
+    check_samples(samples, sample_len, spec.ngram)?;
     if 2 * classes > cfg.tile_rows {
         return Err(CompileError::NeedsMoreTileRows {
             required: 2 * classes,

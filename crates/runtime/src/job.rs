@@ -503,9 +503,9 @@ pub enum JobError {
     /// the compiled instruction stream: the program would fault, read
     /// garbage, or corrupt resident state on the accelerator. Terminal
     /// and raised before any device state is touched — the pool stays
-    /// fully serviceable. Raw streams are always verified; compiled
-    /// workloads too when [`crate::PoolConfig::verify_all_programs`] is
-    /// set.
+    /// fully serviceable. Raw streams, which are tenant input, are
+    /// always verified; compiled workloads are lint-clean by
+    /// construction.
     RejectedByVerifier {
         /// The error-severity findings, in instruction order, with
         /// stable rule codes (`L001-UNINIT-READ` …).

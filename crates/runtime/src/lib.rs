@@ -44,23 +44,23 @@
 //!   [`cim_lint::CostEnvelope`], and under
 //!   [`PoolConfig::offload_policy`] jobs whose host fallback beats their
 //!   envelope's latency bound execute on a host lane — bit-identical
-//!   output, `shards: []`, [`JobRoute::Host`] in the report — while
-//!   [`PoolConfig::max_inflight_cost`] backpressures submission on the
-//!   summed in-flight envelope cost. Per-job seeded noise streams and
-//!   exclusive tile leases make coalesced execution bit-identical to
-//!   one job per batch, and tile scrubbing keeps tenants from ever
-//!   observing each other's data. Tile-parallel jobs (and `Q6Table`
+//!   output, `shards: []`, [`JobRoute::Host`] in the report. Per-job
+//!   seeded noise streams and exclusive tile leases make coalesced
+//!   execution bit-identical to one job per batch, and tile scrubbing
+//!   keeps tenants from ever observing each other's data.
+//!   Tile-parallel jobs (and `Q6Table`
 //!   datasets) bigger than any one shard are scatter-gathered: split
 //!   into per-tile chunks across shards, executed in parallel, and
 //!   decoded by the job's single finalizer over the gathered chunk
 //!   responses — bit-identical to one giant shard, so the pool's
 //!   aggregate capacity (not a shard's) bounds job size.
 //! * **verify** — admission-time static verification through the
-//!   `cim-lint` analyzer: raw instruction streams are always checked,
-//!   and every compiled program too under
-//!   [`PoolConfig::verify_all_programs`]. Programs with error-severity
-//!   findings fail terminally with [`JobError::RejectedByVerifier`]
-//!   (stable `L00x` rule codes) before any device state is touched;
+//!   `cim-lint` analyzer: raw instruction streams, which are tenant
+//!   input, are always checked (compiled programs are lint-clean by
+//!   construction, asserted in debug builds). Programs with
+//!   error-severity findings fail terminally with
+//!   [`JobError::RejectedByVerifier`] (stable `L00x` rule codes)
+//!   before any device state is touched;
 //!   [`PoolClient::verify`] runs the same check standalone and also
 //!   returns the job's certified cost envelope.
 //! * **[`telemetry`]** — aggregates [`cim_core::ExecutionStats`] and

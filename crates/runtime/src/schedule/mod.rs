@@ -35,10 +35,9 @@
 //!
 //! The pool tracks every submitted job in one table, from admission
 //! until its handle takes the report: lifecycle state, wall-clock and
-//! span bookkeeping, in-flight envelope cost and, for a job split
-//! across shards, its gather state. This module owns that table and
-//! admission; the planner lives in `plan` and the shard workers in
-//! `worker`.
+//! span bookkeeping and, for a job split across shards, its gather
+//! state. This module owns that table and admission; the planner lives
+//! in `plan` and the shard workers in `worker`.
 //!
 //! After each job the runtime scrubs every tile row the job wrote (and
 //! every analog tile it programmed) so no data survives into the next
@@ -136,15 +135,6 @@ pub struct PoolConfig {
     /// every job dispatches in a batch of its own — the reference
     /// schedule coalescing must reproduce bit-identically.
     pub coalesce: bool,
-    /// Run the `cim-lint` static verifier on *every* compiled program
-    /// at submission, not just raw streams. Raw instruction streams
-    /// ([`crate::WorkloadSpec::Raw`] / [`crate::WorkloadSpec::RawQuery`])
-    /// are always verified regardless of this flag, since they are
-    /// tenant input; setting it extends the same check to the pool's
-    /// own compiler output as a defense-in-depth serving mode. Programs
-    /// with error-severity findings fail terminally with
-    /// [`JobError::RejectedByVerifier`] before touching any shard.
-    pub verify_all_programs: bool,
     /// Binary-device technology of every shard's digital tiles. The
     /// default is the workspace's representative HfO₂ ReRAM; tests that
     /// need provably exact analog range-match windows zero the
@@ -161,14 +151,6 @@ pub struct PoolConfig {
     /// from the host lane (reported with [`crate::JobRoute::Host`],
     /// empty `shards`, bit-identical output).
     pub offload_policy: OffloadPolicy,
-    /// Submit-side backpressure budget: the summed
-    /// [`cim_lint::CostEnvelope::cost_units`] of CIM-routed jobs
-    /// admitted but not yet completed. A submission that would push the
-    /// in-flight total past the budget blocks (pumping completions)
-    /// until enough envelope drains. `u64::MAX` (the default) disables
-    /// the gate. The first in-flight job is always admitted, so a
-    /// single job larger than the whole budget still runs.
-    pub max_inflight_cost: u64,
 }
 
 impl Default for PoolConfig {
@@ -186,11 +168,9 @@ impl Default for PoolConfig {
             max_batch_jobs: 8,
             max_batch_cost: 1 << 14,
             coalesce: true,
-            verify_all_programs: false,
             reram_params: ReramParams::default(),
             analog_params: AnalogParams::default(),
             offload_policy: OffloadPolicy::AlwaysCim,
-            max_inflight_cost: u64::MAX,
         }
     }
 }
@@ -307,9 +287,6 @@ struct JobEntry {
     submitted: Instant,
     /// Set when the first part dispatches.
     dispatched: Option<Instant>,
-    /// Envelope cost the job holds in the in-flight ledger until it
-    /// completes (zero for jobs that never enqueue).
-    inflight: u64,
     /// Set while a job split across shards is in flight.
     gather: Option<Box<GatherState>>,
 }
@@ -319,12 +296,6 @@ struct PoolState {
     pending: Vec<CompiledJob>,
     /// Every job from admission until its report is taken, by id.
     jobs: BTreeMap<u64, JobEntry>,
-    /// Jobs admitted but not completed, and their summed envelope cost —
-    /// what [`PoolConfig::max_inflight_cost`] gates submissions against.
-    /// Jobs that never enqueue complete under the lock that admitted
-    /// them, so only queued and dispatched jobs are ever observed here.
-    inflight_jobs: usize,
-    inflight_total: u64,
     datasets: BTreeMap<u64, DatasetRecord>,
     /// Physical digital tiles pinned by datasets, per shard.
     pinned_digital: Vec<BTreeSet<usize>>,
@@ -348,11 +319,8 @@ impl std::fmt::Debug for PoolState {
 
 impl PoolState {
     /// Records a job's admission; `queue` is its open queue span (NONE
-    /// for a job that fails before queueing) and `inflight` the
-    /// envelope cost it holds until completion.
-    fn admit(&mut self, job: JobId, root: SpanId, queue: SpanId, inflight: u64) {
-        self.inflight_jobs += 1;
-        self.inflight_total = self.inflight_total.saturating_add(inflight);
+    /// for a job that fails before queueing).
+    fn admit(&mut self, job: JobId, root: SpanId, queue: SpanId) {
         self.jobs.insert(
             job.0,
             JobEntry {
@@ -361,7 +329,6 @@ impl PoolState {
                 queue,
                 submitted: Instant::now(),
                 dispatched: None,
-                inflight,
                 gather: None,
             },
         );
@@ -514,8 +481,6 @@ impl RuntimePool {
                 state: Mutex::new(PoolState {
                     pending: Vec::new(),
                     jobs: BTreeMap::new(),
-                    inflight_jobs: 0,
-                    inflight_total: 0,
                     datasets: BTreeMap::new(),
                     pinned_digital: vec![BTreeSet::new(); cfg.shards],
                     pinned_analog: vec![BTreeSet::new(); cfg.shards],
@@ -688,12 +653,12 @@ impl PoolShared {
         };
 
         // Static verification: raw streams are tenant input and always
-        // checked; the verify-all serving mode extends the check to
-        // compiled programs. Error-severity findings are terminal — the
-        // program can never execute correctly, so a synthesized failure
-        // report is completed immediately and no device state is ever
-        // touched. The pool stays fully serviceable.
-        if verify && (compiled.kind == JobKind::Raw || self.cfg.verify_all_programs) {
+        // checked (compiler output is lint-clean by construction, which
+        // `compile` debug-asserts). Error-severity findings are terminal
+        // — the program can never execute correctly, so a synthesized
+        // failure report is completed immediately and no device state
+        // is ever touched. The pool stays fully serviceable.
+        if verify && compiled.kind == JobKind::Raw {
             let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
             if report.has_errors() {
                 let error = JobError::RejectedByVerifier {
@@ -725,14 +690,6 @@ impl PoolShared {
             return Ok(job);
         }
 
-        // Submit-side backpressure: block (flushing and pumping
-        // completions) while the summed in-flight envelope would
-        // overrun the budget. An empty in-flight set always admits, so
-        // one oversized job still runs.
-        if self.cfg.max_inflight_cost != u64::MAX {
-            self.await_inflight_budget(compiled.envelope.cost_units);
-        }
-
         // Phase 2 (locked): validate capacity against the pins as they
         // are now, and enqueue.
         let mut st = lock(&self.state);
@@ -747,7 +704,7 @@ impl PoolShared {
             };
         }
         let queue = self.tracer.open("queue", root, &[]);
-        st.admit(job, root, queue, compiled.envelope.cost_units);
+        st.admit(job, root, queue);
         st.pending.push(compiled);
         Ok(job)
     }
@@ -805,23 +762,6 @@ impl PoolShared {
         Err(Admission::Retry(st.shortfall(cfg, demand)))
     }
 
-    /// Blocks until `cost` more envelope units fit under
-    /// [`PoolConfig::max_inflight_cost`] (or nothing is in flight).
-    /// Each wait iteration flushes the pending queue so in-flight work
-    /// actually drains, then folds in one completion.
-    fn await_inflight_budget(&self, cost: u64) {
-        let fits = |st: &PoolState| {
-            st.inflight_jobs == 0
-                || st.inflight_total.saturating_add(cost) <= self.cfg.max_inflight_cost
-        };
-        while !fits(&lock(&self.state)) {
-            self.flush();
-            if let Some(completion) = self.recv_unless(fits) {
-                self.process(completion);
-            }
-        }
-    }
-
     /// Serves a host-routed job on the planner's host-executor lane:
     /// the precomputed bit-identical host result completes the job
     /// immediately — empty `shards`, no batch id consumed, no device
@@ -842,7 +782,7 @@ impl PoolShared {
         let report = unexecuted_report(&compiled, 0, JobRoute::Host, Ok(output));
         let mut st = lock(&self.state);
         let queue = self.tracer.open("queue", root, &[]);
-        st.admit(compiled.job, root, queue, 0);
+        st.admit(compiled.job, root, queue);
         st.telemetry.record(&report);
         complete(&mut st, &self.tracer, Box::new(report));
     }
@@ -854,7 +794,7 @@ impl PoolShared {
     fn fail_queued(&self, compiled: CompiledJob, root: SpanId, error: JobError) {
         let mut st = lock(&self.state);
         let queue = self.tracer.open("queue", root, &[]);
-        st.admit(compiled.job, root, queue, 0);
+        st.admit(compiled.job, root, queue);
         fail_at_dispatch(&mut st, &self.tracer, compiled, 0, error);
     }
 
@@ -891,7 +831,7 @@ impl PoolShared {
         // The job never queues (it failed before compiling into a
         // stream), so it has no queue span: the traced route is
         // job → compile → report.
-        st.admit(job, root, SpanId::NONE, 0);
+        st.admit(job, root, SpanId::NONE);
         st.telemetry.record(&report);
         complete(&mut st, &self.tracer, Box::new(report));
         job
@@ -1423,9 +1363,9 @@ fn fail_at_dispatch(
 
 /// Moves a finished report into its job's entry (or drops the entry if
 /// the handle was abandoned) — the common tail of direct, gathered and
-/// synthesized completions. Releases the job's in-flight envelope,
-/// stamps the report's wall-clock [`JobTiming`], then closes the job's
-/// spans: the queue span if still open (the job never dispatched), a
+/// synthesized completions. Stamps the report's wall-clock
+/// [`JobTiming`], then closes the job's spans: the queue span if still
+/// open (the job never dispatched), a
 /// `report` child marking completion, and finally the root span
 /// carrying the job's simulated busy time.
 fn complete(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
@@ -1433,8 +1373,6 @@ fn complete(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
     let Some(entry) = st.jobs.get_mut(&id) else {
         return;
     };
-    st.inflight_jobs = st.inflight_jobs.saturating_sub(1);
-    st.inflight_total = st.inflight_total.saturating_sub(entry.inflight);
     let now = Instant::now();
     // `Instant::duration_since` saturates to zero, so a dispatch
     // stamped after `now` (racing flusher) cannot panic here.
@@ -2243,6 +2181,10 @@ mod tests {
         let expected: Vec<BitVec> = packets.iter().map(|p| host.matches(p)).collect();
         assert_eq!(report.output, Ok(JobOutput::Matches(expected)));
         assert_eq!(report.stats.searches, 2 * 16, "two tiles x 16 keys");
+        assert_eq!(
+            report.stats.row_writes, 0,
+            "resident searches carry zero row writes"
+        );
         assert_eq!(
             report.device.match_pulses,
             120 * 16,

@@ -2,11 +2,13 @@
 //! the `cim-lint` analyzer.
 //!
 //! The pool verifies raw instruction streams ([`crate::WorkloadSpec::Raw`]
-//! and [`crate::WorkloadSpec::RawQuery`]) unconditionally, and every
-//! compiled workload when [`crate::PoolConfig::verify_all_programs`] is
-//! set. A program with error-severity findings is rejected with a
-//! terminal [`crate::JobError::RejectedByVerifier`] report *before* any
-//! device state is touched — the shard never sees the stream.
+//! and [`crate::WorkloadSpec::RawQuery`]) at every submission, since
+//! they are tenant input. A program with error-severity findings is
+//! rejected with a terminal [`crate::JobError::RejectedByVerifier`]
+//! report *before* any device state is touched — the shard never sees
+//! the stream. Compiled workloads are held to the same bar by a debug
+//! assertion in [`crate::compile::compile`] and by the `lint_programs`
+//! property suite.
 //!
 //! This module's job is building the [`LintTarget`]: the compiled job's
 //! declared tile demand plus whatever the queried dataset already made

@@ -259,53 +259,6 @@ proptest! {
     }
 }
 
-/// The verify-all serving mode accepts (and correctly serves) one of
-/// each compiled workload family — the admission check is a no-op for
-/// clean programs.
-#[test]
-fn verify_all_pool_serves_every_compiled_kind() {
-    let mut cfg = PoolConfig::with_shards(1);
-    cfg.verify_all_programs = true;
-    let pool = RuntimePool::new(cfg);
-    let session = pool.client(TenantId(0));
-    let handles = vec![
-        session
-            .submit(&WorkloadSpec::Q6Select {
-                rows: 256,
-                table_seed: 7,
-                params: Q6Params::tpch_default(),
-            })
-            .unwrap(),
-        session
-            .submit(&WorkloadSpec::XorEncrypt {
-                message: vec![42; 64],
-                key_seed: 3,
-            })
-            .unwrap(),
-        session
-            .submit(&WorkloadSpec::ScoutBulk {
-                op: ScoutOp::Or,
-                rows: random_bits(4, 64, 9),
-            })
-            .unwrap(),
-        session
-            .submit(&WorkloadSpec::NnInfer {
-                network: BinarizedMlp::random(&[8, 6, 3], 4),
-                inputs: random_bits(2, 8, 5),
-            })
-            .unwrap(),
-        session
-            .submit(&WorkloadSpec::ImgFilter {
-                image: GrayImage::step_edge(24, 12, 12, 0.2, 0.8),
-                filter: ImgFilterOp::Box { radius: 1 },
-            })
-            .unwrap(),
-    ];
-    for report in session.wait_all(handles) {
-        assert!(report.output.is_ok(), "{:?}", report.output);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Half 2: seeded mutations each trip their intended rule at admission.
 // ---------------------------------------------------------------------

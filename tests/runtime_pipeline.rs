@@ -8,7 +8,9 @@
 //! 4. tenants cannot read each other's tiles,
 //! 5. resident datasets pay their load writes once, stay resident
 //!    until the last `DatasetHandle` drops, and are never readable by
-//!    another tenant.
+//!    another tenant,
+//! 6. simulated makespan falls as shards are added, with outputs
+//!    unchanged.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -130,6 +132,65 @@ fn batched_equals_sequential_for_fixed_seed() {
     }
     // Batching actually batched: fewer batches than jobs.
     assert!(batched.telemetry().batches < batched_reports.len() as u64);
+}
+
+/// Tiles work in parallel: the same digital job set served on 1, 2 and
+/// 4 shards finishes in strictly less simulated time as shards are
+/// added (the pool ends when its busiest shard does), with outputs
+/// identical across shard counts.
+#[test]
+fn simulated_makespan_falls_with_shard_count() {
+    let mut jobs = Vec::new();
+    for i in 0..4u64 {
+        jobs.push((
+            TenantId(1),
+            WorkloadSpec::Q6Select {
+                rows: 1000,
+                table_seed: 100 + i,
+                params: Q6Params::tpch_default(),
+            },
+        ));
+        jobs.push((
+            TenantId(2),
+            WorkloadSpec::XorEncrypt {
+                message: (0..256u32)
+                    .map(|b| (b as u8).wrapping_add(i as u8))
+                    .collect(),
+                key_seed: 7 + i,
+            },
+        ));
+        jobs.push((
+            TenantId(3),
+            WorkloadSpec::ScoutBulk {
+                op: ScoutOp::Or,
+                rows: (0..8)
+                    .map(|r| BitVec::from_fn(1024, |j| (j + r) % 7 == i as usize))
+                    .collect(),
+            },
+        ));
+    }
+
+    let mut makespans = Vec::new();
+    let mut baseline: Option<Vec<_>> = None;
+    for shards in [1usize, 2, 4] {
+        let pool = RuntimePool::new(PoolConfig::with_shards(shards));
+        let handles = submit_all(&pool, &jobs);
+        let outputs: Vec<_> = pool
+            .client(TenantId(0))
+            .wait_all(handles)
+            .into_iter()
+            .map(|r| r.output.expect("digital jobs serve"))
+            .collect();
+        match &baseline {
+            Some(want) => assert_eq!(&outputs, want, "outputs differ on {shards} shards"),
+            None => baseline = Some(outputs),
+        }
+        makespans.push(pool.telemetry().simulated_makespan().0);
+    }
+    assert!(
+        makespans.windows(2).all(|w| w[1] < w[0]),
+        "simulated makespan must fall with shard count: {makespans:?}"
+    );
 }
 
 /// A handle's report does not depend on how it is collected:

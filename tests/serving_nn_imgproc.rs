@@ -192,7 +192,12 @@ fn resident_nn_amortizes_weight_programming() {
         .collect();
     let cold_reports = cold_session.wait_all(cold_handles);
     assert!(cold_reports.iter().all(|r| r.output.is_ok()));
-    let cold_sim = cold_pool.telemetry().pool.busy_time.0;
+    let cold_telemetry = cold_pool.telemetry();
+    let cold_sim = cold_telemetry.pool.busy_time.0;
+    assert!(
+        cold_telemetry.device.program_pulses > 0,
+        "cold jobs program-and-verify their weights"
+    );
 
     let warm_pool = nn_pool(1);
     let warm_session = warm_pool.client(TenantId(1));
@@ -224,6 +229,11 @@ fn resident_nn_amortizes_weight_programming() {
     assert_eq!(
         usage.load_stats.matrix_programs, 2,
         "weights programmed exactly once per layer, at registration"
+    );
+    assert!(usage.load_device.program_pulses > 0);
+    assert_eq!(
+        usage.query_device.program_pulses, 0,
+        "resident queries carry zero program-and-verify pulses"
     );
     // Amortized resident serving: per-query share of (load + queries)
     // vs the cold path that reprograms per job.

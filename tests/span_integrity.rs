@@ -10,7 +10,8 @@
 //!    dispatch, execute, finalize, report), a job scattered into `P`
 //!    parts records `6 + 2P` (one dispatch/execute pair per part plus
 //!    one gather), and a terminally-rejected submission records 3
-//!    (job, compile, report — it never queued),
+//!    (job, compile, report — it never queued); a malformed spec
+//!    returns a typed error and still closes its root,
 //! 3. nesting balances: compile/queue/finalize/report hang off the job
 //!    root, every execute hangs off its part's dispatch, and resident
 //!    queries never open a `dataset_load` span of their own.
@@ -24,10 +25,11 @@ use cim_repro::cim_bitmap_db::tpch::Q6Params;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_obs::{RingRecorder, Snapshot, SpanNode, Value};
 use cim_repro::cim_runtime::{
-    DatasetSpec, JobError, JobReport, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetSpec, JobError, JobReport, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A pool tracing into a fresh ring recorder, on the default geometry
@@ -170,6 +172,77 @@ fn terminal_rejection_traces_three_spans_without_queueing() {
     assert!(children_named(root, "queue").is_empty(), "never queued");
     assert!(children_named(root, "dispatch").is_empty());
     assert!(matches!(root.attr("outcome"), Some(Value::Str("err"))));
+}
+
+/// Degenerate HDC specs are tenant input like any other: each one —
+/// zero dimension, zero n-gram size, training or sample text shorter
+/// than an n-gram — returns a typed [`CompileError`] from `submit` or
+/// `register_dataset` instead of panicking the caller's thread, and
+/// leaves no span open.
+#[test]
+fn degenerate_hdc_specs_return_typed_errors_and_close_their_spans() {
+    let (ring, pool) = traced_pool(1);
+    let session = pool.client(TenantId(1));
+    let prototypes = session
+        .register_dataset(&DatasetSpec::HdcPrototypes {
+            classes: 2,
+            d: 256,
+            ngram: 3,
+            train_len: 64,
+        })
+        .unwrap();
+    let classify = |d, ngram, train_len, sample_len| WorkloadSpec::HdcClassify {
+        classes: 2,
+        d,
+        ngram,
+        train_len,
+        samples: 2,
+        sample_len,
+    };
+    let specs = [
+        classify(0, 3, 64, 16),
+        classify(256, 0, 64, 16),
+        classify(256, 3, 0, 16),
+        classify(256, 3, 64, 2),
+        WorkloadSpec::HdcAssoc {
+            classes: 2,
+            d: 0,
+            ngram: 3,
+            train_len: 64,
+            samples: 2,
+            sample_len: 16,
+        },
+        WorkloadSpec::HdcQuery {
+            dataset: prototypes.id(),
+            samples: 2,
+            sample_len: 2,
+        },
+    ];
+    for spec in &specs {
+        let result = catch_unwind(AssertUnwindSafe(|| session.submit(spec).map(drop)))
+            .unwrap_or_else(|_| panic!("submit panicked on {spec:?}"));
+        assert_eq!(result, Err(CompileError::EmptyWorkload), "{spec:?}");
+    }
+    let load = DatasetSpec::HdcPrototypes {
+        classes: 2,
+        d: 0,
+        ngram: 3,
+        train_len: 64,
+    };
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        session.register_dataset(&load).map(drop)
+    }))
+    .unwrap_or_else(|_| panic!("register_dataset panicked on {load:?}"));
+    assert_eq!(result, Err(CompileError::EmptyWorkload));
+    drop(prototypes);
+
+    let snap = ring.snapshot();
+    assert_eq!(
+        snap.unclosed, 0,
+        "every rejected submission closed its spans"
+    );
+    assert_eq!(snap.orphan_closes, 0);
+    assert_eq!(snap.roots_named("job").count(), specs.len());
 }
 
 /// Resident queries ride the dataset's one `dataset_load` root: the
