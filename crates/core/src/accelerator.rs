@@ -54,6 +54,34 @@ impl ExecutionStats {
             + self.key_writes
             + self.searches
     }
+
+    /// Field-wise difference (`self − earlier`), for bracketing a job.
+    pub fn delta(&self, earlier: &ExecutionStats) -> ExecutionStats {
+        ExecutionStats {
+            row_writes: self.row_writes - earlier.row_writes,
+            row_reads: self.row_reads - earlier.row_reads,
+            logic_ops: self.logic_ops - earlier.logic_ops,
+            matrix_programs: self.matrix_programs - earlier.matrix_programs,
+            mvms: self.mvms - earlier.mvms,
+            key_writes: self.key_writes - earlier.key_writes,
+            searches: self.searches - earlier.searches,
+            energy: self.energy - earlier.energy,
+            busy_time: self.busy_time - earlier.busy_time,
+        }
+    }
+
+    /// Field-wise accumulation of `other` into `self`.
+    pub fn accumulate(&mut self, other: &ExecutionStats) {
+        self.row_writes += other.row_writes;
+        self.row_reads += other.row_reads;
+        self.logic_ops += other.logic_ops;
+        self.matrix_programs += other.matrix_programs;
+        self.mvms += other.mvms;
+        self.key_writes += other.key_writes;
+        self.searches += other.searches;
+        self.energy += other.energy;
+        self.busy_time += other.busy_time;
+    }
 }
 
 /// Device-tier cost drivers summed over every tile of an accelerator.
@@ -515,6 +543,25 @@ mod tests {
             .analog_params(AnalogParams::ideal())
             .seed(3)
             .build()
+    }
+
+    #[test]
+    fn delta_and_accumulate_are_inverse() {
+        let mut a = ExecutionStats::default();
+        let b = ExecutionStats {
+            row_writes: 3,
+            row_reads: 1,
+            logic_ops: 2,
+            matrix_programs: 0,
+            mvms: 4,
+            key_writes: 2,
+            searches: 6,
+            energy: Joules(1.5),
+            busy_time: Seconds(0.25),
+        };
+        a.accumulate(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.delta(&b), ExecutionStats::default());
     }
 
     #[test]

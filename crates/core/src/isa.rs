@@ -228,6 +228,40 @@ impl EffectSummary {
 }
 
 impl CimInstruction {
+    /// The tile this instruction addresses: its family and its index
+    /// within that family's index space.
+    pub fn tile(&self) -> (TileFamily, usize) {
+        match *self {
+            CimInstruction::WriteRow { tile, .. }
+            | CimInstruction::ReadRow { tile, .. }
+            | CimInstruction::Logic { tile, .. }
+            | CimInstruction::StoreLast { tile, .. }
+            | CimInstruction::WriteKey { tile, .. }
+            | CimInstruction::MatchSearch { tile, .. } => (TileFamily::Digital, tile),
+            CimInstruction::ProgramMatrix { tile, .. }
+            | CimInstruction::Mvm { tile, .. }
+            | CimInstruction::MvmT { tile, .. } => (TileFamily::Analog, tile),
+        }
+    }
+
+    /// The index of the tile this instruction addresses, for moving a
+    /// stream between index spaces (virtual to physical tiles, or into
+    /// a split chunk's local indices). The family stays
+    /// [`CimInstruction::tile`]'s.
+    pub fn tile_mut(&mut self) -> &mut usize {
+        match self {
+            CimInstruction::WriteRow { tile, .. }
+            | CimInstruction::ReadRow { tile, .. }
+            | CimInstruction::Logic { tile, .. }
+            | CimInstruction::StoreLast { tile, .. }
+            | CimInstruction::WriteKey { tile, .. }
+            | CimInstruction::MatchSearch { tile, .. }
+            | CimInstruction::ProgramMatrix { tile, .. }
+            | CimInstruction::Mvm { tile, .. }
+            | CimInstruction::MvmT { tile, .. } => tile,
+        }
+    }
+
     /// The static [`EffectSummary`] of this instruction.
     ///
     /// Mirrors the executor in `cim_core::accelerator` effect for
@@ -236,44 +270,46 @@ impl CimInstruction {
     /// reads the value+care row pair of every searched entry without
     /// touching the latch.
     pub fn effects(&self) -> EffectSummary {
+        let (family, tile) = self.tile();
+        let at = EffectSummary::at(family, tile);
         match self {
-            CimInstruction::WriteRow { tile, row, .. } => EffectSummary {
+            CimInstruction::WriteRow { row, .. } => EffectSummary {
                 rows_written: vec![*row],
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::ReadRow { tile, row } => EffectSummary {
+            CimInstruction::ReadRow { row, .. } => EffectSummary {
                 rows_read: vec![*row],
                 defines_latch: true,
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::Logic { tile, rows, .. } => EffectSummary {
+            CimInstruction::Logic { rows, .. } => EffectSummary {
                 rows_read: rows.clone(),
                 defines_latch: true,
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::StoreLast { tile, row } => EffectSummary {
+            CimInstruction::StoreLast { row, .. } => EffectSummary {
                 rows_written: vec![*row],
                 defines_latch: true,
                 consumes_latch: true,
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::WriteKey { tile, slot, .. } => EffectSummary {
+            CimInstruction::WriteKey { slot, .. } => EffectSummary {
                 rows_written: vec![2 * slot, 2 * slot + 1],
                 cam_slots: vec![*slot],
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::MatchSearch { tile, entries, .. } => EffectSummary {
+            CimInstruction::MatchSearch { entries, .. } => EffectSummary {
                 rows_read: (0..2 * entries).collect(),
                 cam_slots: (0..*entries).collect(),
-                ..EffectSummary::at(TileFamily::Digital, *tile)
+                ..at
             },
-            CimInstruction::ProgramMatrix { tile, .. } => EffectSummary {
+            CimInstruction::ProgramMatrix { .. } => EffectSummary {
                 writes_matrix: true,
-                ..EffectSummary::at(TileFamily::Analog, *tile)
+                ..at
             },
-            CimInstruction::Mvm { tile, .. } | CimInstruction::MvmT { tile, .. } => EffectSummary {
+            CimInstruction::Mvm { .. } | CimInstruction::MvmT { .. } => EffectSummary {
                 reads_matrix: true,
-                ..EffectSummary::at(TileFamily::Analog, *tile)
+                ..at
             },
         }
     }
@@ -416,11 +452,13 @@ mod tests {
         let e = pm.effects();
         assert_eq!(e.family, TileFamily::Analog);
         assert!(e.writes_matrix && !e.reads_matrix);
-        let mv = CimInstruction::Mvm {
+        let mut mv = CimInstruction::Mvm {
             tile: 1,
             x: vec![0.0; 2],
         };
         assert!(mv.effects().reads_matrix);
+        *mv.tile_mut() = 3;
+        assert_eq!(mv.tile(), (TileFamily::Analog, 3));
         let mvt = CimInstruction::MvmT {
             tile: 1,
             z: vec![0.0; 2],

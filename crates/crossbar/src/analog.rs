@@ -744,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn stats_count_every_operation() {
         let mut rng = seeded(7);
         let a = test_matrix(4, 4);
         let mut xbar = AnalogCrossbar::new(4, 4, AnalogParams::default());

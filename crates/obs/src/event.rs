@@ -3,8 +3,8 @@
 //! Emitters (the runtime's `trace` integration) allocate [`SpanId`]s,
 //! stamp wall-clock nanoseconds, and hand [`Event`]s to a shared
 //! [`TraceSink`]. Sinks must be cheap and thread-safe: events arrive
-//! from the scheduler, the completion pump and every shard worker
-//! thread concurrently.
+//! from the submitting threads and every shard worker thread
+//! concurrently.
 
 /// Identifier of one span within a run.
 ///

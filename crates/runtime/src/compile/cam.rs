@@ -165,9 +165,9 @@ pub(super) fn search(
         }
     }
     if let Some(k) = keys.iter().find(|k| k.len() != width) {
-        return Err(CompileError::BadOperandWidth {
-            width: k.len(),
-            max: width,
+        return Err(CompileError::InputLengthMismatch {
+            got: k.len(),
+            expected: width,
         });
     }
     let host = lw.host(|| {

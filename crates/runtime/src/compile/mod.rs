@@ -37,7 +37,7 @@ mod xor;
 use crate::dataset::{DatasetSpec, ResidentPayload, ResidentView};
 use crate::job::{DatasetId, JobId, JobKind, JobOutput, TenantId, WorkloadSpec};
 use crate::schedule::{OffloadPolicy, PoolConfig};
-use cim_core::isa::{CimInstruction, CimResponse};
+use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::AddressMap;
 use cim_crossbar::scouting::ScoutOp;
 use cim_lint::CostEnvelope;
@@ -225,7 +225,7 @@ pub enum CompileError {
     },
     /// The workload carries no work (empty message, zero rows…).
     EmptyWorkload,
-    /// Bulk operand rows have inconsistent or oversized widths.
+    /// An operand is wider than the tile (or CAM entry) allows.
     BadOperandWidth {
         /// Offending width.
         width: usize,
@@ -280,12 +280,13 @@ pub enum CompileError {
         /// digital tiles, one shard's analog tiles.
         pool_capacity: TileDemand,
     },
-    /// An inference input's length does not match the network's input
-    /// width.
+    /// An input's length does not match the length the workload
+    /// expects: a network's input width, the width of the other rows of
+    /// a bulk reduction, or the entry width of a CAM dataset.
     InputLengthMismatch {
         /// Offending input length.
         got: usize,
-        /// The network's input width.
+        /// The expected length.
         expected: usize,
     },
 }
@@ -342,7 +343,7 @@ impl fmt::Display for CompileError {
                 needed.digital, needed.analog, pool_capacity.digital, pool_capacity.analog
             ),
             CompileError::InputLengthMismatch { got, expected } => {
-                write!(f, "input has length {got}, the network expects {expected}")
+                write!(f, "input has length {got}, expected {expected}")
             }
         }
     }
@@ -673,22 +674,6 @@ pub(crate) fn compile_dataset_load(
     })
 }
 
-/// The digital tile an instruction addresses (`None` for analog
-/// instructions).
-fn digital_tile_of(instr: &CimInstruction) -> Option<usize> {
-    match instr {
-        CimInstruction::WriteRow { tile, .. }
-        | CimInstruction::ReadRow { tile, .. }
-        | CimInstruction::Logic { tile, .. }
-        | CimInstruction::StoreLast { tile, .. }
-        | CimInstruction::WriteKey { tile, .. }
-        | CimInstruction::MatchSearch { tile, .. } => Some(*tile),
-        CimInstruction::ProgramMatrix { .. }
-        | CimInstruction::Mvm { .. }
-        | CimInstruction::MvmT { .. } => None,
-    }
-}
-
 /// The instructions of a digital-only stream that address virtual tiles
 /// `base..base + chunk`, retiled to chunk-local indices, each with its
 /// index in the original stream.
@@ -701,21 +686,12 @@ fn chunk_of(
         .iter()
         .enumerate()
         .filter_map(move |(index, instr)| {
-            let tile = match digital_tile_of(instr) {
-                Some(tile) => tile,
-                None => unreachable!("splittable streams are digital-only"),
+            let (TileFamily::Digital, tile) = instr.tile() else {
+                unreachable!("splittable streams are digital-only")
             };
             (base..base + chunk).contains(&tile).then(|| {
                 let mut instr = instr.clone();
-                match &mut instr {
-                    CimInstruction::WriteRow { tile, .. }
-                    | CimInstruction::ReadRow { tile, .. }
-                    | CimInstruction::Logic { tile, .. }
-                    | CimInstruction::StoreLast { tile, .. }
-                    | CimInstruction::WriteKey { tile, .. }
-                    | CimInstruction::MatchSearch { tile, .. } => *tile -= base,
-                    _ => unreachable!("digital_tile_of matched above"),
-                }
+                *instr.tile_mut() -= base;
                 (index, instr)
             })
         })
@@ -866,13 +842,8 @@ pub(crate) mod tests {
             );
             assert!(!part.splittable, "sub-programs never re-split");
             for instr in &part.instructions {
-                let tile = match instr {
-                    CimInstruction::WriteRow { tile, .. }
-                    | CimInstruction::ReadRow { tile, .. }
-                    | CimInstruction::Logic { tile, .. }
-                    | CimInstruction::StoreLast { tile, .. } => *tile,
-                    other => panic!("analog instruction in a digital split: {other:?}"),
-                };
+                let (family, tile) = instr.tile();
+                assert_eq!(family, TileFamily::Digital, "{instr:?}");
                 assert!(tile < part.demand.digital);
             }
         }

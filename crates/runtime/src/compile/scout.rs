@@ -77,13 +77,16 @@ pub(super) fn bulk(
         });
     }
     let width = rows[0].len();
-    if let Some(r) = rows
-        .iter()
-        .find(|r| r.len() != width || width > cfg.tile_cols)
-    {
+    if width > cfg.tile_cols {
         return Err(CompileError::BadOperandWidth {
-            width: r.len().max(width),
+            width,
             max: cfg.tile_cols,
+        });
+    }
+    if let Some(r) = rows.iter().find(|r| r.len() != width) {
+        return Err(CompileError::InputLengthMismatch {
+            got: r.len(),
+            expected: width,
         });
     }
     // XOR is exactly two rows, so it always fits one tile.

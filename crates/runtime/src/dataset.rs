@@ -241,8 +241,7 @@ pub(crate) struct ResidentView {
 }
 
 /// Load progress of a registered dataset: one shard load may still be
-/// outstanding per placement, observed while pumping completions
-/// during registration.
+/// outstanding per placement; registration waits until none is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LoadProgress {
     /// Per-shard load programs whose completions are still outstanding.

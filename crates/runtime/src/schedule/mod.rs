@@ -36,8 +36,13 @@
 //! The pool tracks every submitted job in one table, from admission
 //! until its handle takes the report: lifecycle state, wall-clock and
 //! span bookkeeping and, for a job split across shards, its gather
-//! state. This module owns that table and admission; the planner lives
-//! in `plan` and the shard workers in `worker`.
+//! state. Every job ends through one function, `complete`, on the
+//! thread that finishes it: the shard worker that ran it (or its last
+//! part), or the submitting thread for a job that never reaches a
+//! shard. Waiters block on one condition variable, so polls and
+//! telemetry are plain reads. This module owns that table and
+//! admission; the planner lives in `plan` and the shard workers in
+//! `worker`.
 //!
 //! After each job the runtime scrubs every tile row the job wrote (and
 //! every analog tile it programmed) so no data survives into the next
@@ -58,7 +63,7 @@ use crate::job::{
     DatasetId, JobError, JobId, JobKind, JobOutput, JobReport, JobRoute, JobStatus, JobTiming,
     TenantId, WorkloadSpec,
 };
-use crate::telemetry::{stats_accumulate, PoolTelemetry};
+use crate::telemetry::PoolTelemetry;
 use crate::trace::{Attr, Tracer};
 use cim_arch::cim::CimSystem;
 use cim_arch::conventional::ConventionalMachine;
@@ -71,11 +76,11 @@ use cim_obs::{NullSink, SpanId, TraceSink, Value};
 use cim_simkit::units::ByteSize;
 use plan::{mark_dispatched, plan, scatter_assignment};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{relocate, written_rows, Completion, Worker, WorkerMsg};
+use worker::{relocate, written_rows, Worker, WorkerMsg};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -124,17 +129,15 @@ pub struct PoolConfig {
     /// Pool seed: fabrication variation and per-job noise streams derive
     /// from it.
     pub seed: u64,
-    /// Maximum jobs coalesced into one batch.
+    /// Maximum jobs coalesced into one batch. At `1` every job
+    /// dispatches in a batch of its own — the reference schedule
+    /// coalescing must reproduce bit-identically.
     pub max_batch_jobs: usize,
     /// Maximum summed envelope [`cim_lint::CostEnvelope::cost_units`]
     /// of one batch (the first job is always admitted). Bounds how long
     /// a batch can keep a shard busy, so admission packs by cost, not
     /// tile count alone.
     pub max_batch_cost: u64,
-    /// Whether to coalesce compatible jobs at all. Without coalescing
-    /// every job dispatches in a batch of its own — the reference
-    /// schedule coalescing must reproduce bit-identically.
-    pub coalesce: bool,
     /// Binary-device technology of every shard's digital tiles. The
     /// default is the workspace's representative HfO₂ ReRAM; tests that
     /// need provably exact analog range-match windows zero the
@@ -167,7 +170,6 @@ impl Default for PoolConfig {
             seed: 0xC1A0,
             max_batch_jobs: 8,
             max_batch_cost: 1 << 14,
-            coalesce: true,
             reram_params: ReramParams::default(),
             analog_params: AnalogParams::default(),
             offload_policy: OffloadPolicy::AlwaysCim,
@@ -265,7 +267,7 @@ struct GatherState {
     /// Sub-programs dispatched.
     expected: usize,
     /// Arrived sub-reports, keyed by part index (= chunk order).
-    parts: BTreeMap<u32, Box<JobReport>>,
+    parts: BTreeMap<u32, JobReport>,
     /// The parent job's host-side decoder.
     finalizer: Arc<dyn Finalize>,
     /// The offload estimate over the whole (unsplit) job.
@@ -305,6 +307,9 @@ struct PoolState {
     next_batch: u64,
     next_dataset: u64,
     telemetry: PoolTelemetry,
+    /// Shard workers still running. Waiters panic instead of blocking
+    /// once it reaches zero: no report can arrive any more.
+    live_workers: usize,
 }
 
 impl std::fmt::Debug for PoolState {
@@ -397,17 +402,17 @@ impl PoolState {
     }
 }
 
-/// State shared between the pool, its sessions and its handles.
-///
-/// Lock order: `completions` before `state`; never acquire
-/// `completions` while holding `state`.
+/// State shared between the pool, its sessions, its handles and its
+/// shard workers.
 #[derive(Debug)]
 pub(crate) struct PoolShared {
     cfg: PoolConfig,
     to_shards: Vec<Sender<WorkerMsg>>,
-    completions: Mutex<Receiver<Completion>>,
     state: Mutex<PoolState>,
-    /// The pool's trace front end; clones feed the shard workers.
+    /// Signalled whenever a job ends, a dataset load finishes or a shard
+    /// worker exits; `wait` and `register_dataset` block on it.
+    progress: Condvar,
+    /// The pool's trace front end.
     tracer: Tracer,
 }
 
@@ -449,53 +454,49 @@ impl RuntimePool {
             "shards need at least one digital tile"
         );
         install_shard_panic_hook();
-        let tracer = Tracer::new(sink);
-        let (report_tx, completions) = channel();
-        let mut to_shards = Vec::with_capacity(cfg.shards);
-        let mut joins = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let shard_seed = mix_seed(cfg.seed, 0xD1A5 + shard as u64);
-            let worker = Worker {
-                shard,
-                accelerator: CimAcceleratorBuilder::new()
-                    .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
-                    .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
-                    .reram_params(cfg.reram_params)
-                    .analog_params(cfg.analog_params)
-                    .seed(shard_seed)
-                    .build(),
-                shard_seed,
-                completions: report_tx.clone(),
-                tracer: tracer.clone(),
-            };
-            let (tx, rx) = channel();
-            let handle = std::thread::Builder::new()
-                .name(format!("cim-shard-{shard}"))
-                .spawn(move || worker.run(rx))
-                .unwrap_or_else(|e| panic!("spawn shard worker: {e}"));
-            to_shards.push(tx);
-            joins.push(handle);
-        }
-        RuntimePool {
-            shared: Arc::new(PoolShared {
-                state: Mutex::new(PoolState {
-                    pending: Vec::new(),
-                    jobs: BTreeMap::new(),
-                    datasets: BTreeMap::new(),
-                    pinned_digital: vec![BTreeSet::new(); cfg.shards],
-                    pinned_analog: vec![BTreeSet::new(); cfg.shards],
-                    next_job: 0,
-                    next_batch: 0,
-                    next_dataset: 0,
-                    telemetry: PoolTelemetry::new(cfg.shards),
-                }),
-                cfg,
-                to_shards,
-                completions: Mutex::new(completions),
-                tracer,
+        let (to_shards, inboxes): (Vec<_>, Vec<_>) = (0..cfg.shards).map(|_| channel()).unzip();
+        let shared = Arc::new(PoolShared {
+            state: Mutex::new(PoolState {
+                pending: Vec::new(),
+                jobs: BTreeMap::new(),
+                datasets: BTreeMap::new(),
+                pinned_digital: vec![BTreeSet::new(); cfg.shards],
+                pinned_analog: vec![BTreeSet::new(); cfg.shards],
+                next_job: 0,
+                next_batch: 0,
+                next_dataset: 0,
+                telemetry: PoolTelemetry::new(cfg.shards),
+                live_workers: cfg.shards,
             }),
-            joins,
-        }
+            progress: Condvar::new(),
+            cfg,
+            to_shards,
+            tracer: Tracer::new(sink),
+        });
+        let joins = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(shard, inbox)| {
+                let shard_seed = mix_seed(cfg.seed, 0xD1A5 + shard as u64);
+                let worker = Worker {
+                    shard,
+                    accelerator: CimAcceleratorBuilder::new()
+                        .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
+                        .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
+                        .reram_params(cfg.reram_params)
+                        .analog_params(cfg.analog_params)
+                        .seed(shard_seed)
+                        .build(),
+                    shard_seed,
+                    pool: Arc::clone(&shared),
+                };
+                std::thread::Builder::new()
+                    .name(format!("cim-shard-{shard}"))
+                    .spawn(move || worker.run(inbox))
+                    .unwrap_or_else(|e| panic!("spawn shard worker: {e}"))
+            })
+            .collect();
+        RuntimePool { shared, joins }
     }
 
     /// Opens a per-tenant session on the pool. Sessions are cheap,
@@ -519,10 +520,9 @@ impl RuntimePool {
         lock(&self.shared.state).pending.len()
     }
 
-    /// A snapshot of the telemetry aggregated over everything completed
-    /// so far (also drains any completions that already arrived).
+    /// A snapshot of the telemetry aggregated over every job completed
+    /// so far.
     pub fn telemetry(&self) -> PoolTelemetry {
-        self.shared.try_pump();
         lock(&self.shared.state).telemetry.clone()
     }
 
@@ -625,31 +625,49 @@ impl PoolShared {
             // workload can *never* fit, so classify it terminally —
             // a synthesized failure report — instead of echoing a
             // retryable-looking error.
-            Err(CompileError::NeedsMoreDigitalTiles {
-                required,
-                available,
-            }) => {
-                let error = JobError::WorkloadTooLarge {
-                    digital_required: required,
-                    analog_required: 0,
-                    digital_capacity: available,
-                    analog_capacity: self.cfg.analog_tiles,
+            Err(err) => {
+                let error = match err {
+                    CompileError::NeedsMoreDigitalTiles {
+                        required,
+                        available,
+                    } => JobError::WorkloadTooLarge {
+                        digital_required: required,
+                        analog_required: 0,
+                        digital_capacity: available,
+                        analog_capacity: self.cfg.analog_tiles,
+                    },
+                    CompileError::NeedsMoreAnalogTiles {
+                        required,
+                        available,
+                    } => JobError::WorkloadTooLarge {
+                        digital_required: 0,
+                        analog_required: required,
+                        digital_capacity: self.cfg.digital_tiles,
+                        analog_capacity: available,
+                    },
+                    other => return Err(reject(other)),
                 };
-                return Ok(self.fail_terminal(job, tenant, spec, root, error));
-            }
-            Err(CompileError::NeedsMoreAnalogTiles {
-                required,
-                available,
-            }) => {
-                let error = JobError::WorkloadTooLarge {
-                    digital_required: 0,
-                    analog_required: required,
-                    digital_capacity: self.cfg.digital_tiles,
-                    analog_capacity: available,
+                let report = JobReport {
+                    job,
+                    tenant,
+                    kind: spec.kind(),
+                    dataset: spec.dataset(),
+                    shard: 0,
+                    shards: Vec::new(),
+                    batch: u64::MAX,
+                    route: JobRoute::Cim,
+                    output: Err(error),
+                    stats: ExecutionStats::default(),
+                    maintenance: OperationCost::default(),
+                    offload: estimate(0, HostProfile::UNKNOWN),
+                    device: DeviceCounters::default(),
+                    timing: JobTiming::default(),
                 };
-                return Ok(self.fail_terminal(job, tenant, spec, root, error));
+                // It never compiled into a stream, so it never queues:
+                // its traced route is job → compile → report.
+                self.admit_complete(root, false, report);
+                return Ok(job);
             }
-            Err(other) => return Err(reject(other)),
         };
 
         // Static verification: raw streams are tenant input and always
@@ -664,7 +682,8 @@ impl PoolShared {
                 let error = JobError::RejectedByVerifier {
                     diagnostics: report.errors(),
                 };
-                self.fail_queued(compiled, root, error);
+                let report = unexecuted_report(&compiled, 0, JobRoute::Cim, Err(error));
+                self.admit_complete(root, true, report);
                 return Ok(job);
             }
         }
@@ -698,7 +717,8 @@ impl PoolShared {
             return match admission {
                 Admission::Retry(err) => Err(reject(err)),
                 Admission::Never(error) => {
-                    self.fail_queued(compiled, root, error);
+                    let report = unexecuted_report(&compiled, 0, JobRoute::Cim, Err(error));
+                    self.admit_complete(root, true, report);
                     Ok(job)
                 }
             };
@@ -780,61 +800,24 @@ impl PoolShared {
         self.tracer
             .close(span, 0.0, &[("outcome", Value::Str("ok"))]);
         let report = unexecuted_report(&compiled, 0, JobRoute::Host, Ok(output));
-        let mut st = lock(&self.state);
-        let queue = self.tracer.open("queue", root, &[]);
-        st.admit(compiled.job, root, queue);
-        st.telemetry.record(&report);
-        complete(&mut st, &self.tracer, Box::new(report));
+        self.admit_complete(root, true, report);
     }
 
-    /// Completes a compiled job with a terminal failure before it ever
-    /// queues for a shard (verifier rejection, never-fits demand): the
-    /// entry is created and immediately finished, so `wait` returns the
-    /// report without blocking.
-    fn fail_queued(&self, compiled: CompiledJob, root: SpanId, error: JobError) {
+    /// Admits a job that never runs on a shard — served on the host
+    /// lane, or failed at submission — and ends it at once, so `wait`
+    /// returns its report without blocking and the caller can tell a
+    /// permanent failure apart from retryable admission errors. A
+    /// `queued` job traces a queue span that closes at once; a job that
+    /// failed before compiling into a stream never queued and has none.
+    fn admit_complete(&self, root: SpanId, queued: bool, report: JobReport) {
         let mut st = lock(&self.state);
-        let queue = self.tracer.open("queue", root, &[]);
-        st.admit(compiled.job, root, queue);
-        fail_at_dispatch(&mut st, &self.tracer, compiled, 0, error);
-    }
-
-    /// Completes a submission with a terminal synthesized failure
-    /// report before it was ever compiled into a stream: the entry is
-    /// created and immediately finished, so `wait` returns the report
-    /// without blocking and the caller can tell the permanent failure
-    /// apart from retryable admission errors.
-    fn fail_terminal(
-        &self,
-        job: JobId,
-        tenant: TenantId,
-        spec: &WorkloadSpec,
-        root: SpanId,
-        error: JobError,
-    ) -> JobId {
-        let report = JobReport {
-            job,
-            tenant,
-            kind: spec.kind(),
-            dataset: spec.dataset(),
-            shard: 0,
-            shards: Vec::new(),
-            batch: u64::MAX,
-            route: JobRoute::Cim,
-            output: Err(error),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
-            offload: estimate(0, HostProfile::UNKNOWN),
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
+        let queue = if queued {
+            self.tracer.open("queue", root, &[])
+        } else {
+            SpanId::NONE
         };
-        let mut st = lock(&self.state);
-        // The job never queues (it failed before compiling into a
-        // stream), so it has no queue span: the traced route is
-        // job → compile → report.
-        st.admit(job, root, SpanId::NONE);
-        st.telemetry.record(&report);
-        complete(&mut st, &self.tracer, Box::new(report));
-        job
+        st.admit(report.job, root, queue);
+        complete(&mut st, &self.tracer, report, []);
     }
 
     /// Compiles `spec` exactly as a submission would and runs both
@@ -863,7 +846,7 @@ impl PoolShared {
     }
 
     /// Plans the pending queue and dispatches it to the shard workers.
-    /// Non-blocking: reports arrive through the completion channel.
+    /// Non-blocking: each shard worker ends the jobs it runs.
     pub(crate) fn flush(&self) {
         let mut st = lock(&self.state);
         if st.pending.is_empty() {
@@ -1056,9 +1039,9 @@ impl PoolShared {
             shards
         };
 
-        self.pump_until(|st| st.datasets.get(&id.0).is_none_or(|r| r.load.pending == 0));
         let failure = {
-            let st = lock(&self.state);
+            let st =
+                self.wait_until(|st| st.datasets.get(&id.0).is_none_or(|r| r.load.pending == 0));
             match st.datasets.get(&id.0) {
                 Some(record) => record.load.failure.clone(),
                 None => unreachable!("dataset record"),
@@ -1110,30 +1093,28 @@ impl PoolShared {
         }
     }
 
-    /// Folds one completion into the pool state.
-    fn process(&self, completion: Completion) {
-        let mut st = lock(&self.state);
-        let st = &mut *st;
-        match completion {
-            Completion::Job { report, part: None } => {
-                st.telemetry.record(&report);
-                complete(st, &self.tracer, report);
+    /// Ends a job a shard worker ran — or parks one part of a split
+    /// job in its gather, and ends the job once every part arrived: the
+    /// parent's finalizer runs once over the concatenated chunk
+    /// responses, the host-side merge of the scatter-gather — then wakes
+    /// the waiters. Called on the worker's thread.
+    fn job_done(&self, report: JobReport, part: Option<u32>) {
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        match part {
+            None => {
+                let credit = (report.shard, report.stats);
+                complete(st, &self.tracer, report, [credit]);
             }
-            Completion::Job {
-                report,
-                part: Some(part),
-            } => {
-                // One sub-program of a cross-shard split job: park it in
-                // the gather, and assemble the job's single report once
-                // every part arrived.
+            Some(part) => {
                 let Some(entry) = st.jobs.get_mut(&report.job.0) else {
                     unreachable!("sub-report for a job the pool no longer tracks");
                 };
                 let root = entry.root;
-                let Some(gather) = entry.gather.as_mut() else {
+                let Some(mut gather) = entry.gather.take() else {
                     unreachable!("sub-report for a job with no gather state");
                 };
-                if !gather.span.is_some() && root.is_some() {
+                if !gather.span.is_some() {
                     // The gather opens when the first part lands.
                     gather.span = self.tracer.open(
                         "gather",
@@ -1142,116 +1123,101 @@ impl PoolShared {
                     );
                 }
                 gather.parts.insert(part, report);
-                if gather.parts.len() == gather.expected {
-                    let Some(gather) = entry.gather.take() else {
-                        unreachable!("present above");
-                    };
+                if gather.parts.len() < gather.expected {
+                    entry.gather = Some(gather);
+                } else {
                     self.tracer.close(gather.span, 0.0, &[]);
                     let finalize = self.tracer.open("finalize", root, &[]);
                     let (report, shard_stats) = assemble_gathered(*gather);
                     self.tracer.close(finalize, 0.0, &[]);
-                    st.telemetry.record_gathered(&report, shard_stats);
-                    complete(st, &self.tracer, Box::new(report));
-                }
-            }
-            Completion::DatasetLoaded { id, result } => {
-                if let Some(record) = st.datasets.get_mut(&id.0) {
-                    record.load.pending = record.load.pending.saturating_sub(1);
-                    match result {
-                        Ok((stats, device)) => {
-                            record.load_sim += stats.busy_time.0;
-                            st.telemetry.record_dataset_load(
-                                id,
-                                record.tenant,
-                                record.payload.kind_label(),
-                                record.resident_bytes,
-                                &stats,
-                                &device,
-                            );
-                        }
-                        Err(message) => {
-                            record.load.failure.get_or_insert(message);
-                        }
-                    }
-                    if record.load.pending == 0 {
-                        let outcome = if record.load.failure.is_none() {
-                            "ok"
-                        } else {
-                            "err"
-                        };
-                        self.tracer.close(
-                            record.span,
-                            record.load_sim,
-                            &[("outcome", Value::Str(outcome))],
-                        );
-                        record.span = SpanId::NONE;
-                    }
-                }
-            }
-            Completion::DatasetReleased { id, maintenance } => {
-                st.telemetry.maintenance = st.telemetry.maintenance.then(maintenance);
-                // A multi-shard dataset scrubs once per placement; drop
-                // the record when the last shard reports in.
-                let done = st.datasets.get_mut(&id.0).is_none_or(|r| {
-                    r.scrubs_pending = r.scrubs_pending.saturating_sub(1);
-                    r.scrubs_pending == 0
-                });
-                if done {
-                    st.datasets.remove(&id.0);
+                    complete(st, &self.tracer, report, shard_stats);
                 }
             }
         }
+        drop(guard);
+        self.progress.notify_all();
     }
 
-    /// Blocks for the next completion unless `done(&state)` holds once
-    /// the receiver is held. Safe against concurrent pumpers: the
-    /// predicate is re-checked under the completions lock, so a
-    /// completion another thread consumed between the caller's unlocked
-    /// check and the blocking `recv` cannot strand this waiter — once
-    /// it holds the receiver lock, it is the only thread that can
-    /// consume completions.
+    /// Folds one shard's dataset load into the dataset's record, closing
+    /// its `dataset_load` span once every shard reported, then wakes the
+    /// registering thread. Called on the worker's thread.
+    fn load_done(&self, id: DatasetId, result: Result<(ExecutionStats, DeviceCounters), String>) {
+        let mut guard = lock(&self.state);
+        let st = &mut *guard;
+        if let Some(record) = st.datasets.get_mut(&id.0) {
+            record.load.pending = record.load.pending.saturating_sub(1);
+            match result {
+                Ok((stats, device)) => {
+                    record.load_sim += stats.busy_time.0;
+                    st.telemetry.record_dataset_load(
+                        id,
+                        record.tenant,
+                        record.payload.kind_label(),
+                        record.resident_bytes,
+                        &stats,
+                        &device,
+                    );
+                }
+                Err(message) => {
+                    record.load.failure.get_or_insert(message);
+                }
+            }
+            if record.load.pending == 0 {
+                let outcome = if record.load.failure.is_none() {
+                    "ok"
+                } else {
+                    "err"
+                };
+                self.tracer.close(
+                    record.span,
+                    record.load_sim,
+                    &[("outcome", Value::Str(outcome))],
+                );
+                record.span = SpanId::NONE;
+            }
+        }
+        drop(guard);
+        self.progress.notify_all();
+    }
+
+    /// Books one shard's scrub of a released dataset. Called on the
+    /// worker's thread.
+    fn release_done(&self, id: DatasetId, maintenance: OperationCost) {
+        let mut st = lock(&self.state);
+        st.telemetry.maintenance = st.telemetry.maintenance.then(maintenance);
+        // A multi-shard dataset scrubs once per placement; drop the
+        // record when the last shard reports in.
+        let done = st.datasets.get_mut(&id.0).is_none_or(|r| {
+            r.scrubs_pending = r.scrubs_pending.saturating_sub(1);
+            r.scrubs_pending == 0
+        });
+        if done {
+            st.datasets.remove(&id.0);
+        }
+    }
+
+    /// Blocks until `done(&state)` holds and returns the locked state.
     ///
     /// # Panics
     ///
-    /// Panics if the pool shuts down while the predicate is false.
-    fn recv_unless(&self, done: impl Fn(&PoolState) -> bool) -> Option<Completion> {
-        let rx = lock(&self.completions);
-        if done(&lock(&self.state)) {
-            return None;
+    /// Panics if every shard worker exited before the predicate holds.
+    fn wait_until(&self, done: impl Fn(&PoolState) -> bool) -> MutexGuard<'_, PoolState> {
+        let mut st = lock(&self.state);
+        while !done(&st) {
+            assert!(
+                st.live_workers > 0,
+                "every shard worker exited before the awaited completion"
+            );
+            st = self
+                .progress
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        Some(
-            rx.recv()
-                .unwrap_or_else(|_| panic!("pool shut down while completions were outstanding")),
-        )
-    }
-
-    /// Pumps completions until `done(&state)` holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool shuts down before the predicate holds.
-    fn pump_until(&self, done: impl Fn(&PoolState) -> bool) {
-        while !done(&lock(&self.state)) {
-            if let Some(completion) = self.recv_unless(&done) {
-                self.process(completion);
-            }
-        }
-    }
-
-    /// Folds in every completion that already arrived, without
-    /// blocking. A no-op if another thread is already pumping.
-    fn try_pump(&self) {
-        let Ok(rx) = self.completions.try_lock() else {
-            return;
-        };
-        while let Ok(completion) = rx.try_recv() {
-            self.process(completion);
-        }
+        st
     }
 
     /// Non-blocking status of a job.
     pub(crate) fn poll_job(&self, job: JobId) -> JobStatus {
-        self.try_pump();
         match lock(&self.state).jobs.get(&job.0).map(|e| &e.state) {
             Some(JobState::Queued) => JobStatus::Queued,
             Some(JobState::Dispatched) => JobStatus::Dispatched,
@@ -1265,11 +1231,10 @@ impl PoolShared {
     ///
     /// # Panics
     ///
-    /// Panics if the pool was dropped before the report arrived.
+    /// Panics if every shard worker exited before the report arrived.
     pub(crate) fn wait_job(&self, job: JobId) -> JobReport {
         self.flush();
-        self.pump_until(|st| !st.awaiting_report(job));
-        let mut st = lock(&self.state);
+        let mut st = self.wait_until(|st| !st.awaiting_report(job));
         match st.jobs.remove(&job.0).map(|e| e.state) {
             Some(JobState::Done(report)) => *report,
             _ => panic!("the waited job's entry holds its report (handles are the sole takers)"),
@@ -1347,28 +1312,20 @@ fn unexecuted_report(
     }
 }
 
-/// Fails a job at dispatch time (no shard ever saw it): synthesizes its
-/// report, completes it and records telemetry.
-fn fail_at_dispatch(
+/// Ends a job: the one path every report takes, executed or not. Books
+/// the report in telemetry, crediting each `(shard, stats)` pair to that
+/// shard's ledger; stamps its wall-clock [`JobTiming`]; closes the job's
+/// spans — the queue span if still open (the job never dispatched), a
+/// `report` child marking completion, and finally the root span carrying
+/// the job's simulated busy time; and moves the report into the job's
+/// entry (or drops the entry if the handle was abandoned).
+fn complete(
     st: &mut PoolState,
     tracer: &Tracer,
-    compiled: CompiledJob,
-    shard: usize,
-    error: JobError,
+    mut report: JobReport,
+    shard_stats: impl IntoIterator<Item = (usize, ExecutionStats)>,
 ) {
-    let report = unexecuted_report(&compiled, shard, JobRoute::Cim, Err(error));
-    st.telemetry.record(&report);
-    complete(st, tracer, Box::new(report));
-}
-
-/// Moves a finished report into its job's entry (or drops the entry if
-/// the handle was abandoned) — the common tail of direct, gathered and
-/// synthesized completions. Stamps the report's wall-clock
-/// [`JobTiming`], then closes the job's spans: the queue span if still
-/// open (the job never dispatched), a
-/// `report` child marking completion, and finally the root span
-/// carrying the job's simulated busy time.
-fn complete(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
+    st.telemetry.record_gathered(&report, shard_stats);
     let id = report.job.0;
     let Some(entry) = st.jobs.get_mut(&id) else {
         return;
@@ -1394,7 +1351,7 @@ fn complete(st: &mut PoolState, tracer: &Tracer, mut report: Box<JobReport>) {
     if matches!(entry.state, JobState::Abandoned) {
         st.jobs.remove(&id);
     } else {
-        entry.state = JobState::Done(report);
+        entry.state = JobState::Done(Box::new(report));
     }
 }
 
@@ -1434,7 +1391,7 @@ fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionSt
     let mut responses = Vec::new();
     let mut error: Option<JobError> = None;
     for part in std::iter::once(first).chain(parts) {
-        stats_accumulate(&mut report.stats, &part.stats);
+        report.stats.accumulate(&part.stats);
         report.maintenance = report.maintenance.then(part.maintenance);
         report.device.accumulate(&part.device);
         report.shards.push(part.shard);
@@ -1869,10 +1826,9 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a `JobHandle::wait` issued *after* the
-    /// worker already panicked (and after other actors pumped the
-    /// completion) must return the failure report, never block and
-    /// never lose the report to the pump.
+    /// Regression: a `JobHandle::wait` issued *after* the worker already
+    /// panicked and ended the job must return the failure report, never
+    /// block waiting for a completion that already happened.
     #[test]
     fn wait_after_worker_panic_returns_failure_report() {
         let pool = RuntimePool::new(PoolConfig::with_shards(1));
@@ -1891,9 +1847,8 @@ mod tests {
             })
             .unwrap();
         session.flush();
-        // Let the worker hit the panic and emit the completion, then
-        // pump it through a foreign actor (telemetry drains the
-        // channel) so the report sits in the slot before `wait`.
+        // Let the worker hit the panic and end the job, so the report
+        // sits in the job table before `wait`.
         while pool.telemetry().jobs == 0 {
             std::thread::yield_now();
         }
@@ -1913,6 +1868,32 @@ mod tests {
             .unwrap()
             .wait();
         assert!(ok.output.is_ok());
+    }
+
+    /// `wait` on a pool whose shard workers have all exited panics
+    /// instead of blocking forever: no report can arrive any more.
+    #[test]
+    #[should_panic(expected = "every shard worker exited")]
+    fn wait_panics_once_every_worker_exited() {
+        let mut pool = RuntimePool::new(PoolConfig::with_shards(1));
+        let handle = pool
+            .client(TenantId(0))
+            .submit(&WorkloadSpec::XorEncrypt {
+                message: vec![1; 8],
+                key_seed: 1,
+            })
+            .unwrap();
+        // Mark the job dispatched, but keep its batch from the worker.
+        {
+            let mut st = pool.shared.state.lock().unwrap();
+            let mut batches = plan(&mut st, pool.config(), &Tracer::disabled());
+            mark_dispatched(&mut st, &Tracer::disabled(), &mut batches);
+        }
+        pool.shared.send(0, WorkerMsg::Shutdown);
+        for worker in pool.joins.drain(..) {
+            worker.join().unwrap();
+        }
+        handle.wait();
     }
 
     /// Satellite: fan-out-weighted costs keep cheapest-first honest —
@@ -2384,9 +2365,9 @@ mod tests {
         assert_ne!(report.shard, dataset.shard(), "routed around the pins");
     }
 
-    /// Regression: a concurrent telemetry/poll pumper consuming the
-    /// `DatasetLoaded` completion must not strand `register_dataset`
-    /// in a blocking `recv` forever.
+    /// Regression: threads hammering `telemetry` (and so the pool lock)
+    /// while datasets register must never make `register_dataset` miss
+    /// the wake-up of its load's completion and block forever.
     #[test]
     fn registration_survives_concurrent_pumpers() {
         use std::sync::atomic::{AtomicBool, Ordering};

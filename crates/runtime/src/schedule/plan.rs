@@ -4,9 +4,11 @@
 //! dispatched in the job table.
 
 use super::worker::{Batch, PlacedJob};
-use super::{fail_at_dispatch, offload_estimate, GatherState, JobState, PoolConfig, PoolState};
+use super::{
+    complete, offload_estimate, unexecuted_report, GatherState, JobState, PoolConfig, PoolState,
+};
 use crate::compile::{split_by_digital_tile, CompiledJob};
-use crate::job::JobError;
+use crate::job::{JobError, JobRoute};
 use crate::trace::{Attr, Tracer};
 use cim_obs::{SpanId, Value};
 use std::collections::BTreeMap;
@@ -297,7 +299,7 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             // pulling a same-kind job forward cannot change any
             // result.
             let mut i = 0;
-            while cfg.coalesce && jobs.len() < max_batch_jobs && i < queue.len() {
+            while jobs.len() < max_batch_jobs && i < queue.len() {
                 let candidate = &queue[i].compiled;
                 let fits = candidate.kind == kind
                     && candidate.dataset == dataset
@@ -333,8 +335,10 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
         }
     }
 
+    // Jobs that failed at planning never reach a shard: they end here.
     for (compiled, shard, error) in failures {
-        fail_at_dispatch(st, tracer, compiled, shard, error);
+        let report = unexecuted_report(&compiled, shard, JobRoute::Cim, Err(error));
+        complete(st, tracer, report, []);
     }
     out
 }

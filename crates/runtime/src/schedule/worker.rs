@@ -1,20 +1,21 @@
 //! The shard side of the pool: what the pool sends a shard, and the
 //! worker thread that executes it on the shard's accelerator — relocating
 //! each job onto its leased tiles, containing panics, scrubbing the
-//! lease and decoding the job's outputs.
+//! lease, decoding the job's outputs and ending the job in the pool's
+//! job table.
 
-use super::{mix_seed, offload_estimate};
+use super::{lock, mix_seed, offload_estimate, PoolShared};
 use crate::compile::CompiledJob;
 use crate::job::{DatasetId, JobError, JobOutput, JobReport, JobRoute, JobTiming};
-use crate::telemetry::stats_delta;
-use crate::trace::{Attr, Tracer};
-use cim_core::isa::{CimInstruction, CimResponse};
+use crate::trace::Attr;
+use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::{CimAccelerator, DeviceCounters, ExecutionStats};
 use cim_crossbar::energy::OperationCost;
 use cim_obs::{SpanId, Value};
 use cim_simkit::rng::seeded;
 use std::collections::BTreeSet;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 
 /// A job with its virtual→physical tile maps on a shard.
 pub(super) struct PlacedJob {
@@ -65,23 +66,6 @@ pub(super) enum WorkerMsg {
     Shutdown,
 }
 
-/// What a shard worker sends back.
-pub(super) enum Completion {
-    Job {
-        report: Box<JobReport>,
-        /// `Some` for one sub-program of a split job.
-        part: Option<u32>,
-    },
-    DatasetLoaded {
-        id: DatasetId,
-        result: Result<(ExecutionStats, DeviceCounters), String>,
-    },
-    DatasetReleased {
-        id: DatasetId,
-        maintenance: OperationCost,
-    },
-}
-
 /// Relocates a compiled stream onto physical tiles via per-class maps
 /// (virtual index → physical tile), rejecting any instruction that
 /// escapes the lease. Tile indices are patched in place — the stream is
@@ -93,46 +77,28 @@ pub(super) fn relocate(
     digital_map: &[usize],
     analog_map: &[usize],
 ) -> Result<Vec<CimInstruction>, JobError> {
-    let digital = |tile: usize| -> Result<usize, JobError> {
-        digital_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: digital_map.len(),
-            analog: false,
-        })
-    };
-    let analog = |tile: usize| -> Result<usize, JobError> {
-        analog_map.get(tile).copied().ok_or(JobError::TileFault {
-            virtual_tile: tile,
-            granted: analog_map.len(),
-            analog: true,
-        })
-    };
     let mut have_bits = false;
     for (index, instr) in instructions.iter_mut().enumerate() {
         match instr {
-            CimInstruction::WriteRow { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::WriteKey { tile, .. } => *tile = digital(*tile)?,
-            // Match sets are entry-indexed, not tile-width: the
-            // accelerator never latches them as a `StoreLast` operand.
-            CimInstruction::MatchSearch { tile, .. } => *tile = digital(*tile)?,
-            CimInstruction::ReadRow { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
+            // Only reads and logic operations define the latch: match
+            // sets are entry-indexed, not tile-width, so the accelerator
+            // never latches them as a `StoreLast` operand.
+            CimInstruction::ReadRow { .. } | CimInstruction::Logic { .. } => have_bits = true,
+            CimInstruction::StoreLast { .. } if !have_bits => {
+                return Err(JobError::StoreWithoutResult { index });
             }
-            CimInstruction::Logic { tile, .. } => {
-                have_bits = true;
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::StoreLast { tile, .. } => {
-                if !have_bits {
-                    return Err(JobError::StoreWithoutResult { index });
-                }
-                *tile = digital(*tile)?;
-            }
-            CimInstruction::ProgramMatrix { tile, .. }
-            | CimInstruction::Mvm { tile, .. }
-            | CimInstruction::MvmT { tile, .. } => *tile = analog(*tile)?,
+            _ => {}
         }
+        let (family, tile) = instr.tile();
+        let (map, analog) = match family {
+            TileFamily::Digital => (digital_map, false),
+            TileFamily::Analog => (analog_map, true),
+        };
+        *instr.tile_mut() = map.get(tile).copied().ok_or(JobError::TileFault {
+            virtual_tile: tile,
+            granted: map.len(),
+            analog,
+        })?;
     }
     Ok(instructions)
 }
@@ -166,13 +132,22 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// One shard: its accelerator, driven by a worker thread that executes
-/// what the pool sends and reports back on the completion channel.
+/// what the pool sends and ends each job in the pool's job table itself.
 pub(super) struct Worker {
     pub(super) shard: usize,
     pub(super) accelerator: CimAccelerator,
     pub(super) shard_seed: u64,
-    pub(super) completions: Sender<Completion>,
-    pub(super) tracer: Tracer,
+    pub(super) pool: Arc<PoolShared>,
+}
+
+impl Drop for Worker {
+    /// Counts the worker out — on shutdown or on an uncontained panic —
+    /// so that waiters on a pool with no worker left panic instead of
+    /// blocking forever.
+    fn drop(&mut self) {
+        lock(&self.pool.state).live_workers -= 1;
+        self.pool.progress.notify_all();
+    }
 }
 
 /// What executing a stream produced: the collected output responses
@@ -185,24 +160,17 @@ type Executed = (
 );
 
 impl Worker {
-    /// The worker loop; returns on shutdown or once the pool is gone.
+    /// The worker loop; returns on shutdown.
     pub(super) fn run(mut self, messages: Receiver<WorkerMsg>) {
         while let Ok(message) = messages.recv() {
-            let completion = match message {
+            match message {
                 WorkerMsg::Batch(batch) => {
                     for placed in batch.jobs {
                         let (part, dispatch) = (placed.part, placed.dispatch);
-                        let report = Box::new(self.run_job(batch.id, placed));
-                        self.tracer.close(dispatch, 0.0, &[]);
-                        if self
-                            .completions
-                            .send(Completion::Job { report, part })
-                            .is_err()
-                        {
-                            return; // pool dropped
-                        }
+                        let report = self.run_job(batch.id, placed);
+                        self.pool.tracer.close(dispatch, 0.0, &[]);
+                        self.pool.job_done(report, part);
                     }
-                    continue;
                 }
                 WorkerMsg::LoadDataset {
                     id,
@@ -211,27 +179,24 @@ impl Worker {
                     span,
                 } => {
                     let shard = Value::U64(self.shard as u64);
-                    let exec_span = self.tracer.open("load_execute", span, &[("shard", shard)]);
+                    let exec_span =
+                        self.pool
+                            .tracer
+                            .open("load_execute", span, &[("shard", shard)]);
                     let (executed, stats, device) = self.execute(instructions, seed, &[]);
-                    self.tracer.close(exec_span, stats.busy_time.0, &[]);
-                    Completion::DatasetLoaded {
-                        id,
-                        result: executed.map(|_| (stats, device)),
-                    }
+                    self.pool.tracer.close(exec_span, stats.busy_time.0, &[]);
+                    self.pool.load_done(id, executed.map(|_| (stats, device)));
                 }
                 WorkerMsg::ReleaseDataset {
                     id,
                     rows,
                     analog_tiles,
                     seed,
-                } => Completion::DatasetReleased {
-                    id,
-                    maintenance: self.scrub(rows, analog_tiles, seed),
-                },
+                } => {
+                    let maintenance = self.scrub(rows, analog_tiles, seed);
+                    self.pool.release_done(id, maintenance);
+                }
                 WorkerMsg::Shutdown => return,
-            };
-            if self.completions.send(completion).is_err() {
-                return;
             }
         }
     }
@@ -272,7 +237,7 @@ impl Worker {
             responses
         }));
         accelerator.reset_pipeline();
-        let stats = stats_delta(accelerator.stats(), &before);
+        let stats = accelerator.stats().delta(&before);
         let device = accelerator.device_counters().delta(&device_before);
         (executed.map_err(panic_message), stats, device)
     }
@@ -340,13 +305,15 @@ impl Worker {
             None => 3,
         };
         let exec_span = self
+            .pool
             .tracer
             .open("execute", dispatch, &exec_attrs[..exec_attr_count]);
 
         let instructions = match relocate(compiled.instructions, &digital_map, &analog_map) {
             Ok(instructions) => instructions,
             Err(e) => {
-                self.tracer
+                self.pool
+                    .tracer
                     .close(exec_span, 0.0, &[("outcome", Value::Str("err"))]);
                 report.output = Err(e);
                 return report;
@@ -370,7 +337,8 @@ impl Worker {
         let (executed, stats, device) =
             self.execute(instructions, compiled.seed, &compiled.outputs);
         let outcome = Value::Str(if executed.is_ok() { "ok" } else { "err" });
-        self.tracer
+        self.pool
+            .tracer
             .close(exec_span, stats.busy_time.0, &[("outcome", outcome)]);
         report.maintenance = self.scrub(written, programmed, compiled.job.0);
         report.output = match executed {
@@ -378,11 +346,11 @@ impl Worker {
                 // Split parts skip the finalize span: the parent's single
                 // finalize runs host-side at gather completion.
                 let finalize = match part {
-                    None => self.tracer.open("finalize", root, &[]),
+                    None => self.pool.tracer.open("finalize", root, &[]),
                     Some(_) => SpanId::NONE,
                 };
                 let output = compiled.finalizer.finalize(outputs);
-                self.tracer.close(finalize, 0.0, &[]);
+                self.pool.tracer.close(finalize, 0.0, &[]);
                 Ok(output)
             }
             Err(message) => Err(JobError::ExecutionPanic { message }),

@@ -22,34 +22,6 @@ use cim_simkit::units::Seconds;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Field-wise difference of two stats snapshots (`after - before`).
-pub fn stats_delta(after: &ExecutionStats, before: &ExecutionStats) -> ExecutionStats {
-    ExecutionStats {
-        row_writes: after.row_writes - before.row_writes,
-        row_reads: after.row_reads - before.row_reads,
-        logic_ops: after.logic_ops - before.logic_ops,
-        matrix_programs: after.matrix_programs - before.matrix_programs,
-        mvms: after.mvms - before.mvms,
-        key_writes: after.key_writes - before.key_writes,
-        searches: after.searches - before.searches,
-        energy: after.energy - before.energy,
-        busy_time: after.busy_time - before.busy_time,
-    }
-}
-
-/// Field-wise accumulation of one stats record into another.
-pub fn stats_accumulate(dst: &mut ExecutionStats, s: &ExecutionStats) {
-    dst.row_writes += s.row_writes;
-    dst.row_reads += s.row_reads;
-    dst.logic_ops += s.logic_ops;
-    dst.matrix_programs += s.matrix_programs;
-    dst.mvms += s.mvms;
-    dst.key_writes += s.key_writes;
-    dst.searches += s.searches;
-    dst.energy += s.energy;
-    dst.busy_time += s.busy_time;
-}
-
 /// Aggregated usage of one tenant.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantUsage {
@@ -228,12 +200,12 @@ impl PoolTelemetry {
                 self.failures += 1;
             }
         }
-        stats_accumulate(&mut tenant.stats, &report.stats);
-        stats_accumulate(&mut self.pool, &report.stats);
+        tenant.stats.accumulate(&report.stats);
+        self.pool.accumulate(&report.stats);
         self.device.accumulate(&report.device);
         for (shard, stats) in shard_stats {
             if let Some(entry) = self.per_shard.get_mut(shard) {
-                stats_accumulate(entry, &stats);
+                entry.accumulate(&stats);
             }
         }
         if let Some(dataset) = report.dataset {
@@ -245,7 +217,7 @@ impl PoolTelemetry {
                 if report.output.is_ok() {
                     usage.queries += 1;
                 }
-                stats_accumulate(&mut usage.query_stats, &report.stats);
+                usage.query_stats.accumulate(&report.stats);
                 usage.query_device.accumulate(&report.device);
             }
         }
@@ -269,8 +241,8 @@ impl PoolTelemetry {
         usage.tenant = tenant.0;
         usage.kind = kind;
         usage.resident_bytes = resident_bytes;
-        stats_accumulate(&mut usage.load_stats, stats);
-        stats_accumulate(&mut self.dataset_load, stats);
+        usage.load_stats.accumulate(stats);
+        self.dataset_load.accumulate(stats);
         usage.load_device.accumulate(device);
         self.dataset_load_device.accumulate(device);
     }
@@ -385,26 +357,6 @@ impl fmt::Display for PoolTelemetry {
 mod tests {
     use super::*;
     use cim_simkit::units::Joules;
-
-    #[test]
-    fn delta_and_accumulate_are_inverse() {
-        let mut a = ExecutionStats::default();
-        let b = ExecutionStats {
-            row_writes: 3,
-            row_reads: 1,
-            logic_ops: 2,
-            matrix_programs: 0,
-            mvms: 4,
-            key_writes: 2,
-            searches: 6,
-            energy: Joules(1.5),
-            busy_time: Seconds(0.25),
-        };
-        stats_accumulate(&mut a, &b);
-        assert_eq!(a, b);
-        let d = stats_delta(&a, &b);
-        assert_eq!(d, ExecutionStats::default());
-    }
 
     #[test]
     fn telemetry_tracks_shards_independently() {

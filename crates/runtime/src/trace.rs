@@ -2,10 +2,11 @@
 //!
 //! [`Tracer`] is the one handle every pool component records through:
 //! the scheduler emits submit/queue/plan/dispatch spans and queue-depth
-//! gauges, shard workers emit execute/load spans, and the completion
-//! pump closes each job's root span. A tracer wraps an
-//! `Arc<dyn TraceSink>`, so cloning it into worker threads is cheap and
-//! every clone feeds the same sink.
+//! gauges, shard workers emit execute/load spans, and whichever thread
+//! ends a job — the shard worker that ran it, or the submitting thread
+//! for a job that never reached a shard — closes its root span. A
+//! tracer wraps an `Arc<dyn TraceSink>`, so clones are cheap and every
+//! clone feeds the same sink.
 //!
 //! The disabled path is engineered to be near-free: when the sink
 //! reports [`TraceSink::enabled`]` == false` (the default

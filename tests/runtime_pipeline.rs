@@ -10,7 +10,8 @@
 //!    until the last `DatasetHandle` drops, and are never readable by
 //!    another tenant,
 //! 6. simulated makespan falls as shards are added, with outputs
-//!    unchanged.
+//!    unchanged,
+//! 7. a width mismatch is reported as one, against the expected width.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -22,8 +23,8 @@ use cim_repro::cim_core::ExecutionStats;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_imgproc::image::GrayImage;
 use cim_repro::cim_runtime::{
-    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobOutput, PoolConfig, RuleCode,
-    RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobOutput, MatchKind, PoolConfig,
+    RuleCode, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 
@@ -100,7 +101,7 @@ fn batched_equals_sequential_for_fixed_seed() {
 
     // The reference schedule: every job in a batch of its own.
     let sequential = RuntimePool::new(PoolConfig {
-        coalesce: false,
+        max_batch_jobs: 1,
         ..PoolConfig::with_shards(2)
     });
     let handles = submit_all(&sequential, &jobs);
@@ -672,4 +673,54 @@ fn key_lookup_joins_the_q6_bitmap_plan() {
     let usage = &telemetry.datasets[&dictionary.id().0];
     assert_eq!(usage.kind, "cam-keys");
     assert!(usage.load_stats.key_writes > 0, "keys written at load");
+}
+
+/// A ragged bulk reduction and a CAM key narrower than its dataset's
+/// entries are length mismatches against the width the job expects;
+/// `BadOperandWidth` is left for operands wider than a tile.
+#[test]
+fn width_mismatches_report_the_expected_width() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(1));
+    let session = pool.client(TenantId(1));
+    let bulk = |widths: [usize; 2]| WorkloadSpec::ScoutBulk {
+        op: ScoutOp::Or,
+        rows: widths.iter().map(|&w| BitVec::zeros(w)).collect(),
+    };
+    let ragged = session.submit(&bulk([10, 20])).map(drop).unwrap_err();
+    assert_eq!(
+        ragged,
+        CompileError::InputLengthMismatch {
+            got: 20,
+            expected: 10
+        }
+    );
+    assert_eq!(ragged.to_string(), "input has length 20, expected 10");
+    assert_eq!(
+        session.submit(&bulk([2000, 2000])).map(drop),
+        Err(CompileError::BadOperandWidth {
+            width: 2000,
+            max: 1024
+        })
+    );
+
+    let dictionary = session
+        .register_dataset(&DatasetSpec::CamKeys {
+            keys: vec![3, 5, 8],
+            width: 16,
+        })
+        .unwrap();
+    let narrow_key = session
+        .submit(&WorkloadSpec::CamSearch {
+            dataset: dictionary.id(),
+            kind: MatchKind::Exact,
+            keys: vec![BitVec::zeros(8)],
+        })
+        .map(drop);
+    assert_eq!(
+        narrow_key,
+        Err(CompileError::InputLengthMismatch {
+            got: 8,
+            expected: 16
+        })
+    );
 }

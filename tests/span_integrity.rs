@@ -31,6 +31,7 @@ use cim_repro::cim_simkit::bitvec::BitVec;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A pool tracing into a fresh ring recorder, on the default geometry
 /// (4 digital tiles x 1024 entries per shard).
@@ -140,6 +141,41 @@ fn split_job_traces_one_execute_per_part_plus_gather() {
     assert_eq!(snap.unclosed, 0);
     assert_eq!(snap.orphan_closes, 0);
     assert_job_route(&snap, &report);
+}
+
+/// A job ends on the shard worker that ran it, not when its caller
+/// next touches the pool: while the caller is away, the job's root span
+/// closes, and its timing stops at completion rather than at the
+/// caller's return.
+#[test]
+fn jobs_end_while_their_caller_is_away() {
+    let (ring, pool) = traced_pool(1);
+    let session = pool.client(TenantId(1));
+    let handle = session
+        .submit(&WorkloadSpec::XorEncrypt {
+            message: vec![0x5A; 64],
+            key_seed: 9,
+        })
+        .unwrap();
+    session.flush();
+    std::thread::sleep(Duration::from_millis(200));
+
+    // No poll, wait or telemetry call since the flush.
+    let snap = ring.snapshot();
+    assert_eq!(snap.unclosed, 0, "every span closed while the caller slept");
+    let root = snap
+        .roots_named("job")
+        .next()
+        .expect("the job's root span closed");
+    assert!(matches!(root.attr("outcome"), Some(Value::Str("ok"))));
+
+    let report = handle.wait();
+    assert!(report.output.is_ok());
+    assert!(
+        report.timing.total < Duration::from_millis(100),
+        "timing stops when the job ends, not when the caller returns: {:?}",
+        report.timing
+    );
 }
 
 /// A workload that can never fit the pool is rejected terminally at

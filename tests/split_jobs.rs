@@ -351,7 +351,7 @@ fn split_jobs_batched_equals_sequential() {
     // The reference schedule: every job (and every part) in a batch of
     // its own.
     let sequential = RuntimePool::new(PoolConfig {
-        coalesce: false,
+        max_batch_jobs: 1,
         ..PoolConfig::with_shards(4)
     });
     let handles: Vec<_> = jobs
