@@ -17,9 +17,8 @@
 //!   short critical section per event, drop-oldest beyond capacity.
 //! * **[`hist`]** — [`Histogram`], log-bucketed and mergeable, with
 //!   p50/p95/p99 (any quantile) readouts.
-//! * **[`metrics`]** — standalone monotonic [`Counter`]s and
-//!   last-value [`Gauge`]s, plus the [`GaugeStats`] aggregate the
-//!   recorder keeps per gauge name.
+//! * **[`metrics`]** — the [`GaugeStats`] aggregate the recorder keeps
+//!   per gauge name.
 //! * **[`snapshot`]** — [`Snapshot`], the span forest reassembled from
 //!   recorded events. Its [`Snapshot::to_json`] export is
 //!   *deterministic*: wall-clock fields are excluded and ordering is by
@@ -43,6 +42,6 @@ pub mod snapshot;
 pub use chrome::chrome_trace_json;
 pub use event::{Event, NullSink, SpanId, TraceSink, Value};
 pub use hist::Histogram;
-pub use metrics::{Counter, Gauge, GaugeStats};
+pub use metrics::GaugeStats;
 pub use ring::RingRecorder;
 pub use snapshot::{Snapshot, SpanNode};

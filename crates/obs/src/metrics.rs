@@ -1,63 +1,6 @@
-//! Standalone counters and gauges, plus the per-name gauge aggregate
-//! the recorder computes.
-//!
-//! [`Counter`] and [`Gauge`] are lock-free atomics for call sites that
-//! want a metric without routing through a [`crate::TraceSink`];
-//! [`GaugeStats`] is the summary [`crate::Snapshot`] keeps for every
-//! gauge name seen in the event stream.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonic counter: only ever increments.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value gauge storing an `f64` behind an atomic bit pattern.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Last value set (0.0 initially).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
+//! The per-name gauge aggregate the recorder computes: [`GaugeStats`]
+//! is the summary [`crate::Snapshot`] keeps for every gauge name seen
+//! in the event stream.
 
 /// Aggregate over every sample of one gauge name: the summary that
 /// turns point-in-time samples (queue depth at each plan) into
@@ -129,23 +72,6 @@ impl GaugeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_is_monotonic() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn gauge_holds_last_value() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(2.5);
-        g.set(-1.0);
-        assert_eq!(g.get(), -1.0);
-    }
 
     #[test]
     fn gauge_stats_aggregate() {

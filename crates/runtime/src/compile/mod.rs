@@ -4,9 +4,8 @@
 //! The (crate-internal) `compile` entry point turns a [`WorkloadSpec`]
 //! into a `CompiledJob`: a straight-line [`CimInstruction`] stream over
 //! *virtual* tile indices (`0..demand`), the indices of the instructions
-//! whose responses are the job's outputs, a finalizer that decodes those
-//! responses on the host, and the job's resident-data placement as a
-//! [`cim_core::AddressMap`] window in the extended address space.
+//! whose responses are the job's outputs and a finalizer that decodes
+//! those responses on the host.
 //!
 //! Virtual tile indices keep compilation independent of placement: the
 //! scheduler relocates the stream onto whichever physical tiles the
@@ -38,7 +37,6 @@ use crate::dataset::{DatasetSpec, ResidentPayload, ResidentView};
 use crate::job::{DatasetId, JobId, JobKind, JobOutput, TenantId, WorkloadSpec};
 use crate::schedule::{OffloadPolicy, PoolConfig};
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
-use cim_core::AddressMap;
 use cim_crossbar::scouting::ScoutOp;
 use cim_lint::CostEnvelope;
 use cim_simkit::bitvec::BitVec;
@@ -155,9 +153,6 @@ pub(crate) struct CompiledJob {
     pub outputs: Vec<usize>,
     /// Host-side output decoder.
     pub finalizer: Arc<dyn Finalize>,
-    /// The job's resident-data window in the extended address space
-    /// (`None` for jobs with no digital-resident data).
-    pub placement: Option<AddressMap>,
     /// Bytes resident in CIM tiles while the job runs.
     pub resident_bytes: u64,
     /// Offload profile for the analytical speedup estimate.
@@ -353,9 +348,8 @@ impl std::error::Error for CompileError {}
 
 /// Everything a family's lowering needs besides the spec itself: who
 /// submitted the job, the pool it compiles for, the job's private noise
-/// seed, where its resident window sits in the extended address space
-/// and — for dataset queries — the dataset the scheduler resolved (and
-/// access-checked) before compiling.
+/// seed and — for dataset queries — the dataset the scheduler resolved
+/// (and access-checked) before compiling.
 pub(crate) struct Lowering<'a> {
     job: JobId,
     tenant: TenantId,
@@ -363,15 +357,13 @@ pub(crate) struct Lowering<'a> {
     cfg: &'a PoolConfig,
     /// Seed of the job's private noise stream.
     seed: u64,
-    /// Base of the job's resident window.
-    window_base: u64,
     /// The queried dataset, for dataset-backed specs.
     resident: Option<&'a ResidentView>,
 }
 
 impl<'a> Lowering<'a> {
-    /// The lowering context of job `job` on a pool: its noise seed and
-    /// resident window derive from the id.
+    /// The lowering context of job `job` on a pool: its noise seed
+    /// derives from the id.
     pub(crate) fn new(
         job: JobId,
         tenant: TenantId,
@@ -383,7 +375,6 @@ impl<'a> Lowering<'a> {
             tenant,
             cfg,
             seed: crate::mix_seed(cfg.seed, 0x0B0B ^ job.0),
-            window_base: cfg.window_base(job.0),
             resident,
         }
     }
@@ -434,10 +425,9 @@ impl<'a> Lowering<'a> {
     }
 
     /// A compiled job with the family-independent parts filled in: ids,
-    /// seed, the sealed cost envelope, and the resident window — the
-    /// dataset's for a query, a fresh window over the job's digital
-    /// tiles otherwise. Families override the rest (resident bytes of
-    /// fresh jobs, host profile, splittability, host reference) with
+    /// seed, the sealed cost envelope and, for a query, the dataset and
+    /// its resident bytes. Families override the rest (resident bytes
+    /// of fresh jobs, host profile, splittability, host reference) with
     /// struct-update syntax.
     fn job(
         &self,
@@ -447,13 +437,9 @@ impl<'a> Lowering<'a> {
         outputs: Vec<usize>,
         finalizer: impl Finalize + 'static,
     ) -> CompiledJob {
-        let (dataset, placement, resident_bytes) = match self.resident {
-            Some(view) => (Some(view.id), view.placement, view.resident_bytes),
-            None => (
-                None,
-                digital_placement(self.window_base, demand.digital, self.cfg),
-                0,
-            ),
+        let (dataset, resident_bytes) = match self.resident {
+            Some(view) => (Some(view.id), view.resident_bytes),
+            None => (None, 0),
         };
         CompiledJob {
             job: self.job,
@@ -467,7 +453,6 @@ impl<'a> Lowering<'a> {
             instructions,
             outputs,
             finalizer: Arc::new(finalizer),
-            placement,
             resident_bytes,
             host_profile: HostProfile::UNKNOWN,
             seed: self.seed,
@@ -548,12 +533,6 @@ pub(crate) fn compile(spec: &WorkloadSpec, lw: &Lowering) -> Result<CompiledJob,
         );
     }
     Ok(compiled)
-}
-
-/// The resident window of a job's `tiles` digital tiles (`None` for
-/// jobs with no digital-resident data).
-fn digital_placement(base: u64, tiles: usize, cfg: &PoolConfig) -> Option<AddressMap> {
-    (tiles > 0).then(|| AddressMap::new(base, tiles, cfg.tile_rows, cfg.tile_cols.div_ceil(8)))
 }
 
 /// Emits a fan-in-limited OR/AND reduction over `rows`, ping-ponging
@@ -723,7 +702,6 @@ pub(crate) fn split_by_digital_tile(
     );
     debug_assert_eq!(parent.demand.analog, 0, "only digital jobs split");
     let output_set: BTreeSet<usize> = parent.outputs.iter().copied().collect();
-    let row_bytes = cfg.tile_cols.div_ceil(8);
     let mut parts = Vec::with_capacity(chunks.len());
     let mut base = 0usize;
     for (part, &chunk) in chunks.iter().enumerate() {
@@ -735,14 +713,6 @@ pub(crate) fn split_by_digital_tile(
             }
             instructions.push(instr);
         }
-        let placement = parent.placement.as_ref().map(|map| {
-            AddressMap::new(
-                map.base() + (base * cfg.tile_rows * row_bytes) as u64,
-                chunk,
-                cfg.tile_rows,
-                row_bytes,
-            )
-        });
         let demand = TileDemand::digital(chunk);
         parts.push(CompiledJob {
             job: parent.job,
@@ -756,7 +726,6 @@ pub(crate) fn split_by_digital_tile(
             instructions,
             outputs,
             finalizer: Arc::new(raw::Verbatim),
-            placement,
             resident_bytes: parent.resident_bytes * chunk as u64
                 / parent.demand.digital.max(1) as u64,
             host_profile: parent.host_profile,
@@ -847,11 +816,6 @@ pub(crate) mod tests {
                 assert!(tile < part.demand.digital);
             }
         }
-        // Sub-placements tile the parent window in order.
-        let p0 = parts[0].placement.unwrap();
-        let p1 = parts[1].placement.unwrap();
-        assert_eq!(p0.base(), parent.placement.unwrap().base());
-        assert!(p1.base() > p0.base());
     }
 
     /// An impossible dataset pin is a dedicated sizing error, not a

@@ -300,7 +300,6 @@ mod tests {
             digital_tiles: 0,
             analog_tiles: 2,
             resident_rows: Vec::new(),
-            placement: None,
             resident_bytes: mlp.weight_count() as u64 / 8,
         };
         let spec = WorkloadSpec::NnQuery {

@@ -311,8 +311,6 @@ mod tests {
             .filter(|i| matches!(i, CimInstruction::WriteRow { .. }))
             .count();
         assert_eq!(writes, 2 * 145);
-        let placement = c.placement.unwrap();
-        assert_eq!(placement.base(), cfg().window_base(0));
         assert!(c.resident_bytes > 0);
     }
 

@@ -3,9 +3,11 @@
 //! The DATE'19 CIM case wins precisely when resident data is written
 //! into the crossbar once and then read by many queries. A
 //! [`DatasetSpec`] names such a data set (TPC-H Q6 bitmap bins, HDC
-//! class prototypes); [`crate::PoolClient::register_dataset`] compiles
-//! its load program, pins tiles on one shard, executes the load once
-//! and returns a [`DatasetHandle`].
+//! class prototypes, NN weights, CAM rule tables and key
+//! dictionaries); [`crate::PoolClient::register_dataset`] compiles its
+//! load program, pins tiles on one shard — or scatters chunks of its
+//! digital tiles across several when no one shard can hold it —
+//! executes the load once and returns a [`DatasetHandle`].
 //!
 //! The handle is the lease: it is cheaply cloneable
 //! (reference-counted), and the pinned tiles stay resident — and their
@@ -19,11 +21,9 @@
 use crate::job::{DatasetId, TenantId};
 use crate::schedule::PoolShared;
 use cim_bitmap_db::tpch::LineItemTable;
-use cim_core::AddressMap;
 use cim_crossbar::cam::RuleSet;
 use cim_hdc::lang::LanguageTask;
 use cim_nn::binarized::BinarizedMlp;
-use cim_obs::SpanId;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -96,9 +96,10 @@ pub enum DatasetSpec {
 /// Clones share the lease; the pool scrubs the pinned tiles and frees
 /// them only when the last clone drops. Obtain one from
 /// [`crate::PoolClient::register_dataset`] and query it by passing
-/// [`DatasetHandle::id`] in a [`crate::WorkloadSpec::Q6Query`] /
-/// [`crate::WorkloadSpec::HdcQuery`] submission from the owning
-/// tenant's session.
+/// [`DatasetHandle::id`] in a dataset query ([`crate::WorkloadSpec`]'s
+/// `Q6Query`, `HdcQuery`, `NnQuery`, `CamSearch`, `RuleClassify`,
+/// `KeyLookup` or `RawQuery`) submitted from the owning tenant's
+/// session.
 #[derive(Debug, Clone)]
 pub struct DatasetHandle {
     core: Arc<DatasetCore>,
@@ -234,20 +235,8 @@ pub(crate) struct ResidentView {
     /// The resident rows of each virtual digital tile, which queries may
     /// read but never overwrite.
     pub resident_rows: Vec<Range<usize>>,
-    /// The dataset's resident window.
-    pub placement: Option<AddressMap>,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
-}
-
-/// Load progress of a registered dataset: one shard load may still be
-/// outstanding per placement; registration waits until none is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LoadProgress {
-    /// Per-shard load programs whose completions are still outstanding.
-    pub pending: usize,
-    /// The first captured failure, if any shard load failed.
-    pub failure: Option<String>,
 }
 
 /// One shard's slice of a resident dataset: the physical tiles pinned
@@ -268,7 +257,9 @@ pub(crate) struct ShardPlacement {
 /// Pool-side record of one resident dataset. Ordinarily a dataset pins
 /// tiles on a single shard; a dataset bigger than any one shard spans
 /// several placements, each holding a contiguous chunk of its virtual
-/// tiles, and queries are scatter-gathered across them.
+/// tiles, and queries are scatter-gathered across them. The record
+/// lives from registration until release; a query still queued then
+/// fails with [`crate::JobError::DatasetReleased`].
 #[derive(Debug)]
 pub(crate) struct DatasetRecord {
     pub tenant: TenantId,
@@ -280,24 +271,9 @@ pub(crate) struct DatasetRecord {
     pub resident_bytes: u64,
     /// The resident rows of each virtual digital tile.
     pub resident_rows: Vec<Range<usize>>,
-    /// The dataset's resident window in the extended address space.
-    pub placement: Option<AddressMap>,
-    pub load: LoadProgress,
     /// Seed of the load program's noise stream (scrubbing derives from
     /// it too).
     pub seed: u64,
-    /// Set once the last handle dropped; pending queries fail with
-    /// [`crate::JobError::DatasetReleased`] instead of dispatching.
-    pub released: bool,
-    /// Release scrubs still outstanding; the record is dropped when the
-    /// last shard reports its scrub done.
-    pub scrubs_pending: usize,
-    /// The dataset's `dataset_load` trace span, open until the last
-    /// shard chunk's load completes (then reset to [`SpanId::NONE`]).
-    pub span: SpanId,
-    /// Simulated seconds accumulated across the chunk loads, attributed
-    /// to the `dataset_load` span when it closes.
-    pub load_sim: f64,
 }
 
 impl DatasetRecord {
@@ -309,7 +285,6 @@ impl DatasetRecord {
             digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
             analog_tiles: self.placements.iter().map(|p| p.analog_tiles.len()).sum(),
             resident_rows: self.resident_rows.clone(),
-            placement: self.placement,
             resident_bytes: self.resident_bytes,
         }
     }

@@ -26,14 +26,13 @@
 //!   Scouting-Logic reductions, raw streams, associative CAM searches
 //!   — exact, ternary, and analog range match over resident rule
 //!   tables and key dictionaries — and dataset queries) into
-//!   a [`cim_core::CimInstruction`] stream over virtual tiles plus a
-//!   resident-data placement in the extended address space
-//!   ([`cim_core::AddressMap`]). With this layer every application
-//!   crate in the workspace serves through the runtime: MVM-heavy
-//!   kernels (NN, HDC) over analog tiles, row-access-heavy kernels
-//!   (Q6, image neighbourhoods) over digital tiles. Each workload
-//!   family is defined in one submodule: lowering, dataset load,
-//!   host-side decoding and host reference together.
+//!   a [`cim_core::CimInstruction`] stream over virtual tiles. With
+//!   this layer every application crate in the workspace serves
+//!   through the runtime: MVM-heavy kernels (NN, HDC) over analog
+//!   tiles, row-access-heavy kernels (Q6, image neighbourhoods) over
+//!   digital tiles. Each workload family is defined in one submodule:
+//!   lowering, dataset load, host-side decoding and host reference
+//!   together.
 //! * **[`schedule`]** — a job queue with deterministic shard selection,
 //!   per-tile admission over free (un-pinned) tiles, cost-aware batch
 //!   coalescing, and one worker thread per shard (std threads +

@@ -58,7 +58,7 @@ use crate::compile::{
     compile, compile_dataset_load, split_load_by_tile, CompileError, CompiledJob, DatasetProgram,
     Finalize, HostProfile, Lowering, TileDemand,
 };
-use crate::dataset::{DatasetRecord, DatasetSpec, LoadProgress, ResidentView, ShardPlacement};
+use crate::dataset::{DatasetRecord, DatasetSpec, ResidentView, ShardPlacement};
 use crate::job::{
     DatasetId, JobError, JobId, JobKind, JobOutput, JobReport, JobRoute, JobStatus, JobTiming,
     TenantId, WorkloadSpec,
@@ -68,7 +68,7 @@ use crate::trace::{Attr, Tracer};
 use cim_arch::cim::CimSystem;
 use cim_arch::conventional::ConventionalMachine;
 use cim_core::offload::{OffloadEstimate, Program};
-use cim_core::{AddressMap, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
+use cim_core::{CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
 use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
@@ -80,7 +80,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{relocate, written_rows, Worker, WorkerMsg};
+use worker::{relocate, written_rows, LoadResult, Worker, WorkerMsg};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -184,26 +184,6 @@ impl PoolConfig {
             shards,
             ..PoolConfig::default()
         }
-    }
-
-    /// Bytes of one job's extended-address-space window, rounded to a
-    /// power of two so windows are disjoint and alignment-friendly.
-    fn window_stride(&self) -> u64 {
-        let bytes = (self.digital_tiles * self.tile_rows * self.tile_cols.div_ceil(8)) as u64;
-        bytes.next_power_of_two()
-    }
-
-    /// Base address of job `id`'s resident window. The extended address
-    /// space starts past the host DRAM window, as in §II-B.
-    pub fn window_base(&self, id: u64) -> u64 {
-        0x4000_0000 + id * self.window_stride()
-    }
-
-    /// Base address of dataset `id`'s resident window: a region of the
-    /// extended address space disjoint from per-job windows, because
-    /// datasets outlive jobs.
-    pub fn dataset_window_base(&self, id: u64) -> u64 {
-        0x4000_0000_0000 + id * self.window_stride()
     }
 }
 
@@ -390,7 +370,6 @@ impl PoolState {
         let record = self
             .datasets
             .get(&id.0)
-            .filter(|r| !r.released)
             .ok_or(CompileError::UnknownDataset { dataset: id })?;
         if record.tenant != tenant {
             return Err(CompileError::DatasetAccessDenied {
@@ -409,8 +388,8 @@ pub(crate) struct PoolShared {
     cfg: PoolConfig,
     to_shards: Vec<Sender<WorkerMsg>>,
     state: Mutex<PoolState>,
-    /// Signalled whenever a job ends, a dataset load finishes or a shard
-    /// worker exits; `wait` and `register_dataset` block on it.
+    /// Signalled whenever a job ends or a shard worker exits; `wait`
+    /// blocks on it.
     progress: Condvar,
     /// The pool's trace front end.
     tracer: Tracer,
@@ -885,7 +864,7 @@ impl PoolShared {
     /// Registers a dataset: compiles its load program, pins tiles on
     /// one shard — or, when no single shard can hold the pin, scatters
     /// contiguous chunks of its digital tiles across several shards —
-    /// executes every chunk's load and blocks until all are resident.
+    /// sends every chunk's load to its shard and collects the replies.
     pub(crate) fn register_dataset(
         &self,
         tenant: TenantId,
@@ -907,8 +886,9 @@ impl PoolShared {
             resident_bytes,
             resident_rows,
         } = compile_dataset_load(spec, &self.cfg, seed)?;
+        let kind = payload.kind_label();
 
-        let shards: Vec<usize> = {
+        let (shards, span, replies) = {
             let mut st = lock(&self.state);
             let st = &mut *st;
             let cfg = &self.cfg;
@@ -947,8 +927,21 @@ impl PoolShared {
                 None => return Err(st.shortfall(cfg, demand)),
             };
 
+            // The dataset's load span: one `load_execute` child per
+            // shard chunk, closed once every chunk replied.
+            let span = self.tracer.open(
+                "dataset_load",
+                SpanId::NONE,
+                &[
+                    ("dataset", Value::U64(id.0)),
+                    ("tenant", Value::U64(tenant.0 as u64)),
+                    ("kind", Value::Str(kind)),
+                    ("shards", Value::U64(assignment.len() as u64)),
+                ],
+            );
+
             // Split the load program into per-shard chunks, pin and
-            // relocate each onto its shard's free tiles.
+            // relocate each onto its shard's free tiles, and send it.
             let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
             let chunk_programs = if assignment.len() == 1 {
                 vec![instructions]
@@ -956,7 +949,7 @@ impl PoolShared {
                 split_load_by_tile(&instructions, &sizes)
             };
             let mut placements = Vec::with_capacity(assignment.len());
-            let mut sends = Vec::with_capacity(assignment.len());
+            let mut replies = Vec::with_capacity(assignment.len());
             for ((shard, digital_chunk), chunk_instructions) in
                 assignment.iter().copied().zip(chunk_programs)
             {
@@ -981,30 +974,19 @@ impl PoolShared {
                     digital_tiles,
                     analog_tiles,
                 });
-                sends.push((shard, relocated));
+                let (reply, result) = channel();
+                // A worker that exited drops the message, and with it
+                // the reply's sender.
+                let _ = self.to_shards[shard].send(WorkerMsg::LoadDataset {
+                    instructions: relocated,
+                    seed,
+                    span,
+                    reply,
+                });
+                replies.push(result);
             }
 
-            let placement = (demand.digital > 0).then(|| {
-                AddressMap::new(
-                    cfg.dataset_window_base(id.0),
-                    demand.digital,
-                    cfg.tile_rows,
-                    cfg.tile_cols.div_ceil(8),
-                )
-            });
             let shards: Vec<usize> = placements.iter().map(|p| p.shard).collect();
-            // The dataset's load span: one `load_execute` child per
-            // shard chunk, closed when the last chunk reports in.
-            let span = self.tracer.open(
-                "dataset_load",
-                SpanId::NONE,
-                &[
-                    ("dataset", Value::U64(id.0)),
-                    ("tenant", Value::U64(tenant.0 as u64)),
-                    ("kind", Value::Str(payload.kind_label())),
-                    ("shards", Value::U64(sends.len() as u64)),
-                ],
-            );
             st.datasets.insert(
                 id.0,
                 DatasetRecord {
@@ -1013,40 +995,49 @@ impl PoolShared {
                     payload,
                     resident_bytes,
                     resident_rows,
-                    placement,
-                    load: LoadProgress {
-                        pending: sends.len(),
-                        failure: None,
-                    },
                     seed,
-                    released: false,
-                    scrubs_pending: 0,
-                    span,
-                    load_sim: 0.0,
                 },
             );
-            for (shard, instructions) in sends {
-                self.send(
-                    shard,
-                    WorkerMsg::LoadDataset {
-                        id,
-                        instructions,
-                        seed,
-                        span,
-                    },
-                );
-            }
-            shards
+            (shards, span, replies)
         };
 
-        let failure = {
-            let st =
-                self.wait_until(|st| st.datasets.get(&id.0).is_none_or(|r| r.load.pending == 0));
-            match st.datasets.get(&id.0) {
-                Some(record) => record.load.failure.clone(),
-                None => unreachable!("dataset record"),
+        // Collect unlocked: a worker ends the jobs queued ahead of its
+        // chunk under the pool lock. A worker that exits drops its
+        // sender, so every `recv` returns.
+        let results: Vec<LoadResult> = replies
+            .iter()
+            .map(|reply| {
+                reply
+                    .recv()
+                    .unwrap_or_else(|_| Err("shard worker exited before the load ran".to_string()))
+            })
+            .collect();
+        let mut failure = None;
+        let mut load_sim = 0.0;
+        {
+            let mut st = lock(&self.state);
+            for result in results {
+                match result {
+                    Ok((stats, device)) => {
+                        load_sim += stats.busy_time.0;
+                        st.telemetry.record_dataset_load(
+                            id,
+                            tenant,
+                            kind,
+                            resident_bytes,
+                            &stats,
+                            &device,
+                        );
+                    }
+                    Err(message) => {
+                        failure.get_or_insert(message);
+                    }
+                }
             }
-        };
+            let outcome = if failure.is_none() { "ok" } else { "err" };
+            self.tracer
+                .close(span, load_sim, &[("outcome", Value::Str(outcome))]);
+        }
         match failure {
             None => Ok((id, shards)),
             Some(message) => {
@@ -1058,22 +1049,16 @@ impl PoolShared {
         }
     }
 
-    /// Releases a dataset's lease: unpins its tiles for future
-    /// admission and tells its shard to scrub them. Called by the last
-    /// [`crate::DatasetHandle`] drop (and by load-failure rollback);
-    /// idempotent.
+    /// Releases a dataset's lease: drops its record, unpins its tiles
+    /// for future admission and tells each shard holding a chunk to
+    /// scrub them. Called by the last [`crate::DatasetHandle`] drop
+    /// (and by load-failure rollback); idempotent.
     pub(crate) fn release_dataset(&self, id: DatasetId) {
         let mut st = lock(&self.state);
-        let st = &mut *st;
-        let Some(record) = st.datasets.get_mut(&id.0) else {
+        let Some(record) = st.datasets.remove(&id.0) else {
             return;
         };
-        if record.released {
-            return;
-        }
-        record.released = true;
-        record.scrubs_pending = record.placements.len();
-        for placement in &record.placements {
+        for placement in record.placements {
             for t in &placement.digital_tiles {
                 st.pinned_digital[placement.shard].remove(t);
             }
@@ -1085,9 +1070,8 @@ impl PoolShared {
             // observe the dataset's rows. Ignore send failures: the
             // pool may already be shut down, taking the data with it.
             let _ = self.to_shards[placement.shard].send(WorkerMsg::ReleaseDataset {
-                id,
-                rows: placement.scrub_rows.clone(),
-                analog_tiles: placement.analog_tiles.clone(),
+                rows: placement.scrub_rows,
+                analog_tiles: placement.analog_tiles,
                 seed: record.seed,
             });
         }
@@ -1136,64 +1120,6 @@ impl PoolShared {
         }
         drop(guard);
         self.progress.notify_all();
-    }
-
-    /// Folds one shard's dataset load into the dataset's record, closing
-    /// its `dataset_load` span once every shard reported, then wakes the
-    /// registering thread. Called on the worker's thread.
-    fn load_done(&self, id: DatasetId, result: Result<(ExecutionStats, DeviceCounters), String>) {
-        let mut guard = lock(&self.state);
-        let st = &mut *guard;
-        if let Some(record) = st.datasets.get_mut(&id.0) {
-            record.load.pending = record.load.pending.saturating_sub(1);
-            match result {
-                Ok((stats, device)) => {
-                    record.load_sim += stats.busy_time.0;
-                    st.telemetry.record_dataset_load(
-                        id,
-                        record.tenant,
-                        record.payload.kind_label(),
-                        record.resident_bytes,
-                        &stats,
-                        &device,
-                    );
-                }
-                Err(message) => {
-                    record.load.failure.get_or_insert(message);
-                }
-            }
-            if record.load.pending == 0 {
-                let outcome = if record.load.failure.is_none() {
-                    "ok"
-                } else {
-                    "err"
-                };
-                self.tracer.close(
-                    record.span,
-                    record.load_sim,
-                    &[("outcome", Value::Str(outcome))],
-                );
-                record.span = SpanId::NONE;
-            }
-        }
-        drop(guard);
-        self.progress.notify_all();
-    }
-
-    /// Books one shard's scrub of a released dataset. Called on the
-    /// worker's thread.
-    fn release_done(&self, id: DatasetId, maintenance: OperationCost) {
-        let mut st = lock(&self.state);
-        st.telemetry.maintenance = st.telemetry.maintenance.then(maintenance);
-        // A multi-shard dataset scrubs once per placement; drop the
-        // record when the last shard reports in.
-        let done = st.datasets.get_mut(&id.0).is_none_or(|r| {
-            r.scrubs_pending = r.scrubs_pending.saturating_sub(1);
-            r.scrubs_pending == 0
-        });
-        if done {
-            st.datasets.remove(&id.0);
-        }
     }
 
     /// Blocks until `done(&state)` holds and returns the locked state.
@@ -1896,6 +1822,31 @@ mod tests {
         handle.wait();
     }
 
+    /// A registration whose shard worker has exited fails with
+    /// `DatasetLoadFailed` and rolls its pins back, instead of blocking.
+    #[test]
+    fn registration_fails_once_its_shard_worker_exited() {
+        let mut pool = RuntimePool::new(PoolConfig::with_shards(1));
+        pool.shared.send(0, WorkerMsg::Shutdown);
+        for worker in pool.joins.drain(..) {
+            worker.join().unwrap();
+        }
+        let err = pool
+            .client(TenantId(0))
+            .register_dataset(&DatasetSpec::Q6Table {
+                rows: 500,
+                table_seed: 3,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, CompileError::DatasetLoadFailed { .. }),
+            "{err:?}"
+        );
+        let st = pool.shared.state.lock().unwrap();
+        assert!(st.datasets.is_empty(), "the record rolled back");
+        assert!(st.pinned_digital[0].is_empty(), "the pins rolled back");
+    }
+
     /// Satellite: fan-out-weighted costs keep cheapest-first honest —
     /// a wide raw logic job submitted first no longer head-of-line
     /// blocks a narrow one inside the shared batch.
@@ -2365,11 +2316,11 @@ mod tests {
         assert_ne!(report.shard, dataset.shard(), "routed around the pins");
     }
 
-    /// Regression: threads hammering `telemetry` (and so the pool lock)
-    /// while datasets register must never make `register_dataset` miss
-    /// the wake-up of its load's completion and block forever.
+    /// Threads hammering `telemetry` (and so the pool lock) while
+    /// datasets register and release must never stall registration:
+    /// it collects its load replies with the lock released.
     #[test]
-    fn registration_survives_concurrent_pumpers() {
+    fn registration_survives_concurrent_telemetry_readers() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let pool = Arc::new(RuntimePool::new(PoolConfig::with_shards(1)));
         let stop = Arc::new(AtomicBool::new(false));

@@ -217,9 +217,8 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             });
             continue;
         };
-        let Some(record) = st.datasets.get(&id.0).filter(|r| !r.released) else {
-            let shard = st.datasets.get(&id.0).map_or(0, |r| r.primary_shard());
-            failures.push((job, shard, JobError::DatasetReleased { dataset: id }));
+        let Some(record) = st.datasets.get(&id.0) else {
+            failures.push((job, 0, JobError::DatasetReleased { dataset: id }));
             continue;
         };
         let chunks: Vec<_> = record
@@ -239,11 +238,9 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             });
         } else if !job.splittable || job.demand.analog != 0 {
             // A query that cannot be tile-split against a dataset that
-            // spans shards: no shard can run it whole. Nothing in the
-            // pool compiles to this combination today (only digital
-            // pins scatter), but a future multi-shard dataset kind must
-            // fail its queries cleanly here rather than panic the
-            // planner on the split precondition.
+            // spans shards: no shard can run it whole. Raw queries are
+            // never splittable, so a `RawQuery` over a dataset scattered
+            // across shards fails here.
             let error = JobError::WorkloadTooLarge {
                 digital_required: job.demand.digital,
                 analog_required: job.demand.analog,

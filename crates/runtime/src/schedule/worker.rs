@@ -6,7 +6,7 @@
 
 use super::{lock, mix_seed, offload_estimate, PoolShared};
 use crate::compile::CompiledJob;
-use crate::job::{DatasetId, JobError, JobOutput, JobReport, JobRoute, JobTiming};
+use crate::job::{JobError, JobOutput, JobReport, JobRoute, JobTiming};
 use crate::trace::Attr;
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::{CimAccelerator, DeviceCounters, ExecutionStats};
@@ -14,7 +14,7 @@ use cim_crossbar::energy::OperationCost;
 use cim_obs::{SpanId, Value};
 use cim_simkit::rng::seeded;
 use std::collections::BTreeSet;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// A job with its virtual→physical tile maps on a shard.
@@ -42,22 +42,26 @@ pub(super) struct Batch {
     pub(super) jobs: Vec<PlacedJob>,
 }
 
+/// What one shard's chunk of a dataset load produced: its stats and
+/// device counters, or the contained panic.
+pub(super) type LoadResult = Result<(ExecutionStats, DeviceCounters), String>;
+
 /// What the pool sends a shard worker.
 pub(super) enum WorkerMsg {
     /// Execute a batch of placed jobs.
     Batch(Batch),
-    /// Execute a dataset's load program (already on physical tiles).
+    /// Execute one chunk of a dataset's load program (already on
+    /// physical tiles) and send the result to `reply`.
     LoadDataset {
-        id: DatasetId,
         instructions: Vec<CimInstruction>,
         seed: u64,
         /// The dataset's `dataset_load` span, parent of the worker's
         /// per-chunk `load_execute` span.
         span: SpanId,
+        reply: Sender<LoadResult>,
     },
     /// Scrub a released dataset's pinned tiles.
     ReleaseDataset {
-        id: DatasetId,
         rows: Vec<(usize, usize)>,
         analog_tiles: Vec<usize>,
         seed: u64,
@@ -173,10 +177,10 @@ impl Worker {
                     }
                 }
                 WorkerMsg::LoadDataset {
-                    id,
                     instructions,
                     seed,
                     span,
+                    reply,
                 } => {
                     let shard = Value::U64(self.shard as u64);
                     let exec_span =
@@ -185,16 +189,17 @@ impl Worker {
                             .open("load_execute", span, &[("shard", shard)]);
                     let (executed, stats, device) = self.execute(instructions, seed, &[]);
                     self.pool.tracer.close(exec_span, stats.busy_time.0, &[]);
-                    self.pool.load_done(id, executed.map(|_| (stats, device)));
+                    // Fails only if the registering thread is gone.
+                    let _ = reply.send(executed.map(|_| (stats, device)));
                 }
                 WorkerMsg::ReleaseDataset {
-                    id,
                     rows,
                     analog_tiles,
                     seed,
                 } => {
                     let maintenance = self.scrub(rows, analog_tiles, seed);
-                    self.pool.release_done(id, maintenance);
+                    let mut st = lock(&self.pool.state);
+                    st.telemetry.maintenance = st.telemetry.maintenance.then(maintenance);
                 }
                 WorkerMsg::Shutdown => return,
             }

@@ -11,10 +11,10 @@
 //! The disabled path is engineered to be near-free: when the sink
 //! reports [`TraceSink::enabled`]` == false` (the default
 //! [`cim_obs::NullSink`]), `open` returns [`SpanId::NONE`] without
-//! allocating a span id or reading the clock, and `close`/`gauge`/
-//! `counter` are branch-and-return. Attribute slices are staged in
-//! caller stack arrays and only copied to the heap when a sink is live.
-//! The perf-smoke benchmark asserts this bound.
+//! allocating a span id or reading the clock, and `close`/`gauge` are
+//! branch-and-return. Attribute slices are staged in caller stack
+//! arrays and only copied to the heap when a sink is live. The
+//! perf-smoke benchmark asserts this bound.
 
 use cim_obs::{Event, SpanId, TraceSink, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,18 +108,6 @@ impl Tracer {
         });
     }
 
-    /// Records a monotonic counter increment.
-    pub fn counter(&self, name: &'static str, delta: u64) {
-        if !self.inner.enabled {
-            return;
-        }
-        self.inner.sink.record(Event::Counter {
-            name,
-            delta,
-            wall_ns: self.now_ns(),
-        });
-    }
-
     /// Records a point-in-time gauge sample.
     pub fn gauge(&self, name: &'static str, value: f64) {
         if !self.inner.enabled {
@@ -145,7 +133,6 @@ mod tests {
         let span = t.open("job", SpanId::NONE, &[("job", Value::U64(1))]);
         assert!(!span.is_some());
         t.close(span, 0.0, &[]);
-        t.counter("jobs", 1);
         t.gauge("queue_depth", 3.0);
     }
 

@@ -11,7 +11,9 @@
 //!    another tenant,
 //! 6. simulated makespan falls as shards are added, with outputs
 //!    unchanged,
-//! 7. a width mismatch is reported as one, against the expected width.
+//! 7. a width mismatch is reported as one, against the expected width,
+//! 8. a query whose dataset is released before it dispatches fails
+//!    with `DatasetReleased`, never reaching a shard.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -576,6 +578,54 @@ fn dataset_lease_scrubbed_only_after_last_handle_drops() {
         "{:?}",
         after.output
     );
+}
+
+/// A query still queued when its dataset's last handle drops fails
+/// with `DatasetReleased` and never reaches a shard or a batch, and the
+/// released tiles serve fresh leases at once.
+#[test]
+fn query_queued_past_its_dataset_release_fails_cleanly() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let table = |table_seed| {
+        session
+            .register_dataset(&DatasetSpec::Q6Table {
+                rows: 3 * 1024,
+                table_seed,
+            })
+            .unwrap()
+    };
+    // Three of a shard's four tiles each: the second table lands on
+    // shard 1.
+    let _first = table(1);
+    let second = table(2);
+    assert_eq!(second.shards(), [1]);
+    let dataset = second.id();
+    let query = session
+        .submit(&WorkloadSpec::Q6Query {
+            dataset,
+            params: Q6Params::tpch_default(),
+        })
+        .unwrap();
+    drop(second);
+    let report = query.wait();
+    assert_eq!(report.output, Err(JobError::DatasetReleased { dataset }));
+    assert_eq!(report.shard, 0);
+    assert!(report.shards.is_empty(), "{:?}", report.shards);
+    assert_eq!(report.batch, u64::MAX);
+
+    // Shard 0 still holds the first table's three tiles, so a 4-tile
+    // select fits only on shard 1, whose pins the release freed.
+    let select = session
+        .submit(&WorkloadSpec::Q6Select {
+            rows: 4 * 1024,
+            table_seed: 3,
+            params: Q6Params::tpch_default(),
+        })
+        .unwrap()
+        .wait();
+    assert!(select.output.is_ok(), "{:?}", select.output);
+    assert_eq!(select.shards, [1]);
 }
 
 /// HDC prototypes stay programmed across query jobs and serve with the

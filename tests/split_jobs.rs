@@ -11,10 +11,12 @@
 //!    — a synthesized `WorkloadTooLarge` report / `DatasetTooLarge`
 //!    error — while mere admission pressure stays retryable,
 //! 4. a resident dataset bigger than any one shard scatters its pin
-//!    across shards and serves scatter-gathered queries bit-exactly.
+//!    across shards and serves scatter-gathered queries bit-exactly,
+//!    while a raw query over it, which cannot split, fails terminally.
 
 use cim_repro::cim_bitmap_db::query::q6_scan;
 use cim_repro::cim_bitmap_db::tpch::{LineItemTable, Q6Params};
+use cim_repro::cim_core::isa::CimInstruction;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_runtime::{
     CompileError, DatasetSpec, JobError, JobOutput, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
@@ -255,6 +257,56 @@ fn oversized_dataset_splits_load_and_serves_split_queries() {
         other => panic!("unexpected output {other:?}"),
     }
     assert_eq!(after.shards.len(), 4, "all four shards' tiles freed");
+}
+
+/// Raw streams never split, so a `RawQuery` over a dataset scattered
+/// across shards fails terminally with `WorkloadTooLarge`: no one shard
+/// holds the whole pin. A `Q6Query` on the same dataset still
+/// scatter-gathers over both shards.
+#[test]
+fn raw_query_over_a_scattered_dataset_fails_terminally() {
+    let p = pool(2);
+    let session = p.client(TenantId(4));
+    let rows = 5 * 1024; // 5 tiles: 4 on shard 0, 1 on shard 1
+    let table = session
+        .register_dataset(&DatasetSpec::Q6Table {
+            rows,
+            table_seed: 8,
+        })
+        .unwrap();
+    assert_eq!(table.shards(), [0, 1]);
+
+    let raw = session
+        .submit(&WorkloadSpec::RawQuery {
+            dataset: table.id(),
+            instructions: vec![CimInstruction::ReadRow { tile: 0, row: 0 }],
+        })
+        .unwrap()
+        .wait();
+    assert_eq!(
+        raw.output,
+        Err(JobError::WorkloadTooLarge {
+            digital_required: 5,
+            analog_required: 0,
+            digital_capacity: 4,
+            analog_capacity: 2,
+        })
+    );
+    assert!(raw.shards.is_empty(), "{:?}", raw.shards);
+
+    let query = session
+        .submit(&WorkloadSpec::Q6Query {
+            dataset: table.id(),
+            params: Q6Params::tpch_default(),
+        })
+        .unwrap()
+        .wait();
+    let expected = q6_scan(&LineItemTable::generate(rows, 8), &Q6Params::tpch_default());
+    match query.output.as_ref().unwrap() {
+        JobOutput::Q6(result) => assert_eq!(result.matching_rows, expected.matching_rows),
+        other => panic!("unexpected output {other:?}"),
+    }
+    assert_eq!(query.shards, [0, 1]);
 }
 
 /// A bulk reduction over more operand rows than one shard's tiles can
