@@ -57,6 +57,32 @@ impl Finalize for Filter {
     }
 }
 
+/// Rejects filter parameters the host filter cannot run or the pool
+/// cannot stream: a guided `epsilon` that is not finite and positive,
+/// and a `radius` above the tallest image one shard holds. Windows are
+/// clipped to the image, so a larger radius would read nothing new.
+fn validate(lw: &Lowering, filter: ImgFilterOp) -> Result<(), CompileError> {
+    if let ImgFilterOp::Guided { epsilon, .. } = filter {
+        if !(epsilon.is_finite() && epsilon > 0.0) {
+            return Err(CompileError::InvalidSpec {
+                field: "epsilon",
+                reason: format!("{epsilon} is not finite and positive"),
+            });
+        }
+    }
+    let max_radius = lw.cfg.tile_rows * lw.cfg.digital_tiles;
+    if filter.radius() > max_radius {
+        return Err(CompileError::InvalidSpec {
+            field: "radius",
+            reason: format!(
+                "{} exceeds {max_radius}, the tallest image one shard holds",
+                filter.radius()
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Lowers a filter job: row writes of the quantized image, then one
 /// clamped neighbourhood of row reads per output row.
 pub(super) fn filter(
@@ -64,6 +90,7 @@ pub(super) fn filter(
     image: &GrayImage,
     filter: ImgFilterOp,
 ) -> Result<CompiledJob, CompileError> {
+    validate(lw, filter)?;
     let cfg = lw.cfg;
     let (w, h) = (image.width(), image.height());
     let row_bits = 8 * w;
@@ -80,10 +107,20 @@ pub(super) fn filter(
             available: cfg.digital_tiles,
         });
     }
+    // One write and one `2r + 1`-row window of reads per image row.
+    let stream_len = filter
+        .radius()
+        .checked_mul(2)
+        .and_then(|d| d.checked_add(2))
+        .and_then(|per_row| per_row.checked_mul(h))
+        .ok_or_else(|| CompileError::InvalidSpec {
+            field: "radius",
+            reason: format!("the instruction stream of {h} rows overflows"),
+        })?;
     let q = image.quantized(8);
     let loc = |y: usize| (y / cfg.tile_rows, y % cfg.tile_rows);
 
-    let mut instructions = Vec::with_capacity(h * (2 * filter.radius() + 2));
+    let mut instructions = Vec::with_capacity(stream_len);
     for y in 0..h {
         let bytes: Vec<u8> = (0..w)
             .map(|x| (q.get(x, y) * 255.0).round() as u8)
@@ -97,8 +134,8 @@ pub(super) fn filter(
     }
 
     let r = filter.radius() as isize;
-    let mut outputs = Vec::with_capacity(h * (2 * filter.radius() + 1));
-    let mut reads = Vec::with_capacity(outputs.capacity());
+    let mut outputs = Vec::with_capacity(stream_len - h);
+    let mut reads = Vec::with_capacity(stream_len - h);
     for y in 0..h as isize {
         for wy in (y - r)..=(y + r) {
             let wy = wy.clamp(0, h as isize - 1) as usize;

@@ -284,6 +284,15 @@ pub enum CompileError {
         /// The expected length.
         expected: usize,
     },
+    /// A spec parameter is outside the range the workload accepts: a
+    /// float that is not finite and positive, or a size beyond the pool
+    /// geometry.
+    InvalidSpec {
+        /// The offending spec field.
+        field: &'static str,
+        /// Why the value is rejected.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -339,6 +348,9 @@ impl fmt::Display for CompileError {
             ),
             CompileError::InputLengthMismatch { got, expected } => {
                 write!(f, "input has length {got}, expected {expected}")
+            }
+            CompileError::InvalidSpec { field, reason } => {
+                write!(f, "invalid `{field}`: {reason}")
             }
         }
     }

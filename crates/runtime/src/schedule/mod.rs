@@ -8,10 +8,16 @@
 //! any `wait`) plans the queue deterministically and dispatches it:
 //!
 //! 1. **Shard selection** — each job goes to the least-loaded shard
-//!    (estimated by the queued jobs' envelope `cost_units`, ties to the
-//!    lowest index); jobs against a resident dataset are routed to the
-//!    dataset's shard. The plan is a pure function of the submission
-//!    order, never of thread timing.
+//!    (ties to the lowest index); jobs against a resident dataset are
+//!    routed to the dataset's shard. Load is read from a per-shard
+//!    ledger of routed envelope `cost_units` that every plan pass
+//!    charges and carries over to the next, dataset queries included.
+//!    Its debt is bounded: no shard trails the busiest by more than one
+//!    batch's cost budget ([`PoolConfig::max_batch_cost`]), so a shard
+//!    that sat pinned or idle catches up for at most one batch's worth
+//!    of work. The plan is a pure function of the submission order,
+//!    never of thread timing, and it does not depend on how the
+//!    submissions were grouped into flushes.
 //! 2. **Per-tile admission** — jobs hold leases on whole tiles. Fresh
 //!    leases are carved from the shard's *free* tiles (tiles pinned by
 //!    resident datasets are never handed out); dataset jobs reuse the
@@ -68,7 +74,7 @@ use crate::trace::{Attr, Tracer};
 use cim_arch::cim::CimSystem;
 use cim_arch::conventional::ConventionalMachine;
 use cim_core::offload::{OffloadEstimate, Program};
-use cim_core::{CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
+use cim_core::{CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
 use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
@@ -76,11 +82,12 @@ use cim_obs::{NullSink, SpanId, TraceSink, Value};
 use cim_simkit::units::ByteSize;
 use plan::{mark_dispatched, plan, scatter_assignment};
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::resume_unwind;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{relocate, written_rows, LoadResult, Worker, WorkerMsg};
+use worker::{contain, relocate, written_rows, LoadResult, Worker, WorkerMsg};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -136,7 +143,8 @@ pub struct PoolConfig {
     /// Maximum summed envelope [`cim_lint::CostEnvelope::cost_units`]
     /// of one batch (the first job is always admitted). Bounds how long
     /// a batch can keep a shard busy, so admission packs by cost, not
-    /// tile count alone.
+    /// tile count alone. It also bounds routing debt: in the planner's
+    /// load ledger no shard trails the busiest by more than this.
     pub max_batch_cost: u64,
     /// Binary-device technology of every shard's digital tiles. The
     /// default is the workspace's representative HfO₂ ReRAM; tests that
@@ -283,6 +291,11 @@ struct PoolState {
     pinned_digital: Vec<BTreeSet<usize>>,
     /// Physical analog tiles pinned by datasets, per shard.
     pinned_analog: Vec<BTreeSet<usize>>,
+    /// The routing ledger: envelope `cost_units` routed to each shard,
+    /// carried across plan passes. Its least-loaded shard reads zero,
+    /// and no shard trails the busiest by more than
+    /// [`PoolConfig::max_batch_cost`].
+    shard_load: Vec<u64>,
     next_job: u64,
     next_batch: u64,
     next_dataset: u64,
@@ -404,12 +417,14 @@ pub struct RuntimePool {
 
 impl RuntimePool {
     /// Builds the shards and spawns one worker thread per shard, with
-    /// tracing disabled (a null sink — near-free on the hot path).
+    /// tracing disabled (a null sink — near-free on the hot path). The
+    /// shards are fabricated concurrently, one build thread each.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards or zero digital
-    /// tiles.
+    /// Panics on the calling thread if the configuration has zero
+    /// shards or zero digital tiles, or if a tile has zero rows or
+    /// columns.
     pub fn new(cfg: PoolConfig) -> Self {
         RuntimePool::with_sink(cfg, Arc::new(NullSink))
     }
@@ -422,10 +437,15 @@ impl RuntimePool {
     /// snapshots or Chrome traces from it after — see the README's
     /// "Observability" section.
     ///
+    /// Each shard's accelerator is fabricated on its own scoped thread
+    /// from its per-shard seed, so the devices match a serial build, and
+    /// every build joins before any shard worker spawns.
+    ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero shards or zero digital
-    /// tiles.
+    /// Panics on the calling thread if the configuration has zero
+    /// shards or zero digital tiles, or if a tile has zero rows or
+    /// columns.
     pub fn with_sink(cfg: PoolConfig, sink: Arc<dyn TraceSink>) -> Self {
         assert!(cfg.shards > 0, "pool needs at least one shard");
         assert!(
@@ -441,6 +461,7 @@ impl RuntimePool {
                 datasets: BTreeMap::new(),
                 pinned_digital: vec![BTreeSet::new(); cfg.shards],
                 pinned_analog: vec![BTreeSet::new(); cfg.shards],
+                shard_load: vec![0; cfg.shards],
                 next_job: 0,
                 next_batch: 0,
                 next_dataset: 0,
@@ -452,21 +473,38 @@ impl RuntimePool {
             to_shards,
             tracer: Tracer::new(sink),
         });
+        let shard_seed = |shard: usize| mix_seed(cfg.seed, 0xD1A5 + shard as u64);
+        // Joining every build before any worker spawns re-raises a build
+        // panic (a zero-sized tile) on the caller's thread, with its
+        // original payload.
+        let accelerators: Vec<CimAccelerator> = std::thread::scope(|scope| {
+            let builds: Vec<_> = (0..cfg.shards)
+                .map(|shard| {
+                    scope.spawn(move || {
+                        CimAcceleratorBuilder::new()
+                            .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
+                            .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
+                            .reram_params(cfg.reram_params)
+                            .analog_params(cfg.analog_params)
+                            .seed(shard_seed(shard))
+                            .build()
+                    })
+                })
+                .collect();
+            builds
+                .into_iter()
+                .map(|build| build.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect()
+        });
         let joins = inboxes
             .into_iter()
+            .zip(accelerators)
             .enumerate()
-            .map(|(shard, inbox)| {
-                let shard_seed = mix_seed(cfg.seed, 0xD1A5 + shard as u64);
+            .map(|(shard, (inbox, accelerator))| {
                 let worker = Worker {
                     shard,
-                    accelerator: CimAcceleratorBuilder::new()
-                        .digital_tiles(cfg.digital_tiles, cfg.tile_rows, cfg.tile_cols)
-                        .analog_tiles(cfg.analog_tiles, cfg.analog_rows, cfg.analog_cols)
-                        .reram_params(cfg.reram_params)
-                        .analog_params(cfg.analog_params)
-                        .seed(shard_seed)
-                        .build(),
-                    shard_seed,
+                    accelerator,
+                    shard_seed: shard_seed(shard),
                     pool: Arc::clone(&shared),
                 };
                 std::thread::Builder::new()
@@ -1283,7 +1321,8 @@ fn complete(
 
 /// Assembles the single [`JobReport`] of a completed cross-shard split
 /// job: chunk responses concatenate in part order and the parent's
-/// finalizer decodes them exactly as an unsplit run would; stats sum
+/// finalizer decodes them exactly as an unsplit run would (a finalizer
+/// panic is contained as [`JobError::ExecutionPanic`]); stats sum
 /// (`ExecutionStats` is additive), maintenance folds, and the per-part
 /// `(shard, stats)` pairs feed the per-shard telemetry ledgers.
 fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionStats)>) {
@@ -1332,7 +1371,8 @@ fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionSt
     }
     report.output = match error {
         Some(e) => Err(e),
-        None => Ok(finalizer.finalize(responses)),
+        None => contain(|| finalizer.finalize(responses))
+            .map_err(|message| JobError::ExecutionPanic { message }),
     };
     (report, shard_stats)
 }
@@ -2349,6 +2389,134 @@ mod tests {
         for h in hammers {
             h.join().unwrap();
         }
+    }
+
+    /// The routing ledger outlives each flush: dataset queries charge
+    /// their shard, so the next fresh job goes to the other one. A
+    /// shard that sat pinned while the other served catches up for at
+    /// most one batch budget of work before routing alternates again.
+    #[test]
+    fn routing_ledger_carries_load_across_flushes() {
+        let cfg = PoolConfig {
+            max_batch_cost: 1200,
+            ..PoolConfig::with_shards(2)
+        };
+        let pool = RuntimePool::new(cfg);
+        let session = pool.client(TenantId(1));
+
+        let table = session
+            .register_dataset(&DatasetSpec::Q6Table {
+                rows: 500,
+                table_seed: 3,
+            })
+            .unwrap();
+        assert_eq!(table.shard(), 0);
+        for _ in 0..2 {
+            let query = WorkloadSpec::Q6Query {
+                dataset: table.id(),
+                params: Q6Params::tpch_default(),
+            };
+            assert!(session.submit(&query).unwrap().wait().output.is_ok());
+        }
+        let fresh = session
+            .submit(&WorkloadSpec::XorEncrypt {
+                message: vec![3; 32],
+                key_seed: 1,
+            })
+            .unwrap()
+            .wait();
+        assert_eq!(fresh.shard, 1, "the queries' load steers the next job away");
+        drop(table);
+
+        // Pin 3 of shard 0's 4 tiles: only shard 1 can take a 2-tile
+        // select, and its ledger runs ahead while it serves them alone.
+        let pin = session
+            .register_dataset(&DatasetSpec::Q6Table {
+                rows: 3 * 1024,
+                table_seed: 9,
+            })
+            .unwrap();
+        assert_eq!(pin.shard(), 0);
+        let select = |seed: u64| WorkloadSpec::Q6Select {
+            rows: 2000,
+            table_seed: seed,
+            params: Q6Params::tpch_default(),
+        };
+        let cost = session.verify(&select(0)).unwrap().1.cost_units;
+        let serve = |seed: u64| session.submit(&select(seed)).unwrap().wait().shard;
+        for seed in 0..8 {
+            assert_eq!(serve(seed), 1);
+        }
+        drop(pin);
+        let shards: Vec<usize> = (8..18).map(serve).collect();
+        let longest_run = shards
+            .split(|&shard| shard != 0)
+            .map(<[usize]>::len)
+            .max()
+            .unwrap_or(0);
+        let bound = cfg.max_batch_cost.div_ceil(cost) as usize + 1;
+        assert!(
+            longest_run <= bound,
+            "{longest_run} selects in a row on the released shard (bound {bound}): {shards:?}"
+        );
+        assert!(shards.contains(&1), "routing alternates again: {shards:?}");
+    }
+
+    /// A fault in a finalizer, whole or gathered, ends only its own
+    /// job with `ExecutionPanic`; both shard workers live on.
+    #[test]
+    fn finalizer_panic_ends_only_its_job() {
+        #[derive(Debug)]
+        struct Faulty;
+        impl Finalize for Faulty {
+            fn finalize(&self, _: Vec<cim_core::isa::CimResponse>) -> JobOutput {
+                panic!("finalizer fault")
+            }
+        }
+        // One digital tile per shard: a 2-tile select splits across
+        // both shards and finalizes at gather.
+        let pool = RuntimePool::new(PoolConfig {
+            digital_tiles: 1,
+            ..PoolConfig::with_shards(2)
+        });
+        let session = pool.client(TenantId(0));
+        let split_select = WorkloadSpec::Q6Select {
+            rows: 1500,
+            table_seed: 4,
+            params: Q6Params::tpch_default(),
+        };
+        let whole = session
+            .submit(&WorkloadSpec::XorEncrypt {
+                message: vec![5; 16],
+                key_seed: 3,
+            })
+            .unwrap();
+        let split = session.submit(&split_select).unwrap();
+        for job in lock(&pool.shared.state).pending.iter_mut() {
+            job.finalizer = Arc::new(Faulty);
+        }
+        for report in session.wait_all(vec![whole, split]) {
+            assert_eq!(
+                report.output,
+                Err(JobError::ExecutionPanic {
+                    message: "finalizer fault".to_string()
+                })
+            );
+        }
+        let healthy = session.submit(&split_select).unwrap().wait();
+        assert!(healthy.output.is_ok(), "{:?}", healthy.output);
+        assert_eq!(healthy.shards, vec![0, 1], "both workers still serve");
+    }
+
+    /// A fabrication panic raised on a build thread reaches the caller
+    /// of `RuntimePool::new` with its original message.
+    #[test]
+    #[should_panic(expected = "array dimensions must be nonzero")]
+    fn zero_row_tiles_panic_on_the_calling_thread() {
+        RuntimePool::new(PoolConfig {
+            tile_rows: 0,
+            ..PoolConfig::default()
+        });
     }
 
     #[test]

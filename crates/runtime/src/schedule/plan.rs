@@ -93,6 +93,22 @@ pub(super) fn scatter_assignment(
     (remaining == 0).then_some(assignment)
 }
 
+/// Charges `cost` envelope units routed to `shard` to the routing
+/// ledger `loads`, then bounds the debt: every shard is raised to at
+/// least the busiest shard's load minus one batch's cost budget, and the
+/// least-loaded shard is rebased to zero. A shard that sat pinned or
+/// idle therefore catches up for at most one batch budget before routing
+/// alternates again, and the ledger never grows without bound.
+fn charge(loads: &mut [u64], shard: usize, cost: u64, cfg: &PoolConfig) {
+    loads[shard] = loads[shard].saturating_add(cost);
+    let busiest = loads.iter().copied().max().unwrap_or(0);
+    let floor = busiest.saturating_sub(cfg.max_batch_cost);
+    let min = loads.iter().map(|&load| load.max(floor)).min().unwrap_or(0);
+    for load in loads {
+        *load = (*load).max(floor) - min;
+    }
+}
+
 /// Splits `job` into one part per `(shard, tiles, pins)` chunk,
 /// registers its gather state in the job table and queues the parts on
 /// their shards. `pins` are a dataset query's pinned tiles on the shard
@@ -117,7 +133,7 @@ fn scatter(
         }));
     }
     for (index, (part, (shard, _, pinned))) in parts.into_iter().zip(chunks).enumerate() {
-        loads[*shard] += part.envelope.cost_units;
+        charge(loads, *shard, part.envelope.cost_units, cfg);
         queues[*shard].push(RoutedJob {
             compiled: part,
             pinned: pinned.clone(),
@@ -162,7 +178,10 @@ impl RoutedJob {
 pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec<(usize, Batch)> {
     let max_batch_jobs = cfg.max_batch_jobs.max(1);
     let mut queues: Vec<Vec<RoutedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-    let mut loads = vec![0u64; cfg.shards];
+    // Every pass starts from the cost earlier passes routed, so routing
+    // depends on the submission order alone, not on how submissions were
+    // grouped into flushes.
+    let mut loads = std::mem::take(&mut st.shard_load);
     let mut failures: Vec<(CompiledJob, usize, JobError)> = Vec::new();
 
     // 1. Route jobs to shards, in job-id order so the plan is a pure
@@ -209,7 +228,7 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             let shard = fitting
                 .or_else(|| (0..cfg.shards).min_by_key(|&s| (loads[s], s)))
                 .unwrap_or_else(|| unreachable!("at least one shard"));
-            loads[shard] += job.envelope.cost_units;
+            charge(&mut loads, shard, job.envelope.cost_units, cfg);
             queues[shard].push(RoutedJob {
                 compiled: job,
                 pinned: None,
@@ -230,7 +249,7 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             })
             .collect();
         if let [(shard, _, pinned)] = &chunks[..] {
-            loads[*shard] += job.envelope.cost_units;
+            charge(&mut loads, *shard, job.envelope.cost_units, cfg);
             queues[*shard].push(RoutedJob {
                 compiled: job,
                 pinned: pinned.clone(),
@@ -255,6 +274,7 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             scatter(st, cfg, job, &chunks, &mut queues, &mut loads);
         }
     }
+    st.shard_load = loads;
 
     // 2. Pack per-shard batches.
     let mut out = Vec::new();

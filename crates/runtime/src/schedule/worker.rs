@@ -1,8 +1,8 @@
 //! The shard side of the pool: what the pool sends a shard, and the
 //! worker thread that executes it on the shard's accelerator — relocating
-//! each job onto its leased tiles, containing panics, scrubbing the
-//! lease, decoding the job's outputs and ending the job in the pool's
-//! job table.
+//! each job onto its leased tiles, scrubbing the lease, decoding the
+//! job's outputs and ending the job in the pool's job table. Execution
+//! and decoding both run under panic containment.
 
 use super::{lock, mix_seed, offload_estimate, PoolShared};
 use crate::compile::CompiledJob;
@@ -126,13 +126,16 @@ pub(super) fn written_rows(
     })
 }
 
-/// Renders a contained panic payload.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
+/// Runs `f`, containing a panic as its rendered message, so a fault in
+/// one job's execution or decoding ends only that job.
+pub(super) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|panic| {
+        panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string())
+    })
 }
 
 /// One shard: its accelerator, driven by a worker thread that executes
@@ -229,7 +232,7 @@ impl Worker {
                 .iter()
                 .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
         );
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let executed = contain(|| {
             let mut rng = seeded(seed);
             let output_set: BTreeSet<usize> = outputs.iter().copied().collect();
             let mut responses = Vec::with_capacity(output_set.len());
@@ -240,11 +243,11 @@ impl Worker {
                 }
             }
             responses
-        }));
+        });
         accelerator.reset_pipeline();
         let stats = accelerator.stats().delta(&before);
         let device = accelerator.device_counters().delta(&device_before);
-        (executed.map_err(panic_message), stats, device)
+        (executed, stats, device)
     }
 
     /// Scrubs written rows and programmed analog tiles so no data
@@ -346,20 +349,19 @@ impl Worker {
             .tracer
             .close(exec_span, stats.busy_time.0, &[("outcome", outcome)]);
         report.maintenance = self.scrub(written, programmed, compiled.job.0);
-        report.output = match executed {
-            Ok(outputs) => {
+        report.output = executed
+            .and_then(|outputs| {
                 // Split parts skip the finalize span: the parent's single
                 // finalize runs host-side at gather completion.
                 let finalize = match part {
                     None => self.pool.tracer.open("finalize", root, &[]),
                     Some(_) => SpanId::NONE,
                 };
-                let output = compiled.finalizer.finalize(outputs);
+                let output = contain(|| compiled.finalizer.finalize(outputs));
                 self.pool.tracer.close(finalize, 0.0, &[]);
-                Ok(output)
-            }
-            Err(message) => Err(JobError::ExecutionPanic { message }),
-        };
+                output
+            })
+            .map_err(|message| JobError::ExecutionPanic { message });
         report.stats = stats;
         report.device = device;
         report

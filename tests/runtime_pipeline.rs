@@ -13,7 +13,11 @@
 //!    unchanged,
 //! 7. a width mismatch is reported as one, against the expected width,
 //! 8. a query whose dataset is released before it dispatches fails
-//!    with `DatasetReleased`, never reaching a shard.
+//!    with `DatasetReleased`, never reaching a shard,
+//! 9. routing does not depend on how submissions are grouped into
+//!    flushes,
+//! 10. an image filter spec the host filter cannot run is rejected
+//!     with a typed error before lowering, and every shard serves on.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -25,8 +29,8 @@ use cim_repro::cim_core::ExecutionStats;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_imgproc::image::GrayImage;
 use cim_repro::cim_runtime::{
-    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobOutput, MatchKind, PoolConfig,
-    RuleCode, RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobOutput, JobReport, MatchKind,
+    OffloadPolicy, PoolConfig, RuleCode, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 
@@ -93,13 +97,38 @@ fn submit_all(pool: &RuntimePool, jobs: &[(TenantId, WorkloadSpec)]) -> Vec<JobH
         .collect()
 }
 
+/// Submits every job and flushes after each submission, then waits for
+/// all of them.
+fn serve_flushing_each(pool: &RuntimePool, jobs: &[(TenantId, WorkloadSpec)]) -> Vec<JobReport> {
+    let handles = jobs
+        .iter()
+        .map(|(tenant, spec)| {
+            let session = pool.client(*tenant);
+            let handle = session.submit(spec).expect("workload fits the pool");
+            session.flush();
+            handle
+        })
+        .collect();
+    pool.client(TenantId(0)).wait_all(handles)
+}
+
 #[test]
 fn batched_equals_sequential_for_fixed_seed() {
-    let jobs = mixed_workload();
+    let mut jobs = mixed_workload();
+    // Six tiles: scatters across both shards.
+    jobs.push((
+        TenantId(1),
+        WorkloadSpec::Q6Select {
+            rows: 6 * 1024,
+            table_seed: 17,
+            params: Q6Params::tpch_default(),
+        },
+    ));
 
     let batched = RuntimePool::new(PoolConfig::with_shards(2));
     let handles = submit_all(&batched, &jobs);
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
+    assert_eq!(batched_reports.last().map(|r| r.shards.len()), Some(2));
 
     // The reference schedule: every job in a batch of its own.
     let sequential = RuntimePool::new(PoolConfig {
@@ -108,10 +137,11 @@ fn batched_equals_sequential_for_fixed_seed() {
     });
     let handles = submit_all(&sequential, &jobs);
     let sequential_reports = sequential.client(TenantId(0)).wait_all(handles);
+    let parts: usize = sequential_reports.iter().map(|r| r.shards.len()).sum();
     assert_eq!(
         sequential.telemetry().batches,
-        sequential_reports.len() as u64,
-        "one job per batch"
+        parts as u64,
+        "one job (or split part) per batch"
     );
 
     assert_eq!(batched_reports.len(), sequential_reports.len());
@@ -135,12 +165,27 @@ fn batched_equals_sequential_for_fixed_seed() {
     }
     // Batching actually batched: fewer batches than jobs.
     assert!(batched.telemetry().batches < batched_reports.len() as u64);
+
+    // One flush per submission routes every job exactly as one flush
+    // of them all: the planner's load ledger outlives each flush.
+    let per_submit = RuntimePool::new(PoolConfig::with_shards(2));
+    let per_submit_reports = serve_flushing_each(&per_submit, &jobs);
+    for (b, f) in batched_reports.iter().zip(&per_submit_reports) {
+        assert_eq!(b.output, f.output, "outputs differ for {}", b.job);
+        assert_eq!(
+            (b.shard, &b.shards),
+            (f.shard, &f.shards),
+            "flushing per submit reroutes {}",
+            b.job
+        );
+    }
 }
 
 /// Tiles work in parallel: the same digital job set served on 1, 2 and
 /// 4 shards finishes in strictly less simulated time as shards are
 /// added (the pool ends when its busiest shard does), with outputs
-/// identical across shard counts.
+/// identical across shard counts — whether the set goes out in one
+/// flush or one flush per job.
 #[test]
 fn simulated_makespan_falls_with_shard_count() {
     let mut jobs = Vec::new();
@@ -173,27 +218,33 @@ fn simulated_makespan_falls_with_shard_count() {
         ));
     }
 
-    let mut makespans = Vec::new();
     let mut baseline: Option<Vec<_>> = None;
-    for shards in [1usize, 2, 4] {
-        let pool = RuntimePool::new(PoolConfig::with_shards(shards));
-        let handles = submit_all(&pool, &jobs);
-        let outputs: Vec<_> = pool
-            .client(TenantId(0))
-            .wait_all(handles)
-            .into_iter()
-            .map(|r| r.output.expect("digital jobs serve"))
-            .collect();
-        match &baseline {
-            Some(want) => assert_eq!(&outputs, want, "outputs differ on {shards} shards"),
-            None => baseline = Some(outputs),
+    for flush_each in [false, true] {
+        let mut makespans = Vec::new();
+        for shards in [1usize, 2, 4] {
+            let pool = RuntimePool::new(PoolConfig::with_shards(shards));
+            let reports = if flush_each {
+                serve_flushing_each(&pool, &jobs)
+            } else {
+                let handles = submit_all(&pool, &jobs);
+                pool.client(TenantId(0)).wait_all(handles)
+            };
+            let outputs: Vec<_> = reports
+                .into_iter()
+                .map(|r| r.output.expect("digital jobs serve"))
+                .collect();
+            match &baseline {
+                Some(want) => assert_eq!(&outputs, want, "outputs differ on {shards} shards"),
+                None => baseline = Some(outputs),
+            }
+            makespans.push(pool.telemetry().simulated_makespan().0);
         }
-        makespans.push(pool.telemetry().simulated_makespan().0);
+        assert!(
+            makespans.windows(2).all(|w| w[1] < w[0]),
+            "simulated makespan must fall with shard count \
+             (one flush per job: {flush_each}): {makespans:?}"
+        );
     }
-    assert!(
-        makespans.windows(2).all(|w| w[1] < w[0]),
-        "simulated makespan must fall with shard count: {makespans:?}"
-    );
 }
 
 /// A handle's report does not depend on how it is collected:
@@ -773,4 +824,91 @@ fn width_mismatches_report_the_expected_width() {
             expected: 16
         })
     );
+}
+
+/// Image filter specs the host filter cannot run — a guided epsilon
+/// that is not finite and positive, a radius no shard's image could
+/// need — are typed errors at submit, both when compile precomputes a
+/// host reference and when it does not. The pool serves on, on every
+/// shard.
+#[test]
+fn invalid_img_filter_specs_are_typed_errors() {
+    let image = GrayImage::gradient(16, 8);
+    // A zero threshold precomputes host references yet routes every
+    // job to the shards.
+    for policy in [
+        OffloadPolicy::AlwaysCim,
+        OffloadPolicy::CostDriven { threshold: 0.0 },
+    ] {
+        let pool = RuntimePool::new(PoolConfig {
+            offload_policy: policy,
+            ..PoolConfig::with_shards(2)
+        });
+        let session = pool.client(TenantId(1));
+        for (filter, field) in [
+            (
+                ImgFilterOp::Guided {
+                    radius: 1,
+                    epsilon: f64::NAN,
+                },
+                "epsilon",
+            ),
+            (
+                ImgFilterOp::Guided {
+                    radius: 1,
+                    epsilon: 0.0,
+                },
+                "epsilon",
+            ),
+            (
+                ImgFilterOp::Guided {
+                    radius: 1,
+                    epsilon: f64::INFINITY,
+                },
+                "epsilon",
+            ),
+            (
+                ImgFilterOp::Box {
+                    radius: usize::MAX / 2,
+                },
+                "radius",
+            ),
+        ] {
+            let spec = WorkloadSpec::ImgFilter {
+                image: image.clone(),
+                filter,
+            };
+            match session.submit(&spec) {
+                Err(CompileError::InvalidSpec { field: got, .. }) => {
+                    assert_eq!(got, field, "{policy:?} {filter:?}")
+                }
+                other => panic!("{policy:?} {filter:?}: {:?}", other.map(|h| h.id())),
+            }
+        }
+        let handles = (0..2)
+            .map(|seed| {
+                session
+                    .submit(&WorkloadSpec::Q6Select {
+                        rows: 900,
+                        table_seed: seed,
+                        params: Q6Params::tpch_default(),
+                    })
+                    .unwrap()
+            })
+            .collect();
+        let mut shards: Vec<usize> = session
+            .wait_all(handles)
+            .into_iter()
+            .map(|r| {
+                assert!(r.output.is_ok(), "{policy:?}: {:?}", r.output);
+                r.shard
+            })
+            .collect();
+        shards.sort_unstable();
+        assert_eq!(
+            shards,
+            vec![0, 1],
+            "{policy:?}: a select serves on each shard"
+        );
+    }
 }
