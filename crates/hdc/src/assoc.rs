@@ -61,15 +61,9 @@ impl AssociativeMemory {
     ///
     /// Panics if any class received no training examples.
     pub fn finalize(&mut self) -> &[Hypervector] {
-        if self.prototypes.is_none() {
-            let prototypes = self
-                .bundlers
-                .iter()
-                .map(|b| b.finalize())
-                .collect::<Vec<_>>();
-            self.prototypes = Some(prototypes);
-        }
-        self.prototypes.as_deref().unwrap()
+        let bundlers = &self.bundlers;
+        self.prototypes
+            .get_or_insert_with(|| bundlers.iter().map(Bundler::finalize).collect())
     }
 
     /// The finalized prototypes, if available.
@@ -91,8 +85,8 @@ impl AssociativeMemory {
     ///
     /// Panics if any class is untrained or dimensions differ.
     pub fn classify(&mut self, query: &Hypervector) -> (usize, f64) {
-        self.finalize();
-        let prototypes = self.prototypes.as_deref().unwrap();
+        let dim = self.d;
+        let prototypes = self.finalize();
         let mut best = 0;
         let mut best_d = usize::MAX;
         for (c, proto) in prototypes.iter().enumerate() {
@@ -102,7 +96,7 @@ impl AssociativeMemory {
                 best = c;
             }
         }
-        (best, best_d as f64 / self.d as f64)
+        (best, best_d as f64 / dim as f64)
     }
 }
 

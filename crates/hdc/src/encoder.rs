@@ -11,6 +11,7 @@
 
 use crate::hypervector::{Bundler, Hypervector};
 use crate::item_memory::{ContinuousItemMemory, ItemMemory};
+use std::collections::VecDeque;
 
 /// The n-gram text encoder of Fig. 8(a).
 #[derive(Debug, Clone)]
@@ -52,10 +53,15 @@ impl NgramEncoder {
     /// Panics if `window.len() != n` or a symbol is out of range.
     pub fn encode_ngram(&self, window: &[usize]) -> Hypervector {
         assert_eq!(window.len(), self.n, "window must hold exactly n symbols");
+        self.bind_window(window.iter().copied())
+    }
+
+    /// `ρ^{n−1}(L₁) ⊗ … ⊗ Lₙ` over a window of `n` symbols, each rotated
+    /// item vector XORed straight into one accumulator.
+    fn bind_window(&self, window: impl Iterator<Item = usize>) -> Hypervector {
         let mut acc = Hypervector::zeros(self.dim());
-        for (i, &symbol) in window.iter().enumerate() {
-            let rotated = self.item_memory.get(symbol).permute(self.n - 1 - i);
-            acc = acc.bind(&rotated);
+        for (i, symbol) in window.enumerate() {
+            acc.bind_permuted_assign(self.item_memory.get(symbol), self.n - 1 - i);
         }
         acc
     }
@@ -66,16 +72,36 @@ impl NgramEncoder {
     ///
     /// Panics if the sequence is shorter than `n`.
     pub fn encode_sequence(&self, symbols: &[usize]) -> Hypervector {
+        self.encode_stream(symbols.iter().copied())
+    }
+
+    /// Encodes a symbol stream as the bundle of all its n-grams, the
+    /// same vector [`NgramEncoder::encode_sequence`] gives for the
+    /// collected stream. Only a rolling window of the last `n` symbols
+    /// is held, so the stream's length sizes no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream yields fewer than `n` symbols, more than
+    /// `u32::MAX` n-grams, or a symbol out of range.
+    pub fn encode_stream(&self, symbols: impl IntoIterator<Item = usize>) -> Hypervector {
+        let mut window = VecDeque::with_capacity(self.n);
+        let mut bundler = Bundler::new(self.dim(), 0x9e37);
+        for symbol in symbols {
+            if window.len() == self.n {
+                window.pop_front();
+            }
+            window.push_back(symbol);
+            if window.len() == self.n {
+                bundler.add(&self.bind_window(window.iter().copied()));
+            }
+        }
         assert!(
-            symbols.len() >= self.n,
+            window.len() == self.n,
             "sequence of {} symbols shorter than n = {}",
-            symbols.len(),
+            window.len(),
             self.n
         );
-        let mut bundler = Bundler::new(self.dim(), 0x9e37);
-        for window in symbols.windows(self.n) {
-            bundler.add(&self.encode_ngram(window));
-        }
         bundler.finalize()
     }
 

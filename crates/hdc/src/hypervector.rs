@@ -25,13 +25,25 @@ pub struct Hypervector {
 impl Hypervector {
     /// Draws a uniform random hypervector of dimension `d`.
     ///
+    /// Bit `i` is the `i`-th `gen::<bool>()` draw. The draws are packed
+    /// straight into words, 64 to a word, least-significant bit first:
+    /// the same draws in the same order as a per-bit
+    /// `BitVec::from_fn(d, |_| rng.gen::<bool>())` build, so the vector
+    /// and the generator's next draw are the same either way.
+    ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     pub fn random<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Self {
         assert!(d > 0, "dimension must be nonzero");
+        let words = (0..d.div_ceil(64))
+            .map(|w| {
+                let bits = (d - 64 * w).min(64);
+                (0..bits).fold(0u64, |word, j| word | u64::from(rng.gen::<bool>()) << j)
+            })
+            .collect();
         Hypervector {
-            bits: BitVec::from_fn(d, |_| rng.gen::<bool>()),
+            bits: BitVec::from_words(words, d),
         }
     }
 
@@ -81,6 +93,16 @@ impl Hypervector {
         }
     }
 
+    /// In-place `self = self ⊗ ρ^k(other)`: binds a permuted vector into
+    /// an accumulator without building the permuted vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub(crate) fn bind_permuted_assign(&mut self, other: &Self, k: usize) {
+        self.bits.xor_rotated_assign(&other.bits, k);
+    }
+
     /// Hamming distance to another hypervector.
     ///
     /// # Panics
@@ -126,9 +148,20 @@ impl Hypervector {
 /// Incremental majority bundling with deterministic pseudo-random tie
 /// breaking — the practical form of MAP addition for large, possibly
 /// even, bundle sizes.
+///
+/// The per-position counts are kept bit-sliced, as carry-save counter
+/// planes: plane `p` holds bit `p` of every position's count, one `u64`
+/// per 64 positions. Adding a vector is a ripple-carry increment of 64
+/// counters at a time: the vector's word is the carry into plane 0, and
+/// each plane keeps `plane ^ carry` and passes `plane & carry` up, for
+/// at most ⌈log₂(n+1)⌉ planes. The planes read back as exactly the
+/// counts a per-position `u32` counter would hold, so
+/// [`Bundler::finalize`] applies the same majority and tie rule.
 #[derive(Debug, Clone)]
 pub struct Bundler {
-    counts: Vec<u32>,
+    /// Counter planes, plane-major: plane `p` is
+    /// `planes[p * words .. (p + 1) * words]`.
+    planes: Vec<u64>,
     n: u32,
     tiebreak: Hypervector,
 }
@@ -144,7 +177,7 @@ impl Bundler {
         assert!(d > 0, "dimension must be nonzero");
         let mut rng = cim_simkit::rng::seeded(tiebreak_seed);
         Bundler {
-            counts: vec![0; d],
+            planes: Vec::new(),
             n: 0,
             tiebreak: Hypervector::random(d, &mut rng),
         }
@@ -154,13 +187,29 @@ impl Bundler {
     ///
     /// # Panics
     ///
-    /// Panics if the dimension differs.
+    /// Panics if the dimension differs, or if the bundle already holds
+    /// `u32::MAX` vectors.
     pub fn add(&mut self, hv: &Hypervector) {
-        assert_eq!(hv.dim(), self.counts.len(), "dimension mismatch");
-        for i in hv.bits.iter_ones() {
-            self.counts[i] += 1;
-        }
+        assert_eq!(hv.dim(), self.tiebreak.dim(), "dimension mismatch");
+        assert!(self.n < u32::MAX, "a bundle holds at most u32::MAX vectors");
         self.n += 1;
+        let words = hv.bits.words();
+        let stride = words.len();
+        // A count of n needs ⌈log₂(n+1)⌉ planes: one more at each power of two.
+        if self.planes.len() < stride * (u32::BITS - self.n.leading_zeros()) as usize {
+            self.planes.resize(self.planes.len() + stride, 0);
+        }
+        for (w, &word) in words.iter().enumerate() {
+            let mut carry = word;
+            for plane in self.planes[w..].iter_mut().step_by(stride) {
+                if carry == 0 {
+                    break;
+                }
+                let sum = *plane ^ carry;
+                carry &= *plane;
+                *plane = sum;
+            }
+        }
     }
 
     /// Number of vectors bundled so far.
@@ -174,24 +223,48 @@ impl Bundler {
     }
 
     /// Finalizes the bundle: bit `i` is 1 when strictly more than half
-    /// of the added vectors set it; exact ties follow the tie-break
-    /// vector.
+    /// of the added vectors set it (`2·count > n`); exact ties
+    /// (`2·count = n`) follow the tie-break vector.
+    ///
+    /// With `h = ⌊n/2⌋`, `2·count > n` is `count > h` and a tie is
+    /// `count = h` with `n` even. Both are read off the counter planes a
+    /// word at a time, comparing all 64 counts with `h` from the top
+    /// plane down.
     ///
     /// # Panics
     ///
     /// Panics if the bundle is empty.
     pub fn finalize(&self) -> Hypervector {
         assert!(self.n > 0, "cannot finalize an empty bundle");
-        let n = self.n;
-        let bits = BitVec::from_fn(self.counts.len(), |i| {
-            let c = 2 * self.counts[i];
-            if c == n {
-                self.tiebreak.bits.get(i)
-            } else {
-                c > n
-            }
-        });
-        Hypervector { bits }
+        let half = self.n / 2;
+        let ties = self.n.is_multiple_of(2);
+        let tiebreak = self.tiebreak.bits.words();
+        let stride = tiebreak.len();
+        let words = tiebreak
+            .iter()
+            .enumerate()
+            .map(|(w, &tie)| {
+                // `greater`: count > half so far; `equal`: every plane
+                // read so far matches half's bit.
+                let (mut greater, mut equal) = (0u64, !0u64);
+                for (p, &plane) in self.planes[w..].iter().step_by(stride).enumerate().rev() {
+                    if half >> p & 1 == 1 {
+                        equal &= plane;
+                    } else {
+                        greater |= equal & plane;
+                        equal &= !plane;
+                    }
+                }
+                if ties {
+                    greater | equal & tie
+                } else {
+                    greater
+                }
+            })
+            .collect();
+        Hypervector {
+            bits: BitVec::from_words(words, self.tiebreak.dim()),
+        }
     }
 }
 

@@ -48,9 +48,10 @@ impl SyntheticLanguage {
                 let u: f64 = rng.gen();
                 *w = u * u * u;
             }
-            let mut sorted: Vec<f64> = row.to_vec();
-            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let cutoff = sorted[SUCCESSORS_PER_CONTEXT - 1];
+            let mut ranked = [0.0; ALPHABET];
+            ranked.copy_from_slice(row);
+            let (_, &mut cutoff, _) =
+                ranked.select_nth_unstable_by(SUCCESSORS_PER_CONTEXT - 1, |a, b| b.total_cmp(a));
             for w in row.iter_mut() {
                 if *w < cutoff {
                     *w = 0.0;
@@ -62,18 +63,27 @@ impl SyntheticLanguage {
 
     /// Samples a text of `len` symbols.
     pub fn sample_text<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<usize> {
-        let mut out = Vec::with_capacity(len);
+        self.symbols(len, rng).collect()
+    }
+
+    /// Samples a text of `len` symbols lazily, one symbol per `next`:
+    /// the same draws in the same order as
+    /// [`SyntheticLanguage::sample_text`], so a long text can stream
+    /// into [`NgramEncoder::encode_stream`] without being stored.
+    pub fn symbols<'a, R: Rng + ?Sized>(
+        &'a self,
+        len: usize,
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = usize> + 'a {
         let mut p2 = rng.gen_range(0..ALPHABET);
         let mut p1 = rng.gen_range(0..ALPHABET);
-        for _ in 0..len {
+        (0..len).map(move |_| {
             let ctx = p2 * ALPHABET + p1;
-            let row = &self.transitions[ctx * ALPHABET..(ctx + 1) * ALPHABET];
-            let next = categorical(rng, row);
-            out.push(next);
+            let next = categorical(rng, &self.transitions[ctx * ALPHABET..(ctx + 1) * ALPHABET]);
             p2 = p1;
             p1 = next;
-        }
-        out
+            next
+        })
     }
 }
 
@@ -106,8 +116,7 @@ impl LanguageTask {
         let mut memory = AssociativeMemory::new(classes, d);
         let mut rng = seeded(seed);
         for (c, lang) in languages.iter().enumerate() {
-            let text = lang.sample_text(train_len, &mut rng);
-            memory.train(c, &encoder.encode_sequence(&text));
+            memory.train(c, &encoder.encode_stream(lang.symbols(train_len, &mut rng)));
         }
         LanguageTask {
             languages,
@@ -120,8 +129,9 @@ impl LanguageTask {
     /// Classifies one fresh sample of `len` symbols from language
     /// `class`, returning the predicted label.
     pub fn classify_sample(&mut self, class: usize, len: usize) -> usize {
-        let text = self.languages[class].sample_text(len, &mut self.rng);
-        let query = self.encoder.encode_sequence(&text);
+        let query = self
+            .encoder
+            .encode_stream(self.languages[class].symbols(len, &mut self.rng));
         self.memory.classify(&query).0
     }
 

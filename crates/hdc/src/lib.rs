@@ -45,6 +45,8 @@
 //! assert_eq!(bound.bind(&b), a);
 //! ```
 
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod assoc;
 pub mod cim;
 pub mod cost;

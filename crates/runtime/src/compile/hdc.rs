@@ -61,12 +61,21 @@ impl Task {
 
     /// Rejects tasks `LanguageTask::train` cannot build: no classes, a
     /// zero dimension or n-gram size, or training text no longer than
-    /// one n-gram.
+    /// one n-gram. Then rejects, as invalid, an n-gram longer than the
+    /// dimension and a training text the bundler cannot count.
     fn validate(&self) -> Result<(), CompileError> {
         if self.classes == 0 || self.d == 0 || self.ngram == 0 || self.train_len <= self.ngram {
             return Err(CompileError::EmptyWorkload);
         }
-        Ok(())
+        if self.ngram > self.d {
+            // ρ^k and ρ^(k mod d) are the same permutation, so a longer
+            // window encodes two positions alike.
+            return Err(CompileError::InvalidSpec {
+                field: "ngram",
+                reason: format!("{} exceeds the dimension {}", self.ngram, self.d),
+            });
+        }
+        check_ngrams("train_len", self.train_len, self.ngram)
     }
 
     /// Trains on the host (one-shot prototype construction is setup
@@ -90,13 +99,26 @@ impl Task {
     }
 }
 
+/// Rejects a text of more n-grams than a bundle counts (`u32::MAX`).
+fn check_ngrams(field: &'static str, len: usize, ngram: usize) -> Result<(), CompileError> {
+    let ngrams = len.saturating_sub(ngram - 1);
+    if ngrams > u32::MAX as usize {
+        return Err(CompileError::InvalidSpec {
+            field,
+            reason: format!("{ngrams} n-grams exceed the bundle counter's {}", u32::MAX),
+        });
+    }
+    Ok(())
+}
+
 /// Rejects query batches with no samples, or with samples too short to
-/// hold one `ngram`-gram (`ngram` is nonzero for every validated task).
+/// hold one `ngram`-gram (`ngram` is nonzero for every validated task),
+/// and samples with more n-grams than a bundle counts.
 fn check_samples(samples: usize, sample_len: usize, ngram: usize) -> Result<(), CompileError> {
     if samples == 0 || sample_len < ngram {
         return Err(CompileError::EmptyWorkload);
     }
-    Ok(())
+    check_ngrams("sample_len", sample_len, ngram)
 }
 
 /// The prototypes as a 0/1 conductance matrix padded to the analog
@@ -127,8 +149,8 @@ fn sample_queries(
     (0..samples)
         .map(|i| {
             let class = i % classes;
-            let text = task.languages[class].sample_text(sample_len, &mut sample_rng);
-            (task.encoder.encode_sequence(&text).bits().clone(), class)
+            let text = task.languages[class].symbols(sample_len, &mut sample_rng);
+            (task.encoder.encode_stream(text).bits().clone(), class)
         })
         .collect()
 }

@@ -48,7 +48,7 @@ pub enum DatasetSpec {
         classes: usize,
         /// Hypervector dimension.
         d: usize,
-        /// n-gram order of the encoder.
+        /// n-gram order of the encoder, at most `d`.
         ngram: usize,
         /// Training symbols per language.
         train_len: usize,

@@ -88,7 +88,7 @@ pub enum WorkloadSpec {
         classes: usize,
         /// Hypervector dimension.
         d: usize,
-        /// n-gram order of the encoder.
+        /// n-gram order of the encoder, at most `d`.
         ngram: usize,
         /// Training symbols per language.
         train_len: usize,
@@ -235,7 +235,7 @@ pub enum WorkloadSpec {
         classes: usize,
         /// Hypervector dimension.
         d: usize,
-        /// n-gram order of the encoder.
+        /// n-gram order of the encoder, at most `d`.
         ngram: usize,
         /// Training symbols per language.
         train_len: usize,

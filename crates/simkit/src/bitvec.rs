@@ -282,12 +282,40 @@ impl BitVec {
     /// Cyclic rotation left by `k` positions — the HD computing permutation
     /// operation ρ. Bit `i` of the result equals bit `(i + len - k) % len`
     /// of the input, i.e. every bit moves *up* by `k`.
+    ///
+    /// Works on whole words. With `k` reduced mod `len`, the result is
+    /// `(x << k) | (x >> (len − k))` cut to `len` bits, where `x` is the
+    /// vector read as one `len`-bit integer. The left shift carries bit
+    /// `j < len − k` up to `j + k`; the right shift wraps bit
+    /// `j ≥ len − k` round to `j + k − len`. Together they place every
+    /// input bit where the per-bit law puts it, and each output word
+    /// reads at most two input words per shift, so a rotation costs
+    /// O(len / 64) word operations.
     pub fn rotate(&self, k: usize) -> Self {
+        let mut out = BitVec::zeros(self.len);
+        out.xor_rotated_assign(self, k);
+        out
+    }
+
+    /// In-place `self ^= src.rotate(k)`, without materializing the
+    /// rotated vector: the HD computing bind of a permuted vector into
+    /// an accumulator. Each rotated word is built from `src`'s words as
+    /// in [`BitVec::rotate`] and XORed straight into `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn xor_rotated_assign(&mut self, src: &Self, k: usize) {
+        assert_eq!(self.len, src.len, "bit vector length mismatch");
         if self.len == 0 {
-            return self.clone();
+            return;
         }
         let k = k % self.len;
-        BitVec::from_fn(self.len, |i| self.get((i + self.len - k) % self.len))
+        for (w, out) in self.words.iter_mut().enumerate() {
+            *out ^= shl_word(&src.words, k, w) | shr_word(&src.words, self.len - k, w);
+        }
+        // The left shift also carries bits past `len`, into the tail.
+        self.mask_tail();
     }
 
     /// Hamming distance (count of differing positions).
@@ -355,6 +383,34 @@ impl BitVec {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+/// Word `w` of `x << s`, where `x` is the integer whose bit `i` is
+/// `words[i / 64] >> (i % 64)`.
+fn shl_word(words: &[u64], s: usize, w: usize) -> u64 {
+    let (q, r) = (s / WORD_BITS, s % WORD_BITS);
+    if w < q {
+        return 0;
+    }
+    let lo = words[w - q] << r;
+    if r == 0 || w == q {
+        lo
+    } else {
+        lo | words[w - q - 1] >> (WORD_BITS - r)
+    }
+}
+
+/// Word `w` of `x >> s`, for `x` as in [`shl_word`]; words past the end
+/// read as zero.
+fn shr_word(words: &[u64], s: usize, w: usize) -> u64 {
+    let (q, r) = (s / WORD_BITS, s % WORD_BITS);
+    let at = |i: usize| words.get(i).copied().unwrap_or(0);
+    let lo = at(w + q) >> r;
+    if r == 0 {
+        lo
+    } else {
+        lo | at(w + q + 1) << (WORD_BITS - r)
     }
 }
 
@@ -498,6 +554,20 @@ mod tests {
         assert_eq!(r.to_bools(), vec![false, false, true, false, false]);
         assert_eq!(v.rotate(5), v);
         assert_eq!(v.rotate(7), v.rotate(2));
+    }
+
+    #[test]
+    fn word_rotation_follows_the_per_bit_law() {
+        let v = BitVec::from_fn(130, |i| i % 7 == 0 || i == 129);
+        for k in [1, 63, 64, 65, 127, 128, 129, 130, 131, 300] {
+            let r = v.rotate(k);
+            for i in 0..130 {
+                assert_eq!(r.get(i), v.get((i + 130 - k % 130) % 130), "k {k} bit {i}");
+            }
+            let mut acc = BitVec::ones(130);
+            acc.xor_rotated_assign(&v, k);
+            assert_eq!(acc, r.not(), "k {k}");
+        }
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! assert_eq!(a.xor(&b).to_bools(), vec![false, true, true, false]);
 //! ```
 
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bitvec;
 pub mod linalg;
 pub mod quant;

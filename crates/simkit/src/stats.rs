@@ -65,12 +65,13 @@ pub fn variance(xs: &[f64]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `xs` is empty or `q` is outside `[0, 100]`.
+/// Panics if `xs` is empty or holds a NaN, or `q` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty sample");
     assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+    assert!(!xs.iter().any(|x| x.is_nan()), "NaN in percentile input");
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let rank = q / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

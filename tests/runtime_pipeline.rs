@@ -17,7 +17,9 @@
 //! 9. routing does not depend on how submissions are grouped into
 //!    flushes,
 //! 10. an image filter spec the host filter cannot run is rejected
-//!     with a typed error before lowering, and every shard serves on.
+//!     with a typed error before lowering, and every shard serves on,
+//! 11. so is an HDC spec whose n-gram outgrows its dimension or whose
+//!     text holds more n-grams than a bundle counts.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -911,4 +913,96 @@ fn invalid_img_filter_specs_are_typed_errors() {
             "{policy:?}: a select serves on each shard"
         );
     }
+}
+
+#[test]
+fn oversized_hdc_lengths_are_typed_errors() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let (classes, d) = (4, 1024);
+    let prototypes = session
+        .register_dataset(&DatasetSpec::HdcPrototypes {
+            classes,
+            d,
+            ngram: 3,
+            train_len: 300,
+        })
+        .unwrap();
+    let expect_invalid = |result: Result<(), CompileError>, field: &str, what: &str| match result {
+        Err(CompileError::InvalidSpec { field: got, .. }) => assert_eq!(got, field, "{what}"),
+        other => panic!("{what}: {other:?}"),
+    };
+    // (ngram, train_len, sample_len, rejected field). A window longer
+    // than d aliases positions; a text longer than u32::MAX n-grams
+    // overflows the bundle's counters. Each used to panic or abort the
+    // process while building its text.
+    let long = (1usize << 40) + 1;
+    let cases = [
+        (3, usize::MAX, 50, "train_len"),
+        (1 << 40, long, long, "ngram"),
+        (3, 300, usize::MAX, "sample_len"),
+        (3, 300, 1 << 33, "sample_len"),
+    ];
+    for (ngram, train_len, sample_len, field) in cases {
+        let specs = [
+            WorkloadSpec::HdcClassify {
+                classes,
+                d,
+                ngram,
+                train_len,
+                samples: 2,
+                sample_len,
+            },
+            WorkloadSpec::HdcAssoc {
+                classes,
+                d,
+                ngram,
+                train_len,
+                samples: 2,
+                sample_len,
+            },
+        ];
+        for spec in &specs {
+            expect_invalid(session.verify(spec).map(drop), field, "verify");
+            expect_invalid(session.submit(spec).map(drop), field, "submit");
+        }
+        if field == "sample_len" {
+            let query = WorkloadSpec::HdcQuery {
+                dataset: prototypes.id(),
+                samples: 2,
+                sample_len,
+            };
+            expect_invalid(session.verify(&query).map(drop), field, "verify query");
+            expect_invalid(session.submit(&query).map(drop), field, "submit query");
+        } else {
+            let load = DatasetSpec::HdcPrototypes {
+                classes,
+                d,
+                ngram,
+                train_len,
+            };
+            expect_invalid(session.register_dataset(&load).map(drop), field, "register");
+        }
+    }
+    let handles = (0..2)
+        .map(|seed| {
+            session
+                .submit(&WorkloadSpec::Q6Select {
+                    rows: 900,
+                    table_seed: seed,
+                    params: Q6Params::tpch_default(),
+                })
+                .unwrap()
+        })
+        .collect();
+    let mut shards: Vec<usize> = session
+        .wait_all(handles)
+        .into_iter()
+        .map(|r| {
+            assert!(r.output.is_ok(), "{:?}", r.output);
+            r.shard
+        })
+        .collect();
+    shards.sort_unstable();
+    assert_eq!(shards, vec![0, 1], "a select serves on each shard");
 }
