@@ -14,7 +14,7 @@
 //! delay      = delay_host + delay_cim
 //! ```
 //!
-//! Two modelling choices deserve emphasis (both documented in DESIGN.md):
+//! Two modelling choices deserve emphasis:
 //!
 //! * **Miss filtering** — the accelerated instructions are precisely the
 //!   data-intensive, cache-hostile ones; once they execute inside the

@@ -1,13 +1,12 @@
 //! # cim-bench
 //!
-//! Benchmarks and figure/table regeneration for every evaluation
-//! artifact in the DATE'19 paper.
+//! Figure/table regeneration for every evaluation artifact in the
+//! DATE'19 paper, plus the device-level perf floors.
 //!
-//! Two kinds of targets live here:
+//! Every target is a binary under `src/bin/`:
 //!
-//! * **Regeneration binaries** (`src/bin/`) — each prints the rows or
-//!   series of one paper artifact so EXPERIMENTS.md can record
-//!   paper-vs-measured values:
+//! * **Regeneration binaries** — each prints the rows or series of one
+//!   paper artifact, so paper and measured values can be compared:
 //!   - `fig3` / `fig4` — the §II-C delay/energy surfaces,
 //!   - `table1` — the AMP FPGA utilization table,
 //!   - `crossbar_vs_fpga` — the §III-B-3 power/energy/area comparison,
@@ -16,8 +15,9 @@
 //!   - `scouting_margins` — the Fig. 2(c) sensing-margin analysis,
 //!   - `query_select` — TPC-H Q6 end-to-end across execution paths,
 //!   - `amp_quality` — AMP recovery quality, float vs crossbar.
-//! * **Criterion benches** (`benches/`) — wall-clock microbenchmarks of
-//!   the simulator itself plus the ablation sweeps listed in DESIGN.md.
+//! * **`perf_smoke`** — the one microbenchmark: it asserts the
+//!   device-level floors the serving benchmark (`perfbench/`) does not
+//!   measure and writes `BENCH.json`.
 //!
 //! The library part holds the small formatting helpers the binaries
 //! share.

@@ -2,9 +2,9 @@
 //!
 //! The paper's QUERY SELECT kernel "performs the query-06 of the TPC-H
 //! benchmark". TPC-H data is generated by `dbgen`, which is not
-//! redistributable here; this module generates a `lineitem` table with
-//! the same column *distributions* the query touches (documented in
-//! DESIGN.md as substitution #3):
+//! redistributable here; as a substitution, this module generates a
+//! `lineitem` table with the same column *distributions* the query
+//! touches:
 //!
 //! * `l_shipdate`  — uniform over the 7 years 1992–1998, stored as a
 //!   month index `0..84`;

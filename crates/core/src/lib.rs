@@ -17,8 +17,6 @@
 //! * [`accelerator`] — [`CimAccelerator`]: a set of digital and analog
 //!   tiles with an executor that runs instructions and accounts energy,
 //!   latency and operation counts.
-//! * [`address`] — the extended address space mapping host addresses onto
-//!   (tile, row) coordinates.
 //! * [`offload`] — the Fig. 1(b) execution model: programs as host
 //!   sections and CIM-able loops, planned onto the architecture and
 //!   costed with the `cim-arch` analytical models.
@@ -56,11 +54,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod accelerator;
-pub mod address;
 pub mod isa;
 pub mod offload;
 
 pub use accelerator::{CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
-pub use address::{AddressMap, TileRow};
 pub use isa::{CimClass, CimInstruction, CimResponse, EffectSummary, MatchKind, TileFamily};
 pub use offload::{OffloadEstimate, Program, Section};

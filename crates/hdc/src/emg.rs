@@ -2,8 +2,8 @@
 //!
 //! The paper's biosignal case study classifies 5 hand gestures from
 //! 4-channel electromyography (Rahimi et al., the paper's \[27\]). Real
-//! recordings are not redistributable — substitution #5 in DESIGN.md —
-//! so each gesture is a characteristic per-channel amplitude envelope:
+//! recordings are not redistributable, so, as a substitution, each
+//! gesture is a characteristic per-channel amplitude envelope:
 //! muscles (channels) activate at gesture-specific levels, measured
 //! envelopes fluctuate around them, and sensor noise perturbs every
 //! sample. The HD pipeline (continuous item memory → channel binding →

@@ -1,8 +1,8 @@
 //! Language recognition on synthetic corpora (Fig. 8(a), 21 classes).
 //!
 //! The paper's language-identification task uses 21 European languages.
-//! Those corpora are not redistributable here, so — substitution #4 in
-//! DESIGN.md — each "language" is an order-2 character Markov chain over
+//! Those corpora are not redistributable here, so, as a substitution,
+//! each "language" is an order-2 character Markov chain over
 //! a 27-symbol alphabet (a–z plus space) with its own sharpened random
 //! transition statistics. What the HD experiment measures is the
 //! classifier's ability to separate sources by n-gram statistics, which

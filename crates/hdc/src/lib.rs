@@ -21,7 +21,7 @@
 //! * [`assoc`] — the associative memory: train by bundling, classify by
 //!   Hamming distance.
 //! * [`lang`] — 21-language recognition on synthetic Markov-chain
-//!   corpora (substitution documented in DESIGN.md).
+//!   corpora substituted for the non-redistributable ones.
 //! * [`emg`] — EMG hand-gesture recognition (5 gestures, 4 channels) on
 //!   synthetic envelopes.
 //! * [`cim`] — the associative memory executed in a PCM crossbar

@@ -21,7 +21,7 @@
 //!   power-of-two quantization of trained weights.
 //! * [`crossbar`] — dense layers executed on differential PCM crossbars.
 //! * [`task`] — synthetic sensory classification tasks (Gaussian-cluster
-//!   HAR-like data; substitution documented in DESIGN.md).
+//!   HAR-like data substituted for the non-redistributable datasets).
 //! * [`energy`] — the **Fig. 7(b)** energy comparison: CIM with 4-bit
 //!   ADCs vs sub-threshold and nominal-voltage Cortex-M0 software.
 //!

@@ -2,8 +2,8 @@
 //!
 //! The paper's IoT examples — human-activity recognition, keyword
 //! spotting, ECG event detection — are small-input, few-class problems.
-//! Their datasets are not redistributable, so (substitution documented
-//! in DESIGN.md) [`SensoryTask`] generates Gaussian class clusters with
+//! Their datasets are not redistributable, so, as a substitution,
+//! [`SensoryTask`] generates Gaussian class clusters with
 //! controllable spread: each class owns a random prototype vector in
 //! `[0, 1]^d` and samples scatter around it. This preserves what the
 //! experiments need: a non-trivial decision problem whose accuracy

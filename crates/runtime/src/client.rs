@@ -13,8 +13,11 @@
 //! Sessions also own resident data: [`PoolClient::register_dataset`]
 //! loads a [`crate::DatasetSpec`] into pinned tiles once and returns a
 //! reference-counted [`crate::DatasetHandle`] whose queries
-//! ([`crate::WorkloadSpec::Q6Query`] / [`crate::WorkloadSpec::HdcQuery`])
-//! skip the resident-data writes entirely.
+//! ([`crate::WorkloadSpec::Q6Query`], [`crate::WorkloadSpec::HdcQuery`],
+//! [`crate::WorkloadSpec::NnQuery`], [`crate::WorkloadSpec::CamSearch`],
+//! [`crate::WorkloadSpec::RuleClassify`], [`crate::WorkloadSpec::KeyLookup`]
+//! and [`crate::WorkloadSpec::RawQuery`]) skip the resident-data writes
+//! entirely.
 
 use crate::compile::CompileError;
 use crate::dataset::{DatasetHandle, DatasetSpec};

@@ -22,7 +22,7 @@ use super::{
     TileDemand,
 };
 use crate::dataset::ResidentPayload;
-use crate::job::{JobKind, JobOutput};
+use crate::job::JobOutput;
 use crate::schedule::PoolConfig;
 use cim_core::isa::{CimInstruction, CimResponse, MatchKind};
 use cim_crossbar::cam::{host_match, key_bits, RuleSet};
@@ -82,7 +82,6 @@ impl Finalize for MatchSets {
 /// 0's keys first; `resolve` picks the decoder.
 fn searches(
     lw: &Lowering,
-    kind: JobKind,
     entries: &[usize],
     width: usize,
     keys: &[BitVec],
@@ -114,7 +113,6 @@ fn searches(
         host_profile: PROFILE,
         splittable: true,
         ..lw.job(
-            kind,
             TileDemand::digital(entries.len()),
             instructions,
             outputs,
@@ -187,7 +185,7 @@ pub(super) fn search(
     });
     Ok(CompiledJob {
         host,
-        ..searches(lw, JobKind::CamSearch, entries, width, keys, kind, false)
+        ..searches(lw, entries, width, keys, kind, false)
     })
 }
 
@@ -210,15 +208,7 @@ pub(super) fn classify(lw: &Lowering, packets: &[u64]) -> Result<CompiledJob, Co
     });
     Ok(CompiledJob {
         host,
-        ..searches(
-            lw,
-            JobKind::RuleClassify,
-            entries,
-            width,
-            &keys,
-            MatchKind::Ternary,
-            true,
-        )
+        ..searches(lw, entries, width, &keys, MatchKind::Ternary, true)
     })
 }
 
@@ -255,15 +245,7 @@ pub(super) fn lookup(lw: &Lowering, probes: &[u64]) -> Result<CompiledJob, Compi
     });
     Ok(CompiledJob {
         host,
-        ..searches(
-            lw,
-            JobKind::KeyLookup,
-            entries,
-            *width,
-            &keys,
-            MatchKind::Exact,
-            true,
-        )
+        ..searches(lw, entries, *width, &keys, MatchKind::Exact, true)
     })
 }
 

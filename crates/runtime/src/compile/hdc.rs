@@ -22,7 +22,7 @@ use super::{
     Lowering, TileDemand,
 };
 use crate::dataset::ResidentPayload;
-use crate::job::{HdcOutcome, JobKind, JobOutput};
+use crate::job::{HdcOutcome, JobOutput};
 use crate::schedule::PoolConfig;
 use cim_core::isa::{CimInstruction, CimResponse, MatchKind};
 use cim_hdc::hypervector::Hypervector;
@@ -230,13 +230,7 @@ pub(super) fn classify(
     Ok(CompiledJob {
         resident_bytes: (spec.classes * spec.d) as u64 / 8,
         host_profile: PROFILE,
-        ..lw.job(
-            JobKind::HdcClassify,
-            TileDemand::analog(1),
-            instructions,
-            outputs,
-            decode,
-        )
+        ..lw.job(TileDemand::analog(1), instructions, outputs, decode)
     })
 }
 
@@ -260,13 +254,7 @@ pub(super) fn query(
     };
     Ok(CompiledJob {
         host_profile: PROFILE,
-        ..lw.job(
-            JobKind::HdcQuery,
-            TileDemand::analog(1),
-            instructions,
-            outputs,
-            decode,
-        )
+        ..lw.job(TileDemand::analog(1), instructions, outputs, decode)
     })
 }
 
@@ -481,13 +469,7 @@ pub(super) fn assoc(
         resident_bytes: lw.row_bytes(2 * classes),
         host_profile: PROFILE,
         host,
-        ..lw.job(
-            JobKind::HdcAssoc,
-            TileDemand::digital(1),
-            instructions,
-            outputs,
-            decode,
-        )
+        ..lw.job(TileDemand::digital(1), instructions, outputs, decode)
     })
 }
 

@@ -15,7 +15,7 @@
 use super::{
     bits_of, pad_row, CompileError, CompiledJob, Finalize, HostProfile, Lowering, TileDemand,
 };
-use crate::job::{ImgFilterOp, JobKind, JobOutput};
+use crate::job::{ImgFilterOp, JobOutput};
 use cim_core::isa::{CimInstruction, CimResponse};
 use cim_imgproc::image::GrayImage;
 use cim_simkit::bitvec::BitVec;
@@ -156,13 +156,7 @@ pub(super) fn filter(
         resident_bytes: lw.row_bytes(h),
         host_profile: PROFILE,
         host,
-        ..lw.job(
-            JobKind::ImgFilter,
-            TileDemand::digital(tiles),
-            instructions,
-            outputs,
-            decode,
-        )
+        ..lw.job(TileDemand::digital(tiles), instructions, outputs, decode)
     })
 }
 

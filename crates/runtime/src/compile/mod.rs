@@ -359,12 +359,14 @@ impl fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Everything a family's lowering needs besides the spec itself: who
-/// submitted the job, the pool it compiles for, the job's private noise
-/// seed and — for dataset queries — the dataset the scheduler resolved
-/// (and access-checked) before compiling.
+/// submitted the job, its kind, the pool it compiles for, the job's
+/// private noise seed and — for dataset queries — the dataset the
+/// scheduler resolved (and access-checked) before compiling.
 pub(crate) struct Lowering<'a> {
     job: JobId,
     tenant: TenantId,
+    /// The spec's [`WorkloadSpec::kind`], the one source of a job's kind.
+    kind: JobKind,
     /// The pool geometry and policy.
     cfg: &'a PoolConfig,
     /// Seed of the job's private noise stream.
@@ -374,23 +376,6 @@ pub(crate) struct Lowering<'a> {
 }
 
 impl<'a> Lowering<'a> {
-    /// The lowering context of job `job` on a pool: its noise seed
-    /// derives from the id.
-    pub(crate) fn new(
-        job: JobId,
-        tenant: TenantId,
-        cfg: &'a PoolConfig,
-        resident: Option<&'a ResidentView>,
-    ) -> Self {
-        Lowering {
-            job,
-            tenant,
-            cfg,
-            seed: crate::mix_seed(cfg.seed, 0x0B0B ^ job.0),
-            resident,
-        }
-    }
-
     /// The resident view the scheduler resolved before compiling. Query
     /// specs never reach `compile` without one (submission resolves the
     /// dataset under the pool lock before lowering), so a missing view
@@ -437,13 +422,12 @@ impl<'a> Lowering<'a> {
     }
 
     /// A compiled job with the family-independent parts filled in: ids,
-    /// seed, the sealed cost envelope and, for a query, the dataset and
-    /// its resident bytes. Families override the rest (resident bytes
-    /// of fresh jobs, host profile, splittability, host reference) with
-    /// struct-update syntax.
+    /// kind, seed, the sealed cost envelope and, for a query, the
+    /// dataset and its resident bytes. Families override the rest
+    /// (resident bytes of fresh jobs, host profile, splittability, host
+    /// reference) with struct-update syntax.
     fn job(
         &self,
-        kind: JobKind,
         demand: TileDemand,
         instructions: Vec<CimInstruction>,
         outputs: Vec<usize>,
@@ -456,7 +440,7 @@ impl<'a> Lowering<'a> {
         CompiledJob {
             job: self.job,
             tenant: self.tenant,
-            kind,
+            kind: self.kind,
             dataset,
             demand,
             // Every admitted job carries the analyzer's verdict, and
@@ -474,8 +458,25 @@ impl<'a> Lowering<'a> {
     }
 }
 
-/// Lowers a workload into a [`CompiledJob`].
-pub(crate) fn compile(spec: &WorkloadSpec, lw: &Lowering) -> Result<CompiledJob, CompileError> {
+/// Lowers workload `spec`, job `job` of `tenant`, into a [`CompiledJob`]
+/// for the pool `cfg`. `resident` is the dataset a query runs against,
+/// resolved and access-checked by the scheduler. The job's noise seed
+/// derives from its id.
+pub(crate) fn compile(
+    spec: &WorkloadSpec,
+    job: JobId,
+    tenant: TenantId,
+    cfg: &PoolConfig,
+    resident: Option<&ResidentView>,
+) -> Result<CompiledJob, CompileError> {
+    let lw = &Lowering {
+        job,
+        tenant,
+        kind: spec.kind(),
+        cfg,
+        seed: crate::mix_seed(cfg.seed, 0x0B0B ^ job.0),
+        resident,
+    };
     let compiled = match spec {
         WorkloadSpec::Q6Select {
             rows,
@@ -535,7 +536,7 @@ pub(crate) fn compile(spec: &WorkloadSpec, lw: &Lowering) -> Result<CompiledJob,
     // instead of as a mid-batch shard panic. Raw streams are tenant
     // input, checked (and rejected, not asserted) by admission instead.
     #[cfg(debug_assertions)]
-    if compiled.kind != JobKind::Raw {
+    if lw.kind != JobKind::Raw {
         let report = crate::verify::verify_compiled(&compiled, lw.cfg, lw.resident);
         debug_assert!(
             report.is_clean(),
@@ -789,7 +790,7 @@ pub(crate) mod tests {
         spec: &WorkloadSpec,
         cfg: &PoolConfig,
     ) -> Result<CompiledJob, CompileError> {
-        compile(spec, &Lowering::new(JobId(0), TenantId(0), cfg, None))
+        compile(spec, JobId(0), TenantId(0), cfg, None)
     }
 
     #[test]

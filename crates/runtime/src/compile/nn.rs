@@ -17,7 +17,7 @@ use super::{
     TileDemand,
 };
 use crate::dataset::ResidentPayload;
-use crate::job::{JobKind, JobOutput, NnOutcome};
+use crate::job::{JobOutput, NnOutcome};
 use crate::schedule::PoolConfig;
 use cim_core::isa::{CimInstruction, CimResponse};
 use cim_nn::binarized::{argmax_scores, snap_to_parity, BinarizedMlp};
@@ -146,7 +146,6 @@ fn check_inputs(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileErro
 /// final layer's MVM is each input's output.
 fn inference(
     lw: &Lowering,
-    kind: JobKind,
     mlp: &BinarizedMlp,
     inputs: &[BitVec],
     mut instructions: Vec<CimInstruction>,
@@ -175,7 +174,6 @@ fn inference(
         host_profile: PROFILE,
         host,
         ..lw.job(
-            kind,
             TileDemand::analog(mlp.layers().len()),
             instructions,
             outputs,
@@ -199,7 +197,7 @@ pub(super) fn infer(
     let programs = program_weights(mlp, lw.cfg);
     Ok(CompiledJob {
         resident_bytes: (mlp.weight_count() as u64).div_ceil(8),
-        ..inference(lw, JobKind::NnInfer, mlp, inputs, programs)
+        ..inference(lw, mlp, inputs, programs)
     })
 }
 
@@ -211,13 +209,7 @@ pub(super) fn query(lw: &Lowering, inputs: &[BitVec]) -> Result<CompiledJob, Com
     };
     check_inputs(network, inputs)?;
     let capacity = inputs.len() * network.layers().len();
-    Ok(inference(
-        lw,
-        JobKind::NnQuery,
-        network,
-        inputs,
-        Vec::with_capacity(capacity),
-    ))
+    Ok(inference(lw, network, inputs, Vec::with_capacity(capacity)))
 }
 
 /// The load program of resident weights: one programmed tile per layer.
@@ -241,10 +233,9 @@ pub(super) fn load(
 #[cfg(test)]
 mod tests {
     use super::super::tests::{cfg, lower};
-    use super::super::Lowering;
     use super::*;
     use crate::dataset::ResidentView;
-    use crate::job::{DatasetId, JobId, TenantId, WorkloadSpec};
+    use crate::job::{DatasetId, JobId, JobKind, TenantId, WorkloadSpec};
 
     #[test]
     fn nn_infer_compiles_to_programs_plus_mvm_cascade() {
@@ -306,11 +297,7 @@ mod tests {
             dataset: DatasetId(0),
             inputs: vec![BitVec::from_fn(8, |j| j < 4); 3],
         };
-        let c = super::super::compile(
-            &spec,
-            &Lowering::new(JobId(1), TenantId(1), &cfg(), Some(&view)),
-        )
-        .unwrap();
+        let c = super::super::compile(&spec, JobId(1), TenantId(1), &cfg(), Some(&view)).unwrap();
         assert!(
             c.instructions
                 .iter()

@@ -19,7 +19,7 @@ use super::{
     Lowering, TileDemand,
 };
 use crate::dataset::ResidentPayload;
-use crate::job::{JobKind, JobOutput};
+use crate::job::JobOutput;
 use crate::schedule::PoolConfig;
 use cim_bitmap_db::query::{q6_result_from_selection, q6_scan, Q6Indexes};
 use cim_bitmap_db::tpch::{LineItemTable, Q6Params, DISCOUNT_LEVELS, MAX_QUANTITY, SHIP_MONTHS};
@@ -217,13 +217,7 @@ pub(super) fn select(
         host_profile: PROFILE,
         splittable: true,
         host,
-        ..lw.job(
-            JobKind::Q6Select,
-            TileDemand::digital(tiles),
-            instructions,
-            outputs,
-            decode,
-        )
+        ..lw.job(TileDemand::digital(tiles), instructions, outputs, decode)
     })
 }
 
@@ -251,7 +245,6 @@ pub(super) fn query(lw: &Lowering, params: Q6Params) -> Result<CompiledJob, Comp
         splittable: true,
         host,
         ..lw.job(
-            JobKind::Q6Query,
             TileDemand::digital(view.digital_tiles),
             instructions,
             outputs,

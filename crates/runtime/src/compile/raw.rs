@@ -10,7 +10,7 @@
 //! [`WorkloadSpec::RawQuery`]: crate::WorkloadSpec::RawQuery
 
 use super::{CompiledJob, Finalize, Lowering, TileDemand};
-use crate::job::{JobKind, JobOutput};
+use crate::job::JobOutput;
 use cim_core::isa::{CimInstruction, CimResponse};
 
 /// Returns every response verbatim — also the decoder of each part of
@@ -38,7 +38,6 @@ pub(super) fn fresh(
     CompiledJob {
         resident_bytes: (instructions.len() as u64) * 8,
         ..lw.job(
-            JobKind::Raw,
             demand,
             instructions.to_vec(),
             (0..instructions.len()).collect(),
@@ -57,7 +56,6 @@ pub(super) fn query(lw: &Lowering, instructions: &[CimInstruction]) -> CompiledJ
         analog: view.analog_tiles,
     };
     lw.job(
-        JobKind::Raw,
         demand,
         instructions.to_vec(),
         (0..instructions.len()).collect(),

@@ -14,7 +14,7 @@ use super::{
     bits_of, emit_reduce, pad_row, CompileError, CompiledJob, Finalize, HostProfile, Lowering,
     TileDemand,
 };
-use crate::job::{JobKind, JobOutput};
+use crate::job::JobOutput;
 use cim_core::isa::{CimInstruction, CimResponse};
 use cim_crossbar::scouting::ScoutOp;
 use cim_simkit::bitvec::BitVec;
@@ -157,7 +157,6 @@ pub(super) fn bulk(
         splittable: true,
         host,
         ..lw.job(
-            JobKind::ScoutBulk,
             TileDemand::digital(tiles),
             instructions,
             outputs,

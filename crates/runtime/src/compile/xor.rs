@@ -7,7 +7,7 @@
 //! [`WorkloadSpec::XorEncrypt`]: crate::WorkloadSpec::XorEncrypt
 
 use super::{bits_of, CompileError, CompiledJob, Finalize, HostProfile, Lowering, TileDemand};
-use crate::job::{JobKind, JobOutput};
+use crate::job::JobOutput;
 use cim_core::isa::{CimInstruction, CimResponse};
 use cim_crossbar::scouting::ScoutOp;
 use cim_simkit::bitvec::BitVec;
@@ -98,7 +98,6 @@ pub(super) fn encrypt(
         host_profile: PROFILE,
         host,
         ..lw.job(
-            JobKind::XorEncrypt,
             TileDemand::digital(1),
             instructions,
             outputs,

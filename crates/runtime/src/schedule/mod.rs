@@ -62,7 +62,7 @@ mod worker;
 use crate::client::PoolClient;
 use crate::compile::{
     compile, compile_dataset_load, split_load_by_tile, CompileError, CompiledJob, DatasetProgram,
-    Finalize, HostProfile, Lowering, TileDemand,
+    Finalize, HostProfile, TileDemand,
 };
 use crate::dataset::{DatasetRecord, DatasetSpec, ResidentView, ShardPlacement};
 use crate::job::{
@@ -527,16 +527,6 @@ impl RuntimePool {
         &self.shared.cfg
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shared.cfg.shards
-    }
-
-    /// Jobs queued but not yet dispatched.
-    pub fn pending_jobs(&self) -> usize {
-        lock(&self.shared.state).pending.len()
-    }
-
     /// A snapshot of the telemetry aggregated over every job completed
     /// so far.
     pub fn telemetry(&self) -> PoolTelemetry {
@@ -622,10 +612,7 @@ impl PoolShared {
             err
         };
         let compile_span = self.tracer.open("compile", root, &[]);
-        let compile_result = compile(
-            spec,
-            &Lowering::new(job, tenant, &self.cfg, resident.as_ref()),
-        );
+        let compile_result = compile(spec, job, tenant, &self.cfg, resident.as_ref());
         self.tracer.close(
             compile_span,
             0.0,
@@ -854,10 +841,7 @@ impl PoolShared {
             let st = lock(&self.state);
             (JobId(st.next_job), st.resolve_dataset(tenant, spec)?)
         };
-        let compiled = compile(
-            spec,
-            &Lowering::new(probe, tenant, &self.cfg, resident.as_ref()),
-        )?;
+        let compiled = compile(spec, probe, tenant, &self.cfg, resident.as_ref())?;
         let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
         Ok((report, compiled.envelope))
     }

@@ -67,20 +67,6 @@ impl DatasetUsage {
     pub fn amortized_load_writes_per_query(&self) -> f64 {
         self.load_stats.row_writes as f64 / (self.queries.max(1)) as f64
     }
-
-    /// Load-side energy amortized over the queries served.
-    pub fn amortized_load_energy_per_query(&self) -> f64 {
-        self.load_stats.energy.0 / (self.queries.max(1)) as f64
-    }
-
-    /// Load-side program-and-verify pulses amortized over the queries
-    /// served — the analog counterpart of
-    /// [`DatasetUsage::amortized_load_writes_per_query`]: resident
-    /// weights are programmed once, then every query pays only MVM
-    /// noise samples.
-    pub fn amortized_load_pulses_per_query(&self) -> f64 {
-        self.load_device.program_pulses as f64 / (self.queries.max(1)) as f64
-    }
 }
 
 /// Jobs the admission planner served on the host-executor lane.
@@ -154,26 +140,22 @@ pub struct PoolTelemetry {
 
 impl PoolTelemetry {
     /// Creates telemetry for a pool of `shards` shards.
-    pub fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         PoolTelemetry {
             per_shard: vec![ExecutionStats::default(); shards],
             ..PoolTelemetry::default()
         }
     }
 
-    /// Folds one job report into the aggregates.
-    pub fn record(&mut self, report: &JobReport) {
-        self.record_gathered(report, std::iter::once((report.shard, report.stats)));
-    }
-
-    /// Folds one scatter-gathered job: the job/tenant/pool/dataset
-    /// aggregates count the assembled report once (its stats are the
-    /// sub-program sum — `ExecutionStats` stays additive), while the
-    /// per-shard ledgers are credited with each sub-program's own
-    /// stats, so [`PoolTelemetry::simulated_makespan`] reflects the
-    /// actual cross-shard parallelism of a split job instead of piling
-    /// the whole job onto one shard.
-    pub fn record_gathered(
+    /// Folds one job report into the aggregates: the
+    /// job/tenant/pool/dataset aggregates count it once (a
+    /// scatter-gathered job's stats are the sub-program sum —
+    /// `ExecutionStats` stays additive), while the per-shard ledgers are
+    /// credited with each `(shard, stats)` part of `shard_stats`, so
+    /// [`PoolTelemetry::simulated_makespan`] reflects the actual
+    /// cross-shard parallelism of a split job instead of piling the
+    /// whole job onto one shard.
+    pub(crate) fn record_gathered(
         &mut self,
         report: &JobReport,
         shard_stats: impl IntoIterator<Item = (usize, ExecutionStats)>,
@@ -228,7 +210,7 @@ impl PoolTelemetry {
     /// the dataset ledger (and [`PoolTelemetry::dataset_load`]), never
     /// in per-job stats — that separation *is* the amortization
     /// measurement.
-    pub fn record_dataset_load(
+    pub(crate) fn record_dataset_load(
         &mut self,
         dataset: DatasetId,
         tenant: TenantId,
@@ -409,17 +391,21 @@ mod tests {
         };
 
         let mut t = PoolTelemetry::new(1);
-        t.record(&report(0, Ok(JobOutput::Cipher(vec![1])), worked));
-        t.record(&report(1, Ok(JobOutput::Cipher(vec![2])), worked));
-        // A failure that still burned simulated work, like a gathered
-        // split job whose last part panicked.
-        t.record(&report(
-            2,
-            Err(JobError::ExecutionPanic {
-                message: "boom".into(),
-            }),
-            worked,
-        ));
+        for r in [
+            report(0, Ok(JobOutput::Cipher(vec![1])), worked),
+            report(1, Ok(JobOutput::Cipher(vec![2])), worked),
+            // A failure that still burned simulated work, like a
+            // gathered split job whose last part panicked.
+            report(
+                2,
+                Err(JobError::ExecutionPanic {
+                    message: "boom".into(),
+                }),
+                worked,
+            ),
+        ] {
+            t.record_gathered(&r, [(r.shard, r.stats)]);
+        }
 
         assert_eq!(t.jobs, 3);
         assert_eq!(t.failures, 1);
@@ -430,13 +416,14 @@ mod tests {
 
         // An all-failed pool has no executed jobs to average over.
         let mut all_failed = PoolTelemetry::new(1);
-        all_failed.record(&report(
+        let r = report(
             0,
             Err(JobError::ExecutionPanic {
                 message: "boom".into(),
             }),
             worked,
-        ));
+        );
+        all_failed.record_gathered(&r, [(r.shard, r.stats)]);
         assert_eq!(all_failed.mean_speedup(), 0.0);
     }
 
@@ -482,9 +469,13 @@ mod tests {
         };
 
         let mut t = PoolTelemetry::new(1);
-        t.record(&report(0, JobRoute::Cim, big));
-        t.record(&report(1, JobRoute::Host, tiny));
-        t.record(&report(2, JobRoute::Host, tiny));
+        for r in [
+            report(0, JobRoute::Cim, big),
+            report(1, JobRoute::Host, tiny),
+            report(2, JobRoute::Host, tiny),
+        ] {
+            t.record_gathered(&r, [(r.shard, r.stats)]);
+        }
 
         assert_eq!(t.jobs, 3);
         assert_eq!(t.failures, 0);
@@ -499,7 +490,8 @@ mod tests {
 
         // A host-only pool has no accelerator mean at all.
         let mut host_only = PoolTelemetry::new(1);
-        host_only.record(&report(0, JobRoute::Host, tiny));
+        let r = report(0, JobRoute::Host, tiny);
+        host_only.record_gathered(&r, [(r.shard, r.stats)]);
         assert_eq!(host_only.mean_speedup(), 0.0);
         assert!(host_only.mean_host_line_present());
     }

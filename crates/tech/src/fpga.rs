@@ -18,7 +18,7 @@
 //!
 //! [`AmpAcceleratorDesign`] reproduces those numbers from per-unit costs
 //! and scales to other design points (unit counts, vector lengths,
-//! precisions) for the ablation benchmarks.
+//! precisions).
 
 use cim_simkit::units::{Hertz, Joules, Seconds, Watts};
 

@@ -6,8 +6,7 @@
 //!
 //! This crate re-exports every workspace member so the `examples/` and
 //! `tests/` directories can exercise the whole system through one
-//! dependency. See `README.md` for the tour, `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for the paper-vs-measured record.
+//! dependency. See `README.md` for the tour.
 //!
 //! The workspace layers, bottom-up:
 //!

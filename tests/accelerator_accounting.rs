@@ -3,7 +3,6 @@
 //! statistics at every level.
 
 use cim_repro::cim_core::accelerator::CimAcceleratorBuilder;
-use cim_repro::cim_core::address::{AddressMap, TileRow};
 use cim_repro::cim_core::isa::{CimClass, CimInstruction};
 use cim_repro::cim_crossbar::analog::AnalogParams;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
@@ -96,20 +95,6 @@ fn instruction_classes_follow_taxonomy() {
         matrix: Matrix::zeros(2, 2),
     };
     assert_eq!(program.class(), CimClass::Array);
-}
-
-#[test]
-fn address_map_round_trips_with_accelerator_layout() {
-    // 4 tiles × 256 rows × 512-byte rows at a 1 GiB base.
-    let map = AddressMap::new(1 << 30, 4, 256, 512);
-    for (tile, row, offset) in [(0, 0, 0), (3, 255, 511), (1, 100, 7), (2, 0, 256)] {
-        let loc = TileRow { tile, row, offset };
-        let addr = map.address_of(loc);
-        assert!(map.contains(addr));
-        assert_eq!(map.translate(addr), Some(loc));
-    }
-    assert_eq!(map.capacity().bytes(), 4 * 256 * 512);
-    assert_eq!(map.translate(0), None);
 }
 
 #[test]

@@ -29,7 +29,7 @@ use cim_repro::cim_lint::CostEnvelope;
 use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_obs::json;
 use cim_repro::cim_runtime::{
-    DatasetSpec, ImgFilterOp, JobReport, JobRoute, MatchKind, OffloadPolicy, PoolConfig,
+    DatasetSpec, ImgFilterOp, JobKind, JobReport, JobRoute, MatchKind, OffloadPolicy, PoolConfig,
     RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
@@ -51,8 +51,9 @@ fn random_bits(count: usize, len: usize, seed: u64) -> Vec<BitVec> {
 
 /// Verifies a spec, executes it on the same pool, and asserts the
 /// static envelope dominates the measured execution: exact counts with
-/// equality, device-tier bounds from above. Returns the report so a
-/// caller can pile on kind-specific checks.
+/// equality, device-tier bounds from above. The report must also carry
+/// the spec's own kind. Returns the report so a caller can pile on
+/// kind-specific checks.
 fn assert_sound(pool: &RuntimePool, spec: &WorkloadSpec) -> Result<JobReport, TestCaseError> {
     let session = pool.client(TenantId(0));
     let (_, env) = session
@@ -64,6 +65,7 @@ fn assert_sound(pool: &RuntimePool, spec: &WorkloadSpec) -> Result<JobReport, Te
         .wait();
     prop_assert!(report.output.is_ok(), "{:?}", report.output);
     prop_assert_eq!(report.route, JobRoute::Cim);
+    prop_assert_eq!(report.kind, spec.kind());
 
     // Exact counts: instruction tallies hold with equality on any
     // execution, and match pulses equal the device's own counter.
@@ -340,6 +342,33 @@ fn raw_stream_envelope_is_sound() {
         ],
     };
     assert_sound(&pool(), &spec).unwrap();
+}
+
+/// A raw stream against a resident dataset reads the pinned rows on the
+/// same authority, and reports the raw kind.
+#[test]
+fn raw_query_envelope_is_sound() {
+    let pool = pool();
+    let table = pool
+        .client(TenantId(0))
+        .register_dataset(&DatasetSpec::Q6Table {
+            rows: 256,
+            table_seed: 7,
+        })
+        .unwrap();
+    let spec = WorkloadSpec::RawQuery {
+        dataset: table.id(),
+        instructions: vec![
+            CimInstruction::ReadRow { tile: 0, row: 0 },
+            CimInstruction::Logic {
+                tile: 0,
+                op: ScoutOp::Or,
+                rows: vec![0, 1],
+            },
+        ],
+    };
+    let report = assert_sound(&pool, &spec).unwrap();
+    assert_eq!(report.kind, JobKind::Raw);
 }
 
 /// A raw analog stream exercising both product axes of the

@@ -1,5 +1,5 @@
 //! Integration: every headline number the paper reports, asserted in
-//! one place. This is the machine-checked core of EXPERIMENTS.md.
+//! one place: the machine-checked paper-vs-measured record.
 
 use cim_repro::cim_arch::sweep::paper_figure_sweeps;
 use cim_repro::cim_crossbar::energy::ReadBudget;

@@ -19,19 +19,24 @@
 //! The mixed-queue property runs over the same scenario shapes as
 //! `split_jobs.rs` (unsplit Q6, scattered Q6, XOR, oversized bulk
 //! reductions), so the routes exercised here are exactly the ones the
-//! scatter-gather tests prove bit-exact.
+//! scatter-gather tests prove bit-exact. A stress test holds the first
+//! contract under concurrent sessions that submit, flush, poll, wait,
+//! drop handles and register and release datasets at random.
 
 use cim_repro::cim_bitmap_db::tpch::Q6Params;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_obs::{RingRecorder, Snapshot, SpanNode, Value};
 use cim_repro::cim_runtime::{
-    CompileError, DatasetSpec, JobError, JobReport, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetHandle, DatasetSpec, JobError, JobHandle, JobReport, PoolClient,
+    PoolConfig, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
+use cim_repro::cim_simkit::rng::seeded;
 use proptest::prelude::*;
+use rand::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// A pool tracing into a fresh ring recorder, on the default geometry
 /// (4 digital tiles x 1024 entries per shard).
@@ -393,4 +398,141 @@ proptest! {
         // queue before placement.
         prop_assert!(snap.gauges.contains_key("queue_depth"));
     }
+}
+
+/// One session of the stress test: `ops` random operations drawn from a
+/// seeded RNG — submit a tiny job, flush, poll, wait on or drop a held
+/// handle, register or release a 1-tile `Q6Table` — then wait on every
+/// handle still held. Each `wait` must return its own job's report,
+/// served or ended by its dataset's release. Returns the number of
+/// accepted submissions.
+fn stress_session(session: &PoolClient, seed: u64, ops: usize) -> u64 {
+    let mut rng = seeded(seed);
+    let mut held: Vec<JobHandle> = Vec::new();
+    let mut table: Option<DatasetHandle> = None;
+    let mut accepted = 0;
+    let check = |handle: JobHandle| {
+        let id = handle.id();
+        let report = handle.wait();
+        assert_eq!(report.job, id, "a wait returns its own job's report");
+        assert!(
+            matches!(report.output, Ok(_) | Err(JobError::DatasetReleased { .. })),
+            "{id}: {:?}",
+            report.output
+        );
+    };
+    for op in 0..ops {
+        match rng.gen_range(0..8) {
+            0..=2 => {
+                let spec = match (rng.gen_range(0..3), &table) {
+                    (0, Some(table)) => WorkloadSpec::Q6Query {
+                        dataset: table.id(),
+                        params: Q6Params::tpch_default(),
+                    },
+                    (1, _) => WorkloadSpec::ScoutBulk {
+                        op: ScoutOp::Or,
+                        rows: (0..3)
+                            .map(|i| BitVec::from_fn(128, |j| (i + j + op) % 5 == 0))
+                            .collect(),
+                    },
+                    _ => WorkloadSpec::XorEncrypt {
+                        message: vec![op as u8; 32],
+                        key_seed: seed ^ op as u64,
+                    },
+                };
+                held.push(session.submit(&spec).expect("tiny jobs always compile"));
+                accepted += 1;
+            }
+            3 => session.flush(),
+            4 if !held.is_empty() => {
+                let _ = held[rng.gen_range(0..held.len())].poll();
+            }
+            5 if !held.is_empty() => check(held.swap_remove(rng.gen_range(0..held.len()))),
+            6 if !held.is_empty() => drop(held.swap_remove(rng.gen_range(0..held.len()))),
+            7 => {
+                table = match table {
+                    Some(_) => None,
+                    None => Some(
+                        session
+                            .register_dataset(&DatasetSpec::Q6Table {
+                                rows: rng.gen_range(64..=1024),
+                                table_seed: seed ^ op as u64,
+                            })
+                            .expect("a 1-tile table always fits"),
+                    ),
+                }
+            }
+            _ => {}
+        }
+    }
+    held.into_iter().for_each(check);
+    accepted
+}
+
+/// Schedule-perturbation stress: four sessions on a 2-shard pool
+/// interleave random submissions, flushes, polls, waits, handle drops
+/// and dataset registrations and releases. Every accepted job is
+/// counted exactly once, every span closes, and once every dataset
+/// handle is gone the pins are back at zero: a table pinning every
+/// digital tile of the pool registers, and after its release a select
+/// filling every digital tile runs on both shards.
+#[test]
+fn concurrent_sessions_account_every_job_span_and_pin() {
+    const SESSIONS: u32 = 4;
+    let (ring, pool) = traced_pool(2);
+    let start = Barrier::new(SESSIONS as usize);
+    let accepted: u64 = std::thread::scope(|s| {
+        let sessions: Vec<_> = (0..SESSIONS)
+            .map(|t| {
+                let session = pool.client(TenantId(t + 1));
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    stress_session(&session, 0x57E55 + u64::from(t), 150)
+                })
+            })
+            .collect();
+        sessions.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+
+    // Jobs whose handles were dropped end on the shard workers without
+    // a caller: flush the last of them and let them finish.
+    pool.flush();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.telemetry().jobs < accepted && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        pool.telemetry().jobs,
+        accepted,
+        "one report per accepted job"
+    );
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    let snap = ring.snapshot();
+    assert_eq!(snap.unclosed, 0);
+    assert_eq!(snap.orphan_closes, 0);
+
+    // Every digital tile of the pool, as a table and then as a select:
+    // neither fits unless no pin outlived its dataset, and the select
+    // scatters over both shards whatever the routing ledger holds.
+    let cfg = pool.config();
+    let rows = cfg.shards * cfg.digital_tiles * cfg.tile_cols;
+    let session = pool.client(TenantId(9));
+    let whole_pool = session
+        .register_dataset(&DatasetSpec::Q6Table {
+            rows,
+            table_seed: 5,
+        })
+        .expect("no pin outlived its dataset");
+    drop(whole_pool);
+    let report = session
+        .submit(&WorkloadSpec::Q6Select {
+            rows,
+            table_seed: 6,
+            params: Q6Params::tpch_default(),
+        })
+        .unwrap()
+        .wait();
+    assert!(report.output.is_ok(), "{:?}", report.output);
+    assert_eq!(report.shards, vec![0, 1], "both shards still serve");
 }
