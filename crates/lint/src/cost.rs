@@ -25,22 +25,15 @@
 //!   are what an admission-time offload planner compares against a
 //!   host-fallback estimate.
 //!
-//! The pass also folds each instruction's [`cim_core::EffectSummary`]
-//! into a per-row **write-wear ledger** — endurance is the first-order
-//! lifetime constraint of memristive tiles, and a static wear total per
-//! physical row lets a scrubbing policy budget refresh work before the
-//! job runs.
-//!
 //! Like the lint report, the envelope renders deterministically:
 //! [`CostEnvelope::to_text`] and [`CostEnvelope::to_json`] depend only
 //! on the analyzed stream and the [`CostModel`].
 
 use crate::check::Geometry;
 use cim_arch::cim::CimUnitParams;
-use cim_core::{CimInstruction, TileFamily};
+use cim_core::CimInstruction;
 use cim_simkit::units::{Hertz, Joules, Seconds};
 use cim_tech::adc::AdcModel;
-use std::collections::BTreeMap;
 
 /// Pricing knobs of the cost pass: the analytical-model constants the
 /// envelope's latency/energy bounds and the device-counter bounds are
@@ -144,10 +137,6 @@ pub struct CostEnvelope {
     /// the differential pair (`2 × rows` per `Mvm`, `2 × cols` per
     /// `MvmT`); the nominal tier draws none.
     pub noise_sample_bound: u64,
-    /// Write-wear ledger: write pulses per `(digital tile, row)`,
-    /// accumulated from each instruction's effect summary. Keys are
-    /// virtual tile indices (the program's lease space).
-    pub row_wear: BTreeMap<(usize, usize), u64>,
     /// Latency upper bound from the analytical model (offload overhead
     /// plus op slots at effective parallelism over the pulse bounds).
     pub latency_bound: Seconds,
@@ -181,17 +170,6 @@ impl CostEnvelope {
             + self.noise_sample_bound
     }
 
-    /// Heaviest per-row write wear in the stream (0 for a write-free
-    /// program).
-    pub fn max_row_wear(&self) -> u64 {
-        self.row_wear.values().copied().max().unwrap_or(0)
-    }
-
-    /// Total write wear across all rows (equals [`Self::write_pulses`]).
-    pub fn total_row_wear(&self) -> u64 {
-        self.row_wear.values().sum()
-    }
-
     /// Deterministic plain-text rendering: one `key: value` line per
     /// field group, ending with the scalar cost.
     pub fn to_text(&self) -> String {
@@ -202,7 +180,6 @@ impl CostEnvelope {
              analog: {pr} programs / {pd} devices, {mv} mvms\n\
              bounds: {wa} word accesses, {sc} sampled columns, \
              {pp} program pulses, {ns} noise samples\n\
-             wear: max {mw} / total {tw} over {rows} rows\n\
              latency <= {lat:.3e} s, energy <= {en:.3e} J, cost {cu}",
             w = self.row_writes,
             s = self.store_writes,
@@ -219,9 +196,6 @@ impl CostEnvelope {
             sc = self.sampled_column_bound,
             pp = self.program_pulse_bound,
             ns = self.noise_sample_bound,
-            mw = self.max_row_wear(),
-            tw = self.total_row_wear(),
-            rows = self.row_wear.len(),
             lat = self.latency_bound.0,
             en = self.energy_bound.0,
             cu = self.cost_units,
@@ -244,8 +218,6 @@ impl CostEnvelope {
              \"bounds\": {{\"word_accesses\": {wa}, \
              \"sampled_columns\": {sc}, \"program_pulses\": {pp}, \
              \"noise_samples\": {ns}}}, \
-             \"wear\": {{\"max_row_writes\": {mw}, \
-             \"total_row_writes\": {tw}, \"rows_touched\": {rows}}}, \
              \"latency_bound_s\": {lat:e}, \"energy_bound_j\": {en:e}}}",
             cu = self.cost_units,
             w = self.row_writes,
@@ -264,9 +236,6 @@ impl CostEnvelope {
             sc = self.sampled_column_bound,
             pp = self.program_pulse_bound,
             ns = self.noise_sample_bound,
-            mw = self.max_row_wear(),
-            tw = self.total_row_wear(),
-            rows = self.row_wear.len(),
             lat = self.latency_bound.0,
             en = self.energy_bound.0,
         )
@@ -353,15 +322,6 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
                 env.mvms += 1;
                 // Transpose products read the columns.
                 env.noise_sample_bound += 2 * geometry.analog_cols as u64;
-            }
-        }
-        // Fold the effect summary's written rows into the wear ledger —
-        // digital rows only; analog endurance is charged through the
-        // program-pulse bound instead.
-        let fx = instr.effects();
-        if fx.family == TileFamily::Digital {
-            for row in &fx.rows_written {
-                *env.row_wear.entry((fx.tile, *row)).or_insert(0) += 1;
             }
         }
         env.cost_units += scheduler_weight(instr);
@@ -475,16 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_ledger_tracks_written_rows() {
-        let env = cost(&sample_program(), &geo(), &CostModel::default());
-        // Tile 0 rows 0, 1 (writes) and 2 (store); tile 1 rows 0, 1
-        // (the key write's value/care pair).
-        assert_eq!(env.row_wear.len(), 5);
-        assert_eq!(env.max_row_wear(), 1);
-        assert_eq!(env.total_row_wear(), env.write_pulses());
-    }
-
-    #[test]
     fn empty_program_costs_one_unit_and_overhead_only() {
         let env = cost(&[], &geo(), &CostModel::default());
         assert_eq!(env.cost_units, 1);
@@ -492,7 +442,6 @@ mod tests {
         let model = CostModel::default();
         assert!((env.latency_bound.0 - model.offload_overhead.0).abs() < 1e-18);
         assert_eq!(env.energy_bound.0, 0.0);
-        assert!(env.row_wear.is_empty());
     }
 
     #[test]

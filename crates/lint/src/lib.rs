@@ -42,11 +42,11 @@
 //! `L008-WIDTH-MISMATCH`) and render deterministically as text
 //! ([`LintReport::to_text`]) or JSON ([`LintReport::to_json`]).
 //!
-//! A second pass, [`cost`], runs the same effect-summary walk but
-//! certifies a [`CostEnvelope`] instead of diagnostics: exact per-tile-
-//! family instruction/pulse counts, sound upper bounds on the measured
-//! device counters, per-row write wear, and latency/energy bounds from
-//! the `cim-arch`/`cim-tech` analytical models. The envelope is the
+//! A second pass, [`cost`], walks the same stream but certifies a
+//! [`CostEnvelope`] instead of diagnostics: exact per-tile-family
+//! instruction/pulse counts, sound upper bounds on the measured device
+//! counters, and latency/energy bounds from the `cim-arch`/`cim-tech`
+//! analytical models. The envelope is the
 //! TDO-CIM-style cost input an admission-time offload planner compares
 //! against a host-fallback estimate; [`LintReport::to_json_with`]
 //! embeds it as the report's optional `cost` section.

@@ -110,7 +110,6 @@ fn searches(
         resolve,
     };
     CompiledJob {
-        host_profile: PROFILE,
         splittable: true,
         ..lw.job(
             TileDemand::digital(entries.len()),
@@ -168,7 +167,7 @@ pub(super) fn search(
             expected: width,
         });
     }
-    let host = lw.host(|| {
+    let host = lw.host(PROFILE, lw.dataset().resident_bytes, || {
         if matches!(kind, MatchKind::Range { .. }) && !lw.reram_noise_free() {
             return None;
         }
@@ -201,7 +200,7 @@ pub(super) fn classify(lw: &Lowering, packets: &[u64]) -> Result<CompiledJob, Co
     }
     let width = rules.width();
     let keys: Vec<BitVec> = packets.iter().map(|&p| key_bits(p, width)).collect();
-    let host = lw.host(|| {
+    let host = lw.host(PROFILE, lw.dataset().resident_bytes, || {
         Some(JobOutput::Lookups(
             keys.iter().map(|key| rules.classify(key)).collect(),
         ))
@@ -231,7 +230,7 @@ pub(super) fn lookup(lw: &Lowering, probes: &[u64]) -> Result<CompiledJob, Compi
         return Err(CompileError::EmptyWorkload);
     }
     let keys: Vec<BitVec> = probes.iter().map(|&p| key_bits(p, *width)).collect();
-    let host = lw.host(|| {
+    let host = lw.host(PROFILE, lw.dataset().resident_bytes, || {
         Some(JobOutput::Lookups(
             keys.iter()
                 .map(|probe| {

@@ -227,11 +227,7 @@ pub(super) fn classify(
         classes: spec.classes,
         expected,
     };
-    Ok(CompiledJob {
-        resident_bytes: (spec.classes * spec.d) as u64 / 8,
-        host_profile: PROFILE,
-        ..lw.job(TileDemand::analog(1), instructions, outputs, decode)
-    })
+    Ok(lw.job(TileDemand::analog(1), instructions, outputs, decode))
 }
 
 /// Queries against resident prototypes: one MVM per query, no matrix
@@ -252,10 +248,7 @@ pub(super) fn query(
         classes: *classes,
         expected,
     };
-    Ok(CompiledJob {
-        host_profile: PROFILE,
-        ..lw.job(TileDemand::analog(1), instructions, outputs, decode)
-    })
+    Ok(lw.job(TileDemand::analog(1), instructions, outputs, decode))
 }
 
 /// The load program of resident prototypes: train, then program one
@@ -448,7 +441,7 @@ pub(super) fn assoc(
     }
     // The noise-free sweep provably returns the global lowest-index
     // argmax of prototype/query overlap: the host computes it directly.
-    let host = lw.host(|| {
+    let host = lw.host(PROFILE, lw.row_bytes(2 * classes), || {
         lw.reram_noise_free().then(|| {
             JobOutput::Hdc(HdcOutcome {
                 predictions: queries
@@ -466,8 +459,6 @@ pub(super) fn assoc(
         windows,
     };
     Ok(CompiledJob {
-        resident_bytes: lw.row_bytes(2 * classes),
-        host_profile: PROFILE,
         host,
         ..lw.job(TileDemand::digital(1), instructions, outputs, decode)
     })

@@ -145,7 +145,9 @@ pub(super) fn filter(
             reads.push(wy);
         }
     }
-    let host = lw.host(|| Some(JobOutput::Image(filter.apply(&q))));
+    let host = lw.host(PROFILE, lw.row_bytes(h), || {
+        Some(JobOutput::Image(filter.apply(&q)))
+    });
     let decode = Filter {
         width: w,
         height: h,
@@ -153,8 +155,6 @@ pub(super) fn filter(
         reads,
     };
     Ok(CompiledJob {
-        resident_bytes: lw.row_bytes(h),
-        host_profile: PROFILE,
         host,
         ..lw.job(TileDemand::digital(tiles), instructions, outputs, decode)
     })

@@ -36,10 +36,13 @@ mod xor;
 use crate::dataset::{DatasetSpec, ResidentPayload, ResidentView};
 use crate::job::{DatasetId, JobId, JobKind, JobOutput, TenantId, WorkloadSpec};
 use crate::schedule::{OffloadPolicy, PoolConfig};
+use cim_arch::conventional::ConventionalMachine;
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
+use cim_core::offload::Program;
 use cim_crossbar::scouting::ScoutOp;
 use cim_lint::CostEnvelope;
 use cim_simkit::bitvec::BitVec;
+use cim_simkit::units::{ByteSize, Seconds};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -72,7 +75,8 @@ impl TileDemand {
     }
 }
 
-/// Cache/offload profile used for the `cim-arch` host-vs-CIM estimate.
+/// Cache profile of a host-eligible family's kernel, which prices its
+/// host fallback in the `cim-arch` §II-C model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HostProfile {
     /// Fraction of dynamic instructions the CIM core absorbs.
@@ -84,13 +88,17 @@ pub(crate) struct HostProfile {
 }
 
 impl HostProfile {
-    /// The profile of a kernel the analytical model knows nothing about
-    /// (raw streams, synthesized failures).
-    pub(crate) const UNKNOWN: HostProfile = HostProfile {
-        accel_fraction: 0.5,
-        l1_miss: 0.5,
-        l2_miss: 0.5,
-    };
+    /// The analytical delay of one streaming pass over `bytes` of data
+    /// on the paper's conventional host (Xeon E5-2680).
+    fn host_delay(self, bytes: u64) -> Seconds {
+        let program = Program::streaming(
+            ByteSize(bytes.max(64)),
+            self.accel_fraction,
+            self.l1_miss,
+            self.l2_miss,
+        );
+        ConventionalMachine::xeon_e5_2680().delay(&program.as_workload())
+    }
 }
 
 /// Host-side decoding of a job's output responses. Every workload
@@ -153,10 +161,6 @@ pub(crate) struct CompiledJob {
     pub outputs: Vec<usize>,
     /// Host-side output decoder.
     pub finalizer: Arc<dyn Finalize>,
-    /// Bytes resident in CIM tiles while the job runs.
-    pub resident_bytes: u64,
-    /// Offload profile for the analytical speedup estimate.
-    pub host_profile: HostProfile,
     /// Seed of the job's private noise stream.
     pub seed: u64,
     /// Whether the job is digital-tile-parallel: every instruction
@@ -174,13 +178,15 @@ pub(crate) struct CompiledJob {
     /// read its `cost_units`, which weighs analog operations by their
     /// simulated latency and logic accesses by the rows they activate.
     pub envelope: CostEnvelope,
-    /// The host-fallback result, precomputed at compile time for
-    /// workload kinds whose host reference path is certified
-    /// bit-identical to the CIM execution. `None` when the kind has no
-    /// such certificate (raw streams, analog-score HDC) or when the
-    /// pool policy never routes to the host — the planner can only
-    /// pick the host lane when this is `Some`.
-    pub host: Option<JobOutput>,
+    /// The host fallback, precomputed at compile time for workload
+    /// kinds whose host reference path is certified bit-identical to
+    /// the CIM execution: the host result and its analytical host
+    /// delay, which the `CostDriven` planner weighs against the
+    /// envelope's latency bound. `None` when the kind has no such
+    /// certificate (raw streams, analog-score HDC) or when the pool
+    /// policy never routes to the host — the planner can only pick the
+    /// host lane when this is `Some`.
+    pub host: Option<(JobOutput, Seconds)>,
 }
 
 /// Why a workload cannot be compiled for a given pool configuration.
@@ -394,16 +400,23 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// The job's host-fallback result, computed only when the pool's
-    /// offload policy can ever route to the host — under
+    /// The job's host fallback, computed only when the pool's offload
+    /// policy can ever route to the host — under
     /// [`OffloadPolicy::AlwaysCim`] the work would be pure waste at
     /// admission time. `reference` returns `None` for jobs whose host
-    /// path carries no bit-identity certificate.
-    fn host(&self, reference: impl FnOnce() -> Option<JobOutput>) -> Option<JobOutput> {
+    /// path carries no bit-identity certificate; otherwise its output
+    /// comes with the host delay of a kernel of the family's `profile`
+    /// over `bytes` of data.
+    fn host(
+        &self,
+        profile: HostProfile,
+        bytes: u64,
+        reference: impl FnOnce() -> Option<JobOutput>,
+    ) -> Option<(JobOutput, Seconds)> {
         if self.cfg.offload_policy == OffloadPolicy::AlwaysCim {
             return None;
         }
-        reference()
+        Some((reference()?, profile.host_delay(bytes)))
     }
 
     /// `true` when the pool's ReRAM model is noise-free: no
@@ -423,9 +436,8 @@ impl<'a> Lowering<'a> {
 
     /// A compiled job with the family-independent parts filled in: ids,
     /// kind, seed, the sealed cost envelope and, for a query, the
-    /// dataset and its resident bytes. Families override the rest
-    /// (resident bytes of fresh jobs, host profile, splittability, host
-    /// reference) with struct-update syntax.
+    /// dataset. Families override the rest (splittability, host
+    /// fallback) with struct-update syntax.
     fn job(
         &self,
         demand: TileDemand,
@@ -433,15 +445,11 @@ impl<'a> Lowering<'a> {
         outputs: Vec<usize>,
         finalizer: impl Finalize + 'static,
     ) -> CompiledJob {
-        let (dataset, resident_bytes) = match self.resident {
-            Some(view) => (Some(view.id), view.resident_bytes),
-            None => (None, 0),
-        };
         CompiledJob {
             job: self.job,
             tenant: self.tenant,
             kind: self.kind,
-            dataset,
+            dataset: self.resident.map(|view| view.id),
             demand,
             // Every admitted job carries the analyzer's verdict, and
             // batching/balancing read nothing else.
@@ -449,8 +457,6 @@ impl<'a> Lowering<'a> {
             instructions,
             outputs,
             finalizer: Arc::new(finalizer),
-            resident_bytes,
-            host_profile: HostProfile::UNKNOWN,
             seed: self.seed,
             splittable: false,
             host: None,
@@ -739,9 +745,6 @@ pub(crate) fn split_by_digital_tile(
             instructions,
             outputs,
             finalizer: Arc::new(raw::Verbatim),
-            resident_bytes: parent.resident_bytes * chunk as u64
-                / parent.demand.digital.max(1) as u64,
-            host_profile: parent.host_profile,
             // Sub-streams are digital (exact): distinct noise seeds per
             // part cannot change results, only keep streams private.
             seed: crate::mix_seed(parent.seed, 0x5EED ^ part as u64),

@@ -124,6 +124,12 @@ fn program_weights(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Vec<CimInstruction> 
         .collect()
 }
 
+/// Bytes of the network's ±1 weights, one bit each: what a cold job
+/// programs and what resident weights hold.
+fn weight_bytes(mlp: &BinarizedMlp) -> u64 {
+    (mlp.weight_count() as u64).div_ceil(8)
+}
+
 /// Validates inference inputs against the network's input width.
 fn check_inputs(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileError> {
     if inputs.is_empty() {
@@ -169,9 +175,10 @@ fn inference(
         }
         outputs.push(instructions.len() - 1);
     }
-    let host = lw.host(|| Some(outcome(inputs.iter().map(|x| mlp.scores(x)).collect())));
+    let host = lw.host(PROFILE, weight_bytes(mlp), || {
+        Some(outcome(inputs.iter().map(|x| mlp.scores(x)).collect()))
+    });
     CompiledJob {
-        host_profile: PROFILE,
         host,
         ..lw.job(
             TileDemand::analog(mlp.layers().len()),
@@ -195,10 +202,7 @@ pub(super) fn infer(
     check_inputs(mlp, inputs)?;
     fits_shard(mlp, lw.cfg)?;
     let programs = program_weights(mlp, lw.cfg);
-    Ok(CompiledJob {
-        resident_bytes: (mlp.weight_count() as u64).div_ceil(8),
-        ..inference(lw, mlp, inputs, programs)
-    })
+    Ok(inference(lw, mlp, inputs, programs))
 }
 
 /// Inference against resident weights: the MVM cascade only, lowered
@@ -225,7 +229,7 @@ pub(super) fn load(
         payload: ResidentPayload::Nn {
             network: Arc::new(network.clone()),
         },
-        resident_bytes: (network.weight_count() as u64).div_ceil(8),
+        resident_bytes: weight_bytes(network),
         resident_rows: Vec::new(),
     })
 }

@@ -206,15 +206,15 @@ pub(super) fn select(
     let widths = emit_bins(&mut instructions, &table, tiles, lw.cfg, |ins, tile| {
         emit_query(ins, &mut outputs, &params, tile, lw.cfg)
     });
-    let host = lw.host(|| Some(JobOutput::Q6(q6_scan(&table, &params))));
+    let host = lw.host(PROFILE, resident_bytes(tiles, lw.cfg), || {
+        Some(JobOutput::Q6(q6_scan(&table, &params)))
+    });
     let decode = Decode {
         table: Arc::new(table),
         params,
         widths,
     };
     Ok(CompiledJob {
-        resident_bytes: resident_bytes(tiles, lw.cfg),
-        host_profile: PROFILE,
         splittable: true,
         host,
         ..lw.job(TileDemand::digital(tiles), instructions, outputs, decode)
@@ -234,14 +234,15 @@ pub(super) fn query(lw: &Lowering, params: Q6Params) -> Result<CompiledJob, Comp
     for tile in 0..view.digital_tiles {
         emit_query(&mut instructions, &mut outputs, &params, tile, lw.cfg);
     }
-    let host = lw.host(|| Some(JobOutput::Q6(q6_scan(table, &params))));
+    let host = lw.host(PROFILE, view.resident_bytes, || {
+        Some(JobOutput::Q6(q6_scan(table, &params)))
+    });
     let decode = Decode {
         table: Arc::clone(table),
         params,
         widths: widths.clone(),
     };
     Ok(CompiledJob {
-        host_profile: PROFILE,
         splittable: true,
         host,
         ..lw.job(
@@ -304,7 +305,6 @@ mod tests {
             .filter(|i| matches!(i, CimInstruction::WriteRow { .. }))
             .count();
         assert_eq!(writes, 2 * 145);
-        assert!(c.resident_bytes > 0);
     }
 
     #[test]

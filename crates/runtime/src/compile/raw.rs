@@ -35,15 +35,12 @@ pub(super) fn fresh(
         digital: digital_tiles,
         analog: analog_tiles,
     };
-    CompiledJob {
-        resident_bytes: (instructions.len() as u64) * 8,
-        ..lw.job(
-            demand,
-            instructions.to_vec(),
-            (0..instructions.len()).collect(),
-            Verbatim,
-        )
-    }
+    lw.job(
+        demand,
+        instructions.to_vec(),
+        (0..instructions.len()).collect(),
+        Verbatim,
+    )
 }
 
 /// A raw stream addressing a dataset's pinned tiles: demand is exactly

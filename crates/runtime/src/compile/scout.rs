@@ -150,10 +150,10 @@ pub(super) fn bulk(
         };
         outputs.push(output);
     }
-    let host = lw.host(|| fold(op, rows).map(JobOutput::Bits));
+    let host = lw.host(PROFILE, lw.row_bytes(rows.len()), || {
+        fold(op, rows).map(JobOutput::Bits)
+    });
     Ok(CompiledJob {
-        resident_bytes: lw.row_bytes(rows.len()),
-        host_profile: PROFILE,
         splittable: true,
         host,
         ..lw.job(

@@ -92,10 +92,10 @@ pub(super) fn encrypt(
         });
         outputs.push(instructions.len() - 1);
     }
-    let host = lw.host(|| pad.encrypt(message).ok().map(JobOutput::Cipher));
+    let host = lw.host(PROFILE, lw.row_bytes(2), || {
+        pad.encrypt(message).ok().map(JobOutput::Cipher)
+    });
     Ok(CompiledJob {
-        resident_bytes: lw.row_bytes(2),
-        host_profile: PROFILE,
         host,
         ..lw.job(
             TileDemand::digital(1),

@@ -2,15 +2,14 @@
 //!
 //! A [`WorkloadSpec`] names one application kernel with its parameters.
 //! The compile layer lowers it to an instruction stream; the
-//! scheduler executes it on a shard and returns a [`JobReport`] with the
-//! decoded [`JobOutput`], per-job [`ExecutionStats`] and the
-//! speedup-vs-host estimate from the `cim-arch` analytical models.
+//! scheduler executes it on a shard (or serves it on the host lane) and
+//! returns a [`JobReport`] with the decoded [`JobOutput`], the lane it
+//! took, per-job [`ExecutionStats`] and device counters.
 
 use cim_bitmap_db::query::Q6Result;
 use cim_bitmap_db::tpch::Q6Params;
 use cim_core::isa::{CimInstruction, CimResponse, MatchKind};
-use cim_core::offload::OffloadEstimate;
-use cim_core::ExecutionStats;
+use cim_core::{DeviceCounters, ExecutionStats};
 use cim_crossbar::energy::OperationCost;
 use cim_crossbar::scouting::ScoutOp;
 use cim_imgproc::image::GrayImage;
@@ -658,15 +657,43 @@ pub struct JobReport {
     pub stats: ExecutionStats,
     /// Post-job scrubbing overhead (tile hygiene between tenants).
     pub maintenance: OperationCost,
-    /// Speedup/energy-gain estimate vs the conventional host, from the
-    /// `cim-arch` §II-C analytical models.
-    pub offload: OffloadEstimate,
     /// Device-tier cost drivers attributed to this job: words touched,
     /// columns sampled, program-and-verify pulses, analog noise-model
     /// samples. Deterministic, unlike wall timing.
-    pub device: cim_core::DeviceCounters,
+    pub device: DeviceCounters,
     /// Wall-clock queue/service/total latency (excluded from equality).
     pub timing: JobTiming,
+}
+
+impl JobReport {
+    /// The report of a job that reached no shard — served on the host
+    /// lane or failed before dispatch: shard 0, no shards, no batch and
+    /// zero stats. Executed jobs start from it and name their shards
+    /// and batch.
+    pub(crate) fn new(
+        job: JobId,
+        tenant: TenantId,
+        kind: JobKind,
+        dataset: Option<DatasetId>,
+        route: JobRoute,
+        output: Result<JobOutput, JobError>,
+    ) -> Self {
+        JobReport {
+            job,
+            tenant,
+            kind,
+            dataset,
+            shard: 0,
+            shards: Vec::new(),
+            batch: u64::MAX,
+            route,
+            output,
+            stats: ExecutionStats::default(),
+            maintenance: OperationCost::default(),
+            device: DeviceCounters::default(),
+            timing: JobTiming::default(),
+        }
+    }
 }
 
 impl PartialEq for JobReport {
@@ -684,7 +711,6 @@ impl PartialEq for JobReport {
             && self.output == other.output
             && self.stats == other.stats
             && self.maintenance == other.maintenance
-            && self.offload == other.offload
             && self.device == other.device
     }
 }

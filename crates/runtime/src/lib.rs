@@ -64,8 +64,8 @@
 //!   returns the job's certified cost envelope.
 //! * **[`telemetry`]** — aggregates [`cim_core::ExecutionStats`] and
 //!   [`cim_core::DeviceCounters`] per job, per tenant, per dataset
-//!   (load-vs-query split) and pool-wide, and reports speedup-vs-host
-//!   from the `cim-arch` analytical models.
+//!   (load-vs-query split) and pool-wide, and counts the jobs served on
+//!   the host lane.
 //! * **[`trace`]** — the pool's observability front end over
 //!   [`cim_obs`]: build the pool with [`RuntimePool::with_sink`] and
 //!   every job lifecycle stage (submit → compile → queue → plan →
@@ -136,5 +136,5 @@ pub use job::{
     JobStatus, JobTiming, NnOutcome, TenantId, WorkloadSpec,
 };
 pub use schedule::{OffloadPolicy, PoolConfig, RuntimePool};
-pub use telemetry::{DatasetUsage, HostRoutedLedger, PoolTelemetry, TenantUsage};
+pub use telemetry::{DatasetUsage, PoolTelemetry, TenantUsage};
 pub use trace::Tracer;

@@ -62,7 +62,7 @@ mod worker;
 use crate::client::PoolClient;
 use crate::compile::{
     compile, compile_dataset_load, split_load_by_tile, CompileError, CompiledJob, DatasetProgram,
-    Finalize, HostProfile, TileDemand,
+    Finalize, TileDemand,
 };
 use crate::dataset::{DatasetRecord, DatasetSpec, ResidentView, ShardPlacement};
 use crate::job::{
@@ -71,15 +71,10 @@ use crate::job::{
 };
 use crate::telemetry::PoolTelemetry;
 use crate::trace::{Attr, Tracer};
-use cim_arch::cim::CimSystem;
-use cim_arch::conventional::ConventionalMachine;
-use cim_core::offload::{OffloadEstimate, Program};
-use cim_core::{CimAccelerator, CimAcceleratorBuilder, DeviceCounters, ExecutionStats};
+use cim_core::{CimAccelerator, CimAcceleratorBuilder, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
-use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
 use cim_obs::{NullSink, SpanId, TraceSink, Value};
-use cim_simkit::units::ByteSize;
 use plan::{mark_dispatched, plan, scatter_assignment};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::resume_unwind;
@@ -258,8 +253,6 @@ struct GatherState {
     parts: BTreeMap<u32, JobReport>,
     /// The parent job's host-side decoder.
     finalizer: Arc<dyn Finalize>,
-    /// The offload estimate over the whole (unsplit) job.
-    offload: OffloadEstimate,
     /// The gather span, opened when the first part arrives.
     span: SpanId,
 }
@@ -651,22 +644,14 @@ impl PoolShared {
                     },
                     other => return Err(reject(other)),
                 };
-                let report = JobReport {
+                let report = JobReport::new(
                     job,
                     tenant,
-                    kind: spec.kind(),
-                    dataset: spec.dataset(),
-                    shard: 0,
-                    shards: Vec::new(),
-                    batch: u64::MAX,
-                    route: JobRoute::Cim,
-                    output: Err(error),
-                    stats: ExecutionStats::default(),
-                    maintenance: OperationCost::default(),
-                    offload: estimate(0, HostProfile::UNKNOWN),
-                    device: DeviceCounters::default(),
-                    timing: JobTiming::default(),
-                };
+                    spec.kind(),
+                    spec.dataset(),
+                    JobRoute::Cim,
+                    Err(error),
+                );
                 // It never compiled into a stream, so it never queues:
                 // its traced route is job → compile → report.
                 self.admit_complete(root, false, report);
@@ -696,18 +681,16 @@ impl PoolShared {
         // certified bit-identical host reference may be served from the
         // host-executor lane instead of the pool. `AlwaysHost` forces
         // every eligible job there; `CostDriven` offloads only when the
-        // analytical host delay beats the envelope's CIM latency bound
-        // by the configured margin. Ineligible jobs (raw streams,
-        // analog-score HDC) always run on the pool.
-        let host_route = compiled.host.is_some()
-            && match self.cfg.offload_policy {
-                OffloadPolicy::AlwaysCim => false,
-                OffloadPolicy::AlwaysHost => true,
-                OffloadPolicy::CostDriven { threshold } => {
-                    offload_estimate(&compiled).conventional_delay.0
-                        <= threshold * compiled.envelope.latency_bound.0
-                }
-            };
+        // host fallback's analytical delay beats the envelope's CIM
+        // latency bound by the configured margin. Ineligible jobs (raw
+        // streams, analog-score HDC) always run on the pool.
+        let host_route = match (&compiled.host, self.cfg.offload_policy) {
+            (None, _) | (_, OffloadPolicy::AlwaysCim) => false,
+            (Some(_), OffloadPolicy::AlwaysHost) => true,
+            (Some((_, delay)), OffloadPolicy::CostDriven { threshold }) => {
+                delay.0 <= threshold * compiled.envelope.latency_bound.0
+            }
+        };
         if host_route {
             self.execute_host(compiled, root);
             return Ok(job);
@@ -789,11 +772,11 @@ impl PoolShared {
     /// Serves a host-routed job on the planner's host-executor lane:
     /// the precomputed bit-identical host result completes the job
     /// immediately — empty `shards`, no batch id consumed, no device
-    /// state touched — under a `host_execute` span, and telemetry books
-    /// it in the host-routed ledger instead of the speedup mean.
+    /// state touched — under a `host_execute` span, and telemetry counts
+    /// it in [`PoolTelemetry::host_routed`].
     fn execute_host(&self, mut compiled: CompiledJob, root: SpanId) {
         let output = match compiled.host.take() {
-            Some(output) => output,
+            Some((output, _)) => output,
             None => unreachable!("host routing requires a precomputed host reference"),
         };
         let span = self.tracer.open(
@@ -1213,27 +1196,6 @@ enum Admission {
     Never(JobError),
 }
 
-/// The analytical host-vs-CIM estimate of a kernel with `resident_bytes`
-/// of CIM-resident data and the given cache profile, against the
-/// paper's host and CIM system models.
-fn estimate(resident_bytes: u64, profile: HostProfile) -> OffloadEstimate {
-    Program::streaming(
-        ByteSize(resident_bytes.max(64)),
-        profile.accel_fraction,
-        profile.l1_miss,
-        profile.l2_miss,
-    )
-    .estimate(
-        &ConventionalMachine::xeon_e5_2680(),
-        &CimSystem::paper_default(),
-    )
-}
-
-/// The analytical host-vs-CIM estimate of a compiled job.
-fn offload_estimate(compiled: &CompiledJob) -> OffloadEstimate {
-    estimate(compiled.resident_bytes, compiled.host_profile)
-}
-
 /// The report of a compiled job that completed without executing on a
 /// shard: host-routed, or failed before dispatch.
 fn unexecuted_report(
@@ -1243,20 +1205,15 @@ fn unexecuted_report(
     output: Result<JobOutput, JobError>,
 ) -> JobReport {
     JobReport {
-        job: compiled.job,
-        tenant: compiled.tenant,
-        kind: compiled.kind,
-        dataset: compiled.dataset,
         shard,
-        shards: Vec::new(),
-        batch: u64::MAX,
-        route,
-        output,
-        stats: ExecutionStats::default(),
-        maintenance: OperationCost::default(),
-        offload: offload_estimate(compiled),
-        device: DeviceCounters::default(),
-        timing: JobTiming::default(),
+        ..JobReport::new(
+            compiled.job,
+            compiled.tenant,
+            compiled.kind,
+            compiled.dataset,
+            route,
+            output,
+        )
     }
 }
 
@@ -1311,30 +1268,24 @@ fn complete(
 /// `(shard, stats)` pairs feed the per-shard telemetry ledgers.
 fn assemble_gathered(gather: GatherState) -> (JobReport, Vec<(usize, ExecutionStats)>) {
     let GatherState {
-        parts,
-        finalizer,
-        offload,
-        ..
+        parts, finalizer, ..
     } = gather;
     let mut parts = parts.into_values();
     let Some(first) = parts.next() else {
         unreachable!("a gather holds at least one part");
     };
     let mut report = JobReport {
-        job: first.job,
-        tenant: first.tenant,
-        kind: first.kind,
-        dataset: first.dataset,
         shard: first.shard,
         shards: Vec::with_capacity(parts.len() + 1),
         batch: first.batch,
-        route: JobRoute::Cim,
-        output: Ok(JobOutput::Responses(Vec::new())),
-        stats: ExecutionStats::default(),
-        maintenance: OperationCost::default(),
-        offload,
-        device: DeviceCounters::default(),
-        timing: JobTiming::default(),
+        ..JobReport::new(
+            first.job,
+            first.tenant,
+            first.kind,
+            first.dataset,
+            JobRoute::Cim,
+            Ok(JobOutput::Responses(Vec::new())),
+        )
     };
     let mut shard_stats = Vec::with_capacity(parts.len() + 1);
     let mut responses = Vec::new();
@@ -1402,7 +1353,6 @@ mod tests {
         }
         assert!(report.stats.logic_ops > 0);
         assert!(report.stats.energy.0 > 0.0);
-        assert!(report.offload.speedup() > 1.0);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! dispatched in the job table.
 
 use super::worker::{Batch, PlacedJob};
-use super::{
-    complete, offload_estimate, unexecuted_report, GatherState, JobState, PoolConfig, PoolState,
-};
+use super::{complete, unexecuted_report, GatherState, JobState, PoolConfig, PoolState};
 use crate::compile::{split_by_digital_tile, CompiledJob};
 use crate::job::{JobError, JobRoute};
 use crate::trace::{Attr, Tracer};
@@ -128,7 +126,6 @@ fn scatter(
             expected: parts.len(),
             parts: BTreeMap::new(),
             finalizer: Arc::clone(&job.finalizer),
-            offload: offload_estimate(&job),
             span: SpanId::NONE,
         }));
     }

@@ -4,9 +4,9 @@
 //! job's outputs and ending the job in the pool's job table. Execution
 //! and decoding both run under panic containment.
 
-use super::{lock, mix_seed, offload_estimate, PoolShared};
+use super::{lock, mix_seed, PoolShared};
 use crate::compile::CompiledJob;
-use crate::job::{JobError, JobOutput, JobReport, JobRoute, JobTiming};
+use crate::job::{JobError, JobOutput, JobReport, JobRoute};
 use crate::trace::Attr;
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::{CimAccelerator, DeviceCounters, ExecutionStats};
@@ -283,20 +283,17 @@ impl Worker {
         } = placed;
         let shard = self.shard;
         let mut report = JobReport {
-            job: compiled.job,
-            tenant: compiled.tenant,
-            kind: compiled.kind,
-            dataset: compiled.dataset,
             shard,
             shards: vec![shard],
             batch,
-            route: JobRoute::Cim,
-            output: Ok(JobOutput::Responses(Vec::new())),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
-            offload: offload_estimate(&compiled),
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
+            ..JobReport::new(
+                compiled.job,
+                compiled.tenant,
+                compiled.kind,
+                compiled.dataset,
+                JobRoute::Cim,
+                Ok(JobOutput::Responses(Vec::new())),
+            )
         };
 
         let mut exec_attrs: [Attr; 4] = [

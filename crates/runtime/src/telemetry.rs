@@ -8,12 +8,13 @@
 //! maintenance, never attributed to tenants).
 //!
 //! Resident datasets get a second ledger: their one-time load cost is
-//! recorded in [`DatasetUsage::load_stats`] (and the pool-wide
-//! [`PoolTelemetry::dataset_load`] aggregate), *never* in the per-job
-//! stats, while every query against the dataset accumulates into
+//! recorded in [`DatasetUsage::load_stats`] and
+//! [`DatasetUsage::load_device`], *never* in the per-job stats, while
+//! every query against the dataset accumulates into
 //! [`DatasetUsage::query_stats`]. The split makes the amortization the
 //! paper argues for directly measurable: load writes are paid once,
-//! queries carry only query-side operations.
+//! queries carry only query-side operations. Entries survive release,
+//! so the map alone holds the pool's whole load record.
 
 use crate::job::{DatasetId, JobReport, JobRoute, TenantId};
 use cim_core::{DeviceCounters, ExecutionStats};
@@ -69,34 +70,6 @@ impl DatasetUsage {
     }
 }
 
-/// Jobs the admission planner served on the host-executor lane.
-///
-/// Host-routed jobs never touch a shard, so their analytical offload
-/// estimates describe work the accelerator *didn't* do; folding them
-/// into [`PoolTelemetry::mean_speedup`] would pollute the accelerator's
-/// own figure of merit. They get this ledger instead, with their own
-/// mean over the estimates the planner declined.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HostRoutedLedger {
-    /// Jobs served on the host lane.
-    pub jobs: u64,
-    /// Sum of the declined analytical speedup estimates, for averaging.
-    forgone_sum: f64,
-}
-
-impl HostRoutedLedger {
-    /// Mean analytical speedup the planner declined by keeping these
-    /// jobs on the host — under a cost-driven policy this should sit
-    /// near or below 1, precisely the jobs not worth offloading.
-    pub fn mean_forgone_speedup(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.forgone_sum / self.jobs as f64
-        }
-    }
-}
-
 /// Pool-wide aggregation across jobs, tenants and shards.
 #[derive(Debug, Clone, Default)]
 pub struct PoolTelemetry {
@@ -114,10 +87,6 @@ pub struct PoolTelemetry {
     /// Entries survive dataset release so the amortization record is
     /// not lost with the lease.
     pub datasets: BTreeMap<u64, DatasetUsage>,
-    /// Sum of every dataset's one-time load statistics. Kept separate
-    /// from [`PoolTelemetry::pool`], which remains exactly the sum of
-    /// per-job stats.
-    pub dataset_load: ExecutionStats,
     /// Per-shard aggregation, indexed by shard.
     pub per_shard: Vec<ExecutionStats>,
     /// Scrubbing overhead (tile hygiene between tenants), kept separate
@@ -127,15 +96,9 @@ pub struct PoolTelemetry {
     /// columns, program-and-verify pulses, MVM noise samples) — the
     /// physical cost drivers behind [`PoolTelemetry::pool`].
     pub device: DeviceCounters,
-    /// Device-tier counters of dataset load programs, kept out of
-    /// [`PoolTelemetry::device`] like [`PoolTelemetry::dataset_load`].
-    pub dataset_load_device: DeviceCounters,
-    /// Jobs the offload planner served on the host lane, kept out of
-    /// the accelerator's speedup mean.
-    pub host_routed: HostRoutedLedger,
-    /// Sum of the analytical speedup-vs-host estimates of CIM-executed
-    /// jobs, for averaging.
-    speedup_sum: f64,
+    /// Jobs the offload planner served on the host lane, off the
+    /// shards.
+    pub host_routed: u64,
 }
 
 impl PoolTelemetry {
@@ -165,16 +128,8 @@ impl PoolTelemetry {
         match &report.output {
             Ok(_) => {
                 tenant.jobs += 1;
-                // Offload estimates describe executed work; failed jobs
-                // never touched the accelerator and must not inflate the
-                // pool-wide speedup. Host-routed jobs executed, but not
-                // *here*: their declined estimates go to the host
-                // ledger, never the accelerator's mean.
                 if report.route == JobRoute::Host {
-                    self.host_routed.jobs += 1;
-                    self.host_routed.forgone_sum += report.offload.speedup();
-                } else {
-                    self.speedup_sum += report.offload.speedup();
+                    self.host_routed += 1;
                 }
             }
             Err(_) => {
@@ -207,9 +162,8 @@ impl PoolTelemetry {
     }
 
     /// Records a dataset's one-time load program. Load stats live in
-    /// the dataset ledger (and [`PoolTelemetry::dataset_load`]), never
-    /// in per-job stats — that separation *is* the amortization
-    /// measurement.
+    /// the dataset ledger, never in per-job stats — that separation
+    /// *is* the amortization measurement.
     pub(crate) fn record_dataset_load(
         &mut self,
         dataset: DatasetId,
@@ -224,34 +178,7 @@ impl PoolTelemetry {
         usage.kind = kind;
         usage.resident_bytes = resident_bytes;
         usage.load_stats.accumulate(stats);
-        self.dataset_load.accumulate(stats);
         usage.load_device.accumulate(device);
-        self.dataset_load_device.accumulate(device);
-    }
-
-    /// Mean analytical speedup-vs-host over successfully executed jobs.
-    ///
-    /// Failure accounting is deliberately asymmetric: a failed job
-    /// contributes to [`PoolTelemetry::jobs`], [`PoolTelemetry::pool`]
-    /// and its tenant/shard stat ledgers (a gathered split job that
-    /// fails in one part still burned real simulated work on the
-    /// others), but its offload estimate is *excluded* from this mean —
-    /// the estimate describes the speedup of work the caller got
-    /// results for, and a report whose output is `Err` delivered none.
-    /// The denominator is therefore `jobs - failures`, never `jobs`,
-    /// and mixing failing jobs into a pool cannot drag the mean toward
-    /// zero (see `mean_speedup_ignores_failed_jobs`). Host-routed jobs
-    /// are likewise excluded on both sides of the division — they
-    /// executed on the host, so their estimates live in
-    /// [`PoolTelemetry::host_routed`] (see
-    /// `host_routed_jobs_stay_out_of_the_speedup_mean`).
-    pub fn mean_speedup(&self) -> f64 {
-        let executed = self.jobs - self.failures - self.host_routed.jobs;
-        if executed == 0 {
-            0.0
-        } else {
-            self.speedup_sum / executed as f64
-        }
     }
 
     /// Total simulated accelerator busy time attributed to jobs.
@@ -283,19 +210,11 @@ impl fmt::Display for PoolTelemetry {
         )?;
         writeln!(
             f,
-            "  energy {:.3e} J, busy {:.3e} s, maintenance {:.3e} J, mean est. speedup {:.1}x",
-            self.pool.energy.0,
-            self.pool.busy_time.0,
-            self.maintenance.energy.0,
-            self.mean_speedup()
+            "  energy {:.3e} J, busy {:.3e} s, maintenance {:.3e} J",
+            self.pool.energy.0, self.pool.busy_time.0, self.maintenance.energy.0,
         )?;
-        if self.host_routed.jobs > 0 {
-            writeln!(
-                f,
-                "  host lane: {} jobs routed, mean forgone est. speedup {:.1}x",
-                self.host_routed.jobs,
-                self.host_routed.mean_forgone_speedup()
-            )?;
+        if self.host_routed > 0 {
+            writeln!(f, "  host lane: {} jobs routed", self.host_routed)?;
         }
         writeln!(
             f,
@@ -305,7 +224,10 @@ impl fmt::Display for PoolTelemetry {
             self.device.sampled_columns,
             self.device.program_pulses,
             self.device.noise_samples,
-            self.dataset_load_device.program_pulses
+            self.datasets
+                .values()
+                .map(|usage| usage.load_device.program_pulses)
+                .sum::<u64>()
         )?;
         for (tenant, usage) in &self.per_tenant {
             writeln!(
@@ -338,169 +260,91 @@ impl fmt::Display for PoolTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobError, JobId, JobKind, JobOutput, JobReport};
     use cim_simkit::units::Joules;
+
+    /// A report of job `job` of tenant 0 on shard 0.
+    fn report(job: u64, route: JobRoute, output: Result<JobOutput, JobError>) -> JobReport {
+        let shards = if route == JobRoute::Host {
+            Vec::new()
+        } else {
+            vec![0]
+        };
+        JobReport {
+            shards,
+            batch: job,
+            ..JobReport::new(
+                JobId(job),
+                TenantId(0),
+                JobKind::XorEncrypt,
+                None,
+                route,
+                output,
+            )
+        }
+    }
 
     #[test]
     fn telemetry_tracks_shards_independently() {
         let t = PoolTelemetry::new(3);
         assert_eq!(t.per_shard.len(), 3);
-        assert_eq!(t.mean_speedup(), 0.0);
     }
 
-    /// Pins the failure-accounting asymmetry documented on
-    /// [`PoolTelemetry::mean_speedup`]: a failed job's stats fold into
-    /// the pool/tenant ledgers (split jobs burn real work before a part
-    /// fails), but its offload estimate never enters the speedup mean.
+    /// A failed job counts as a failure, yet its stats still fold into
+    /// the pool and tenant ledgers: a gathered split job burns real
+    /// work on its other parts before one part fails.
     #[test]
-    fn mean_speedup_ignores_failed_jobs() {
-        use crate::job::{JobError, JobId, JobKind, JobOutput, JobReport, JobTiming};
-        use cim_arch::cim::CimSystem;
-        use cim_arch::conventional::ConventionalMachine;
-        use cim_core::offload::Program;
-        use cim_core::DeviceCounters;
-        use cim_crossbar::energy::OperationCost;
-        use cim_simkit::units::ByteSize;
-
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim = CimSystem::paper_default();
-        let offload = Program::streaming(ByteSize(4096), 0.5, 0.5, 0.5).estimate(&host, &cim);
-        let speedup = offload.speedup();
-        assert!(speedup > 0.0);
-        let report =
-            |job: u64, output: Result<JobOutput, JobError>, stats: ExecutionStats| JobReport {
-                job: JobId(job),
-                tenant: TenantId(0),
-                kind: JobKind::XorEncrypt,
-                dataset: None,
-                shard: 0,
-                shards: vec![0],
-                batch: job,
-                route: JobRoute::Cim,
-                output,
-                stats,
-                maintenance: OperationCost::default(),
-                offload,
-                device: DeviceCounters::default(),
-                timing: JobTiming::default(),
-            };
+    fn failed_jobs_keep_their_stats_in_the_ledgers() {
         let worked = ExecutionStats {
             logic_ops: 5,
             energy: Joules(1.0),
             busy_time: Seconds(0.5),
             ..ExecutionStats::default()
         };
-
         let mut t = PoolTelemetry::new(1);
-        for r in [
-            report(0, Ok(JobOutput::Cipher(vec![1])), worked),
-            report(1, Ok(JobOutput::Cipher(vec![2])), worked),
+        for output in [
+            Ok(JobOutput::Cipher(vec![1])),
+            Ok(JobOutput::Cipher(vec![2])),
             // A failure that still burned simulated work, like a
             // gathered split job whose last part panicked.
-            report(
-                2,
-                Err(JobError::ExecutionPanic {
-                    message: "boom".into(),
-                }),
-                worked,
-            ),
+            Err(JobError::ExecutionPanic {
+                message: "boom".into(),
+            }),
         ] {
+            let r = JobReport {
+                stats: worked,
+                ..report(t.jobs, JobRoute::Cim, output)
+            };
             t.record_gathered(&r, [(r.shard, r.stats)]);
         }
 
         assert_eq!(t.jobs, 3);
         assert_eq!(t.failures, 1);
-        // The failed job's stats are in the pool ledger...
+        assert_eq!((t.per_tenant[&0].jobs, t.per_tenant[&0].failed), (2, 1));
+        // The failed job's stats are in the pool ledger.
         assert_eq!(t.pool.logic_ops, 15);
-        // ...but the mean averages only the two successful estimates.
-        assert!((t.mean_speedup() - speedup).abs() < 1e-12);
-
-        // An all-failed pool has no executed jobs to average over.
-        let mut all_failed = PoolTelemetry::new(1);
-        let r = report(
-            0,
-            Err(JobError::ExecutionPanic {
-                message: "boom".into(),
-            }),
-            worked,
-        );
-        all_failed.record_gathered(&r, [(r.shard, r.stats)]);
-        assert_eq!(all_failed.mean_speedup(), 0.0);
     }
 
-    /// Pins the host-lane accounting on [`PoolTelemetry::mean_speedup`]:
-    /// a host-routed job is counted (jobs, tenant ledger) but its
-    /// declined offload estimate lands in the [`HostRoutedLedger`], not
-    /// the accelerator's speedup mean — routing tiny jobs to the host
-    /// must leave the CIM figure of merit untouched on both sides of
-    /// the division.
+    /// A host-routed job counts for its tenant and in
+    /// [`PoolTelemetry::host_routed`], and the Display output advertises
+    /// the host lane exactly when something was routed there.
     #[test]
-    fn host_routed_jobs_stay_out_of_the_speedup_mean() {
-        use crate::job::{JobError, JobId, JobKind, JobOutput, JobReport, JobTiming};
-        use cim_arch::cim::CimSystem;
-        use cim_arch::conventional::ConventionalMachine;
-        use cim_core::offload::Program;
-        use cim_core::DeviceCounters;
-        use cim_crossbar::energy::OperationCost;
-        use cim_simkit::units::ByteSize;
-
-        let host = ConventionalMachine::xeon_e5_2680();
-        let cim = CimSystem::paper_default();
-        let big = Program::streaming(ByteSize(1 << 20), 0.5, 0.5, 0.5).estimate(&host, &cim);
-        let tiny = Program::streaming(ByteSize(64), 0.5, 0.5, 0.5).estimate(&host, &cim);
-        let report = |job: u64, route: JobRoute, offload| JobReport {
-            job: JobId(job),
-            tenant: TenantId(0),
-            kind: JobKind::XorEncrypt,
-            dataset: None,
-            shard: 0,
-            shards: if route == JobRoute::Host {
-                Vec::new()
-            } else {
-                vec![0]
-            },
-            batch: job,
-            route,
-            output: Ok::<_, JobError>(JobOutput::Cipher(vec![1])),
-            stats: ExecutionStats::default(),
-            maintenance: OperationCost::default(),
-            offload,
-            device: DeviceCounters::default(),
-            timing: JobTiming::default(),
-        };
-
+    fn host_routed_jobs_are_counted_and_displayed() {
         let mut t = PoolTelemetry::new(1);
-        for r in [
-            report(0, JobRoute::Cim, big),
-            report(1, JobRoute::Host, tiny),
-            report(2, JobRoute::Host, tiny),
-        ] {
+        for (job, route) in [JobRoute::Cim, JobRoute::Host, JobRoute::Host]
+            .into_iter()
+            .enumerate()
+        {
+            let r = report(job as u64, route, Ok(JobOutput::Cipher(vec![1])));
             t.record_gathered(&r, [(r.shard, r.stats)]);
         }
 
         assert_eq!(t.jobs, 3);
         assert_eq!(t.failures, 0);
-        assert_eq!(t.host_routed.jobs, 2);
-        // The accelerator mean averages exactly the one CIM job, as if
-        // the host-routed pair had never been submitted…
-        assert!((t.mean_speedup() - big.speedup()).abs() < 1e-12);
-        // …while the host ledger averages exactly the declined pair.
-        assert!((t.host_routed.mean_forgone_speedup() - tiny.speedup()).abs() < 1e-12);
+        assert_eq!(t.host_routed, 2);
         // All three jobs still count for the tenant.
         assert_eq!(t.per_tenant[&0].jobs, 3);
-
-        // A host-only pool has no accelerator mean at all.
-        let mut host_only = PoolTelemetry::new(1);
-        let r = report(0, JobRoute::Host, tiny);
-        host_only.record_gathered(&r, [(r.shard, r.stats)]);
-        assert_eq!(host_only.mean_speedup(), 0.0);
-        assert!(host_only.mean_host_line_present());
-    }
-
-    impl PoolTelemetry {
-        /// Test seam: the Display output advertises the host lane
-        /// exactly when something was routed there.
-        fn mean_host_line_present(&self) -> bool {
-            format!("{self}").contains("host lane:")
-        }
+        assert!(format!("{t}").contains("host lane: 2 jobs routed"));
+        assert!(!format!("{}", PoolTelemetry::new(1)).contains("host lane:"));
     }
 }

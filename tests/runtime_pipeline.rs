@@ -437,10 +437,9 @@ fn q6_and_hdc_serve_end_to_end() {
         }
         other => panic!("unexpected output {other:?}"),
     }
-    // Telemetry saw both tenants and a positive offload estimate.
+    // Telemetry saw both tenants and the classification's MVMs.
     let telemetry = pool.telemetry();
     assert_eq!(telemetry.per_tenant.len(), 2);
-    assert!(telemetry.mean_speedup() > 1.0);
     assert!(telemetry.pool.mvms >= 16);
 }
 
