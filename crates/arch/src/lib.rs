@@ -43,7 +43,6 @@
 
 pub mod cim;
 pub mod conventional;
-pub mod dse;
 pub mod params;
 pub mod sweep;
 

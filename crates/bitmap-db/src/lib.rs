@@ -35,12 +35,10 @@
 //! ```
 
 pub mod bitmap;
-pub mod predicate;
 pub mod query;
 pub mod star;
 pub mod tpch;
 
 pub use bitmap::{BinSpec, BitmapIndex};
-pub use predicate::{Catalog, Predicate};
 pub use query::{q6_bitmap_cpu, q6_scan, Q6CimEngine, Q6Result};
 pub use tpch::{LineItemTable, Q6Params};

@@ -55,21 +55,6 @@ impl ExecutionStats {
             + self.searches
     }
 
-    /// Field-wise difference (`self − earlier`), for bracketing a job.
-    pub fn delta(&self, earlier: &ExecutionStats) -> ExecutionStats {
-        ExecutionStats {
-            row_writes: self.row_writes - earlier.row_writes,
-            row_reads: self.row_reads - earlier.row_reads,
-            logic_ops: self.logic_ops - earlier.logic_ops,
-            matrix_programs: self.matrix_programs - earlier.matrix_programs,
-            mvms: self.mvms - earlier.mvms,
-            key_writes: self.key_writes - earlier.key_writes,
-            searches: self.searches - earlier.searches,
-            energy: self.energy - earlier.energy,
-            busy_time: self.busy_time - earlier.busy_time,
-        }
-    }
-
     /// Field-wise accumulation of `other` into `self`.
     pub fn accumulate(&mut self, other: &ExecutionStats) {
         self.row_writes += other.row_writes;
@@ -243,15 +228,24 @@ impl CimAccelerator {
         self.analog_tiles.len()
     }
 
-    /// Accumulated execution statistics.
+    /// Execution statistics accumulated since construction or the last
+    /// [`Self::take_stats`].
     pub fn stats(&self) -> &ExecutionStats {
         &self.stats
     }
 
+    /// Returns the accumulated execution statistics and resets them to
+    /// zero. Taking the stats around one execution attributes exactly
+    /// its own work to it: its energy and busy time are sums over its
+    /// instructions alone, so they round the same whatever ran before.
+    pub fn take_stats(&mut self) -> ExecutionStats {
+        std::mem::take(&mut self.stats)
+    }
+
     /// Device-tier cost drivers summed over all tiles (see
-    /// [`DeviceCounters`]). Like [`Self::stats`], monotonically
-    /// increasing: bracket an execution with before/after copies and
-    /// [`DeviceCounters::delta`] to attribute counts to it.
+    /// [`DeviceCounters`]). Monotonically increasing: bracket an
+    /// execution with before/after copies and [`DeviceCounters::delta`]
+    /// to attribute counts to it.
     pub fn device_counters(&self) -> DeviceCounters {
         let mut c = DeviceCounters::default();
         for tile in &self.digital_tiles {
@@ -546,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_accumulate_are_inverse() {
+    fn accumulate_into_default_copies() {
         let mut a = ExecutionStats::default();
         let b = ExecutionStats {
             row_writes: 3,
@@ -561,7 +555,21 @@ mod tests {
         };
         a.accumulate(&b);
         assert_eq!(a, b);
-        assert_eq!(a.delta(&b), ExecutionStats::default());
+    }
+
+    #[test]
+    fn take_stats_returns_and_resets() {
+        let mut acc = small_accelerator();
+        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
+        let before = *acc.stats();
+        assert_eq!(acc.take_stats(), before);
+        assert_eq!(*acc.stats(), ExecutionStats::default());
+        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
+        assert_eq!(
+            acc.take_stats().row_reads,
+            1,
+            "the next take holds one read"
+        );
     }
 
     #[test]

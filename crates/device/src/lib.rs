@@ -49,7 +49,6 @@ pub mod bank;
 pub mod pcm;
 pub mod pcm_bank;
 pub mod reram;
-pub mod retention;
 
 pub use bank::{CurrentExtremes, ReramBank};
 pub use pcm::{PcmDevice, PcmParams, ProgramReport};

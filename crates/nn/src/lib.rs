@@ -38,18 +38,15 @@
 //! ```
 
 pub mod binarized;
-pub mod conv;
 pub mod crossbar;
 pub mod energy;
 pub mod layer;
 pub mod network;
 pub mod quant;
-pub mod sweep;
 pub mod task;
 pub mod train;
 
 pub use binarized::BinarizedMlp;
-pub use conv::{Conv1dLayer, CrossbarConv1d};
 pub use crossbar::CrossbarNetwork;
 pub use energy::{fig7b_series, InferencePlatform};
 pub use layer::{Activation, DenseLayer};

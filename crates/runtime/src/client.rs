@@ -113,9 +113,9 @@ impl PoolClient {
     }
 
     /// Dispatches every queued job (pool-wide, all sessions) to the
-    /// shard workers without blocking. Queued jobs coalesce into
-    /// batches at flush time, so flushing after a burst of submissions
-    /// preserves batching; results arrive while the session continues.
+    /// shard workers without blocking: each shard's share of the queue
+    /// ships as one batch, cheapest job first. Results arrive while the
+    /// session continues.
     pub fn flush(&self) {
         self.shared.flush();
     }

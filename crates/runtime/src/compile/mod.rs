@@ -48,6 +48,10 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// The most rows one Scouting-Logic access of a compiled reduction
+/// reads: wider OR/AND reductions chain accesses through scratch rows.
+pub(crate) const SCOUT_FAN_IN: usize = 8;
+
 /// Digital tiles and analog tiles a job needs simultaneously.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileDemand {
@@ -174,9 +178,10 @@ pub(crate) struct CompiledJob {
     /// The certified cost envelope of the instruction stream — the
     /// `cim_lint::cost` pass over this job against the pool geometry,
     /// sealed at compile time (and per part when a job splits). The one
-    /// cost authority: batching, balancing and the offload planner all
-    /// read its `cost_units`, which weighs analog operations by their
-    /// simulated latency and logic accesses by the rows they activate.
+    /// cost authority: shard balancing, cheapest-first dispatch and the
+    /// offload planner all read its `cost_units`, which weighs analog
+    /// operations by their simulated latency and logic accesses by the
+    /// rows they activate.
     pub envelope: CostEnvelope,
     /// The host fallback, precomputed at compile time for workload
     /// kinds whose host reference path is certified bit-identical to
@@ -452,7 +457,7 @@ impl<'a> Lowering<'a> {
             dataset: self.resident.map(|view| view.id),
             demand,
             // Every admitted job carries the analyzer's verdict, and
-            // batching/balancing read nothing else.
+            // balancing and dispatch order read nothing else.
             envelope: crate::verify::envelope_of(&instructions, demand, self.cfg),
             instructions,
             outputs,
@@ -554,20 +559,19 @@ pub(crate) fn compile(
     Ok(compiled)
 }
 
-/// Emits a fan-in-limited OR/AND reduction over `rows`, ping-ponging
-/// intermediates through the two `scratch` rows. Returns the row
-/// holding the result. Mirrors `Q6CimEngine::or_reduce` instruction for
-/// instruction, so op/write-back counts match the seed engine.
+/// Emits an OR/AND reduction over `rows`, at most [`SCOUT_FAN_IN`]
+/// rows per access, ping-ponging intermediates through the two
+/// `scratch` rows. Returns the row holding the result. Mirrors
+/// `Q6CimEngine::or_reduce` instruction for instruction, so
+/// op/write-back counts match the seed engine.
 fn emit_reduce(
     instructions: &mut Vec<CimInstruction>,
     tile: usize,
     rows: &[usize],
     scratch: [usize; 2],
-    fan_in: usize,
     op: ScoutOp,
 ) -> usize {
     assert!(!rows.is_empty(), "empty reduction operand list");
-    assert!(fan_in >= 2, "reduction fan-in must be at least 2");
     if rows.len() == 1 {
         return rows[0];
     }
@@ -577,8 +581,8 @@ fn emit_reduce(
     let mut target = ping;
     while !remaining.is_empty() || acc.is_none() {
         let take = match acc {
-            None => fan_in.min(remaining.len()),
-            Some(_) => (fan_in - 1).min(remaining.len()),
+            None => SCOUT_FAN_IN.min(remaining.len()),
+            Some(_) => (SCOUT_FAN_IN - 1).min(remaining.len()),
         };
         let mut operands: Vec<usize> = Vec::with_capacity(take + 1);
         if let Some(a) = acc {

@@ -154,7 +154,6 @@ fn emit_query(
     outputs: &mut Vec<usize>,
     params: &Q6Params,
     tile: usize,
-    cfg: &PoolConfig,
 ) {
     let (month_base, discount_base, quantity_base, scratch_base) = q6_row_bases();
     let [(mlo, mhi), (dlo, dhi), (qlo, qhi)] = Q6Indexes::predicate_ranges(params);
@@ -168,14 +167,7 @@ fn emit_query(
         .enumerate()
         .map(|(p, rows)| {
             let scratch = [scratch_base + 2 * p, scratch_base + 2 * p + 1];
-            emit_reduce(
-                instructions,
-                tile,
-                rows,
-                scratch,
-                cfg.scout_fan_in,
-                ScoutOp::Or,
-            )
+            emit_reduce(instructions, tile, rows, scratch, ScoutOp::Or)
         })
         .collect();
     instructions.push(CimInstruction::Logic {
@@ -204,7 +196,7 @@ pub(super) fn select(
     let mut instructions = Vec::new();
     let mut outputs = Vec::new();
     let widths = emit_bins(&mut instructions, &table, tiles, lw.cfg, |ins, tile| {
-        emit_query(ins, &mut outputs, &params, tile, lw.cfg)
+        emit_query(ins, &mut outputs, &params, tile)
     });
     let host = lw.host(PROFILE, resident_bytes(tiles, lw.cfg), || {
         Some(JobOutput::Q6(q6_scan(&table, &params)))
@@ -232,7 +224,7 @@ pub(super) fn query(lw: &Lowering, params: Q6Params) -> Result<CompiledJob, Comp
     let mut instructions = Vec::new();
     let mut outputs = Vec::new();
     for tile in 0..view.digital_tiles {
-        emit_query(&mut instructions, &mut outputs, &params, tile, lw.cfg);
+        emit_query(&mut instructions, &mut outputs, &params, tile);
     }
     let host = lw.host(PROFILE, view.resident_bytes, || {
         Some(JobOutput::Q6(q6_scan(table, &params)))

@@ -126,14 +126,7 @@ pub(super) fn bulk(
             });
         } else {
             let operands: Vec<usize> = (0..chunk).collect();
-            emit_reduce(
-                &mut instructions,
-                tile,
-                &operands,
-                [chunk, chunk + 1],
-                cfg.scout_fan_in,
-                op,
-            );
+            emit_reduce(&mut instructions, tile, &operands, [chunk, chunk + 1], op);
         }
         // For multi-step reductions the result sits in a scratch row,
         // but the final Logic response already carries the same bits,

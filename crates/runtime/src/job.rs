@@ -300,7 +300,8 @@ impl ImgFilterOp {
     }
 }
 
-/// Coarse workload family, used for batch-compatibility decisions.
+/// Coarse workload family: it labels reports and traces, and marks the
+/// raw streams the admission verifier checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// [`WorkloadSpec::Q6Select`].
@@ -645,8 +646,9 @@ pub struct JobReport {
     /// job was scatter-gathered across shards. Empty only for jobs that
     /// failed before reaching any shard.
     pub shards: Vec<usize>,
-    /// Batch it was coalesced into (`u64::MAX` if the job failed at
-    /// dispatch and never reached a shard, or was host-routed).
+    /// Batch it ran in: its shard's share of one planning pass
+    /// (`u64::MAX` if the job failed at dispatch and never reached a
+    /// shard, or was host-routed).
     pub batch: u64,
     /// Which lane the planner executed the job on. Host-routed jobs
     /// report `shards: []` and a `u64::MAX` batch.

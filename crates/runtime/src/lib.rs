@@ -34,19 +34,20 @@
 //!   lowering, dataset load, host-side decoding and host reference
 //!   together.
 //! * **[`schedule`]** — a job queue with deterministic shard selection,
-//!   per-tile admission over free (un-pinned) tiles, cost-aware batch
-//!   coalescing, and one worker thread per shard (std threads +
-//!   channels; no async dependency). Every job lives in one pool-side
-//!   table from admission until its handle takes the report.
+//!   per-tile admission over free (un-pinned) tiles, one
+//!   cheapest-first batch per shard per flush, and one worker thread
+//!   per shard (std threads + channels; no async dependency). Every
+//!   job lives in one pool-side table from admission until its handle
+//!   takes the report.
 //!   Admission doubles as a TDO-CIM style offload planner: every
 //!   compiled job is sealed with the `cim-lint` cost pass's certified
 //!   [`cim_lint::CostEnvelope`], and under
 //!   [`PoolConfig::offload_policy`] jobs whose host fallback beats their
 //!   envelope's latency bound execute on a host lane — bit-identical
 //!   output, `shards: []`, [`JobRoute::Host`] in the report. Per-job
-//!   seeded noise streams and exclusive tile leases make coalesced
-//!   execution bit-identical to one job per batch, and tile scrubbing
-//!   keeps tenants from ever observing each other's data.
+//!   seeded noise streams and per-job stats make one flush bit-identical
+//!   to one flush per submission, and tile scrubbing keeps tenants from
+//!   ever observing each other's data.
 //!   Tile-parallel jobs (and `Q6Table`
 //!   datasets) bigger than any one shard are scatter-gathered: split
 //!   into per-tile chunks across shards, executed in parallel, and

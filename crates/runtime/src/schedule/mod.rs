@@ -1,4 +1,4 @@
-//! The scheduler layer: shard pool, admission, batching and workers.
+//! The scheduler layer: shard pool, admission, planning and workers.
 //!
 //! A [`RuntimePool`] owns a set of [`cim_core::CimAccelerator`]
 //! *shards*, each driven by its own worker thread (std threads and
@@ -12,12 +12,11 @@
 //!    routed to the dataset's shard. Load is read from a per-shard
 //!    ledger of routed envelope `cost_units` that every plan pass
 //!    charges and carries over to the next, dataset queries included.
-//!    Its debt is bounded: no shard trails the busiest by more than one
-//!    batch's cost budget ([`PoolConfig::max_batch_cost`]), so a shard
-//!    that sat pinned or idle catches up for at most one batch's worth
-//!    of work. The plan is a pure function of the submission order,
-//!    never of thread timing, and it does not depend on how the
-//!    submissions were grouped into flushes.
+//!    Its debt is bounded: no shard trails the busiest by more than a
+//!    fixed 16,384 units, so a shard that sat pinned or idle catches up
+//!    for at most that much work. The plan is a pure function of the
+//!    submission order, never of thread timing, and it does not depend
+//!    on how the submissions were grouped into flushes.
 //! 2. **Per-tile admission** — jobs hold leases on whole tiles. Fresh
 //!    leases are carved from the shard's *free* tiles (tiles pinned by
 //!    resident datasets are never handed out); dataset jobs reuse the
@@ -25,19 +24,21 @@
 //!    virtual to physical tiles at dispatch, and any instruction
 //!    addressing a tile outside its lease fails the job with
 //!    [`JobError::TileFault`] *before* touching the accelerator.
-//! 3. **Cost-aware batch coalescing** — compatible jobs (same workload
-//!    family, same dataset) on a shard share one dispatch batch while
-//!    they fit the tile budget *and* the batch cost budget
-//!    ([`PoolConfig::max_batch_cost`]). Within a batch jobs run
-//!    cheapest-first, and a shard's batches dispatch cheapest-first, so
-//!    a cheap job is never head-of-line blocked behind an expensive
-//!    one it happens to share a queue with.
+//! 3. **One batch per shard** — each shard's share of a planning pass
+//!    ships as one batch, its jobs in `(cost_units, job id)` order, so
+//!    a cheap job is never head-of-line blocked behind an expensive one
+//!    planned for the same shard. A fresh lease takes the shard's
+//!    leading free tiles, whatever else the batch holds: the worker
+//!    scrubs each lease before the next job runs.
 //!
 //! Every job draws its stochastic behaviour from a private seeded
-//! stream ([`cim_core::CimAccelerator::execute_with_rng`]) and leases
-//! exclusive tiles, so its results are independent of co-tenants, batch
-//! shape and execution order: coalesced and one-job-per-batch schedules are
-//! bit-identical — the invariant `tests/runtime_pipeline.rs` pins.
+//! stream ([`cim_core::CimAccelerator::execute_with_rng`]), takes its
+//! stats from the accelerator alone ([`CimAccelerator::take_stats`])
+//! and leases the same leading free tiles whatever it is batched with,
+//! so its results do not depend on co-tenants, on execution order or on
+//! how submissions were grouped into flushes: one flush and one flush
+//! per submission are bit-identical — the invariant
+//! `tests/runtime_pipeline.rs` pins.
 //!
 //! The pool tracks every submitted job in one table, from admission
 //! until its handle takes the report: lifecycle state, wall-clock and
@@ -82,7 +83,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{contain, relocate, written_rows, LoadResult, Worker, WorkerMsg};
+use worker::{contain, relocate, written_rows, LoadResult, Tiles, Worker, WorkerMsg};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -126,21 +127,9 @@ pub struct PoolConfig {
     pub analog_rows: usize,
     /// Columns per analog tile.
     pub analog_cols: usize,
-    /// Scouting fan-in limit used by compiled reductions.
-    pub scout_fan_in: usize,
     /// Pool seed: fabrication variation and per-job noise streams derive
     /// from it.
     pub seed: u64,
-    /// Maximum jobs coalesced into one batch. At `1` every job
-    /// dispatches in a batch of its own — the reference schedule
-    /// coalescing must reproduce bit-identically.
-    pub max_batch_jobs: usize,
-    /// Maximum summed envelope [`cim_lint::CostEnvelope::cost_units`]
-    /// of one batch (the first job is always admitted). Bounds how long
-    /// a batch can keep a shard busy, so admission packs by cost, not
-    /// tile count alone. It also bounds routing debt: in the planner's
-    /// load ledger no shard trails the busiest by more than this.
-    pub max_batch_cost: u64,
     /// Binary-device technology of every shard's digital tiles. The
     /// default is the workspace's representative HfO₂ ReRAM; tests that
     /// need provably exact analog range-match windows zero the
@@ -169,10 +158,7 @@ impl Default for PoolConfig {
             analog_tiles: 2,
             analog_rows: 32,
             analog_cols: 2048,
-            scout_fan_in: 8,
             seed: 0xC1A0,
-            max_batch_jobs: 8,
-            max_batch_cost: 1 << 14,
             reram_params: ReramParams::default(),
             analog_params: AnalogParams::default(),
             offload_policy: OffloadPolicy::AlwaysCim,
@@ -287,7 +273,7 @@ struct PoolState {
     /// The routing ledger: envelope `cost_units` routed to each shard,
     /// carried across plan passes. Its least-loaded shard reads zero,
     /// and no shard trails the busiest by more than
-    /// [`PoolConfig::max_batch_cost`].
+    /// `plan::MAX_ROUTING_DEBT`.
     shard_load: Vec<u64>,
     next_job: u64,
     next_batch: u64,
@@ -337,6 +323,28 @@ impl PoolState {
         (
             cfg.digital_tiles - self.pinned_digital[shard].len(),
             cfg.analog_tiles - self.pinned_analog[shard].len(),
+        )
+    }
+
+    /// The leading `demand` free (un-pinned) tiles of `shard`: the
+    /// physical tiles a fresh lease or a new dataset pin takes. The
+    /// caller has checked against [`Self::free`] that they fit.
+    fn leading_free(&self, cfg: &PoolConfig, shard: usize, demand: TileDemand) -> Tiles {
+        let leading = |tiles: usize, pinned: &BTreeSet<usize>, count: usize| -> Vec<usize> {
+            let free: Vec<usize> = (0..tiles)
+                .filter(|t| !pinned.contains(t))
+                .take(count)
+                .collect();
+            debug_assert_eq!(free.len(), count, "the demand fits the free tiles");
+            free
+        };
+        (
+            leading(
+                cfg.digital_tiles,
+                &self.pinned_digital[shard],
+                demand.digital,
+            ),
+            leading(cfg.analog_tiles, &self.pinned_analog[shard], demand.analog),
         )
     }
 
@@ -958,14 +966,14 @@ impl PoolShared {
             for ((shard, digital_chunk), chunk_instructions) in
                 assignment.iter().copied().zip(chunk_programs)
             {
-                let digital_tiles: Vec<usize> = (0..cfg.digital_tiles)
-                    .filter(|t| !st.pinned_digital[shard].contains(t))
-                    .take(digital_chunk)
-                    .collect();
-                let analog_tiles: Vec<usize> = (0..cfg.analog_tiles)
-                    .filter(|t| !st.pinned_analog[shard].contains(t))
-                    .take(demand.analog)
-                    .collect();
+                let (digital_tiles, analog_tiles) = st.leading_free(
+                    cfg,
+                    shard,
+                    TileDemand {
+                        digital: digital_chunk,
+                        analog: demand.analog,
+                    },
+                );
                 st.pinned_digital[shard].extend(digital_tiles.iter().copied());
                 st.pinned_analog[shard].extend(analog_tiles.iter().copied());
 
@@ -1412,7 +1420,7 @@ mod tests {
             .collect();
         let reports = pool.client(TenantId(0)).wait_all(handles);
         assert_eq!(reports.len(), 4);
-        // One digital tile each, 4 tiles per shard → one batch.
+        // One planning pass on one shard ships one batch.
         assert!(reports.iter().all(|r| r.batch == reports[0].batch));
         assert_eq!(pool.telemetry().batches, 1);
     }
@@ -1654,10 +1662,9 @@ mod tests {
         assert!(report.shard < 2);
     }
 
-    /// Satellite "smarter batching": with cost-aware packing, a cheap
-    /// job submitted after an expensive one is no longer head-of-line
-    /// blocked — it dispatches first, both across batches and inside a
-    /// shared batch.
+    /// A cheap job submitted after an expensive one is not head-of-line
+    /// blocked: inside the shard's one batch of the pass, jobs run in
+    /// `(cost_units, job id)` order, whatever their kind.
     #[test]
     fn cheap_jobs_are_not_head_of_line_blocked() {
         let pool = RuntimePool::new(PoolConfig::with_shards(1));
@@ -1670,14 +1677,12 @@ mod tests {
                 params: Q6Params::tpch_default(),
             })
             .unwrap();
-        // A different-kind cheap job: lands in its own batch.
         let cheap_xor = session
             .submit(&WorkloadSpec::XorEncrypt {
                 message: vec![1; 8],
                 key_seed: 2,
             })
             .unwrap();
-        // A same-kind cheap job: coalesces into the Q6 batch.
         let cheap_q6 = session
             .submit(&WorkloadSpec::Q6Select {
                 rows: 400,
@@ -1689,41 +1694,15 @@ mod tests {
             let mut st = pool.shared.state.lock().unwrap();
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
-        assert_eq!(batches.len(), 2, "XOR and Q6 form separate batches");
-        // The cheap XOR batch dispatches before the expensive Q6 batch.
-        assert_eq!(batches[0].1.jobs[0].compiled.job, cheap_xor.id());
-        // Inside the Q6 batch, the cheap select runs before the
-        // expensive one despite being submitted after it.
-        let q6_jobs: Vec<JobId> = batches[1].1.jobs.iter().map(|p| p.compiled.job).collect();
-        assert_eq!(q6_jobs, vec![cheap_q6.id(), expensive.id()]);
-    }
-
-    /// Satellite "smarter batching": the batch cost budget splits a
-    /// queue of same-kind jobs that tile count alone would coalesce.
-    #[test]
-    fn batch_cost_budget_bounds_coalescing() {
-        let mut cfg = PoolConfig::with_shards(1);
-        // Each 64-byte XOR job costs 5 (two writes + a two-row logic
-        // access + 1); cap a batch at two of them.
-        cfg.max_batch_cost = 11;
-        let pool = RuntimePool::new(cfg);
-        let handles: Vec<JobHandle> = (0..4)
-            .map(|i| {
-                pool.client(TenantId(i))
-                    .submit(&WorkloadSpec::XorEncrypt {
-                        message: vec![i as u8; 64],
-                        key_seed: i as u64,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        let reports = pool.client(TenantId(0)).wait_all(handles);
-        assert_eq!(reports.len(), 4);
-        assert_eq!(
-            pool.telemetry().batches,
-            2,
-            "tile count alone would pack one batch; the cost budget packs two"
-        );
+        assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
+        let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
+        assert_eq!(order, vec![cheap_xor.id(), cheap_q6.id(), expensive.id()]);
+        // The three leases share the shard's leading free tiles: each
+        // is scrubbed before the next job runs.
+        for placed in &batches[0].1.jobs {
+            let demand = placed.compiled.demand.digital;
+            assert_eq!(placed.digital_map, (0..demand).collect::<Vec<_>>());
+        }
     }
 
     /// Regression: a `JobHandle::wait` issued *after* the worker already
@@ -1821,9 +1800,9 @@ mod tests {
         assert!(st.pinned_digital[0].is_empty(), "the pins rolled back");
     }
 
-    /// Satellite: fan-out-weighted costs keep cheapest-first honest —
-    /// a wide raw logic job submitted first no longer head-of-line
-    /// blocks a narrow one inside the shared batch.
+    /// Fan-out-weighted costs keep cheapest-first honest: a wide raw
+    /// logic job submitted first does not head-of-line block a narrow
+    /// one in the shard's batch.
     #[test]
     fn wide_fanout_raw_job_sorts_after_narrow_one() {
         let pool = RuntimePool::new(PoolConfig::with_shards(1));
@@ -1854,7 +1833,7 @@ mod tests {
             let mut st = pool.shared.state.lock().unwrap();
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
-        assert_eq!(batches.len(), 1, "same-kind raw jobs coalesce");
+        assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
         let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
         assert_eq!(order, vec![narrow.id(), wide.id()]);
     }
@@ -2206,10 +2185,10 @@ mod tests {
         assert!(right * 2 > assoc.expected.len(), "classifier is sane");
     }
 
-    /// Satellite: cheapest-first dispatch holds across a mixed CAM /
-    /// Q6 / NN backlog — the CAM search (cost = entries per search)
-    /// jumps ahead of the costlier bitmap select and MVM-heavy
-    /// inference even though it was submitted last.
+    /// Cheapest-first dispatch holds across a mixed CAM / Q6 / NN
+    /// backlog: the CAM search (cost = entries per search) runs ahead of
+    /// the costlier bitmap select and MVM-heavy inference in the
+    /// shard's batch even though it was submitted last.
     #[test]
     fn mixed_cam_q6_nn_backlog_dispatches_cheapest_first() {
         let pool = RuntimePool::new(PoolConfig::with_shards(1));
@@ -2246,21 +2225,28 @@ mod tests {
             let mut st = pool.shared.state.lock().unwrap();
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
-        let order: Vec<(u64, JobId)> = batches
+        assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
+        let order: Vec<(u64, JobId)> = batches[0]
+            .1
+            .jobs
             .iter()
-            .map(|(_, b)| {
-                (
-                    b.jobs.iter().map(|p| p.compiled.envelope.cost_units).sum(),
-                    b.jobs[0].compiled.job,
-                )
-            })
+            .map(|p| (p.compiled.envelope.cost_units, p.compiled.job))
             .collect();
-        assert_eq!(order.len(), 3, "three families, three batches: {order:?}");
+        assert_eq!(order.len(), 3, "{order:?}");
         assert!(
             order.windows(2).all(|w| w[0].0 <= w[1].0),
-            "batches dispatch cheapest-first: {order:?}"
+            "jobs dispatch cheapest-first: {order:?}"
         );
         assert_eq!(order[0].1, cam.id(), "the cheap CAM search goes first");
+        // Fresh leases take the leading free tiles, past digital tile 0
+        // that the rule table pins.
+        for placed in &batches[0].1.jobs {
+            let demand = placed.compiled.demand;
+            if placed.compiled.dataset.is_none() {
+                assert_eq!(placed.digital_map, (1..=demand.digital).collect::<Vec<_>>());
+                assert_eq!(placed.analog_map, (0..demand.analog).collect::<Vec<_>>());
+            }
+        }
     }
 
     /// Regression: a fresh-lease job must route around shards whose
@@ -2328,14 +2314,11 @@ mod tests {
     /// The routing ledger outlives each flush: dataset queries charge
     /// their shard, so the next fresh job goes to the other one. A
     /// shard that sat pinned while the other served catches up for at
-    /// most one batch budget of work before routing alternates again.
+    /// most [`plan::MAX_ROUTING_DEBT`] of work before routing alternates
+    /// again.
     #[test]
     fn routing_ledger_carries_load_across_flushes() {
-        let cfg = PoolConfig {
-            max_batch_cost: 1200,
-            ..PoolConfig::with_shards(2)
-        };
-        let pool = RuntimePool::new(cfg);
+        let pool = RuntimePool::new(PoolConfig::with_shards(2));
         let session = pool.client(TenantId(1));
 
         let table = session
@@ -2377,20 +2360,25 @@ mod tests {
             params: Q6Params::tpch_default(),
         };
         let cost = session.verify(&select(0)).unwrap().1.cost_units;
-        let serve = |seed: u64| session.submit(&select(seed)).unwrap().wait().shard;
-        for seed in 0..8 {
-            assert_eq!(serve(seed), 1);
-        }
+        let serve = |seeds: std::ops::Range<u64>| -> Vec<usize> {
+            let handles = seeds.map(|seed| session.submit(&select(seed)).unwrap());
+            let reports = session.wait_all(handles.collect());
+            reports.iter().map(|report| report.shard).collect()
+        };
+        let bound = plan::MAX_ROUTING_DEBT.div_ceil(cost) as usize + 1;
+        // More selects than the bound: without it, the released shard
+        // would take back every one of them in a row.
+        let pinned = bound as u64 + 2;
+        assert!(serve(0..pinned).iter().all(|&shard| shard == 1));
         drop(pin);
-        let shards: Vec<usize> = (8..18).map(serve).collect();
+        let shards = serve(pinned..pinned + 2 * bound as u64);
         let longest_run = shards
             .split(|&shard| shard != 0)
             .map(<[usize]>::len)
             .max()
             .unwrap_or(0);
-        let bound = cfg.max_batch_cost.div_ceil(cost) as usize + 1;
         assert!(
-            longest_run <= bound,
+            (bound - 1..=bound).contains(&longest_run),
             "{longest_run} selects in a row on the released shard (bound {bound}): {shards:?}"
         );
         assert!(shards.contains(&1), "routing alternates again: {shards:?}");

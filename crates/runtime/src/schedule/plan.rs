@@ -1,11 +1,11 @@
-//! Planning: turning the pending queue into per-shard batches —
-//! deterministic shard selection, cross-shard scatter of oversized
-//! jobs, cost-aware batch packing — and marking the planned jobs
-//! dispatched in the job table.
+//! Planning: turning the pending queue into one batch per shard —
+//! deterministic shard selection, tile placement, cross-shard scatter
+//! of oversized jobs — and marking the planned jobs dispatched in the
+//! job table.
 
-use super::worker::{Batch, PlacedJob};
+use super::worker::{Batch, PlacedJob, Tiles};
 use super::{complete, unexecuted_report, GatherState, JobState, PoolConfig, PoolState};
-use crate::compile::{split_by_digital_tile, CompiledJob};
+use crate::compile::{split_by_digital_tile, CompiledJob, TileDemand};
 use crate::job::{JobError, JobRoute};
 use crate::trace::{Attr, Tracer};
 use cim_obs::{SpanId, Value};
@@ -50,19 +50,6 @@ pub(super) fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut
     }
 }
 
-/// A dataset's pinned physical `(digital, analog)` tiles on one shard;
-/// `None` for a fresh lease.
-type Pins = Option<(Vec<usize>, Vec<usize>)>;
-
-/// A pending job routed to its shard, with pinned tile maps resolved
-/// for dataset jobs.
-struct RoutedJob {
-    compiled: CompiledJob,
-    pinned: Pins,
-    /// `Some(index)` for one sub-program of a cross-shard split job.
-    part: Option<u32>,
-}
-
 /// Greedy digital-tile scatter used by both dataset pins and fresh-job
 /// splits: assigns `demand` tiles across shards as `(shard, tiles)`
 /// chunks, most free tiles first (fewest chunks), ties to the lowest
@@ -91,35 +78,38 @@ pub(super) fn scatter_assignment(
     (remaining == 0).then_some(assignment)
 }
 
+/// The most a shard may trail the busiest shard in the routing ledger,
+/// in envelope cost units. A shard that sat pinned or idle catches up
+/// for at most this much work before routing alternates again.
+pub(super) const MAX_ROUTING_DEBT: u64 = 1 << 14;
+
 /// Charges `cost` envelope units routed to `shard` to the routing
 /// ledger `loads`, then bounds the debt: every shard is raised to at
-/// least the busiest shard's load minus one batch's cost budget, and the
-/// least-loaded shard is rebased to zero. A shard that sat pinned or
-/// idle therefore catches up for at most one batch budget before routing
-/// alternates again, and the ledger never grows without bound.
-fn charge(loads: &mut [u64], shard: usize, cost: u64, cfg: &PoolConfig) {
+/// least the busiest shard's load minus [`MAX_ROUTING_DEBT`], and the
+/// least-loaded shard is rebased to zero, so the ledger never grows
+/// without bound.
+fn charge(loads: &mut [u64], shard: usize, cost: u64) {
     loads[shard] = loads[shard].saturating_add(cost);
     let busiest = loads.iter().copied().max().unwrap_or(0);
-    let floor = busiest.saturating_sub(cfg.max_batch_cost);
+    let floor = busiest.saturating_sub(MAX_ROUTING_DEBT);
     let min = loads.iter().map(|&load| load.max(floor)).min().unwrap_or(0);
     for load in loads {
         *load = (*load).max(floor) - min;
     }
 }
 
-/// Splits `job` into one part per `(shard, tiles, pins)` chunk,
-/// registers its gather state in the job table and queues the parts on
-/// their shards. `pins` are a dataset query's pinned tiles on the shard
-/// (`None` for a fresh lease).
+/// Splits `job` into one part per `(shard, tiles)` chunk, registers
+/// its gather state in the job table and places each part on its shard
+/// over the chunk's physical `(digital, analog)` tiles.
 fn scatter(
     st: &mut PoolState,
     cfg: &PoolConfig,
     job: CompiledJob,
-    chunks: &[(usize, usize, Pins)],
-    queues: &mut [Vec<RoutedJob>],
+    chunks: Vec<(usize, Tiles)>,
+    queues: &mut [Vec<PlacedJob>],
     loads: &mut [u64],
 ) {
-    let sizes: Vec<usize> = chunks.iter().map(|&(_, n, _)| n).collect();
+    let sizes: Vec<usize> = chunks.iter().map(|(_, tiles)| tiles.0.len()).collect();
     let parts = split_by_digital_tile(&job, &sizes, cfg);
     if let Some(entry) = st.jobs.get_mut(&job.job.0) {
         entry.gather = Some(Box::new(GatherState {
@@ -129,61 +119,28 @@ fn scatter(
             span: SpanId::NONE,
         }));
     }
-    for (index, (part, (shard, _, pinned))) in parts.into_iter().zip(chunks).enumerate() {
-        charge(loads, *shard, part.envelope.cost_units, cfg);
-        queues[*shard].push(RoutedJob {
-            compiled: part,
-            pinned: pinned.clone(),
-            part: Some(index as u32),
-        });
+    for (index, (part, (shard, tiles))) in parts.into_iter().zip(chunks).enumerate() {
+        charge(loads, shard, part.envelope.cost_units);
+        queues[shard].push(PlacedJob::new(part, tiles, Some(index as u32)));
     }
 }
 
-impl RoutedJob {
-    /// Places the job on its shard: a dataset job maps onto its pinned
-    /// tiles; a fresh lease takes the next free tiles after `used`
-    /// (digital, analog), which it advances.
-    fn place(self, free: (&[usize], &[usize]), used: &mut (usize, usize)) -> PlacedJob {
-        let (digital_map, analog_map) = match self.pinned {
-            Some(pins) => pins,
-            None => {
-                let need = self.compiled.demand;
-                let maps = (
-                    free.0[used.0..used.0 + need.digital].to_vec(),
-                    free.1[used.1..used.1 + need.analog].to_vec(),
-                );
-                *used = (used.0 + need.digital, used.1 + need.analog);
-                maps
-            }
-        };
-        PlacedJob {
-            compiled: self.compiled,
-            digital_map,
-            analog_map,
-            part: self.part,
-            root: SpanId::NONE,
-            dispatch: SpanId::NONE,
-        }
-    }
-}
-
-/// Plans the pending queue: deterministic shard selection, cost-aware
-/// batch packing over free (un-pinned) tiles, shortest-job-first
-/// ordering — and cross-shard scatter for jobs (or dataset queries)
-/// whose tiles span more than one shard. Returns `(shard, batch)` pairs
-/// in dispatch order.
+/// Plans the pending queue: routes each job to a shard and places it
+/// there as it goes — a fresh lease on the shard's leading free
+/// (un-pinned) tiles, a dataset job on its dataset's pinned tiles — and
+/// scatters jobs (or dataset queries) whose tiles span more than one
+/// shard. Each shard's share of the pass ships as one batch, cheapest
+/// job first. Returns `(shard, batch)` pairs in dispatch order.
 pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec<(usize, Batch)> {
-    let max_batch_jobs = cfg.max_batch_jobs.max(1);
-    let mut queues: Vec<Vec<RoutedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
+    let mut queues: Vec<Vec<PlacedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
     // Every pass starts from the cost earlier passes routed, so routing
     // depends on the submission order alone, not on how submissions were
     // grouped into flushes.
     let mut loads = std::mem::take(&mut st.shard_load);
     let mut failures: Vec<(CompiledJob, usize, JobError)> = Vec::new();
 
-    // 1. Route jobs to shards, in job-id order so the plan is a pure
-    // function of submission order even when sessions submitted
-    // concurrently.
+    // Route jobs in job-id order, so the plan is a pure function of
+    // submission order even when sessions submitted concurrently.
     let mut pending = std::mem::take(&mut st.pending);
     pending.sort_by_key(|job| job.job);
     for job in pending {
@@ -192,8 +149,8 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             // lease. A splittable job no single shard can hold scatters
             // across shards by free capacity instead. If neither works
             // (datasets pinned tiles after submit-time validation),
-            // fall back to the least-loaded shard and let packing fail
-            // the job cleanly with `AdmissionFailed`.
+            // fall back to the least-loaded shard and fail the job
+            // cleanly there with `AdmissionFailed`.
             let fits = |s: usize| {
                 let (fd, fa) = st.free(cfg, s);
                 job.demand.digital <= fd && job.demand.analog <= fa
@@ -204,9 +161,11 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             if fitting.is_none() && job.splittable && job.demand.analog == 0 {
                 match scatter_assignment(cfg.shards, |s| st.free(cfg, s).0, job.demand.digital) {
                     Some(assignment) => {
-                        let chunks: Vec<_> =
-                            assignment.iter().map(|&(s, n)| (s, n, None)).collect();
-                        scatter(st, cfg, job, &chunks, &mut queues, &mut loads);
+                        let chunks = assignment
+                            .into_iter()
+                            .map(|(s, n)| (s, st.leading_free(cfg, s, TileDemand::digital(n))))
+                            .collect();
+                        scatter(st, cfg, job, chunks, &mut queues, &mut loads);
                     }
                     None => {
                         // Pool-wide free shrank since submit validation:
@@ -225,33 +184,35 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             let shard = fitting
                 .or_else(|| (0..cfg.shards).min_by_key(|&s| (loads[s], s)))
                 .unwrap_or_else(|| unreachable!("at least one shard"));
-            charge(&mut loads, shard, job.envelope.cost_units, cfg);
-            queues[shard].push(RoutedJob {
-                compiled: job,
-                pinned: None,
-                part: None,
-            });
+            charge(&mut loads, shard, job.envelope.cost_units);
+            if fitting.is_some() {
+                let tiles = st.leading_free(cfg, shard, job.demand);
+                queues[shard].push(PlacedJob::new(job, tiles, None));
+            } else {
+                let (digital_free, analog_free) = st.free(cfg, shard);
+                let error = JobError::AdmissionFailed {
+                    digital_required: job.demand.digital,
+                    digital_free,
+                    analog_required: job.demand.analog,
+                    analog_free,
+                };
+                failures.push((job, shard, error));
+            }
             continue;
         };
         let Some(record) = st.datasets.get(&id.0) else {
             failures.push((job, 0, JobError::DatasetReleased { dataset: id }));
             continue;
         };
-        let chunks: Vec<_> = record
+        let mut chunks: Vec<(usize, Tiles)> = record
             .placements
             .iter()
-            .map(|p| {
-                let pins = (p.digital_tiles.clone(), p.analog_tiles.clone());
-                (p.shard, p.digital_tiles.len(), Some(pins))
-            })
+            .map(|p| (p.shard, (p.digital_tiles.clone(), p.analog_tiles.clone())))
             .collect();
-        if let [(shard, _, pinned)] = &chunks[..] {
-            charge(&mut loads, *shard, job.envelope.cost_units, cfg);
-            queues[*shard].push(RoutedJob {
-                compiled: job,
-                pinned: pinned.clone(),
-                part: None,
-            });
+        if chunks.len() == 1 {
+            let (shard, tiles) = chunks.swap_remove(0);
+            charge(&mut loads, shard, job.envelope.cost_units);
+            queues[shard].push(PlacedJob::new(job, tiles, None));
         } else if !job.splittable || job.demand.analog != 0 {
             // A query that cannot be tile-split against a dataset that
             // spans shards: no shard can run it whole. Raw queries are
@@ -268,85 +229,29 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             // The dataset spans shards: scatter the query so each chunk
             // of reductions runs on the shard pinning its tiles,
             // gathered host-side.
-            scatter(st, cfg, job, &chunks, &mut queues, &mut loads);
+            scatter(st, cfg, job, chunks, &mut queues, &mut loads);
         }
     }
     st.shard_load = loads;
 
-    // 2. Pack per-shard batches.
+    // One batch per shard, cheapest job first, so a cheap job is never
+    // head-of-line blocked behind an expensive one planned for the same
+    // shard. Jobs in a batch may share tiles: the worker scrubs each
+    // lease before the next job runs.
     let mut out = Vec::new();
-    for (shard, mut queue) in queues.into_iter().enumerate() {
-        let free_digital: Vec<usize> = (0..cfg.digital_tiles)
-            .filter(|t| !st.pinned_digital[shard].contains(t))
-            .collect();
-        let free_analog: Vec<usize> = (0..cfg.analog_tiles)
-            .filter(|t| !st.pinned_analog[shard].contains(t))
-            .collect();
-        let free = (&free_digital[..], &free_analog[..]);
-        let mut batches: Vec<(u64, Vec<PlacedJob>)> = Vec::new();
-        while !queue.is_empty() {
-            let first = queue.remove(0);
-            let (kind, dataset) = (first.compiled.kind, first.compiled.dataset);
-            let need = first.compiled.demand;
-            if first.pinned.is_none()
-                && (need.digital > free_digital.len() || need.analog > free_analog.len())
-            {
-                let error = JobError::AdmissionFailed {
-                    digital_required: need.digital,
-                    digital_free: free_digital.len(),
-                    analog_required: need.analog,
-                    analog_free: free_analog.len(),
-                };
-                failures.push((first.compiled, shard, error));
-                continue;
-            }
-            let mut batch_cost = first.compiled.envelope.cost_units;
-            // Dataset jobs share their pinned tiles and consume no free
-            // budget.
-            let mut used = (0, 0);
-            let mut jobs = vec![first.place(free, &mut used)];
-
-            // Coalesce compatible jobs from anywhere in the shard
-            // queue, preserving their relative order. Jobs are
-            // order-independent by construction (private noise
-            // streams, exclusive or serially-shared leases), so
-            // pulling a same-kind job forward cannot change any
-            // result.
-            let mut i = 0;
-            while jobs.len() < max_batch_jobs && i < queue.len() {
-                let candidate = &queue[i].compiled;
-                let fits = candidate.kind == kind
-                    && candidate.dataset == dataset
-                    && batch_cost + candidate.envelope.cost_units <= cfg.max_batch_cost
-                    && (dataset.is_some()
-                        || (used.0 + candidate.demand.digital <= free_digital.len()
-                            && used.1 + candidate.demand.analog <= free_analog.len()));
-                if fits {
-                    let routed = queue.remove(i);
-                    batch_cost += routed.compiled.envelope.cost_units;
-                    jobs.push(routed.place(free, &mut used));
-                } else {
-                    i += 1;
-                }
-            }
-
-            // Shortest job first inside the batch: a cheap co-batched
-            // job reports before an expensive one.
-            jobs.sort_by_key(|p| (p.compiled.envelope.cost_units, p.compiled.job));
-            batches.push((batch_cost, jobs));
+    for (shard, mut jobs) in queues.into_iter().enumerate() {
+        if jobs.is_empty() {
+            continue;
         }
-        // Cheapest batch first on the shard, for the same reason.
-        batches.sort_by_key(|(cost, jobs)| (*cost, jobs.iter().map(|p| p.compiled.job).min()));
-        for (_, jobs) in batches {
-            out.push((
-                shard,
-                Batch {
-                    id: st.next_batch,
-                    jobs,
-                },
-            ));
-            st.next_batch += 1;
-        }
+        jobs.sort_by_key(|p| (p.compiled.envelope.cost_units, p.compiled.job));
+        out.push((
+            shard,
+            Batch {
+                id: st.next_batch,
+                jobs,
+            },
+        ));
+        st.next_batch += 1;
     }
 
     // Jobs that failed at planning never reach a shard: they end here.

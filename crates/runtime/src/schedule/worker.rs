@@ -36,7 +36,28 @@ pub(super) struct PlacedJob {
     pub(super) dispatch: SpanId,
 }
 
-/// One dispatch unit: co-resident jobs on one shard, executed in order.
+impl PlacedJob {
+    /// `compiled` placed on the physical `(digital, analog)` tiles of
+    /// `tiles`, mapped in virtual-tile order.
+    pub(super) fn new(compiled: CompiledJob, tiles: Tiles, part: Option<u32>) -> Self {
+        let (digital_map, analog_map) = tiles;
+        PlacedJob {
+            compiled,
+            digital_map,
+            analog_map,
+            part,
+            root: SpanId::NONE,
+            dispatch: SpanId::NONE,
+        }
+    }
+}
+
+/// Physical `(digital, analog)` tiles on one shard.
+pub(super) type Tiles = (Vec<usize>, Vec<usize>);
+
+/// One dispatch unit: a shard's share of one planning pass, executed in
+/// order. Its jobs may lease the same tiles; each lease is scrubbed
+/// before the next job runs.
 pub(super) struct Batch {
     pub(super) id: u64,
     pub(super) jobs: Vec<PlacedJob>,
@@ -222,7 +243,6 @@ impl Worker {
         outputs: &[usize],
     ) -> Executed {
         let accelerator = &mut self.accelerator;
-        let before = *accelerator.stats();
         let device_before = accelerator.device_counters();
         accelerator.reset_pipeline();
         // Streams without StoreLast skip the per-instruction operand
@@ -245,7 +265,9 @@ impl Worker {
             responses
         });
         accelerator.reset_pipeline();
-        let stats = accelerator.stats().delta(&before);
+        // Every execution takes its own stats, so none are left over
+        // from an earlier one.
+        let stats = accelerator.take_stats();
         let device = accelerator.device_counters().delta(&device_before);
         (executed, stats, device)
     }

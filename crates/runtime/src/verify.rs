@@ -16,7 +16,7 @@
 //! or weight matrices), so reads of resident data verify clean while
 //! writes over it are rejected.
 
-use crate::compile::{CompiledJob, TileDemand};
+use crate::compile::{CompiledJob, TileDemand, SCOUT_FAN_IN};
 use crate::dataset::ResidentView;
 use crate::schedule::PoolConfig;
 use cim_arch::cim::CimUnitParams;
@@ -34,7 +34,7 @@ pub(crate) fn lint_geometry(demand: TileDemand, cfg: &PoolConfig) -> Geometry {
         analog_tiles: demand.analog,
         analog_rows: cfg.analog_rows,
         analog_cols: cfg.analog_cols,
-        scout_fan_in: cfg.scout_fan_in,
+        scout_fan_in: SCOUT_FAN_IN,
     }
 }
 

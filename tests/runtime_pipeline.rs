@@ -1,8 +1,9 @@
 //! End-to-end tests of the `cim-runtime` serving path.
 //!
 //! Pins the runtime invariants:
-//! 1. batched execution is bit-identical to one-job-per-batch execution
-//!    for a fixed pool seed,
+//! 1. one flush is bit-identical to one flush per submission for a
+//!    fixed pool seed: same outputs and routes, and for digital jobs the
+//!    same stats, device counters and maintenance,
 //! 2. a handle's report does not depend on how or when it is collected,
 //! 3. pool-wide telemetry equals the sum of per-job statistics,
 //! 4. tenants cannot read each other's tiles,
@@ -31,8 +32,8 @@ use cim_repro::cim_core::ExecutionStats;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_imgproc::image::GrayImage;
 use cim_repro::cim_runtime::{
-    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobOutput, JobReport, MatchKind,
-    OffloadPolicy, PoolConfig, RuleCode, RuntimePool, TenantId, WorkloadSpec,
+    CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobKind, JobOutput, JobReport,
+    MatchKind, OffloadPolicy, PoolConfig, RuleCode, RuntimePool, TenantId, WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 
@@ -127,18 +128,17 @@ fn batched_equals_sequential_for_fixed_seed() {
         },
     ));
 
+    // One flush: one planning pass, one batch per shard.
     let batched = RuntimePool::new(PoolConfig::with_shards(2));
     let handles = submit_all(&batched, &jobs);
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
     assert_eq!(batched_reports.last().map(|r| r.shards.len()), Some(2));
+    assert_eq!(batched.telemetry().batches, 2, "one batch per shard");
 
-    // The reference schedule: every job in a batch of its own.
-    let sequential = RuntimePool::new(PoolConfig {
-        max_batch_jobs: 1,
-        ..PoolConfig::with_shards(2)
-    });
-    let handles = submit_all(&sequential, &jobs);
-    let sequential_reports = sequential.client(TenantId(0)).wait_all(handles);
+    // The reference schedule: one flush per submission, so every job
+    // (or split part) dispatches in a batch of its own.
+    let sequential = RuntimePool::new(PoolConfig::with_shards(2));
+    let sequential_reports = serve_flushing_each(&sequential, &jobs);
     let parts: usize = sequential_reports.iter().map(|r| r.shards.len()).sum();
     assert_eq!(
         sequential.telemetry().batches,
@@ -150,36 +150,36 @@ fn batched_equals_sequential_for_fixed_seed() {
     for (b, s) in batched_reports.iter().zip(&sequential_reports) {
         assert_eq!(b.job, s.job);
         assert_eq!(b.output, s.output, "outputs differ for {}", b.job);
-        // Operation counts are schedule-invariant. Energy is not
-        // asserted bit-exact: coalesced jobs may lease different
-        // physical tiles, and per-device fabrication variation makes
-        // energy (not results) placement-dependent.
-        assert_eq!(b.stats.row_writes, s.stats.row_writes, "{}", b.job);
-        assert_eq!(b.stats.row_reads, s.stats.row_reads, "{}", b.job);
-        assert_eq!(b.stats.logic_ops, s.stats.logic_ops, "{}", b.job);
-        assert_eq!(
-            b.stats.matrix_programs, s.stats.matrix_programs,
-            "{}",
-            b.job
-        );
-        assert_eq!(b.stats.mvms, s.stats.mvms, "{}", b.job);
-        assert_eq!(b.shard, s.shard, "shard selection differs for {}", b.job);
-    }
-    // Batching actually batched: fewer batches than jobs.
-    assert!(batched.telemetry().batches < batched_reports.len() as u64);
-
-    // One flush per submission routes every job exactly as one flush
-    // of them all: the planner's load ledger outlives each flush.
-    let per_submit = RuntimePool::new(PoolConfig::with_shards(2));
-    let per_submit_reports = serve_flushing_each(&per_submit, &jobs);
-    for (b, f) in batched_reports.iter().zip(&per_submit_reports) {
-        assert_eq!(b.output, f.output, "outputs differ for {}", b.job);
+        // Routing does not depend on how submissions were grouped into
+        // flushes: the planner's load ledger outlives each flush.
         assert_eq!(
             (b.shard, &b.shards),
-            (f.shard, &f.shards),
+            (s.shard, &s.shards),
             "flushing per submit reroutes {}",
             b.job
         );
+        if b.kind == JobKind::HdcClassify {
+            // Programming an analog tile starts from the conductances
+            // the tile's previous tenant left behind, so only the
+            // operation counts are schedule-invariant.
+            assert_eq!(
+                (b.stats.matrix_programs, b.stats.mvms),
+                (s.stats.matrix_programs, s.stats.mvms),
+                "{}",
+                b.job
+            );
+            assert_eq!(b.stats.instructions(), s.stats.instructions(), "{}", b.job);
+        } else {
+            // A digital job leases the same leading free tiles either
+            // way, so even its energy and busy time are bit-identical.
+            assert_eq!(b.stats, s.stats, "stats differ for {}", b.job);
+            assert_eq!(b.device, s.device, "device counters differ for {}", b.job);
+            assert_eq!(
+                b.maintenance, s.maintenance,
+                "maintenance differs for {}",
+                b.job
+            );
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 //!    4-shard pool with results bit-identical to the same select on one
 //!    giant shard (and to the scalar scan),
 //! 2. split execution is invisible to the caller: outputs, op counts
-//!    and the batched==sequential invariant all hold through the
-//!    gather,
+//!    and the one-flush ≡ one-flush-per-submission invariant all hold
+//!    through the gather,
 //! 3. a job (or dataset) that can never fit the pool fails *terminally*
 //!    — a synthesized `WorkloadTooLarge` report / `DatasetTooLarge`
 //!    error — while mere admission pressure stays retryable,
@@ -353,9 +353,10 @@ fn oversized_scout_bulk_reduction_is_exact() {
     assert_eq!(and_report.output, Ok(JobOutput::Bits(all)));
 }
 
-/// The pool's core invariant survives the scatter-gather: batched
-/// dispatch (with splitting) is bit-identical to the one-job-per-batch
-/// schedule, job by job, for a mixed queue containing oversized work.
+/// The pool's core invariant survives the scatter-gather: one flush
+/// (with splitting) is bit-identical to one flush per submission, job
+/// by job — outputs, shards, stats, device counters and maintenance —
+/// for a mixed queue containing oversized work.
 #[test]
 fn split_jobs_batched_equals_sequential() {
     let jobs: Vec<(TenantId, WorkloadSpec)> = vec![
@@ -393,6 +394,7 @@ fn split_jobs_batched_equals_sequential() {
         ),
     ];
 
+    // One flush: one planning pass, one batch per shard.
     let batched = pool(4);
     let handles: Vec<_> = jobs
         .iter()
@@ -400,15 +402,17 @@ fn split_jobs_batched_equals_sequential() {
         .collect();
     let batched_reports = batched.client(TenantId(0)).wait_all(handles);
 
-    // The reference schedule: every job (and every part) in a batch of
-    // its own.
-    let sequential = RuntimePool::new(PoolConfig {
-        max_batch_jobs: 1,
-        ..PoolConfig::with_shards(4)
-    });
+    // The reference schedule: one flush per submission, so every job
+    // (and every part) dispatches in a batch of its own.
+    let sequential = pool(4);
     let handles: Vec<_> = jobs
         .iter()
-        .map(|(tenant, spec)| sequential.client(*tenant).submit(spec).unwrap())
+        .map(|(tenant, spec)| {
+            let session = sequential.client(*tenant);
+            let handle = session.submit(spec).unwrap();
+            session.flush();
+            handle
+        })
         .collect();
     let sequential_reports = sequential.client(TenantId(0)).wait_all(handles);
 
@@ -416,9 +420,14 @@ fn split_jobs_batched_equals_sequential() {
     for (b, s) in batched_reports.iter().zip(&sequential_reports) {
         assert_eq!(b.job, s.job);
         assert_eq!(b.output, s.output, "outputs differ for {}", b.job);
-        assert_eq!(b.stats.row_writes, s.stats.row_writes, "{}", b.job);
-        assert_eq!(b.stats.logic_ops, s.stats.logic_ops, "{}", b.job);
-        assert_eq!(b.stats.row_reads, s.stats.row_reads, "{}", b.job);
+        assert_eq!(b.shards, s.shards, "{}", b.job);
+        assert_eq!(b.stats, s.stats, "stats differ for {}", b.job);
+        assert_eq!(b.device, s.device, "device counters differ for {}", b.job);
+        assert_eq!(
+            b.maintenance, s.maintenance,
+            "maintenance differs for {}",
+            b.job
+        );
     }
 }
 
