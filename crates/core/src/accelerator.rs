@@ -15,7 +15,6 @@ use cim_crossbar::digital::DigitalArray;
 use cim_crossbar::energy::OperationCost;
 use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
-use cim_simkit::linalg::Matrix;
 use cim_simkit::rng::seeded;
 use cim_simkit::units::{Joules, Seconds};
 use rand::rngs::StdRng;
@@ -82,7 +81,8 @@ pub struct DeviceCounters {
     pub word_accesses: u64,
     /// Columns digitized by sampled (partial-width) digital reads.
     pub sampled_columns: u64,
-    /// Program-and-verify pulses fired while programming analog tiles.
+    /// Pulses fired while programming analog tiles (program-and-verify)
+    /// or erasing them (RESET).
     pub program_pulses: u64,
     /// Stochastic read samples drawn during analog MVMs — one aggregate
     /// draw per output line on the sampled tier of the fast path.
@@ -391,20 +391,20 @@ impl CimAccelerator {
         self.digital_tiles[tile].write_row(row, &BitVec::zeros(cols))
     }
 
-    /// Overwrites an analog tile with a constant pattern
-    /// (tenant-isolation scrubbing). A uniform matrix carries no
-    /// information about the previous tenant; an all-zero matrix is not
-    /// used because the conductance mapping is undefined for it. Like
+    /// Erases an analog tile (tenant-isolation scrubbing): every device
+    /// programmed since the last erase — the union of the windows its
+    /// matrices occupied — is RESET to `g_min`, one pulse per device not
+    /// already there, and the tile reads as unprogrammed. The erase draws
+    /// no random numbers and needs no conductance mapping, and its cost
+    /// grows with what was programmed, not with the tile. Like
     /// [`Self::scrub_digital_row`], the cost is returned but not charged
     /// to [`ExecutionStats`].
     ///
     /// # Panics
     ///
     /// Panics if the tile index is out of range.
-    pub fn scrub_analog_tile(&mut self, tile: usize, rng: &mut StdRng) -> OperationCost {
-        let (rows, cols) = self.analog_tiles[tile].shape();
-        let uniform = Matrix::from_fn(rows, cols, |_, _| 1.0);
-        self.analog_tiles[tile].program_matrix(&uniform, rng)
+    pub fn scrub_analog_tile(&mut self, tile: usize) -> OperationCost {
+        self.analog_tiles[tile].erase()
     }
 
     /// Runs a straight-line sequence of instructions, returning the last
@@ -654,6 +654,40 @@ mod tests {
         for (a, b) in yt.iter().zip(&yt_exact) {
             assert!((a - b).abs() < 1e-2);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not programmed")]
+    fn analog_scrub_erases_every_window_and_unprograms() {
+        let mut acc = CimAcceleratorBuilder::new()
+            .analog_tiles(1, 32, 64)
+            .seed(4)
+            .build();
+        let g_min = AnalogParams::default().pcm.g_min.0;
+        acc.execute(CimInstruction::ProgramMatrix {
+            tile: 0,
+            matrix: Matrix::from_fn(32, 64, |i, j| ((i * 64 + j) % 5) as f64 - 2.0),
+        });
+        acc.execute(CimInstruction::ProgramMatrix {
+            tile: 0,
+            matrix: Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { -0.5 }),
+        });
+        let cost = acc.scrub_analog_tile(0);
+        assert!(
+            cost.energy.0 > 0.0,
+            "the first program left devices to reset"
+        );
+        let (positive, negative) = acc.analog_tile(0).tiles();
+        for tile in [positive, negative] {
+            assert!(
+                tile.bank().conductances().iter().all(|&g| g == g_min),
+                "the scrub left a device off g_min"
+            );
+        }
+        acc.execute(CimInstruction::Mvm {
+            tile: 0,
+            x: vec![1.0; 4],
+        });
     }
 
     #[test]

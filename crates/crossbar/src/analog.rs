@@ -42,6 +42,22 @@
 //! implementation by the `analog_equivalence` proptest suite:
 //! bit-identical stored state and outputs at zero sigmas, distributional
 //! agreement otherwise, accounting to 1e-12 relative.
+//!
+//! # Windows and erase
+//!
+//! A tile holds a matrix no larger than itself in a *window*: the
+//! matrix's own `rows × cols` block, anchored at row 0 and column 0. A
+//! program writes only the window's devices; a forward product drives
+//! only the window's columns and converts only its rows (the transpose
+//! swaps the two), and [`CrossbarEnergyModel::mvm_cost`] prices exactly
+//! those lines, as the paper prices a layer by the rows and columns it
+//! drives (§IV-A). A full-tile matrix is the window that covers the
+//! tile.
+//!
+//! [`AnalogCrossbar::erase`] RESETs every device programmed since the
+//! last erase back to `g_min` — one pulse per device not already there,
+//! no random draws, no conductance mapping — and leaves the tile
+//! unprogrammed. It is how a tile is cleared between tenants.
 
 use crate::energy::{CrossbarEnergyModel, OperationCost};
 use crate::mapping::{split_signed, ConductanceMapping};
@@ -124,7 +140,8 @@ pub struct CrossbarStats {
     pub nominal_mvms: u64,
     /// Matrix programming operations.
     pub programs: u64,
-    /// Total program-and-verify pulses across all devices.
+    /// Total pulses across all devices: program-and-verify pulses and
+    /// the RESET pulses of erases.
     pub program_pulses: u64,
     /// Stochastic read samples drawn during analog products. The fast
     /// path draws one *aggregate* sample per output line per sampled-tier
@@ -159,7 +176,9 @@ impl CrossbarStats {
 ///
 /// Device state lives in a struct-of-arrays [`PcmBank`]; the read and
 /// program paths are the vectorized fast path described in the
-/// [module docs](self).
+/// [module docs](self). The programmed matrix occupies a window anchored
+/// at the origin, and [`Self::erase`] RESETs what was programmed (see
+/// [Windows and erase](self#windows-and-erase)).
 #[derive(Debug, Clone)]
 pub struct AnalogCrossbar {
     rows: usize,
@@ -167,14 +186,15 @@ pub struct AnalogCrossbar {
     params: AnalogParams,
     bank: PcmBank,
     mapping: Option<ConductanceMapping>,
+    /// `(rows, cols)` of the programmed matrix; `(0, 0)` when
+    /// unprogrammed.
+    window: (usize, usize),
     energy_model: CrossbarEnergyModel,
     stats: CrossbarStats,
     /// Reusable DAC-output scratch buffer (row voltages).
     volts: Vec<f64>,
     /// Reusable per-output-line variance accumulator scratch buffer.
     sq: Vec<f64>,
-    /// Reusable programming-target scratch buffer.
-    targets: Vec<f64>,
 }
 
 impl AnalogCrossbar {
@@ -193,11 +213,11 @@ impl AnalogCrossbar {
             params,
             bank,
             mapping: None,
+            window: (0, 0),
             energy_model,
             stats: CrossbarStats::default(),
             volts: Vec::new(),
             sq: Vec::new(),
-            targets: Vec::new(),
         }
     }
 
@@ -227,12 +247,13 @@ impl AnalogCrossbar {
         &self.bank
     }
 
-    /// Programs a non-negative matrix, deriving the mapping from its
-    /// largest entry. Returns the total programming cost.
+    /// Programs a non-negative matrix into the window of its own shape,
+    /// deriving the mapping from its largest entry. Returns the total
+    /// programming cost.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tile, contains negative
+    /// Panics if the matrix is larger than the tile, contains negative
     /// entries, or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
         let mapping =
@@ -241,12 +262,13 @@ impl AnalogCrossbar {
     }
 
     /// Programs a non-negative matrix under an explicit mapping (shared
-    /// across the tiles of a differential pair), via one batched
-    /// program-and-verify pass over the whole bank.
+    /// across the tiles of a differential pair) into the window of its
+    /// own shape, via one batched program-and-verify pass over the
+    /// window's devices.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tile or contains negative
+    /// Panics if the matrix is larger than the tile or contains negative
     /// entries.
     pub fn program_matrix_with_mapping<R: Rng + ?Sized>(
         &mut self,
@@ -254,22 +276,28 @@ impl AnalogCrossbar {
         mapping: ConductanceMapping,
         rng: &mut R,
     ) -> OperationCost {
-        assert_eq!(
-            (m.rows(), m.cols()),
-            (self.rows, self.cols),
-            "matrix shape mismatch"
+        let window = (m.rows(), m.cols());
+        assert!(
+            window.0 <= self.rows && window.1 <= self.cols,
+            "a {}x{} matrix does not fit the {}x{} tile",
+            window.0,
+            window.1,
+            self.rows,
+            self.cols
         );
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
-        targets.extend(m.as_slice().iter().map(|&w| {
-            assert!(w >= 0.0, "negative weight {w} on a single-ended tile");
-            mapping.weight_to_conductance(w).0
-        }));
-        let report = self
-            .bank
-            .program_and_verify(&targets, self.params.program_tolerance, rng);
-        self.targets = targets;
+        let targets: Vec<f64> = m
+            .as_slice()
+            .iter()
+            .map(|&w| {
+                assert!(w >= 0.0, "negative weight {w} on a single-ended tile");
+                mapping.weight_to_conductance(w).0
+            })
+            .collect();
+        let report =
+            self.bank
+                .program_and_verify(window, &targets, self.params.program_tolerance, rng);
         self.mapping = Some(mapping);
+        self.window = window;
         self.stats.programs += 1;
         self.stats.program_pulses += report.pulses;
         self.stats.energy += report.energy;
@@ -282,32 +310,48 @@ impl AnalogCrossbar {
         }
     }
 
-    /// The matrix the tile currently encodes, decoded from programmed
-    /// (noise-free, pre-drift) conductances.
+    /// RESETs every device programmed since the last erase to `g_min`
+    /// (one pulse per device not already there, booked in the wear
+    /// ledger and in the stats' pulses, energy and busy time) and clears
+    /// the mapping, so the tile reads as unprogrammed. Draws no random
+    /// numbers and needs no mapping. Returns the erase cost.
+    pub fn erase(&mut self) -> OperationCost {
+        let report = self.bank.erase();
+        self.mapping = None;
+        self.window = (0, 0);
+        self.stats.program_pulses += report.pulses;
+        self.stats.energy += report.energy;
+        self.stats.busy_time += report.latency;
+        OperationCost {
+            energy: report.energy,
+            latency: report.latency,
+        }
+    }
+
+    /// The matrix the tile currently encodes (window-shaped), decoded
+    /// from programmed (noise-free, pre-drift) conductances.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed.
+    /// Panics if the tile is not programmed.
     pub fn stored_matrix(&self) -> Matrix {
         let mapping = match self.mapping {
             Some(m) => m,
             None => panic!("crossbar not programmed"),
         };
-        let weights = self
-            .bank
-            .conductances()
-            .iter()
-            .map(|&g| mapping.conductance_to_weight(cim_simkit::units::Siemens(g)))
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, weights)
+        let (rows, cols) = self.window;
+        Matrix::from_fn(rows, cols, |i, j| {
+            mapping.conductance_to_weight(cim_simkit::units::Siemens(self.bank.extent_row(i)[j]))
+        })
     }
 
-    /// Forward analog product `y = A·x` (`x.len() == cols`, output length
-    /// `rows`).
+    /// Forward analog product `y = A·x` over the window (`x.len()` is the
+    /// window's columns, the output length its rows).
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `x.len() != cols`.
+    /// Panics if the tile is not programmed or `x` does not match the
+    /// window's columns.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
         self.matvec_with_cost(x, rng).0
     }
@@ -316,13 +360,13 @@ impl AnalogCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `x.len() != cols`.
+    /// Panics if the tile is not programmed or `x` does not match the
+    /// window's columns.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        assert_eq!(x.len(), self.cols, "input length must equal cols");
         let (y, cost, samples) = self.product(x, true, rng);
         self.stats.mvms += 1;
         self.note_samples(samples);
@@ -331,13 +375,15 @@ impl AnalogCrossbar {
         (y, cost)
     }
 
-    /// Transpose analog product `x = Aᵀ·z` (`z.len() == rows`, output
-    /// length `cols`), driving the other axis of the *same* programmed
-    /// array — the reuse AMP exploits.
+    /// Transpose analog product `x = Aᵀ·z` over the window (`z.len()` is
+    /// the window's rows, the output length its columns), driving the
+    /// other axis of the *same* programmed array — the reuse AMP
+    /// exploits.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `z.len() != rows`.
+    /// Panics if the tile is not programmed or `z` does not match the
+    /// window's rows.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
         self.matvec_t_with_cost(z, rng).0
     }
@@ -346,13 +392,13 @@ impl AnalogCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `z.len() != rows`.
+    /// Panics if the tile is not programmed or `z` does not match the
+    /// window's rows.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        assert_eq!(z.len(), self.rows, "input length must equal rows");
         let (y, cost, samples) = self.product(z, false, rng);
         self.stats.transpose_mvms += 1;
         self.note_samples(samples);
@@ -380,11 +426,12 @@ impl AnalogCrossbar {
         }
     }
 
-    /// Shared vectorized analog read path. `forward == true` computes
-    /// `A·x` (inputs indexed by matrix column), `forward == false`
-    /// computes `Aᵀ·z` (inputs indexed by matrix row). The third return
-    /// is the number of aggregate stochastic samples drawn (one per
-    /// output line on the sampled tier, zero on the nominal tier).
+    /// Shared vectorized analog read path over the window. `forward ==
+    /// true` computes `A·x` (inputs indexed by matrix column), `forward
+    /// == false` computes `Aᵀ·z` (inputs indexed by matrix row). The
+    /// third return is the number of aggregate stochastic samples drawn
+    /// (one per output line on the sampled tier, zero on the nominal
+    /// tier).
     fn product<R: Rng + ?Sized>(
         &mut self,
         input: &[f64],
@@ -396,11 +443,14 @@ impl AnalogCrossbar {
             None => panic!("crossbar not programmed"),
         };
         let p = self.params;
-        let (n_in, n_out) = if forward {
-            (self.cols, self.rows)
-        } else {
-            (self.rows, self.cols)
-        };
+        let (rows, cols) = self.window;
+        let (n_in, n_out) = if forward { (cols, rows) } else { (rows, cols) };
+        assert_eq!(
+            input.len(),
+            n_in,
+            "input length must equal the window's {}",
+            if forward { "columns" } else { "rows" }
+        );
 
         // 1. Digital pre-scaler: normalize the vector to the DAC full
         //    scale (undone on the outputs), then DAC-quantize and convert
@@ -434,7 +484,7 @@ impl AnalogCrossbar {
         //    so the accumulation is bit-identical to the per-device
         //    reference at `sigma_read == 0`.
         let drift = self.bank.drift_factor(p.age);
-        let g = self.bank.conductances();
+        let bank = &self.bank;
         let sampled = p.pcm.sigma_read > 0.0;
         let mut currents = vec![0.0f64; n_out];
         let mut sq = std::mem::take(&mut self.sq);
@@ -443,7 +493,7 @@ impl AnalogCrossbar {
         let mut device_power = 0.0f64;
         if forward {
             for (j, current) in currents.iter_mut().enumerate() {
-                let row = &g[j * self.cols..(j + 1) * self.cols];
+                let row = &bank.extent_row(j)[..cols];
                 let mut sum = 0.0f64;
                 let mut sumsq = 0.0f64;
                 let mut power = 0.0f64;
@@ -470,7 +520,7 @@ impl AnalogCrossbar {
                 if v == 0.0 {
                     continue;
                 }
-                let row = &g[i * self.cols..(i + 1) * self.cols];
+                let row = &bank.extent_row(i)[..cols];
                 if sampled {
                     for ((current, s), &gp) in currents.iter_mut().zip(sq.iter_mut()).zip(row) {
                         let t = v * (gp * drift);
@@ -534,7 +584,9 @@ impl AnalogCrossbar {
 }
 
 /// A signed-matrix crossbar: positive and negative parts on two tiles,
-/// combined by a subtraction circuit.
+/// combined by a subtraction circuit. Both tiles hold the matrix in the
+/// same window and erase together (see
+/// [Windows and erase](self#windows-and-erase)).
 #[derive(Debug, Clone)]
 pub struct DifferentialCrossbar {
     positive: AnalogCrossbar,
@@ -555,13 +607,19 @@ impl DifferentialCrossbar {
         self.positive.shape()
     }
 
-    /// Programs a signed matrix: its positive part on one tile, the
-    /// magnitude of its negative part on the other, under one shared
-    /// mapping so the subtraction is consistent.
+    /// The `(positive, negative)` tiles of the pair.
+    pub fn tiles(&self) -> (&AnalogCrossbar, &AnalogCrossbar) {
+        (&self.positive, &self.negative)
+    }
+
+    /// Programs a signed matrix into the window of its own shape: its
+    /// positive part on one tile, the magnitude of its negative part on
+    /// the other, under one shared mapping so the subtraction is
+    /// consistent.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tiles or is all zeros.
+    /// Panics if the matrix is larger than the tiles or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
         let mapping = ConductanceMapping::for_matrix(
             self.positive.params.pcm.g_min,
@@ -580,6 +638,14 @@ impl DifferentialCrossbar {
             // The two tiles program in parallel.
             latency: c1.latency.max(c2.latency),
         }
+    }
+
+    /// Erases both tiles (see [`AnalogCrossbar::erase`]); they erase in
+    /// parallel.
+    pub fn erase(&mut self) -> OperationCost {
+        let c1 = self.positive.erase();
+        let c2 = self.negative.erase();
+        c1.alongside(c2)
     }
 
     /// The signed matrix currently encoded (positive tile minus negative
@@ -849,6 +915,81 @@ mod tests {
         assert!(y.iter().all(|&v| v.abs() < 1e-9), "{y:?}");
         // All-zero inputs draw nothing: served on the nominal tier.
         assert_eq!(xbar.stats().nominal_mvms, 1);
+    }
+
+    #[test]
+    fn window_products_drive_and_convert_only_its_lines() {
+        let mut rng = seeded(15);
+        let params = AnalogParams::ideal();
+        let a = test_matrix(3, 5);
+        let mut xbar = AnalogCrossbar::new(8, 8, params);
+        xbar.program_matrix(&a, &mut rng);
+        let stored = xbar.stored_matrix();
+        assert_eq!((stored.rows(), stored.cols()), (3, 5));
+        assert_eq!(stored.as_slice(), a.as_slice());
+        // Only the window's 15 devices were written.
+        assert_eq!(xbar.bank().extent(), (3, 5));
+        let x: Vec<f64> = (0..5).map(|i| i as f64 / 5.0 - 0.4).collect();
+        let y = xbar.matvec(&x, &mut rng);
+        assert_eq!(y.len(), 3);
+        assert!(rmse(&a.matvec(&x), &y) < 1e-3);
+        let z = [0.3, -0.2, 0.5];
+        assert!(rmse(&a.matvec_t(&z), &xbar.matvec_t(&z, &mut rng)) < 1e-3);
+        // The converters are priced for the window's 5 inputs and 3
+        // outputs (forward) and 3 inputs and 5 outputs (transpose).
+        let model = CrossbarEnergyModel::for_tile(8, 8, params.adc_bits);
+        let (_, cost) = xbar.matvec_with_cost(&[0.0; 5], &mut rng);
+        assert_eq!(cost, model.mvm_cost(0.0, 5, 3));
+        let (_, cost) = xbar.matvec_t_with_cost(&[0.0; 3], &mut rng);
+        assert_eq!(cost, model.mvm_cost(0.0, 3, 5));
+    }
+
+    #[test]
+    fn erase_resets_what_was_programmed_and_unprograms() {
+        let mut rng = seeded(16);
+        let params = AnalogParams::default();
+        let mut xbar = AnalogCrossbar::new(6, 10, params);
+        xbar.program_matrix(&test_matrix(6, 10), &mut rng);
+        xbar.program_matrix(&test_matrix(2, 3), &mut rng);
+        assert_eq!(xbar.bank().extent(), (6, 10), "the union of both windows");
+        let off_g_min = xbar
+            .bank()
+            .conductances()
+            .iter()
+            .filter(|&&g| g != params.pcm.g_min.0)
+            .count() as u64;
+        let pulses = xbar.stats().program_pulses;
+        let cost = xbar.erase();
+        assert_eq!(xbar.stats().program_pulses - pulses, off_g_min);
+        assert!(
+            (cost.energy.0 - params.pcm.program_pulse_energy.0 * off_g_min as f64).abs() < 1e-24
+        );
+        assert_eq!(cost.latency, params.pcm.program_pulse_latency);
+        assert_eq!(xbar.stats().programs, 2, "an erase is not a program");
+        assert_eq!(xbar.bank().total_pulses(), xbar.stats().program_pulses);
+        assert!(xbar
+            .bank()
+            .conductances()
+            .iter()
+            .all(|&g| g == params.pcm.g_min.0));
+        assert!(xbar.mapping().is_none(), "an erased tile is unprogrammed");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 4x4 tile")]
+    fn oversized_matrix_panics() {
+        let mut rng = seeded(17);
+        let mut xbar = AnalogCrossbar::new(4, 4, AnalogParams::default());
+        xbar.program_matrix(&test_matrix(4, 5), &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "window's columns")]
+    fn matvec_checks_the_window_width() {
+        let mut rng = seeded(18);
+        let mut xbar = AnalogCrossbar::new(4, 4, AnalogParams::default());
+        xbar.program_matrix(&test_matrix(4, 2), &mut rng);
+        let _ = xbar.matvec(&[0.5; 4], &mut rng);
     }
 
     #[test]

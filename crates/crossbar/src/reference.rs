@@ -239,7 +239,10 @@ impl ReferenceDigitalArray {
 /// (one RNG draw per pulse, device-major order); every analog product
 /// draws per-device read noise in a scalar double loop, so its
 /// [`CrossbarStats::noise_samples`] counts one sample per
-/// (nonzero input line × output line) per MVM.
+/// (nonzero input line × output line) per MVM. Matrices occupy the same
+/// origin-anchored windows as on the fast path, and [`Self::erase`]
+/// RESETs every device of the tile that is off `g_min`, so it checks the
+/// fast path's extent bookkeeping rather than sharing it.
 #[derive(Debug, Clone)]
 pub struct ReferenceAnalogCrossbar {
     rows: usize,
@@ -247,6 +250,9 @@ pub struct ReferenceAnalogCrossbar {
     params: AnalogParams,
     devices: Vec<PcmDevice>,
     mapping: Option<ConductanceMapping>,
+    /// `(rows, cols)` of the programmed matrix; `(0, 0)` when
+    /// unprogrammed.
+    window: (usize, usize),
     energy_model: CrossbarEnergyModel,
     stats: CrossbarStats,
 }
@@ -269,6 +275,7 @@ impl ReferenceAnalogCrossbar {
             params,
             devices,
             mapping: None,
+            window: (0, 0),
             energy_model,
             stats: CrossbarStats::default(),
         }
@@ -294,12 +301,23 @@ impl ReferenceAnalogCrossbar {
         self.mapping.as_ref()
     }
 
-    /// Programs a non-negative matrix, deriving the mapping from its
-    /// largest entry. Returns the total programming cost.
+    /// The device at `(row, col)`.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tile, contains negative
+    /// Panics if the coordinates are out of range.
+    pub fn device(&self, row: usize, col: usize) -> &PcmDevice {
+        assert!(row < self.rows && col < self.cols, "device out of range");
+        &self.devices[row * self.cols + col]
+    }
+
+    /// Programs a non-negative matrix into the window of its own shape,
+    /// deriving the mapping from its largest entry. Returns the total
+    /// programming cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is larger than the tile, contains negative
     /// entries, or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
         let mapping =
@@ -307,12 +325,13 @@ impl ReferenceAnalogCrossbar {
         self.program_matrix_with_mapping(m, mapping, rng)
     }
 
-    /// Programs a non-negative matrix under an explicit mapping, running
-    /// program-and-verify per device with one RNG draw per pulse.
+    /// Programs a non-negative matrix under an explicit mapping into the
+    /// window of its own shape, running program-and-verify per device
+    /// with one RNG draw per pulse.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tile or contains negative
+    /// Panics if the matrix is larger than the tile or contains negative
     /// entries.
     pub fn program_matrix_with_mapping<R: Rng + ?Sized>(
         &mut self,
@@ -320,16 +339,19 @@ impl ReferenceAnalogCrossbar {
         mapping: ConductanceMapping,
         rng: &mut R,
     ) -> OperationCost {
-        assert_eq!(
-            (m.rows(), m.cols()),
-            (self.rows, self.cols),
-            "matrix shape mismatch"
+        assert!(
+            m.rows() <= self.rows && m.cols() <= self.cols,
+            "a {}x{} matrix does not fit the {}x{} tile",
+            m.rows(),
+            m.cols(),
+            self.rows,
+            self.cols
         );
         let mut pulses = 0u64;
         let mut energy = Joules::ZERO;
         let mut latency = Seconds::ZERO;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
                 let w = m.get(i, j);
                 assert!(w >= 0.0, "negative weight {w} on a single-ended tile");
                 let target = mapping.weight_to_conductance(w);
@@ -346,6 +368,7 @@ impl ReferenceAnalogCrossbar {
             }
         }
         self.mapping = Some(mapping);
+        self.window = (m.rows(), m.cols());
         self.stats.programs += 1;
         self.stats.program_pulses += pulses;
         self.stats.energy += energy;
@@ -353,27 +376,48 @@ impl ReferenceAnalogCrossbar {
         OperationCost { energy, latency }
     }
 
-    /// The matrix the tile currently encodes, decoded from programmed
-    /// (noise-free, pre-drift) conductances.
+    /// RESETs every device of the tile that is off `g_min`, one
+    /// `PcmDevice::reset` pulse each in one lock-step round, and clears
+    /// the mapping. Returns the erase cost.
+    pub fn erase(&mut self) -> OperationCost {
+        let pulses: u64 = self.devices.iter_mut().map(|d| u64::from(d.reset())).sum();
+        let p = &self.params.pcm;
+        let energy = p.program_pulse_energy * pulses as f64;
+        let latency = if pulses > 0 {
+            p.program_pulse_latency
+        } else {
+            Seconds::ZERO
+        };
+        self.mapping = None;
+        self.window = (0, 0);
+        self.stats.program_pulses += pulses;
+        self.stats.energy += energy;
+        self.stats.busy_time += latency;
+        OperationCost { energy, latency }
+    }
+
+    /// The matrix the tile currently encodes (window-shaped), decoded
+    /// from programmed (noise-free, pre-drift) conductances.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed.
+    /// Panics if the tile is not programmed.
     pub fn stored_matrix(&self) -> Matrix {
         let mapping = match self.mapping {
             Some(m) => m,
             None => panic!("crossbar not programmed"),
         };
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
+        Matrix::from_fn(self.window.0, self.window.1, |i, j| {
             mapping.conductance_to_weight(self.devices[i * self.cols + j].programmed_conductance())
         })
     }
 
-    /// Forward analog product `y = A·x`.
+    /// Forward analog product `y = A·x` over the window.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `x.len() != cols`.
+    /// Panics if the tile is not programmed or `x` does not match the
+    /// window's columns.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
         self.matvec_with_cost(x, rng).0
     }
@@ -382,13 +426,13 @@ impl ReferenceAnalogCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `x.len() != cols`.
+    /// Panics if the tile is not programmed or `x` does not match the
+    /// window's columns.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        assert_eq!(x.len(), self.cols, "input length must equal cols");
         let (y, cost, samples) = self.product(x, true, rng);
         self.stats.mvms += 1;
         self.stats.noise_samples += samples;
@@ -397,11 +441,12 @@ impl ReferenceAnalogCrossbar {
         (y, cost)
     }
 
-    /// Transpose analog product `x = Aᵀ·z`.
+    /// Transpose analog product `x = Aᵀ·z` over the window.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `z.len() != rows`.
+    /// Panics if the tile is not programmed or `z` does not match the
+    /// window's rows.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
         self.matvec_t_with_cost(z, rng).0
     }
@@ -410,13 +455,13 @@ impl ReferenceAnalogCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed or `z.len() != rows`.
+    /// Panics if the tile is not programmed or `z` does not match the
+    /// window's rows.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        assert_eq!(z.len(), self.rows, "input length must equal rows");
         let (y, cost, samples) = self.product(z, false, rng);
         self.stats.transpose_mvms += 1;
         self.stats.noise_samples += samples;
@@ -449,11 +494,14 @@ impl ReferenceAnalogCrossbar {
             None => panic!("crossbar not programmed"),
         };
         let p = &self.params;
-        let (n_in, n_out) = if forward {
-            (self.cols, self.rows)
-        } else {
-            (self.rows, self.cols)
-        };
+        let (rows, cols) = self.window;
+        let (n_in, n_out) = if forward { (cols, rows) } else { (rows, cols) };
+        assert_eq!(
+            input.len(),
+            n_in,
+            "input length must equal the window's {}",
+            if forward { "columns" } else { "rows" }
+        );
 
         // 1. Digital pre-scaler, DAC quantization, row voltages.
         let in_scale = if p.dynamic_input_scaling {
@@ -539,13 +587,18 @@ impl ReferenceDifferentialCrossbar {
         self.positive.shape()
     }
 
-    /// Programs a signed matrix under one shared mapping, positive part
-    /// first then negative magnitudes (device-major RNG order within each
-    /// tile).
+    /// The `(positive, negative)` tiles of the pair.
+    pub fn tiles(&self) -> (&ReferenceAnalogCrossbar, &ReferenceAnalogCrossbar) {
+        (&self.positive, &self.negative)
+    }
+
+    /// Programs a signed matrix into the window of its own shape under
+    /// one shared mapping, positive part first then negative magnitudes
+    /// (device-major RNG order within each tile).
     ///
     /// # Panics
     ///
-    /// Panics if the matrix shape mismatches the tiles or is all zeros.
+    /// Panics if the matrix is larger than the tiles or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
         let mapping = ConductanceMapping::for_matrix(
             self.positive.params.pcm.g_min,
@@ -566,11 +619,18 @@ impl ReferenceDifferentialCrossbar {
         }
     }
 
+    /// Erases both tiles in parallel.
+    pub fn erase(&mut self) -> OperationCost {
+        let c1 = self.positive.erase();
+        let c2 = self.negative.erase();
+        c1.alongside(c2)
+    }
+
     /// The signed matrix currently encoded (noise-free view).
     ///
     /// # Panics
     ///
-    /// Panics if the pair was never programmed.
+    /// Panics if the pair is not programmed.
     pub fn stored_matrix(&self) -> Matrix {
         let p = self.positive.stored_matrix();
         let n = self.negative.stored_matrix();

@@ -23,7 +23,8 @@
 //! read-current/read-energy tables, the storage layout behind the
 //! word-parallel digital-tile fast path) and the PCM devices as
 //! [`pcm_bank`] (flat conductance and pulse-ledger vectors in fabrication
-//! order with batched program-and-verify, the storage layout behind the
+//! order with batched program-and-verify of origin-anchored windows and
+//! an erase of what was programmed, the storage layout behind the
 //! vectorized analog-crossbar fast path).
 //!
 //! # Example

@@ -165,6 +165,19 @@ impl PcmDevice {
         self.pulses_lifetime += 1;
     }
 
+    /// Erases the device: one RESET pulse melt-quenches it back to the
+    /// fully amorphous `g_min` state. RESET lands on `g_min` exactly, so
+    /// it draws no random numbers; a device already at `g_min` takes no
+    /// pulse. Returns the pulses fired (0 or 1).
+    pub fn reset(&mut self) -> u32 {
+        if self.g_programmed == self.params.g_min {
+            return 0;
+        }
+        self.g_programmed = self.params.g_min;
+        self.pulses_lifetime += 1;
+        1
+    }
+
     /// Iteratively programs the device until the verified conductance is
     /// within `rel_tolerance` (relative to the conductance window) of the
     /// target, or the pulse budget is exhausted.
@@ -241,6 +254,19 @@ mod tests {
         let d = PcmDevice::new(PcmParams::default());
         assert_eq!(d.programmed_conductance(), PcmParams::default().g_min);
         assert_eq!(d.pulse_count(), 0);
+    }
+
+    #[test]
+    fn reset_returns_to_g_min_with_one_pulse() {
+        let mut rng = seeded(10);
+        let params = PcmParams::default();
+        let mut d = PcmDevice::new(params);
+        assert_eq!(d.reset(), 0, "a fresh device is already RESET");
+        d.program_pulse(Siemens(10e-6), &mut rng);
+        assert_eq!(d.reset(), 1);
+        assert_eq!(d.programmed_conductance(), params.g_min);
+        assert_eq!(d.pulse_count(), 2);
+        assert_eq!(d.reset(), 0);
     }
 
     #[test]

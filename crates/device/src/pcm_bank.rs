@@ -7,7 +7,15 @@
 //! array-level simulators can run vectorized matrix-vector products over
 //! contiguous conductance slices instead of chasing per-device structs.
 //!
-//! Two contracts tie the bank to the behavioural device model:
+//! A program writes a *window*: a block of devices anchored at row 0 and
+//! column 0, as large as the matrix it encodes. The bank stores
+//! conductances only for its *extent*, the union of the windows
+//! programmed since the last [`PcmBank::erase`]; every device outside
+//! the extent is at `g_min` by construction. Storage, programming and
+//! erasing therefore scale with what was programmed, not with the array.
+//! The wear ledger covers every device for its whole lifetime.
+//!
+//! Three contracts tie the bank to the behavioural device model:
 //!
 //! * **State identity.** A fresh bank holds every device in the
 //!   fully-RESET state (`g_min`), exactly like `PcmDevice::new`; PCM
@@ -28,16 +36,20 @@
 //!   ledger, clamping and convergence marginals are identical in
 //!   distribution to the per-device loop; the raw RNG stream is consumed
 //!   differently, so noisy trajectories are not draw-for-draw identical.
+//! * **Erase equivalence.** [`PcmBank::erase`] is `PcmDevice::reset` on
+//!   every device: one RESET pulse for each device not already at
+//!   `g_min`, no RNG drawn.
 
 use crate::pcm::PcmParams;
 use cim_simkit::rng::{normal_cdf, normal_inverse_cdf};
 use cim_simkit::units::{Joules, Seconds};
 use rand::Rng;
 
-/// Outcome of one batched program-and-verify pass over a whole bank.
+/// Outcome of one batched pass over a bank: a program-and-verify of a
+/// window, or an erase of the extent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankProgramReport {
-    /// Total program pulses issued across all devices in this pass.
+    /// Total pulses issued across all devices in this pass.
     pub pulses: u64,
     /// Largest per-device pulse count in this pass — the number of
     /// verify rounds executed, and the latency-critical device.
@@ -45,12 +57,12 @@ pub struct BankProgramReport {
     /// Whether every device met the tolerance within the pulse budget.
     pub converged: bool,
     /// Largest final relative error `|G − G_target| / G_range` over the
-    /// bank after the last verify.
+    /// window after the last verify.
     pub max_rel_error: f64,
-    /// Total programming energy spent (`pulse_energy × pulses`).
+    /// Total energy spent (`pulse_energy × pulses`).
     pub energy: Joules,
-    /// Programming latency: rows of a bank program in lock-step rounds,
-    /// so the pass takes as long as its slowest device
+    /// Latency: rows of a bank pulse in lock-step rounds, so the pass
+    /// takes as long as its slowest device
     /// (`pulse_latency × max_device_pulses`).
     pub latency: Seconds,
 }
@@ -61,9 +73,14 @@ pub struct PcmBank {
     params: PcmParams,
     rows: usize,
     cols: usize,
-    /// Programmed conductance in siemens, row-major fabrication order.
+    /// `(rows, cols)` of the union of the windows programmed since the
+    /// last erase, anchored at the origin.
+    extent: (usize, usize),
+    /// Programmed conductance in siemens of the extent's devices,
+    /// row-major with row stride `extent.1`.
     g_programmed: Vec<f64>,
-    /// Lifetime program pulses per device (wear ledger), row-major.
+    /// Lifetime program pulses per device (wear ledger), row-major over
+    /// the whole bank.
     pulses: Vec<u64>,
 }
 
@@ -80,7 +97,8 @@ impl PcmBank {
             params,
             rows,
             cols,
-            g_programmed: vec![params.g_min.0; rows * cols],
+            extent: (0, 0),
+            g_programmed: Vec::new(),
             pulses: vec![0; rows * cols],
         }
     }
@@ -95,21 +113,32 @@ impl PcmBank {
         &self.params
     }
 
-    /// Programmed (pre-drift, noise-free) conductances in siemens,
-    /// row-major fabrication order — the contiguous slice the vectorized
-    /// MVM fast path dots against.
-    pub fn conductances(&self) -> &[f64] {
-        &self.g_programmed
+    /// `(rows, cols)` of the extent: the union of the windows programmed
+    /// since the last erase. Every device outside it is at `g_min`.
+    pub fn extent(&self) -> (usize, usize) {
+        self.extent
     }
 
-    /// The programmed conductances of one row as a contiguous slice.
+    /// Programmed (pre-drift, noise-free) conductances of every device in
+    /// siemens, row-major fabrication order. Builds a whole-bank copy;
+    /// the read path uses [`Self::extent_row`].
+    pub fn conductances(&self) -> Vec<f64> {
+        (0..self.rows)
+            .flat_map(|row| (0..self.cols).map(move |col| self.conductance(row, col)))
+            .collect()
+    }
+
+    /// The stored conductances of one row of the extent (its first
+    /// `extent().1` devices) as a contiguous slice — what the vectorized
+    /// MVM fast path dots against.
     ///
     /// # Panics
     ///
-    /// Panics if `row >= rows`.
-    pub fn row_conductances(&self, row: usize) -> &[f64] {
-        assert!(row < self.rows, "row {row} out of range");
-        &self.g_programmed[row * self.cols..(row + 1) * self.cols]
+    /// Panics if `row` lies outside the extent.
+    pub fn extent_row(&self, row: usize) -> &[f64] {
+        let (rows, cols) = self.extent;
+        assert!(row < rows, "row {row} outside the programmed extent");
+        &self.g_programmed[row * cols..(row + 1) * cols]
     }
 
     /// Programmed conductance of device `(row, col)` in siemens.
@@ -119,7 +148,12 @@ impl PcmBank {
     /// Panics if the coordinates are out of range.
     pub fn conductance(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.rows && col < self.cols, "device out of range");
-        self.g_programmed[row * self.cols + col]
+        let (rows, cols) = self.extent;
+        if row < rows && col < cols {
+            self.g_programmed[row * cols + col]
+        } else {
+            self.params.g_min.0
+        }
     }
 
     /// Lifetime program pulses of device `(row, col)` — the wear ledger.
@@ -150,32 +184,67 @@ impl PcmBank {
         ratio.powf(-self.params.drift_nu)
     }
 
-    /// Batched program-and-verify: drives every device toward its entry
-    /// of `targets` (siemens, row-major) until the verified conductance
-    /// is within `rel_tolerance` of the target relative to the
-    /// conductance window, or the per-device pulse budget is exhausted.
-    /// The noisy case samples each device's pulse count and final state
-    /// from the exact joint law of the sequential pulse loop (see the
-    /// module docs), so per-device pulse counts, the wear ledger and
-    /// stored conductances match the per-device loop in distribution
-    /// while spending two uniform draws per device.
+    /// Widens the extent to cover `(rows, cols)`, keeping the stored
+    /// conductances and adding the new devices at `g_min`.
+    fn cover(&mut self, (rows, cols): (usize, usize)) {
+        let (er, ec) = self.extent;
+        let (nr, nc) = (er.max(rows), ec.max(cols));
+        let g_min = self.params.g_min.0;
+        if nc != ec && !self.g_programmed.is_empty() {
+            // Lay the stored rows out again at the wider stride.
+            let old = std::mem::take(&mut self.g_programmed);
+            self.g_programmed.reserve(nr * nc);
+            for row in old.chunks(ec) {
+                self.g_programmed.extend_from_slice(row);
+                self.g_programmed
+                    .resize(self.g_programmed.len() + nc - ec, g_min);
+            }
+        }
+        self.g_programmed.resize(nr * nc, g_min);
+        self.extent = (nr, nc);
+    }
+
+    /// Batched program-and-verify of the `window = (rows, cols)` devices
+    /// anchored at the origin: drives each toward its entry of `targets`
+    /// (siemens, row-major over the window) until the verified
+    /// conductance is within `rel_tolerance` of the target relative to
+    /// the conductance window, or the per-device pulse budget is
+    /// exhausted. Devices outside the window keep their state. The noisy
+    /// case samples each device's pulse count and final state from the
+    /// exact joint law of the sequential pulse loop (see the module
+    /// docs), so per-device pulse counts, the wear ledger and stored
+    /// conductances match the per-device loop in distribution while
+    /// spending two uniform draws per device.
     ///
     /// # Panics
     ///
-    /// Panics if `targets.len() != rows × cols`, `rel_tolerance <= 0`, or
-    /// a target that requires pulsing lies outside `[g_min, g_max]`.
+    /// Panics if the window exceeds the bank, `targets.len()` is not
+    /// `rows × cols`, `rel_tolerance <= 0`, or a target that requires
+    /// pulsing lies outside `[g_min, g_max]`.
     pub fn program_and_verify<R: Rng + ?Sized>(
         &mut self,
+        window: (usize, usize),
         targets: &[f64],
         rel_tolerance: f64,
         rng: &mut R,
     ) -> BankProgramReport {
-        assert_eq!(
-            targets.len(),
-            self.g_programmed.len(),
-            "target count mismatch"
+        let (w_rows, w_cols) = window;
+        assert!(
+            w_rows <= self.rows && w_cols <= self.cols,
+            "window {w_rows}x{w_cols} exceeds the {}x{} bank",
+            self.rows,
+            self.cols
         );
+        assert_eq!(targets.len(), w_rows * w_cols, "target count mismatch");
         assert!(rel_tolerance > 0.0, "tolerance must be positive");
+        self.cover(window);
+        let stride = self.extent.1;
+        let bank_cols = self.cols;
+        // Window index → (stored conductance, wear ledger) indices.
+        let slot = |i: usize| {
+            let (r, c) = (i / w_cols, i % w_cols);
+            (r * stride + c, r * bank_cols + c)
+        };
         let range = self.params.g_range().0;
         let g_min = self.params.g_min.0;
         let g_max = self.params.g_max.0;
@@ -184,13 +253,17 @@ impl PcmBank {
         // tolerance. Devices already on target never pulse (and, as in the
         // per-device model, never hit the window assertion).
         let mut active: Vec<u32> = Vec::new();
-        for (i, (&g, &t)) in self.g_programmed.iter().zip(targets).enumerate() {
-            if (g - t).abs() / range > rel_tolerance {
-                assert!(
-                    t >= g_min && t <= g_max,
-                    "target conductance {t} outside window [{g_min}, {g_max}]"
-                );
-                active.push(i as u32);
+        for r in 0..w_rows {
+            let stored = &self.g_programmed[r * stride..r * stride + w_cols];
+            let wanted = &targets[r * w_cols..(r + 1) * w_cols];
+            for (c, (&g, &t)) in stored.iter().zip(wanted).enumerate() {
+                if (g - t).abs() / range > rel_tolerance {
+                    assert!(
+                        t >= g_min && t <= g_max,
+                        "target conductance {t} outside window [{g_min}, {g_max}]"
+                    );
+                    active.push((r * w_cols + c) as u32);
+                }
             }
         }
 
@@ -205,9 +278,9 @@ impl PcmBank {
                 rounds = 1;
                 total_pulses = active.len() as u64;
                 for &i in &active {
-                    let i = i as usize;
-                    self.g_programmed[i] = targets[i].clamp(g_min, g_max);
-                    self.pulses[i] += 1;
+                    let (s, l) = slot(i as usize);
+                    self.g_programmed[s] = targets[i as usize].clamp(g_min, g_max);
+                    self.pulses[l] += 1;
                 }
             }
         } else {
@@ -229,8 +302,7 @@ impl PcmBank {
             let phi_hi = normal_cdf(tau);
             let interior_inv_ln_q = (1.0 - (phi_hi - phi_lo)).ln().recip();
             for &i in &active {
-                let i = i as usize;
-                let t = targets[i];
+                let t = targets[i as usize];
                 let lo = (g_min - t) / sigma; // z driven to the g_min clamp
                 let hi = (g_max - t) / sigma; // z driven to the g_max clamp
                 let interior = lo <= -tau && hi >= tau;
@@ -272,25 +344,60 @@ impl PcmBank {
                     let w = v * (1.0 - p);
                     normal_inverse_cdf(if w < pa { w } else { w + p })
                 };
-                self.g_programmed[i] = (t + sigma * z).clamp(g_min, g_max);
-                self.pulses[i] += k as u64;
+                let (s, l) = slot(i as usize);
+                self.g_programmed[s] = (t + sigma * z).clamp(g_min, g_max);
+                self.pulses[l] += k as u64;
                 total_pulses += k as u64;
                 rounds = rounds.max(k);
             }
         }
 
-        let max_rel_error = self
-            .g_programmed
-            .iter()
-            .zip(targets)
-            .map(|(&g, &t)| (g - t).abs() / range)
-            .fold(0.0f64, f64::max);
+        let mut max_rel_error = 0.0f64;
+        for r in 0..w_rows {
+            let stored = &self.g_programmed[r * stride..r * stride + w_cols];
+            let wanted = &targets[r * w_cols..(r + 1) * w_cols];
+            for (&g, &t) in stored.iter().zip(wanted) {
+                max_rel_error = max_rel_error.max((g - t).abs() / range);
+            }
+        }
         BankProgramReport {
             pulses: total_pulses,
             max_device_pulses: rounds,
             converged: all_converged,
             max_rel_error,
             energy: self.params.program_pulse_energy * total_pulses as f64,
+            latency: self.params.program_pulse_latency * rounds as f64,
+        }
+    }
+
+    /// Erases the extent: one RESET pulse returns each device not already
+    /// at `g_min` to `g_min` — the law of `PcmDevice::reset`, so no RNG is
+    /// drawn — and is booked in the wear ledger. The pulses fire in one
+    /// lock-step round. Afterwards the extent is empty and every device
+    /// of the bank reads `g_min`.
+    pub fn erase(&mut self) -> BankProgramReport {
+        let (rows, cols) = self.extent;
+        let g_min = self.params.g_min.0;
+        let mut pulses = 0u64;
+        for r in 0..rows {
+            let stored = &self.g_programmed[r * cols..(r + 1) * cols];
+            let ledger = &mut self.pulses[r * self.cols..r * self.cols + cols];
+            for (&g, wear) in stored.iter().zip(ledger) {
+                if g != g_min {
+                    *wear += 1;
+                    pulses += 1;
+                }
+            }
+        }
+        self.g_programmed.clear();
+        self.extent = (0, 0);
+        let rounds = u32::from(pulses > 0);
+        BankProgramReport {
+            pulses,
+            max_device_pulses: rounds,
+            converged: true,
+            max_rel_error: 0.0,
+            energy: self.params.program_pulse_energy * pulses as f64,
             latency: self.params.program_pulse_latency * rounds as f64,
         }
     }
@@ -325,7 +432,7 @@ mod tests {
         let mut bank = PcmBank::new(4, 4, params);
         let t = targets(&params, 16);
         let mut rng = seeded(1);
-        let report = bank.program_and_verify(&t, 1e-6, &mut rng);
+        let report = bank.program_and_verify((4, 4), &t, 1e-6, &mut rng);
         assert!(report.converged);
         assert_eq!(report.pulses, 16);
         assert_eq!(report.max_device_pulses, 1);
@@ -346,7 +453,7 @@ mod tests {
         // Every fresh device already sits at g_min == its target.
         let t = vec![params.g_min.0; 4];
         let mut rng = seeded(3);
-        let report = bank.program_and_verify(&t, 1e-6, &mut rng);
+        let report = bank.program_and_verify((2, 2), &t, 1e-6, &mut rng);
         assert_eq!(report.pulses, 0);
         assert_eq!(report.max_device_pulses, 0);
         assert!(report.converged);
@@ -359,7 +466,7 @@ mod tests {
         let mut bank = PcmBank::new(8, 8, params);
         let t = targets(&params, 64);
         let mut rng = seeded(4);
-        let report = bank.program_and_verify(&t, 0.01, &mut rng);
+        let report = bank.program_and_verify((8, 8), &t, 0.01, &mut rng);
         assert!(report.converged, "err {}", report.max_rel_error);
         assert!(report.max_rel_error <= 0.01);
         assert!(report.pulses >= 64, "pulses {}", report.pulses);
@@ -388,7 +495,7 @@ mod tests {
         for seed in 0..40 {
             let mut bank = PcmBank::new(4, 8, params);
             let mut rng = seeded(seed);
-            bank_pulses += bank.program_and_verify(&t, 0.01, &mut rng).pulses;
+            bank_pulses += bank.program_and_verify((4, 8), &t, 0.01, &mut rng).pulses;
             let mut rng = seeded(1000 + seed);
             for &target in &t {
                 let mut d = PcmDevice::new(params);
@@ -421,7 +528,7 @@ mod tests {
         let params = PcmParams::default();
         let mut bank = PcmBank::new(1, 2, params);
         let mut rng = seeded(5);
-        bank.program_and_verify(&[params.g_min.0, 100e-6], 0.01, &mut rng);
+        bank.program_and_verify((1, 2), &[params.g_min.0, 100e-6], 0.01, &mut rng);
     }
 
     #[test]
@@ -430,6 +537,52 @@ mod tests {
         let params = PcmParams::default();
         let mut bank = PcmBank::new(2, 2, params);
         let mut rng = seeded(6);
-        bank.program_and_verify(&[params.g_min.0; 3], 0.01, &mut rng);
+        bank.program_and_verify((2, 2), &[params.g_min.0; 3], 0.01, &mut rng);
+    }
+
+    #[test]
+    fn windows_grow_the_extent_and_erase_resets_it() {
+        let params = PcmParams::ideal();
+        let mut bank = PcmBank::new(4, 5, params);
+        let mut rng = seeded(7);
+        let t = targets(&params, 6);
+        bank.program_and_verify((2, 3), &t, 1e-6, &mut rng);
+        assert_eq!(bank.extent(), (2, 3));
+        assert_eq!(bank.conductance(1, 2), t[5]);
+        // A narrower, taller window widens the extent to the union and
+        // keeps the devices it does not cover.
+        bank.program_and_verify((3, 1), &t[..3], 1e-6, &mut rng);
+        assert_eq!(bank.extent(), (3, 3));
+        assert_eq!(bank.conductance(2, 0), t[2]);
+        assert_eq!(bank.conductance(1, 2), t[5]);
+        assert_eq!(bank.extent_row(2), &[t[2], params.g_min.0, params.g_min.0]);
+        let all = bank.conductances();
+        assert_eq!(all.len(), 20);
+        let off_g_min = all.iter().filter(|&&g| g != params.g_min.0).count();
+        assert_eq!(off_g_min, 7);
+        // Erase: one RESET pulse per device off g_min, no RNG, and the
+        // same ledger as resetting every device of the model.
+        let before = bank.total_pulses();
+        let report = bank.erase();
+        assert_eq!(report.pulses, 7);
+        assert_eq!(report.max_device_pulses, 1);
+        assert_eq!(report.latency, params.program_pulse_latency);
+        assert_eq!(bank.total_pulses(), before + 7);
+        assert_eq!(bank.extent(), (0, 0));
+        assert!(bank.conductances().iter().all(|&g| g == params.g_min.0));
+        assert_eq!(bank.pulse_count(1, 2), 2, "programmed once, reset once");
+        assert_eq!(bank.pulse_count(3, 4), 0, "never touched");
+        // An erased bank erases for free.
+        assert_eq!(bank.erase().pulses, 0);
+        assert_eq!(bank.erase().latency, Seconds(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 2x2 bank")]
+    fn oversized_window_panics() {
+        let params = PcmParams::default();
+        let mut bank = PcmBank::new(2, 2, params);
+        let mut rng = seeded(8);
+        bank.program_and_verify((3, 1), &[params.g_min.0; 3], 0.01, &mut rng);
     }
 }

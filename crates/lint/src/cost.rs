@@ -114,8 +114,9 @@ pub struct CostEnvelope {
     pub match_pulses: u64,
     /// `ProgramMatrix` instructions.
     pub matrix_programs: u64,
-    /// Analog devices touched by matrix programs (`2 × rows × cols` per
-    /// program: a differential pair holds each signed weight).
+    /// Analog devices touched by matrix programs (`2 × rows × cols` of
+    /// each programmed matrix, which occupies a window of its own shape:
+    /// a differential pair holds each signed weight).
     pub programmed_devices: u64,
     /// `Mvm` + `MvmT` instructions.
     pub mvms: u64,
@@ -135,7 +136,8 @@ pub struct CostEnvelope {
     /// Upper bound on `DeviceCounters::noise_samples`: the fast path
     /// draws at most one aggregate sample per *output line* per tile of
     /// the differential pair (`2 × rows` per `Mvm`, `2 × cols` per
-    /// `MvmT`); the nominal tier draws none.
+    /// `MvmT`, over the tile's rows and columns, of which a window reads
+    /// at most all); the nominal tier draws none.
     pub noise_sample_bound: u64,
     /// Latency upper bound from the analytical model (offload overhead
     /// plus op slots at effective parallelism over the pulse bounds).
@@ -144,9 +146,9 @@ pub struct CostEnvelope {
     /// the pulse bounds plus ADC conversions for sampled columns).
     pub energy_bound: Joules,
     /// The scheduler's scalar load estimate, in units of one digital
-    /// row access — the single cost authority batch packing and shard
-    /// balancing consume. Always at least 1 (a job occupies a dispatch
-    /// slot even when empty).
+    /// row access — the single cost authority that orders each shard's
+    /// batch and charges the routing ledger. Always at least 1 (a job
+    /// occupies a dispatch slot even when empty).
     pub cost_units: u64,
 }
 
@@ -248,10 +250,21 @@ impl std::fmt::Display for CostEnvelope {
     }
 }
 
+/// Scheduler weight of one `Mvm` or `MvmT`, in digital row accesses.
+pub const MVM_WEIGHT: u64 = 100;
+
+/// Scheduler weight of one `ProgramMatrix`: its latency bound in 10 ns
+/// op slots (one slot per digital row access). The rows of a tile
+/// program in lock-step rounds, so a program lasts as long as its
+/// slowest device, however small its window: 20 verify rounds (the PCM
+/// `max_program_pulses` cap) × 500 ns (`program_pulse_latency`) ÷ 10 ns
+/// = 1,000 units.
+const PROGRAM_WEIGHT: u64 = 20 * 500 / 10;
+
 /// The per-instruction scheduler weight, in units of one digital row
-/// access — the same scale the runtime's batch-cost budget is set in.
-/// Kept here (next to the counting walk) so the envelope's `cost_units`
-/// is the one authority both batch packing and admission consume.
+/// access — the scale the runtime's routing ledger is kept in. Kept
+/// here (next to the counting walk) so the envelope's `cost_units` is
+/// the one authority the scheduler consumes.
 fn scheduler_weight(instr: &CimInstruction) -> u64 {
     match instr {
         CimInstruction::WriteRow { .. }
@@ -263,8 +276,8 @@ fn scheduler_weight(instr: &CimInstruction) -> u64 {
         CimInstruction::WriteKey { .. } => 2,
         CimInstruction::MatchSearch { entries, .. } => *entries as u64,
         CimInstruction::Logic { rows, .. } => rows.len() as u64,
-        CimInstruction::Mvm { .. } | CimInstruction::MvmT { .. } => 100,
-        CimInstruction::ProgramMatrix { matrix, .. } => (matrix.rows() * matrix.cols()) as u64 / 64,
+        CimInstruction::Mvm { .. } | CimInstruction::MvmT { .. } => MVM_WEIGHT,
+        CimInstruction::ProgramMatrix { .. } => PROGRAM_WEIGHT,
     }
 }
 
@@ -315,12 +328,13 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
             CimInstruction::Mvm { .. } => {
                 env.mvms += 1;
                 // One aggregate sample per output line (forward products
-                // read the rows), per tile of the differential pair.
+                // read the window's rows, at most the tile's), per tile
+                // of the differential pair.
                 env.noise_sample_bound += 2 * geometry.analog_rows as u64;
             }
             CimInstruction::MvmT { .. } => {
                 env.mvms += 1;
-                // Transpose products read the columns.
+                // Transpose products read the window's columns.
                 env.noise_sample_bound += 2 * geometry.analog_cols as u64;
             }
         }
@@ -415,9 +429,10 @@ mod tests {
         assert_eq!(env.programmed_devices, 2 * 4 * 8);
         assert_eq!(env.mvms, 1);
         // Scheduler scale: writes/read/store 1 each, logic = fan-in,
-        // key write 2, search = entries, mvm 100, program = 32/64
-        // (zero), plus the constant 1.
-        assert_eq!(env.cost_units, 2 + 1 + 1 + 2 + 2 + 1 + 100 + 1);
+        // key write 2, search = entries, mvm 100, program = its latency
+        // bound of 1,000 op slots whatever its shape, plus the constant
+        // 1.
+        assert_eq!(env.cost_units, 2 + 1 + 1 + 2 + 2 + 1 + 1000 + 100 + 1);
     }
 
     #[test]
@@ -450,7 +465,7 @@ mod tests {
         let b = cost(&sample_program(), &geo(), &CostModel::default());
         assert_eq!(a.to_text(), b.to_text());
         assert_eq!(a.to_json(), b.to_json());
-        assert!(a.to_json().contains("\"cost_units\": 110"));
-        assert!(a.to_text().contains("cost 110"));
+        assert!(a.to_json().contains("\"cost_units\": 1110"));
+        assert!(a.to_text().contains("cost 1110"));
     }
 }

@@ -88,5 +88,5 @@ mod cost;
 mod diag;
 
 pub use check::{lint, Geometry, LintTarget};
-pub use cost::{cost, CostEnvelope, CostModel};
+pub use cost::{cost, CostEnvelope, CostModel, MVM_WEIGHT};
 pub use diag::{Diagnostic, LintReport, RuleCode, Severity};

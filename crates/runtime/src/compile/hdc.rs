@@ -1,7 +1,8 @@
 //! Hyperdimensional language classification: [`WorkloadSpec::HdcClassify`]
 //! (prototypes programmed per job), [`WorkloadSpec::HdcQuery`] against
 //! resident [`DatasetSpec::HdcPrototypes`] and the prototypes' load
-//! program — one MVM per query, argmaxed on the host — plus
+//! program — the `classes × d` prototype matrix in its own window of an
+//! analog tile, one `d`-input MVM per query, argmaxed on the host — plus
 //! [`WorkloadSpec::HdcAssoc`], the same task served as an associative
 //! memory over CAM tiles.
 //!
@@ -18,8 +19,8 @@
 //! [`DatasetSpec::HdcPrototypes`]: crate::DatasetSpec::HdcPrototypes
 
 use super::{
-    bits_of, pad_row, vector_of, CompileError, CompiledJob, DatasetProgram, Finalize, HostProfile,
-    Lowering, TileDemand,
+    bits_of, check_mvm_count, pad_row, vector_of, CompileError, CompiledJob, DatasetProgram,
+    Finalize, HostProfile, Lowering, TileDemand,
 };
 use crate::dataset::ResidentPayload;
 use crate::job::{HdcOutcome, JobOutput};
@@ -113,19 +114,23 @@ fn check_ngrams(field: &'static str, len: usize, ngram: usize) -> Result<(), Com
 
 /// Rejects query batches with no samples, or with samples too short to
 /// hold one `ngram`-gram (`ngram` is nonzero for every validated task),
-/// and samples with more n-grams than a bundle counts.
+/// batches of more samples than one job carries MVMs
+/// ([`check_mvm_count`]: the analog kinds run one MVM per sample, and
+/// `HdcAssoc` shares the cap so the three kinds accept the same
+/// batches), and samples with more n-grams than a bundle counts.
 fn check_samples(samples: usize, sample_len: usize, ngram: usize) -> Result<(), CompileError> {
     if samples == 0 || sample_len < ngram {
         return Err(CompileError::EmptyWorkload);
     }
+    check_mvm_count("samples", samples)?;
     check_ngrams("sample_len", sample_len, ngram)
 }
 
-/// The prototypes as a 0/1 conductance matrix padded to the analog
-/// tile shape.
-fn prototype_matrix(prototypes: &[Hypervector], d: usize, cfg: &PoolConfig) -> Matrix {
-    Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-        if r < prototypes.len() && c < d && prototypes[r].bits().get(c) {
+/// The prototypes as a `classes × d` 0/1 conductance matrix: the tile
+/// programs, reads and erases only that window.
+fn prototype_matrix(prototypes: &[Hypervector], d: usize) -> Matrix {
+    Matrix::from_fn(prototypes.len(), d, |r, c| {
+        if prototypes[r].bits().get(c) {
             1.0
         } else {
             0.0
@@ -155,18 +160,18 @@ fn sample_queries(
         .collect()
 }
 
-/// Appends one MVM per query against prototype tile 0, each an output.
+/// Appends one `d`-input MVM per query against prototype tile 0, each
+/// an output.
 fn emit_mvm_queries(
     instructions: &mut Vec<CimInstruction>,
     queries: Vec<(BitVec, usize)>,
     d: usize,
-    cfg: &PoolConfig,
 ) -> (Vec<usize>, Vec<usize>) {
     let mut outputs = Vec::with_capacity(queries.len());
     let mut expected = Vec::with_capacity(queries.len());
     for (query, class) in queries {
-        let x: Vec<f64> = (0..cfg.analog_cols)
-            .map(|j| if j < d && query.get(j) { 1.0 } else { 0.0 })
+        let x: Vec<f64> = (0..d)
+            .map(|j| if query.get(j) { 1.0 } else { 0.0 })
             .collect();
         instructions.push(CimInstruction::Mvm { tile: 0, x });
         outputs.push(instructions.len() - 1);
@@ -175,11 +180,10 @@ fn emit_mvm_queries(
     (outputs, expected)
 }
 
-/// Argmaxes each score vector over the first `classes` entries, ties to
-/// the lowest class index.
+/// Argmaxes each score vector (one entry per class), ties to the
+/// lowest class index.
 #[derive(Debug)]
 struct Argmax {
-    classes: usize,
     expected: Vec<usize>,
 }
 
@@ -190,7 +194,7 @@ impl Finalize for Argmax {
             .map(|resp| {
                 let scores = vector_of(resp);
                 let mut best = 0;
-                for (c, &s) in scores.iter().enumerate().take(self.classes) {
+                for (c, &s) in scores.iter().enumerate() {
                     if s > scores[best] {
                         best = c;
                     }
@@ -219,14 +223,11 @@ pub(super) fn classify(
     let (task, prototypes) = spec.train(lw.seed);
     let mut instructions = vec![CimInstruction::ProgramMatrix {
         tile: 0,
-        matrix: prototype_matrix(&prototypes, spec.d, lw.cfg),
+        matrix: prototype_matrix(&prototypes, spec.d),
     }];
     let queries = sample_queries(&task, spec.classes, samples, sample_len, lw.seed);
-    let (outputs, expected) = emit_mvm_queries(&mut instructions, queries, spec.d, lw.cfg);
-    let decode = Argmax {
-        classes: spec.classes,
-        expected,
-    };
+    let (outputs, expected) = emit_mvm_queries(&mut instructions, queries, spec.d);
+    let decode = Argmax { expected };
     Ok(lw.job(TileDemand::analog(1), instructions, outputs, decode))
 }
 
@@ -243,11 +244,8 @@ pub(super) fn query(
     check_samples(samples, sample_len, task.encoder.n())?;
     let mut instructions = Vec::with_capacity(samples);
     let queries = sample_queries(task, *classes, samples, sample_len, lw.seed);
-    let (outputs, expected) = emit_mvm_queries(&mut instructions, queries, *d, lw.cfg);
-    let decode = Argmax {
-        classes: *classes,
-        expected,
-    };
+    let (outputs, expected) = emit_mvm_queries(&mut instructions, queries, *d);
+    let decode = Argmax { expected };
     Ok(lw.job(TileDemand::analog(1), instructions, outputs, decode))
 }
 
@@ -264,7 +262,7 @@ pub(super) fn load(
     Ok(DatasetProgram {
         instructions: vec![CimInstruction::ProgramMatrix {
             tile: 0,
-            matrix: prototype_matrix(&prototypes, spec.d, cfg),
+            matrix: prototype_matrix(&prototypes, spec.d),
         }],
         demand: TileDemand::analog(1),
         payload: ResidentPayload::Hdc {
@@ -471,7 +469,7 @@ mod tests {
     use crate::job::WorkloadSpec;
 
     #[test]
-    fn hdc_pads_matrix_and_queries_to_tile_shape() {
+    fn hdc_programs_its_window_and_queries_its_dimension() {
         let spec = WorkloadSpec::HdcClassify {
             classes: 4,
             d: 512,
@@ -483,14 +481,20 @@ mod tests {
         let c = lower(&spec, &cfg()).unwrap();
         assert_eq!(c.demand.analog, 1);
         assert_eq!(c.outputs.len(), 6);
+        // The prototype matrix is `classes × d`, smaller than the tile,
+        // and every query drives the `d` prototype columns.
+        assert!(4 < cfg().analog_rows && 512 < cfg().analog_cols);
         match &c.instructions[0] {
             CimInstruction::ProgramMatrix { matrix, .. } => {
-                assert_eq!(
-                    (matrix.rows(), matrix.cols()),
-                    (cfg().analog_rows, cfg().analog_cols)
-                );
+                assert_eq!((matrix.rows(), matrix.cols()), (4, 512));
             }
             other => panic!("expected ProgramMatrix first, got {other:?}"),
+        }
+        for instr in &c.instructions[1..] {
+            match instr {
+                CimInstruction::Mvm { x, .. } => assert_eq!(x.len(), 512),
+                other => panic!("expected MVM queries, got {other:?}"),
+            }
         }
         // Ground-truth labels run round-robin over the classes.
         let scores = vec![CimResponse::Vector(vec![0.0; 4]); 6];

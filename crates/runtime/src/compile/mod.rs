@@ -35,12 +35,12 @@ mod xor;
 
 use crate::dataset::{DatasetSpec, ResidentPayload, ResidentView};
 use crate::job::{DatasetId, JobId, JobKind, JobOutput, TenantId, WorkloadSpec};
-use crate::schedule::{OffloadPolicy, PoolConfig};
+use crate::schedule::{OffloadPolicy, PoolConfig, MAX_ROUTING_DEBT};
 use cim_arch::conventional::ConventionalMachine;
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::offload::Program;
 use cim_crossbar::scouting::ScoutOp;
-use cim_lint::CostEnvelope;
+use cim_lint::{CostEnvelope, MVM_WEIGHT};
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::units::{ByteSize, Seconds};
 use std::collections::BTreeSet;
@@ -118,6 +118,23 @@ pub(crate) trait Finalize: fmt::Debug + Send + Sync {
     fn finalize(&self, outputs: Vec<CimResponse>) -> JobOutput;
 }
 
+/// Rejects a job of more MVMs than one job may carry: at [`MVM_WEIGHT`]
+/// cost units each, its MVMs alone must fit [`MAX_ROUTING_DEBT`] (163
+/// MVMs), the most work the routing ledger lets one shard run ahead by.
+/// Checked before lowering allocates one input vector per MVM, so an
+/// oversized count is a typed error instead of an allocation failure.
+/// `field` names the spec field the count grows with.
+fn check_mvm_count(field: &'static str, mvms: usize) -> Result<(), CompileError> {
+    let max = (MAX_ROUTING_DEBT / MVM_WEIGHT) as usize;
+    if mvms > max {
+        return Err(CompileError::InvalidSpec {
+            field,
+            reason: format!("{mvms} MVMs exceed the {max} one job may carry"),
+        });
+    }
+    Ok(())
+}
+
 /// Decodes a bits response. Finalizers only consume outputs their own
 /// compiler emitted, so any other shape is a compiler bug — a runtime
 /// invariant, not a tenant-reachable state.
@@ -150,7 +167,8 @@ pub(crate) struct CompiledJob {
     pub job: JobId,
     /// The owning tenant.
     pub tenant: TenantId,
-    /// Workload family (drives batch compatibility).
+    /// Workload family: names the job's report, and marks raw streams
+    /// for verification at admission.
     pub kind: JobKind,
     /// The resident dataset the job runs against, if any: the
     /// scheduler routes the job to the dataset's shard and maps its

@@ -2,19 +2,21 @@
 //! (weights programmed per job), [`WorkloadSpec::NnQuery`] against
 //! resident [`DatasetSpec::NnWeights`], and the weights' load program.
 //!
-//! Every layer's ±1 weight matrix sits in its own analog tile and each
-//! inference runs one MVM per layer. The finalizer snaps each score onto
-//! the ±1×±1 parity lattice of the layer's fan-in, recovering the exact
-//! integer under the bounded analog noise the compiler provisions for —
-//! so [`BinarizedMlp::scores`] is the job's certified host reference.
+//! Every layer's ±1 weight matrix sits in its own analog tile, in a
+//! window of the layer's own `rows × cols`, and each inference runs one
+//! MVM per layer over the layer's fan-in. The finalizer snaps each score
+//! onto the ±1×±1 parity lattice of the layer's fan-in, recovering the
+//! exact integer under the bounded analog noise the compiler provisions
+//! for — so [`BinarizedMlp::scores`] is the job's certified host
+//! reference.
 //!
 //! [`WorkloadSpec::NnInfer`]: crate::WorkloadSpec::NnInfer
 //! [`WorkloadSpec::NnQuery`]: crate::WorkloadSpec::NnQuery
 //! [`DatasetSpec::NnWeights`]: crate::DatasetSpec::NnWeights
 
 use super::{
-    vector_of, CompileError, CompiledJob, DatasetProgram, Finalize, HostProfile, Lowering,
-    TileDemand,
+    check_mvm_count, vector_of, CompileError, CompiledJob, DatasetProgram, Finalize, HostProfile,
+    Lowering, TileDemand,
 };
 use crate::dataset::ResidentPayload;
 use crate::job::{JobOutput, NnOutcome};
@@ -22,7 +24,6 @@ use crate::schedule::PoolConfig;
 use cim_core::isa::{CimInstruction, CimResponse};
 use cim_nn::binarized::{argmax_scores, snap_to_parity, BinarizedMlp};
 use cim_simkit::bitvec::BitVec;
-use cim_simkit::linalg::Matrix;
 use std::sync::Arc;
 
 const PROFILE: HostProfile = HostProfile {
@@ -31,12 +32,11 @@ const PROFILE: HostProfile = HostProfile {
     l2_miss: 0.9,
 };
 
-/// Decodes final-layer MVM responses: snap each entry onto the parity
-/// lattice of the final layer's fan-in, then argmax into a class.
+/// Decodes final-layer MVM responses (one entry per class): snap each
+/// entry onto the parity lattice of the final layer's fan-in, then
+/// argmax into a class.
 #[derive(Debug)]
 struct Parity {
-    /// Stored classes (response entries beyond this are padding).
-    classes: usize,
     /// Fan-in of the final layer (defines the parity lattice).
     fan_in: usize,
 }
@@ -48,7 +48,6 @@ impl Parity {
             None => unreachable!("binarized networks have at least one layer"),
         };
         Parity {
-            classes: last.rows(),
             fan_in: last.cols(),
         }
     }
@@ -70,7 +69,6 @@ impl Finalize for Parity {
                 .map(|resp| {
                     vector_of(resp)
                         .iter()
-                        .take(self.classes)
                         .map(|&v| snap_to_parity(v, self.fan_in))
                         .collect()
                 })
@@ -105,21 +103,16 @@ fn fits_shard(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Result<(), CompileError> 
     Ok(())
 }
 
-/// Every layer's ±1 weight matrix padded to the analog tile shape, one
-/// `ProgramMatrix` per tile.
-fn program_weights(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Vec<CimInstruction> {
+/// One `ProgramMatrix` per tile, each of one layer's own `rows × cols`
+/// ±1 weight matrix: the tile programs, reads and erases only that
+/// window (see `cim_crossbar::analog`'s windows).
+fn program_weights(mlp: &BinarizedMlp) -> Vec<CimInstruction> {
     mlp.layers()
         .iter()
         .enumerate()
         .map(|(tile, layer)| CimInstruction::ProgramMatrix {
             tile,
-            matrix: Matrix::from_fn(cfg.analog_rows, cfg.analog_cols, |r, c| {
-                if r < layer.rows() && c < layer.cols() {
-                    layer.get(r, c)
-                } else {
-                    0.0
-                }
-            }),
+            matrix: layer.clone(),
         })
         .collect()
 }
@@ -130,11 +123,14 @@ fn weight_bytes(mlp: &BinarizedMlp) -> u64 {
     (mlp.weight_count() as u64).div_ceil(8)
 }
 
-/// Validates inference inputs against the network's input width.
+/// Validates inference inputs: some, at most as many MVMs (one per
+/// layer per input) as one job may carry, each of the network's input
+/// width.
 fn check_inputs(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileError> {
     if inputs.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
+    check_mvm_count("inputs", inputs.len().saturating_mul(mlp.layers().len()))?;
     match inputs.iter().find(|x| x.len() != mlp.inputs()) {
         Some(x) => Err(CompileError::InputLengthMismatch {
             got: x.len(),
@@ -146,10 +142,10 @@ fn check_inputs(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileErro
 
 /// Lowers the inference of `inputs` after `instructions` (the weight
 /// programs, or nothing for a resident query): one MVM per layer per
-/// input, the layer input chained host-side at compile time via the
-/// exact sign activations (the same integers the parity decode recovers
-/// from the array, so the chain and the array agree bit for bit). The
-/// final layer's MVM is each input's output.
+/// input, over the layer's fan-in, the layer input chained host-side at
+/// compile time via the exact sign activations (the same integers the
+/// parity decode recovers from the array, so the chain and the array
+/// agree bit for bit). The final layer's MVM is each input's output.
 fn inference(
     lw: &Lowering,
     mlp: &BinarizedMlp,
@@ -160,16 +156,8 @@ fn inference(
     for x in inputs {
         let acts = mlp.activations(x);
         for (tile, (layer, v)) in mlp.layers().iter().zip(&acts).enumerate() {
-            let x: Vec<f64> = (0..lw.cfg.analog_cols)
-                .map(|j| {
-                    if j >= layer.cols() {
-                        0.0
-                    } else if v.get(j) {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                })
+            let x: Vec<f64> = (0..layer.cols())
+                .map(|j| if v.get(j) { 1.0 } else { -1.0 })
                 .collect();
             instructions.push(CimInstruction::Mvm { tile, x });
         }
@@ -201,7 +189,7 @@ pub(super) fn infer(
     fits(mlp, lw.cfg)?;
     check_inputs(mlp, inputs)?;
     fits_shard(mlp, lw.cfg)?;
-    let programs = program_weights(mlp, lw.cfg);
+    let programs = program_weights(mlp);
     Ok(inference(lw, mlp, inputs, programs))
 }
 
@@ -224,7 +212,7 @@ pub(super) fn load(
     fits(network, cfg)?;
     fits_shard(network, cfg)?;
     Ok(DatasetProgram {
-        instructions: program_weights(network, cfg),
+        instructions: program_weights(network),
         demand: TileDemand::analog(network.layers().len()),
         payload: ResidentPayload::Nn {
             network: Arc::new(network.clone()),
@@ -266,6 +254,21 @@ mod tests {
             .count();
         assert_eq!(programs, 2, "each layer programmed once");
         assert_eq!(mvms, 4 * 2, "one MVM per layer per input");
+        // Each layer programs and drives its own window: a 6×8 and a
+        // 3×6 matrix, MVM inputs of fan-in 8 and 6.
+        for instr in &c.instructions {
+            match instr {
+                CimInstruction::ProgramMatrix { tile, matrix } => {
+                    let layer = &mlp.layers()[*tile];
+                    assert_eq!(matrix.as_slice(), layer.as_slice());
+                    assert_eq!((matrix.rows(), matrix.cols()), (layer.rows(), layer.cols()));
+                }
+                CimInstruction::Mvm { tile, x } => {
+                    assert_eq!(x.len(), mlp.layers()[*tile].cols());
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
         assert_eq!(c.outputs.len(), 4, "one output per inference");
         // Every output is a final-layer MVM (tile 1).
         for &idx in &c.outputs {
@@ -277,7 +280,7 @@ mod tests {
         // The decode lattice uses the final layer: 3 classes, fan-in 6.
         let decoded = c
             .finalizer
-            .finalize(vec![CimResponse::Vector(vec![4.2, -1.9, 0.1, 9.0])]);
+            .finalize(vec![CimResponse::Vector(vec![4.2, -1.9, 0.1])]);
         match decoded {
             JobOutput::Nn(outcome) => assert_eq!(outcome.scores, vec![vec![4, -2, 0]]),
             other => panic!("wrong output {other:?}"),

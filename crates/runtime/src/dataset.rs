@@ -271,9 +271,6 @@ pub(crate) struct DatasetRecord {
     pub resident_bytes: u64,
     /// The resident rows of each virtual digital tile.
     pub resident_rows: Vec<Range<usize>>,
-    /// Seed of the load program's noise stream (scrubbing derives from
-    /// it too).
-    pub seed: u64,
 }
 
 impl DatasetRecord {

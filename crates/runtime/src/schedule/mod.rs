@@ -52,13 +52,16 @@
 //! `worker`.
 //!
 //! After each job the runtime scrubs every tile row the job wrote (and
-//! every analog tile it programmed) so no data survives into the next
+//! erases every analog tile it programmed, back to `g_min` over the
+//! windows its matrices occupied) so no data survives into the next
 //! lease; the scrub cost is reported as maintenance overhead. Resident
 //! datasets are the deliberate exception: their tiles are scrubbed only
 //! when the last [`crate::DatasetHandle`] drops.
 
 mod plan;
 mod worker;
+
+pub(crate) use plan::MAX_ROUTING_DEBT;
 
 use crate::client::PoolClient;
 use crate::compile::{
@@ -505,7 +508,6 @@ impl RuntimePool {
                 let worker = Worker {
                     shard,
                     accelerator,
-                    shard_seed: shard_seed(shard),
                     pool: Arc::clone(&shared),
                 };
                 std::thread::Builder::new()
@@ -1008,7 +1010,6 @@ impl PoolShared {
                     payload,
                     resident_bytes,
                     resident_rows,
-                    seed,
                 },
             );
             (shards, span, replies)
@@ -1085,7 +1086,6 @@ impl PoolShared {
             let _ = self.to_shards[placement.shard].send(WorkerMsg::ReleaseDataset {
                 rows: placement.scrub_rows,
                 analog_tiles: placement.analog_tiles,
-                seed: record.seed,
             });
         }
     }

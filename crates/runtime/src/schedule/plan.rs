@@ -81,7 +81,7 @@ pub(super) fn scatter_assignment(
 /// The most a shard may trail the busiest shard in the routing ledger,
 /// in envelope cost units. A shard that sat pinned or idle catches up
 /// for at most this much work before routing alternates again.
-pub(super) const MAX_ROUTING_DEBT: u64 = 1 << 14;
+pub(crate) const MAX_ROUTING_DEBT: u64 = 1 << 14;
 
 /// Charges `cost` envelope units routed to `shard` to the routing
 /// ledger `loads`, then bounds the debt: every shard is raised to at

@@ -4,7 +4,7 @@
 //! job's outputs and ending the job in the pool's job table. Execution
 //! and decoding both run under panic containment.
 
-use super::{lock, mix_seed, PoolShared};
+use super::{lock, PoolShared};
 use crate::compile::CompiledJob;
 use crate::job::{JobError, JobOutput, JobReport, JobRoute};
 use crate::trace::Attr;
@@ -85,7 +85,6 @@ pub(super) enum WorkerMsg {
     ReleaseDataset {
         rows: Vec<(usize, usize)>,
         analog_tiles: Vec<usize>,
-        seed: u64,
     },
     /// Exit the worker loop (sent by `RuntimePool::drop`).
     Shutdown,
@@ -164,7 +163,6 @@ pub(super) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 pub(super) struct Worker {
     pub(super) shard: usize,
     pub(super) accelerator: CimAccelerator,
-    pub(super) shard_seed: u64,
     pub(super) pool: Arc<PoolShared>,
 }
 
@@ -216,12 +214,8 @@ impl Worker {
                     // Fails only if the registering thread is gone.
                     let _ = reply.send(executed.map(|_| (stats, device)));
                 }
-                WorkerMsg::ReleaseDataset {
-                    rows,
-                    analog_tiles,
-                    seed,
-                } => {
-                    let maintenance = self.scrub(rows, analog_tiles, seed);
+                WorkerMsg::ReleaseDataset { rows, analog_tiles } => {
+                    let maintenance = self.scrub(rows, analog_tiles);
                     let mut st = lock(&self.pool.state);
                     st.telemetry.maintenance = st.telemetry.maintenance.then(maintenance);
                 }
@@ -272,23 +266,19 @@ impl Worker {
         (executed, stats, device)
     }
 
-    /// Scrubs written rows and programmed analog tiles so no data
-    /// survives into the next lease, under a scrub noise stream derived
-    /// from `salt`; returns the maintenance cost.
+    /// Scrubs written rows and erases programmed analog tiles so no data
+    /// survives into the next lease; returns the maintenance cost.
     fn scrub(
         &mut self,
         rows: impl IntoIterator<Item = (usize, usize)>,
         analog_tiles: impl IntoIterator<Item = usize>,
-        salt: u64,
     ) -> OperationCost {
         let mut maintenance = OperationCost::default();
-        let mut scrub_rng = seeded(mix_seed(self.shard_seed, 0x5C12 ^ salt));
         for (tile, row) in rows {
             maintenance = maintenance.then(self.accelerator.scrub_digital_row(tile, row));
         }
         for tile in analog_tiles {
-            maintenance =
-                maintenance.then(self.accelerator.scrub_analog_tile(tile, &mut scrub_rng));
+            maintenance = maintenance.then(self.accelerator.scrub_analog_tile(tile));
         }
         maintenance
     }
@@ -367,7 +357,7 @@ impl Worker {
         self.pool
             .tracer
             .close(exec_span, stats.busy_time.0, &[("outcome", outcome)]);
-        report.maintenance = self.scrub(written, programmed, compiled.job.0);
+        report.maintenance = self.scrub(written, programmed);
         report.output = executed
             .and_then(|outputs| {
                 // Split parts skip the finalize span: the parent's single

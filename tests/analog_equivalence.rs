@@ -8,10 +8,15 @@
 //! driven through the same random operation scripts across random
 //! geometries. The suite asserts, mirroring `soa_equivalence`:
 //!
-//! * **states & outputs** — stored matrices, product outputs, pulse
-//!   counts and per-op costs are bit-identical (costs to 1e-12 relative)
-//!   whenever `sigma_prog == 0 && sigma_read == 0`, with and without
-//!   drift;
+//! * **states & outputs** — stored matrices, every device's conductance
+//!   and wear ledger, product outputs, pulse counts and per-op costs are
+//!   bit-identical (costs to 1e-12 relative) whenever
+//!   `sigma_prog == 0 && sigma_read == 0`, with and without drift;
+//! * **windows and erase** — scripts program matrices smaller than the
+//!   tile into origin-anchored windows, large and small in turn, and
+//!   erase; every script ends with an erase and a program of a different
+//!   shape. After an erase every device reads `g_min` on both
+//!   implementations, at any sigma;
 //! * **accounting** — under default (noisy) parameters both
 //!   implementations keep their pulse/energy/latency identities
 //!   (`energy = pulse_energy × pulses`, latency capped by the pulse
@@ -39,25 +44,127 @@ fn rel_close(a: f64, b: f64) -> bool {
 /// One scripted operation, decoded from two random words.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Program { pattern: u64 },
-    Mvm { pattern: u64 },
-    MvmT { pattern: u64 },
+    /// Program a `window`-shaped matrix at the origin.
+    Program {
+        pattern: u64,
+        window: (usize, usize),
+    },
+    /// RESET the pair to `g_min`.
+    Erase,
+    Mvm {
+        pattern: u64,
+    },
+    MvmT {
+        pattern: u64,
+    },
 }
 
-fn decode_ops(sels: &[u8], args: &[u64]) -> Vec<Op> {
-    // Every script opens with a program so products never hit an
-    // unprogrammed pair.
-    std::iter::once(Op::Program { pattern: 0 })
-        .chain(sels.iter().zip(args).map(|(&sel, &x)| match sel % 4 {
-            0 => Op::Program { pattern: x },
-            1 | 2 => Op::Mvm { pattern: x },
-            _ => Op::MvmT { pattern: x },
-        }))
-        .collect()
+/// A window shape within the `rows × cols` tile, drawn from `pattern`.
+fn window_of(rows: usize, cols: usize, pattern: u64) -> (usize, usize) {
+    let h = hash(pattern ^ 0x3D);
+    (1 + (h >> 20) as usize % rows, 1 + (h >> 40) as usize % cols)
+}
+
+fn decode_ops(rows: usize, cols: usize, sels: &[u8], args: &[u64]) -> Vec<Op> {
+    // Every script opens with a full-tile program so products never hit
+    // an unprogrammed pair, and every erase is followed by a program.
+    let program = |x: u64| Op::Program {
+        pattern: x,
+        window: window_of(rows, cols, x),
+    };
+    let mut ops = vec![Op::Program {
+        pattern: 0,
+        window: (rows, cols),
+    }];
+    for (&sel, &x) in sels.iter().zip(args) {
+        match sel % 6 {
+            0 => ops.push(program(x)),
+            1 => ops.extend([Op::Erase, program(x)]),
+            2 | 3 => ops.push(Op::Mvm { pattern: x }),
+            _ => ops.push(Op::MvmT { pattern: x }),
+        }
+    }
+    // Close with an erase and a program of a different shape from the
+    // last one (`rows, cols >= 2`, so `w % n + 1 != w`).
+    let last = ops
+        .iter()
+        .rev()
+        .find_map(|op| match op {
+            Op::Program { window, .. } => Some(*window),
+            _ => None,
+        })
+        .unwrap_or((rows, cols));
+    ops.extend([
+        Op::Erase,
+        Op::Program {
+            pattern: !last.0 as u64,
+            window: (last.0 % rows + 1, last.1 % cols + 1),
+        },
+        Op::Mvm { pattern: 1 },
+        Op::MvmT { pattern: 2 },
+    ]);
+    ops
 }
 
 fn hash(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Every device of both tiles of the pair: the fast path's conductance
+/// and wear ledger (which store only the programmed extent) against the
+/// reference's per-device structs (which store the whole tile).
+fn check_devices(
+    fast: &DifferentialCrossbar,
+    reference: &ReferenceDifferentialCrossbar,
+) -> Result<(), TestCaseError> {
+    let (fp, fneg) = fast.tiles();
+    let (rp, rneg) = reference.tiles();
+    for (f, r) in [(fp, rp), (fneg, rneg)] {
+        let (rows, cols) = f.shape();
+        for i in 0..rows {
+            for j in 0..cols {
+                let device = r.device(i, j);
+                prop_assert_eq!(
+                    f.bank().conductance(i, j),
+                    device.programmed_conductance().0,
+                    "conductance of device ({}, {}) diverged",
+                    i,
+                    j
+                );
+                prop_assert_eq!(
+                    f.bank().pulse_count(i, j),
+                    device.pulse_count(),
+                    "wear of device ({}, {}) diverged",
+                    i,
+                    j
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// After an erase, every device of both implementations reads `g_min`.
+fn check_erased(
+    fast: &DifferentialCrossbar,
+    reference: &ReferenceDifferentialCrossbar,
+    g_min: f64,
+) -> Result<(), TestCaseError> {
+    let (fp, fneg) = fast.tiles();
+    let (rp, rneg) = reference.tiles();
+    for tile in [fp, fneg] {
+        prop_assert!(tile.bank().conductances().iter().all(|&g| g == g_min));
+        prop_assert!(tile.mapping().is_none(), "an erased tile is unprogrammed");
+    }
+    for tile in [rp, rneg] {
+        let (rows, cols) = tile.shape();
+        for i in 0..rows {
+            for j in 0..cols {
+                prop_assert_eq!(tile.device(i, j).programmed_conductance().0, g_min);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A signed test matrix derived from `pattern`, entries in `[-1, 1]`.
@@ -113,11 +220,17 @@ fn check_equivalence(
     let mut reference = ReferenceDifferentialCrossbar::new(rows, cols, params);
     let mut fast_rng = seeded(seed ^ 0x517E);
     let mut ref_rng = seeded(seed ^ 0x517E);
+    // The window of the matrix programmed last.
+    let mut window = (rows, cols);
 
-    for op in decode_ops(sels, args) {
+    for op in decode_ops(rows, cols, sels, args) {
         match op {
-            Op::Program { pattern } => {
-                let m = pattern_matrix(rows, cols, pattern);
+            Op::Program {
+                pattern,
+                window: shape,
+            } => {
+                window = shape;
+                let m = pattern_matrix(shape.0, shape.1, pattern);
                 let before_f = fast.stats().program_pulses;
                 let before_r = reference.stats().program_pulses;
                 let fc = fast.program_matrix(&m, &mut fast_rng);
@@ -150,9 +263,30 @@ fn check_equivalence(
                         rm.as_slice(),
                         "stored state diverged after program"
                     );
+                    check_devices(&fast, &reference)?;
+                }
+            }
+            Op::Erase => {
+                let before_f = fast.stats().program_pulses;
+                let before_r = reference.stats().program_pulses;
+                let fc = fast.erase();
+                let rc = reference.erase();
+                let dp_f = fast.stats().program_pulses - before_f;
+                let dp_r = reference.stats().program_pulses - before_r;
+                // One RESET pulse per device off g_min, in one round.
+                for (cost, pulses) in [(fc, dp_f), (rc, dp_r)] {
+                    prop_assert!(rel_close(cost.energy.0, pulse_energy * pulses as f64));
+                    let round = if pulses > 0 { pulse_latency } else { 0.0 };
+                    prop_assert_eq!(cost.latency.0, round);
+                }
+                check_erased(&fast, &reference, params.pcm.g_min.0)?;
+                if deterministic {
+                    prop_assert_eq!(dp_f, dp_r, "erase pulse counts diverged");
+                    check_devices(&fast, &reference)?;
                 }
             }
             Op::Mvm { pattern } => {
+                let (rows, cols) = window;
                 let x = pattern_vec(cols, pattern);
                 let before_f = fast.stats().noise_samples;
                 let before_r = reference.stats().noise_samples;
@@ -176,6 +310,7 @@ fn check_equivalence(
                 )?;
             }
             Op::MvmT { pattern } => {
+                let (rows, cols) = window;
                 let z = pattern_vec(rows, pattern);
                 let before_f = fast.stats().noise_samples;
                 let before_r = reference.stats().noise_samples;
@@ -223,6 +358,7 @@ fn check_equivalence(
         );
         let (fm, rm) = (fast.stored_matrix(), reference.stored_matrix());
         prop_assert_eq!(fm.as_slice(), rm.as_slice());
+        check_devices(&fast, &reference)?;
     }
     Ok(())
 }

@@ -20,7 +20,8 @@
 //! 10. an image filter spec the host filter cannot run is rejected
 //!     with a typed error before lowering, and every shard serves on,
 //! 11. so is an HDC spec whose n-gram outgrows its dimension or whose
-//!     text holds more n-grams than a bundle counts.
+//!     text holds more n-grams than a bundle counts,
+//! 12. and so is an HDC or NN spec with more MVMs than one job carries.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -31,6 +32,7 @@ use cim_repro::cim_core::isa::CimInstruction;
 use cim_repro::cim_core::ExecutionStats;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
 use cim_repro::cim_imgproc::image::GrayImage;
+use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_runtime::{
     CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobKind, JobOutput, JobReport,
     MatchKind, OffloadPolicy, PoolConfig, RuleCode, RuntimePool, TenantId, WorkloadSpec,
@@ -983,6 +985,121 @@ fn oversized_hdc_lengths_are_typed_errors() {
             expect_invalid(session.register_dataset(&load).map(drop), field, "register");
         }
     }
+    let handles = (0..2)
+        .map(|seed| {
+            session
+                .submit(&WorkloadSpec::Q6Select {
+                    rows: 900,
+                    table_seed: seed,
+                    params: Q6Params::tpch_default(),
+                })
+                .unwrap()
+        })
+        .collect();
+    let mut shards: Vec<usize> = session
+        .wait_all(handles)
+        .into_iter()
+        .map(|r| {
+            assert!(r.output.is_ok(), "{:?}", r.output);
+            r.shard
+        })
+        .collect();
+    shards.sort_unstable();
+    assert_eq!(shards, vec![0, 1], "a select serves on each shard");
+}
+
+/// Invariant 12: an HDC batch of more samples, or an NN batch of more
+/// inputs × layers, than the 163 MVMs one job carries (16,384 routing
+/// debt units at 100 per MVM) is a typed error before lowering. Both
+/// probes used to allocate every query first: `samples = usize::MAX`
+/// panicked the caller with a capacity overflow, `samples = 1 << 40`
+/// aborted the process.
+#[test]
+fn oversized_mvm_counts_are_typed_errors() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let (classes, d) = (4, 1024);
+    let hdc = session
+        .register_dataset(&DatasetSpec::HdcPrototypes {
+            classes,
+            d,
+            ngram: 3,
+            train_len: 300,
+        })
+        .unwrap();
+    let network = BinarizedMlp::random(&[16, 8, 4], 3);
+    let nn = session
+        .register_dataset(&DatasetSpec::NnWeights {
+            network: network.clone(),
+        })
+        .unwrap();
+    let hdc_specs = |samples: usize| {
+        [
+            WorkloadSpec::HdcClassify {
+                classes,
+                d,
+                ngram: 3,
+                train_len: 300,
+                samples,
+                sample_len: 50,
+            },
+            WorkloadSpec::HdcAssoc {
+                classes,
+                d,
+                ngram: 3,
+                train_len: 300,
+                samples,
+                sample_len: 50,
+            },
+            WorkloadSpec::HdcQuery {
+                dataset: hdc.id(),
+                samples,
+                sample_len: 50,
+            },
+        ]
+    };
+    let nn_specs = |inputs: usize| {
+        let inputs = vec![BitVec::zeros(16); inputs];
+        [
+            WorkloadSpec::NnInfer {
+                network: network.clone(),
+                inputs: inputs.clone(),
+            },
+            WorkloadSpec::NnQuery {
+                dataset: nn.id(),
+                inputs,
+            },
+        ]
+    };
+    let expect_invalid = |spec: &WorkloadSpec, field: &str| {
+        for (what, result) in [
+            ("verify", session.verify(spec).map(drop)),
+            ("submit", session.submit(spec).map(drop)),
+        ] {
+            match result {
+                Err(CompileError::InvalidSpec { field: got, .. }) => {
+                    assert_eq!(got, field, "{what} {:?}", spec.kind())
+                }
+                other => panic!("{what} {:?}: {other:?}", spec.kind()),
+            }
+        }
+    };
+    for samples in [usize::MAX, 1 << 40, 164] {
+        for spec in &hdc_specs(samples) {
+            expect_invalid(spec, "samples");
+        }
+    }
+    // Two layers: 82 inputs are 164 MVMs, 3,000 inputs are 6,000.
+    for inputs in [82, 3000] {
+        for spec in &nn_specs(inputs) {
+            expect_invalid(spec, "inputs");
+        }
+    }
+    // The largest counts that fit still verify.
+    for spec in hdc_specs(163).iter().chain(&nn_specs(81)) {
+        assert!(session.verify(spec).is_ok(), "{:?}", spec.kind());
+    }
+    drop((hdc, nn));
     let handles = (0..2)
         .map(|seed| {
             session
