@@ -4,7 +4,8 @@
 //! Four groups, each asserting its own bar:
 //!
 //! * `scout_q6_fastpath` — the word-parallel digital tile against the
-//!   bit-serial reference on a Q6-shaped access mix (≥ 5× wall clock).
+//!   bit-serial reference on a Q6-shaped access mix (≥ 5× wall clock)
+//!   and on a Q6-shaped write phase (≥ 20×).
 //! * `analog_mvm` — the vectorized analog crossbar against the
 //!   per-device reference: serving MVMs (≥ 5×) and cold programming
 //!   (≥ 3×), plus NN and HDC serving lanes.
@@ -109,7 +110,16 @@ fn write_bench_json(entries: &[BenchEntry]) {
 /// write-backs, the final 3-row AND, one XOR (the cipher access) and a
 /// plain row read. The fast path must be at least [`FASTPATH_FLOOR`]×
 /// faster in wall clock — the assertion the CI perf-smoke job rides on.
+///
+/// A second pair of tiles, shaped like the pool's (160 × 1,024), runs
+/// the write phase of one Q6 select tile: 145 bin writes, 8 OR
+/// reductions each written back to a scratch row, then the lease scrub's
+/// 151 zero writes. A write is a word copy on the fast tile, whose row
+/// read-energy sums are folded only when an access first reads a row,
+/// so the phase must be at least [`WRITE_PHASE_FLOOR`]× faster than the
+/// reference; folding every row as it is written reads about 12×.
 const FASTPATH_FLOOR: f64 = 5.0;
+const WRITE_PHASE_FLOOR: f64 = 20.0;
 
 fn scout_q6_fastpath() -> BenchEntry {
     println!("\n# FAST PATH — word-parallel digital tile vs bit-serial reference\n");
@@ -187,7 +197,79 @@ fn scout_q6_fastpath() -> BenchEntry {
         speedup >= FASTPATH_FLOOR,
         "fast-path speedup {speedup:.2}x regressed below the {FASTPATH_FLOOR}x floor"
     );
+    let (fast_phase, ref_phase) = q6_write_phase();
+    let write_phase_speedup = ref_phase / fast_phase;
+    println!(
+        "{:>22} {:>10} {:>13} {:>13.3e} {:>8.1}x  (reference {:.3e} s)",
+        "Q6 write phase",
+        Q6_BINS + 2 * Q6_REDUCTIONS + Q6_BINS + Q6_SCRATCH,
+        "",
+        fast_phase,
+        write_phase_speedup,
+        ref_phase
+    );
+    assert!(
+        write_phase_speedup >= WRITE_PHASE_FLOOR,
+        "write-phase speedup {write_phase_speedup:.2}x regressed below the \
+         {WRITE_PHASE_FLOOR}x floor"
+    );
     BenchEntry::new("scout_q6_fastpath", sim_makespan, fast_wall * 1e3, speedup)
+        .extra("write_phase_speedup", write_phase_speedup)
+        .extra("fast_write_phase_us", fast_phase * 1e6)
+}
+
+/// Bin rows, OR reductions and scratch rows of one Q6 select tile.
+const Q6_BINS: usize = 145;
+const Q6_REDUCTIONS: usize = 8;
+const Q6_SCRATCH: usize = 6;
+
+/// Median wall seconds of one Q6-shaped write phase on the fast and
+/// the reference tile, which must account the same energy.
+fn q6_write_phase() -> (f64, f64) {
+    const ROWS: usize = 160;
+    const COLS: usize = 1024;
+    const PHASES: usize = 15;
+    let params = ReramParams::default();
+    let mut fast = DigitalArray::new(ROWS, COLS, params, &mut seeded(0x5C0));
+    let mut reference = ReferenceDigitalArray::new(ROWS, COLS, params, &mut seeded(0x5C0));
+    // 10 %-dense bins, each set column owned by one bin in ten.
+    let bins: Vec<BitVec> = (0..Q6_BINS)
+        .map(|r| BitVec::from_fn(COLS, |j| (j + 7 * r) % 10 == 0))
+        .collect();
+    let zeros = BitVec::zeros(COLS);
+
+    // Per-phase wall seconds of the write phase against either array.
+    macro_rules! write_phases {
+        ($arr:expr, $rng:expr) => {{
+            let mut walls = Vec::with_capacity(PHASES);
+            for _ in 0..PHASES {
+                let start = Instant::now();
+                for (r, bits) in bins.iter().enumerate() {
+                    $arr.write_row(r, bits);
+                }
+                for i in 0..Q6_REDUCTIONS {
+                    let rows: Vec<usize> = (8 * i..8 * i + 8).collect();
+                    let or = $arr.scout(ScoutOp::Or, &rows, $rng);
+                    $arr.write_row(Q6_BINS + i % Q6_SCRATCH, &or);
+                }
+                for r in 0..Q6_BINS + Q6_SCRATCH {
+                    $arr.write_row(r, &zeros);
+                }
+                walls.push(start.elapsed().as_secs_f64());
+            }
+            walls.sort_by(f64::total_cmp);
+            walls[PHASES / 2]
+        }};
+    }
+
+    let fast_phase = write_phases!(fast, &mut seeded(0xF00D));
+    let ref_phase = write_phases!(reference, &mut seeded(0xF00D));
+    let (fe, re) = (fast.stats().energy.0, reference.stats().energy.0);
+    assert!(
+        (fe - re).abs() <= 1e-12 * fe.abs().max(re.abs()),
+        "write-phase energy {fe} vs reference {re}"
+    );
+    (fast_phase, ref_phase)
 }
 
 /// The word-parallel analog fast path vs the per-device reference

@@ -299,15 +299,16 @@ impl DigitalArray {
             "entry count {entries} out of range {slots}"
         );
         assert_eq!(key.len(), self.shape().1, "key width mismatch");
+        let latency = self.params().read_latency;
+        let (bank, stats) = self.cam_parts();
         let mut energy = SENSE_AMP_ENERGY.0 * entries as f64;
         for s in 0..entries {
-            energy += self.bank().row_energy(2 * s) + self.bank().row_energy(2 * s + 1);
+            energy += bank.row_energy(2 * s) + bank.row_energy(2 * s + 1);
         }
         let cost = OperationCost {
             energy: Joules(energy),
-            latency: self.params().read_latency,
+            latency,
         };
-        let (bank, stats) = self.cam_parts();
         let words = match_lines(bank, stats, entries, key, kind, rng);
         stats.searches += 1;
         stats.match_pulses += entries as u64;

@@ -36,9 +36,11 @@
 //! `soa_equivalence` proptest suite pins the two implementations against
 //! each other.
 //!
-//! Access costing is `O(fan-in)`: every row maintains an incrementally
-//! updated sum of its devices' present-state read energies, refreshed on
-//! row writes instead of rescanned per access.
+//! Access costing is `O(fan-in)`: every row caches the sum of its
+//! devices' present-state read energies. A row write only marks the sum
+//! stale, and the first access that activates the row folds it once, so
+//! writes stay word copies and rows rewritten or scrubbed unread are
+//! never summed.
 //!
 //! Every operation returns / accumulates an [`OperationCost`] so workloads
 //! can report end-to-end energy and latency.
@@ -161,20 +163,16 @@ impl DigitalArray {
         &self.stats
     }
 
-    /// The underlying device bank (CAM-mode access, see [`crate::cam`]).
-    pub(crate) fn bank(&self) -> &ReramBank {
-        &self.bank
-    }
-
     /// Disjoint borrows of the bank and the statistics, so the CAM
-    /// match-line engine can read device state while accounting.
-    pub(crate) fn cam_parts(&mut self) -> (&ReramBank, &mut DigitalStats) {
-        (&self.bank, &mut self.stats)
+    /// match-line engine can fold entry energies and read device state
+    /// while accounting.
+    pub(crate) fn cam_parts(&mut self) -> (&mut ReramBank, &mut DigitalStats) {
+        (&mut self.bank, &mut self.stats)
     }
 
-    /// Writes a bit vector into row `r` — a word copy into the packed
-    /// state plus an incremental refresh of the row's cached read-energy
-    /// sum (so access costing stays `O(fan-in)` with no rescans).
+    /// Writes a bit vector into row `r`: a word copy into the packed
+    /// state. The row's cached read-energy sum turns stale and is folded
+    /// by the first access that activates the row.
     ///
     /// # Panics
     ///
@@ -409,8 +407,9 @@ impl DigitalArray {
 
     /// Cost of one read access activating `rows`: device read energy of
     /// every activated device plus one sense decision per column, in one
-    /// read-latency cycle. `O(fan-in)` via the cached per-row sums.
-    fn access_cost(&self, rows: &[usize]) -> OperationCost {
+    /// read-latency cycle. `O(fan-in)` via the cached per-row sums; a row
+    /// written since its last access is folded here, once.
+    fn access_cost(&mut self, rows: &[usize]) -> OperationCost {
         let mut energy = SENSE_AMP_ENERGY.0 * self.bank.shape().1 as f64;
         for &r in rows {
             energy += self.bank.row_energy(r);

@@ -13,9 +13,16 @@
 //!   states) as flat `Vec<f64>`, divided out *once* at construction
 //!   instead of on every access (read energies `V²/R_actual · t_read`
 //!   derive from them with the reference model's exact float-op order);
-//! * an incrementally maintained per-row **read-energy sum**, so the cost
-//!   of an access activating `k` rows is `O(k)` instead of
-//!   `O(k × cols)`;
+//! * a lazily folded per-row **read-energy sum**: a row write only marks
+//!   the row's sum stale (a write is `O(cols / 64)` word copies, so
+//!   refolding the row's `cols` energies there would cost far more than
+//!   the write itself), the first access that reads the row folds it
+//!   once, and later accesses reuse it, so the cost of an access
+//!   activating `k` rows is `O(k)` instead of `O(k × cols)`. A fresh
+//!   bank starts every row stale too. Every sum is the same column-order
+//!   fold over the same state, only computed later, so the values are
+//!   bit-identical to folding on every write, and a row written and
+//!   rewritten (or scrubbed) unread is never summed;
 //! * the array-wide fabricated current **extremes**, which let a sense
 //!   model prove whole accesses margin-safe without touching any per-device
 //!   value.
@@ -64,9 +71,10 @@ pub struct ReramBank {
     /// Fabricated HRS read current per device (A), row-major.
     i_high: Vec<f64>,
     extremes: CurrentExtremes,
-    /// Cached `Σ_j read_energy(r, j)` at the devices' present states,
-    /// refreshed on row writes so access costing never rescans.
-    row_energy: Vec<f64>,
+    /// Cached `Σ_j read_energy(r, j)` at the devices' present states;
+    /// `None` until the first [`ReramBank::row_energy`] after
+    /// fabrication or after a write folds the row.
+    row_energy: Vec<Option<f64>>,
 }
 
 impl ReramBank {
@@ -110,17 +118,6 @@ impl ReramBank {
             i_high.push(ih);
         }
         let words_per_row = cols.div_ceil(WORD_BITS);
-        // Fresh devices are all HRS, so every cached row sum starts as the
-        // row's HRS energy, accumulated in column order (reference order).
-        let pulse = |i: f64| (i * params.read_voltage.0) * params.read_latency.0;
-        let row_energy = (0..rows)
-            .map(|r| {
-                i_high[r * cols..(r + 1) * cols]
-                    .iter()
-                    .map(|&i| pulse(i))
-                    .sum()
-            })
-            .collect();
         ReramBank {
             params,
             rows,
@@ -130,7 +127,7 @@ impl ReramBank {
             i_low,
             i_high,
             extremes,
-            row_energy,
+            row_energy: vec![None; rows],
         }
     }
 
@@ -177,10 +174,9 @@ impl ReramBank {
         &self.state[r * self.words_per_row..(r + 1) * self.words_per_row]
     }
 
-    /// Overwrites row `r` from packed words and refreshes the row's
-    /// cached read-energy sum — the write itself is `O(cols / 64)` word
-    /// copies, and the incremental cache update keeps later access
-    /// costing `O(1)` per row with no full-array rescans.
+    /// Overwrites row `r` from packed words: `O(cols / 64)` word copies.
+    /// The row's cached read-energy sum turns stale, to be folded by the
+    /// first [`Self::row_energy`] that reads it.
     ///
     /// # Panics
     ///
@@ -197,7 +193,7 @@ impl ReramBank {
                 *last &= (1u64 << rem) - 1;
             }
         }
-        self.refresh_row_energy(r);
+        self.row_energy[r] = None;
     }
 
     /// The fabricated read current of device `(r, j)` in its present
@@ -240,26 +236,37 @@ impl ReramBank {
         self.pulse_energy(self.current(r, j))
     }
 
-    /// The cached `Σ_j read_energy(r, j)` of row `r` at present states (J).
+    /// `Σ_j read_energy(r, j)` of row `r` at present states (J). The
+    /// first call after fabrication or a write folds the row once, in
+    /// column order; later calls return the cached sum until the next
+    /// write.
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range.
-    pub fn row_energy(&self, r: usize) -> f64 {
+    pub fn row_energy(&mut self, r: usize) -> f64 {
         assert!(r < self.rows, "row {r} out of range {}", self.rows);
-        self.row_energy[r]
+        match self.row_energy[r] {
+            Some(sum) => sum,
+            None => {
+                let sum = self.fold_row_energy(r);
+                self.row_energy[r] = Some(sum);
+                sum
+            }
+        }
     }
 
     fn pulse_energy(&self, current: f64) -> f64 {
         (current * self.params.read_voltage.0) * self.params.read_latency.0
     }
 
-    fn refresh_row_energy(&mut self, r: usize) {
+    /// Folds row `r`'s present-state read energies in column order, the
+    /// reference model's per-device loop order, so the sum is the same
+    /// floating-point fold it would compute.
+    fn fold_row_energy(&self, r: usize) -> f64 {
         let base = r * self.cols;
         let words = &self.state[r * self.words_per_row..(r + 1) * self.words_per_row];
         let mut sum = 0.0;
-        // Column order matches the reference model's per-device loop so
-        // the cached sum is the same floating-point fold it would compute.
         for j in 0..self.cols {
             let lrs = (words[j / WORD_BITS] >> (j % WORD_BITS)) & 1 == 1;
             let i = if lrs {
@@ -269,7 +276,7 @@ impl ReramBank {
             };
             sum += self.pulse_energy(i);
         }
-        self.row_energy[r] = sum;
+        sum
     }
 }
 
@@ -339,6 +346,63 @@ mod tests {
         // Fresh sum equals a manual rescan.
         let rescan: f64 = (0..64).map(|j| bank.read_energy(0, j)).sum();
         assert_eq!(lrs_sum, rescan);
+    }
+
+    /// Column-order rescan of row `r`'s present-state read energies.
+    fn rescan(bank: &ReramBank, r: usize) -> f64 {
+        let mut sum = 0.0;
+        for j in 0..bank.shape().1 {
+            sum += bank.read_energy(r, j);
+        }
+        sum
+    }
+
+    #[test]
+    fn deferred_fold_is_bit_identical_to_a_rescan() {
+        use rand::seq::SliceRandom;
+        let (rows, cols) = (12, 150);
+        let mut rng = seeded(31);
+        let mut bank = ReramBank::new(rows, cols, ReramParams::default(), &mut seeded(7));
+        // About a quarter of the devices in the LRS, tail bits clear.
+        let random_row = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+            let mut words: Vec<u64> = (0..cols.div_ceil(WORD_BITS))
+                .map(|_| rng.gen::<u64>() & rng.gen::<u64>())
+                .collect();
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << (cols % WORD_BITS)) - 1;
+            }
+            words
+        };
+        for _ in 0..40 {
+            let r = rng.gen_range(0..rows);
+            bank.write_row_words(r, &random_row(&mut rng));
+        }
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.shuffle(&mut rng);
+        for &r in &order {
+            assert_eq!(bank.row_energy(r).to_bits(), rescan(&bank, r).to_bits());
+            // A second read returns the cached fold unchanged.
+            assert_eq!(bank.row_energy(r).to_bits(), rescan(&bank, r).to_bits());
+        }
+
+        // Written twice before its first read: the fold sees the latest
+        // state only.
+        let first = random_row(&mut rng);
+        let second = random_row(&mut rng);
+        bank.write_row_words(3, &first);
+        bank.write_row_words(3, &second);
+        assert_eq!(bank.row_words(3), &second[..]);
+        assert_eq!(bank.row_energy(3).to_bits(), rescan(&bank, 3).to_bits());
+
+        // A zero write (a scrub) folds back to the fabricated all-HRS
+        // sum, bit for bit.
+        let mut fresh = ReramBank::new(rows, cols, ReramParams::default(), &mut seeded(7));
+        let zeros = vec![0u64; bank.words_per_row()];
+        for r in 0..rows {
+            bank.write_row_words(r, &zeros);
+            assert_eq!(bank.row_energy(r).to_bits(), fresh.row_energy(r).to_bits());
+            assert_eq!(bank.row_energy(r).to_bits(), rescan(&bank, r).to_bits());
+        }
     }
 
     #[test]

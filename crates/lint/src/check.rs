@@ -39,6 +39,8 @@ pub struct Geometry {
 /// *initialized* — reading them is the whole point of a query — and as
 /// *write-protected*: the dataset outlives the job, so storing over
 /// them would corrupt every later query ([`RuleCode::ResidentWrite`]).
+/// A resident analog tile carries its matrix's shape, so MVM operand
+/// lengths over it are checked like those over an in-stream program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintTarget {
     /// The tile geometry.
@@ -46,9 +48,9 @@ pub struct LintTarget {
     /// Per digital tile: rows resident (initialized and protected)
     /// before the program runs. Indexed by virtual tile.
     pub resident_digital: Vec<BTreeSet<usize>>,
-    /// Per analog tile: whether a matrix is resident (programmed and
-    /// protected) before the program runs.
-    pub resident_analog: Vec<bool>,
+    /// Per analog tile: the `(rows, cols)` of the matrix resident
+    /// (programmed and protected) before the program runs, if any.
+    pub resident_analog: Vec<Option<(usize, usize)>>,
 }
 
 impl LintTarget {
@@ -57,7 +59,7 @@ impl LintTarget {
         LintTarget {
             geometry,
             resident_digital: vec![BTreeSet::new(); geometry.digital_tiles],
-            resident_analog: vec![false; geometry.analog_tiles],
+            resident_analog: vec![None; geometry.analog_tiles],
         }
     }
 
@@ -73,10 +75,11 @@ impl LintTarget {
         self
     }
 
-    /// Marks analog tile `tile`'s matrix resident.
-    pub fn with_resident_analog(mut self, tile: usize) -> Self {
+    /// Marks analog tile `tile` as holding a resident `(rows, cols)`
+    /// matrix.
+    pub fn with_resident_analog(mut self, tile: usize, shape: (usize, usize)) -> Self {
         if tile < self.resident_analog.len() {
-            self.resident_analog[tile] = true;
+            self.resident_analog[tile] = Some(shape);
         }
         self
     }
@@ -87,10 +90,10 @@ impl LintTarget {
 enum AnalogState {
     /// Nothing programmed: an MVM would sense an undefined matrix.
     Unprogrammed,
-    /// A resident dataset programmed it before the stream runs; the
-    /// shape is not visible to the analyzer, so MVM widths are not
-    /// checked, and reprogramming it is a resident-write violation.
-    Resident,
+    /// A resident dataset programmed a `(rows, cols)` matrix before the
+    /// stream runs: MVM widths are checked against it, and reprogramming
+    /// it is a resident-write violation.
+    Resident(usize, usize),
     /// Programmed in-stream with a known `(rows, cols)` shape.
     Programmed(usize, usize),
 }
@@ -121,12 +124,9 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
         .map(|t| target.resident_digital.get(t).cloned().unwrap_or_default())
         .collect();
     let mut analog: Vec<AnalogState> = (0..geo.analog_tiles)
-        .map(|t| {
-            if target.resident_analog.get(t).copied().unwrap_or(false) {
-                AnalogState::Resident
-            } else {
-                AnalogState::Unprogrammed
-            }
+        .map(|t| match target.resident_analog.get(t).copied().flatten() {
+            Some((rows, cols)) => AnalogState::Resident(rows, cols),
+            None => AnalogState::Unprogrammed,
         })
         .collect();
     let mut latch: Option<LatchDef> = None;
@@ -405,8 +405,8 @@ fn check_arity(op: ScoutOp, rows: &[usize], i: usize, fan_in: usize, diags: &mut
 }
 
 /// Analog-side checks: matrix shapes against the tile, MVM operand
-/// lengths against the programmed shape, senses of unprogrammed tiles,
-/// reprogramming of resident tiles.
+/// lengths against the programmed or resident shape, senses of
+/// unprogrammed tiles, reprogramming of resident tiles.
 fn check_analog(
     instr: &CimInstruction,
     i: usize,
@@ -430,7 +430,7 @@ fn check_analog(
                     ),
                 ));
             }
-            if analog[tile] == AnalogState::Resident {
+            if matches!(analog[tile], AnalogState::Resident(..)) {
                 diags.push(Diagnostic::new(
                     RuleCode::ResidentWrite,
                     i,
@@ -442,7 +442,9 @@ fn check_analog(
         }
         CimInstruction::Mvm { x, .. } => match analog[tile] {
             AnalogState::Unprogrammed => diags.push(unprogrammed_mvm(i, tile, "CIM.MVM")),
-            AnalogState::Programmed(_, cols) if x.len() != cols => {
+            AnalogState::Programmed(_, cols) | AnalogState::Resident(_, cols)
+                if x.len() != cols =>
+            {
                 diags.push(Diagnostic::new(
                     RuleCode::WidthMismatch,
                     i,
@@ -456,7 +458,9 @@ fn check_analog(
         },
         CimInstruction::MvmT { z, .. } => match analog[tile] {
             AnalogState::Unprogrammed => diags.push(unprogrammed_mvm(i, tile, "CIM.MVMT")),
-            AnalogState::Programmed(rows, _) if z.len() != rows => {
+            AnalogState::Programmed(rows, _) | AnalogState::Resident(rows, _)
+                if z.len() != rows =>
+            {
                 diags.push(Diagnostic::new(
                     RuleCode::WidthMismatch,
                     i,
@@ -729,15 +733,38 @@ mod tests {
         );
         assert_eq!(report.diagnostics[0].rule, RuleCode::UninitRead);
 
-        let resident = LintTarget::new(geometry()).with_resident_analog(0);
+        // A resident 2x3 matrix: MVMs drive its 3 columns, MVMTs its 2
+        // rows, and any other length is a width mismatch.
+        let resident = LintTarget::new(geometry()).with_resident_analog(0, (2, 3));
         let ok = run(
-            vec![CimInstruction::Mvm {
-                tile: 0,
-                x: vec![0.0; 4],
-            }],
+            vec![
+                CimInstruction::Mvm {
+                    tile: 0,
+                    x: vec![0.0; 3],
+                },
+                CimInstruction::MvmT {
+                    tile: 0,
+                    z: vec![0.0; 2],
+                },
+            ],
             &resident,
         );
-        assert!(ok.is_clean());
+        assert!(ok.is_clean(), "{}", ok.to_text());
+        let wrong = run(
+            vec![
+                CimInstruction::Mvm {
+                    tile: 0,
+                    x: vec![0.0; 4],
+                },
+                CimInstruction::MvmT {
+                    tile: 0,
+                    z: vec![0.0; 3],
+                },
+            ],
+            &resident,
+        );
+        let rules: Vec<RuleCode> = wrong.diagnostics.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec![RuleCode::WidthMismatch; 2]);
         let reprogram = run(
             vec![CimInstruction::ProgramMatrix {
                 tile: 0,

@@ -30,8 +30,9 @@
 //! * **operand arity** — XOR takes exactly two rows, OR/AND at least
 //!   two and at most the scouting fan-in, no duplicate activations
 //!   ([`RuleCode::BadArity`]);
-//! * **operand width** — bit vectors must match the tile width, MVM
-//!   vectors and programmed matrices the analog shape
+//! * **operand width** — bit vectors must match the tile width,
+//!   programmed matrices the analog shape, and MVM vectors the matrix
+//!   programmed in-stream or resident on the tile
 //!   ([`RuleCode::WidthMismatch`]);
 //! * **pinned-dataset write protection** — a query program over a
 //!   resident dataset must not write, store into, or reprogram

@@ -18,8 +18,8 @@
 //! [`DatasetSpec::CamKeys`]: crate::DatasetSpec::CamKeys
 
 use super::{
-    bits_of, pad_row, CompileError, CompiledJob, DatasetProgram, Finalize, HostProfile, Lowering,
-    TileDemand,
+    bits_of, check_cost_units, pad_row, CompileError, CompiledJob, DatasetProgram, Finalize,
+    HostProfile, Lowering, TileDemand,
 };
 use crate::dataset::ResidentPayload;
 use crate::job::JobOutput;
@@ -75,6 +75,18 @@ impl Finalize for MatchSets {
                 .collect(),
         )
     }
+}
+
+/// Rejects more keys than one job may search the resident `entries`
+/// with: each key is one `MatchSearch` per tile, costing the tile's
+/// entries, so the job's search cost is `keys × Σ entries` units.
+/// `field` names the spec field holding the keys.
+fn check_key_count(
+    field: &'static str,
+    keys: usize,
+    entries: &[usize],
+) -> Result<(), CompileError> {
+    check_cost_units(field, field, keys, entries.iter().sum::<usize>() as u64)
 }
 
 /// Lowers `keys` (each `width` bits) searched with `window` against
@@ -155,6 +167,7 @@ pub(super) fn search(
     if keys.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
+    check_key_count("keys", keys.len(), entries)?;
     if let MatchKind::Range { lo, hi } = kind {
         // An empty window can match nothing: no work to run.
         if lo > hi {
@@ -198,6 +211,7 @@ pub(super) fn classify(lw: &Lowering, packets: &[u64]) -> Result<CompiledJob, Co
     if packets.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
+    check_key_count("packets", packets.len(), entries)?;
     let width = rules.width();
     let keys: Vec<BitVec> = packets.iter().map(|&p| key_bits(p, width)).collect();
     let host = lw.host(PROFILE, lw.dataset().resident_bytes, || {
@@ -229,6 +243,7 @@ pub(super) fn lookup(lw: &Lowering, probes: &[u64]) -> Result<CompiledJob, Compi
     if probes.is_empty() {
         return Err(CompileError::EmptyWorkload);
     }
+    check_key_count("probes", probes.len(), entries)?;
     let keys: Vec<BitVec> = probes.iter().map(|&p| key_bits(p, *width)).collect();
     let host = lw.host(PROFILE, lw.dataset().resident_bytes, || {
         Some(JobOutput::Lookups(

@@ -118,21 +118,35 @@ pub(crate) trait Finalize: fmt::Debug + Send + Sync {
     fn finalize(&self, outputs: Vec<CimResponse>) -> JobOutput;
 }
 
-/// Rejects a job of more MVMs than one job may carry: at [`MVM_WEIGHT`]
-/// cost units each, its MVMs alone must fit [`MAX_ROUTING_DEBT`] (163
-/// MVMs), the most work the routing ledger lets one shard run ahead by.
-/// Checked before lowering allocates one input vector per MVM, so an
+/// Rejects a job of more operations than one job may carry: at `units`
+/// cost units each, `count` operations must fit [`MAX_ROUTING_DEBT`],
+/// the most work the routing ledger lets one shard run ahead by.
+/// Checked before lowering allocates one operand per operation, so an
 /// oversized count is a typed error instead of an allocation failure.
-/// `field` names the spec field the count grows with.
-fn check_mvm_count(field: &'static str, mvms: usize) -> Result<(), CompileError> {
-    let max = (MAX_ROUTING_DEBT / MVM_WEIGHT) as usize;
-    if mvms > max {
+/// `field` names the spec field the count grows with, `what` the
+/// operations.
+fn check_cost_units(
+    field: &'static str,
+    what: &str,
+    count: usize,
+    units: u64,
+) -> Result<(), CompileError> {
+    let max = (MAX_ROUTING_DEBT / units.max(1)) as usize;
+    if count > max {
         return Err(CompileError::InvalidSpec {
             field,
-            reason: format!("{mvms} MVMs exceed the {max} one job may carry"),
+            reason: format!(
+                "{count} {what} exceed the {max} one job may carry at {units} cost units each"
+            ),
         });
     }
     Ok(())
+}
+
+/// [`check_cost_units`] for MVMs, [`MVM_WEIGHT`] cost units each: at
+/// most 163 MVMs per job.
+fn check_mvm_count(field: &'static str, mvms: usize) -> Result<(), CompileError> {
+    check_cost_units(field, "MVMs", mvms, MVM_WEIGHT)
 }
 
 /// Decodes a bits response. Finalizers only consume outputs their own

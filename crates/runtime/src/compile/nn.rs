@@ -298,6 +298,7 @@ mod tests {
             digital_tiles: 0,
             analog_tiles: 2,
             resident_rows: Vec::new(),
+            resident_matrices: mlp.layers().iter().map(|l| (l.rows(), l.cols())).collect(),
             resident_bytes: mlp.weight_count() as u64 / 8,
         };
         let spec = WorkloadSpec::NnQuery {

@@ -235,6 +235,8 @@ pub(crate) struct ResidentView {
     /// The resident rows of each virtual digital tile, which queries may
     /// read but never overwrite.
     pub resident_rows: Vec<Range<usize>>,
+    /// The `(rows, cols)` of the matrix each virtual analog tile holds.
+    pub resident_matrices: Vec<(usize, usize)>,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
 }
@@ -271,6 +273,8 @@ pub(crate) struct DatasetRecord {
     pub resident_bytes: u64,
     /// The resident rows of each virtual digital tile.
     pub resident_rows: Vec<Range<usize>>,
+    /// The `(rows, cols)` of the matrix each virtual analog tile holds.
+    pub resident_matrices: Vec<(usize, usize)>,
 }
 
 impl DatasetRecord {
@@ -282,6 +286,7 @@ impl DatasetRecord {
             digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
             analog_tiles: self.placements.iter().map(|p| p.analog_tiles.len()).sum(),
             resident_rows: self.resident_rows.clone(),
+            resident_matrices: self.resident_matrices.clone(),
             resident_bytes: self.resident_bytes,
         }
     }

@@ -86,7 +86,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use worker::{contain, relocate, written_rows, LoadResult, Tiles, Worker, WorkerMsg};
+use worker::{
+    contain, programmed_shapes, relocate, written_rows, LoadResult, Tiles, Worker, WorkerMsg,
+};
 
 /// How the admission planner decides between the CIM pool and the
 /// host-executor lane, in the TDO-CIM mold: compare the job's certified
@@ -902,6 +904,7 @@ impl PoolShared {
             resident_rows,
         } = compile_dataset_load(spec, &self.cfg, seed)?;
         let kind = payload.kind_label();
+        let resident_matrices = programmed_shapes(&instructions, demand.analog);
 
         let (shards, span, replies) = {
             let mut st = lock(&self.state);
@@ -1010,6 +1013,7 @@ impl PoolShared {
                     payload,
                     resident_bytes,
                     resident_rows,
+                    resident_matrices,
                 },
             );
             (shards, span, replies)

@@ -146,6 +146,24 @@ pub(super) fn written_rows(
     })
 }
 
+/// The `(rows, cols)` of the matrix a load stream programs into each of
+/// its `analog` virtual tiles: what queries' MVM operand lengths over
+/// the resident tiles are verified against.
+pub(super) fn programmed_shapes(
+    instructions: &[CimInstruction],
+    analog: usize,
+) -> Vec<(usize, usize)> {
+    let mut shapes = vec![(0, 0); analog];
+    for instr in instructions {
+        if let CimInstruction::ProgramMatrix { tile, matrix } = instr {
+            if let Some(shape) = shapes.get_mut(*tile) {
+                *shape = (matrix.rows(), matrix.cols());
+            }
+        }
+    }
+    shapes
+}
+
 /// Runs `f`, containing a panic as its rendered message, so a fault in
 /// one job's execution or decoding ends only that job.
 pub(super) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {

@@ -12,9 +12,10 @@
 //!
 //! This module's job is building the [`LintTarget`]: the compiled job's
 //! declared tile demand plus whatever the queried dataset already made
-//! resident (the rows its load program wrote, its programmed prototype
-//! or weight matrices), so reads of resident data verify clean while
-//! writes over it are rejected.
+//! resident (the rows its load program wrote, the shapes of its
+//! programmed prototype or weight matrices), so reads of resident data
+//! verify clean, MVMs of the wrong length over it are rejected, and so
+//! are writes over it.
 
 use crate::compile::{CompiledJob, TileDemand, SCOUT_FAN_IN};
 use crate::dataset::ResidentView;
@@ -58,8 +59,8 @@ pub(crate) fn envelope_of(
 
 /// Builds the lint target a job with `demand` runs against: the pool's
 /// per-tile geometry with the job's own tile counts, plus what the
-/// dataset it queries made resident — the rows its load wrote, and every
-/// analog tile the job demands (all programmed by the dataset).
+/// dataset it queries made resident — the rows its load wrote, and the
+/// shape of the matrix its load programmed into each analog tile.
 pub(crate) fn lint_target(
     demand: TileDemand,
     cfg: &PoolConfig,
@@ -72,8 +73,8 @@ pub(crate) fn lint_target(
     for (tile, rows) in view.resident_rows.iter().enumerate() {
         target = target.with_resident_rows(tile, rows.clone());
     }
-    for tile in 0..demand.analog {
-        target = target.with_resident_analog(tile);
+    for (tile, &shape) in view.resident_matrices.iter().enumerate() {
+        target = target.with_resident_analog(tile, shape);
     }
     target
 }

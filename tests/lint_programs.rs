@@ -425,6 +425,69 @@ fn width_mismatch_rejected_l008() {
     assert_eq!(codes, vec![RuleCode::WidthMismatch]);
 }
 
+/// Mutation "wrong MVM length over a resident matrix": a raw query
+/// driving a resident weight matrix with an input longer than the
+/// matrix's columns (or, transposed, its rows) is an L008 width
+/// mismatch at admission, not an execution panic on the shard.
+#[test]
+fn resident_matrix_width_mismatch_rejected_l008() {
+    let pool = pool();
+    let session = pool.client(TenantId(9));
+    let weights = session
+        .register_dataset(&DatasetSpec::NnWeights {
+            network: BinarizedMlp::random(&[16, 8, 4], 3),
+        })
+        .unwrap();
+    let query = |instr: CimInstruction| WorkloadSpec::RawQuery {
+        dataset: weights.id(),
+        instructions: vec![instr],
+    };
+    // Virtual tile 0 holds the first layer, an 8 x 16 matrix.
+    let cases = [
+        (
+            CimInstruction::Mvm {
+                tile: 0,
+                x: vec![0.5; 16],
+            },
+            CimInstruction::Mvm {
+                tile: 0,
+                x: vec![0.5; 2048],
+            },
+        ),
+        (
+            CimInstruction::MvmT {
+                tile: 0,
+                z: vec![0.5; 8],
+            },
+            CimInstruction::MvmT {
+                tile: 0,
+                z: vec![0.5; 2048],
+            },
+        ),
+    ];
+    for (good, bad) in cases {
+        let bad = query(bad);
+        let (report, _) = session.verify(&bad).unwrap();
+        let codes: Vec<RuleCode> = report.diagnostics.iter().map(|d| d.rule).collect();
+        assert_eq!(codes, vec![RuleCode::WidthMismatch], "{}", report.to_text());
+        let rejected = session.submit(&bad).unwrap().wait();
+        assert!(
+            matches!(rejected.output, Err(JobError::RejectedByVerifier { .. })),
+            "{:?}",
+            rejected.output
+        );
+        assert_eq!(rejected.stats.instructions(), 0, "never touched a shard");
+        assert!(rejected.shards.is_empty(), "never dispatched");
+
+        let good = query(good);
+        let (report, _) = session.verify(&good).unwrap();
+        assert!(report.is_clean(), "{}", report.to_text());
+        let served = session.submit(&good).unwrap().wait();
+        assert!(served.output.is_ok(), "{:?}", served.output);
+        assert_eq!(served.stats.mvms, 1);
+    }
+}
+
 /// L003 is the one warning-severity rule: a latch defined and then
 /// clobbered unread never rejects a submission (raw jobs return every
 /// response anyway), but the standalone analyzer reports it.

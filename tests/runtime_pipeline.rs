@@ -21,7 +21,9 @@
 //!     with a typed error before lowering, and every shard serves on,
 //! 11. so is an HDC spec whose n-gram outgrows its dimension or whose
 //!     text holds more n-grams than a bundle counts,
-//! 12. and so is an HDC or NN spec with more MVMs than one job carries.
+//! 12. and so is an HDC or NN spec with more MVMs than one job carries,
+//!     or a CAM spec with more keys, packets or probes than one job
+//!     may search its dataset with.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -35,7 +37,8 @@ use cim_repro::cim_imgproc::image::GrayImage;
 use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_runtime::{
     CompileError, DatasetSpec, ImgFilterOp, JobError, JobHandle, JobKind, JobOutput, JobReport,
-    MatchKind, OffloadPolicy, PoolConfig, RuleCode, RuntimePool, TenantId, WorkloadSpec,
+    MatchKind, OffloadPolicy, PoolClient, PoolConfig, RuleCode, RuntimePool, TenantId,
+    WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
 
@@ -1071,28 +1074,15 @@ fn oversized_mvm_counts_are_typed_errors() {
             },
         ]
     };
-    let expect_invalid = |spec: &WorkloadSpec, field: &str| {
-        for (what, result) in [
-            ("verify", session.verify(spec).map(drop)),
-            ("submit", session.submit(spec).map(drop)),
-        ] {
-            match result {
-                Err(CompileError::InvalidSpec { field: got, .. }) => {
-                    assert_eq!(got, field, "{what} {:?}", spec.kind())
-                }
-                other => panic!("{what} {:?}: {other:?}", spec.kind()),
-            }
-        }
-    };
     for samples in [usize::MAX, 1 << 40, 164] {
         for spec in &hdc_specs(samples) {
-            expect_invalid(spec, "samples");
+            expect_invalid_spec(&session, spec, "samples");
         }
     }
     // Two layers: 82 inputs are 164 MVMs, 3,000 inputs are 6,000.
     for inputs in [82, 3000] {
         for spec in &nn_specs(inputs) {
-            expect_invalid(spec, "inputs");
+            expect_invalid_spec(&session, spec, "inputs");
         }
     }
     // The largest counts that fit still verify.
@@ -1100,6 +1090,28 @@ fn oversized_mvm_counts_are_typed_errors() {
         assert!(session.verify(spec).is_ok(), "{:?}", spec.kind());
     }
     drop((hdc, nn));
+    assert_selects_serve_on_both_shards(&session);
+}
+
+/// Submits `spec` through `verify` and `submit` and expects both to
+/// return `InvalidSpec` naming `field`.
+fn expect_invalid_spec(session: &PoolClient, spec: &WorkloadSpec, field: &str) {
+    for (what, result) in [
+        ("verify", session.verify(spec).map(drop)),
+        ("submit", session.submit(spec).map(drop)),
+    ] {
+        match result {
+            Err(CompileError::InvalidSpec { field: got, .. }) => {
+                assert_eq!(got, field, "{what} {:?}", spec.kind())
+            }
+            other => panic!("{what} {:?}: {other:?}", spec.kind()),
+        }
+    }
+}
+
+/// Two back-to-back `Q6Select`s on a 2-shard pool serve, one on each
+/// shard.
+fn assert_selects_serve_on_both_shards(session: &PoolClient) {
     let handles = (0..2)
         .map(|seed| {
             session
@@ -1121,4 +1133,70 @@ fn oversized_mvm_counts_are_typed_errors() {
         .collect();
     shards.sort_unstable();
     assert_eq!(shards, vec![0, 1], "a select serves on each shard");
+}
+
+/// Every CAM key, packet or probe is one `MatchSearch` per resident
+/// tile, costing the tile's entries, so a job may carry at most
+/// `MAX_ROUTING_DEBT / entries` of them: 16,384 / 64 = 256 here. More
+/// is a typed error before lowering pads a single key, however many
+/// there are.
+#[test]
+fn oversized_cam_counts_are_typed_errors() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let width = 16;
+    let rules = session
+        .register_dataset(&DatasetSpec::CamRules {
+            rules: 64,
+            width,
+            wildcard_density: 0.25,
+            seed: 5,
+        })
+        .unwrap();
+    let dictionary = session
+        .register_dataset(&DatasetSpec::CamKeys {
+            keys: (0..64).collect(),
+            width,
+        })
+        .unwrap();
+    let specs = |count: usize| {
+        [
+            (
+                WorkloadSpec::CamSearch {
+                    dataset: rules.id(),
+                    kind: MatchKind::Ternary,
+                    keys: vec![BitVec::zeros(width); count],
+                },
+                "keys",
+            ),
+            (
+                WorkloadSpec::RuleClassify {
+                    dataset: rules.id(),
+                    packets: vec![3; count],
+                },
+                "packets",
+            ),
+            (
+                WorkloadSpec::KeyLookup {
+                    dataset: dictionary.id(),
+                    probes: vec![7; count],
+                },
+                "probes",
+            ),
+        ]
+    };
+    for count in [257, 100_000] {
+        for (spec, field) in &specs(count) {
+            expect_invalid_spec(&session, spec, field);
+        }
+    }
+    // The bound itself still verifies: its searches cost exactly
+    // `MAX_ROUTING_DEBT` units, plus the job's base unit.
+    for (spec, _) in &specs(256) {
+        let (report, envelope) = session.verify(spec).unwrap();
+        assert!(report.is_clean(), "{:?}: {}", spec.kind(), report.to_text());
+        assert_eq!(envelope.cost_units, 256 * 64 + 1, "{:?}", spec.kind());
+    }
+    drop((rules, dictionary));
+    assert_selects_serve_on_both_shards(&session);
 }
