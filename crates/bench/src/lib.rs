@@ -13,7 +13,8 @@
 //!   - `fig7b` — the IoT inference energy curves,
 //!   - `hd_accuracy` / `hd_cost` — the §IV-B accuracy and 9×/5× studies,
 //!   - `scouting_margins` — the Fig. 2(c) sensing-margin analysis,
-//!   - `query_select` — TPC-H Q6 end-to-end across execution paths,
+//!   - `query_select` — TPC-H Q6 end-to-end across execution paths, the
+//!     CIM path served by the runtime pool over resident bins,
 //!   - `amp_quality` — AMP recovery quality, float vs crossbar.
 //! * **`perf_smoke`** — the one microbenchmark: it asserts the
 //!   device-level floors the serving benchmark (`perfbench/`) does not

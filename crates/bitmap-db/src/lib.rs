@@ -1,7 +1,7 @@
 //! # cim-bitmap-db
 //!
-//! A bitmap-index database engine with CIM-accelerated query execution —
-//! the §II "QUERY SELECT" application of the DATE'19 paper.
+//! The data side of the §II "QUERY SELECT" application of the DATE'19
+//! paper: bitmap indexes, a TPC-H-like table and the host Query-6 paths.
 //!
 //! The paper represents a database as *transposed bitmaps* (Fig. 2(b)):
 //! each low-cardinality column is binned, each bin becomes one row of
@@ -13,25 +13,27 @@
 //! * [`star`] — the paper's Fig. 2(a) star-catalog example dataset.
 //! * [`tpch`] — a TPC-H-like `lineitem` generator and the Query-6
 //!   parameters (the paper's QUERY SELECT kernel runs TPC-H query-06).
-//! * [`query`] — Query-6 executed three ways: scalar row scan, bitmap
-//!   plan on the CPU, and bitmap plan on CIM scouting logic; all three
-//!   return bit-identical row selections.
+//! * [`query`] — Query-6 on the host: the scalar row scan (the
+//!   reference), the bitmap plan on the CPU, and the bins and revenue
+//!   aggregation the CIM path shares with them.
+//!
+//! The CIM path itself — bins stored as rows of digital tiles, the
+//! plan's ORs and final AND run as Scouting-Logic accesses — is the
+//! `cim-runtime` pool's Q6 lowering (`WorkloadSpec::Q6Select`, and
+//! `Q6Query` over a resident `DatasetSpec::Q6Table`); every path returns
+//! the scan's result bit for bit.
 //!
 //! # Example
 //!
 //! ```
 //! use cim_bitmap_db::tpch::{LineItemTable, Q6Params};
-//! use cim_bitmap_db::query::{q6_scan, q6_bitmap_cpu, Q6CimEngine};
+//! use cim_bitmap_db::query::{q6_scan, q6_bitmap_cpu};
 //!
 //! let table = LineItemTable::generate(2000, 42);
 //! let params = Q6Params::tpch_default();
 //! let scan = q6_scan(&table, &params);
 //! let cpu = q6_bitmap_cpu(&table, &params);
-//! assert_eq!(scan.matching_rows, cpu.result.matching_rows);
-//!
-//! let mut engine = Q6CimEngine::load(&table, 1024, 7);
-//! let cim = engine.execute(&params, &table);
-//! assert_eq!(scan.matching_rows, cim.result.matching_rows);
+//! assert_eq!(scan, cpu.result);
 //! ```
 
 pub mod bitmap;
@@ -40,5 +42,5 @@ pub mod star;
 pub mod tpch;
 
 pub use bitmap::{BinSpec, BitmapIndex};
-pub use query::{q6_bitmap_cpu, q6_scan, Q6CimEngine, Q6Result};
+pub use query::{q6_bitmap_cpu, q6_scan, Q6Result};
 pub use tpch::{LineItemTable, Q6Params};

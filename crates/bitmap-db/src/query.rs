@@ -1,30 +1,21 @@
-//! Query-6 executed three ways: scalar scan, bitmap-CPU, bitmap-CIM.
+//! Query-6 on the host: the scalar scan, the bitmap plan and the
+//! pieces the CIM lowering shares with them.
 //!
-//! All three paths produce bit-identical row selections; they differ in
-//! *where* the bit-wise work happens:
-//!
-//! * [`q6_scan`] — the conventional row-at-a-time predicate scan.
+//! * [`q6_scan`] — the conventional row-at-a-time predicate scan, and
+//!   the reference every other path must reproduce bit for bit.
 //! * [`q6_bitmap_cpu`] — bitmap plan on the host CPU: OR the qualifying
 //!   bins of each predicate, AND the three intermediate vectors, word by
 //!   word.
-//! * [`Q6CimEngine`] — the same plan lowered to Scouting Logic: bins live
-//!   as rows of digital memristive tiles; ORs and the final AND execute
-//!   as multi-row array accesses. Because a sense-amplifier result is not
-//!   a stored operand, multi-step reductions write intermediates back to
-//!   scratch rows (Pinatubo-style accumulation), alternating between two
-//!   scratch rows per predicate so an access never reads the row it is
-//!   about to overwrite. The engine reports operation counts and
-//!   energy/latency costs for the benchmark harness.
+//! * [`Q6Indexes`] and [`q6_result_from_selection`] — the bins and the
+//!   host-side revenue aggregation of the third path, the same plan run
+//!   as Scouting-Logic reductions over bins stored as tile rows. That
+//!   path is served by the `cim-runtime` pool (`WorkloadSpec::Q6Select`
+//!   and `Q6Query`); its lowering is the one definition of the Q6 tile
+//!   layout and reduction order.
 
 use crate::bitmap::{BinSpec, BitmapIndex};
 use crate::tpch::{LineItemTable, Q6Params, DISCOUNT_LEVELS, MAX_QUANTITY, SHIP_MONTHS};
-use cim_crossbar::digital::DigitalArray;
-use cim_crossbar::energy::OperationCost;
-use cim_crossbar::scouting::ScoutOp;
-use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
-use cim_simkit::rng::seeded;
-use rand::rngs::StdRng;
 
 /// Result of a Query-6 execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,18 +26,13 @@ pub struct Q6Result {
     pub matching_rows: usize,
 }
 
-/// A bitmap-plan execution with its operation statistics.
+/// A bitmap-plan execution with its operation count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanExecution {
     /// The query result.
     pub result: Q6Result,
     /// Bit-wise vector operations executed (ORs + ANDs over whole rows).
     pub bitwise_ops: u64,
-    /// Intermediate write-backs (CIM path only; 0 on the CPU).
-    pub writebacks: u64,
-    /// Energy/latency cost (CIM path only; zero on the CPU path, which
-    /// the benchmarks time directly).
-    pub cost: OperationCost,
 }
 
 /// Scalar baseline: evaluate the predicate row by row.
@@ -139,7 +125,7 @@ pub fn q6_bin_key(column: usize, value: i64) -> u64 {
 
 /// Every Q6 bin's [`q6_bin_key`] in CAM-slot order — month bins, then
 /// discount, then quantity, each ascending by value: the same row order
-/// [`Q6CimEngine`] stores the bins in, so a resolved slot index maps
+/// the served Q6 tiles store the bins in, so a resolved slot index maps
 /// straight back to a bin with no indirection table.
 pub fn q6_bin_dictionary(idx: &Q6Indexes) -> Vec<u64> {
     let mut keys = Vec::new();
@@ -210,238 +196,36 @@ pub fn q6_selection_from_bin_slots(idx: &Q6Indexes, slots: &[Option<u32>]) -> Bi
 /// Bitmap plan on the host CPU.
 pub fn q6_bitmap_cpu(table: &LineItemTable, params: &Q6Params) -> PlanExecution {
     let idx = Q6Indexes::build(table);
-    q6_bitmap_cpu_with_indexes(table, &idx, params)
-}
-
-/// Bitmap plan on the host CPU with prebuilt indexes (what a database
-/// would amortize across queries).
-pub fn q6_bitmap_cpu_with_indexes(
-    table: &LineItemTable,
-    idx: &Q6Indexes,
-    params: &Q6Params,
-) -> PlanExecution {
     let [(mlo, mhi), (dlo, dhi), (qlo, qhi)] = Q6Indexes::predicate_ranges(params);
-    let month_sel = idx.month.select_range(mlo, mhi);
-    let discount_sel = idx.discount.select_range(dlo, dhi);
-    let quantity_sel = idx.quantity.select_range(qlo, qhi);
-    let mut sel = month_sel;
-    sel.and_assign(&discount_sel);
-    sel.and_assign(&quantity_sel);
+    let mut sel = idx.month.select_range(mlo, mhi);
+    sel.and_assign(&idx.discount.select_range(dlo, dhi));
+    sel.and_assign(&idx.quantity.select_range(qlo, qhi));
 
     let or_ops = |n: i64| (n - 1).max(0) as u64;
     let bitwise_ops = or_ops(mhi - mlo + 1) + or_ops(dhi - dlo + 1) + or_ops(qhi - qlo + 1) + 2;
     PlanExecution {
-        result: collect_result(table, params, &sel),
+        result: q6_result_from_selection(table, params, &sel),
         bitwise_ops,
-        writebacks: 0,
-        cost: OperationCost::default(),
     }
 }
 
-fn collect_result(table: &LineItemTable, params: &Q6Params, sel: &BitVec) -> Q6Result {
+/// Computes the final Query-6 result from a selection vector: revenue
+/// aggregation happens on the host, in row order, so a selection equal
+/// to the scan's yields a result equal to [`q6_scan`]'s bit for bit.
+pub fn q6_result_from_selection(
+    table: &LineItemTable,
+    params: &Q6Params,
+    selection: &BitVec,
+) -> Q6Result {
     let mut revenue = 0.0;
     let mut matching = 0;
-    for i in sel.iter_ones() {
+    for i in selection.iter_ones() {
         revenue += params.revenue_term(table.extended_price[i], table.discount[i]);
         matching += 1;
     }
     Q6Result {
         revenue,
         matching_rows: matching,
-    }
-}
-
-/// Computes the final Query-6 result from a CIM-produced selection vector
-/// (revenue aggregation happens on the host).
-pub fn q6_result_from_selection(
-    table: &LineItemTable,
-    params: &Q6Params,
-    selection: &BitVec,
-) -> Q6Result {
-    collect_result(table, params, selection)
-}
-
-/// Scratch rows reserved per tile: two per predicate (ping-pong).
-const SCRATCH_ROWS: usize = 6;
-
-/// Query-6 on CIM scouting logic.
-///
-/// The transposed bitmap database is striped across digital tiles:
-/// entries are columns, bins are rows (Fig. 2(b)). Each tile holds one
-/// *chunk* of entries with all 145 bins plus scratch rows.
-#[derive(Debug)]
-pub struct Q6CimEngine {
-    tiles: Vec<DigitalArray>,
-    chunk_size: usize,
-    fan_in: usize,
-    entries: usize,
-    rng: StdRng,
-    month_base: usize,
-    discount_base: usize,
-    quantity_base: usize,
-    scratch_base: usize,
-}
-
-/// Per-tile execution tally.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    cost: OperationCost,
-    ops: u64,
-    writebacks: u64,
-}
-
-impl Q6CimEngine {
-    /// Loads a table into CIM tiles of `chunk_size` entries each, with
-    /// scouting fan-in limited to `fan_in` rows per access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`, `fan_in < 2`, or the table is empty.
-    pub fn load(table: &LineItemTable, chunk_size: usize, fan_in: usize) -> Self {
-        assert!(chunk_size > 0, "chunk size must be nonzero");
-        assert!(fan_in >= 2, "scouting fan-in must be at least 2");
-        assert!(table.rows() > 0, "cannot load an empty table");
-        let idx = Q6Indexes::build(table);
-        let month_base = 0;
-        let discount_base = SHIP_MONTHS as usize;
-        let quantity_base = discount_base + DISCOUNT_LEVELS as usize;
-        let scratch_base = quantity_base + MAX_QUANTITY as usize;
-        let total_rows = scratch_base + SCRATCH_ROWS;
-
-        let mut rng = seeded(0xB17A9);
-        let mut tiles = Vec::new();
-        let entries = table.rows();
-        let mut start = 0;
-        while start < entries {
-            let width = chunk_size.min(entries - start);
-            let mut tile = DigitalArray::new(total_rows, width, ReramParams::default(), &mut rng);
-            for (index, base) in [
-                (&idx.month, month_base),
-                (&idx.discount, discount_base),
-                (&idx.quantity, quantity_base),
-            ] {
-                for b in 0..index.bin_count() {
-                    let bits = BitVec::from_fn(width, |j| index.bin(b).get(start + j));
-                    tile.write_row(base + b, &bits);
-                }
-            }
-            tiles.push(tile);
-            start += width;
-        }
-        Q6CimEngine {
-            tiles,
-            chunk_size,
-            fan_in,
-            entries,
-            rng,
-            month_base,
-            discount_base,
-            quantity_base,
-            scratch_base,
-        }
-    }
-
-    /// Number of tiles (chunks) the table occupies.
-    pub fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Entries per full tile.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
-    /// Executes Query-6 in the arrays: selection happens in CIM, revenue
-    /// aggregation on the host (floating point stays on the CPU).
-    pub fn execute(&mut self, params: &Q6Params, table: &LineItemTable) -> PlanExecution {
-        let (selection, tally) = self.run_plan(params);
-        PlanExecution {
-            result: collect_result(table, params, &selection),
-            bitwise_ops: tally.ops,
-            writebacks: tally.writebacks,
-            cost: tally.cost,
-        }
-    }
-
-    /// Executes the plan and returns only the selection vector, for
-    /// cross-path equivalence checks.
-    pub fn selection(&mut self, params: &Q6Params) -> BitVec {
-        self.run_plan(params).0
-    }
-
-    fn run_plan(&mut self, params: &Q6Params) -> (BitVec, Tally) {
-        let [(mlo, mhi), (dlo, dhi), (qlo, qhi)] = Q6Indexes::predicate_ranges(params);
-        let month_rows: Vec<usize> = (mlo..=mhi).map(|m| self.month_base + m as usize).collect();
-        let discount_rows: Vec<usize> = (dlo..=dhi)
-            .map(|d| self.discount_base + d as usize)
-            .collect();
-        let quantity_rows: Vec<usize> = (qlo..=qhi)
-            .map(|q| self.quantity_base + (q as usize - 1))
-            .collect();
-
-        let mut selection = BitVec::zeros(self.entries);
-        let mut tally = Tally::default();
-        let mut start = 0;
-        for t in 0..self.tiles.len() {
-            let width = self.tiles[t].shape().1;
-            let m_row = self.or_reduce(t, &month_rows, 0, &mut tally);
-            let d_row = self.or_reduce(t, &discount_rows, 1, &mut tally);
-            let q_row = self.or_reduce(t, &quantity_rows, 2, &mut tally);
-            let (sel, c) =
-                self.tiles[t].scout_with_cost(ScoutOp::And, &[m_row, d_row, q_row], &mut self.rng);
-            tally.cost = tally.cost.then(c);
-            tally.ops += 1;
-            for j in sel.iter_ones() {
-                selection.set(start + j, true);
-            }
-            start += width;
-        }
-        (selection, tally)
-    }
-
-    /// Sequentially OR-accumulates `rows` into a scratch row of the tile,
-    /// alternating between the predicate's two scratch rows so no access
-    /// reads the row it writes. Returns the row holding the result.
-    ///
-    /// A single-row "reduction" returns the bin row itself at zero cost.
-    fn or_reduce(&mut self, tile: usize, rows: &[usize], slot: usize, tally: &mut Tally) -> usize {
-        assert!(!rows.is_empty(), "empty predicate bin list");
-        if rows.len() == 1 {
-            return rows[0];
-        }
-        let ping = self.scratch_base + 2 * slot;
-        let pong = ping + 1;
-        let mut remaining = rows;
-        let mut acc: Option<usize> = None;
-        let mut target = ping;
-        while !remaining.is_empty() || acc.is_none() {
-            let take = match acc {
-                None => self.fan_in.min(remaining.len()),
-                Some(_) => (self.fan_in - 1).min(remaining.len()),
-            };
-            let mut operands: Vec<usize> = Vec::with_capacity(take + 1);
-            if let Some(a) = acc {
-                operands.push(a);
-            }
-            operands.extend_from_slice(&remaining[..take]);
-            remaining = &remaining[take..];
-            if operands.len() == 1 {
-                // A lone accumulator with nothing left to fold.
-                return operands[0];
-            }
-            let (bits, c) = self.tiles[tile].scout_with_cost(ScoutOp::Or, &operands, &mut self.rng);
-            tally.cost = tally.cost.then(c);
-            tally.ops += 1;
-            let wc = self.tiles[tile].write_row(target, &bits);
-            tally.cost = tally.cost.then(wc);
-            tally.writebacks += 1;
-            acc = Some(target);
-            target = if target == ping { pong } else { ping };
-            if remaining.is_empty() {
-                break;
-            }
-        }
-        acc.expect("reduction produced a result")
     }
 }
 
@@ -459,8 +243,7 @@ mod tests {
         let p = Q6Params::tpch_default();
         let scan = q6_scan(&t, &p);
         let plan = q6_bitmap_cpu(&t, &p);
-        assert_eq!(scan.matching_rows, plan.result.matching_rows);
-        assert!((scan.revenue - plan.result.revenue).abs() < 1e-6);
+        assert_eq!(plan.result, scan);
         assert!(plan.bitwise_ops > 0);
     }
 
@@ -487,100 +270,5 @@ mod tests {
             let expect = p.matches(t.ship_month[i], t.discount[i], t.quantity[i]);
             assert_eq!(sel.get(i), expect, "row {i}");
         }
-    }
-
-    #[test]
-    fn cim_selection_matches_scan_selection() {
-        let t = table();
-        let p = Q6Params::tpch_default();
-        let mut engine = Q6CimEngine::load(&t, 1000, 8);
-        assert_eq!(engine.tile_count(), 3);
-        let sel = engine.selection(&p);
-        for i in 0..t.rows() {
-            let expect = p.matches(t.ship_month[i], t.discount[i], t.quantity[i]);
-            assert_eq!(sel.get(i), expect, "row {i}");
-        }
-    }
-
-    #[test]
-    fn cim_execute_matches_scan_result() {
-        let t = table();
-        let p = Q6Params::tpch_default();
-        let scan = q6_scan(&t, &p);
-        let mut engine = Q6CimEngine::load(&t, 1024, 8);
-        let exec = engine.execute(&p, &t);
-        assert_eq!(exec.result.matching_rows, scan.matching_rows);
-        assert!((exec.result.revenue - scan.revenue).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cim_costs_and_ops_are_accounted() {
-        let t = LineItemTable::generate(500, 5);
-        let p = Q6Params::tpch_default();
-        let mut engine = Q6CimEngine::load(&t, 500, 8);
-        let exec = engine.execute(&p, &t);
-        // Fan-in 8: months (12 bins) = 2 accesses, discount (3) = 1,
-        // quantity (23) = 4, final AND = 1 → 8 scouting ops, 7 writebacks.
-        assert_eq!(exec.bitwise_ops, 8);
-        assert_eq!(exec.writebacks, 7);
-        assert!(exec.cost.energy.0 > 0.0);
-        assert!(exec.cost.latency.0 > 0.0);
-        let cpu = q6_bitmap_cpu(&t, &p);
-        assert!(exec.bitwise_ops < cpu.bitwise_ops);
-    }
-
-    #[test]
-    fn narrow_fan_in_needs_more_ops() {
-        let t = LineItemTable::generate(400, 6);
-        let p = Q6Params::tpch_default();
-        let mut wide = Q6CimEngine::load(&t, 400, 12);
-        let mut narrow = Q6CimEngine::load(&t, 400, 2);
-        let w = wide.execute(&p, &t);
-        let n = narrow.execute(&p, &t);
-        assert_eq!(w.result.matching_rows, n.result.matching_rows);
-        assert!(n.bitwise_ops > w.bitwise_ops);
-    }
-
-    #[test]
-    fn different_parameters_change_selection() {
-        let t = table();
-        let mut engine = Q6CimEngine::load(&t, 1024, 8);
-        let p2 = Q6Params {
-            year: 5,
-            discount: 2,
-            max_quantity: 50,
-        };
-        let a = engine.execute(&Q6Params::tpch_default(), &t);
-        let b = engine.execute(&p2, &t);
-        assert_ne!(a.result.matching_rows, b.result.matching_rows);
-        assert_eq!(b.result.matching_rows, q6_scan(&t, &p2).matching_rows);
-    }
-
-    #[test]
-    fn partial_last_chunk_handled() {
-        let t = LineItemTable::generate(1234, 11);
-        let p = Q6Params::tpch_default();
-        let mut engine = Q6CimEngine::load(&t, 1000, 8);
-        assert_eq!(engine.tile_count(), 2);
-        assert_eq!(
-            engine.execute(&p, &t).result.matching_rows,
-            q6_scan(&t, &p).matching_rows
-        );
-    }
-
-    #[test]
-    fn discount_edge_at_domain_boundary() {
-        // Discount centre 0 clips its window to [0, 1] without underflow.
-        let t = LineItemTable::generate(800, 13);
-        let p = Q6Params {
-            year: 1,
-            discount: 0,
-            max_quantity: 30,
-        };
-        let mut engine = Q6CimEngine::load(&t, 800, 8);
-        assert_eq!(
-            engine.execute(&p, &t).result.matching_rows,
-            q6_scan(&t, &p).matching_rows
-        );
     }
 }

@@ -94,13 +94,15 @@ impl Q6Params {
     }
 
     /// `true` if a single row matches all three predicates.
+    ///
+    /// The windows are tested in `u32`, where no parameter value
+    /// overflows, so a year past the table's last one matches no row.
+    /// Each two-sided window is one unsigned compare: a value below the
+    /// window's start wraps to far above its width.
     pub fn matches(&self, ship_month: u16, discount: u8, quantity: u8) -> bool {
-        let month_lo = self.year * 12;
-        let month_hi = month_lo + 12;
-        ship_month >= month_lo
-            && ship_month < month_hi
-            && discount + 1 >= self.discount
-            && discount <= self.discount + 1
+        let month_lo = u32::from(self.year) * 12;
+        u32::from(ship_month).wrapping_sub(month_lo) < 12
+            && (u32::from(discount) + 1).wrapping_sub(u32::from(self.discount)) <= 2
             && quantity < self.max_quantity
     }
 
@@ -183,6 +185,23 @@ mod tests {
         assert!(p.matches(0, 0, 1));
         assert!(p.matches(0, 1, 1));
         assert!(!p.matches(0, 2, 1));
+    }
+
+    #[test]
+    fn years_past_the_table_match_nothing() {
+        // `year * 12` once overflowed `u16`: 5462 wrapped to months
+        // 8..20, and `u16::MAX` panicked in debug builds.
+        let t = LineItemTable::generate(2000, 3);
+        for year in [5462, u16::MAX] {
+            let p = Q6Params {
+                year,
+                ..Q6Params::tpch_default()
+            };
+            let hits = (0..t.rows())
+                .filter(|&i| p.matches(t.ship_month[i], t.discount[i], t.quantity[i]))
+                .count();
+            assert_eq!(hits, 0, "year {year}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! shard. Multi-step reductions use [`CimInstruction::StoreLast`]
 //! (Pinatubo-style write-back) so whole reduction trees execute without
 //! host round-trips, alternating between two scratch rows per predicate
-//! so an access never reads the row it is about to overwrite — the same
-//! discipline as `cim_bitmap_db::query::Q6CimEngine`.
+//! so an access never reads the row it is about to overwrite.
 //!
 //! Each workload family lives in one submodule that owns everything
 //! about it: its lowering (and its dataset's load program, if it has
@@ -521,12 +520,17 @@ pub(crate) fn compile(
         resident,
     };
     let compiled = match spec {
+        // The Q6 check runs here rather than inside `q6::select`: there
+        // it tipped the optimizer into outlining the bin rows' bit loop,
+        // and cold selects lowered about 8 % slower.
         WorkloadSpec::Q6Select {
             rows,
             table_seed,
             params,
-        } => q6::select(lw, *rows, *table_seed, *params),
-        WorkloadSpec::Q6Query { params, .. } => q6::query(lw, *params),
+        } => q6::check_params(params).and_then(|()| q6::select(lw, *rows, *table_seed, *params)),
+        WorkloadSpec::Q6Query { params, .. } => {
+            q6::check_params(params).and_then(|()| q6::query(lw, *params))
+        }
         WorkloadSpec::HdcClassify {
             classes,
             d,
@@ -593,9 +597,10 @@ pub(crate) fn compile(
 
 /// Emits an OR/AND reduction over `rows`, at most [`SCOUT_FAN_IN`]
 /// rows per access, ping-ponging intermediates through the two
-/// `scratch` rows. Returns the row holding the result. Mirrors
-/// `Q6CimEngine::or_reduce` instruction for instruction, so
-/// op/write-back counts match the seed engine.
+/// `scratch` rows: the first access folds up to [`SCOUT_FAN_IN`] rows,
+/// each later one the accumulator plus up to `SCOUT_FAN_IN - 1` more,
+/// and each is followed by a write-back. Returns the row holding the
+/// result; a single row is its own result at no cost.
 fn emit_reduce(
     instructions: &mut Vec<CimInstruction>,
     tile: usize,
@@ -607,39 +612,23 @@ fn emit_reduce(
     if rows.len() == 1 {
         return rows[0];
     }
-    let [ping, pong] = scratch;
-    let mut remaining = rows;
-    let mut acc: Option<usize> = None;
-    let mut target = ping;
-    while !remaining.is_empty() || acc.is_none() {
-        let take = match acc {
-            None => SCOUT_FAN_IN.min(remaining.len()),
-            Some(_) => (SCOUT_FAN_IN - 1).min(remaining.len()),
-        };
-        let mut operands: Vec<usize> = Vec::with_capacity(take + 1);
-        if let Some(a) = acc {
-            operands.push(a);
-        }
-        operands.extend_from_slice(&remaining[..take]);
-        remaining = &remaining[take..];
-        if operands.len() == 1 {
-            return operands[0];
-        }
+    let [mut target, mut spare] = scratch;
+    let (first, mut rest) = rows.split_at(SCOUT_FAN_IN.min(rows.len()));
+    let mut operands = first.to_vec();
+    loop {
         instructions.push(CimInstruction::Logic {
             tile,
             op,
             rows: operands,
         });
         instructions.push(CimInstruction::StoreLast { tile, row: target });
-        acc = Some(target);
-        target = if target == ping { pong } else { ping };
-        if remaining.is_empty() {
-            break;
+        if rest.is_empty() {
+            return target;
         }
-    }
-    match acc {
-        Some(row) => row,
-        None => unreachable!("the reduction loop always runs at least once"),
+        let (next, tail) = rest.split_at((SCOUT_FAN_IN - 1).min(rest.len()));
+        operands = [&[target], next].concat();
+        rest = tail;
+        std::mem::swap(&mut target, &mut spare);
     }
 }
 

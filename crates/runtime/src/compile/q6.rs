@@ -34,18 +34,53 @@ const PROFILE: HostProfile = HostProfile {
     l2_miss: 1.0,
 };
 
+// The Q6 tile layout: month bins from row 0, then the discount and
+// quantity bins, then the scratch rows. Resident bins occupy
+// `0..SCRATCH_BASE`; queries reduce into the scratch rows.
+const DISCOUNT_BASE: usize = SHIP_MONTHS as usize;
+const QUANTITY_BASE: usize = DISCOUNT_BASE + DISCOUNT_LEVELS as usize;
+const SCRATCH_BASE: usize = QUANTITY_BASE + MAX_QUANTITY as usize;
 /// Scratch rows reserved at the top of a Q6 tile: two per predicate.
 const SCRATCH_ROWS: usize = 6;
 
-/// Row bases of the Q6 tile layout: `(month, discount, quantity,
-/// scratch)`. Resident bins occupy `month..scratch`; queries reduce
-/// into `scratch..scratch + SCRATCH_ROWS`.
-fn q6_row_bases() -> (usize, usize, usize, usize) {
-    let month_base = 0usize;
-    let discount_base = SHIP_MONTHS as usize;
-    let quantity_base = discount_base + DISCOUNT_LEVELS as usize;
-    let scratch_base = quantity_base + MAX_QUANTITY as usize;
-    (month_base, discount_base, quantity_base, scratch_base)
+/// Rejects parameters whose predicate windows leave the bins a tile
+/// stores: the year's 12 months must lie within the table's
+/// [`SHIP_MONTHS`], the discount window `centre ± 1` must meet the
+/// [`DISCOUNT_LEVELS`] bins, and the quantity window `1..max_quantity`
+/// must be non-empty and within `1..=`[`MAX_QUANTITY`]. Every accepted
+/// value serves a result equal to [`q6_scan`]'s. `compile` runs it
+/// before [`select`] or [`query`], so a rejected spec costs no lowering
+/// work.
+pub(super) fn check_params(params: &Q6Params) -> Result<(), CompileError> {
+    let last_year = SHIP_MONTHS / 12 - 1;
+    if params.year > last_year {
+        return Err(CompileError::InvalidSpec {
+            field: "params.year",
+            reason: format!("{} is past the table's last year, {last_year}", params.year),
+        });
+    }
+    if params.discount > DISCOUNT_LEVELS {
+        return Err(CompileError::InvalidSpec {
+            field: "params.discount",
+            reason: format!(
+                "the window {}±1 misses the discount bins 0..={}",
+                params.discount,
+                DISCOUNT_LEVELS - 1
+            ),
+        });
+    }
+    if !(2..=MAX_QUANTITY + 1).contains(&params.max_quantity) {
+        return Err(CompileError::InvalidSpec {
+            field: "params.max_quantity",
+            reason: format!(
+                "{} is outside 2..={}: the window 1..max_quantity must be non-empty and \
+                 within the quantity bins",
+                params.max_quantity,
+                MAX_QUANTITY + 1
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Reassembles per-tile selections and aggregates revenue on the host.
@@ -90,8 +125,7 @@ fn footprint(rows: usize, cfg: &PoolConfig) -> Result<usize, CompileError> {
     if rows == 0 {
         return Err(CompileError::EmptyWorkload);
     }
-    let (_, _, _, scratch_base) = q6_row_bases();
-    let rows_needed = scratch_base + SCRATCH_ROWS;
+    let rows_needed = SCRATCH_BASE + SCRATCH_ROWS;
     if rows_needed > cfg.tile_rows {
         return Err(CompileError::NeedsMoreTileRows {
             required: rows_needed,
@@ -120,16 +154,15 @@ fn emit_bins(
     mut per_tile: impl FnMut(&mut Vec<CimInstruction>, usize),
 ) -> Vec<usize> {
     let idx = Q6Indexes::build(table);
-    let (month_base, discount_base, quantity_base, _) = q6_row_bases();
     let mut widths = Vec::with_capacity(tiles);
     let mut start = 0;
     for tile in 0..tiles {
         let width = cfg.tile_cols.min(table.rows() - start);
         widths.push(width);
         for (index, base) in [
-            (&idx.month, month_base),
-            (&idx.discount, discount_base),
-            (&idx.quantity, quantity_base),
+            (&idx.month, 0),
+            (&idx.discount, DISCOUNT_BASE),
+            (&idx.quantity, QUANTITY_BASE),
         ] {
             for b in 0..index.bin_count() {
                 let bits =
@@ -155,18 +188,17 @@ fn emit_query(
     params: &Q6Params,
     tile: usize,
 ) {
-    let (month_base, discount_base, quantity_base, scratch_base) = q6_row_bases();
     let [(mlo, mhi), (dlo, dhi), (qlo, qhi)] = Q6Indexes::predicate_ranges(params);
-    let month_rows: Vec<usize> = (mlo..=mhi).map(|m| month_base + m as usize).collect();
-    let discount_rows: Vec<usize> = (dlo..=dhi).map(|d| discount_base + d as usize).collect();
+    let month_rows: Vec<usize> = (mlo..=mhi).map(|m| m as usize).collect();
+    let discount_rows: Vec<usize> = (dlo..=dhi).map(|d| DISCOUNT_BASE + d as usize).collect();
     let quantity_rows: Vec<usize> = (qlo..=qhi)
-        .map(|q| quantity_base + (q as usize - 1))
+        .map(|q| QUANTITY_BASE + (q as usize - 1))
         .collect();
     let reduced: Vec<usize> = [month_rows, discount_rows, quantity_rows]
         .iter()
         .enumerate()
         .map(|(p, rows)| {
-            let scratch = [scratch_base + 2 * p, scratch_base + 2 * p + 1];
+            let scratch = [SCRATCH_BASE + 2 * p, SCRATCH_BASE + 2 * p + 1];
             emit_reduce(instructions, tile, rows, scratch, ScoutOp::Or)
         })
         .collect();
@@ -178,10 +210,10 @@ fn emit_query(
     outputs.push(instructions.len() - 1);
 }
 
-/// Bytes of Q6 bins resident in `tiles` tiles.
+/// Bytes of Q6 bins (the rows below `SCRATCH_BASE`) resident in
+/// `tiles` tiles.
 fn resident_bytes(tiles: usize, cfg: &PoolConfig) -> u64 {
-    let bin_rows = (SHIP_MONTHS as usize + DISCOUNT_LEVELS as usize + MAX_QUANTITY as usize) as u64;
-    bin_rows * tiles as u64 * cfg.tile_cols.div_ceil(8) as u64
+    SCRATCH_BASE as u64 * tiles as u64 * cfg.tile_cols.div_ceil(8) as u64
 }
 
 /// A cold select: bins and reductions of every tile in one stream.
@@ -258,7 +290,6 @@ pub(super) fn load(
     let widths = emit_bins(&mut instructions, &table, tiles, cfg, |_, _| {});
     // Bins fill every row below the scratch region, which queries
     // reduce into.
-    let (_, _, _, scratch_base) = q6_row_bases();
     Ok(DatasetProgram {
         instructions,
         demand: TileDemand::digital(tiles),
@@ -267,7 +298,7 @@ pub(super) fn load(
             widths,
         },
         resident_bytes: resident_bytes(tiles, cfg),
-        resident_rows: vec![0..scratch_base; tiles],
+        resident_rows: vec![0..SCRATCH_BASE; tiles],
     })
 }
 
@@ -300,10 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn q6_reduction_op_count_matches_seed_engine() {
+    fn q6_reduction_op_count_per_tile() {
         // Fan-in 8: months (12 bins) = 2 accesses, discount (3) = 1,
-        // quantity (23) = 4, final AND = 1 → 8 logic ops, 7 store-backs
-        // per tile — the counts asserted for `Q6CimEngine` in the seed.
+        // quantity (23) = 4, final AND = 1 → 8 logic ops and 7
+        // store-backs per tile, whatever the tile's row count.
         let c = lower(&select_spec(500, 5), &cfg()).unwrap();
         let logic = c
             .instructions

@@ -1,15 +1,15 @@
 //! The §II QUERY SELECT application end to end.
 //!
-//! Walks the paper's Fig. 2 star-catalog example, runs TPC-H-like
-//! Query-6 through all three execution paths (scalar scan, bitmap plan
-//! on the CPU, bitmap plan on CIM scouting logic) and checks they
-//! agree — then serves the same table through the `cim-runtime`
-//! accelerator pool: the bins are registered once as a resident
-//! dataset and repeated queries pay only the query-side reductions.
+//! Walks the paper's Fig. 2 star-catalog example, then runs TPC-H-like
+//! Query-6 through all three execution paths — scalar scan, bitmap plan
+//! on the CPU, and bitmap plan on CIM scouting logic served by the
+//! `cim-runtime` accelerator pool — and checks they agree. The pool
+//! holds the bins as a resident dataset, registered once, so repeated
+//! queries pay only the query-side reductions.
 //!
 //! Run with: `cargo run --release --example query_select`
 
-use cim_bitmap_db::query::{q6_bitmap_cpu, q6_scan, Q6CimEngine};
+use cim_bitmap_db::query::{q6_bitmap_cpu, q6_scan};
 use cim_bitmap_db::star::{star_catalog, StarBitmap};
 use cim_bitmap_db::tpch::{LineItemTable, Q6Params};
 use cim_runtime::{DatasetSpec, JobOutput, PoolConfig, RuntimePool, TenantId, WorkloadSpec};
@@ -31,7 +31,7 @@ fn main() {
     let names: Vec<char> = sel.iter_ones().map(|i| stars[i].name).collect();
     println!("medium AND new  -> {names:?} (expect ['B', 'D'])\n");
 
-    // --- TPC-H Query-6 through three engines ----------------------------
+    // --- TPC-H Query-6 through three paths -----------------------------
     let table = LineItemTable::generate(100_000, 7);
     let params = Q6Params::tpch_default();
 
@@ -46,28 +46,15 @@ fn main() {
         "bitmap (CPU): {} rows match, revenue {:.2}, {} row-wide bit ops",
         cpu.result.matching_rows, cpu.result.revenue, cpu.bitwise_ops
     );
+    assert_eq!(cpu.result, scan);
 
-    let mut engine = Q6CimEngine::load(&table, 8192, 8);
-    let cim = engine.execute(&params, &table);
-    println!(
-        "bitmap (CIM): {} rows match, revenue {:.2}, {} array accesses + {} writebacks",
-        cim.result.matching_rows, cim.result.revenue, cim.bitwise_ops, cim.writebacks
-    );
-    println!(
-        "              modelled array cost: {} / {}",
-        cim.cost.energy, cim.cost.latency
-    );
-
-    assert_eq!(scan.matching_rows, cpu.result.matching_rows);
-    assert_eq!(scan.matching_rows, cim.result.matching_rows);
-    println!("\nall three engines agree ✓");
-
-    // --- Served through the runtime: resident bins, repeated queries ----
-    println!("\nserving the same table through the cim-runtime pool…");
+    // The CIM path: the bins are registered once as a resident dataset
+    // on 4,096-column tiles; each query then pays only its reductions.
     let pool = RuntimePool::new(PoolConfig {
         shards: 1,
-        digital_tiles: 13,
-        tile_cols: 8192,
+        digital_tiles: table.rows().div_ceil(4096),
+        tile_cols: 4096,
+        analog_tiles: 0,
         ..PoolConfig::default()
     });
     let session = pool.client(TenantId(1));
@@ -79,17 +66,14 @@ fn main() {
         .expect("table fits the pool geometry");
 
     // Three parameterizations of Q6 against the same resident bins,
-    // submitted as non-blocking handles.
+    // submitted as non-blocking handles; the first is the one above.
     let queries = [
-        Q6Params::tpch_default(),
-        Q6Params {
-            year: 3,
-            ..Q6Params::tpch_default()
-        },
+        params,
+        Q6Params { year: 3, ..params },
         Q6Params {
             discount: 4,
             max_quantity: 30,
-            ..Q6Params::tpch_default()
+            ..params
         },
     ];
     let handles: Vec<_> = queries
@@ -103,22 +87,27 @@ fn main() {
                 .expect("query compiles")
         })
         .collect();
+    println!("bitmap (CIM), each query checked against the scan:");
     for (report, params) in session.wait_all(handles).into_iter().zip(&queries) {
         let JobOutput::Q6(result) = report.output.expect("query executes") else {
             unreachable!("Q6 queries decode to Q6 results");
         };
-        let reference = q6_scan(&table, params);
-        assert_eq!(result.matching_rows, reference.matching_rows);
+        assert_eq!(result, q6_scan(&table, params));
         println!(
-            "  year={} discount={} qty<{}: {} rows, revenue {:.2} — {} query-side writes",
+            "  year={} discount={} qty<{}: {} rows, revenue {:.2} — {} array accesses + {} \
+             write-backs, {} / {}",
             params.year,
             params.discount,
             params.max_quantity,
             result.matching_rows,
             result.revenue,
-            report.stats.row_writes
+            report.stats.logic_ops,
+            report.stats.row_writes,
+            report.stats.energy,
+            report.stats.busy_time
         );
     }
+    println!("all three paths agree ✓\n");
     let telemetry = pool.telemetry();
     let usage = &telemetry.datasets[&resident.id().0];
     println!(

@@ -1,9 +1,10 @@
 //! Cross-crate property-based tests (proptest).
 //!
 //! These pin the invariants the reproduction rests on: cipher
-//! involution, bitmap-plan ≡ scalar-predicate semantics, scouting logic
-//! ≡ boolean algebra under nominal devices, quantizer error bounds, HD
-//! algebra laws, and filter fixed points.
+//! involution (in software and served by the pool), bitmap-plan ≡
+//! scalar-predicate semantics, scouting logic ≡ boolean algebra under
+//! nominal devices, quantizer error bounds, HD algebra laws, and filter
+//! fixed points.
 
 use cim_repro::cim_bitmap_db::bitmap::{BinSpec, BitmapIndex};
 use cim_repro::cim_crossbar::digital::DigitalArray;
@@ -12,12 +13,29 @@ use cim_repro::cim_device::reram::ReramParams;
 use cim_repro::cim_hdc::hypervector::Hypervector;
 use cim_repro::cim_imgproc::guided::{guided_filter, GuidedParams};
 use cim_repro::cim_imgproc::image::GrayImage;
+use cim_repro::cim_runtime::{
+    JobOutput, JobReport, PoolClient, PoolConfig, RuntimePool, TenantId, WorkloadSpec,
+};
 use cim_repro::cim_simkit::bitvec::BitVec;
 use cim_repro::cim_simkit::quant::UniformQuantizer;
 use cim_repro::cim_simkit::rng::seeded;
-use cim_repro::cim_xor_cipher::cim::CimXorEngine;
 use cim_repro::cim_xor_cipher::otp::OneTimePad;
 use proptest::prelude::*;
+
+/// Width of the cipher pool's one tile, in bits: a message of up to 96
+/// bytes spans up to six chunks, and one under 16 bytes fits in one.
+const CIPHER_TILE_COLS: usize = 128;
+
+/// Serves `XorEncrypt` of `message` under the pad of `key_seed`.
+fn serve_xor(session: &PoolClient, message: &[u8], key_seed: u64) -> JobReport {
+    session
+        .submit(&WorkloadSpec::XorEncrypt {
+            message: message.to_vec(),
+            key_seed,
+        })
+        .expect("the message fits the pool")
+        .wait()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -29,13 +47,27 @@ proptest! {
         prop_assert_eq!(pad.decrypt(&ct).unwrap(), message);
     }
 
+    /// The served cipher is the software pad's, byte for byte, at one
+    /// scouting XOR and two row writes per tile-width chunk, and the
+    /// same pad decrypts it.
     #[test]
     fn cim_cipher_matches_software(message in prop::collection::vec(any::<u8>(), 1..96), seed in any::<u64>()) {
-        let pad = OneTimePad::generate(message.len(), seed);
-        let sw = pad.encrypt(&message).unwrap();
-        let mut engine = CimXorEngine::new(pad, 16);
-        let (hw, _) = engine.encrypt(&message).unwrap();
-        prop_assert_eq!(hw, sw);
+        let sw = OneTimePad::generate(message.len(), seed).encrypt(&message).unwrap();
+        let pool = RuntimePool::new(PoolConfig {
+            shards: 1,
+            digital_tiles: 1,
+            tile_cols: CIPHER_TILE_COLS,
+            analog_tiles: 0,
+            ..PoolConfig::default()
+        });
+        let session = pool.client(TenantId(1));
+        let report = serve_xor(&session, &message, seed);
+        prop_assert_eq!(&report.output, &Ok(JobOutput::Cipher(sw.clone())));
+        let chunks = (message.len() * 8).div_ceil(CIPHER_TILE_COLS) as u64;
+        prop_assert_eq!(report.stats.logic_ops, chunks);
+        prop_assert_eq!(report.stats.row_writes, 2 * chunks);
+        prop_assert!(report.stats.energy.0 > 0.0 && report.stats.busy_time.0 > 0.0);
+        prop_assert_eq!(serve_xor(&session, &sw, seed).output, Ok(JobOutput::Cipher(message)));
     }
 
     #[test]
