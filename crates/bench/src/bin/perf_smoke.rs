@@ -4,11 +4,13 @@
 //! Four groups, each asserting its own bar:
 //!
 //! * `scout_q6_fastpath` — the word-parallel digital tile against the
-//!   bit-serial reference on a Q6-shaped access mix (≥ 5× wall clock)
-//!   and on a Q6-shaped write phase (≥ 20×).
+//!   bit-serial reference on a Q6-shaped access mix (≥ 5× wall clock),
+//!   on a Q6-shaped write phase (≥ 20×) and on one 3-row AND access
+//!   (≥ 14×).
 //! * `analog_mvm` — the vectorized analog crossbar against the
 //!   per-device reference: serving MVMs (≥ 5×) and cold programming
-//!   (≥ 3×), plus NN and HDC serving lanes.
+//!   (≥ 3×), plus NN and HDC serving lanes and packed binarized scoring
+//!   against the scalar ±1 dot product (≥ 20×).
 //! * `cam_range_accuracy` — analog `Range` CAM match accuracy against
 //!   the exact host baseline as the window widens.
 //! * `observability` — a traced seeded pool run exports a Chrome trace
@@ -33,6 +35,7 @@ use cim_crossbar::digital::DigitalArray;
 use cim_crossbar::reference::{ReferenceDifferentialCrossbar, ReferenceDigitalArray};
 use cim_crossbar::scouting::ScoutOp;
 use cim_device::reram::ReramParams;
+use cim_nn::binarized::BinarizedMlp;
 use cim_obs::{RingRecorder, Snapshot, SpanId, Value};
 use cim_runtime::{DatasetSpec, PoolConfig, RuntimePool, TenantId, Tracer, WorkloadSpec};
 use cim_simkit::bitvec::BitVec;
@@ -118,8 +121,19 @@ fn write_bench_json(entries: &[BenchEntry]) {
 /// read-energy sums are folded only when an access first reads a row,
 /// so the phase must be at least [`WRITE_PHASE_FLOOR`]× faster than the
 /// reference; folding every row as it is written reads about 12×.
+///
+/// The same pool-shaped tiles also time the Q6 plan's final access on
+/// its own: three freshly stored scratch rows ANDed in one access,
+/// which folds the three rows' read energies. At fan-in 3 the
+/// array-wide current extremes cannot prove that every all-LRS column
+/// clears the AND reference, so the access is screened: the fast tile
+/// sums exact currents only for the columns whose LRS count is
+/// undecided and must stay [`AND_ACCESS_FLOOR`]× faster than the
+/// reference. Summing every column's current instead (the unscreened
+/// tier) reads 8–11× on a 2-vCPU host.
 const FASTPATH_FLOOR: f64 = 5.0;
 const WRITE_PHASE_FLOOR: f64 = 20.0;
+const AND_ACCESS_FLOOR: f64 = 14.0;
 
 fn scout_q6_fastpath() -> BenchEntry {
     println!("\n# FAST PATH — word-parallel digital tile vs bit-serial reference\n");
@@ -213,9 +227,62 @@ fn scout_q6_fastpath() -> BenchEntry {
         "write-phase speedup {write_phase_speedup:.2}x regressed below the \
          {WRITE_PHASE_FLOOR}x floor"
     );
+    let (fast_and, ref_and) = and_access();
+    let and_speedup = ref_and / fast_and;
+    println!(
+        "{:>22} {:>10} {:>13} {:>13.3e} {:>8.1}x  (reference {:.3e} s)",
+        "3-row AND access", 1, "", fast_and, and_speedup, ref_and
+    );
+    assert!(
+        and_speedup >= AND_ACCESS_FLOOR,
+        "3-row AND speedup {and_speedup:.2}x regressed below the {AND_ACCESS_FLOOR}x floor"
+    );
     BenchEntry::new("scout_q6_fastpath", sim_makespan, fast_wall * 1e3, speedup)
         .extra("write_phase_speedup", write_phase_speedup)
         .extra("fast_write_phase_us", fast_phase * 1e6)
+        .extra("and_access_speedup", and_speedup)
+        .extra("fast_and_access_us", fast_and * 1e6)
+}
+
+/// Wall seconds of one 3-row AND access over freshly stored scratch
+/// rows on a pool-shaped tile, fast and reference, which must sense the
+/// same bits. Each side reports its 10th-percentile access: single
+/// accesses are microseconds long, so the lower quantile keeps
+/// interference from other processes out of the ratio.
+fn and_access() -> (f64, f64) {
+    const ROWS: usize = 160;
+    const COLS: usize = 1024;
+    const ACCESSES: usize = 1001;
+    const SCRATCH: [usize; 3] = [150, 151, 152];
+    let params = ReramParams::default();
+    let mut fast = DigitalArray::new(ROWS, COLS, params, &mut seeded(0xA4D));
+    let mut reference = ReferenceDigitalArray::new(ROWS, COLS, params, &mut seeded(0xA4D));
+    // Half-dense OR-reduction results, a different triple per access.
+    let stored: Vec<BitVec> = (0..6)
+        .map(|r| BitVec::from_fn(COLS, |j| (j * 13 + r * 7) % 11 < 6))
+        .collect();
+
+    macro_rules! and_accesses {
+        ($arr:expr, $rng:expr) => {{
+            let mut walls = Vec::with_capacity(ACCESSES);
+            let mut sensed = Vec::with_capacity(ACCESSES);
+            for i in 0..ACCESSES {
+                for (n, &row) in SCRATCH.iter().enumerate() {
+                    $arr.write_row(row, &stored[(i + n) % stored.len()]);
+                }
+                let start = Instant::now();
+                sensed.push($arr.scout(ScoutOp::And, &SCRATCH, $rng));
+                walls.push(start.elapsed().as_secs_f64());
+            }
+            walls.sort_by(f64::total_cmp);
+            (walls[ACCESSES / 10], sensed)
+        }};
+    }
+
+    let (fast_access, fast_bits) = and_accesses!(fast, &mut seeded(0xF00D));
+    let (ref_access, ref_bits) = and_accesses!(reference, &mut seeded(0xF00D));
+    assert_eq!(fast_bits, ref_bits, "3-row AND results diverged");
+    (fast_access, ref_access)
 }
 
 /// Bin rows, OR reductions and scratch rows of one Q6 select tile.
@@ -291,10 +358,72 @@ fn q6_write_phase() -> (f64, f64) {
 /// * **HDC serving** — one 8×2048 class-prototype score MVM per query,
 ///   the associative-memory shape of the HDC classifier.
 ///
-/// Both floors are asserted so the CI perf-smoke job catches a
-/// regression of the vectorized path.
+/// * **binarized scoring** — the host-side lowering of every resident
+///   NN query: the `[256, 32, 8]` network's scores from its packed sign
+///   rows (`n − 2·popcount(w ⊕ x)`) against the scalar ±1 dot product.
+///   Floor: [`NN_SCORING_FLOOR`]×.
+///
+/// Every floor is asserted so the CI perf-smoke job catches a
+/// regression of the vectorized paths.
 const ANALOG_MVM_FLOOR: f64 = 5.0;
 const ANALOG_PROGRAM_FLOOR: f64 = 3.0;
+const NN_SCORING_FLOOR: f64 = 20.0;
+
+/// The scalar oracle of binarized scoring: one `±1 × ±1` product per
+/// weight, chained through the sign activations.
+fn scalar_scores(mlp: &BinarizedMlp, x: &BitVec) -> Vec<i64> {
+    let mut v = x.clone();
+    let mut y = Vec::new();
+    for (n, layer) in mlp.layers().iter().enumerate() {
+        if n > 0 {
+            v = BitVec::from_fn(y.len(), |i| y[i] >= 0);
+        }
+        y = (0..layer.rows())
+            .map(|i| {
+                (0..layer.cols())
+                    .map(|j| {
+                        let w = layer.get(i, j) as i64;
+                        if v.get(j) {
+                            w
+                        } else {
+                            -w
+                        }
+                    })
+                    .sum()
+            })
+            .collect();
+    }
+    y
+}
+
+/// Mean wall seconds per input of scoring the `[256, 32, 8]` network,
+/// packed and scalar, which must agree.
+fn nn_scoring() -> (f64, f64) {
+    const INPUTS: usize = 64;
+    const ROUNDS: usize = 20;
+    let mlp = BinarizedMlp::random(&[256, 32, 8], 0x5C0);
+    let mut rng = seeded(0x1B);
+    let inputs: Vec<BitVec> = (0..INPUTS)
+        .map(|_| BitVec::from_fn(256, |_| rng.gen()))
+        .collect();
+    let time = |score: &dyn Fn(&BitVec) -> Vec<i64>| {
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            for x in &inputs {
+                std::hint::black_box(score(std::hint::black_box(x)));
+            }
+        }
+        start.elapsed().as_secs_f64() / (ROUNDS * INPUTS) as f64
+    };
+    for x in &inputs {
+        assert_eq!(
+            mlp.scores(x),
+            scalar_scores(&mlp, x),
+            "binarized scores diverged"
+        );
+    }
+    (time(&|x| mlp.scores(x)), time(&|x| scalar_scores(&mlp, x)))
+}
 
 fn analog_mvm() -> BenchEntry {
     println!("\n# ANALOG FAST PATH — SoA vectorized crossbar vs per-device reference\n");
@@ -430,6 +559,8 @@ fn analog_mvm() -> BenchEntry {
     }
     let ref_hdc_wall = start.elapsed().as_secs_f64();
     let hdc_speedup = ref_hdc_wall / fast_hdc_wall;
+    let (packed_score, scalar_score) = nn_scoring();
+    let scoring_speedup = scalar_score / packed_score;
 
     println!(
         "{:>22} {:>14} {:>14} {:>9}",
@@ -463,6 +594,13 @@ fn analog_mvm() -> BenchEntry {
         ref_hdc_wall / HDC_QUERIES as f64 * 1e6,
         hdc_speedup
     );
+    println!(
+        "{:>22} {:>11.2} us {:>11.2} us {:>8.1}x  (scalar ±1 dot product)",
+        "binarized scoring",
+        packed_score * 1e6,
+        scalar_score * 1e6,
+        scoring_speedup
+    );
     assert!(
         speedup >= ANALOG_MVM_FLOOR,
         "analog MVM speedup {speedup:.2}x regressed below the {ANALOG_MVM_FLOOR}x floor"
@@ -471,6 +609,11 @@ fn analog_mvm() -> BenchEntry {
         program_speedup >= ANALOG_PROGRAM_FLOOR,
         "cold program speedup {program_speedup:.2}x regressed below the \
          {ANALOG_PROGRAM_FLOOR}x floor"
+    );
+    assert!(
+        scoring_speedup >= NN_SCORING_FLOOR,
+        "binarized scoring speedup {scoring_speedup:.2}x regressed below the \
+         {NN_SCORING_FLOOR}x floor"
     );
     BenchEntry::new("analog_mvm", sim_makespan, fast_mvm_wall * 1e3, speedup)
         .extra("program_speedup", program_speedup)
@@ -482,6 +625,8 @@ fn analog_mvm() -> BenchEntry {
         .extra("nn_infer_per_s", INFERS as f64 / fast_nn_wall)
         .extra("hdc_serving_speedup", hdc_speedup)
         .extra("hdc_query_per_s", HDC_QUERIES as f64 / fast_hdc_wall)
+        .extra("nn_scoring_speedup", scoring_speedup)
+        .extra("nn_scoring_us", packed_score * 1e6)
 }
 
 /// Measured accuracy of analog `Range` CAM matching versus window width:

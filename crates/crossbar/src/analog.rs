@@ -26,8 +26,16 @@
 //! conductance slice, and read noise is sampled per *output line* from the
 //! exact aggregate distribution of the per-device draws —
 //! `I_j ~ N(Σ V·g, σ_eff)` with `σ_eff² = Σ (V·σ_read·g)²`, which is
-//! distribution-identical to summing one Gaussian per device. Two tiers
-//! result:
+//! distribution-identical to summing one Gaussian per device.
+//!
+//! The forward product folds four output lines per pass over the input
+//! voltages (one blocked kernel, which folds a window's last one to three
+//! lines the same way). Each line still accumulates its own `Σ V·g`,
+//! `Σ (V·g)²` and device power in column order, and the lines' powers
+//! are added to the product's total line by line, so outputs, costs and
+//! statistics are bit-identical to folding one line at a time; the four
+//! independent accumulator chains keep the floating-point adders busy
+//! where one line's chain would wait on each add. Two tiers result:
 //!
 //! * **nominal** (`sigma_read == 0`, or an all-zero input): no stochastic
 //!   draws at all — counted in [`CrossbarStats::nominal_mvms`];
@@ -492,28 +500,27 @@ impl AnalogCrossbar {
         sq.resize(if sampled { n_out } else { 0 }, 0.0);
         let mut device_power = 0.0f64;
         if forward {
-            for (j, current) in currents.iter_mut().enumerate() {
-                let row = &bank.extent_row(j)[..cols];
-                let mut sum = 0.0f64;
-                let mut sumsq = 0.0f64;
-                let mut power = 0.0f64;
-                if sampled {
-                    for (&v, &gp) in volts.iter().zip(row) {
-                        let t = v * (gp * drift);
-                        sum += t;
-                        sumsq += t * t;
-                        power += v * t;
-                    }
-                    sq[j] = sumsq;
-                } else {
-                    for (&v, &gp) in volts.iter().zip(row) {
-                        let t = v * (gp * drift);
-                        sum += t;
-                        power += v * t;
-                    }
-                }
-                *current = sum;
-                device_power += power;
+            let mut first = 0;
+            while first < n_out {
+                let kernel = match (n_out - first, sampled) {
+                    (1, false) => fold_lines::<1, false>,
+                    (2, false) => fold_lines::<2, false>,
+                    (3, false) => fold_lines::<3, false>,
+                    (_, false) => fold_lines::<BLOCK_LINES, false>,
+                    (1, true) => fold_lines::<1, true>,
+                    (2, true) => fold_lines::<2, true>,
+                    (3, true) => fold_lines::<3, true>,
+                    (_, true) => fold_lines::<BLOCK_LINES, true>,
+                };
+                first += kernel(
+                    bank,
+                    first,
+                    &volts,
+                    drift,
+                    &mut currents,
+                    &mut sq,
+                    &mut device_power,
+                );
             }
         } else {
             for (i, &v) in volts.iter().enumerate() {
@@ -581,6 +588,52 @@ impl AnalogCrossbar {
         self.sq = sq;
         (currents, cost, samples)
     }
+}
+
+/// Output lines the forward kernel folds per pass over the input
+/// voltages.
+const BLOCK_LINES: usize = 4;
+
+/// The blocked forward kernel: folds output lines `first..first + N` of
+/// `A·x` in one pass over the row voltages `volts`, with the per-device
+/// drifted conductance `g·drift` formed in the loop. Each line keeps its
+/// own `Σ V·g` (into `currents`), `Σ (V·g)²` (into `sq`, on the
+/// `SAMPLED` tier only) and device power, each folded in column order,
+/// and the lines' powers are added to `device_power` line by line — so
+/// every value is bit-identical to folding one line at a time. Returns
+/// `N`, the lines folded.
+fn fold_lines<const N: usize, const SAMPLED: bool>(
+    bank: &PcmBank,
+    first: usize,
+    volts: &[f64],
+    drift: f64,
+    currents: &mut [f64],
+    sq: &mut [f64],
+    device_power: &mut f64,
+) -> usize {
+    let n = volts.len();
+    let lines: [&[f64]; N] = std::array::from_fn(|l| &bank.extent_row(first + l)[..n]);
+    let mut sum = [0.0f64; N];
+    let mut sumsq = [0.0f64; N];
+    let mut power = [0.0f64; N];
+    for (c, &v) in volts.iter().enumerate() {
+        for l in 0..N {
+            let t = v * (lines[l][c] * drift);
+            sum[l] += t;
+            if SAMPLED {
+                sumsq[l] += t * t;
+            }
+            power[l] += v * t;
+        }
+    }
+    currents[first..first + N].copy_from_slice(&sum);
+    if SAMPLED {
+        sq[first..first + N].copy_from_slice(&sumsq);
+    }
+    for p in power {
+        *device_power += p;
+    }
+    N
 }
 
 /// A signed-matrix crossbar: positive and negative parts on two tiles,

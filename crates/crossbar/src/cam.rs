@@ -28,8 +28,9 @@
 //!
 //! # Tiered match-line evaluation
 //!
-//! The same three tiers as [`crate::digital`]'s sense path, but per
-//! match line (one decision per *entry*, not per column):
+//! The same decisions as [`crate::digital`]'s sense path — word,
+//! nominal and sampled — but per match line (one decision per *entry*,
+//! not per column):
 //!
 //! 1. **Word tier** — a zero-mismatch entry draws *exactly zero*
 //!    match-line current, so `[0, 0]` windows always decide from stored

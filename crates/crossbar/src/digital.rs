@@ -11,23 +11,32 @@
 //! The hardware computes all columns of an access in one read cycle, so
 //! the simulator should too. Device storage is struct-of-arrays
 //! ([`ReramBank`]): packed state words plus per-device fabricated read
-//! currents and energies divided out once at fabrication. Each access is
-//! then served by the cheapest of three tiers:
+//! currents and energies divided out once at fabrication. A column's
+//! sensed bit depends on how many of its activated devices are in the
+//! LRS, so each access first builds a **per-count certainty table**:
+//! for every count `m` of LRS devices among the `k` activated rows, the
+//! array-wide fabricated current extremes (plus a ±8σ clip of the
+//! cycle-to-cycle log-normal noise) either prove that every column
+//! holding `m` LRS devices senses the boolean result, or leave the
+//! count undecided. The access is then served by the cheaper of two
+//! tiers:
 //!
-//! 1. **Word tier** — if the array-wide fabricated current extremes
-//!    (plus a ±8σ clip of the cycle-to-cycle log-normal noise) prove that
-//!    no column's aggregate current can cross the sense reference(s), the
-//!    sensed result *is* the boolean result: a few `u64` ops per 64
-//!    columns, no per-column work at all. This is the steady state for
-//!    nominal technology parameters.
-//! 2. **Column tier** — otherwise the exact nominal aggregate current of
-//!    every column is accumulated from the precomputed per-device
-//!    currents (no noise draws), and each column whose clipped noise
-//!    interval stays on one side of the reference(s) is decided directly.
-//!    With `sigma_c2c == 0` this tier is exact and never samples.
-//! 3. **Sampled tier** — only margin-ambiguous columns fall through to
-//!    per-device log-normal noise draws, batched through the caller's RNG
-//!    in column-major order.
+//! 1. **Word tier** — every count is decided, so the sensed result *is*
+//!    the boolean result: a few `u64` ops per 64 columns, no per-column
+//!    work at all. This is the steady state for nominal technology
+//!    parameters at small fan-in, and the only case counted in
+//!    [`DigitalStats::word_accesses`].
+//! 2. **Screened tier** — some counts are undecided (a wide AND, whose
+//!    `k` and `k−1` LRS levels sit closer than the array-wide spread:
+//!    the Scouting-Logic sense-margin problem). Each column's LRS count
+//!    is computed bit-sliced over the activated rows' words, 64 columns
+//!    at a time, and columns of a decided count take the boolean result.
+//!    Only the rest, in column order, sum their exact nominal aggregate
+//!    current from the precomputed per-device currents and are decided
+//!    when their clipped noise interval stays on one side of the
+//!    reference(s); with `sigma_c2c == 0` this is exact and never
+//!    samples. Columns still ambiguous draw per-device log-normal noise
+//!    through the caller's RNG (the **sampled** columns).
 //!
 //! The ±8σ clip declares a column decision-safe when the probability that
 //! noise crosses the reference is below ~1e-15 per device draw; the
@@ -109,8 +118,6 @@ pub struct DigitalArray {
     /// Constant cost of a row write (every device receives a pulse, so
     /// the energy is data-independent); folded once at construction.
     write_cost: OperationCost,
-    /// Reusable per-column aggregate-current buffer for the column tier.
-    col_currents: Vec<f64>,
 }
 
 impl DigitalArray {
@@ -139,7 +146,6 @@ impl DigitalArray {
                 energy: write_energy,
                 latency: params.write_latency,
             },
-            col_currents: Vec::new(),
         }
     }
 
@@ -289,8 +295,12 @@ impl DigitalArray {
         BitVec::from_words(words, cols)
     }
 
-    /// Runs the tiered sense pipeline for one access, returning the
-    /// decision bits as packed words.
+    /// Senses one access: the word tier when the per-count certainty
+    /// table decides every count, otherwise the screened tier, which
+    /// takes the boolean result for every column of a decided LRS count
+    /// and senses only the rest, in column order — exact nominal
+    /// currents first, per-device noise draws for the columns those
+    /// leave ambiguous. Returns the decision bits as packed words.
     fn sense_access<R: Rng + ?Sized>(
         &mut self,
         kind: SenseKind,
@@ -299,51 +309,64 @@ impl DigitalArray {
     ) -> Vec<u64> {
         let k = rows.len();
         let (lo_ref, hi_ref) = self.references(kind, k);
-        if self.word_path_safe(kind, k, lo_ref, hi_ref) {
+        let mut words = match kind {
+            SenseKind::Read => self.bank.row_words(rows[0]).to_vec(),
+            SenseKind::Scout(op) => self.fold_state_words(op, rows),
+        };
+        let undecided = self.undecided_counts(kind, k, lo_ref, hi_ref);
+        if undecided.is_empty() {
             self.stats.word_accesses += 1;
-            return match kind {
-                SenseKind::Read => self.bank.row_words(rows[0]).to_vec(),
-                SenseKind::Scout(op) => self.fold_state_words(op, rows),
-            };
+            return words;
         }
 
-        // Column tier: exact nominal aggregate currents, no allocation
-        // beyond the result words (the accumulator is reused).
         let cols = self.bank.shape().1;
-        let mut nominal = std::mem::take(&mut self.col_currents);
-        nominal.clear();
-        nominal.resize(cols, 0.0);
-        for &r in rows {
-            self.bank.add_row_currents(r, &mut nominal);
-        }
         let sigma = self.bank.params().sigma_c2c;
         let (c_lo, c_hi) = clip_factors(sigma);
-        let mut words = vec![0u64; self.bank.words_per_row()];
-        for (j, &nom) in nominal.iter().enumerate() {
-            let certain_true = nom * c_lo > lo_ref && hi_ref.is_none_or(|h| nom * c_hi < h);
-            let bit = if certain_true {
-                true
+        // Bit planes wide enough to count to `k`.
+        let mut count = [0u64; usize::BITS as usize];
+        let planes = &mut count[..(usize::BITS - k.leading_zeros()) as usize];
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut pending = if undecided.len() == k + 1 {
+                !0
             } else {
-                let certain_false = nom * c_hi <= lo_ref || hi_ref.is_some_and(|h| nom * c_lo >= h);
-                if certain_false {
-                    false
-                } else {
-                    // Sampled tier: this column's margin is genuinely
-                    // ambiguous — draw the per-device noise, in the same
-                    // device order as the reference model.
-                    self.stats.sampled_columns += 1;
-                    let mut i = 0.0;
-                    for &r in rows {
-                        i += self.bank.current(r, j) / log_normal(rng, 0.0, sigma);
-                    }
-                    i > lo_ref && hi_ref.is_none_or(|h| i < h)
-                }
+                let row_words = rows.iter().map(|&r| self.bank.row_words(r)[w]);
+                undecided_columns(planes, &undecided, row_words)
             };
-            if bit {
-                words[j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
+            let rem = cols - w * WORD_BITS;
+            if rem < WORD_BITS {
+                pending &= (1u64 << rem) - 1;
+            }
+            while pending != 0 {
+                let bit = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let j = w * WORD_BITS + bit;
+                let mut nom = 0.0;
+                for &r in rows {
+                    nom += self.bank.current(r, j);
+                }
+                let certain_true = nom * c_lo > lo_ref && hi_ref.is_none_or(|h| nom * c_hi < h);
+                let sensed = certain_true || {
+                    let certain_false =
+                        nom * c_hi <= lo_ref || hi_ref.is_some_and(|h| nom * c_lo >= h);
+                    !certain_false && {
+                        // Sampled: this column's margin is genuinely
+                        // ambiguous — draw the per-device noise, in the
+                        // same device order as the reference model.
+                        self.stats.sampled_columns += 1;
+                        let mut i = 0.0;
+                        for &r in rows {
+                            i += self.bank.current(r, j) / log_normal(rng, 0.0, sigma);
+                        }
+                        i > lo_ref && hi_ref.is_none_or(|h| i < h)
+                    }
+                };
+                if sensed {
+                    *word |= 1 << bit;
+                } else {
+                    *word &= !(1 << bit);
+                }
             }
         }
-        self.col_currents = nominal;
         words
     }
 
@@ -361,33 +384,40 @@ impl DigitalArray {
         }
     }
 
-    /// Whether *every* possible column of this access decides like the
-    /// boolean operation, using the array-wide fabricated current
-    /// extremes and the clipped cycle-to-cycle noise range. `O(k)`.
-    fn word_path_safe(&self, kind: SenseKind, k: usize, lo_ref: f64, hi_ref: Option<f64>) -> bool {
+    /// The per-count certainty table of an access over `k` rows, as the
+    /// counts it leaves undecided: `m` is decided when, for *every*
+    /// possible column holding `m` LRS devices, the array-wide
+    /// fabricated current extremes and the clipped cycle-to-cycle noise
+    /// range prove the sense decision equals the boolean result. `O(k)`.
+    fn undecided_counts(
+        &self,
+        kind: SenseKind,
+        k: usize,
+        lo_ref: f64,
+        hi_ref: Option<f64>,
+    ) -> Vec<usize> {
         let (c_lo, c_hi) = clip_factors(self.bank.params().sigma_c2c);
         let e = self.bank.extremes();
-        for ones in 0..=k {
-            let lrs = ones as f64;
-            let hrs = (k - ones) as f64;
-            let min_i = (lrs * e.i_low_min + hrs * e.i_high_min) * c_lo;
-            let max_i = (lrs * e.i_low_max + hrs * e.i_high_max) * c_hi;
-            let expect = match kind {
-                SenseKind::Read => ones == 1,
-                SenseKind::Scout(ScoutOp::Or) => ones > 0,
-                SenseKind::Scout(ScoutOp::And) => ones == k,
-                SenseKind::Scout(ScoutOp::Xor) => ones == 1,
-            };
-            let certain = if expect {
-                min_i > lo_ref && hi_ref.is_none_or(|h| max_i < h)
-            } else {
-                max_i <= lo_ref || hi_ref.is_some_and(|h| min_i >= h)
-            };
-            if !certain {
-                return false;
-            }
-        }
-        true
+        (0..=k)
+            .filter(|&ones| {
+                let lrs = ones as f64;
+                let hrs = (k - ones) as f64;
+                let min_i = (lrs * e.i_low_min + hrs * e.i_high_min) * c_lo;
+                let max_i = (lrs * e.i_low_max + hrs * e.i_high_max) * c_hi;
+                let expect = match kind {
+                    SenseKind::Read => ones == 1,
+                    SenseKind::Scout(ScoutOp::Or) => ones > 0,
+                    SenseKind::Scout(ScoutOp::And) => ones == k,
+                    SenseKind::Scout(ScoutOp::Xor) => ones == 1,
+                };
+                let certain = if expect {
+                    min_i > lo_ref && hi_ref.is_none_or(|h| max_i < h)
+                } else {
+                    max_i <= lo_ref || hi_ref.is_some_and(|h| min_i >= h)
+                };
+                !certain
+            })
+            .collect()
     }
 
     /// Boolean fold of the activated rows' packed state words.
@@ -433,10 +463,214 @@ pub(crate) fn clip_factors(sigma: f64) -> (f64, f64) {
     }
 }
 
+/// The columns of one 64-column word whose LRS count is one of
+/// `undecided`, given the activated rows' state words at that position.
+/// Each row word ripple-carries into the bit `planes` (zeroed here, wide
+/// enough to count every row), which then hold the 64 counts bit-sliced.
+fn undecided_columns(
+    planes: &mut [u64],
+    undecided: &[usize],
+    row_words: impl Iterator<Item = u64>,
+) -> u64 {
+    planes.fill(0);
+    for mut carry in row_words {
+        for plane in planes.iter_mut() {
+            if carry == 0 {
+                break;
+            }
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
+        }
+    }
+    undecided.iter().fold(0, |mask, &m| {
+        mask | planes.iter().enumerate().fold(!0, |equal, (p, &plane)| {
+            equal & if (m >> p) & 1 == 1 { plane } else { !plane }
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cim_simkit::rng::seeded;
+
+    /// The unscreened tiers this module served before count screening,
+    /// kept as the screened tier's oracle: the word tier when the
+    /// extremes decide every count, otherwise every column's exact
+    /// nominal current, sampling the ambiguous columns.
+    impl DigitalArray {
+        fn sense_per_column<R: Rng + ?Sized>(
+            &mut self,
+            kind: SenseKind,
+            rows: &[usize],
+            rng: &mut R,
+        ) -> Vec<u64> {
+            let k = rows.len();
+            let (lo_ref, hi_ref) = self.references(kind, k);
+            if self.word_path_safe(kind, k, lo_ref, hi_ref) {
+                self.stats.word_accesses += 1;
+                return match kind {
+                    SenseKind::Read => self.bank.row_words(rows[0]).to_vec(),
+                    SenseKind::Scout(op) => self.fold_state_words(op, rows),
+                };
+            }
+            let cols = self.bank.shape().1;
+            let mut nominal = vec![0.0; cols];
+            for &r in rows {
+                self.bank.add_row_currents(r, &mut nominal);
+            }
+            let sigma = self.bank.params().sigma_c2c;
+            let (c_lo, c_hi) = clip_factors(sigma);
+            let mut words = vec![0u64; self.bank.words_per_row()];
+            for (j, &nom) in nominal.iter().enumerate() {
+                let certain_true = nom * c_lo > lo_ref && hi_ref.is_none_or(|h| nom * c_hi < h);
+                let bit = if certain_true {
+                    true
+                } else {
+                    let certain_false =
+                        nom * c_hi <= lo_ref || hi_ref.is_some_and(|h| nom * c_lo >= h);
+                    if certain_false {
+                        false
+                    } else {
+                        self.stats.sampled_columns += 1;
+                        let mut i = 0.0;
+                        for &r in rows {
+                            i += self.bank.current(r, j) / log_normal(rng, 0.0, sigma);
+                        }
+                        i > lo_ref && hi_ref.is_none_or(|h| i < h)
+                    }
+                };
+                if bit {
+                    words[j / WORD_BITS] |= 1u64 << (j % WORD_BITS);
+                }
+            }
+            words
+        }
+
+        /// Whether every count decides like the boolean operation: the
+        /// whole-access form of the certainty table.
+        fn word_path_safe(
+            &self,
+            kind: SenseKind,
+            k: usize,
+            lo_ref: f64,
+            hi_ref: Option<f64>,
+        ) -> bool {
+            let (c_lo, c_hi) = clip_factors(self.bank.params().sigma_c2c);
+            let e = self.bank.extremes();
+            for ones in 0..=k {
+                let lrs = ones as f64;
+                let hrs = (k - ones) as f64;
+                let min_i = (lrs * e.i_low_min + hrs * e.i_high_min) * c_lo;
+                let max_i = (lrs * e.i_low_max + hrs * e.i_high_max) * c_hi;
+                let expect = match kind {
+                    SenseKind::Read => ones == 1,
+                    SenseKind::Scout(ScoutOp::Or) => ones > 0,
+                    SenseKind::Scout(ScoutOp::And) => ones == k,
+                    SenseKind::Scout(ScoutOp::Xor) => ones == 1,
+                };
+                let certain = if expect {
+                    min_i > lo_ref && hi_ref.is_none_or(|h| max_i < h)
+                } else {
+                    max_i <= lo_ref || hi_ref.is_some_and(|h| min_i >= h)
+                };
+                if !certain {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// One read or scouting access, accounted like
+        /// [`DigitalArray::scout_with_cost`], on the oracle tiers.
+        fn access_per_column<R: Rng + ?Sized>(
+            &mut self,
+            kind: SenseKind,
+            rows: &[usize],
+            rng: &mut R,
+        ) -> (BitVec, OperationCost) {
+            let words = self.sense_per_column(kind, rows, rng);
+            let cost = self.access_cost(rows);
+            match kind {
+                SenseKind::Read => self.stats.row_reads += 1,
+                SenseKind::Scout(_) => self.stats.scout_ops += 1,
+            }
+            self.stats.energy += cost.energy;
+            self.stats.busy_time += cost.latency;
+            (BitVec::from_words(words, self.bank.shape().1), cost)
+        }
+    }
+
+    #[test]
+    fn screened_tier_matches_the_per_column_tier_bit_for_bit() {
+        let default = ReramParams::default();
+        let configs = [
+            ("default", default),
+            (
+                "heavy d2d",
+                ReramParams {
+                    sigma_d2d: 0.5,
+                    ..default
+                },
+            ),
+            (
+                "sampled c2c",
+                ReramParams {
+                    sigma_c2c: 0.05,
+                    ..default
+                },
+            ),
+        ];
+        let (rows, cols) = (24, 150);
+        for (name, params) in configs {
+            let mut rng = seeded(0x5C4E);
+            let mut screened = DigitalArray::new(rows, cols, params, &mut rng);
+            // Dense rows put many columns at the wide-AND counts `k` and
+            // `k − 1`; sparse ones at the low OR counts.
+            for r in 0..rows {
+                let density = [0.1, 0.5, 0.9, 0.97, 1.0][r % 5];
+                let bits = BitVec::from_fn(cols, |_| rng.gen::<f64>() < density);
+                screened.write_row(r, &bits);
+            }
+            let mut oracle = screened.clone();
+            let mut accesses: Vec<(SenseKind, Vec<usize>)> = Vec::new();
+            for k in 2..=20 {
+                for op in [ScoutOp::Or, ScoutOp::And] {
+                    for _ in 0..3 {
+                        let mut picked: Vec<usize> = (0..rows).collect();
+                        rand::seq::SliceRandom::shuffle(&mut picked[..], &mut rng);
+                        picked.truncate(k);
+                        accesses.push((SenseKind::Scout(op), picked));
+                    }
+                }
+            }
+            for r in 0..4 {
+                accesses.push((SenseKind::Scout(ScoutOp::Xor), vec![r, r + 5]));
+                accesses.push((SenseKind::Read, vec![r]));
+            }
+            let mut rng_s = seeded(0xD1CE);
+            let mut rng_o = seeded(0xD1CE);
+            for (kind, picked) in &accesses {
+                let (got, got_cost) = match *kind {
+                    SenseKind::Read => screened.read_row_with_cost(picked[0], &mut rng_s),
+                    SenseKind::Scout(op) => screened.scout_with_cost(op, picked, &mut rng_s),
+                };
+                let (want, want_cost) = oracle.access_per_column(*kind, picked, &mut rng_o);
+                let what = format!("{name}: {kind:?} over {picked:?}");
+                assert_eq!(got, want, "sensed words, {what}");
+                assert_eq!(got_cost, want_cost, "cost, {what}");
+                assert_eq!(screened.stats(), oracle.stats(), "stats, {what}");
+                assert_eq!(rng_s.gen::<u64>(), rng_o.gen::<u64>(), "RNG stream, {what}");
+            }
+            let stats = screened.stats();
+            let total = accesses.len() as u64;
+            assert!(stats.word_accesses < total, "{name}: some access screened");
+            if name == "sampled c2c" {
+                assert!(stats.sampled_columns > 0, "{name}: the sampled tier ran");
+            }
+        }
+    }
 
     fn array_with_rows(rows: &[&[bool]]) -> (DigitalArray, rand::rngs::StdRng) {
         let mut rng = seeded(42);
@@ -576,8 +810,8 @@ mod tests {
     #[test]
     fn zero_c2c_noise_never_samples_even_under_heavy_d2d() {
         // σ_d2d = 0.3 spreads fabricated currents far beyond the word
-        // tier's tolerance, but with σ_c2c = 0 the column tier decides
-        // every column exactly from the nominal currents.
+        // tier's tolerance, but with σ_c2c = 0 the screened tier decides
+        // every undecided column exactly from its nominal current.
         let params = ReramParams {
             sigma_d2d: 0.3,
             sigma_c2c: 0.0,

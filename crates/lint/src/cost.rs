@@ -29,7 +29,7 @@
 //! [`CostEnvelope::to_text`] and [`CostEnvelope::to_json`] depend only
 //! on the analyzed stream and the [`CostModel`].
 
-use crate::check::Geometry;
+use crate::check::LintTarget;
 use cim_arch::cim::CimUnitParams;
 use cim_core::CimInstruction;
 use cim_simkit::units::{Hertz, Joules, Seconds};
@@ -135,9 +135,9 @@ pub struct CostEnvelope {
     pub program_pulse_bound: u64,
     /// Upper bound on `DeviceCounters::noise_samples`: the fast path
     /// draws at most one aggregate sample per *output line* per tile of
-    /// the differential pair (`2 × rows` per `Mvm`, `2 × cols` per
-    /// `MvmT`, over the tile's rows and columns, of which a window reads
-    /// at most all); the nominal tier draws none.
+    /// the differential pair, and a product reads only the window of
+    /// the matrix its tile holds (`2 × rows` per `Mvm`, `2 × cols` per
+    /// `MvmT`, of that window); the nominal tier draws none.
     pub noise_sample_bound: u64,
     /// Latency upper bound from the analytical model (offload overhead
     /// plus op slots at effective parallelism over the pulse bounds).
@@ -282,14 +282,26 @@ fn scheduler_weight(instr: &CimInstruction) -> u64 {
 }
 
 /// Runs the cost pass over `program`, certifying a [`CostEnvelope`]
-/// against `geometry` (for the per-access sampled-column cap) under
-/// `model`'s pricing.
+/// against `target` under `model`'s pricing. The target's geometry caps
+/// the columns an access can sample; its resident analog shapes, then
+/// each in-stream `ProgramMatrix`, give the window every product reads.
 ///
 /// The walk is total: out-of-bounds instructions still count (the
 /// safety pass rejects them separately; a cost envelope of a rejected
-/// program is never consumed). The result is deterministic in
-/// `(program, geometry, model)`.
-pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) -> CostEnvelope {
+/// program is never consumed), and a product on a tile with no known
+/// window is bounded by the whole tile. The result is deterministic in
+/// `(program, target, model)`.
+pub fn cost(program: &[CimInstruction], target: &LintTarget, model: &CostModel) -> CostEnvelope {
+    let geometry = &target.geometry;
+    // The `(rows, cols)` window each analog tile holds.
+    let mut windows = target.resident_analog.clone();
+    let window = |windows: &[Option<(usize, usize)>], tile: usize| {
+        windows
+            .get(tile)
+            .copied()
+            .flatten()
+            .unwrap_or((geometry.analog_rows, geometry.analog_cols))
+    };
     let mut env = CostEnvelope::default();
     for instr in program {
         match instr {
@@ -316,7 +328,10 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
                 env.word_access_bound += 1;
                 env.sampled_column_bound += *entries as u64;
             }
-            CimInstruction::ProgramMatrix { matrix, .. } => {
+            CimInstruction::ProgramMatrix { tile, matrix } => {
+                if let Some(held) = windows.get_mut(*tile) {
+                    *held = Some((matrix.rows(), matrix.cols()));
+                }
                 env.matrix_programs += 1;
                 // A differential pair encodes each signed weight on two
                 // devices; each device takes at most the iterative
@@ -325,17 +340,17 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
                 env.programmed_devices += devices;
                 env.program_pulse_bound += devices * model.max_program_pulses;
             }
-            CimInstruction::Mvm { .. } => {
+            CimInstruction::Mvm { tile, .. } => {
                 env.mvms += 1;
                 // One aggregate sample per output line (forward products
-                // read the window's rows, at most the tile's), per tile
-                // of the differential pair.
-                env.noise_sample_bound += 2 * geometry.analog_rows as u64;
+                // read the window's rows), per tile of the differential
+                // pair.
+                env.noise_sample_bound += 2 * window(&windows, *tile).0 as u64;
             }
-            CimInstruction::MvmT { .. } => {
+            CimInstruction::MvmT { tile, .. } => {
                 env.mvms += 1;
                 // Transpose products read the window's columns.
-                env.noise_sample_bound += 2 * geometry.analog_cols as u64;
+                env.noise_sample_bound += 2 * window(&windows, *tile).1 as u64;
             }
         }
         env.cost_units += scheduler_weight(instr);
@@ -356,8 +371,13 @@ pub fn cost(program: &[CimInstruction], geometry: &Geometry, model: &CostModel) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Geometry;
     use cim_simkit::bitvec::BitVec;
     use cim_simkit::linalg::Matrix;
+
+    fn target() -> LintTarget {
+        LintTarget::new(geo())
+    }
 
     fn geo() -> Geometry {
         Geometry {
@@ -415,7 +435,7 @@ mod tests {
 
     #[test]
     fn counts_are_exact_and_weights_match_the_scheduler_scale() {
-        let env = cost(&sample_program(), &geo(), &CostModel::default());
+        let env = cost(&sample_program(), &target(), &CostModel::default());
         assert_eq!(env.row_writes, 2);
         assert_eq!(env.store_writes, 1);
         assert_eq!(env.row_reads, 1);
@@ -437,7 +457,7 @@ mod tests {
 
     #[test]
     fn bounds_dominate_structure() {
-        let env = cost(&sample_program(), &geo(), &CostModel::default());
+        let env = cost(&sample_program(), &target(), &CostModel::default());
         assert_eq!(env.word_access_bound, 3, "read + scout + search");
         assert_eq!(env.sampled_column_bound, 64 + 64 + 1);
         assert_eq!(env.program_pulse_bound, 2 * 32 * 20);
@@ -450,8 +470,40 @@ mod tests {
     }
 
     #[test]
+    fn noise_samples_are_bounded_by_the_window_a_product_reads() {
+        let mvm = |tile| CimInstruction::Mvm { tile, x: vec![] };
+        let mvm_t = |tile| CimInstruction::MvmT { tile, z: vec![] };
+        let model = CostModel::default();
+        // A resident 3x5 matrix: forward products read 3 lines,
+        // transposes 5, on each tile of the pair.
+        let resident = LintTarget::new(geo()).with_resident_analog(0, (3, 5));
+        let env = cost(&[mvm(0), mvm_t(0)], &resident, &model);
+        assert_eq!(env.noise_sample_bound, 2 * 3 + 2 * 5);
+        // An in-stream program replaces the window from then on.
+        let program = vec![
+            mvm(0),
+            CimInstruction::ProgramMatrix {
+                tile: 0,
+                matrix: Matrix::from_fn(2, 7, |_, _| 1.0),
+            },
+            mvm(0),
+            mvm_t(0),
+        ];
+        let env = cost(&program, &resident, &model);
+        assert_eq!(env.noise_sample_bound, 2 * 3 + 2 * 2 + 2 * 7);
+        // A tile with no known window is bounded by the whole 4x8 tile.
+        let env = cost(&[mvm(0), mvm_t(0)], &target(), &model);
+        assert_eq!(env.noise_sample_bound, 2 * 4 + 2 * 8);
+        // A smaller window lowers both model bounds.
+        let full = cost(&[mvm(0)], &target(), &model);
+        let windowed = cost(&[mvm(0)], &resident, &model);
+        assert!(windowed.latency_bound.0 < full.latency_bound.0);
+        assert!(windowed.energy_bound.0 < full.energy_bound.0);
+    }
+
+    #[test]
     fn empty_program_costs_one_unit_and_overhead_only() {
-        let env = cost(&[], &geo(), &CostModel::default());
+        let env = cost(&[], &target(), &CostModel::default());
         assert_eq!(env.cost_units, 1);
         assert_eq!(env.device_pulse_bound(), 0);
         let model = CostModel::default();
@@ -461,8 +513,8 @@ mod tests {
 
     #[test]
     fn renderings_are_deterministic() {
-        let a = cost(&sample_program(), &geo(), &CostModel::default());
-        let b = cost(&sample_program(), &geo(), &CostModel::default());
+        let a = cost(&sample_program(), &target(), &CostModel::default());
+        let b = cost(&sample_program(), &target(), &CostModel::default());
         assert_eq!(a.to_text(), b.to_text());
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.to_json().contains("\"cost_units\": 1110"));

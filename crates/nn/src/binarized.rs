@@ -17,6 +17,18 @@
 //! Bits encode values as `true → +1`, `false → −1`; hidden layers
 //! activate with `sign` (`y ≥ 0 → +1`), and the final layer's integer
 //! scores are argmax-ed into a class prediction.
+//!
+//! # Word-parallel scoring
+//!
+//! With both operands as sign bits, a ±1 product is `+1` exactly where
+//! the bits agree, so a layer output over fan-in `n` is
+//! `n − 2·popcount(w ⊕ x)`: one XOR and one popcount per 64 weights.
+//! Every layer's weights are packed into such sign rows once, when the
+//! network is built, and [`BinarizedMlp::activations`] and
+//! [`BinarizedMlp::scores`] run on them alone — the one scoring path
+//! behind the runtime's host reference and the inputs it chains into
+//! each layer's MVM. The per-weight `±1` dot product survives only as
+//! the test oracle these kernels are property-tested against.
 
 use crate::network::Network;
 use cim_simkit::bitvec::BitVec;
@@ -32,6 +44,8 @@ use rand::Rng;
 pub struct BinarizedMlp {
     /// Per-layer ±1 weight matrices, `outputs × inputs`.
     layers: Vec<Matrix>,
+    /// The same weights as packed sign rows, one per layer.
+    packed: Vec<SignRows>,
 }
 
 impl BinarizedMlp {
@@ -52,7 +66,7 @@ impl BinarizedMlp {
         for pair in layers.windows(2) {
             assert_eq!(pair[0].rows(), pair[1].cols(), "layer dimension mismatch");
         }
-        BinarizedMlp { layers }
+        BinarizedMlp::packing(layers)
     }
 
     /// A random ±1 network with the given layer widths
@@ -75,7 +89,7 @@ impl BinarizedMlp {
                 )
             })
             .collect();
-        BinarizedMlp { layers }
+        BinarizedMlp::packing(layers)
     }
 
     /// Sign-binarizes a trained float [`Network`] (the usual BNN
@@ -99,7 +113,13 @@ impl BinarizedMlp {
                 })
             })
             .collect();
-        BinarizedMlp { layers }
+        BinarizedMlp::packing(layers)
+    }
+
+    /// Wraps checked ±1 layers, packing their sign rows.
+    fn packing(layers: Vec<Matrix>) -> Self {
+        let packed = layers.iter().map(SignRows::of).collect();
+        BinarizedMlp { layers, packed }
     }
 
     /// The ±1 weight matrices in layer order.
@@ -133,12 +153,11 @@ impl BinarizedMlp {
     /// Panics if `x.len() != inputs()`.
     pub fn activations(&self, x: &BitVec) -> Vec<BitVec> {
         assert_eq!(x.len(), self.inputs(), "input length mismatch");
-        let mut acts = Vec::with_capacity(self.layers.len());
-        let mut v = x.clone();
-        for layer in &self.layers {
-            acts.push(v.clone());
-            let y = layer_scores(layer, &v);
-            v = BitVec::from_fn(y.len(), |i| y[i] >= 0);
+        let mut acts = Vec::with_capacity(self.packed.len());
+        acts.push(x.clone());
+        for layer in &self.packed[..self.packed.len() - 1] {
+            let next = layer.activate(acts[acts.len() - 1].words());
+            acts.push(next);
         }
         acts
     }
@@ -150,10 +169,8 @@ impl BinarizedMlp {
     /// Panics if `x.len() != inputs()`.
     pub fn scores(&self, x: &BitVec) -> Vec<i64> {
         let acts = self.activations(x);
-        layer_scores(
-            self.layers.last().expect("nonempty"),
-            acts.last().expect("nonempty"),
-        )
+        let last = &self.packed[self.packed.len() - 1];
+        last.scores(acts[acts.len() - 1].words()).collect()
     }
 
     /// Class prediction: argmax of [`BinarizedMlp::scores`] (ties to
@@ -181,22 +198,59 @@ pub fn argmax_scores(scores: &[i64]) -> usize {
     best
 }
 
-/// Integer pre-activations `W·v` of one ±1 layer on a ±1 input.
-fn layer_scores(layer: &Matrix, v: &BitVec) -> Vec<i64> {
-    (0..layer.rows())
-        .map(|i| {
-            (0..layer.cols())
-                .map(|j| {
-                    let w = layer.get(i, j) as i64;
-                    if v.get(j) {
-                        w
-                    } else {
-                        -w
-                    }
-                })
-                .sum()
+const WORD_BITS: usize = 64;
+
+/// One layer's ±1 weights as packed sign rows (`+1 → 1`, `−1 → 0`),
+/// each output's row padded to whole words with zeros.
+#[derive(Debug, Clone, PartialEq)]
+struct SignRows {
+    fan_in: usize,
+    words_per_row: usize,
+    /// Row-major sign words, `words_per_row` per output.
+    words: Vec<u64>,
+}
+
+impl SignRows {
+    fn of(layer: &Matrix) -> Self {
+        let fan_in = layer.cols();
+        let words_per_row = fan_in.div_ceil(WORD_BITS);
+        let mut words = vec![0u64; layer.rows() * words_per_row];
+        for (i, row) in words.chunks_exact_mut(words_per_row).enumerate() {
+            for (j, &w) in layer.row(i).iter().enumerate() {
+                if w > 0.0 {
+                    row[j / WORD_BITS] |= 1 << (j % WORD_BITS);
+                }
+            }
+        }
+        SignRows {
+            fan_in,
+            words_per_row,
+            words,
+        }
+    }
+
+    /// Integer pre-activations `W·x` on a packed ±1 input whose bits
+    /// past the fan-in are zero (as a [`BitVec`]'s are): `n − 2·h` per
+    /// output, `h` the sign bits on which row and input disagree.
+    fn scores<'a>(&'a self, x: &'a [u64]) -> impl Iterator<Item = i64> + 'a {
+        let n = self.fan_in as i64;
+        self.words.chunks_exact(self.words_per_row).map(move |row| {
+            let h: u32 = row.iter().zip(x).map(|(w, v)| (w ^ v).count_ones()).sum();
+            n - 2 * h as i64
         })
-        .collect()
+    }
+
+    /// The sign activations (`y ≥ 0 → 1`) of every output, packed.
+    fn activate(&self, x: &[u64]) -> BitVec {
+        let outputs = self.words.len() / self.words_per_row;
+        let mut words = vec![0u64; outputs.div_ceil(WORD_BITS)];
+        for (i, y) in self.scores(x).enumerate() {
+            if y >= 0 {
+                words[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+            }
+        }
+        BitVec::from_words(words, outputs)
+    }
 }
 
 /// Snaps a noisy analog readout of a ±1×±1 dot product onto its parity
@@ -218,6 +272,65 @@ mod tests {
     use super::*;
     use crate::task::SensoryTask;
     use crate::train::TrainConfig;
+
+    /// The scalar oracle: integer pre-activations `W·v` of one ±1 layer,
+    /// one `±1 × ±1` product per weight.
+    fn layer_scores(layer: &Matrix, v: &BitVec) -> Vec<i64> {
+        (0..layer.rows())
+            .map(|i| {
+                (0..layer.cols())
+                    .map(|j| {
+                        let w = layer.get(i, j) as i64;
+                        if v.get(j) {
+                            w
+                        } else {
+                            -w
+                        }
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// [`BinarizedMlp::activations`] and [`BinarizedMlp::scores`]
+    /// chained through the scalar oracle.
+    fn oracle(mlp: &BinarizedMlp, x: &BitVec) -> (Vec<BitVec>, Vec<i64>) {
+        let mut acts = vec![x.clone()];
+        let mut y = layer_scores(&mlp.layers()[0], x);
+        for layer in &mlp.layers()[1..] {
+            acts.push(BitVec::from_fn(y.len(), |i| y[i] >= 0));
+            y = layer_scores(layer, &acts[acts.len() - 1]);
+        }
+        (acts, y)
+    }
+
+    #[test]
+    fn packed_scoring_matches_the_scalar_oracle() {
+        let mut rng = seeded(0xB17);
+        // Widths straddling the word boundary, then random widths up to
+        // 300 at random depths.
+        let mut shapes: Vec<Vec<usize>> = vec![
+            vec![1, 1],
+            vec![63, 64, 65],
+            vec![64, 1, 63],
+            vec![65, 300, 64, 1],
+            vec![256, 32, 8],
+        ];
+        for _ in 0..40 {
+            let depth = rng.gen_range(2..=5);
+            shapes.push((0..depth).map(|_| rng.gen_range(1..=300)).collect());
+        }
+        for (n, dims) in shapes.iter().enumerate() {
+            let mlp = BinarizedMlp::random(dims, n as u64);
+            for _ in 0..4 {
+                let density = rng.gen::<f64>();
+                let x = BitVec::from_fn(dims[0], |_| rng.gen::<f64>() < density);
+                let (acts, scores) = oracle(&mlp, &x);
+                assert_eq!(mlp.activations(&x), acts, "activations of {dims:?}");
+                assert_eq!(mlp.scores(&x), scores, "scores of {dims:?}");
+            }
+        }
+    }
 
     #[test]
     fn random_network_is_deterministic_and_binary() {

@@ -63,7 +63,7 @@ impl Task {
     /// Rejects tasks `LanguageTask::train` cannot build: no classes, a
     /// zero dimension or n-gram size, or training text no longer than
     /// one n-gram. Then rejects, as invalid, an n-gram longer than the
-    /// dimension and a training text the bundler cannot count.
+    /// dimension and training texts over the host-work budget.
     fn validate(&self) -> Result<(), CompileError> {
         if self.classes == 0 || self.d == 0 || self.ngram == 0 || self.train_len <= self.ngram {
             return Err(CompileError::EmptyWorkload);
@@ -76,7 +76,7 @@ impl Task {
                 reason: format!("{} exceeds the dimension {}", self.ngram, self.d),
             });
         }
-        check_ngrams("train_len", self.train_len, self.ngram)
+        check_host_work("train_len", self.classes, self.train_len)
     }
 
     /// Trains on the host (one-shot prototype construction is setup
@@ -100,13 +100,28 @@ impl Task {
     }
 }
 
-/// Rejects a text of more n-grams than a bundle counts (`u32::MAX`).
-fn check_ngrams(field: &'static str, len: usize, ngram: usize) -> Result<(), CompileError> {
-    let ngrams = len.saturating_sub(ngram - 1);
-    if ngrams > u32::MAX as usize {
+/// The host-work budget of one HDC spec, in symbols: the host encodes
+/// the training texts of a classifier or prototype load (`classes ×
+/// train_len` symbols) and the query texts of a job (`samples ×
+/// sample_len`) on the submitting thread, before any tile is touched,
+/// and each total must stay within this budget. Encoding costs about
+/// 0.6 µs per symbol at `d` = 1,024 and 1 µs at 2,048 (2 vCPUs), so a
+/// spec at the budget holds the caller for a few tenths of a second.
+/// Every text within it also stays far below the `u32::MAX` n-grams a
+/// bundle counts.
+pub(crate) const HDC_HOST_SYMBOLS: usize = 1 << 18;
+
+/// Rejects `texts` texts of `len` symbols each that together exceed
+/// [`HDC_HOST_SYMBOLS`].
+fn check_host_work(field: &'static str, texts: usize, len: usize) -> Result<(), CompileError> {
+    let symbols = texts.saturating_mul(len);
+    if symbols > HDC_HOST_SYMBOLS {
         return Err(CompileError::InvalidSpec {
             field,
-            reason: format!("{ngrams} n-grams exceed the bundle counter's {}", u32::MAX),
+            reason: format!(
+                "{texts} texts of {len} symbols exceed the host-work budget of \
+                 {HDC_HOST_SYMBOLS} symbols"
+            ),
         });
     }
     Ok(())
@@ -117,13 +132,13 @@ fn check_ngrams(field: &'static str, len: usize, ngram: usize) -> Result<(), Com
 /// batches of more samples than one job carries MVMs
 /// ([`check_mvm_count`]: the analog kinds run one MVM per sample, and
 /// `HdcAssoc` shares the cap so the three kinds accept the same
-/// batches), and samples with more n-grams than a bundle counts.
+/// batches), and query texts over the host-work budget.
 fn check_samples(samples: usize, sample_len: usize, ngram: usize) -> Result<(), CompileError> {
     if samples == 0 || sample_len < ngram {
         return Err(CompileError::EmptyWorkload);
     }
     check_mvm_count("samples", samples)?;
-    check_ngrams("sample_len", sample_len, ngram)
+    check_host_work("sample_len", samples, sample_len)
 }
 
 /// The prototypes as a `classes × d` 0/1 conductance matrix: the tile

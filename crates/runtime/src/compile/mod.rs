@@ -489,7 +489,7 @@ impl<'a> Lowering<'a> {
             demand,
             // Every admitted job carries the analyzer's verdict, and
             // balancing and dispatch order read nothing else.
-            envelope: crate::verify::envelope_of(&instructions, demand, self.cfg),
+            envelope: crate::verify::envelope_of(&instructions, demand, self.cfg, self.resident),
             instructions,
             outputs,
             finalizer: Arc::new(finalizer),
@@ -765,7 +765,7 @@ pub(crate) fn split_by_digital_tile(
             dataset: parent.dataset,
             // Parts are balanced and batched by their own envelopes, so
             // each sub-stream is re-analyzed against its chunk geometry.
-            envelope: crate::verify::envelope_of(&instructions, demand, cfg),
+            envelope: crate::verify::envelope_of(&instructions, demand, cfg, None),
             demand,
             instructions,
             outputs,

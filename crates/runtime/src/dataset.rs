@@ -50,7 +50,8 @@ pub enum DatasetSpec {
         d: usize,
         /// n-gram order of the encoder, at most `d`.
         ngram: usize,
-        /// Training symbols per language.
+        /// Training symbols per language; `classes × train_len` must
+        /// stay within the host-work budget of 2¹⁸ symbols.
         train_len: usize,
     },
     /// A synthetic priority-ordered ternary rule table, resident as CAM

@@ -89,11 +89,13 @@ pub enum WorkloadSpec {
         d: usize,
         /// n-gram order of the encoder, at most `d`.
         ngram: usize,
-        /// Training symbols per language.
+        /// Training symbols per language; `classes × train_len` must
+        /// stay within the host-work budget of 2¹⁸ symbols.
         train_len: usize,
         /// Queries to classify (round-robin over classes).
         samples: usize,
-        /// Symbols per query.
+        /// Symbols per query; `samples × sample_len` must stay within
+        /// the host-work budget of 2¹⁸ symbols.
         sample_len: usize,
     },
     /// One-time-pad encryption, the `cim-xor-cipher` workload: message
@@ -158,7 +160,8 @@ pub enum WorkloadSpec {
         dataset: DatasetId,
         /// Queries to classify (round-robin over the dataset's classes).
         samples: usize,
-        /// Symbols per query.
+        /// Symbols per query; `samples × sample_len` must stay within
+        /// the host-work budget of 2¹⁸ symbols.
         sample_len: usize,
     },
     /// Binarized neural-network inference, the `cim-nn` workload: every
@@ -236,11 +239,13 @@ pub enum WorkloadSpec {
         d: usize,
         /// n-gram order of the encoder, at most `d`.
         ngram: usize,
-        /// Training symbols per language.
+        /// Training symbols per language; `classes × train_len` must
+        /// stay within the host-work budget of 2¹⁸ symbols.
         train_len: usize,
         /// Queries to classify (round-robin over classes).
         samples: usize,
-        /// Symbols per query.
+        /// Symbols per query; `samples × sample_len` must stay within
+        /// the host-work budget of 2¹⁸ symbols.
         sample_len: usize,
     },
     /// Image filtering, the `cim-imgproc` workload: the 8-bit-quantized

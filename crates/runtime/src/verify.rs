@@ -40,21 +40,41 @@ pub(crate) fn lint_geometry(demand: TileDemand, cfg: &PoolConfig) -> Geometry {
 }
 
 /// Runs the `cim-lint` cost pass over an instruction stream against
-/// the pool geometry: the certified [`CostEnvelope`] every compiled
-/// job (and every split part) is sealed with. The model prices pulses
-/// with the paper-default CIM unit parameters and bounds
-/// program-and-verify by the pool's own PCM pulse budget, so the
-/// envelope is sound for the exact devices the shards simulate.
+/// the pool geometry and the matrices `resident` holds: the certified
+/// [`CostEnvelope`] every compiled job (and every split part) is sealed
+/// with. The model prices pulses with the paper-default CIM unit
+/// parameters and bounds program-and-verify by the pool's own PCM pulse
+/// budget, so the envelope is sound for the exact devices the shards
+/// simulate.
 pub(crate) fn envelope_of(
     instructions: &[CimInstruction],
     demand: TileDemand,
     cfg: &PoolConfig,
+    resident: Option<&ResidentView>,
 ) -> CostEnvelope {
     let model = CostModel::from_models(
         &CimUnitParams::default(),
         cfg.analog_params.pcm.max_program_pulses,
     );
-    cim_lint::cost(instructions, &lint_geometry(demand, cfg), &model)
+    cim_lint::cost(instructions, &analog_target(demand, cfg, resident), &model)
+}
+
+/// The pool's per-tile geometry with the job's own tile counts, plus the
+/// shape of the matrix `resident`'s load programmed into each analog
+/// tile — all the cost pass reads of a target.
+fn analog_target(
+    demand: TileDemand,
+    cfg: &PoolConfig,
+    resident: Option<&ResidentView>,
+) -> LintTarget {
+    let mut target = LintTarget::new(lint_geometry(demand, cfg));
+    for (tile, &shape) in resident
+        .iter()
+        .flat_map(|view| view.resident_matrices.iter().enumerate())
+    {
+        target = target.with_resident_analog(tile, shape);
+    }
+    target
 }
 
 /// Builds the lint target a job with `demand` runs against: the pool's
@@ -66,15 +86,12 @@ pub(crate) fn lint_target(
     cfg: &PoolConfig,
     resident: Option<&ResidentView>,
 ) -> LintTarget {
-    let mut target = LintTarget::new(lint_geometry(demand, cfg));
-    let Some(view) = resident else {
-        return target;
-    };
-    for (tile, rows) in view.resident_rows.iter().enumerate() {
+    let mut target = analog_target(demand, cfg, resident);
+    for (tile, rows) in resident
+        .iter()
+        .flat_map(|view| view.resident_rows.iter().enumerate())
+    {
         target = target.with_resident_rows(tile, rows.clone());
-    }
-    for (tile, &shape) in view.resident_matrices.iter().enumerate() {
-        target = target.with_resident_analog(tile, shape);
     }
     target
 }

@@ -24,15 +24,24 @@
 //!   per activated device on the reference) to 1e-12 relative;
 //! * **distributions** — with noise on, the aggregate per-output-line
 //!   sampler and the batched programmer agree with the per-device
-//!   reference in mean and variance over seeded ensembles.
+//!   reference in mean and variance over seeded ensembles;
+//! * **blocked kernel** — the forward product, which folds four output
+//!   lines per pass over the input voltages, gives outputs, costs,
+//!   statistics and RNG streams bit-identical to folding one line at a
+//!   time, for windows whose row count leaves every tail length, with
+//!   and without read noise.
 
-use cim_repro::cim_crossbar::analog::{AnalogParams, DifferentialCrossbar};
+use cim_repro::cim_crossbar::analog::{AnalogCrossbar, AnalogParams, DifferentialCrossbar};
+use cim_repro::cim_crossbar::energy::{CrossbarEnergyModel, OperationCost};
 use cim_repro::cim_crossbar::reference::ReferenceDifferentialCrossbar;
 use cim_repro::cim_simkit::linalg::Matrix;
-use cim_repro::cim_simkit::rng::seeded;
+use cim_repro::cim_simkit::quant::UniformQuantizer;
+use cim_repro::cim_simkit::rng::{seeded, standard_normal};
 use cim_repro::cim_simkit::stats::Summary;
 use cim_repro::cim_simkit::units::Seconds;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 /// 1e-12 relative agreement (the fast path folds device power and pulse
 /// energy in a different floating-point association than the per-device
@@ -545,4 +554,123 @@ fn program_noise_distribution_matches_reference() {
         (0.9..1.1).contains(&spread_ratio),
         "stored-error spread ratio {spread_ratio}"
     );
+}
+
+/// The forward product of `tile` over its `(rows, cols)` window with one
+/// output line folded at a time — the loop the blocked kernel replaced,
+/// kept here as its oracle. Every other step (DAC, drift, aggregate
+/// read noise, offset subtraction, ADC, cost) follows the tile's
+/// pipeline. Returns the outputs, the cost and the samples drawn.
+fn per_line_forward(
+    tile: &AnalogCrossbar,
+    (rows, cols): (usize, usize),
+    x: &[f64],
+    rng: &mut StdRng,
+) -> (Vec<f64>, OperationCost, u64) {
+    let p = *tile.params();
+    let mapping = *tile.mapping().expect("programmed");
+    let (tile_rows, tile_cols) = tile.shape();
+    let model = CrossbarEnergyModel::for_tile(tile_rows, tile_cols, p.adc_bits);
+    let in_scale = if p.dynamic_input_scaling {
+        let peak = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if peak == 0.0 {
+            return (vec![0.0; rows], model.mvm_cost(0.0, cols, rows), 0);
+        }
+        peak
+    } else {
+        p.input_full_scale
+    };
+    let dac = UniformQuantizer::mid_tread(p.dac_bits, 1.0);
+    let volts: Vec<f64> = x
+        .iter()
+        .map(|&v| dac.quantize(v / in_scale) * p.read_voltage.0)
+        .collect();
+    let drift = tile.bank().drift_factor(p.age);
+    let mut currents = vec![0.0f64; rows];
+    let mut sq = vec![0.0f64; rows];
+    let mut device_power = 0.0f64;
+    for j in 0..rows {
+        let (mut sum, mut sumsq, mut power) = (0.0f64, 0.0f64, 0.0f64);
+        for (&v, &g) in volts.iter().zip(&tile.bank().extent_row(j)[..cols]) {
+            let t = v * (g * drift);
+            sum += t;
+            sumsq += t * t;
+            power += v * t;
+        }
+        currents[j] = sum;
+        sq[j] = sumsq;
+        device_power += power;
+    }
+    let samples = if p.pcm.sigma_read > 0.0 {
+        for (current, &sumsq) in currents.iter_mut().zip(&sq) {
+            *current += p.pcm.sigma_read * sumsq.sqrt() * standard_normal(rng);
+        }
+        rows as u64
+    } else {
+        0
+    };
+    let v_sum: f64 = volts.iter().sum();
+    let offset = v_sum * mapping.g_min().0;
+    for c in &mut currents {
+        *c -= offset;
+    }
+    let peak = currents.iter().fold(0.0f64, |m, c| m.max(c.abs()));
+    let adc = UniformQuantizer::mid_tread(
+        p.adc_bits,
+        p.adc_full_scale_override.unwrap_or(peak).max(1e-18),
+    );
+    let lsb_scale =
+        in_scale * mapping.w_max() / (p.read_voltage.0 * (mapping.g_max().0 - mapping.g_min().0));
+    let y = currents
+        .iter()
+        .map(|&c| adc.quantize(c) * lsb_scale)
+        .collect();
+    (y, model.mvm_cost(device_power, cols, rows), samples)
+}
+
+/// Windows of 1, 3, 5, 8 and 32 rows (tails of every length around
+/// four-line blocks) give outputs, costs, statistics and RNG streams
+/// bit-identical to the per-line fold, at `sigma_read` 0 and above.
+#[test]
+fn blocked_forward_kernel_matches_the_per_line_fold() {
+    let (tile_rows, tile_cols) = (32, 100);
+    for sigma_read in [0.0, 0.02] {
+        let mut params = AnalogParams::default();
+        params.pcm.sigma_read = sigma_read;
+        params.age = Seconds(1e4);
+        for rows in [1, 3, 5, 8, 32] {
+            for cols in [1, 7, 64, 100] {
+                let what = format!("{rows}x{cols} window at sigma_read {sigma_read}");
+                let mut tile = AnalogCrossbar::new(tile_rows, tile_cols, params);
+                let m = pattern_matrix(rows, cols, (rows * 131 + cols) as u64);
+                let m = Matrix::from_fn(rows, cols, |i, j| m.get(i, j).abs());
+                tile.program_matrix(&m, &mut seeded(rows as u64));
+                let oracle = tile.clone();
+                let mut expected = *tile.stats();
+                let inputs = (0..4u64)
+                    .map(|pattern| pattern_vec(cols, pattern))
+                    .chain([vec![0.0; cols]]);
+                for (n, x) in inputs.enumerate() {
+                    let mut rng_k = seeded(n as u64 ^ 0xB10C);
+                    let mut rng_o = seeded(n as u64 ^ 0xB10C);
+                    let (y, cost) = tile.matvec_with_cost(&x, &mut rng_k);
+                    let (y_o, cost_o, samples) =
+                        per_line_forward(&oracle, (rows, cols), &x, &mut rng_o);
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&y), bits(&y_o), "outputs, {what}");
+                    assert_eq!(cost, cost_o, "cost, {what}");
+                    expected.mvms += 1;
+                    if samples == 0 {
+                        expected.nominal_mvms += 1;
+                    } else {
+                        expected.noise_samples += samples;
+                    }
+                    expected.energy += cost_o.energy;
+                    expected.busy_time += cost_o.latency;
+                    assert_eq!(*tile.stats(), expected, "stats, {what}");
+                    assert_eq!(rng_k.gen::<u64>(), rng_o.gen::<u64>(), "RNG stream, {what}");
+                }
+            }
+        }
+    }
 }

@@ -41,6 +41,7 @@ use cim_repro::cim_runtime::{
     WorkloadSpec,
 };
 use cim_repro::cim_simkit::bitvec::BitVec;
+use std::time::{Duration, Instant};
 
 /// A mixed multi-tenant workload touching every compiled job family.
 fn mixed_workload() -> Vec<(TenantId, WorkloadSpec)> {
@@ -1009,6 +1010,87 @@ fn oversized_hdc_lengths_are_typed_errors() {
         .collect();
     shards.sort_unstable();
     assert_eq!(shards, vec![0, 1], "a select serves on each shard");
+}
+
+/// HDC host work is bounded before any training: `classes × train_len`
+/// and `samples × sample_len` must each stay within a budget of 2¹⁸
+/// symbols. Two probes held the caller's thread for seconds while
+/// encoding: `train_len` 10⁶ (2.3 s) and 163 samples of 10⁵ symbols
+/// (9.9 s). Both are now typed errors from `verify`, `submit` and
+/// `register_dataset`, returned in milliseconds.
+#[test]
+fn hdc_host_work_over_budget_fails_fast() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let (classes, d, ngram) = (4, 1024, 3);
+    let prototypes = session
+        .register_dataset(&DatasetSpec::HdcPrototypes {
+            classes,
+            d,
+            ngram,
+            train_len: 300,
+        })
+        .unwrap();
+    let fast_invalid = |what: &str, field: &str, run: &dyn Fn() -> Result<(), CompileError>| {
+        let start = Instant::now();
+        let result = run();
+        let elapsed = start.elapsed();
+        match result {
+            Err(CompileError::InvalidSpec { field: got, .. }) => assert_eq!(got, field, "{what}"),
+            other => panic!("{what}: {other:?}"),
+        }
+        assert!(
+            elapsed < Duration::from_millis(50),
+            "{what} took {elapsed:?}"
+        );
+    };
+    // (train_len, samples, sample_len, rejected field)
+    for (train_len, samples, sample_len, field) in [
+        (1_000_000, 2, 50, "train_len"),
+        (300, 163, 100_000, "sample_len"),
+    ] {
+        let specs = [
+            WorkloadSpec::HdcClassify {
+                classes,
+                d,
+                ngram,
+                train_len,
+                samples,
+                sample_len,
+            },
+            WorkloadSpec::HdcAssoc {
+                classes,
+                d,
+                ngram,
+                train_len,
+                samples,
+                sample_len,
+            },
+        ];
+        for spec in &specs {
+            fast_invalid("verify", field, &|| session.verify(spec).map(drop));
+            fast_invalid("submit", field, &|| session.submit(spec).map(drop));
+        }
+        if field == "train_len" {
+            let load = DatasetSpec::HdcPrototypes {
+                classes,
+                d,
+                ngram,
+                train_len,
+            };
+            fast_invalid("register", field, &|| {
+                session.register_dataset(&load).map(drop)
+            });
+        } else {
+            let query = WorkloadSpec::HdcQuery {
+                dataset: prototypes.id(),
+                samples,
+                sample_len,
+            };
+            fast_invalid("verify query", field, &|| session.verify(&query).map(drop));
+            fast_invalid("submit query", field, &|| session.submit(&query).map(drop));
+        }
+    }
 }
 
 /// Invariant 12: an HDC batch of more samples, or an NN batch of more

@@ -205,9 +205,9 @@ proptest! {
     ) {
         // Heavy device-to-device spread with zero cycle-to-cycle noise:
         // sensing is still deterministic, but the word tier's margin
-        // proof fails and the exact per-column tier must carry the
-        // equivalence (including genuine sensing errors, which both
-        // implementations must commit identically).
+        // proof fails and the screened tier's exact nominal currents
+        // must carry the equivalence (including genuine sensing errors,
+        // which both implementations must commit identically).
         let params = ReramParams {
             sigma_d2d: 0.25,
             sigma_c2c: 0.0,
