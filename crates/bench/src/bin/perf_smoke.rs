@@ -6,7 +6,9 @@
 //! * `scout_q6_fastpath` — the word-parallel digital tile against the
 //!   bit-serial reference on a Q6-shaped access mix (≥ 5× wall clock),
 //!   on a Q6-shaped write phase (≥ 20×) and on one 3-row AND access
-//!   (≥ 14×).
+//!   (≥ 14×); and a default pool's build against one tile's device
+//!   draws (the build must be the faster: tiles draw their devices when
+//!   first leased).
 //! * `analog_mvm` — the vectorized analog crossbar against the
 //!   per-device reference: serving MVMs (≥ 5×) and cold programming
 //!   (≥ 3×), plus NN and HDC serving lanes and packed binarized scoring
@@ -131,6 +133,16 @@ fn write_bench_json(entries: &[BenchEntry]) {
 /// undecided and must stay [`AND_ACCESS_FLOOR`]× faster than the
 /// reference. Summing every column's current instead (the unscreened
 /// tier) reads 8–11× on a 2-vCPU host.
+///
+/// A fast tile draws its devices at its first sensing access, and the
+/// reference array at construction, so every fast tile here draws them
+/// before its timed region: one pool-shaped tile's draws take longer
+/// than the whole access mix.
+///
+/// Last, the group times one 160 × 1,024 tile's device draws
+/// (`tile_fabricate_ms`) and the median build of a default pool
+/// (`pool_build_ms`, 2 shards × 4 such tiles). The pool draws no device
+/// at build, so it must build faster than a single tile fabricates.
 const FASTPATH_FLOOR: f64 = 5.0;
 const WRITE_PHASE_FLOOR: f64 = 20.0;
 const AND_ACCESS_FLOOR: f64 = 14.0;
@@ -143,6 +155,7 @@ fn scout_q6_fastpath() -> BenchEntry {
     let params = ReramParams::default();
 
     let mut fast = DigitalArray::new(ROWS, COLS, params, &mut seeded(0x50A));
+    fast.fabricate();
     let mut reference = ReferenceDigitalArray::new(ROWS, COLS, params, &mut seeded(0x50A));
     let bins: Vec<BitVec> = (0..16)
         .map(|r| BitVec::from_fn(COLS, |j| (j * 31 + r * 17) % (r + 2) == 0))
@@ -237,11 +250,49 @@ fn scout_q6_fastpath() -> BenchEntry {
         and_speedup >= AND_ACCESS_FLOOR,
         "3-row AND speedup {and_speedup:.2}x regressed below the {AND_ACCESS_FLOOR}x floor"
     );
+    let (pool_build, tile_fabricate) = pool_build_vs_tile_fabricate();
+    println!(
+        "{:>22} {:>10.2} ms, one 160 x 1024 tile's devices {:.2} ms",
+        "default pool build",
+        pool_build * 1e3,
+        tile_fabricate * 1e3
+    );
+    assert!(
+        pool_build < tile_fabricate,
+        "a default pool took {:.2} ms to build, longer than one tile's device draws \
+         ({:.2} ms): building must not draw devices",
+        pool_build * 1e3,
+        tile_fabricate * 1e3
+    );
     BenchEntry::new("scout_q6_fastpath", sim_makespan, fast_wall * 1e3, speedup)
         .extra("write_phase_speedup", write_phase_speedup)
         .extra("fast_write_phase_us", fast_phase * 1e6)
         .extra("and_access_speedup", and_speedup)
         .extra("fast_and_access_us", fast_and * 1e6)
+        .extra("pool_build_ms", pool_build * 1e3)
+        .extra("tile_fabricate_ms", tile_fabricate * 1e3)
+}
+
+/// Wall seconds of the median of nine default [`RuntimePool::new`]
+/// builds, and of drawing the devices of one pool-shaped tile.
+fn pool_build_vs_tile_fabricate() -> (f64, f64) {
+    const BUILDS: usize = 9;
+    let mut builds: Vec<f64> = (0..BUILDS)
+        .map(|_| {
+            let start = Instant::now();
+            let pool = RuntimePool::new(PoolConfig::default());
+            let wall = start.elapsed().as_secs_f64();
+            drop(pool);
+            wall
+        })
+        .collect();
+    builds.sort_by(f64::total_cmp);
+    let tile = DigitalArray::new(160, 1024, ReramParams::default(), &mut seeded(0xFAB));
+    let start = Instant::now();
+    tile.fabricate();
+    let fabricate = start.elapsed().as_secs_f64();
+    assert!(tile.is_fabricated());
+    (builds[BUILDS / 2], fabricate)
 }
 
 /// Wall seconds of one 3-row AND access over freshly stored scratch
@@ -256,6 +307,7 @@ fn and_access() -> (f64, f64) {
     const SCRATCH: [usize; 3] = [150, 151, 152];
     let params = ReramParams::default();
     let mut fast = DigitalArray::new(ROWS, COLS, params, &mut seeded(0xA4D));
+    fast.fabricate();
     let mut reference = ReferenceDigitalArray::new(ROWS, COLS, params, &mut seeded(0xA4D));
     // Half-dense OR-reduction results, a different triple per access.
     let stored: Vec<BitVec> = (0..6)
@@ -298,6 +350,7 @@ fn q6_write_phase() -> (f64, f64) {
     const PHASES: usize = 15;
     let params = ReramParams::default();
     let mut fast = DigitalArray::new(ROWS, COLS, params, &mut seeded(0x5C0));
+    fast.fabricate();
     let mut reference = ReferenceDigitalArray::new(ROWS, COLS, params, &mut seeded(0x5C0));
     // 10 %-dense bins, each set column owned by one bin in ten.
     let bins: Vec<BitVec> = (0..Q6_BINS)

@@ -281,6 +281,29 @@ impl CimAccelerator {
         &self.analog_tiles[tile]
     }
 
+    /// Whether a digital tile's device currents have been drawn yet. A
+    /// tile draws them at its first sensing instruction, or at
+    /// [`Self::fabricate_digital`]; until then it holds only states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile index is out of range.
+    pub fn digital_fabricated(&self, tile: usize) -> bool {
+        self.digital_tiles[tile].is_fabricated()
+    }
+
+    /// Draws a digital tile's device currents now, if nothing has yet,
+    /// so its first sensing instruction does not pay for them. The
+    /// values and every RNG stream are the same either way. Takes
+    /// `&self`, so several tiles can draw on several threads at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile index is out of range.
+    pub fn fabricate_digital(&self, tile: usize) {
+        self.digital_tiles[tile].fabricate();
+    }
+
     /// Executes one instruction, returning its response.
     ///
     /// # Panics

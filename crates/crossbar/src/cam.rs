@@ -58,6 +58,7 @@ use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::rng::{log_normal, seeded};
 use cim_simkit::units::Joules;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 const WORD_BITS: usize = 64;
@@ -302,6 +303,7 @@ impl DigitalArray {
         assert_eq!(key.len(), self.shape().1, "key width mismatch");
         let latency = self.params().read_latency;
         let (bank, stats) = self.cam_parts();
+        bank.fold_stale_rows(0..2 * entries);
         let mut energy = SENSE_AMP_ENERGY.0 * entries as f64;
         for s in 0..entries {
             energy += bank.row_energy(2 * s) + bank.row_energy(2 * s + 1);
@@ -335,12 +337,7 @@ impl CamArray {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
-        entries: usize,
-        width: usize,
-        params: ReramParams,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(entries: usize, width: usize, params: ReramParams, rng: &mut StdRng) -> Self {
         assert!(entries > 0, "CAM needs at least one entry");
         CamArray {
             inner: DigitalArray::new(2 * entries, width, params, rng),

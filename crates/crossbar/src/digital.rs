@@ -11,7 +11,8 @@
 //! The hardware computes all columns of an access in one read cycle, so
 //! the simulator should too. Device storage is struct-of-arrays
 //! ([`ReramBank`]): packed state words plus per-device fabricated read
-//! currents and energies divided out once at fabrication. A column's
+//! currents, divided out once when the first sensing access draws the
+//! devices (a tile that is only written never draws them). A column's
 //! sensed bit depends on how many of its activated devices are in the
 //! LRS, so each access first builds a **per-count certainty table**:
 //! for every count `m` of LRS devices among the `k` activated rows, the
@@ -49,7 +50,9 @@
 //! devices' present-state read energies. A row write only marks the sum
 //! stale, and the first access that activates the row folds it once, so
 //! writes stay word copies and rows rewritten or scrubbed unread are
-//! never summed.
+//! never summed. An access that activates several stale rows folds them
+//! together in one pass over the columns, each sum still in column
+//! order.
 //!
 //! Every operation returns / accumulates an [`OperationCost`] so workloads
 //! can report end-to-end energy and latency.
@@ -61,6 +64,7 @@ use cim_device::reram::ReramParams;
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::rng::log_normal;
 use cim_simkit::units::{Joules, Seconds};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Energy of one sense-amplifier decision (per column, per access).
@@ -122,16 +126,13 @@ pub struct DigitalArray {
 
 impl DigitalArray {
     /// Fabricates an array with per-device variation drawn from `rng`.
+    /// The draws are made when an access first senses the array (see
+    /// [`ReramBank::new`]); `rng` leaves here advanced past them.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
-        rows: usize,
-        cols: usize,
-        params: ReramParams,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(rows: usize, cols: usize, params: ReramParams, rng: &mut StdRng) -> Self {
         assert!(rows > 0 && cols > 0, "array dimensions must be nonzero");
         let bank = ReramBank::new(rows, cols, params, rng);
         let mut write_energy = Joules::ZERO;
@@ -167,6 +168,19 @@ impl DigitalArray {
     /// Accumulated execution statistics.
     pub fn stats(&self) -> &DigitalStats {
         &self.stats
+    }
+
+    /// Whether the array's device currents have been drawn yet: they
+    /// are drawn by the first sensing access, or by [`Self::fabricate`].
+    pub fn is_fabricated(&self) -> bool {
+        self.bank.is_fabricated()
+    }
+
+    /// Draws the array's device currents now, if no access has yet, so
+    /// the first sensing access does not pay for them. The values are
+    /// the same either way.
+    pub fn fabricate(&self) {
+        self.bank.fabricate();
     }
 
     /// Disjoint borrows of the bank and the statistics, so the CAM
@@ -437,9 +451,11 @@ impl DigitalArray {
 
     /// Cost of one read access activating `rows`: device read energy of
     /// every activated device plus one sense decision per column, in one
-    /// read-latency cycle. `O(fan-in)` via the cached per-row sums; a row
-    /// written since its last access is folded here, once.
+    /// read-latency cycle. `O(fan-in)` via the cached per-row sums; the
+    /// rows written since their last access are folded here, once, in
+    /// one joint pass.
     fn access_cost(&mut self, rows: &[usize]) -> OperationCost {
+        self.bank.fold_stale_rows(rows.iter().copied());
         let mut energy = SENSE_AMP_ENERGY.0 * self.bank.shape().1 as f64;
         for &r in rows {
             energy += self.bank.row_energy(r);

@@ -10,9 +10,9 @@
 //!   padded to whole words), so bulk row operations are a handful of word
 //!   ops instead of per-bit sets;
 //! * the per-device fabricated **read currents** (`V/R_actual` for both
-//!   states) as flat `Vec<f64>`, divided out *once* at construction
-//!   instead of on every access (read energies `V²/R_actual · t_read`
-//!   derive from them with the reference model's exact float-op order);
+//!   states) as flat `Vec<f64>`, divided out *once* instead of on every
+//!   access (read energies `V²/R_actual · t_read` derive from them with
+//!   the reference model's exact float-op order);
 //! * a lazily folded per-row **read-energy sum**: a row write only marks
 //!   the row's sum stale (a write is `O(cols / 64)` word copies, so
 //!   refolding the row's `cols` energies there would cost far more than
@@ -22,7 +22,11 @@
 //!   bank starts every row stale too. Every sum is the same column-order
 //!   fold over the same state, only computed later, so the values are
 //!   bit-identical to folding on every write, and a row written and
-//!   rewritten (or scrubbed) unread is never summed;
+//!   rewritten (or scrubbed) unread is never summed. An access that
+//!   finds several of its rows stale folds them in one interleaved pass
+//!   ([`ReramBank::fold_stale_rows`]): one accumulator per row, each
+//!   still in column order, so their add chains overlap instead of
+//!   running back to back;
 //! * the array-wide fabricated current **extremes**, which let a sense
 //!   model prove whole accesses margin-safe without touching any per-device
 //!   value.
@@ -32,11 +36,24 @@
 //! `r_high` per device), so a bank and a reference device population built
 //! from the same seeded RNG hold bit-identical resistances — the
 //! equivalence the `soa_equivalence` proptest suite pins.
+//!
+//! The draws are deferred until a device's current is first needed.
+//! [`ReramBank::new`] keeps a copy of the caller's RNG and advances the
+//! caller's stream past the two log-normals per device that fabrication
+//! takes, so the stream continues exactly as if the devices had been
+//! drawn. The currents and extremes are drawn from the copy by the first
+//! call that reads them ([`ReramBank::current`],
+//! [`ReramBank::add_row_currents`], [`ReramBank::row_energy`],
+//! [`ReramBank::extremes`], or [`ReramBank::fabricate`] ahead of time).
+//! Writes and scrubs touch only the state words, so a bank that is never
+//! sensed never pays for its devices: the same values, drawn later or
+//! not at all.
 
 use crate::reram::ReramParams;
-use cim_simkit::rng::log_normal;
+use cim_simkit::rng::{log_normal, skip_log_normals};
 use cim_simkit::units::Ohms;
-use rand::Rng;
+use rand::rngs::StdRng;
+use std::sync::OnceLock;
 
 const WORD_BITS: usize = 64;
 
@@ -54,16 +71,10 @@ pub struct CurrentExtremes {
     pub i_high_max: f64,
 }
 
-/// A `rows × cols` fabricated population of binary ReRAM devices in
-/// struct-of-arrays layout.
+/// The fabricated part of a bank: what its device-to-device variation
+/// draws decide.
 #[derive(Debug, Clone)]
-pub struct ReramBank {
-    params: ReramParams,
-    rows: usize,
-    cols: usize,
-    words_per_row: usize,
-    /// Packed device states, row-major; bit 1 = LRS (logic `1`).
-    state: Vec<u64>,
+struct Devices {
     /// Fabricated LRS read current per device (A), row-major. Read
     /// energies derive from these (`(I·V)·t_read`, the reference
     /// model's float-op order) rather than being stored separately.
@@ -71,28 +82,11 @@ pub struct ReramBank {
     /// Fabricated HRS read current per device (A), row-major.
     i_high: Vec<f64>,
     extremes: CurrentExtremes,
-    /// Cached `Σ_j read_energy(r, j)` at the devices' present states;
-    /// `None` until the first [`ReramBank::row_energy`] after
-    /// fabrication or after a write folds the row.
-    row_energy: Vec<Option<f64>>,
 }
 
-impl ReramBank {
-    /// Fabricates a bank, drawing per-device resistances from the
-    /// log-normal device-to-device distribution in reference order.
-    /// All devices start in the HRS (logic 0), like an unformed array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(
-        rows: usize,
-        cols: usize,
-        params: ReramParams,
-        rng: &mut R,
-    ) -> Self {
-        assert!(rows > 0 && cols > 0, "bank dimensions must be nonzero");
-        let n = rows * cols;
+impl Devices {
+    /// Draws `n` devices' resistances from `rng`, in reference order.
+    fn fabricate(n: usize, params: &ReramParams, rng: &mut StdRng) -> Self {
         let mut i_low = Vec::with_capacity(n);
         let mut i_high = Vec::with_capacity(n);
         let mut extremes = CurrentExtremes {
@@ -117,6 +111,51 @@ impl ReramBank {
             i_low.push(il);
             i_high.push(ih);
         }
+        Devices {
+            i_low,
+            i_high,
+            extremes,
+        }
+    }
+}
+
+/// A `rows × cols` fabricated population of binary ReRAM devices in
+/// struct-of-arrays layout.
+#[derive(Debug, Clone)]
+pub struct ReramBank {
+    params: ReramParams,
+    rows: usize,
+    cols: usize,
+    words_per_row: usize,
+    /// Packed device states, row-major; bit 1 = LRS (logic `1`).
+    state: Vec<u64>,
+    /// The caller's RNG as it stood at construction: the devices are
+    /// drawn from a copy of it.
+    fab_rng: StdRng,
+    /// The fabricated currents, drawn by the first call that reads one.
+    devices: OnceLock<Devices>,
+    /// Cached `Σ_j read_energy(r, j)` at the devices' present states;
+    /// `None` until the first [`ReramBank::row_energy`] after
+    /// fabrication or after a write folds the row.
+    row_energy: Vec<Option<f64>>,
+}
+
+impl ReramBank {
+    /// Fabricates a bank whose per-device resistances come from the
+    /// log-normal device-to-device distribution, drawn from `rng` in
+    /// reference order. The draws themselves wait for the first access
+    /// that needs a device current; `rng` is advanced past them now, so
+    /// the caller's stream continues as if they had been made. All
+    /// devices start in the HRS (logic 0), like an unformed array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
+    pub fn new(rows: usize, cols: usize, params: ReramParams, rng: &mut StdRng) -> Self {
+        assert!(rows > 0 && cols > 0, "bank dimensions must be nonzero");
+        let fab_rng = rng.clone();
+        // Two log-normals per device: r_low, then r_high.
+        skip_log_normals(rng, 2 * rows * cols);
         let words_per_row = cols.div_ceil(WORD_BITS);
         ReramBank {
             params,
@@ -124,11 +163,33 @@ impl ReramBank {
             cols,
             words_per_row,
             state: vec![0; rows * words_per_row],
-            i_low,
-            i_high,
-            extremes,
+            fab_rng,
+            devices: OnceLock::new(),
             row_energy: vec![None; rows],
         }
+    }
+
+    /// The fabricated currents, drawn now if nothing has read them yet.
+    fn devices(&self) -> &Devices {
+        self.devices.get_or_init(|| {
+            Devices::fabricate(
+                self.rows * self.cols,
+                &self.params,
+                &mut self.fab_rng.clone(),
+            )
+        })
+    }
+
+    /// Whether the devices' currents have been drawn yet.
+    pub fn is_fabricated(&self) -> bool {
+        self.devices.get().is_some()
+    }
+
+    /// Draws the devices' currents now, if no access has yet: the values
+    /// are those the first sensing access would draw, so calling this
+    /// only moves the cost out of that access.
+    pub fn fabricate(&self) {
+        self.devices();
     }
 
     /// Bank dimensions `(rows, cols)`.
@@ -148,7 +209,7 @@ impl ReramBank {
 
     /// Array-wide fabricated read-current extremes.
     pub fn extremes(&self) -> CurrentExtremes {
-        self.extremes
+        self.devices().extremes
     }
 
     /// The stored logic bit of device `(r, j)`.
@@ -199,11 +260,12 @@ impl ReramBank {
     /// The fabricated read current of device `(r, j)` in its present
     /// state, without cycle-to-cycle noise (A).
     pub fn current(&self, r: usize, j: usize) -> f64 {
+        let devices = self.devices();
         let idx = r * self.cols + j;
         if self.bit(r, j) {
-            self.i_low[idx]
+            devices.i_low[idx]
         } else {
-            self.i_high[idx]
+            devices.i_high[idx]
         }
     }
 
@@ -217,14 +279,15 @@ impl ReramBank {
     pub fn add_row_currents(&self, r: usize, acc: &mut [f64]) {
         assert!(r < self.rows, "row {r} out of range {}", self.rows);
         assert_eq!(acc.len(), self.cols, "accumulator width mismatch");
+        let devices = self.devices();
         let base = r * self.cols;
         let words = &self.state[r * self.words_per_row..(r + 1) * self.words_per_row];
         for (j, a) in acc.iter_mut().enumerate() {
             let lrs = (words[j / WORD_BITS] >> (j % WORD_BITS)) & 1 == 1;
             *a += if lrs {
-                self.i_low[base + j]
+                devices.i_low[base + j]
             } else {
-                self.i_high[base + j]
+                devices.i_high[base + j]
             };
         }
     }
@@ -249,10 +312,51 @@ impl ReramBank {
         match self.row_energy[r] {
             Some(sum) => sum,
             None => {
-                let sum = self.fold_row_energy(r);
+                let [sum] = self.fold_rows([r]);
                 self.row_energy[r] = Some(sum);
                 sum
             }
+        }
+    }
+
+    /// Folds the read-energy sums of every stale row among `rows` (those
+    /// written, or never read, since their last fold), so the
+    /// [`Self::row_energy`] calls of one access all hit the cache. Up to
+    /// three rows fold in one interleaved pass, one accumulator each, and
+    /// every accumulator adds its row's energies in column order, so
+    /// each sum is bit-identical to folding its row alone. Rows listed
+    /// twice fold once; folded rows are left as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row is out of range.
+    pub fn fold_stale_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        let mut stale: Vec<usize> = rows
+            .into_iter()
+            .filter(|&r| {
+                assert!(r < self.rows, "row {r} out of range {}", self.rows);
+                self.row_energy[r].is_none()
+            })
+            .collect();
+        stale.sort_unstable();
+        stale.dedup();
+        // Three rows per pass are enough for their add chains to
+        // overlap; on x86-64, passes of four measured several times
+        // slower per row.
+        for group in stale.chunks(3) {
+            match *group {
+                [a, b, c] => self.store_folds([a, b, c]),
+                [a, b] => self.store_folds([a, b]),
+                [a] => self.store_folds([a]),
+                _ => {}
+            }
+        }
+    }
+
+    fn store_folds<const N: usize>(&mut self, rows: [usize; N]) {
+        let sums = self.fold_rows(rows);
+        for (r, sum) in rows.into_iter().zip(sums) {
+            self.row_energy[r] = Some(sum);
         }
     }
 
@@ -260,23 +364,38 @@ impl ReramBank {
         (current * self.params.read_voltage.0) * self.params.read_latency.0
     }
 
-    /// Folds row `r`'s present-state read energies in column order, the
-    /// reference model's per-device loop order, so the sum is the same
-    /// floating-point fold it would compute.
-    fn fold_row_energy(&self, r: usize) -> f64 {
-        let base = r * self.cols;
-        let words = &self.state[r * self.words_per_row..(r + 1) * self.words_per_row];
-        let mut sum = 0.0;
-        for j in 0..self.cols {
-            let lrs = (words[j / WORD_BITS] >> (j % WORD_BITS)) & 1 == 1;
-            let i = if lrs {
-                self.i_low[base + j]
-            } else {
-                self.i_high[base + j]
-            };
-            sum += self.pulse_energy(i);
+    /// Folds each of `rows`' present-state read energies in column order,
+    /// the reference model's per-device loop order, so every sum is the
+    /// same floating-point fold it would compute. The rows share one
+    /// pass over the columns, each into its own accumulator.
+    fn fold_rows<const N: usize>(&self, rows: [usize; N]) -> [f64; N] {
+        let devices = self.devices();
+        let cols = self.cols;
+        let i_low = rows.map(|r| &devices.i_low[r * cols..(r + 1) * cols]);
+        let i_high = rows.map(|r| &devices.i_high[r * cols..(r + 1) * cols]);
+        let (volts, secs) = (self.params.read_voltage.0, self.params.read_latency.0);
+        let mut sums = [0.0; N];
+        for w in 0..self.words_per_row {
+            let words = rows.map(|r| self.state[r * self.words_per_row + w]);
+            let start = w * WORD_BITS;
+            for bit in 0..WORD_BITS.min(cols - start) {
+                let j = start + bit;
+                #[allow(clippy::needless_range_loop)]
+                for n in 0..N {
+                    // A bit-mask select rather than a branch: stored
+                    // data is close to random, so a branch would
+                    // mispredict on about every other device.
+                    let lrs = 0u64.wrapping_sub((words[n] >> bit) & 1);
+                    let i =
+                        f64::from_bits(i_low[n][j].to_bits() & lrs | i_high[n][j].to_bits() & !lrs);
+                    // `pulse_energy`'s float-op order, with the
+                    // parameters hoisted: calling it here measured 20 %
+                    // slower.
+                    sums[n] += (i * volts) * secs;
+                }
+            }
         }
-        sum
+        sums
     }
 }
 
@@ -285,6 +404,7 @@ mod tests {
     use super::*;
     use crate::reram::ReramDevice;
     use cim_simkit::rng::seeded;
+    use rand::Rng;
 
     #[test]
     fn fabrication_matches_reference_devices() {
@@ -301,15 +421,63 @@ mod tests {
                 );
                 dev.write(true);
                 assert_eq!(
-                    bank.i_low[r * 5 + j],
+                    bank.devices().i_low[r * 5 + j],
                     (params.read_voltage / dev.resistance()).0
                 );
                 assert_eq!(
-                    bank.pulse_energy(bank.i_low[r * 5 + j]),
+                    bank.pulse_energy(bank.devices().i_low[r * 5 + j]),
                     dev.read_energy().0
                 );
             }
         }
+        // The caller's stream continues where the reference devices'
+        // draws leave it.
+        assert_eq!(rng_a, rng_b);
+    }
+
+    #[test]
+    fn devices_are_drawn_at_the_first_read_with_the_eager_values() {
+        let params = ReramParams {
+            sigma_d2d: 0.2,
+            ..ReramParams::default()
+        };
+        let (rows, cols) = (5, 70);
+        let eager = Devices::fabricate(rows * cols, &params, &mut seeded(21));
+        let mut rng = seeded(21);
+        let fresh = ReramBank::new(rows, cols, params, &mut rng);
+        assert!(!fresh.is_fabricated(), "construction draws nothing");
+
+        // Writes and scrubs touch only the state words.
+        let mut written = fresh.clone();
+        written.write_row_words(2, &[!0u64, 0x3F]);
+        written.write_row_words(2, &[0, 0]);
+        written.write_row_words(4, &[0xF0F0, 1]);
+        assert!(!written.is_fabricated(), "writes draw nothing");
+        let before = written.clone();
+
+        // The first read draws exactly the eager population.
+        assert_eq!(written.current(4, 4), eager.i_low[4 * cols + 4]);
+        assert!(written.is_fabricated());
+        assert_eq!(written.devices().i_low, eager.i_low);
+        assert_eq!(written.devices().i_high, eager.i_high);
+        assert_eq!(written.extremes(), eager.extremes);
+
+        // A clone taken before the draw fabricates the same values, as
+        // does the fresh bank through its row energies.
+        assert_eq!(before.devices().i_low, eager.i_low);
+        assert_eq!(before.devices().i_high, eager.i_high);
+        let mut fresh = fresh;
+        let hrs: f64 = (0..cols).fold(0.0, |sum, j| {
+            sum + fresh.pulse_energy(eager.i_high[cols + j])
+        });
+        assert_eq!(fresh.row_energy(1).to_bits(), hrs.to_bits());
+        assert!(fresh.is_fabricated());
+
+        // Fabricating ahead of time changes nothing either.
+        let early = ReramBank::new(rows, cols, params, &mut seeded(21));
+        early.fabricate();
+        assert!(early.is_fabricated());
+        assert_eq!(early.devices().i_low, eager.i_low);
     }
 
     #[test]
@@ -364,7 +532,7 @@ mod tests {
         let mut rng = seeded(31);
         let mut bank = ReramBank::new(rows, cols, ReramParams::default(), &mut seeded(7));
         // About a quarter of the devices in the LRS, tail bits clear.
-        let random_row = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+        let random_row = |rng: &mut StdRng| -> Vec<u64> {
             let mut words: Vec<u64> = (0..cols.div_ceil(WORD_BITS))
                 .map(|_| rng.gen::<u64>() & rng.gen::<u64>())
                 .collect();
@@ -394,6 +562,26 @@ mod tests {
         assert_eq!(bank.row_words(3), &second[..]);
         assert_eq!(bank.row_energy(3).to_bits(), rescan(&bank, 3).to_bits());
 
+        // One to eight stale rows folded together, mixed with folded
+        // rows and repeats: every sum, tail columns included, equals its
+        // row's own column-order fold.
+        for stale in 1..=8 {
+            order.shuffle(&mut rng);
+            for &r in &order[..stale] {
+                bank.write_row_words(r, &random_row(&mut rng));
+            }
+            let mut access: Vec<usize> = order[..stale + 3].to_vec();
+            access.push(order[0]);
+            access.shuffle(&mut rng);
+            bank.fold_stale_rows(access.iter().copied());
+            for &r in &access {
+                assert_eq!(
+                    bank.row_energy[r].map(f64::to_bits),
+                    Some(rescan(&bank, r).to_bits())
+                );
+            }
+        }
+
         // A zero write (a scrub) folds back to the fabricated all-HRS
         // sum, bit for bit.
         let mut fresh = ReramBank::new(rows, cols, ReramParams::default(), &mut seeded(7));
@@ -410,9 +598,10 @@ mod tests {
         let mut rng = seeded(4);
         let bank = ReramBank::new(6, 40, ReramParams::default(), &mut rng);
         let e = bank.extremes();
+        let d = bank.devices();
         for idx in 0..6 * 40 {
-            assert!(bank.i_low[idx] >= e.i_low_min && bank.i_low[idx] <= e.i_low_max);
-            assert!(bank.i_high[idx] >= e.i_high_min && bank.i_high[idx] <= e.i_high_max);
+            assert!(d.i_low[idx] >= e.i_low_min && d.i_low[idx] <= e.i_low_max);
+            assert!(d.i_high[idx] >= e.i_high_min && d.i_high[idx] <= e.i_high_max);
         }
         assert!(
             e.i_high_max < e.i_low_min,

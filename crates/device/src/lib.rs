@@ -19,8 +19,8 @@
 //! Both models expose per-event energy and latency so array-level
 //! simulators can do bottom-up accounting. For array-scale simulation both
 //! families also come in struct-of-arrays form: the binary devices as
-//! [`bank`] (packed state words plus flat precomputed
-//! read-current/read-energy tables, the storage layout behind the
+//! [`bank`] (packed state words plus flat read-current tables, drawn
+//! at the first sensing access, the storage layout behind the
 //! word-parallel digital-tile fast path) and the PCM devices as
 //! [`pcm_bank`] (flat conductance and pulse-ledger vectors in fabrication
 //! order with batched program-and-verify of origin-anchored windows and

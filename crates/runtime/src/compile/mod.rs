@@ -167,10 +167,10 @@ fn vector_of(resp: CimResponse) -> Vec<f64> {
     }
 }
 
-/// The first `width` bits of `bits`, zero-padded to `cols` columns — the
-/// row layout every family writes operands in.
+/// The first `width` bits of `bits` (at most `cols` of them), zero-padded
+/// to `cols` columns — the row layout every family writes operands in.
 fn pad_row(bits: &BitVec, width: usize, cols: usize) -> BitVec {
-    BitVec::from_fn(cols, |j| j < width && bits.get(j))
+    bits.window(0, width.min(cols), cols)
 }
 
 /// A workload lowered to an executable form.

@@ -73,8 +73,7 @@ pub(super) fn encrypt(
     let mut outputs = Vec::with_capacity(chunks);
     for chunk in 0..chunks {
         let base = chunk * width;
-        let slice =
-            |bits: &BitVec| BitVec::from_fn(width, |j| base + j < total_bits && bits.get(base + j));
+        let slice = |bits: &BitVec| bits.window(base, width.min(total_bits - base), width);
         instructions.push(CimInstruction::WriteRow {
             tile: 0,
             row: 0,

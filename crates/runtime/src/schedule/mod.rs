@@ -423,8 +423,9 @@ pub struct RuntimePool {
 
 impl RuntimePool {
     /// Builds the shards and spawns one worker thread per shard, with
-    /// tracing disabled (a null sink — near-free on the hot path). The
-    /// shards are fabricated concurrently, one build thread each.
+    /// tracing disabled (a null sink — near-free on the hot path). No
+    /// digital tile draws its devices here: each draws them when a job
+    /// first leases it (see [`RuntimePool::with_sink`]).
     ///
     /// # Panics
     ///
@@ -443,9 +444,15 @@ impl RuntimePool {
     /// snapshots or Chrome traces from it after — see the README's
     /// "Observability" section.
     ///
-    /// Each shard's accelerator is fabricated on its own scoped thread
-    /// from its per-shard seed, so the devices match a serial build, and
-    /// every build joins before any shard worker spawns.
+    /// Each shard's accelerator is built on its own scoped thread from
+    /// its per-shard seed, and every build joins before any shard worker
+    /// spawns. A build only advances the seed's stream past the digital
+    /// tiles' device draws: the shard worker draws a tile's devices from
+    /// its saved copy of that stream when a job first leases the tile
+    /// (the lease's new tiles on parallel threads), each under a root
+    /// `fabricate` span (attributes `shard`, `tile`, `job`) inside that
+    /// job's `execute` interval. The devices are bit-identical to an
+    /// eager build's, and a tile no job leases is never drawn.
     ///
     /// # Panics
     ///

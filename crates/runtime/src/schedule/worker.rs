@@ -1,8 +1,9 @@
 //! The shard side of the pool: what the pool sends a shard, and the
 //! worker thread that executes it on the shard's accelerator — relocating
-//! each job onto its leased tiles, scrubbing the lease, decoding the
-//! job's outputs and ending the job in the pool's job table. Execution
-//! and decoding both run under panic containment.
+//! each job onto its leased tiles, drawing the devices of tiles leased
+//! for the first time, scrubbing the lease, decoding the job's outputs
+//! and ending the job in the pool's job table. Execution and decoding
+//! both run under panic containment.
 
 use super::{lock, PoolShared};
 use crate::compile::CompiledJob;
@@ -354,6 +355,39 @@ impl Worker {
                 return report;
             }
         };
+
+        // A digital tile draws its devices when it is first leased, not
+        // when the pool is built. The lease's undrawn tiles draw side by
+        // side, each under a root span inside this job's execute
+        // interval, so the one-off cost shows in traces without joining
+        // the job's own span tree.
+        let undrawn: Vec<usize> = digital_map
+            .iter()
+            .copied()
+            .filter(|&tile| !self.accelerator.digital_fabricated(tile))
+            .collect();
+        if let Some((&first, rest)) = undrawn.split_first() {
+            let (accelerator, tracer) = (&self.accelerator, &self.pool.tracer);
+            let fabricate = |tile: usize| {
+                let span = tracer.open(
+                    "fabricate",
+                    SpanId::NONE,
+                    &[
+                        ("shard", Value::U64(shard as u64)),
+                        ("tile", Value::U64(tile as u64)),
+                        ("job", Value::U64(compiled.job.0)),
+                    ],
+                );
+                accelerator.fabricate_digital(tile);
+                tracer.close(span, 0.0, &[]);
+            };
+            std::thread::scope(|scope| {
+                for &tile in rest {
+                    scope.spawn(move || fabricate(tile));
+                }
+                fabricate(first);
+            });
+        }
 
         // Track what the job touches so it can be scrubbed afterwards.
         // Dataset queries write only scratch rows (their StoreLast

@@ -318,6 +318,36 @@ impl BitVec {
         self.mask_tail();
     }
 
+    /// Bits `start..start + take` of `self`, zero-padded to a vector of
+    /// `len` bits: bit `j` of the result is bit `start + j` of `self` for
+    /// `j < take`, and zero from `take` on. This is how an operand lands
+    /// in a wider tile row. It is built from whole shifted words with the
+    /// last one masked at `take`, so it costs `O(len / 64)` word
+    /// operations where a [`BitVec::from_fn`] copy tests every bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `take > len` or the window runs past the end of `self`.
+    pub fn window(&self, start: usize, take: usize, len: usize) -> Self {
+        assert!(take <= len, "a {take}-bit window overflows {len} bits");
+        assert!(
+            start.checked_add(take).is_some_and(|end| end <= self.len),
+            "window {start}..{start}+{take} out of range {}",
+            self.len
+        );
+        let mut out = BitVec::zeros(len);
+        for (w, word) in out.words[..take.div_ceil(WORD_BITS)].iter_mut().enumerate() {
+            *word = shr_word(&self.words, start, w);
+        }
+        // The last shifted word also carries source bits from past the
+        // window; clear them.
+        let rem = take % WORD_BITS;
+        if rem != 0 {
+            out.words[take / WORD_BITS] &= (1u64 << rem) - 1;
+        }
+        out
+    }
+
     /// Hamming distance (count of differing positions).
     ///
     /// # Panics
@@ -568,6 +598,46 @@ mod tests {
             acc.xor_rotated_assign(&v, k);
             assert_eq!(acc, r.not(), "k {k}");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn window_matches_the_per_bit_copy(
+            src_len in 0usize..300,
+            pick in proptest::prelude::any::<u64>(),
+            extra in 0usize..140,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::Rng;
+            let mut rng = crate::rng::seeded(seed);
+            let src = BitVec::from_fn(src_len, |_| rng.gen());
+            let start = (pick % (src_len as u64 + 1)) as usize;
+            let take = ((pick >> 20) % ((src_len - start) as u64 + 1)) as usize;
+            let len = take + extra;
+            let want = BitVec::from_fn(len, |j| j < take && src.get(start + j));
+            // Equal words: the tail past `take`, and past `len` in the
+            // last word, is zero as well.
+            proptest::prop_assert_eq!(src.window(start, take, len), want);
+        }
+    }
+
+    #[test]
+    fn window_edges() {
+        let src = BitVec::ones(200);
+        assert_eq!(src.window(0, 0, 70), BitVec::zeros(70));
+        assert_eq!(src.window(200, 0, 1), BitVec::zeros(1));
+        assert_eq!(src.window(0, 200, 200), src);
+        let w = src.window(63, 65, 128);
+        assert_eq!(w.words(), &[!0u64, 1]);
+        assert_eq!(src.window(136, 64, 64), BitVec::ones(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn window_past_the_end_panics() {
+        let _ = BitVec::zeros(100).window(40, 61, 128);
     }
 
     #[test]

@@ -182,6 +182,21 @@ pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
+/// Uniform `u64` draws one [`log_normal`] sample consumes: the two
+/// uniforms of its Box–Muller transform.
+const LOG_NORMAL_DRAWS: usize = 2;
+
+/// Advances `rng` past `count` [`log_normal`] samples without computing
+/// them: afterwards the stream continues exactly where it would after
+/// `count` calls, whatever their `mu` and `sigma`. Lets a simulator
+/// defer a population's draws to a clone of the stream while handing
+/// the caller's stream on unchanged.
+pub fn skip_log_normals<R: Rng + ?Sized>(rng: &mut R, count: usize) {
+    for _ in 0..count * LOG_NORMAL_DRAWS {
+        rng.next_u64();
+    }
+}
+
 /// Fills a vector with `n` i.i.d. standard normal samples.
 pub fn normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     (0..n).map(|_| standard_normal(rng)).collect()
@@ -329,6 +344,19 @@ mod tests {
         let mut rng = seeded(3);
         for _ in 0..1000 {
             assert!(log_normal(&mut rng, 0.0, 0.5) > 0.0);
+        }
+    }
+
+    #[test]
+    fn skipping_log_normals_lands_where_drawing_them_does() {
+        for count in [0, 1, 7, 1000] {
+            let mut drawn = seeded(12);
+            for _ in 0..count {
+                log_normal(&mut drawn, 0.0, 0.3);
+            }
+            let mut skipped = seeded(12);
+            skip_log_normals(&mut skipped, count);
+            assert_eq!(drawn, skipped, "{count} samples");
         }
     }
 

@@ -9,7 +9,9 @@
 //! row's read-energy sum when an access first activates the row after a
 //! write; the scripts include all-zero writes (what a lease scrub
 //! writes), and the accounting asserts below cover reads after both
-//! kinds of write. The suite asserts:
+//! kinds of write. The fast array also draws its devices only at its
+//! first sensing access, while the reference draws them at
+//! construction. The suite asserts:
 //!
 //! * **states** — stored rows are bit-identical after any write sequence,
 //!   under any variation setting;
@@ -18,7 +20,11 @@
 //!   device-to-device spread, which forces the fast path off its word
 //!   tier into exact per-column evaluation);
 //! * **accounting** — per-operation energy/latency and the accumulated
-//!   stats agree to 1e-12 relative under default (noisy) parameters.
+//!   stats agree to 1e-12 relative under default (noisy) parameters;
+//! * **deferred fabrication** — both constructors leave the caller's RNG
+//!   at the same position, writes and scrubs draw no device, and the
+//!   classes above still hold when the first sensing access follows
+//!   them.
 
 use cim_repro::cim_crossbar::digital::DigitalArray;
 use cim_repro::cim_crossbar::reference::ReferenceDigitalArray;
@@ -27,6 +33,7 @@ use cim_repro::cim_device::reram::ReramParams;
 use cim_repro::cim_simkit::bitvec::BitVec;
 use cim_repro::cim_simkit::rng::seeded;
 use proptest::prelude::*;
+use rand::Rng;
 
 /// 1e-12 relative agreement (the fast path folds row-energy sums in a
 /// different floating-point association than the per-device loop).
@@ -102,14 +109,27 @@ fn check_equivalence(
     sels: &[u8],
     args: &[u64],
 ) -> Result<(), TestCaseError> {
-    // Outputs are deterministic (hence comparable) exactly when the
-    // cycle-to-cycle noise is off; state and accounting always agree.
-    let compare_outputs = params.sigma_c2c == 0.0;
-
     let mut fast = DigitalArray::new(rows, cols, params, &mut seeded(fab_seed));
     let mut reference = ReferenceDigitalArray::new(rows, cols, params, &mut seeded(fab_seed));
-    let mut fast_rng = seeded(fab_seed ^ 0x517E);
-    let mut ref_rng = seeded(fab_seed ^ 0x517E);
+    drive(&mut fast, &mut reference, fab_seed, sels, args)
+}
+
+/// Drives both arrays, fabricated alike, through the script `sels` and
+/// `args` decode to, under noise streams seeded from `noise_seed`, then
+/// checks the equivalence classes that hold for their parameters.
+fn drive(
+    fast: &mut DigitalArray,
+    reference: &mut ReferenceDigitalArray,
+    noise_seed: u64,
+    sels: &[u8],
+    args: &[u64],
+) -> Result<(), TestCaseError> {
+    let (rows, cols) = fast.shape();
+    // Outputs are deterministic (hence comparable) exactly when the
+    // cycle-to-cycle noise is off; state and accounting always agree.
+    let compare_outputs = fast.params().sigma_c2c == 0.0;
+    let mut fast_rng = seeded(noise_seed ^ 0x517E);
+    let mut ref_rng = seeded(noise_seed ^ 0x517E);
 
     for op in decode_ops(rows, sels, args) {
         match op {
@@ -227,6 +247,56 @@ proptest! {
         // Default (noisy) parameters: sensed bits are stochastic so only
         // states, op counters and energy/latency accounting are pinned.
         check_equivalence(rows, cols, ReramParams::default(), fab_seed, &sels, &args)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fast array draws its devices at its first sensing access, the
+    /// reference at construction. Both constructors leave the caller's
+    /// stream at the same position, writes and scrubs alone draw
+    /// nothing, and a first sensing access that comes after writes and
+    /// scrubs still meets the reference bit for bit.
+    #[test]
+    fn deferred_fabrication_matches_the_eager_reference(
+        rows in 2usize..10,
+        cols in 1usize..170,
+        d2d in 0usize..3,
+        fab_seed in any::<u64>(),
+        writes in prop::collection::vec(any::<u64>(), 6),
+        sels in prop::collection::vec(any::<u8>(), 20),
+        args in prop::collection::vec(any::<u64>(), 20),
+    ) {
+        let params = ReramParams {
+            sigma_d2d: [0.0, ReramParams::default().sigma_d2d, 0.5][d2d],
+            sigma_c2c: 0.0,
+            ..ReramParams::default()
+        };
+        let mut fast_fab = seeded(fab_seed);
+        let mut ref_fab = seeded(fab_seed);
+        let mut fast = DigitalArray::new(rows, cols, params, &mut fast_fab);
+        let mut reference = ReferenceDigitalArray::new(rows, cols, params, &mut ref_fab);
+        prop_assert_eq!(fast_fab.gen::<u64>(), ref_fab.gen::<u64>(), "stream positions");
+        prop_assert!(!fast.is_fabricated(), "construction draws nothing");
+
+        // Every third write is a scrub's all-zero row.
+        for (n, &x) in writes.iter().enumerate() {
+            let row = (x % rows as u64) as usize;
+            let bits = if n % 3 == 2 { BitVec::zeros(cols) } else { pattern_row(cols, x) };
+            fast.write_row(row, &bits);
+            reference.write_row(row, &bits);
+        }
+        prop_assert!(!fast.is_fabricated(), "writes and scrubs draw nothing");
+
+        // The first sensing access, then the random script.
+        let row = (writes[0] % rows as u64) as usize;
+        let (fb, fc) = fast.read_row_with_cost(row, &mut seeded(fab_seed));
+        let (rb, rc) = reference.read_row_with_cost(row, &mut seeded(fab_seed));
+        prop_assert!(fast.is_fabricated());
+        prop_assert_eq!(fb, rb);
+        prop_assert!(rel_close(fc.energy.0, rc.energy.0), "{} vs {}", fc.energy.0, rc.energy.0);
+        drive(&mut fast, &mut reference, fab_seed, &sels, &args)?;
     }
 }
 

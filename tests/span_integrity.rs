@@ -14,7 +14,10 @@
 //!    returns a typed error and still closes its root,
 //! 3. nesting balances: compile/queue/finalize/report hang off the job
 //!    root, every execute hangs off its part's dispatch, and resident
-//!    queries never open a `dataset_load` span of their own.
+//!    queries never open a `dataset_load` span of their own,
+//! 4. a digital tile's device draws are one root `fabricate` span, in
+//!    the execute interval of the first job that leases the tile, and
+//!    never part of a job's own span count.
 //!
 //! The mixed-queue property runs over the same scenario shapes as
 //! `split_jobs.rs` (unsplit Q6, scattered Q6, XOR, oversized bulk
@@ -25,7 +28,7 @@
 
 use cim_repro::cim_bitmap_db::tpch::Q6Params;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
-use cim_repro::cim_obs::{RingRecorder, Snapshot, SpanNode, Value};
+use cim_repro::cim_obs::{Event, RingRecorder, Snapshot, SpanNode, Value};
 use cim_repro::cim_runtime::{
     CompileError, DatasetHandle, DatasetSpec, JobError, JobHandle, JobReport, PoolClient,
     PoolConfig, RuntimePool, TenantId, WorkloadSpec,
@@ -331,6 +334,118 @@ fn resident_queries_reuse_one_dataset_load_span() {
             "query roots carry their dataset id"
         );
     }
+}
+
+/// The `(open, close)` wall times of the span named `name` carrying
+/// every `(key, value)` attribute of `with`, from the raw events.
+fn span_interval(events: &[Event], name: &str, with: &[(&str, u64)]) -> (u64, u64) {
+    let (span, open) = events
+        .iter()
+        .find_map(|e| match e {
+            Event::Open {
+                span,
+                name: n,
+                wall_ns,
+                attrs,
+                ..
+            } if *n == name
+                && with.iter().all(|(key, value)| {
+                    attrs
+                        .iter()
+                        .any(|(k, v)| k == key && matches!(v, Value::U64(x) if x == value))
+                }) =>
+            {
+                Some((*span, *wall_ns))
+            }
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no {name} span with {with:?}"));
+    let close = events
+        .iter()
+        .find_map(|e| match e {
+            Event::Close {
+                span: s, wall_ns, ..
+            } if *s == span => Some(*wall_ns),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{name} span never closed"));
+    (open, close)
+}
+
+/// A digital tile draws its devices when a job first leases it, under
+/// one root `fabricate` span inside that job's `execute` interval: the
+/// build draws none, the first one-tile select draws its tile, a second
+/// select on the same tile draws nothing, and a three-tile select draws
+/// only its two new tiles. Every job keeps its seven-span route.
+#[test]
+fn a_tile_fabricates_once_when_first_leased() {
+    let (ring, pool) = traced_pool(1);
+    assert_eq!(
+        ring.snapshot().roots_named("fabricate").count(),
+        0,
+        "building the pool draws no device"
+    );
+    let session = pool.client(TenantId(4));
+    let select = WorkloadSpec::Q6Select {
+        rows: 900,
+        table_seed: 5,
+        params: Q6Params::tpch_default(),
+    };
+    let first = session.submit(&select).unwrap().wait();
+    assert!(first.output.is_ok(), "{:?}", first.output);
+    let snap = ring.snapshot();
+    let fabricated: Vec<&SpanNode> = snap.roots_named("fabricate").collect();
+    assert_eq!(fabricated.len(), 1, "one leased tile, one draw");
+    let span = fabricated[0];
+    assert!(matches!(span.attr("shard"), Some(Value::U64(0))));
+    assert!(
+        matches!(span.attr("tile"), Some(Value::U64(0))),
+        "the leading free tile"
+    );
+    assert!(matches!(span.attr("job"), Some(Value::U64(j)) if *j == first.job.0));
+    assert!(span.children.is_empty());
+    assert_job_route(&snap, &first);
+    let events = ring.events();
+    let (fab_open, fab_close) = span_interval(&events, "fabricate", &[("job", first.job.0)]);
+    let (exec_open, exec_close) = span_interval(&events, "execute", &[("job", first.job.0)]);
+    assert!(
+        exec_open <= fab_open && fab_close <= exec_close,
+        "the draw sits in the job's execute interval"
+    );
+
+    let second = session.submit(&select).unwrap().wait();
+    assert_eq!(second.output, first.output, "same devices, same answer");
+    let snap = ring.snapshot();
+    assert_eq!(
+        snap.roots_named("fabricate").count(),
+        1,
+        "a drawn tile is never drawn again"
+    );
+    assert_job_route(&snap, &second);
+
+    // A three-tile lease draws its two new tiles side by side, each in
+    // the job's execute interval.
+    let wide = session
+        .submit(&WorkloadSpec::Q6Select {
+            rows: 2500,
+            table_seed: 5,
+            params: Q6Params::tpch_default(),
+        })
+        .unwrap()
+        .wait();
+    assert!(wide.output.is_ok(), "{:?}", wide.output);
+    let snap = ring.snapshot();
+    assert_eq!(snap.roots_named("fabricate").count(), 3);
+    assert_job_route(&snap, &wide);
+    let events = ring.events();
+    let (exec_open, exec_close) = span_interval(&events, "execute", &[("job", wide.job.0)]);
+    for tile in [1, 2] {
+        let (open, close) =
+            span_interval(&events, "fabricate", &[("job", wide.job.0), ("tile", tile)]);
+        assert!(exec_open <= open && close <= exec_close, "tile {tile}");
+    }
+    assert_eq!(snap.unclosed, 0);
+    assert_eq!(snap.orphan_closes, 0);
 }
 
 /// One scenario job for the mixed-queue property, indexed by the same
