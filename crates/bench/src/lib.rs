@@ -12,6 +12,8 @@
 //!   - `crossbar_vs_fpga` — the §III-B-3 power/energy/area comparison,
 //!   - `fig7b` — the IoT inference energy curves,
 //!   - `hd_accuracy` / `hd_cost` — the §IV-B accuracy and 9×/5× studies,
+//!     the accuracy study served by the runtime pool on ideal and on
+//!     PCM devices,
 //!   - `scouting_margins` — the Fig. 2(c) sensing-margin analysis,
 //!   - `query_select` — TPC-H Q6 end-to-end across execution paths, the
 //!     CIM path served by the runtime pool over resident bins,

@@ -76,10 +76,9 @@ impl AssociativeMemory {
     ///
     /// Ties are deterministic: among equally distant prototypes the
     /// *lowest* class index wins (strict `<` scan in ascending class
-    /// order). Every classifier in the workspace — [`crate::cim`]'s
-    /// in-array argmax and the runtime's `HdcClassify`/`HdcAssoc`
-    /// finalizers — resolves ties by the same rule, so their outputs
-    /// stay bit-comparable.
+    /// order). The runtime's `HdcClassify`/`HdcQuery` argmax and its
+    /// `HdcAssoc` re-rank resolve ties by the same rule, so their
+    /// outputs stay bit-comparable.
     ///
     /// # Panics
     ///

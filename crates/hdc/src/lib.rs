@@ -24,10 +24,13 @@
 //!   corpora substituted for the non-redistributable ones.
 //! * [`emg`] — EMG hand-gesture recognition (5 gestures, 4 channels) on
 //!   synthetic envelopes.
-//! * [`cim`] — the associative memory executed in a PCM crossbar
-//!   (binary weights, analog dot-product readout).
 //! * [`cost`] — the §IV-B-3 comparison: CIM HD processor vs 65 nm CMOS
 //!   RTL (9× area, 5× energy; replaceable modules 2–3 orders).
+//!
+//! The associative search in a PCM crossbar is not defined here: the
+//! `cim-runtime` pool serves it (`HdcClassify`, and `HdcPrototypes` with
+//! `HdcQuery`), programming these prototypes into an analog tile and
+//! running one matrix-vector product per query.
 //!
 //! # Example
 //!
@@ -48,7 +51,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod assoc;
-pub mod cim;
 pub mod cost;
 pub mod emg;
 pub mod encoder;
@@ -58,7 +60,6 @@ pub mod lang;
 pub mod robustness;
 
 pub use assoc::AssociativeMemory;
-pub use cim::CimAssociativeMemory;
 pub use cost::{HdProcessorCost, HdWorkload};
 pub use encoder::{BiosignalEncoder, NgramEncoder};
 pub use hypervector::{Bundler, Hypervector};

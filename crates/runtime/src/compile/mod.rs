@@ -343,7 +343,7 @@ impl fmt::Display for CompileError {
             CompileError::NeedsMoreDigitalTiles {
                 required,
                 available,
-            } => write!(f, "needs {required} digital tiles, shard has {available}"),
+            } => write!(f, "needs {required} digital tiles, {available} available"),
             CompileError::NeedsMoreAnalogTiles {
                 required,
                 available,
@@ -577,6 +577,20 @@ pub(crate) fn compile(
         } => Ok(raw::fresh(lw, *digital_tiles, *analog_tiles, instructions)),
         WorkloadSpec::RawQuery { instructions, .. } => Ok(raw::query(lw, instructions)),
     }?;
+    // A raw stream's device work is whatever the tenant wrote, so it is
+    // bounded after sealing, by the most work the routing ledger lets one
+    // shard run ahead by. Compiled kinds bound their counts before
+    // lowering instead (a cold `HdcClassify` at its MVM cap seals 17,301
+    // units, its program included).
+    if lw.kind == JobKind::Raw && compiled.envelope.cost_units > MAX_ROUTING_DEBT {
+        return Err(CompileError::InvalidSpec {
+            field: "instructions",
+            reason: format!(
+                "the stream costs {} units, over the {MAX_ROUTING_DEBT} one job may carry",
+                compiled.envelope.cost_units
+            ),
+        });
+    }
     // The compiler holds its own output to the lint-clean bar: in debug
     // builds every non-raw program is re-checked by the static verifier
     // at submit, so a lowering bug surfaces here with a rule code

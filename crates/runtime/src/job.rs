@@ -117,7 +117,11 @@ pub enum WorkloadSpec {
     ///
     /// The escape hatch for tooling and tests; instruction tile indices
     /// are still validated against the declared demand, so a raw stream
-    /// cannot escape its lease.
+    /// cannot escape its lease. Its certified envelope may cost at most
+    /// 16,384 units, the most one job may carry (a row write, read or
+    /// store is one unit, a `Logic` access one per row it senses, an
+    /// MVM 100, plus one per job); a costlier stream is
+    /// [`crate::CompileError::InvalidSpec`] on `instructions`.
     Raw {
         /// Digital tiles requested.
         digital_tiles: usize,
@@ -134,7 +138,8 @@ pub enum WorkloadSpec {
     /// built-in query specs do not cover. The verifier always checks
     /// these streams — reads of dataset rows are fine, but writes into
     /// anything the dataset pinned are rejected at admission
-    /// (`L007-RESIDENT-WRITE`), since the dataset outlives the job.
+    /// (`L007-RESIDENT-WRITE`), since the dataset outlives the job. Its
+    /// cost is bounded as [`WorkloadSpec::Raw`]'s is.
     RawQuery {
         /// The registered dataset whose tiles the stream addresses.
         dataset: DatasetId,

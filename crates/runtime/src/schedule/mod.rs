@@ -331,9 +331,15 @@ impl PoolState {
         )
     }
 
+    /// Whether `demand` fits the unpinned tiles of `shard`.
+    fn fits(&self, cfg: &PoolConfig, shard: usize, demand: TileDemand) -> bool {
+        let (fd, fa) = self.free(cfg, shard);
+        demand.digital <= fd && demand.analog <= fa
+    }
+
     /// The leading `demand` free (un-pinned) tiles of `shard`: the
     /// physical tiles a fresh lease or a new dataset pin takes. The
-    /// caller has checked against [`Self::free`] that they fit.
+    /// caller has checked with [`Self::fits`] that they fit.
     fn leading_free(&self, cfg: &PoolConfig, shard: usize, demand: TileDemand) -> Tiles {
         let leading = |tiles: usize, pinned: &BTreeSet<usize>, count: usize| -> Vec<usize> {
             let free: Vec<usize> = (0..tiles)
@@ -744,12 +750,7 @@ impl PoolShared {
     fn check_capacity(&self, st: &PoolState, compiled: &CompiledJob) -> Result<(), Admission> {
         let cfg = &self.cfg;
         let demand = compiled.demand;
-        if compiled.dataset.is_some()
-            || (0..cfg.shards).any(|s| {
-                let (fd, fa) = st.free(cfg, s);
-                demand.digital <= fd && demand.analog <= fa
-            })
-        {
+        if compiled.dataset.is_some() || (0..cfg.shards).any(|s| st.fits(cfg, s, demand)) {
             return Ok(());
         }
         if compiled.splittable && demand.analog == 0 {
@@ -922,10 +923,7 @@ impl PoolShared {
             // lowest index: datasets spread out, leaving fresh-lease
             // headroom.
             let single = (0..cfg.shards)
-                .filter(|&s| {
-                    let (fd, fa) = st.free(cfg, s);
-                    demand.digital <= fd && demand.analog <= fa
-                })
+                .filter(|&s| st.fits(cfg, s, demand))
                 .max_by_key(|&s| {
                     let (fd, fa) = st.free(cfg, s);
                     (fd + fa, std::cmp::Reverse(s))

@@ -151,12 +151,8 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             // (datasets pinned tiles after submit-time validation),
             // fall back to the least-loaded shard and fail the job
             // cleanly there with `AdmissionFailed`.
-            let fits = |s: usize| {
-                let (fd, fa) = st.free(cfg, s);
-                job.demand.digital <= fd && job.demand.analog <= fa
-            };
             let fitting = (0..cfg.shards)
-                .filter(|&s| fits(s))
+                .filter(|&s| st.fits(cfg, s, job.demand))
                 .min_by_key(|&s| (loads[s], s));
             if fitting.is_none() && job.splittable && job.demand.analog == 0 {
                 match scatter_assignment(cfg.shards, |s| st.free(cfg, s).0, job.demand.digital) {

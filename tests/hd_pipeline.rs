@@ -1,12 +1,13 @@
 //! Integration: the §IV-B HD-computing pipeline — language and gesture
-//! classification through the full encode→bundle→search stack, on both
-//! the digital and the CIM associative memory.
+//! classification through the full encode→bundle→search stack, on the
+//! digital associative memory and on the analog search the pool serves.
 
-use cim_repro::cim_crossbar::analog::AnalogParams;
-use cim_repro::cim_hdc::cim::CimAssociativeMemory;
 use cim_repro::cim_hdc::emg::EmgTask;
 use cim_repro::cim_hdc::lang::LanguageTask;
-use cim_repro::cim_simkit::rng::seeded;
+use cim_repro::cim_runtime::{
+    AnalogParams, DatasetSpec, HdcOutcome, JobId, JobOutput, JobReport, PoolConfig, RuntimePool,
+    TenantId, WorkloadSpec,
+};
 
 #[test]
 fn language_recognition_accuracy_floor() {
@@ -22,66 +23,112 @@ fn emg_gesture_accuracy_floor() {
     assert!(acc > 0.85, "EMG accuracy {acc}");
 }
 
+/// The §IV-B-3 language task at reduced scale: 8 classes at d = 4,096,
+/// five queries of 250 symbols per class.
+const CLASSIFY: WorkloadSpec = WorkloadSpec::HdcClassify {
+    classes: 8,
+    d: 4096,
+    ngram: 3,
+    train_len: 1500,
+    samples: 40,
+    sample_len: 250,
+};
+
+/// Serves [`CLASSIFY`] as the first job of a one-shard pool whose analog
+/// tiles hold its 4,096 columns with devices built from `analog_params`.
+fn serve(analog_params: AnalogParams) -> (HdcOutcome, JobReport) {
+    let pool = RuntimePool::new(PoolConfig {
+        shards: 1,
+        analog_cols: 4096,
+        analog_params,
+        ..PoolConfig::default()
+    });
+    let report = pool.client(TenantId(1)).submit(&CLASSIFY).unwrap().wait();
+    let Ok(JobOutput::Hdc(outcome)) = &report.output else {
+        panic!("HDC classification failed: {:?}", report.output);
+    };
+    (outcome.clone(), report)
+}
+
 #[test]
 fn cim_associative_memory_comparable_to_software() {
-    // The §IV-B-3 experiment at reduced scale: same prototypes, same
-    // queries, digital Hamming vs analog crossbar search.
-    let classes = 8;
-    let mut task = LanguageTask::train(classes, 4096, 3, 1500, 3);
-    let per_class = 5;
-    let len = 250;
-
-    let software_acc = {
-        let mut correct = 0;
-        for c in 0..classes {
-            for s in 0..per_class {
-                let mut rng = seeded(40_000 + (c * per_class + s) as u64);
-                let text = task.languages[c].sample_text(len, &mut rng);
-                let q = task.encoder.encode_sequence(&text);
-                if task.memory.classify(&q).0 == c {
-                    correct += 1;
-                }
-            }
-        }
-        correct as f64 / (classes * per_class) as f64
-    };
-
-    let prototypes = task.memory.finalize().to_vec();
-    let (mut cam, _) = CimAssociativeMemory::program(&prototypes, AnalogParams::default(), 4);
-    let cim_acc = {
-        let mut correct = 0;
-        for c in 0..classes {
-            for s in 0..per_class {
-                let mut rng = seeded(40_000 + (c * per_class + s) as u64);
-                let text = task.languages[c].sample_text(len, &mut rng);
-                let q = task.encoder.encode_sequence(&text);
-                if cam.classify(&q).0 == c {
-                    correct += 1;
-                }
-            }
-        }
-        correct as f64 / (classes * per_class) as f64
-    };
-
-    assert!(software_acc > 0.9, "software accuracy {software_acc}");
+    // Paired: two pools that differ only in their analog devices. Each
+    // job is job 0 under the same pool seed, so both train the same
+    // prototypes and classify the same queries.
+    let (ideal, ideal_report) = serve(AnalogParams::ideal());
+    let (pcm, pcm_report) = serve(AnalogParams::default());
+    assert_eq!(ideal.expected, pcm.expected);
     assert!(
-        cim_acc >= software_acc - 0.1,
-        "CIM accuracy {cim_acc} must be comparable to software {software_acc}"
+        ideal.accuracy() > 0.9,
+        "ideal-device accuracy {}",
+        ideal.accuracy()
+    );
+    assert!(
+        pcm.accuracy() >= ideal.accuracy() - 0.1,
+        "PCM accuracy {} must be comparable to ideal devices {}",
+        pcm.accuracy(),
+        ideal.accuracy()
+    );
+    // One program of the prototypes, then one MVM per query, each
+    // charged to the job.
+    for report in [&ideal_report, &pcm_report] {
+        assert_eq!(report.job, JobId(0));
+        assert_eq!(report.stats.matrix_programs, 1);
+        assert_eq!(report.stats.mvms, 40);
+        assert!(report.stats.energy.0 > 0.0, "{:?}", report.stats);
+    }
+}
+
+#[test]
+fn served_search_survives_read_noise() {
+    let mut noisy = AnalogParams::default();
+    noisy.pcm.sigma_read = 0.05; // 5× the default read noise
+    let (outcome, _) = serve(noisy);
+    assert!(
+        outcome.accuracy() > 0.9,
+        "noisy-crossbar accuracy {}",
+        outcome.accuracy()
     );
 }
 
 #[test]
 fn query_energy_is_accounted() {
-    let mut task = LanguageTask::train(4, 2048, 3, 800, 5);
-    let prototypes = task.memory.finalize().to_vec();
-    let (mut cam, programming) =
-        CimAssociativeMemory::program(&prototypes, AnalogParams::default(), 6);
+    // Resident prototypes: the one matrix program is charged to the
+    // dataset, and a query job's energy is exactly what it adds to the
+    // pool total.
+    let d = 2048;
+    let pool = RuntimePool::new(PoolConfig {
+        shards: 1,
+        analog_cols: d,
+        ..PoolConfig::default()
+    });
+    let session = pool.client(TenantId(1));
+    let resident = session
+        .register_dataset(&DatasetSpec::HdcPrototypes {
+            classes: 4,
+            d,
+            ngram: 3,
+            train_len: 800,
+        })
+        .unwrap();
+    let telemetry = pool.telemetry();
+    let programming = &telemetry.datasets[&resident.id().0].load_stats;
+    assert_eq!(programming.matrix_programs, 1);
     assert!(programming.energy.0 > 0.0);
-    let before = cam.total_energy();
-    let mut rng = seeded(1);
-    let text = task.languages[0].sample_text(100, &mut rng);
-    let q = task.encoder.encode_sequence(&text);
-    let (_, _, cost) = cam.classify(&q);
-    assert!(cost.energy.0 > 0.0);
-    assert!((cam.total_energy().0 - before.0 - cost.energy.0).abs() < 1e-15);
+
+    let before = telemetry.pool.energy;
+    let report = session
+        .submit(&WorkloadSpec::HdcQuery {
+            dataset: resident.id(),
+            samples: 1,
+            sample_len: 100,
+        })
+        .unwrap()
+        .wait();
+    assert!(report.output.is_ok(), "{:?}", report.output);
+    assert_eq!(report.stats.matrix_programs, 0);
+    assert_eq!(report.stats.mvms, 1);
+    assert!(report.stats.energy.0 > 0.0);
+    let after = pool.telemetry().pool.energy;
+    assert!((after.0 - before.0 - report.stats.energy.0).abs() < 1e-15);
 }

@@ -23,7 +23,9 @@
 //!     text holds more n-grams than a bundle counts,
 //! 12. and so is an HDC or NN spec with more MVMs than one job carries,
 //!     or a CAM spec with more keys, packets or probes than one job
-//!     may search its dataset with.
+//!     may search its dataset with,
+//! 13. and so is a raw stream whose sealed envelope costs more than one
+//!     job may carry.
 
 use cim_repro::cim_bitmap_db::query::{
     q6_bin_dictionary, q6_probe_keys, q6_result_from_selection, q6_scan,
@@ -1281,4 +1283,52 @@ fn oversized_cam_counts_are_typed_errors() {
     }
     drop((rules, dictionary));
     assert_selects_serve_on_both_shards(&session);
+}
+
+/// A raw stream's device work is bounded after sealing: its envelope
+/// may cost at most 16,384 units, the most the routing ledger lets one
+/// shard run ahead by. A row write and `n` reads of it cost `n + 2`
+/// units with the job's base unit, and `n` reads of a resident row
+/// `n + 1`. Past the bound, `Raw` and `RawQuery` streams are typed
+/// errors from `verify` and `submit` alike, and no shard sees them.
+#[test]
+fn oversized_raw_streams_are_typed_errors() {
+    let pool = RuntimePool::new(PoolConfig::with_shards(2));
+    let session = pool.client(TenantId(1));
+    let table = session
+        .register_dataset(&DatasetSpec::Q6Table {
+            rows: 1000,
+            table_seed: 1,
+        })
+        .unwrap();
+    let reads = |n: usize| vec![CimInstruction::ReadRow { tile: 0, row: 0 }; n];
+    let fresh = |n: usize| WorkloadSpec::Raw {
+        digital_tiles: 1,
+        analog_tiles: 0,
+        instructions: std::iter::once(CimInstruction::WriteRow {
+            tile: 0,
+            row: 0,
+            bits: BitVec::ones(1024),
+        })
+        .chain(reads(n))
+        .collect(),
+    };
+    let query = |n: usize| WorkloadSpec::RawQuery {
+        dataset: table.id(),
+        instructions: reads(n),
+    };
+    for spec in [fresh(16_383), fresh(100_000), query(16_384), query(100_000)] {
+        expect_invalid_spec(&session, &spec, "instructions");
+    }
+    let t = pool.telemetry();
+    assert_eq!((t.jobs, t.batches), (0, 0), "no report and no batch");
+    assert_selects_serve_on_both_shards(&session);
+    // Streams of exactly the bound still verify and run.
+    for spec in [fresh(16_382), query(16_383)] {
+        let (lint, envelope) = session.verify(&spec).unwrap();
+        assert!(lint.is_clean(), "{}", lint.to_text());
+        assert_eq!(envelope.cost_units, 16_384);
+        let report = session.submit(&spec).unwrap().wait();
+        assert!(report.output.is_ok(), "{:?}", report.output);
+    }
 }

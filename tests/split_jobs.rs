@@ -172,6 +172,9 @@ fn never_fits_select_fails_terminally_not_transiently() {
         ),
         "{err:?}"
     );
+    // `available` counts free tiles across the pool, and no shard holds
+    // more than one of them, so the message names no shard.
+    assert_eq!(err.to_string(), "needs 3 digital tiles, 2 available");
 }
 
 /// A resident Q6 dataset bigger than any one shard scatters its pin
