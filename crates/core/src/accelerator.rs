@@ -518,27 +518,20 @@ fn execute_on(
             account(stats, cost);
             (CimResponse::Bits(bits), cost)
         }
-        CimInstruction::ProgramMatrix { tile, matrix } => {
-            let cost = analog_tiles[tile].program_matrix(&matrix, rng);
+        CimInstruction::ProgramMatrix { tile, col, matrix } => {
+            let cost = analog_tiles[tile].program_matrix_at(col, &matrix, rng);
             stats.matrix_programs += 1;
             account(stats, cost);
             (CimResponse::Done, cost)
         }
-        CimInstruction::Mvm { tile, x } => {
-            let (y, cost) = analog_tiles[tile].matvec_with_cost(&x, rng);
+        CimInstruction::Mvm { tile, col, x } => {
+            let (y, cost) = analog_tiles[tile].matvec_at(col, &x, rng);
             stats.mvms += 1;
             account(stats, cost);
             (CimResponse::Vector(y), cost)
         }
-        CimInstruction::MvmT { tile, z } => {
-            let t = &mut analog_tiles[tile];
-            let before = t.stats();
-            let y = t.matvec_t(&z, rng);
-            let after = t.stats();
-            let cost = OperationCost {
-                energy: after.energy - before.energy,
-                latency: after.busy_time - before.busy_time,
-            };
+        CimInstruction::MvmT { tile, col, z } => {
+            let (y, cost) = analog_tiles[tile].matvec_t_at(col, &z, rng);
             stats.mvms += 1;
             account(stats, cost);
             (CimResponse::Vector(y), cost)
@@ -651,12 +644,14 @@ mod tests {
         let m = Matrix::from_fn(8, 8, |i, j| (i as f64 - j as f64) / 8.0);
         acc.execute(CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: m.clone(),
         });
         let x = vec![0.5; 8];
         let y = acc
             .execute(CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: x.clone(),
             })
             .into_vector()
@@ -669,6 +664,7 @@ mod tests {
         let yt = acc
             .execute(CimInstruction::MvmT {
                 tile: 0,
+                col: 0,
                 z: z.clone(),
             })
             .into_vector()
@@ -689,10 +685,12 @@ mod tests {
         let g_min = AnalogParams::default().pcm.g_min.0;
         acc.execute(CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: Matrix::from_fn(32, 64, |i, j| ((i * 64 + j) % 5) as f64 - 2.0),
         });
         acc.execute(CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { -0.5 }),
         });
         let cost = acc.scrub_analog_tile(0);
@@ -709,6 +707,7 @@ mod tests {
         }
         acc.execute(CimInstruction::Mvm {
             tile: 0,
+            col: 0,
             x: vec![1.0; 4],
         });
     }
@@ -734,10 +733,12 @@ mod tests {
         });
         acc.execute(CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: Matrix::from_fn(8, 8, |i, j| ((i + j) % 2) as f64),
         });
         acc.execute(CimInstruction::Mvm {
             tile: 0,
+            col: 0,
             x: vec![0.0; 8],
         });
         let s = acc.stats();
@@ -898,10 +899,12 @@ mod tests {
             CimInstruction::ReadRow { tile: 0, row: 0 },
             CimInstruction::ProgramMatrix {
                 tile: 0,
+                col: 0,
                 matrix: Matrix::from_fn(8, 8, |i, j| (i + j) as f64 / 16.0 - 0.25),
             },
             CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![1.0; 8],
             },
         ]);

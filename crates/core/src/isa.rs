@@ -95,25 +95,36 @@ pub enum CimInstruction {
         /// Exact, ternary or analog range semantics.
         kind: MatchKind,
     },
-    /// Program a signed matrix into an analog tile (differential pair).
+    /// Program a signed matrix into an analog tile (differential pair),
+    /// as a column block: the matrix's own devices, anchored at row 0
+    /// and column `col`. A tile holds several blocks side by side; a
+    /// program replaces every block whose columns it overlaps.
     ProgramMatrix {
         /// Analog tile index.
         tile: usize,
+        /// First column of the block.
+        col: usize,
         /// The matrix to program.
         matrix: Matrix,
     },
-    /// Analog matrix-vector product `A·x` on an analog tile.
+    /// Analog matrix-vector product `A·x` over the block whose first
+    /// column is `col`: it drives only that block's columns and converts
+    /// only its rows.
     Mvm {
         /// Analog tile index.
         tile: usize,
-        /// Input vector (length = matrix columns).
+        /// First column of the block.
+        col: usize,
+        /// Input vector (length = the block's columns).
         x: Vec<f64>,
     },
-    /// Analog transpose product `Aᵀ·z` on the same analog tile.
+    /// Analog transpose product `Aᵀ·z` over the same block.
     MvmT {
         /// Analog tile index.
         tile: usize,
-        /// Input vector (length = matrix rows).
+        /// First column of the block.
+        col: usize,
+        /// Input vector (length = the block's rows).
         z: Vec<f64>,
     },
 }
@@ -362,7 +373,11 @@ mod tests {
             rows: vec![0, 1],
         };
         assert_eq!(logic.class(), CimClass::Periphery);
-        let mvm = CimInstruction::Mvm { tile: 0, x: vec![] };
+        let mvm = CimInstruction::Mvm {
+            tile: 0,
+            col: 0,
+            x: vec![],
+        };
         assert_eq!(mvm.class(), CimClass::Periphery);
     }
 
@@ -447,6 +462,7 @@ mod tests {
 
         let pm = CimInstruction::ProgramMatrix {
             tile: 1,
+            col: 0,
             matrix: Matrix::from_fn(2, 2, |_, _| 1.0),
         };
         let e = pm.effects();
@@ -454,6 +470,7 @@ mod tests {
         assert!(e.writes_matrix && !e.reads_matrix);
         let mut mv = CimInstruction::Mvm {
             tile: 1,
+            col: 2,
             x: vec![0.0; 2],
         };
         assert!(mv.effects().reads_matrix);
@@ -461,6 +478,7 @@ mod tests {
         assert_eq!(mv.tile(), (TileFamily::Analog, 3));
         let mvt = CimInstruction::MvmT {
             tile: 1,
+            col: 0,
             z: vec![0.0; 2],
         };
         assert!(mvt.effects().reads_matrix && !mvt.effects().writes_matrix);

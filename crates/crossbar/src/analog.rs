@@ -29,7 +29,7 @@
 //! distribution-identical to summing one Gaussian per device.
 //!
 //! The forward product folds four output lines per pass over the input
-//! voltages (one blocked kernel, which folds a window's last one to three
+//! voltages (one blocked kernel, which folds a block's last one to three
 //! lines the same way). Each line still accumulates its own `Σ V·g`,
 //! `Σ (V·g)²` and device power in column order, and the lines' powers
 //! are added to the product's total line by line, so outputs, costs and
@@ -51,21 +51,27 @@
 //! bit-identical stored state and outputs at zero sigmas, distributional
 //! agreement otherwise, accounting to 1e-12 relative.
 //!
-//! # Windows and erase
+//! # Blocks and erase
 //!
-//! A tile holds a matrix no larger than itself in a *window*: the
-//! matrix's own `rows × cols` block, anchored at row 0 and column 0. A
-//! program writes only the window's devices; a forward product drives
-//! only the window's columns and converts only its rows (the transpose
-//! swaps the two), and [`CrossbarEnergyModel::mvm_cost`] prices exactly
-//! those lines, as the paper prices a layer by the rows and columns it
-//! drives (§IV-A). A full-tile matrix is the window that covers the
-//! tile.
+//! A tile holds matrices side by side in *column blocks*: each block is
+//! one matrix's own `rows × cols` devices, anchored at row 0 and at the
+//! block's first column, with its own conductance mapping. A program
+//! writes only its block's devices and replaces any block whose columns
+//! it overlaps; a forward product over a block drives only the block's
+//! columns and converts only its rows (the transpose swaps the two),
+//! and [`CrossbarEnergyModel::mvm_cost`] prices exactly those lines, as
+//! the paper prices a layer by the rows and columns it drives (§IV-A).
+//! So two layers of a network can share one tile — say a 32 × 256 block
+//! in columns 0–255 and an 8 × 32 block in columns 256–287 — and each
+//! product costs what it would on a tile of its own. The column-0 entry
+//! points ([`AnalogCrossbar::program_matrix`],
+//! [`AnalogCrossbar::matvec`], …) address the block at column 0; a
+//! full-tile matrix is the block that covers the tile.
 //!
 //! [`AnalogCrossbar::erase`] RESETs every device programmed since the
 //! last erase back to `g_min` — one pulse per device not already there,
-//! no random draws, no conductance mapping — and leaves the tile
-//! unprogrammed. It is how a tile is cleared between tenants.
+//! no random draws, no conductance mapping — and leaves the tile with
+//! no blocks. It is how a tile is cleared between tenants.
 
 use crate::energy::{CrossbarEnergyModel, OperationCost};
 use crate::mapping::{split_signed, ConductanceMapping};
@@ -180,23 +186,38 @@ impl CrossbarStats {
     }
 }
 
-/// A single analog crossbar tile storing a non-negative matrix.
+/// One matrix a tile holds: anchored at row 0 and column `col`, of its
+/// own shape, under its own weight↔conductance mapping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Block {
+    col: usize,
+    rows: usize,
+    cols: usize,
+    mapping: ConductanceMapping,
+}
+
+impl Block {
+    /// Whether the block's columns overlap `col..col + cols`.
+    fn overlaps(&self, col: usize, cols: usize) -> bool {
+        self.col < col + cols && col < self.col + self.cols
+    }
+}
+
+/// A single analog crossbar tile storing non-negative matrices.
 ///
 /// Device state lives in a struct-of-arrays [`PcmBank`]; the read and
 /// program paths are the vectorized fast path described in the
-/// [module docs](self). The programmed matrix occupies a window anchored
-/// at the origin, and [`Self::erase`] RESETs what was programmed (see
-/// [Windows and erase](self#windows-and-erase)).
+/// [module docs](self). Each programmed matrix occupies a column block
+/// anchored at row 0, and [`Self::erase`] RESETs what was programmed
+/// (see [Blocks and erase](self#blocks-and-erase)).
 #[derive(Debug, Clone)]
 pub struct AnalogCrossbar {
     rows: usize,
     cols: usize,
     params: AnalogParams,
     bank: PcmBank,
-    mapping: Option<ConductanceMapping>,
-    /// `(rows, cols)` of the programmed matrix; `(0, 0)` when
-    /// unprogrammed.
-    window: (usize, usize),
+    /// The programmed blocks, in column order; empty when unprogrammed.
+    blocks: Vec<Block>,
     energy_model: CrossbarEnergyModel,
     stats: CrossbarStats,
     /// Reusable DAC-output scratch buffer (row voltages).
@@ -220,8 +241,7 @@ impl AnalogCrossbar {
             cols,
             params,
             bank,
-            mapping: None,
-            window: (0, 0),
+            blocks: Vec::new(),
             energy_model,
             stats: CrossbarStats::default(),
             volts: Vec::new(),
@@ -244,9 +264,19 @@ impl AnalogCrossbar {
         &self.stats
     }
 
-    /// The active weight↔conductance mapping, if programmed.
+    /// The weight↔conductance mapping of the block at column 0, if
+    /// one is programmed.
     pub fn mapping(&self) -> Option<&ConductanceMapping> {
-        self.mapping.as_ref()
+        self.mapping_at(0)
+    }
+
+    /// The weight↔conductance mapping of the block whose first column is
+    /// `col`, if one is programmed there.
+    pub fn mapping_at(&self, col: usize) -> Option<&ConductanceMapping> {
+        self.blocks
+            .iter()
+            .find(|b| b.col == col)
+            .map(|b| &b.mapping)
     }
 
     /// The underlying struct-of-arrays device bank (conductances and the
@@ -255,7 +285,7 @@ impl AnalogCrossbar {
         &self.bank
     }
 
-    /// Programs a non-negative matrix into the window of its own shape,
+    /// Programs a non-negative matrix into the block at column 0,
     /// deriving the mapping from its largest entry. Returns the total
     /// programming cost.
     ///
@@ -264,30 +294,48 @@ impl AnalogCrossbar {
     /// Panics if the matrix is larger than the tile, contains negative
     /// entries, or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
-        let mapping =
-            ConductanceMapping::for_matrix(self.params.pcm.g_min, self.params.pcm.g_max, m);
-        self.program_matrix_with_mapping(m, mapping, rng)
+        self.program_matrix_at(0, m, rng)
     }
 
-    /// Programs a non-negative matrix under an explicit mapping (shared
-    /// across the tiles of a differential pair) into the window of its
-    /// own shape, via one batched program-and-verify pass over the
-    /// window's devices.
+    /// Programs a non-negative matrix into a block of its own shape at
+    /// column `col`, deriving the mapping from its largest entry.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is larger than the tile or contains negative
-    /// entries.
+    /// Panics if the block leaves the tile, or the matrix contains
+    /// negative entries or is all zeros.
+    pub fn program_matrix_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        m: &Matrix,
+        rng: &mut R,
+    ) -> OperationCost {
+        let mapping =
+            ConductanceMapping::for_matrix(self.params.pcm.g_min, self.params.pcm.g_max, m);
+        self.program_matrix_with_mapping(col, m, mapping, rng)
+    }
+
+    /// Programs a non-negative matrix under an explicit mapping (shared
+    /// across the tiles of a differential pair) into a block of its own
+    /// shape at column `col`, via one batched program-and-verify pass
+    /// over the block's devices. The block replaces every block whose
+    /// columns it overlaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block leaves the tile or the matrix contains
+    /// negative entries.
     pub fn program_matrix_with_mapping<R: Rng + ?Sized>(
         &mut self,
+        col: usize,
         m: &Matrix,
         mapping: ConductanceMapping,
         rng: &mut R,
     ) -> OperationCost {
         let window = (m.rows(), m.cols());
         assert!(
-            window.0 <= self.rows && window.1 <= self.cols,
-            "a {}x{} matrix does not fit the {}x{} tile",
+            window.0 <= self.rows && col + window.1 <= self.cols,
+            "a {}x{} matrix at column {col} does not fit the {}x{} tile",
             window.0,
             window.1,
             self.rows,
@@ -303,9 +351,18 @@ impl AnalogCrossbar {
             .collect();
         let report =
             self.bank
-                .program_and_verify(window, &targets, self.params.program_tolerance, rng);
-        self.mapping = Some(mapping);
-        self.window = window;
+                .program_and_verify(col, window, &targets, self.params.program_tolerance, rng);
+        self.blocks.retain(|b| !b.overlaps(col, window.1));
+        let at = self.blocks.partition_point(|b| b.col < col);
+        self.blocks.insert(
+            at,
+            Block {
+                col,
+                rows: window.0,
+                cols: window.1,
+                mapping,
+            },
+        );
         self.stats.programs += 1;
         self.stats.program_pulses += report.pulses;
         self.stats.energy += report.energy;
@@ -320,13 +377,12 @@ impl AnalogCrossbar {
 
     /// RESETs every device programmed since the last erase to `g_min`
     /// (one pulse per device not already there, booked in the wear
-    /// ledger and in the stats' pulses, energy and busy time) and clears
-    /// the mapping, so the tile reads as unprogrammed. Draws no random
+    /// ledger and in the stats' pulses, energy and busy time) and drops
+    /// every block, so the tile reads as unprogrammed. Draws no random
     /// numbers and needs no mapping. Returns the erase cost.
     pub fn erase(&mut self) -> OperationCost {
         let report = self.bank.erase();
-        self.mapping = None;
-        self.window = (0, 0);
+        self.blocks.clear();
         self.stats.program_pulses += report.pulses;
         self.stats.energy += report.energy;
         self.stats.busy_time += report.latency;
@@ -336,46 +392,86 @@ impl AnalogCrossbar {
         }
     }
 
-    /// The matrix the tile currently encodes (window-shaped), decoded
-    /// from programmed (noise-free, pre-drift) conductances.
+    /// The block whose first column is `col`.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed.
+    /// Panics if the tile is not programmed, or no block starts at
+    /// `col`.
+    fn block(&self, col: usize) -> Block {
+        assert!(!self.blocks.is_empty(), "crossbar not programmed");
+        match self.blocks.iter().find(|b| b.col == col) {
+            Some(block) => *block,
+            None => panic!("no matrix block starts at column {col}"),
+        }
+    }
+
+    /// The matrix the block at column 0 encodes, decoded from programmed
+    /// (noise-free, pre-drift) conductances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile is not programmed or holds no block at
+    /// column 0.
     pub fn stored_matrix(&self) -> Matrix {
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => panic!("crossbar not programmed"),
-        };
-        let (rows, cols) = self.window;
-        Matrix::from_fn(rows, cols, |i, j| {
-            mapping.conductance_to_weight(cim_simkit::units::Siemens(self.bank.extent_row(i)[j]))
+        self.stored_matrix_at(0)
+    }
+
+    /// The matrix the block at column `col` encodes, decoded from
+    /// programmed (noise-free, pre-drift) conductances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile is not programmed or no block starts at `col`.
+    pub fn stored_matrix_at(&self, col: usize) -> Matrix {
+        let block = self.block(col);
+        Matrix::from_fn(block.rows, block.cols, |i, j| {
+            block
+                .mapping
+                .conductance_to_weight(cim_simkit::units::Siemens(self.bank.extent_row(i)[col + j]))
         })
     }
 
-    /// Forward analog product `y = A·x` over the window (`x.len()` is the
-    /// window's columns, the output length its rows).
+    /// Forward analog product `y = A·x` over the block at column 0
+    /// (`x.len()` is the block's columns, the output length its rows).
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `x` does not match the
-    /// window's columns.
+    /// Panics if the tile holds no block at column 0 or `x` does not
+    /// match the block's columns.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_with_cost(x, rng).0
+        self.matvec_at(0, x, rng).0
     }
 
-    /// Forward analog product returning the operation cost alongside.
+    /// Forward analog product over the block at column 0, returning the
+    /// operation cost alongside.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `x` does not match the
-    /// window's columns.
+    /// Panics if the tile holds no block at column 0 or `x` does not
+    /// match the block's columns.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (y, cost, samples) = self.product(x, true, rng);
+        self.matvec_at(0, x, rng)
+    }
+
+    /// Forward analog product `y = A·x` over the block at column `col`,
+    /// returning the operation cost alongside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col` or `x` does not match the
+    /// block's columns.
+    pub fn matvec_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        x: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (y, cost, samples) = self.product(col, x, true, rng);
         self.stats.mvms += 1;
         self.note_samples(samples);
         self.stats.energy += cost.energy;
@@ -383,31 +479,48 @@ impl AnalogCrossbar {
         (y, cost)
     }
 
-    /// Transpose analog product `x = Aᵀ·z` over the window (`z.len()` is
-    /// the window's rows, the output length its columns), driving the
-    /// other axis of the *same* programmed array — the reuse AMP
-    /// exploits.
+    /// Transpose analog product `x = Aᵀ·z` over the block at column 0
+    /// (`z.len()` is the block's rows, the output length its columns),
+    /// driving the other axis of the *same* programmed array — the reuse
+    /// AMP exploits.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `z` does not match the
-    /// window's rows.
+    /// Panics if the tile holds no block at column 0 or `z` does not
+    /// match the block's rows.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_t_with_cost(z, rng).0
+        self.matvec_t_at(0, z, rng).0
     }
 
-    /// Transpose analog product returning the operation cost alongside.
+    /// Transpose analog product over the block at column 0, returning
+    /// the operation cost alongside.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `z` does not match the
-    /// window's rows.
+    /// Panics if the tile holds no block at column 0 or `z` does not
+    /// match the block's rows.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (y, cost, samples) = self.product(z, false, rng);
+        self.matvec_t_at(0, z, rng)
+    }
+
+    /// Transpose analog product `x = Aᵀ·z` over the block at column
+    /// `col`, returning the operation cost alongside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col` or `z` does not match the
+    /// block's rows.
+    pub fn matvec_t_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        z: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (y, cost, samples) = self.product(col, z, false, rng);
         self.stats.transpose_mvms += 1;
         self.note_samples(samples);
         self.stats.energy += cost.energy;
@@ -415,13 +528,14 @@ impl AnalogCrossbar {
         (y, cost)
     }
 
-    /// The product `A·x` computed from programmed conductances without
-    /// noise, drift or quantization — the tile's "intent", used to isolate
-    /// programming error in experiments.
+    /// The product `A·x` computed from the block at column 0's
+    /// programmed conductances without noise, drift or quantization —
+    /// the tile's "intent", used to isolate programming error in
+    /// experiments.
     ///
     /// # Panics
     ///
-    /// Panics if the tile was never programmed.
+    /// Panics if the tile holds no block at column 0.
     pub fn ideal_matvec(&self, x: &[f64]) -> Vec<f64> {
         self.stored_matrix().matvec(x)
     }
@@ -434,29 +548,31 @@ impl AnalogCrossbar {
         }
     }
 
-    /// Shared vectorized analog read path over the window. `forward ==
-    /// true` computes `A·x` (inputs indexed by matrix column), `forward
-    /// == false` computes `Aᵀ·z` (inputs indexed by matrix row). The
-    /// third return is the number of aggregate stochastic samples drawn
-    /// (one per output line on the sampled tier, zero on the nominal
-    /// tier).
+    /// Shared vectorized analog read path over the block at column
+    /// `col`. `forward == true` computes `A·x` (inputs indexed by matrix
+    /// column), `forward == false` computes `Aᵀ·z` (inputs indexed by
+    /// matrix row). The third return is the number of aggregate
+    /// stochastic samples drawn (one per output line on the sampled
+    /// tier, zero on the nominal tier).
     fn product<R: Rng + ?Sized>(
         &mut self,
+        col: usize,
         input: &[f64],
         forward: bool,
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost, u64) {
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => panic!("crossbar not programmed"),
-        };
+        let Block {
+            rows,
+            cols,
+            mapping,
+            ..
+        } = self.block(col);
         let p = self.params;
-        let (rows, cols) = self.window;
         let (n_in, n_out) = if forward { (cols, rows) } else { (rows, cols) };
         assert_eq!(
             input.len(),
             n_in,
-            "input length must equal the window's {}",
+            "input length must equal the block's {}",
             if forward { "columns" } else { "rows" }
         );
 
@@ -502,32 +618,37 @@ impl AnalogCrossbar {
         if forward {
             let mut first = 0;
             while first < n_out {
-                let kernel = match (n_out - first, sampled) {
-                    (1, false) => fold_lines::<1, false>,
-                    (2, false) => fold_lines::<2, false>,
-                    (3, false) => fold_lines::<3, false>,
-                    (_, false) => fold_lines::<BLOCK_LINES, false>,
-                    (1, true) => fold_lines::<1, true>,
-                    (2, true) => fold_lines::<2, true>,
-                    (3, true) => fold_lines::<3, true>,
-                    (_, true) => fold_lines::<BLOCK_LINES, true>,
+                let (lines, kernel): (usize, Kernel) = match (n_out - first, sampled) {
+                    (1, false) => (1, fold_lines::<1, false>),
+                    (2, false) => (2, fold_lines::<2, false>),
+                    (3, false) => (3, fold_lines::<3, false>),
+                    (_, false) => (BLOCK_LINES, fold_lines::<BLOCK_LINES, false>),
+                    (1, true) => (1, fold_lines::<1, true>),
+                    (2, true) => (2, fold_lines::<2, true>),
+                    (3, true) => (3, fold_lines::<3, true>),
+                    (_, true) => (BLOCK_LINES, fold_lines::<BLOCK_LINES, true>),
                 };
-                first += kernel(
-                    bank,
-                    first,
+                let rows: [&[f64]; BLOCK_LINES] = std::array::from_fn(|l| match l < lines {
+                    true => &bank.extent_row(first + l)[col..col + n_in],
+                    false => &[],
+                });
+                let outputs = first..first + lines;
+                kernel(
+                    &rows,
                     &volts,
                     drift,
-                    &mut currents,
-                    &mut sq,
+                    &mut currents[outputs.clone()],
+                    sq.get_mut(outputs).unwrap_or_default(),
                     &mut device_power,
                 );
+                first += lines;
             }
         } else {
             for (i, &v) in volts.iter().enumerate() {
                 if v == 0.0 {
                     continue;
                 }
-                let row = &bank.extent_row(i)[..cols];
+                let row = &bank.extent_row(i)[col..col + cols];
                 if sampled {
                     for ((current, s), &gp) in currents.iter_mut().zip(sq.iter_mut()).zip(row) {
                         let t = v * (gp * drift);
@@ -594,25 +715,27 @@ impl AnalogCrossbar {
 /// voltages.
 const BLOCK_LINES: usize = 4;
 
-/// The blocked forward kernel: folds output lines `first..first + N` of
-/// `A·x` in one pass over the row voltages `volts`, with the per-device
-/// drifted conductance `g·drift` formed in the loop. Each line keeps its
-/// own `Σ V·g` (into `currents`), `Σ (V·g)²` (into `sq`, on the
-/// `SAMPLED` tier only) and device power, each folded in column order,
-/// and the lines' powers are added to `device_power` line by line — so
-/// every value is bit-identical to folding one line at a time. Returns
-/// `N`, the lines folded.
+/// A forward kernel: [`fold_lines`] for one line count and tier.
+type Kernel = fn(&[&[f64]; BLOCK_LINES], &[f64], f64, &mut [f64], &mut [f64], &mut f64);
+
+/// The blocked forward kernel: folds the first `N` of `rows` (a block's
+/// output lines, each the block's conductances of one row) in one pass
+/// over the row voltages `volts`, with the per-device drifted
+/// conductance `g·drift` formed in the loop. Each line keeps its own
+/// `Σ V·g` (into `currents`), `Σ (V·g)²` (into `sq`, on the `SAMPLED`
+/// tier only) and device power, each folded in column order, and the
+/// lines' powers are added to `device_power` line by line — so every
+/// value is bit-identical to folding one line at a time.
 fn fold_lines<const N: usize, const SAMPLED: bool>(
-    bank: &PcmBank,
-    first: usize,
+    rows: &[&[f64]; BLOCK_LINES],
     volts: &[f64],
     drift: f64,
     currents: &mut [f64],
     sq: &mut [f64],
     device_power: &mut f64,
-) -> usize {
+) {
     let n = volts.len();
-    let lines: [&[f64]; N] = std::array::from_fn(|l| &bank.extent_row(first + l)[..n]);
+    let lines: [&[f64]; N] = std::array::from_fn(|l| &rows[l][..n]);
     let mut sum = [0.0f64; N];
     let mut sumsq = [0.0f64; N];
     let mut power = [0.0f64; N];
@@ -626,20 +749,19 @@ fn fold_lines<const N: usize, const SAMPLED: bool>(
             power[l] += v * t;
         }
     }
-    currents[first..first + N].copy_from_slice(&sum);
+    currents.copy_from_slice(&sum);
     if SAMPLED {
-        sq[first..first + N].copy_from_slice(&sumsq);
+        sq.copy_from_slice(&sumsq);
     }
     for p in power {
         *device_power += p;
     }
-    N
 }
 
 /// A signed-matrix crossbar: positive and negative parts on two tiles,
-/// combined by a subtraction circuit. Both tiles hold the matrix in the
-/// same window and erase together (see
-/// [Windows and erase](self#windows-and-erase)).
+/// combined by a subtraction circuit. Both tiles hold each matrix in the
+/// same column block and erase together (see
+/// [Blocks and erase](self#blocks-and-erase)).
 #[derive(Debug, Clone)]
 pub struct DifferentialCrossbar {
     positive: AnalogCrossbar,
@@ -665,15 +787,30 @@ impl DifferentialCrossbar {
         (&self.positive, &self.negative)
     }
 
-    /// Programs a signed matrix into the window of its own shape: its
-    /// positive part on one tile, the magnitude of its negative part on
-    /// the other, under one shared mapping so the subtraction is
-    /// consistent.
+    /// Programs a signed matrix into the block at column 0 (see
+    /// [`Self::program_matrix_at`]).
     ///
     /// # Panics
     ///
     /// Panics if the matrix is larger than the tiles or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
+        self.program_matrix_at(0, m, rng)
+    }
+
+    /// Programs a signed matrix into a block of its own shape at column
+    /// `col`: its positive part on one tile, the magnitude of its
+    /// negative part on the other, under one shared mapping so the
+    /// subtraction is consistent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block leaves the tiles or the matrix is all zeros.
+    pub fn program_matrix_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        m: &Matrix,
+        rng: &mut R,
+    ) -> OperationCost {
         let mapping = ConductanceMapping::for_matrix(
             self.positive.params.pcm.g_min,
             self.positive.params.pcm.g_max,
@@ -682,10 +819,10 @@ impl DifferentialCrossbar {
         let (pos, neg) = split_signed(m);
         let c1 = self
             .positive
-            .program_matrix_with_mapping(&pos, mapping, rng);
+            .program_matrix_with_mapping(col, &pos, mapping, rng);
         let c2 = self
             .negative
-            .program_matrix_with_mapping(&neg, mapping, rng);
+            .program_matrix_with_mapping(col, &neg, mapping, rng);
         OperationCost {
             energy: c1.energy + c2.energy,
             // The two tiles program in parallel.
@@ -701,33 +838,54 @@ impl DifferentialCrossbar {
         c1.alongside(c2)
     }
 
-    /// The signed matrix currently encoded (positive tile minus negative
-    /// tile, noise-free view).
+    /// The signed matrix the block at column 0 encodes (positive tile
+    /// minus negative tile, noise-free view).
     ///
     /// # Panics
     ///
-    /// Panics if the pair was never programmed.
+    /// Panics if the pair holds no block at column 0.
     pub fn stored_matrix(&self) -> Matrix {
-        let p = self.positive.stored_matrix();
-        let n = self.negative.stored_matrix();
+        self.stored_matrix_at(0)
+    }
+
+    /// The signed matrix the block at column `col` encodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col`.
+    pub fn stored_matrix_at(&self, col: usize) -> Matrix {
+        let p = self.positive.stored_matrix_at(col);
+        let n = self.negative.stored_matrix_at(col);
         Matrix::from_fn(p.rows(), p.cols(), |i, j| p.get(i, j) - n.get(i, j))
     }
 
-    /// Forward product `y = A·x` through both tiles and the subtraction
-    /// circuit.
+    /// Forward product `y = A·x` over the block at column 0, through
+    /// both tiles and the subtraction circuit.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_with_cost(x, rng).0
+        self.matvec_at(0, x, rng).0
     }
 
-    /// Forward product with its operation cost (both tiles read in
-    /// parallel: energies add, latencies overlap).
+    /// Forward product over the block at column 0 with its operation
+    /// cost.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (yp, cp) = self.positive.matvec_with_cost(x, rng);
-        let (yn, cn) = self.negative.matvec_with_cost(x, rng);
+        self.matvec_at(0, x, rng)
+    }
+
+    /// Forward product over the block at column `col` with its operation
+    /// cost (both tiles read in parallel: energies add, latencies
+    /// overlap).
+    pub fn matvec_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        x: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (yp, cp) = self.positive.matvec_at(col, x, rng);
+        let (yn, cn) = self.negative.matvec_at(col, x, rng);
         let y = yp.iter().zip(&yn).map(|(a, b)| a - b).collect();
         (
             y,
@@ -738,19 +896,32 @@ impl DifferentialCrossbar {
         )
     }
 
-    /// Transpose product `x = Aᵀ·z` through both tiles.
+    /// Transpose product `x = Aᵀ·z` over the block at column 0, through
+    /// both tiles.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_t_with_cost(z, rng).0
+        self.matvec_t_at(0, z, rng).0
     }
 
-    /// Transpose product with its operation cost (tiles in parallel).
+    /// Transpose product over the block at column 0 with its operation
+    /// cost.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (yp, cp) = self.positive.matvec_t_with_cost(z, rng);
-        let (yn, cn) = self.negative.matvec_t_with_cost(z, rng);
+        self.matvec_t_at(0, z, rng)
+    }
+
+    /// Transpose product over the block at column `col` with its
+    /// operation cost (tiles in parallel).
+    pub fn matvec_t_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        z: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (yp, cp) = self.positive.matvec_t_at(col, z, rng);
+        let (yn, cn) = self.negative.matvec_t_at(col, z, rng);
         let y = yp.iter().zip(&yn).map(|(a, b)| a - b).collect();
         (y, cp.alongside(cn))
     }
@@ -971,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn window_products_drive_and_convert_only_its_lines() {
+    fn block_products_drive_and_convert_only_its_lines() {
         let mut rng = seeded(15);
         let params = AnalogParams::ideal();
         let a = test_matrix(3, 5);
@@ -980,7 +1151,7 @@ mod tests {
         let stored = xbar.stored_matrix();
         assert_eq!((stored.rows(), stored.cols()), (3, 5));
         assert_eq!(stored.as_slice(), a.as_slice());
-        // Only the window's 15 devices were written.
+        // Only the block's 15 devices were written.
         assert_eq!(xbar.bank().extent(), (3, 5));
         let x: Vec<f64> = (0..5).map(|i| i as f64 / 5.0 - 0.4).collect();
         let y = xbar.matvec(&x, &mut rng);
@@ -988,7 +1159,7 @@ mod tests {
         assert!(rmse(&a.matvec(&x), &y) < 1e-3);
         let z = [0.3, -0.2, 0.5];
         assert!(rmse(&a.matvec_t(&z), &xbar.matvec_t(&z, &mut rng)) < 1e-3);
-        // The converters are priced for the window's 5 inputs and 3
+        // The converters are priced for the block's 5 inputs and 3
         // outputs (forward) and 3 inputs and 5 outputs (transpose).
         let model = CrossbarEnergyModel::for_tile(8, 8, params.adc_bits);
         let (_, cost) = xbar.matvec_with_cost(&[0.0; 5], &mut rng);
@@ -1004,7 +1175,7 @@ mod tests {
         let mut xbar = AnalogCrossbar::new(6, 10, params);
         xbar.program_matrix(&test_matrix(6, 10), &mut rng);
         xbar.program_matrix(&test_matrix(2, 3), &mut rng);
-        assert_eq!(xbar.bank().extent(), (6, 10), "the union of both windows");
+        assert_eq!(xbar.bank().extent(), (6, 10), "the union of both blocks");
         let off_g_min = xbar
             .bank()
             .conductances()
@@ -1029,6 +1200,89 @@ mod tests {
     }
 
     #[test]
+    fn blocks_side_by_side_read_like_tiles_of_their_own() {
+        let params = AnalogParams::default();
+        let (a, b) = (test_matrix(6, 5), test_matrix(3, 4));
+        let mut shared = DifferentialCrossbar::new(8, 12, params);
+        let mut first = DifferentialCrossbar::new(8, 12, params);
+        let mut second = DifferentialCrossbar::new(8, 12, params);
+        let (mut rng_shared, mut rng_alone) = (seeded(19), seeded(19));
+        // The same draws in the same order: A at column 0, then B at
+        // column 5 of one tile, against A and B on tiles of their own.
+        let costs = (
+            shared.program_matrix_at(0, &a, &mut rng_shared),
+            shared.program_matrix_at(5, &b, &mut rng_shared),
+        );
+        assert_eq!(costs.0, first.program_matrix(&a, &mut rng_alone));
+        assert_eq!(costs.1, second.program_matrix(&b, &mut rng_alone));
+        assert_eq!(shared.stored_matrix_at(5), second.stored_matrix());
+        let x: Vec<f64> = (0..5).map(|i| i as f64 / 5.0 - 0.3).collect();
+        let z = [0.4, -0.1, 0.2];
+        for _ in 0..3 {
+            assert_eq!(
+                shared.matvec_at(0, &x, &mut rng_shared),
+                first.matvec_with_cost(&x, &mut rng_alone)
+            );
+            assert_eq!(
+                shared.matvec_at(5, &x[..4], &mut rng_shared),
+                second.matvec_with_cost(&x[..4], &mut rng_alone)
+            );
+            assert_eq!(
+                shared.matvec_t_at(5, &z, &mut rng_shared),
+                second.matvec_t_with_cost(&z, &mut rng_alone)
+            );
+        }
+        let merged = first.stats().merged(&second.stats());
+        let stats = shared.stats();
+        assert_eq!(
+            (stats.programs, stats.program_pulses, stats.noise_samples),
+            (merged.programs, merged.program_pulses, merged.noise_samples)
+        );
+        // An erase RESETs both blocks, as erasing both tiles would, and
+        // drops them.
+        shared.erase();
+        first.erase();
+        second.erase();
+        let merged = first.stats().merged(&second.stats());
+        assert_eq!(shared.stats().program_pulses, merged.program_pulses);
+        let (positive, _) = shared.tiles();
+        assert!(positive.mapping_at(5).is_none());
+    }
+
+    #[test]
+    fn a_program_replaces_the_blocks_it_overlaps() {
+        let mut rng = seeded(20);
+        let mut xbar = AnalogCrossbar::new(4, 10, AnalogParams::ideal());
+        xbar.program_matrix_at(0, &test_matrix(2, 3), &mut rng);
+        xbar.program_matrix_at(3, &test_matrix(2, 3), &mut rng);
+        xbar.program_matrix_at(7, &test_matrix(2, 3), &mut rng);
+        xbar.program_matrix_at(2, &test_matrix(4, 2), &mut rng);
+        assert!(xbar.mapping_at(0).is_none() && xbar.mapping_at(3).is_none());
+        assert!(xbar.mapping_at(2).is_some() && xbar.mapping_at(7).is_some());
+        assert_eq!(
+            xbar.stored_matrix_at(2).as_slice(),
+            test_matrix(4, 2).as_slice()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no matrix block starts at column 1")]
+    fn products_address_a_block_by_its_first_column() {
+        let mut rng = seeded(21);
+        let mut xbar = AnalogCrossbar::new(4, 8, AnalogParams::default());
+        xbar.program_matrix_at(0, &test_matrix(4, 2), &mut rng);
+        let _ = xbar.matvec_at(1, &[0.5; 2], &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "at column 6 does not fit the 4x8 tile")]
+    fn a_block_past_the_last_column_panics() {
+        let mut rng = seeded(22);
+        let mut xbar = AnalogCrossbar::new(4, 8, AnalogParams::default());
+        xbar.program_matrix_at(6, &test_matrix(4, 3), &mut rng);
+    }
+
+    #[test]
     #[should_panic(expected = "does not fit the 4x4 tile")]
     fn oversized_matrix_panics() {
         let mut rng = seeded(17);
@@ -1037,8 +1291,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window's columns")]
-    fn matvec_checks_the_window_width() {
+    #[should_panic(expected = "block's columns")]
+    fn matvec_checks_the_block_width() {
         let mut rng = seeded(18);
         let mut xbar = AnalogCrossbar::new(4, 4, AnalogParams::default());
         xbar.program_matrix(&test_matrix(4, 2), &mut rng);
@@ -1060,7 +1314,7 @@ mod tests {
         let mut xbar = AnalogCrossbar::new(2, 2, AnalogParams::default());
         let m = Matrix::from_rows(&[&[1.0, -1.0], &[0.0, 0.0]]);
         let mapping = ConductanceMapping::new(Siemens(0.1e-6), Siemens(20e-6), 1.0);
-        xbar.program_matrix_with_mapping(&m, mapping, &mut rng);
+        xbar.program_matrix_with_mapping(0, &m, mapping, &mut rng);
     }
 
     #[test]

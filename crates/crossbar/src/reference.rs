@@ -240,19 +240,19 @@ impl ReferenceDigitalArray {
 /// draws per-device read noise in a scalar double loop, so its
 /// [`CrossbarStats::noise_samples`] counts one sample per
 /// (nonzero input line × output line) per MVM. Matrices occupy the same
-/// origin-anchored windows as on the fast path, and [`Self::erase`]
-/// RESETs every device of the tile that is off `g_min`, so it checks the
-/// fast path's extent bookkeeping rather than sharing it.
+/// column blocks as on the fast path (anchored at row 0 and their first
+/// column, each with its own mapping, a program replacing the blocks it
+/// overlaps), and [`Self::erase`] RESETs every device of the tile that
+/// is off `g_min`, so it checks the fast path's extent bookkeeping
+/// rather than sharing it.
 #[derive(Debug, Clone)]
 pub struct ReferenceAnalogCrossbar {
     rows: usize,
     cols: usize,
     params: AnalogParams,
     devices: Vec<PcmDevice>,
-    mapping: Option<ConductanceMapping>,
-    /// `(rows, cols)` of the programmed matrix; `(0, 0)` when
-    /// unprogrammed.
-    window: (usize, usize),
+    /// `(col, rows, cols, mapping)` of each programmed block.
+    blocks: Vec<(usize, usize, usize, ConductanceMapping)>,
     energy_model: CrossbarEnergyModel,
     stats: CrossbarStats,
 }
@@ -274,8 +274,7 @@ impl ReferenceAnalogCrossbar {
             cols,
             params,
             devices,
-            mapping: None,
-            window: (0, 0),
+            blocks: Vec::new(),
             energy_model,
             stats: CrossbarStats::default(),
         }
@@ -296,9 +295,26 @@ impl ReferenceAnalogCrossbar {
         &self.stats
     }
 
-    /// The active weight↔conductance mapping, if programmed.
+    /// The weight↔conductance mapping of the block at column 0, if one
+    /// is programmed.
     pub fn mapping(&self) -> Option<&ConductanceMapping> {
-        self.mapping.as_ref()
+        self.blocks
+            .iter()
+            .find(|b| b.0 == 0)
+            .map(|(_, _, _, mapping)| mapping)
+    }
+
+    /// The `(rows, cols, mapping)` of the block starting at `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile is not programmed or no block starts at `col`.
+    fn block(&self, col: usize) -> (usize, usize, ConductanceMapping) {
+        assert!(!self.blocks.is_empty(), "crossbar not programmed");
+        match self.blocks.iter().find(|b| b.0 == col) {
+            Some(&(_, rows, cols, mapping)) => (rows, cols, mapping),
+            None => panic!("no matrix block starts at column {col}"),
+        }
     }
 
     /// The device at `(row, col)`.
@@ -311,7 +327,7 @@ impl ReferenceAnalogCrossbar {
         &self.devices[row * self.cols + col]
     }
 
-    /// Programs a non-negative matrix into the window of its own shape,
+    /// Programs a non-negative matrix into the block at column 0,
     /// deriving the mapping from its largest entry. Returns the total
     /// programming cost.
     ///
@@ -322,26 +338,27 @@ impl ReferenceAnalogCrossbar {
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
         let mapping =
             ConductanceMapping::for_matrix(self.params.pcm.g_min, self.params.pcm.g_max, m);
-        self.program_matrix_with_mapping(m, mapping, rng)
+        self.program_matrix_with_mapping(0, m, mapping, rng)
     }
 
-    /// Programs a non-negative matrix under an explicit mapping into the
-    /// window of its own shape, running program-and-verify per device
-    /// with one RNG draw per pulse.
+    /// Programs a non-negative matrix under an explicit mapping into a
+    /// block of its own shape at column `col`, running program-and-verify
+    /// per device with one RNG draw per pulse.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is larger than the tile or contains negative
-    /// entries.
+    /// Panics if the block leaves the tile or the matrix contains
+    /// negative entries.
     pub fn program_matrix_with_mapping<R: Rng + ?Sized>(
         &mut self,
+        col: usize,
         m: &Matrix,
         mapping: ConductanceMapping,
         rng: &mut R,
     ) -> OperationCost {
         assert!(
-            m.rows() <= self.rows && m.cols() <= self.cols,
-            "a {}x{} matrix does not fit the {}x{} tile",
+            m.rows() <= self.rows && col + m.cols() <= self.cols,
+            "a {}x{} matrix at column {col} does not fit the {}x{} tile",
             m.rows(),
             m.cols(),
             self.rows,
@@ -355,7 +372,7 @@ impl ReferenceAnalogCrossbar {
                 let w = m.get(i, j);
                 assert!(w >= 0.0, "negative weight {w} on a single-ended tile");
                 let target = mapping.weight_to_conductance(w);
-                let report = self.devices[i * self.cols + j].program_and_verify(
+                let report = self.devices[i * self.cols + col + j].program_and_verify(
                     target,
                     self.params.program_tolerance,
                     rng,
@@ -367,8 +384,9 @@ impl ReferenceAnalogCrossbar {
                 latency = latency.max(report.latency);
             }
         }
-        self.mapping = Some(mapping);
-        self.window = (m.rows(), m.cols());
+        let end = col + m.cols();
+        self.blocks.retain(|b| b.0 >= end || b.0 + b.2 <= col);
+        self.blocks.push((col, m.rows(), m.cols(), mapping));
         self.stats.programs += 1;
         self.stats.program_pulses += pulses;
         self.stats.energy += energy;
@@ -388,52 +406,76 @@ impl ReferenceAnalogCrossbar {
         } else {
             Seconds::ZERO
         };
-        self.mapping = None;
-        self.window = (0, 0);
+        self.blocks.clear();
         self.stats.program_pulses += pulses;
         self.stats.energy += energy;
         self.stats.busy_time += latency;
         OperationCost { energy, latency }
     }
 
-    /// The matrix the tile currently encodes (window-shaped), decoded
-    /// from programmed (noise-free, pre-drift) conductances.
+    /// The matrix the block at column 0 encodes, decoded from programmed
+    /// (noise-free, pre-drift) conductances.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed.
+    /// Panics if the tile holds no block at column 0.
     pub fn stored_matrix(&self) -> Matrix {
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => panic!("crossbar not programmed"),
-        };
-        Matrix::from_fn(self.window.0, self.window.1, |i, j| {
-            mapping.conductance_to_weight(self.devices[i * self.cols + j].programmed_conductance())
+        self.stored_matrix_at(0)
+    }
+
+    /// The matrix the block at column `col` encodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col`.
+    pub fn stored_matrix_at(&self, col: usize) -> Matrix {
+        let (rows, cols, mapping) = self.block(col);
+        Matrix::from_fn(rows, cols, |i, j| {
+            mapping.conductance_to_weight(
+                self.devices[i * self.cols + col + j].programmed_conductance(),
+            )
         })
     }
 
-    /// Forward analog product `y = A·x` over the window.
+    /// Forward analog product `y = A·x` over the block at column 0.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `x` does not match the
-    /// window's columns.
+    /// Panics if the tile holds no block at column 0 or `x` does not
+    /// match the block's columns.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_with_cost(x, rng).0
+        self.matvec_at(0, x, rng).0
     }
 
-    /// Forward analog product returning the operation cost alongside.
+    /// Forward analog product over the block at column 0, returning the
+    /// operation cost alongside.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `x` does not match the
-    /// window's columns.
+    /// Panics if the tile holds no block at column 0 or `x` does not
+    /// match the block's columns.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (y, cost, samples) = self.product(x, true, rng);
+        self.matvec_at(0, x, rng)
+    }
+
+    /// Forward analog product over the block at column `col`, returning
+    /// the operation cost alongside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col` or `x` does not match the
+    /// block's columns.
+    pub fn matvec_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        x: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (y, cost, samples) = self.product(col, x, true, rng);
         self.stats.mvms += 1;
         self.stats.noise_samples += samples;
         self.stats.energy += cost.energy;
@@ -441,28 +483,45 @@ impl ReferenceAnalogCrossbar {
         (y, cost)
     }
 
-    /// Transpose analog product `x = Aᵀ·z` over the window.
+    /// Transpose analog product `x = Aᵀ·z` over the block at column 0.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `z` does not match the
-    /// window's rows.
+    /// Panics if the tile holds no block at column 0 or `z` does not
+    /// match the block's rows.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_t_with_cost(z, rng).0
+        self.matvec_t_at(0, z, rng).0
     }
 
-    /// Transpose analog product returning the operation cost alongside.
+    /// Transpose analog product over the block at column 0, returning
+    /// the operation cost alongside.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is not programmed or `z` does not match the
-    /// window's rows.
+    /// Panics if the tile holds no block at column 0 or `z` does not
+    /// match the block's rows.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (y, cost, samples) = self.product(z, false, rng);
+        self.matvec_t_at(0, z, rng)
+    }
+
+    /// Transpose analog product over the block at column `col`,
+    /// returning the operation cost alongside.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col` or `z` does not match the
+    /// block's rows.
+    pub fn matvec_t_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        z: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (y, cost, samples) = self.product(col, z, false, rng);
         self.stats.transpose_mvms += 1;
         self.stats.noise_samples += samples;
         self.stats.energy += cost.energy;
@@ -480,26 +539,24 @@ impl ReferenceAnalogCrossbar {
         self.stored_matrix().matvec(x)
     }
 
-    /// The pre-refactor analog read path: a scalar double loop drawing one
-    /// stochastic read per activated device. The third return is the
-    /// number of per-device samples drawn.
+    /// The pre-refactor analog read path over the block at column `col`:
+    /// a scalar double loop drawing one stochastic read per activated
+    /// device. The third return is the number of per-device samples
+    /// drawn.
     fn product<R: Rng + ?Sized>(
         &self,
+        col: usize,
         input: &[f64],
         forward: bool,
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost, u64) {
-        let mapping = match self.mapping {
-            Some(m) => m,
-            None => panic!("crossbar not programmed"),
-        };
+        let (rows, cols, mapping) = self.block(col);
         let p = &self.params;
-        let (rows, cols) = self.window;
         let (n_in, n_out) = if forward { (cols, rows) } else { (rows, cols) };
         assert_eq!(
             input.len(),
             n_in,
-            "input length must equal the window's {}",
+            "input length must equal the block's {}",
             if forward { "columns" } else { "rows" }
         );
 
@@ -531,9 +588,9 @@ impl ReferenceAnalogCrossbar {
             samples += n_out as u64;
             for (j, current) in currents.iter_mut().enumerate() {
                 let idx = if forward {
-                    j * self.cols + i
+                    j * self.cols + col + i
                 } else {
-                    i * self.cols + j
+                    i * self.cols + col + j
                 };
                 let g = self.devices[idx].read(p.age, rng).0;
                 *current += v * g;
@@ -592,14 +649,29 @@ impl ReferenceDifferentialCrossbar {
         (&self.positive, &self.negative)
     }
 
-    /// Programs a signed matrix into the window of its own shape under
-    /// one shared mapping, positive part first then negative magnitudes
-    /// (device-major RNG order within each tile).
+    /// Programs a signed matrix into the block at column 0 (see
+    /// [`Self::program_matrix_at`]).
     ///
     /// # Panics
     ///
     /// Panics if the matrix is larger than the tiles or is all zeros.
     pub fn program_matrix<R: Rng + ?Sized>(&mut self, m: &Matrix, rng: &mut R) -> OperationCost {
+        self.program_matrix_at(0, m, rng)
+    }
+
+    /// Programs a signed matrix into a block of its own shape at column
+    /// `col` under one shared mapping, positive part first then negative
+    /// magnitudes (device-major RNG order within each tile).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block leaves the tiles or the matrix is all zeros.
+    pub fn program_matrix_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        m: &Matrix,
+        rng: &mut R,
+    ) -> OperationCost {
         let mapping = ConductanceMapping::for_matrix(
             self.positive.params.pcm.g_min,
             self.positive.params.pcm.g_max,
@@ -608,10 +680,10 @@ impl ReferenceDifferentialCrossbar {
         let (pos, neg) = split_signed(m);
         let c1 = self
             .positive
-            .program_matrix_with_mapping(&pos, mapping, rng);
+            .program_matrix_with_mapping(col, &pos, mapping, rng);
         let c2 = self
             .negative
-            .program_matrix_with_mapping(&neg, mapping, rng);
+            .program_matrix_with_mapping(col, &neg, mapping, rng);
         OperationCost {
             energy: c1.energy + c2.energy,
             // The two tiles program in parallel.
@@ -626,30 +698,53 @@ impl ReferenceDifferentialCrossbar {
         c1.alongside(c2)
     }
 
-    /// The signed matrix currently encoded (noise-free view).
+    /// The signed matrix the block at column 0 encodes (noise-free
+    /// view).
     ///
     /// # Panics
     ///
-    /// Panics if the pair is not programmed.
+    /// Panics if the pair holds no block at column 0.
     pub fn stored_matrix(&self) -> Matrix {
-        let p = self.positive.stored_matrix();
-        let n = self.negative.stored_matrix();
+        self.stored_matrix_at(0)
+    }
+
+    /// The signed matrix the block at column `col` encodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block starts at `col`.
+    pub fn stored_matrix_at(&self, col: usize) -> Matrix {
+        let p = self.positive.stored_matrix_at(col);
+        let n = self.negative.stored_matrix_at(col);
         Matrix::from_fn(p.rows(), p.cols(), |i, j| p.get(i, j) - n.get(i, j))
     }
 
-    /// Forward product `y = A·x` through both tiles.
+    /// Forward product `y = A·x` over the block at column 0, through
+    /// both tiles.
     pub fn matvec<R: Rng + ?Sized>(&mut self, x: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_with_cost(x, rng).0
+        self.matvec_at(0, x, rng).0
     }
 
-    /// Forward product with its operation cost (tiles in parallel).
+    /// Forward product over the block at column 0 with its operation
+    /// cost.
     pub fn matvec_with_cost<R: Rng + ?Sized>(
         &mut self,
         x: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (yp, cp) = self.positive.matvec_with_cost(x, rng);
-        let (yn, cn) = self.negative.matvec_with_cost(x, rng);
+        self.matvec_at(0, x, rng)
+    }
+
+    /// Forward product over the block at column `col` with its operation
+    /// cost (tiles in parallel).
+    pub fn matvec_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        x: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (yp, cp) = self.positive.matvec_at(col, x, rng);
+        let (yn, cn) = self.negative.matvec_at(col, x, rng);
         let y = yp.iter().zip(&yn).map(|(a, b)| a - b).collect();
         (
             y,
@@ -660,19 +755,32 @@ impl ReferenceDifferentialCrossbar {
         )
     }
 
-    /// Transpose product `x = Aᵀ·z` through both tiles.
+    /// Transpose product `x = Aᵀ·z` over the block at column 0, through
+    /// both tiles.
     pub fn matvec_t<R: Rng + ?Sized>(&mut self, z: &[f64], rng: &mut R) -> Vec<f64> {
-        self.matvec_t_with_cost(z, rng).0
+        self.matvec_t_at(0, z, rng).0
     }
 
-    /// Transpose product with its operation cost (tiles in parallel).
+    /// Transpose product over the block at column 0 with its operation
+    /// cost.
     pub fn matvec_t_with_cost<R: Rng + ?Sized>(
         &mut self,
         z: &[f64],
         rng: &mut R,
     ) -> (Vec<f64>, OperationCost) {
-        let (yp, cp) = self.positive.matvec_t_with_cost(z, rng);
-        let (yn, cn) = self.negative.matvec_t_with_cost(z, rng);
+        self.matvec_t_at(0, z, rng)
+    }
+
+    /// Transpose product over the block at column `col` with its
+    /// operation cost (tiles in parallel).
+    pub fn matvec_t_at<R: Rng + ?Sized>(
+        &mut self,
+        col: usize,
+        z: &[f64],
+        rng: &mut R,
+    ) -> (Vec<f64>, OperationCost) {
+        let (yp, cp) = self.positive.matvec_t_at(col, z, rng);
+        let (yn, cn) = self.negative.matvec_t_at(col, z, rng);
         let y = yp.iter().zip(&yn).map(|(a, b)| a - b).collect();
         (y, cp.alongside(cn))
     }

@@ -8,10 +8,11 @@
 //! contiguous conductance slices instead of chasing per-device structs.
 //!
 //! A program writes a *window*: a block of devices anchored at row 0 and
-//! column 0, as large as the matrix it encodes. The bank stores
-//! conductances only for its *extent*, the union of the windows
-//! programmed since the last [`PcmBank::erase`]; every device outside
-//! the extent is at `g_min` by construction. Storage, programming and
+//! at a given first column, as large as the matrix it encodes. The bank
+//! stores conductances only for its *extent*, the origin-anchored
+//! rectangle covering the union of the windows programmed since the
+//! last [`PcmBank::erase`]; every device outside the extent is at
+//! `g_min` by construction. Storage, programming and
 //! erasing therefore scale with what was programmed, not with the array.
 //! The wear ledger covers every device for its whole lifetime.
 //!
@@ -73,8 +74,8 @@ pub struct PcmBank {
     params: PcmParams,
     rows: usize,
     cols: usize,
-    /// `(rows, cols)` of the union of the windows programmed since the
-    /// last erase, anchored at the origin.
+    /// `(rows, cols)` of the origin-anchored rectangle covering the
+    /// windows programmed since the last erase.
     extent: (usize, usize),
     /// Programmed conductance in siemens of the extent's devices,
     /// row-major with row stride `extent.1`.
@@ -113,8 +114,9 @@ impl PcmBank {
         &self.params
     }
 
-    /// `(rows, cols)` of the extent: the union of the windows programmed
-    /// since the last erase. Every device outside it is at `g_min`.
+    /// `(rows, cols)` of the extent: the origin-anchored rectangle
+    /// covering the windows programmed since the last erase. Every
+    /// device outside it is at `g_min`.
     pub fn extent(&self) -> (usize, usize) {
         self.extent
     }
@@ -205,7 +207,8 @@ impl PcmBank {
     }
 
     /// Batched program-and-verify of the `window = (rows, cols)` devices
-    /// anchored at the origin: drives each toward its entry of `targets`
+    /// anchored at row 0 and column `col`: drives each toward its entry
+    /// of `targets`
     /// (siemens, row-major over the window) until the verified
     /// conductance is within `rel_tolerance` of the target relative to
     /// the conductance window, or the per-device pulse budget is
@@ -218,11 +221,12 @@ impl PcmBank {
     ///
     /// # Panics
     ///
-    /// Panics if the window exceeds the bank, `targets.len()` is not
+    /// Panics if the window leaves the bank, `targets.len()` is not
     /// `rows × cols`, `rel_tolerance <= 0`, or a target that requires
     /// pulsing lies outside `[g_min, g_max]`.
     pub fn program_and_verify<R: Rng + ?Sized>(
         &mut self,
+        col: usize,
         window: (usize, usize),
         targets: &[f64],
         rel_tolerance: f64,
@@ -230,19 +234,19 @@ impl PcmBank {
     ) -> BankProgramReport {
         let (w_rows, w_cols) = window;
         assert!(
-            w_rows <= self.rows && w_cols <= self.cols,
-            "window {w_rows}x{w_cols} exceeds the {}x{} bank",
+            w_rows <= self.rows && col + w_cols <= self.cols,
+            "window {w_rows}x{w_cols} at column {col} exceeds the {}x{} bank",
             self.rows,
             self.cols
         );
         assert_eq!(targets.len(), w_rows * w_cols, "target count mismatch");
         assert!(rel_tolerance > 0.0, "tolerance must be positive");
-        self.cover(window);
+        self.cover((w_rows, col + w_cols));
         let stride = self.extent.1;
         let bank_cols = self.cols;
         // Window index → (stored conductance, wear ledger) indices.
         let slot = |i: usize| {
-            let (r, c) = (i / w_cols, i % w_cols);
+            let (r, c) = (i / w_cols, col + i % w_cols);
             (r * stride + c, r * bank_cols + c)
         };
         let range = self.params.g_range().0;
@@ -254,7 +258,8 @@ impl PcmBank {
         // per-device model, never hit the window assertion).
         let mut active: Vec<u32> = Vec::new();
         for r in 0..w_rows {
-            let stored = &self.g_programmed[r * stride..r * stride + w_cols];
+            let first = r * stride + col;
+            let stored = &self.g_programmed[first..first + w_cols];
             let wanted = &targets[r * w_cols..(r + 1) * w_cols];
             for (c, (&g, &t)) in stored.iter().zip(wanted).enumerate() {
                 if (g - t).abs() / range > rel_tolerance {
@@ -354,7 +359,8 @@ impl PcmBank {
 
         let mut max_rel_error = 0.0f64;
         for r in 0..w_rows {
-            let stored = &self.g_programmed[r * stride..r * stride + w_cols];
+            let first = r * stride + col;
+            let stored = &self.g_programmed[first..first + w_cols];
             let wanted = &targets[r * w_cols..(r + 1) * w_cols];
             for (&g, &t) in stored.iter().zip(wanted) {
                 max_rel_error = max_rel_error.max((g - t).abs() / range);
@@ -432,7 +438,7 @@ mod tests {
         let mut bank = PcmBank::new(4, 4, params);
         let t = targets(&params, 16);
         let mut rng = seeded(1);
-        let report = bank.program_and_verify((4, 4), &t, 1e-6, &mut rng);
+        let report = bank.program_and_verify(0, (4, 4), &t, 1e-6, &mut rng);
         assert!(report.converged);
         assert_eq!(report.pulses, 16);
         assert_eq!(report.max_device_pulses, 1);
@@ -453,7 +459,7 @@ mod tests {
         // Every fresh device already sits at g_min == its target.
         let t = vec![params.g_min.0; 4];
         let mut rng = seeded(3);
-        let report = bank.program_and_verify((2, 2), &t, 1e-6, &mut rng);
+        let report = bank.program_and_verify(0, (2, 2), &t, 1e-6, &mut rng);
         assert_eq!(report.pulses, 0);
         assert_eq!(report.max_device_pulses, 0);
         assert!(report.converged);
@@ -466,7 +472,7 @@ mod tests {
         let mut bank = PcmBank::new(8, 8, params);
         let t = targets(&params, 64);
         let mut rng = seeded(4);
-        let report = bank.program_and_verify((8, 8), &t, 0.01, &mut rng);
+        let report = bank.program_and_verify(0, (8, 8), &t, 0.01, &mut rng);
         assert!(report.converged, "err {}", report.max_rel_error);
         assert!(report.max_rel_error <= 0.01);
         assert!(report.pulses >= 64, "pulses {}", report.pulses);
@@ -495,7 +501,9 @@ mod tests {
         for seed in 0..40 {
             let mut bank = PcmBank::new(4, 8, params);
             let mut rng = seeded(seed);
-            bank_pulses += bank.program_and_verify((4, 8), &t, 0.01, &mut rng).pulses;
+            bank_pulses += bank
+                .program_and_verify(0, (4, 8), &t, 0.01, &mut rng)
+                .pulses;
             let mut rng = seeded(1000 + seed);
             for &target in &t {
                 let mut d = PcmDevice::new(params);
@@ -528,7 +536,7 @@ mod tests {
         let params = PcmParams::default();
         let mut bank = PcmBank::new(1, 2, params);
         let mut rng = seeded(5);
-        bank.program_and_verify((1, 2), &[params.g_min.0, 100e-6], 0.01, &mut rng);
+        bank.program_and_verify(0, (1, 2), &[params.g_min.0, 100e-6], 0.01, &mut rng);
     }
 
     #[test]
@@ -537,7 +545,7 @@ mod tests {
         let params = PcmParams::default();
         let mut bank = PcmBank::new(2, 2, params);
         let mut rng = seeded(6);
-        bank.program_and_verify((2, 2), &[params.g_min.0; 3], 0.01, &mut rng);
+        bank.program_and_verify(0, (2, 2), &[params.g_min.0; 3], 0.01, &mut rng);
     }
 
     #[test]
@@ -546,12 +554,12 @@ mod tests {
         let mut bank = PcmBank::new(4, 5, params);
         let mut rng = seeded(7);
         let t = targets(&params, 6);
-        bank.program_and_verify((2, 3), &t, 1e-6, &mut rng);
+        bank.program_and_verify(0, (2, 3), &t, 1e-6, &mut rng);
         assert_eq!(bank.extent(), (2, 3));
         assert_eq!(bank.conductance(1, 2), t[5]);
         // A narrower, taller window widens the extent to the union and
         // keeps the devices it does not cover.
-        bank.program_and_verify((3, 1), &t[..3], 1e-6, &mut rng);
+        bank.program_and_verify(0, (3, 1), &t[..3], 1e-6, &mut rng);
         assert_eq!(bank.extent(), (3, 3));
         assert_eq!(bank.conductance(2, 0), t[2]);
         assert_eq!(bank.conductance(1, 2), t[5]);
@@ -578,11 +586,42 @@ mod tests {
     }
 
     #[test]
+    fn an_offset_window_writes_its_own_columns() {
+        let params = PcmParams::ideal();
+        let mut bank = PcmBank::new(3, 8, params);
+        let mut rng = seeded(9);
+        let t = targets(&params, 6);
+        bank.program_and_verify(0, (3, 2), &t, 1e-6, &mut rng);
+        // A 2x3 window at column 4 sits beside the first: the extent
+        // covers both, the gap between them stays at g_min, and the
+        // ledger books the offset devices.
+        bank.program_and_verify(4, (2, 3), &t, 1e-6, &mut rng);
+        assert_eq!(bank.extent(), (3, 7));
+        assert_eq!(bank.conductance(1, 1), t[3]);
+        assert_eq!(&bank.extent_row(1)[4..7], &t[3..6]);
+        assert_eq!(bank.conductance(0, 2), params.g_min.0);
+        assert_eq!(bank.conductance(2, 5), params.g_min.0);
+        assert_eq!(bank.pulse_count(1, 6), 1);
+        assert_eq!(bank.pulse_count(1, 3), 0);
+        assert_eq!(bank.erase().pulses, 12);
+        assert!(bank.conductances().iter().all(|&g| g == params.g_min.0));
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the 2x2 bank")]
     fn oversized_window_panics() {
         let params = PcmParams::default();
         let mut bank = PcmBank::new(2, 2, params);
         let mut rng = seeded(8);
-        bank.program_and_verify((3, 1), &[params.g_min.0; 3], 0.01, &mut rng);
+        bank.program_and_verify(0, (3, 1), &[params.g_min.0; 3], 0.01, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "at column 1 exceeds the 2x2 bank")]
+    fn a_window_past_the_last_column_panics() {
+        let params = PcmParams::default();
+        let mut bank = PcmBank::new(2, 2, params);
+        let mut rng = seeded(10);
+        bank.program_and_verify(1, (1, 2), &[params.g_min.0; 2], 0.01, &mut rng);
     }
 }

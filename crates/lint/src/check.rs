@@ -32,6 +32,30 @@ pub struct Geometry {
     pub scout_fan_in: usize,
 }
 
+/// One matrix an analog tile holds: `rows × cols` devices anchored at
+/// row 0 and column `col` (see `cim_crossbar::analog`'s column blocks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Block {
+    /// First column.
+    pub col: usize,
+    /// Rows (the outputs of a forward product).
+    pub rows: usize,
+    /// Columns (the inputs of a forward product).
+    pub cols: usize,
+}
+
+impl Block {
+    /// The `(rows, cols)` block whose first column is `col`.
+    pub fn new(col: usize, (rows, cols): (usize, usize)) -> Self {
+        Block { col, rows, cols }
+    }
+
+    /// Whether the two blocks share a column.
+    pub fn overlaps(&self, other: &Block) -> bool {
+        self.col < other.col + other.cols && other.col < self.col + self.cols
+    }
+}
+
 /// What a program runs against: the geometry plus the resident state a
 /// pinned dataset established before the program starts.
 ///
@@ -39,8 +63,8 @@ pub struct Geometry {
 /// *initialized* — reading them is the whole point of a query — and as
 /// *write-protected*: the dataset outlives the job, so storing over
 /// them would corrupt every later query ([`RuleCode::ResidentWrite`]).
-/// A resident analog tile carries its matrix's shape, so MVM operand
-/// lengths over it are checked like those over an in-stream program.
+/// A resident analog tile carries its matrices' blocks, so MVM operands
+/// over it are checked like those over an in-stream program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintTarget {
     /// The tile geometry.
@@ -48,9 +72,9 @@ pub struct LintTarget {
     /// Per digital tile: rows resident (initialized and protected)
     /// before the program runs. Indexed by virtual tile.
     pub resident_digital: Vec<BTreeSet<usize>>,
-    /// Per analog tile: the `(rows, cols)` of the matrix resident
-    /// (programmed and protected) before the program runs, if any.
-    pub resident_analog: Vec<Option<(usize, usize)>>,
+    /// Per analog tile: the blocks resident (programmed and protected)
+    /// before the program runs.
+    pub resident_analog: Vec<Vec<Block>>,
 }
 
 impl LintTarget {
@@ -59,7 +83,7 @@ impl LintTarget {
         LintTarget {
             geometry,
             resident_digital: vec![BTreeSet::new(); geometry.digital_tiles],
-            resident_analog: vec![None; geometry.analog_tiles],
+            resident_analog: vec![Vec::new(); geometry.analog_tiles],
         }
     }
 
@@ -75,27 +99,23 @@ impl LintTarget {
         self
     }
 
-    /// Marks analog tile `tile` as holding a resident `(rows, cols)`
-    /// matrix.
-    pub fn with_resident_analog(mut self, tile: usize, shape: (usize, usize)) -> Self {
-        if tile < self.resident_analog.len() {
-            self.resident_analog[tile] = Some(shape);
+    /// Marks analog tile `tile` as holding a resident matrix `block`.
+    pub fn with_resident_analog(mut self, tile: usize, block: Block) -> Self {
+        if let Some(blocks) = self.resident_analog.get_mut(tile) {
+            blocks.push(block);
         }
         self
     }
 }
 
-/// What the interpreter knows about one analog tile's matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AnalogState {
-    /// Nothing programmed: an MVM would sense an undefined matrix.
-    Unprogrammed,
-    /// A resident dataset programmed a `(rows, cols)` matrix before the
-    /// stream runs: MVM widths are checked against it, and reprogramming
-    /// it is a resident-write violation.
-    Resident(usize, usize),
-    /// Programmed in-stream with a known `(rows, cols)` shape.
-    Programmed(usize, usize),
+/// What the interpreter knows about one analog tile: the live blocks a
+/// product may address, and whether a resident dataset programmed them
+/// before the stream runs (then MVM operands are checked against them,
+/// and any program on the tile is a resident-write violation).
+#[derive(Debug, Clone, Default)]
+struct AnalogTile {
+    blocks: Vec<Block>,
+    resident: bool,
 }
 
 /// One live definition of the accelerator-global `last_bits` latch.
@@ -123,10 +143,13 @@ pub fn lint(program: &[CimInstruction], outputs: &[usize], target: &LintTarget) 
     let mut init: Vec<BTreeSet<usize>> = (0..geo.digital_tiles)
         .map(|t| target.resident_digital.get(t).cloned().unwrap_or_default())
         .collect();
-    let mut analog: Vec<AnalogState> = (0..geo.analog_tiles)
-        .map(|t| match target.resident_analog.get(t).copied().flatten() {
-            Some((rows, cols)) => AnalogState::Resident(rows, cols),
-            None => AnalogState::Unprogrammed,
+    let mut analog: Vec<AnalogTile> = (0..geo.analog_tiles)
+        .map(|t| {
+            let blocks = target.resident_analog.get(t).cloned().unwrap_or_default();
+            AnalogTile {
+                resident: !blocks.is_empty(),
+                blocks,
+            }
         })
         .collect();
     let mut latch: Option<LatchDef> = None;
@@ -404,75 +427,85 @@ fn check_arity(op: ScoutOp, rows: &[usize], i: usize, fan_in: usize, diags: &mut
     }
 }
 
-/// Analog-side checks: matrix shapes against the tile, MVM operand
-/// lengths against the programmed or resident shape, senses of
-/// unprogrammed tiles, reprogramming of resident tiles.
+/// Analog-side checks: blocks against the tile and against the live
+/// blocks they would overlap, MVM operands against the programmed or
+/// resident block they address, senses of unprogrammed tiles, programs
+/// on resident tiles.
 fn check_analog(
     instr: &CimInstruction,
     i: usize,
     tile: usize,
     geo: Geometry,
-    analog: &mut [AnalogState],
+    analog: &mut [AnalogTile],
     diags: &mut Vec<Diagnostic>,
 ) {
-    match instr {
-        CimInstruction::ProgramMatrix { matrix, .. } => {
-            if matrix.rows() > geo.analog_rows || matrix.cols() > geo.analog_cols {
+    let state = &mut analog[tile];
+    let (col, len, mn) = match instr {
+        CimInstruction::ProgramMatrix { col, matrix, .. } => {
+            let block = Block::new(*col, (matrix.rows(), matrix.cols()));
+            let inside = block.rows <= geo.analog_rows && block.col + block.cols <= geo.analog_cols;
+            if !inside {
                 diags.push(Diagnostic::new(
                     RuleCode::WidthMismatch,
                     i,
                     format!(
-                        "CIM.PROG programs a {}x{} matrix, the tile is {}x{}",
-                        matrix.rows(),
-                        matrix.cols(),
-                        geo.analog_rows,
-                        geo.analog_cols
+                        "CIM.PROG programs a {}x{} matrix at column {}, the tile is {}x{}",
+                        block.rows, block.cols, block.col, geo.analog_rows, geo.analog_cols
                     ),
                 ));
             }
-            if matches!(analog[tile], AnalogState::Resident(..)) {
+            if state.resident {
                 diags.push(Diagnostic::new(
                     RuleCode::ResidentWrite,
                     i,
                     format!("CIM.PROG reprograms analog tile {tile}, which holds a resident dataset matrix"),
                 ));
-            } else {
-                analog[tile] = AnalogState::Programmed(matrix.rows(), matrix.cols());
+            } else if inside {
+                if let Some(live) = state.blocks.iter().find(|b| b.overlaps(&block)) {
+                    diags.push(Diagnostic::new(
+                        RuleCode::WidthMismatch,
+                        i,
+                        format!(
+                            "CIM.PROG programs columns {}..{} of analog tile {tile}, over the live block in columns {}..{}",
+                            block.col,
+                            block.col + block.cols,
+                            live.col,
+                            live.col + live.cols
+                        ),
+                    ));
+                }
+                // As on the tile, the program replaces what it overlaps.
+                state.blocks.retain(|b| !b.overlaps(&block));
+                state.blocks.push(block);
             }
+            return;
         }
-        CimInstruction::Mvm { x, .. } => match analog[tile] {
-            AnalogState::Unprogrammed => diags.push(unprogrammed_mvm(i, tile, "CIM.MVM")),
-            AnalogState::Programmed(_, cols) | AnalogState::Resident(_, cols)
-                if x.len() != cols =>
-            {
-                diags.push(Diagnostic::new(
-                    RuleCode::WidthMismatch,
-                    i,
-                    format!(
-                        "CIM.MVM input has length {}, the programmed matrix has {cols} columns",
-                        x.len()
-                    ),
-                ));
-            }
-            _ => {}
-        },
-        CimInstruction::MvmT { z, .. } => match analog[tile] {
-            AnalogState::Unprogrammed => diags.push(unprogrammed_mvm(i, tile, "CIM.MVMT")),
-            AnalogState::Programmed(rows, _) | AnalogState::Resident(rows, _)
-                if z.len() != rows =>
-            {
-                diags.push(Diagnostic::new(
-                    RuleCode::WidthMismatch,
-                    i,
-                    format!(
-                        "CIM.MVMT input has length {}, the programmed matrix has {rows} rows",
-                        z.len()
-                    ),
-                ));
-            }
-            _ => {}
-        },
-        _ => {}
+        CimInstruction::Mvm { col, x, .. } => (*col, x.len(), "CIM.MVM"),
+        CimInstruction::MvmT { col, z, .. } => (*col, z.len(), "CIM.MVMT"),
+        _ => return,
+    };
+    if state.blocks.is_empty() {
+        diags.push(unprogrammed_mvm(i, tile, mn));
+        return;
+    }
+    let Some(block) = state.blocks.iter().find(|b| b.col == col) else {
+        diags.push(Diagnostic::new(
+            RuleCode::WidthMismatch,
+            i,
+            format!("{mn} addresses column {col} of analog tile {tile}, where no block starts"),
+        ));
+        return;
+    };
+    let (width, axis) = match instr {
+        CimInstruction::Mvm { .. } => (block.cols, "columns"),
+        _ => (block.rows, "rows"),
+    };
+    if len != width {
+        diags.push(Diagnostic::new(
+            RuleCode::WidthMismatch,
+            i,
+            format!("{mn} input has length {len}, the programmed block has {width} {axis}"),
+        ));
     }
 }
 
@@ -617,6 +650,7 @@ mod tests {
                 wr(0, 200),
                 CimInstruction::Mvm {
                     tile: 3,
+                    col: 0,
                     x: vec![0.0; 4],
                 },
             ],
@@ -699,14 +733,17 @@ mod tests {
                 },
                 CimInstruction::ProgramMatrix {
                     tile: 0,
+                    col: 0,
                     matrix: Matrix::from_fn(9, 2, |_, _| 1.0),
                 },
                 CimInstruction::ProgramMatrix {
                     tile: 0,
+                    col: 0,
                     matrix: Matrix::from_fn(2, 3, |_, _| 1.0),
                 },
                 CimInstruction::Mvm {
                     tile: 0,
+                    col: 0,
                     x: vec![0.0; 7],
                 },
             ],
@@ -727,6 +764,7 @@ mod tests {
         let report = run(
             vec![CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![0.0; 4],
             }],
             &fresh,
@@ -735,15 +773,17 @@ mod tests {
 
         // A resident 2x3 matrix: MVMs drive its 3 columns, MVMTs its 2
         // rows, and any other length is a width mismatch.
-        let resident = LintTarget::new(geometry()).with_resident_analog(0, (2, 3));
+        let resident = LintTarget::new(geometry()).with_resident_analog(0, Block::new(0, (2, 3)));
         let ok = run(
             vec![
                 CimInstruction::Mvm {
                     tile: 0,
+                    col: 0,
                     x: vec![0.0; 3],
                 },
                 CimInstruction::MvmT {
                     tile: 0,
+                    col: 0,
                     z: vec![0.0; 2],
                 },
             ],
@@ -754,10 +794,12 @@ mod tests {
             vec![
                 CimInstruction::Mvm {
                     tile: 0,
+                    col: 0,
                     x: vec![0.0; 4],
                 },
                 CimInstruction::MvmT {
                     tile: 0,
+                    col: 0,
                     z: vec![0.0; 3],
                 },
             ],
@@ -768,11 +810,82 @@ mod tests {
         let reprogram = run(
             vec![CimInstruction::ProgramMatrix {
                 tile: 0,
+                col: 0,
                 matrix: Matrix::from_fn(2, 2, |_, _| 1.0),
             }],
             &resident,
         );
         assert_eq!(reprogram.diagnostics[0].rule, RuleCode::ResidentWrite);
+    }
+
+    #[test]
+    fn blocks_share_a_tile_and_products_address_them_by_column() {
+        let prog = |col, rows, cols| CimInstruction::ProgramMatrix {
+            tile: 0,
+            col,
+            matrix: Matrix::from_fn(rows, cols, |_, _| 1.0),
+        };
+        let mvm = |col, len| CimInstruction::Mvm {
+            tile: 0,
+            col,
+            x: vec![0.0; len],
+        };
+        let mvm_t = |col, len| CimInstruction::MvmT {
+            tile: 0,
+            col,
+            z: vec![0.0; len],
+        };
+        // Two layers side by side in the 4x4 tile: columns 0..3 and 3..4.
+        let target = LintTarget::new(geometry());
+        let clean = run(
+            vec![
+                prog(0, 4, 3),
+                prog(3, 2, 1),
+                mvm(0, 3),
+                mvm(3, 1),
+                mvm_t(3, 2),
+            ],
+            &target,
+        );
+        assert!(clean.is_clean(), "{}", clean.to_text());
+        // A product whose column starts no block, or whose width is not
+        // its block's, is a width mismatch; so is a block that leaves
+        // the tile or lands on a live block.
+        let report = run(
+            vec![
+                prog(0, 4, 3),
+                mvm(1, 2),
+                mvm(0, 1),
+                prog(2, 2, 2),
+                prog(3, 1, 2),
+            ],
+            &target,
+        );
+        let rules: Vec<(usize, RuleCode)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.instr_index, d.rule))
+            .collect();
+        assert_eq!(
+            rules,
+            (1..5)
+                .map(|i| (i, RuleCode::WidthMismatch))
+                .collect::<Vec<_>>(),
+            "{}",
+            report.to_text()
+        );
+        // Resident blocks are checked the same way, and any program on
+        // their tile is a resident write.
+        let resident = LintTarget::new(geometry())
+            .with_resident_analog(0, Block::new(0, (4, 2)))
+            .with_resident_analog(0, Block::new(2, (1, 2)));
+        assert!(run(vec![mvm(0, 2), mvm_t(2, 1)], &resident).is_clean());
+        let report = run(vec![mvm(2, 1), prog(3, 1, 1)], &resident);
+        let rules: Vec<RuleCode> = report.diagnostics.iter().map(|d| d.rule).collect();
+        assert_eq!(
+            rules,
+            vec![RuleCode::WidthMismatch, RuleCode::ResidentWrite]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`CostEnvelope::to_text`] and [`CostEnvelope::to_json`] depend only
 //! on the analyzed stream and the [`CostModel`].
 
-use crate::check::LintTarget;
+use crate::check::{Block, LintTarget};
 use cim_arch::cim::CimUnitParams;
 use cim_core::CimInstruction;
 use cim_simkit::units::{Hertz, Joules, Seconds};
@@ -115,7 +115,7 @@ pub struct CostEnvelope {
     /// `ProgramMatrix` instructions.
     pub matrix_programs: u64,
     /// Analog devices touched by matrix programs (`2 × rows × cols` of
-    /// each programmed matrix, which occupies a window of its own shape:
+    /// each programmed matrix, which occupies a block of its own shape:
     /// a differential pair holds each signed weight).
     pub programmed_devices: u64,
     /// `Mvm` + `MvmT` instructions.
@@ -135,9 +135,9 @@ pub struct CostEnvelope {
     pub program_pulse_bound: u64,
     /// Upper bound on `DeviceCounters::noise_samples`: the fast path
     /// draws at most one aggregate sample per *output line* per tile of
-    /// the differential pair, and a product reads only the window of
-    /// the matrix its tile holds (`2 × rows` per `Mvm`, `2 × cols` per
-    /// `MvmT`, of that window); the nominal tier draws none.
+    /// the differential pair, and a product reads only the block it
+    /// addresses (`2 × rows` per `Mvm`, `2 × cols` per `MvmT`, of that
+    /// block); the nominal tier draws none.
     pub noise_sample_bound: u64,
     /// Latency upper bound from the analytical model (offload overhead
     /// plus op slots at effective parallelism over the pulse bounds).
@@ -256,7 +256,7 @@ pub const MVM_WEIGHT: u64 = 100;
 /// Scheduler weight of one `ProgramMatrix`: its latency bound in 10 ns
 /// op slots (one slot per digital row access). The rows of a tile
 /// program in lock-step rounds, so a program lasts as long as its
-/// slowest device, however small its window: 20 verify rounds (the PCM
+/// slowest device, however small its block: 20 verify rounds (the PCM
 /// `max_program_pulses` cap) × 500 ns (`program_pulse_latency`) ÷ 10 ns
 /// = 1,000 units.
 const PROGRAM_WEIGHT: u64 = 20 * 500 / 10;
@@ -283,24 +283,25 @@ fn scheduler_weight(instr: &CimInstruction) -> u64 {
 
 /// Runs the cost pass over `program`, certifying a [`CostEnvelope`]
 /// against `target` under `model`'s pricing. The target's geometry caps
-/// the columns an access can sample; its resident analog shapes, then
-/// each in-stream `ProgramMatrix`, give the window every product reads.
+/// the columns an access can sample; its resident analog blocks, then
+/// each in-stream `ProgramMatrix`, give the block every product reads.
 ///
 /// The walk is total: out-of-bounds instructions still count (the
 /// safety pass rejects them separately; a cost envelope of a rejected
-/// program is never consumed), and a product on a tile with no known
-/// window is bounded by the whole tile. The result is deterministic in
+/// program is never consumed), and a product that addresses no known
+/// block is bounded by the whole tile. The result is deterministic in
 /// `(program, target, model)`.
 pub fn cost(program: &[CimInstruction], target: &LintTarget, model: &CostModel) -> CostEnvelope {
     let geometry = &target.geometry;
-    // The `(rows, cols)` window each analog tile holds.
-    let mut windows = target.resident_analog.clone();
-    let window = |windows: &[Option<(usize, usize)>], tile: usize| {
-        windows
+    // The blocks each analog tile holds.
+    let mut blocks = target.resident_analog.clone();
+    let shape = |blocks: &[Vec<Block>], tile: usize, col: usize| {
+        blocks
             .get(tile)
-            .copied()
-            .flatten()
-            .unwrap_or((geometry.analog_rows, geometry.analog_cols))
+            .and_then(|held| held.iter().find(|b| b.col == col))
+            .map_or((geometry.analog_rows, geometry.analog_cols), |b| {
+                (b.rows, b.cols)
+            })
     };
     let mut env = CostEnvelope::default();
     for instr in program {
@@ -328,9 +329,11 @@ pub fn cost(program: &[CimInstruction], target: &LintTarget, model: &CostModel) 
                 env.word_access_bound += 1;
                 env.sampled_column_bound += *entries as u64;
             }
-            CimInstruction::ProgramMatrix { tile, matrix } => {
-                if let Some(held) = windows.get_mut(*tile) {
-                    *held = Some((matrix.rows(), matrix.cols()));
+            CimInstruction::ProgramMatrix { tile, col, matrix } => {
+                if let Some(held) = blocks.get_mut(*tile) {
+                    let block = Block::new(*col, (matrix.rows(), matrix.cols()));
+                    held.retain(|b| !b.overlaps(&block));
+                    held.push(block);
                 }
                 env.matrix_programs += 1;
                 // A differential pair encodes each signed weight on two
@@ -340,17 +343,17 @@ pub fn cost(program: &[CimInstruction], target: &LintTarget, model: &CostModel) 
                 env.programmed_devices += devices;
                 env.program_pulse_bound += devices * model.max_program_pulses;
             }
-            CimInstruction::Mvm { tile, .. } => {
+            CimInstruction::Mvm { tile, col, .. } => {
                 env.mvms += 1;
                 // One aggregate sample per output line (forward products
-                // read the window's rows), per tile of the differential
+                // read the block's rows), per tile of the differential
                 // pair.
-                env.noise_sample_bound += 2 * window(&windows, *tile).0 as u64;
+                env.noise_sample_bound += 2 * shape(&blocks, *tile, *col).0 as u64;
             }
-            CimInstruction::MvmT { tile, .. } => {
+            CimInstruction::MvmT { tile, col, .. } => {
                 env.mvms += 1;
-                // Transpose products read the window's columns.
-                env.noise_sample_bound += 2 * window(&windows, *tile).1 as u64;
+                // Transpose products read the block's columns.
+                env.noise_sample_bound += 2 * shape(&blocks, *tile, *col).1 as u64;
             }
         }
         env.cost_units += scheduler_weight(instr);
@@ -424,10 +427,12 @@ mod tests {
             },
             CimInstruction::ProgramMatrix {
                 tile: 0,
+                col: 0,
                 matrix: Matrix::from_fn(4, 8, |_, _| 1.0),
             },
             CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![1.0; 8],
             },
         ]
@@ -470,20 +475,50 @@ mod tests {
     }
 
     #[test]
-    fn noise_samples_are_bounded_by_the_window_a_product_reads() {
-        let mvm = |tile| CimInstruction::Mvm { tile, x: vec![] };
-        let mvm_t = |tile| CimInstruction::MvmT { tile, z: vec![] };
+    fn noise_samples_are_bounded_by_the_block_a_product_reads() {
+        let mvm = |tile| CimInstruction::Mvm {
+            tile,
+            col: 0,
+            x: vec![],
+        };
+        let mvm_t = |tile| CimInstruction::MvmT {
+            tile,
+            col: 0,
+            z: vec![],
+        };
         let model = CostModel::default();
         // A resident 3x5 matrix: forward products read 3 lines,
         // transposes 5, on each tile of the pair.
-        let resident = LintTarget::new(geo()).with_resident_analog(0, (3, 5));
+        let resident = LintTarget::new(geo()).with_resident_analog(0, Block::new(0, (3, 5)));
         let env = cost(&[mvm(0), mvm_t(0)], &resident, &model);
         assert_eq!(env.noise_sample_bound, 2 * 3 + 2 * 5);
-        // An in-stream program replaces the window from then on.
+        // Each block bounds the products that address it: a 2x3 block
+        // beside the 3x5 one reads 2 lines forward, 3 transposed.
+        let packed = resident
+            .clone()
+            .with_resident_analog(0, Block::new(5, (2, 3)));
+        let beside = [
+            CimInstruction::Mvm {
+                tile: 0,
+                col: 5,
+                x: vec![],
+            },
+            CimInstruction::MvmT {
+                tile: 0,
+                col: 5,
+                z: vec![],
+            },
+            mvm(0),
+        ];
+        let env = cost(&beside, &packed, &model);
+        assert_eq!(env.noise_sample_bound, 2 * 2 + 2 * 3 + 2 * 3);
+        // An in-stream program replaces the block it overlaps from then
+        // on.
         let program = vec![
             mvm(0),
             CimInstruction::ProgramMatrix {
                 tile: 0,
+                col: 0,
                 matrix: Matrix::from_fn(2, 7, |_, _| 1.0),
             },
             mvm(0),
@@ -491,14 +526,15 @@ mod tests {
         ];
         let env = cost(&program, &resident, &model);
         assert_eq!(env.noise_sample_bound, 2 * 3 + 2 * 2 + 2 * 7);
-        // A tile with no known window is bounded by the whole 4x8 tile.
+        // A product with no known block is bounded by the whole 4x8
+        // tile.
         let env = cost(&[mvm(0), mvm_t(0)], &target(), &model);
         assert_eq!(env.noise_sample_bound, 2 * 4 + 2 * 8);
-        // A smaller window lowers both model bounds.
+        // A smaller block lowers both model bounds.
         let full = cost(&[mvm(0)], &target(), &model);
-        let windowed = cost(&[mvm(0)], &resident, &model);
-        assert!(windowed.latency_bound.0 < full.latency_bound.0);
-        assert!(windowed.energy_bound.0 < full.energy_bound.0);
+        let blocked = cost(&[mvm(0)], &resident, &model);
+        assert!(blocked.latency_bound.0 < full.latency_bound.0);
+        assert!(blocked.energy_bound.0 < full.energy_bound.0);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! * **operand arity** — XOR takes exactly two rows, OR/AND at least
 //!   two and at most the scouting fan-in, no duplicate activations
 //!   ([`RuleCode::BadArity`]);
-//! * **operand width** — bit vectors must match the tile width,
-//!   programmed matrices the analog shape, and MVM vectors the matrix
-//!   programmed in-stream or resident on the tile
-//!   ([`RuleCode::WidthMismatch`]);
+//! * **operand width** — bit vectors must match the tile width; a
+//!   programmed matrix's column block must stay inside the tile and off
+//!   every live block; and an MVM must address a block programmed
+//!   in-stream or resident on the tile, with a vector of that block's
+//!   width ([`RuleCode::WidthMismatch`]);
 //! * **pinned-dataset write protection** — a query program over a
 //!   resident dataset must not write, store into, or reprogram
 //!   anything the dataset pinned ([`RuleCode::ResidentWrite`]).
@@ -88,6 +89,6 @@ mod check;
 mod cost;
 mod diag;
 
-pub use check::{lint, Geometry, LintTarget};
+pub use check::{lint, Block, Geometry, LintTarget};
 pub use cost::{cost, CostEnvelope, CostModel, MVM_WEIGHT};
 pub use diag::{Diagnostic, LintReport, RuleCode, Severity};

@@ -1,8 +1,8 @@
 //! Hyperdimensional language classification: [`WorkloadSpec::HdcClassify`]
 //! (prototypes programmed per job), [`WorkloadSpec::HdcQuery`] against
 //! resident [`DatasetSpec::HdcPrototypes`] and the prototypes' load
-//! program — the `classes × d` prototype matrix in its own window of an
-//! analog tile, one `d`-input MVM per query, argmaxed on the host — plus
+//! program — the `classes × d` prototype matrix as the column-0 block of
+//! an analog tile, one `d`-input MVM per query, argmaxed on the host — plus
 //! [`WorkloadSpec::HdcAssoc`], the same task served as an associative
 //! memory over CAM tiles.
 //!
@@ -142,7 +142,7 @@ fn check_samples(samples: usize, sample_len: usize, ngram: usize) -> Result<(), 
 }
 
 /// The prototypes as a `classes × d` 0/1 conductance matrix: the tile
-/// programs, reads and erases only that window.
+/// programs, reads and erases only that block.
 fn prototype_matrix(prototypes: &[Hypervector], d: usize) -> Matrix {
     Matrix::from_fn(prototypes.len(), d, |r, c| {
         if prototypes[r].bits().get(c) {
@@ -188,7 +188,7 @@ fn emit_mvm_queries(
         let x: Vec<f64> = (0..d)
             .map(|j| if query.get(j) { 1.0 } else { 0.0 })
             .collect();
-        instructions.push(CimInstruction::Mvm { tile: 0, x });
+        instructions.push(CimInstruction::Mvm { tile: 0, col: 0, x });
         outputs.push(instructions.len() - 1);
         expected.push(class);
     }
@@ -238,6 +238,7 @@ pub(super) fn classify(
     let (task, prototypes) = spec.train(lw.seed);
     let mut instructions = vec![CimInstruction::ProgramMatrix {
         tile: 0,
+        col: 0,
         matrix: prototype_matrix(&prototypes, spec.d),
     }];
     let queries = sample_queries(&task, spec.classes, samples, sample_len, lw.seed);
@@ -277,6 +278,7 @@ pub(super) fn load(
     Ok(DatasetProgram {
         instructions: vec![CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: prototype_matrix(&prototypes, spec.d),
         }],
         demand: TileDemand::analog(1),

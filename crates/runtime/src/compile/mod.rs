@@ -904,17 +904,27 @@ pub(crate) mod tests {
             other => panic!("expected DatasetTooLarge, got {other:?}"),
         }
         // Analog pins are not split: one shard's analog tiles remain
-        // the limit for weight matrices.
-        let nn = DatasetSpec::NnWeights {
-            network: cim_nn::binarized::BinarizedMlp::random(&[8, 8, 8, 4], 1),
+        // the limit for weight matrices. Layers pack side by side, so a
+        // three-layer network fits one tile...
+        let nn = |dims: &[usize]| DatasetSpec::NnWeights {
+            network: cim_nn::binarized::BinarizedMlp::random(dims, 1),
         };
-        match compile_dataset_load(&nn, &c, 0) {
+        let packed = compile_dataset_load(&nn(&[8, 8, 8, 4]), &c, 0).map(|p| p.demand);
+        assert_eq!(packed, Ok(TileDemand::analog(1)));
+        // ...and the refusal is for blocks that need more tiles than a
+        // shard has: on 16-column tiles, 8x16 fills one, two 8x8 layers
+        // a second, and the 4x8 layer would open a third.
+        let narrow = PoolConfig {
+            analog_cols: 16,
+            ..c
+        };
+        match compile_dataset_load(&nn(&[16, 8, 8, 8, 4]), &narrow, 0) {
             Err(CompileError::DatasetTooLarge {
                 needed,
                 pool_capacity,
             }) => {
-                assert_eq!(needed.analog, 3, "three layers need three analog tiles");
-                assert_eq!(pool_capacity.analog, c.analog_tiles);
+                assert_eq!(needed.analog, 3, "the packed blocks need three tiles");
+                assert_eq!(pool_capacity.analog, narrow.analog_tiles);
             }
             other => panic!("expected DatasetTooLarge, got {other:?}"),
         }

@@ -2,9 +2,13 @@
 //! (weights programmed per job), [`WorkloadSpec::NnQuery`] against
 //! resident [`DatasetSpec::NnWeights`], and the weights' load program.
 //!
-//! Every layer's ±1 weight matrix sits in its own analog tile, in a
-//! window of the layer's own `rows × cols`, and each inference runs one
-//! MVM per layer over the layer's fan-in. The finalizer snaps each score
+//! Every layer's ±1 weight matrix is a column block of the layer's own
+//! `rows × cols`, packed first-fit, left to right, into as few analog
+//! tiles as hold them: `[256, 32, 8]` puts its 32 × 256 first layer in
+//! columns 0–255 of one tile and its 8 × 32 second layer in columns
+//! 256–287 of the same tile, so a cold `NnInfer` leases one tile and
+//! resident weights pin one. Each inference runs one MVM per layer, over
+//! that layer's block alone. The finalizer snaps each score
 //! onto the ±1×±1 parity lattice of the layer's fan-in, recovering the
 //! exact integer under the bounded analog noise the compiler provisions
 //! for — so [`BinarizedMlp::scores`] is the job's certified host
@@ -91,27 +95,68 @@ fn fits(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Result<(), CompileError> {
     Ok(())
 }
 
-/// Checks the layer count against one shard's analog tiles.
-fn fits_shard(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Result<(), CompileError> {
-    let layers = mlp.layers().len();
-    if layers > cfg.analog_tiles {
-        return Err(CompileError::NeedsMoreAnalogTiles {
-            required: layers,
-            available: cfg.analog_tiles,
-        });
-    }
-    Ok(())
+/// Where the layers' weights sit: the `(tile, col)` block of each
+/// layer, packed first-fit, left to right — each layer takes the first
+/// tile with room for it after that tile's last block — and the number
+/// of tiles the packing fills. Every layer must fit a tile ([`fits`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Layout {
+    blocks: Vec<(usize, usize)>,
+    tiles: usize,
 }
 
-/// One `ProgramMatrix` per tile, each of one layer's own `rows × cols`
-/// ±1 weight matrix: the tile programs, reads and erases only that
-/// window (see `cim_crossbar::analog`'s windows).
-fn program_weights(mlp: &BinarizedMlp) -> Vec<CimInstruction> {
+impl Layout {
+    fn of(mlp: &BinarizedMlp, cfg: &PoolConfig) -> Self {
+        // The next free column of each tile opened so far.
+        let mut next: Vec<usize> = Vec::new();
+        let blocks = mlp
+            .layers()
+            .iter()
+            .map(|layer| {
+                let tile = match next
+                    .iter()
+                    .position(|&c| c + layer.cols() <= cfg.analog_cols)
+                {
+                    Some(tile) => tile,
+                    None => {
+                        next.push(0);
+                        next.len() - 1
+                    }
+                };
+                let col = next[tile];
+                next[tile] += layer.cols();
+                (tile, col)
+            })
+            .collect();
+        Layout {
+            blocks,
+            tiles: next.len(),
+        }
+    }
+
+    /// Checks the packed tiles against one shard's analog tiles.
+    fn fits_shard(&self, cfg: &PoolConfig) -> Result<(), CompileError> {
+        if self.tiles > cfg.analog_tiles {
+            return Err(CompileError::NeedsMoreAnalogTiles {
+                required: self.tiles,
+                available: cfg.analog_tiles,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One `ProgramMatrix` per layer, of the layer's own `rows × cols` ±1
+/// weight matrix, into its block of the layout: each tile programs,
+/// reads and erases only its blocks (see `cim_crossbar::analog`'s
+/// column blocks).
+fn program_weights(mlp: &BinarizedMlp, layout: &Layout) -> Vec<CimInstruction> {
     mlp.layers()
         .iter()
-        .enumerate()
-        .map(|(tile, layer)| CimInstruction::ProgramMatrix {
+        .zip(&layout.blocks)
+        .map(|(layer, &(tile, col))| CimInstruction::ProgramMatrix {
             tile,
+            col,
             matrix: layer.clone(),
         })
         .collect()
@@ -142,24 +187,26 @@ fn check_inputs(mlp: &BinarizedMlp, inputs: &[BitVec]) -> Result<(), CompileErro
 
 /// Lowers the inference of `inputs` after `instructions` (the weight
 /// programs, or nothing for a resident query): one MVM per layer per
-/// input, over the layer's fan-in, the layer input chained host-side at
+/// input, over the layer's block of `layout`, the layer input chained
+/// host-side at
 /// compile time via the exact sign activations (the same integers the
 /// parity decode recovers from the array, so the chain and the array
 /// agree bit for bit). The final layer's MVM is each input's output.
 fn inference(
     lw: &Lowering,
     mlp: &BinarizedMlp,
+    layout: &Layout,
     inputs: &[BitVec],
     mut instructions: Vec<CimInstruction>,
 ) -> CompiledJob {
     let mut outputs = Vec::with_capacity(inputs.len());
     for x in inputs {
         let acts = mlp.activations(x);
-        for (tile, (layer, v)) in mlp.layers().iter().zip(&acts).enumerate() {
+        for ((layer, v), &(tile, col)) in mlp.layers().iter().zip(&acts).zip(&layout.blocks) {
             let x: Vec<f64> = (0..layer.cols())
                 .map(|j| if v.get(j) { 1.0 } else { -1.0 })
                 .collect();
-            instructions.push(CimInstruction::Mvm { tile, x });
+            instructions.push(CimInstruction::Mvm { tile, col, x });
         }
         outputs.push(instructions.len() - 1);
     }
@@ -169,7 +216,7 @@ fn inference(
     CompiledJob {
         host,
         ..lw.job(
-            TileDemand::analog(mlp.layers().len()),
+            TileDemand::analog(layout.tiles),
             instructions,
             outputs,
             Parity::of(mlp),
@@ -188,32 +235,43 @@ pub(super) fn infer(
 ) -> Result<CompiledJob, CompileError> {
     fits(mlp, lw.cfg)?;
     check_inputs(mlp, inputs)?;
-    fits_shard(mlp, lw.cfg)?;
-    let programs = program_weights(mlp);
-    Ok(inference(lw, mlp, inputs, programs))
+    let layout = Layout::of(mlp, lw.cfg);
+    layout.fits_shard(lw.cfg)?;
+    let programs = program_weights(mlp, &layout);
+    Ok(inference(lw, mlp, &layout, inputs, programs))
 }
 
 /// Inference against resident weights: the MVM cascade only, lowered
-/// onto the dataset's pinned analog tiles — not a single weight write.
+/// onto the dataset's pinned blocks (the load's layout, recomputed from
+/// the same network and geometry) — not a single weight write.
 pub(super) fn query(lw: &Lowering, inputs: &[BitVec]) -> Result<CompiledJob, CompileError> {
     let ResidentPayload::Nn { network } = &lw.dataset().payload else {
         return Err(lw.mismatch());
     };
     check_inputs(network, inputs)?;
     let capacity = inputs.len() * network.layers().len();
-    Ok(inference(lw, network, inputs, Vec::with_capacity(capacity)))
+    let layout = Layout::of(network, lw.cfg);
+    Ok(inference(
+        lw,
+        network,
+        &layout,
+        inputs,
+        Vec::with_capacity(capacity),
+    ))
 }
 
-/// The load program of resident weights: one programmed tile per layer.
+/// The load program of resident weights: one programmed block per
+/// layer, packed into as few tiles as hold them.
 pub(super) fn load(
     cfg: &PoolConfig,
     network: &BinarizedMlp,
 ) -> Result<DatasetProgram, CompileError> {
     fits(network, cfg)?;
-    fits_shard(network, cfg)?;
+    let layout = Layout::of(network, cfg);
+    layout.fits_shard(cfg)?;
     Ok(DatasetProgram {
-        instructions: program_weights(network),
-        demand: TileDemand::analog(network.layers().len()),
+        instructions: program_weights(network, &layout),
+        demand: TileDemand::analog(layout.tiles),
         payload: ResidentPayload::Nn {
             network: Arc::new(network.clone()),
         },
@@ -228,6 +286,7 @@ mod tests {
     use super::*;
     use crate::dataset::ResidentView;
     use crate::job::{DatasetId, JobId, JobKind, TenantId, WorkloadSpec};
+    use cim_lint::Block;
 
     #[test]
     fn nn_infer_compiles_to_programs_plus_mvm_cascade() {
@@ -240,7 +299,7 @@ mod tests {
             inputs,
         };
         let c = lower(&spec, &cfg()).unwrap();
-        assert_eq!(c.demand.analog, 2, "one analog tile per layer");
+        assert_eq!(c.demand.analog, 1, "both layers pack into one tile");
         assert_eq!(c.kind, JobKind::NnInfer);
         let programs = c
             .instructions
@@ -254,27 +313,35 @@ mod tests {
             .count();
         assert_eq!(programs, 2, "each layer programmed once");
         assert_eq!(mvms, 4 * 2, "one MVM per layer per input");
-        // Each layer programs and drives its own window: a 6×8 and a
-        // 3×6 matrix, MVM inputs of fan-in 8 and 6.
+        // Each layer programs and drives its own block of tile 0: a 6×8
+        // matrix in columns 0..8 and a 3×6 one in columns 8..14, MVM
+        // inputs of fan-in 8 and 6.
+        let layer_at = |col: usize| &mlp.layers()[usize::from(col == 8)];
         for instr in &c.instructions {
             match instr {
-                CimInstruction::ProgramMatrix { tile, matrix } => {
-                    let layer = &mlp.layers()[*tile];
+                CimInstruction::ProgramMatrix { tile, col, matrix } => {
+                    assert_eq!(*tile, 0);
+                    let layer = layer_at(*col);
                     assert_eq!(matrix.as_slice(), layer.as_slice());
                     assert_eq!((matrix.rows(), matrix.cols()), (layer.rows(), layer.cols()));
                 }
-                CimInstruction::Mvm { tile, x } => {
-                    assert_eq!(x.len(), mlp.layers()[*tile].cols());
+                CimInstruction::Mvm { tile, col, x } => {
+                    assert_eq!(*tile, 0);
+                    assert_eq!(x.len(), layer_at(*col).cols());
                 }
                 other => panic!("unexpected {other:?}"),
             }
         }
         assert_eq!(c.outputs.len(), 4, "one output per inference");
-        // Every output is a final-layer MVM (tile 1).
+        // Every output is a final-layer MVM (column 8).
         for &idx in &c.outputs {
             assert!(matches!(
                 c.instructions[idx],
-                CimInstruction::Mvm { tile: 1, .. }
+                CimInstruction::Mvm {
+                    tile: 0,
+                    col: 8,
+                    ..
+                }
             ));
         }
         // The decode lattice uses the final layer: 3 classes, fan-in 6.
@@ -296,9 +363,9 @@ mod tests {
                 network: Arc::new(mlp.clone()),
             },
             digital_tiles: 0,
-            analog_tiles: 2,
+            analog_tiles: 1,
             resident_rows: Vec::new(),
-            resident_matrices: mlp.layers().iter().map(|l| (l.rows(), l.cols())).collect(),
+            resident_blocks: vec![vec![Block::new(0, (6, 8)), Block::new(8, (3, 6))]],
             resident_bytes: mlp.weight_count() as u64 / 8,
         };
         let spec = WorkloadSpec::NnQuery {
@@ -314,6 +381,28 @@ mod tests {
         );
         assert_eq!(c.instructions.len(), 3 * 2);
         assert_eq!(c.dataset, Some(DatasetId(0)));
+    }
+
+    #[test]
+    fn layers_pack_first_fit_left_to_right() {
+        let narrow = PoolConfig {
+            analog_cols: 16,
+            ..cfg()
+        };
+        // 8x16 fills tile 0; 8x8 and 8x8 fill tile 1; 4x8 opens tile 2.
+        let mlp = BinarizedMlp::random(&[16, 8, 8, 8, 4], 3);
+        let layout = Layout::of(&mlp, &narrow);
+        assert_eq!(layout.blocks, vec![(0, 0), (1, 0), (1, 8), (2, 0)]);
+        assert_eq!(layout.tiles, 3);
+        // A later, narrower layer goes back to the first tile with room:
+        // 4x8 does not fit beside 8x10, but 2x4 does.
+        let mlp = BinarizedMlp::random(&[10, 8, 4, 2], 3);
+        let layout = Layout::of(&mlp, &narrow);
+        assert_eq!(layout.blocks, vec![(0, 0), (1, 0), (0, 10)]);
+        assert_eq!(layout.tiles, 2);
+        let roomy = Layout::of(&mlp, &cfg());
+        assert_eq!(roomy.blocks, vec![(0, 0), (0, 10), (0, 18)]);
+        assert_eq!(roomy.tiles, 1);
     }
 
     #[test]

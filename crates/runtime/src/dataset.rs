@@ -9,6 +9,15 @@
 //! digital tiles across several when no one shard can hold it —
 //! executes the load once and returns a [`DatasetHandle`].
 //!
+//! An analog dataset (NN weights, HDC prototypes) also keeps an exact
+//! *replica* on every other shard with free analog tiles, and its
+//! queries rotate over the copies, so the shards' crossbars serve it in
+//! parallel. PCM fabrication draws nothing and a load draws only from
+//! the dataset's seed, so every copy holds the same conductances and
+//! serves bit-identical reports. A replica never costs capacity: the
+//! pool counts its tiles as free, and a fresh lease or a new pin that
+//! needs them drops the replica first.
+//!
 //! The handle is the lease: it is cheaply cloneable
 //! (reference-counted), and the pinned tiles stay resident — and their
 //! loading writes stay amortized across every query — until the *last*
@@ -23,6 +32,7 @@ use crate::schedule::PoolShared;
 use cim_bitmap_db::tpch::LineItemTable;
 use cim_crossbar::cam::RuleSet;
 use cim_hdc::lang::LanguageTask;
+use cim_lint::Block;
 use cim_nn::binarized::BinarizedMlp;
 use std::ops::Range;
 use std::sync::Arc;
@@ -80,9 +90,9 @@ pub enum DatasetSpec {
         /// Key width in bits (1..=64).
         width: usize,
     },
-    /// A binarized network's weight matrices, resident as one
-    /// programmed analog tile per layer — the canonical stationary
-    /// operand of crossbar inference. Queried with
+    /// A binarized network's weight matrices, resident as one column
+    /// block per layer, packed into as few analog tiles as hold them —
+    /// the canonical stationary operand of crossbar inference. Queried with
     /// [`crate::WorkloadSpec::NnQuery`], whose jobs carry only
     /// matrix-vector products: the weight writes are paid exactly once,
     /// here.
@@ -137,13 +147,16 @@ impl DatasetHandle {
     /// The first (primary) shard the dataset is resident on. A dataset
     /// bigger than one shard spans several — see
     /// [`DatasetHandle::shards`]; queries are scatter-gathered so each
-    /// chunk routes to the shard pinning its tiles.
+    /// chunk routes to the shard pinning its tiles. Replicas of an
+    /// analog dataset are not listed here: they come and go with the
+    /// pool's free tiles (see [`crate::telemetry::DatasetUsage::copies`]).
     pub fn shard(&self) -> usize {
         self.core.shards[0]
     }
 
-    /// Every shard holding a chunk of the dataset, in virtual tile
-    /// order. A singleton when the whole pin fits one shard.
+    /// Every shard holding a chunk of the dataset's primary copy, in
+    /// virtual tile order. A singleton when the whole pin fits one
+    /// shard.
     pub fn shards(&self) -> &[usize] {
         &self.core.shards
     }
@@ -236,8 +249,8 @@ pub(crate) struct ResidentView {
     /// The resident rows of each virtual digital tile, which queries may
     /// read but never overwrite.
     pub resident_rows: Vec<Range<usize>>,
-    /// The `(rows, cols)` of the matrix each virtual analog tile holds.
-    pub resident_matrices: Vec<(usize, usize)>,
+    /// The matrix blocks each virtual analog tile holds.
+    pub resident_blocks: Vec<Vec<Block>>,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
 }
@@ -260,22 +273,30 @@ pub(crate) struct ShardPlacement {
 /// Pool-side record of one resident dataset. Ordinarily a dataset pins
 /// tiles on a single shard; a dataset bigger than any one shard spans
 /// several placements, each holding a contiguous chunk of its virtual
-/// tiles, and queries are scatter-gathered across them. The record
-/// lives from registration until release; a query still queued then
-/// fails with [`crate::JobError::DatasetReleased`].
+/// tiles, and queries are scatter-gathered across them. An analog
+/// dataset may also hold replicas: whole exact copies on other shards,
+/// on tiles the pool still counts as free. The record lives from
+/// registration until release; a query still queued then fails with
+/// [`crate::JobError::DatasetReleased`].
 #[derive(Debug)]
 pub(crate) struct DatasetRecord {
     pub tenant: TenantId,
     /// Per-shard placements in virtual tile order (chunk `c` covers
     /// virtual tiles `sum(len of 0..c) ..+ len(c)`).
     pub placements: Vec<ShardPlacement>,
+    /// Exact copies of a single-placement analog dataset on other
+    /// shards, in shard order. A reclaimed replica leaves the list.
+    pub replicas: Vec<ShardPlacement>,
+    /// Queries routed so far: the `k`-th is served by copy `k mod n` of
+    /// the primary and its `n − 1` replicas.
+    pub routed: u64,
     pub payload: ResidentPayload,
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
     /// The resident rows of each virtual digital tile.
     pub resident_rows: Vec<Range<usize>>,
-    /// The `(rows, cols)` of the matrix each virtual analog tile holds.
-    pub resident_matrices: Vec<(usize, usize)>,
+    /// The matrix blocks each virtual analog tile holds.
+    pub resident_blocks: Vec<Vec<Block>>,
 }
 
 impl DatasetRecord {
@@ -287,7 +308,7 @@ impl DatasetRecord {
             digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
             analog_tiles: self.placements.iter().map(|p| p.analog_tiles.len()).sum(),
             resident_rows: self.resident_rows.clone(),
-            resident_matrices: self.resident_matrices.clone(),
+            resident_blocks: self.resident_blocks.clone(),
             resident_bytes: self.resident_bytes,
         }
     }
@@ -295,5 +316,17 @@ impl DatasetRecord {
     /// The primary shard (first placement).
     pub fn primary_shard(&self) -> usize {
         self.placements[0].shard
+    }
+
+    /// The copy the next query runs on — the primary's placements, or
+    /// one replica — advancing the rotation.
+    pub fn route(&mut self) -> &[ShardPlacement] {
+        let copies = 1 + self.replicas.len() as u64;
+        let k = self.routed % copies;
+        self.routed += 1;
+        match k {
+            0 => &self.placements,
+            k => std::slice::from_ref(&self.replicas[k as usize - 1]),
+        }
     }
 }

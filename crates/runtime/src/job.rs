@@ -170,9 +170,12 @@ pub enum WorkloadSpec {
         sample_len: usize,
     },
     /// Binarized neural-network inference, the `cim-nn` workload: every
-    /// layer's ±1 weight matrix is programmed into its own analog tile
-    /// and each inference runs one matrix-vector product per layer,
-    /// with sign activations and the final argmax applied host-side.
+    /// layer's ±1 weight matrix is programmed as a column block of its
+    /// own shape, the blocks packed first-fit into as few analog tiles
+    /// as hold them (a `[256, 32, 8]` network leases one tile), and each
+    /// inference runs one matrix-vector product per layer over that
+    /// layer's block, with sign activations and the final argmax
+    /// applied host-side.
     /// Outputs are bit-identical to [`BinarizedMlp::scores`] — the
     /// parity-lattice decode absorbs the analog read noise.
     NnInfer {
@@ -186,8 +189,9 @@ pub enum WorkloadSpec {
     },
     /// Inference against a resident [`crate::DatasetSpec::NnWeights`]
     /// dataset: the weight matrices are already programmed into the
-    /// dataset's pinned analog tiles, so the job carries only the
-    /// per-layer matrix-vector products — no weight writes at all.
+    /// dataset's pinned analog tiles (or an exact replica's), so the job
+    /// carries only the per-layer matrix-vector products — no weight
+    /// writes at all.
     NnQuery {
         /// The registered dataset to query.
         dataset: DatasetId,

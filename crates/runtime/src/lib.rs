@@ -137,5 +137,5 @@ pub use job::{
     JobStatus, JobTiming, NnOutcome, TenantId, WorkloadSpec,
 };
 pub use schedule::{OffloadPolicy, PoolConfig, RuntimePool};
-pub use telemetry::{DatasetUsage, PoolTelemetry, TenantUsage};
+pub use telemetry::{DatasetCopy, DatasetUsage, PoolTelemetry, TenantUsage};
 pub use trace::Tracer;

@@ -9,18 +9,27 @@
 //!
 //! 1. **Shard selection** — each job goes to the least-loaded shard
 //!    (ties to the lowest index); jobs against a resident dataset are
-//!    routed to the dataset's shard. Load is read from a per-shard
-//!    ledger of routed envelope `cost_units` that every plan pass
-//!    charges and carries over to the next, dataset queries included.
-//!    Its debt is bounded: no shard trails the busiest by more than a
-//!    fixed 16,384 units, so a shard that sat pinned or idle catches up
-//!    for at most that much work. The plan is a pure function of the
-//!    submission order, never of thread timing, and it does not depend
-//!    on how the submissions were grouped into flushes.
+//!    routed to the dataset's shard. An analog dataset also keeps an
+//!    exact copy on every other shard that had free analog tiles when
+//!    it registered, and its queries rotate over the copies: the `k`-th
+//!    query the plan routes to the dataset runs on copy `k mod n`, the
+//!    primary first, then the replicas in shard order. Load is read
+//!    from a per-shard ledger of routed envelope `cost_units` that every
+//!    plan pass charges and carries over to the next, dataset queries
+//!    included. Its debt is bounded: no shard trails the busiest by more
+//!    than a fixed 16,384 units, so a shard that sat pinned or idle
+//!    catches up for at most that much work. The plan is a pure function
+//!    of the submission order, never of thread timing, and it does not
+//!    depend on how the submissions were grouped into flushes.
 //! 2. **Per-tile admission** — jobs hold leases on whole tiles. Fresh
 //!    leases are carved from the shard's *free* tiles (tiles pinned by
 //!    resident datasets are never handed out); dataset jobs reuse the
-//!    dataset's pinned tiles. Instruction streams are relocated from
+//!    dataset's pinned tiles. A replica never costs capacity: every fit
+//!    decision counts its tiles as free, a fresh lease prefers tiles
+//!    that hold no replica, and a lease or pin that must take one drops
+//!    that copy — the shard's batch closes first, so the queries
+//!    already routed to the copy run before the shard erases it.
+//!    Instruction streams are relocated from
 //!    virtual to physical tiles at dispatch, and any instruction
 //!    addressing a tile outside its lease fails the job with
 //!    [`JobError::TileFault`] *before* touching the accelerator.
@@ -53,10 +62,11 @@
 //!
 //! After each job the runtime scrubs every tile row the job wrote (and
 //! erases every analog tile it programmed, back to `g_min` over the
-//! windows its matrices occupied) so no data survives into the next
+//! blocks its matrices occupied) so no data survives into the next
 //! lease; the scrub cost is reported as maintenance overhead. Resident
-//! datasets are the deliberate exception: their tiles are scrubbed only
-//! when the last [`crate::DatasetHandle`] drops.
+//! datasets are the deliberate exception: their tiles, and their
+//! replicas', are scrubbed only when the last [`crate::DatasetHandle`]
+//! drops (a reclaimed replica, when a lease or pin takes its tiles).
 
 mod plan;
 mod worker;
@@ -79,7 +89,7 @@ use cim_core::{CimAccelerator, CimAcceleratorBuilder, ExecutionStats};
 use cim_crossbar::analog::AnalogParams;
 use cim_device::reram::ReramParams;
 use cim_obs::{NullSink, SpanId, TraceSink, Value};
-use plan::{mark_dispatched, plan, scatter_assignment};
+use plan::{mark_dispatched, plan, scatter_assignment, trace_reclaim};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::resume_unwind;
 use std::sync::mpsc::{channel, Sender};
@@ -87,7 +97,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use worker::{
-    contain, programmed_shapes, relocate, written_rows, LoadResult, Tiles, Worker, WorkerMsg,
+    contain, programmed_blocks, relocate, written_rows, LoadResult, Tiles, Worker, WorkerMsg,
 };
 
 /// How the admission planner decides between the CIM pool and the
@@ -275,6 +285,10 @@ struct PoolState {
     pinned_digital: Vec<BTreeSet<usize>>,
     /// Physical analog tiles pinned by datasets, per shard.
     pinned_analog: Vec<BTreeSet<usize>>,
+    /// Physical analog tiles holding a dataset replica, per shard, with
+    /// the dataset each one copies. They are not pinned: every fit
+    /// decision counts them as free.
+    replica_analog: Vec<BTreeMap<usize, u64>>,
     /// The routing ledger: envelope `cost_units` routed to each shard,
     /// carried across plan passes. Its least-loaded shard reads zero,
     /// and no shard trails the busiest by more than
@@ -323,7 +337,8 @@ impl PoolState {
             .is_some_and(|e| matches!(e.state, JobState::Queued | JobState::Dispatched))
     }
 
-    /// Unpinned tiles of `shard`: `(digital, analog)`.
+    /// Unpinned tiles of `shard`, replicas' tiles included: `(digital,
+    /// analog)`.
     fn free(&self, cfg: &PoolConfig, shard: usize) -> (usize, usize) {
         (
             cfg.digital_tiles - self.pinned_digital[shard].len(),
@@ -337,26 +352,70 @@ impl PoolState {
         demand.digital <= fd && demand.analog <= fa
     }
 
-    /// The leading `demand` free (un-pinned) tiles of `shard`: the
-    /// physical tiles a fresh lease or a new dataset pin takes. The
-    /// caller has checked with [`Self::fits`] that they fit.
-    fn leading_free(&self, cfg: &PoolConfig, shard: usize, demand: TileDemand) -> Tiles {
-        let leading = |tiles: usize, pinned: &BTreeSet<usize>, count: usize| -> Vec<usize> {
-            let free: Vec<usize> = (0..tiles)
-                .filter(|t| !pinned.contains(t))
-                .take(count)
-                .collect();
-            debug_assert_eq!(free.len(), count, "the demand fits the free tiles");
-            free
-        };
-        (
-            leading(
-                cfg.digital_tiles,
-                &self.pinned_digital[shard],
-                demand.digital,
-            ),
-            leading(cfg.analog_tiles, &self.pinned_analog[shard], demand.analog),
-        )
+    /// Takes the leading `demand` free (un-pinned) tiles of `shard`: the
+    /// physical tiles a fresh lease or a new dataset pin takes. Analog
+    /// tiles that hold no replica go first; a replica tile the demand
+    /// still needs drops that replica, returned as `(dataset, tiles)` for
+    /// the shard to erase. The caller has checked with [`Self::fits`]
+    /// that the demand fits.
+    fn lease(
+        &mut self,
+        cfg: &PoolConfig,
+        shard: usize,
+        demand: TileDemand,
+    ) -> (Tiles, Vec<(u64, Vec<usize>)>) {
+        let digital: Vec<usize> = (0..cfg.digital_tiles)
+            .filter(|t| !self.pinned_digital[shard].contains(t))
+            .take(demand.digital)
+            .collect();
+        let replicas = &self.replica_analog[shard];
+        let (clear, held): (Vec<usize>, Vec<usize>) = (0..cfg.analog_tiles)
+            .filter(|t| !self.pinned_analog[shard].contains(t))
+            .partition(|t| !replicas.contains_key(t));
+        let mut analog: Vec<usize> = clear.into_iter().chain(held).take(demand.analog).collect();
+        debug_assert_eq!(
+            (digital.len(), analog.len()),
+            (demand.digital, demand.analog),
+            "the demand fits the free tiles"
+        );
+        analog.sort_unstable();
+        let mut reclaimed = Vec::new();
+        for tile in &analog {
+            if let Some(&dataset) = self.replica_analog[shard].get(tile) {
+                reclaimed.push((dataset, self.drop_replica(dataset, shard)));
+            }
+        }
+        ((digital, analog), reclaimed)
+    }
+
+    /// The analog tiles of `shard` that neither a pin nor a replica
+    /// holds.
+    fn clear_analog(&self, cfg: &PoolConfig, shard: usize) -> Vec<usize> {
+        (0..cfg.analog_tiles)
+            .filter(|t| {
+                !self.pinned_analog[shard].contains(t)
+                    && !self.replica_analog[shard].contains_key(t)
+            })
+            .collect()
+    }
+
+    /// Drops `dataset`'s replica on `shard` — its tiles hold nothing the
+    /// pool tracks any more — and returns the tiles the shard must
+    /// erase.
+    fn drop_replica(&mut self, dataset: u64, shard: usize) -> Vec<usize> {
+        let tiles = self
+            .datasets
+            .get_mut(&dataset)
+            .and_then(|record| {
+                let at = record.replicas.iter().position(|p| p.shard == shard)?;
+                Some(record.replicas.remove(at).analog_tiles)
+            })
+            .unwrap_or_default();
+        for tile in &tiles {
+            self.replica_analog[shard].remove(tile);
+        }
+        self.telemetry.record_reclaim(DatasetId(dataset), shard);
+        tiles
     }
 
     /// The retryable error for a `demand` no shard's free tiles can hold
@@ -480,6 +539,7 @@ impl RuntimePool {
                 datasets: BTreeMap::new(),
                 pinned_digital: vec![BTreeSet::new(); cfg.shards],
                 pinned_analog: vec![BTreeSet::new(); cfg.shards],
+                replica_analog: vec![BTreeMap::new(); cfg.shards],
                 shard_load: vec![0; cfg.shards],
                 next_job: 0,
                 next_batch: 0,
@@ -865,31 +925,39 @@ impl PoolShared {
             SpanId::NONE,
             &[("pending", Value::U64(st.pending.len() as u64))],
         );
-        let mut batches = plan(&mut st, &self.cfg, &self.tracer);
-        st.telemetry.batches += batches.len() as u64;
-        let jobs_placed: usize = batches.iter().map(|(_, b)| b.jobs.len()).sum();
-        if !batches.is_empty() {
+        let mut messages = plan(&mut st, &self.cfg, &self.tracer);
+        let (batches, jobs_placed) = messages
+            .iter()
+            .filter_map(|(_, m)| match m {
+                WorkerMsg::Batch(batch) => Some(batch.jobs.len()),
+                _ => None,
+            })
+            .fold((0usize, 0usize), |(b, j), jobs| (b + 1, j + jobs));
+        st.telemetry.batches += batches as u64;
+        if batches > 0 {
             self.tracer
-                .gauge("batch_occupancy", jobs_placed as f64 / batches.len() as f64);
+                .gauge("batch_occupancy", jobs_placed as f64 / batches as f64);
         }
         self.tracer.close(
             plan_span,
             0.0,
             &[
-                ("batches", Value::U64(batches.len() as u64)),
+                ("batches", Value::U64(batches as u64)),
                 ("jobs", Value::U64(jobs_placed as u64)),
             ],
         );
-        mark_dispatched(&mut st, &self.tracer, &mut batches);
-        for (shard, batch) in batches {
-            self.send(shard, WorkerMsg::Batch(batch));
+        mark_dispatched(&mut st, &self.tracer, &mut messages);
+        for (shard, message) in messages {
+            self.send(shard, message);
         }
     }
 
     /// Registers a dataset: compiles its load program, pins tiles on
     /// one shard — or, when no single shard can hold the pin, scatters
     /// contiguous chunks of its digital tiles across several shards —
-    /// sends every chunk's load to its shard and collects the replies.
+    /// places an exact replica of an analog dataset on every other
+    /// shard with enough clear analog tiles, sends every chunk's and
+    /// every replica's load to its shard and collects the replies.
     pub(crate) fn register_dataset(
         &self,
         tenant: TenantId,
@@ -912,7 +980,11 @@ impl PoolShared {
             resident_rows,
         } = compile_dataset_load(spec, &self.cfg, seed)?;
         let kind = payload.kind_label();
-        let resident_matrices = programmed_shapes(&instructions, demand.analog);
+        let resident_blocks = programmed_blocks(&instructions, demand.analog);
+        // Analog datasets are copied exactly: PCM fabrication draws
+        // nothing and a load draws only from the dataset's seed. A
+        // digital copy would differ by its tiles' device variation.
+        let replicable = demand.digital == 0 && demand.analog > 0;
 
         let (shards, span, replies) = {
             let mut st = lock(&self.state);
@@ -950,8 +1022,51 @@ impl PoolShared {
                 None => return Err(st.shortfall(cfg, demand)),
             };
 
+            // Pin each chunk on its shard's free tiles. A pin that takes
+            // a replica's tile drops that replica; the erase reaches the
+            // shard ahead of the load (same FIFO channel).
+            let mut pins = Vec::with_capacity(assignment.len());
+            for &(shard, digital_chunk) in &assignment {
+                let chunk = TileDemand {
+                    digital: digital_chunk,
+                    analog: demand.analog,
+                };
+                let ((digital_tiles, analog_tiles), reclaimed) = st.lease(cfg, shard, chunk);
+                for (dataset, tiles) in reclaimed {
+                    trace_reclaim(&self.tracer, dataset, shard);
+                    let _ = self.to_shards[shard].send(WorkerMsg::ReleaseDataset {
+                        rows: Vec::new(),
+                        analog_tiles: tiles,
+                    });
+                }
+                st.pinned_digital[shard].extend(digital_tiles.iter().copied());
+                st.pinned_analog[shard].extend(analog_tiles.iter().copied());
+                pins.push((shard, digital_tiles, analog_tiles));
+            }
+            // One exact replica on every other shard whose clear analog
+            // tiles (neither pinned nor holding a replica) hold it.
+            let mut replicas = Vec::new();
+            if replicable && pins.len() == 1 {
+                for shard in (0..cfg.shards).filter(|&s| s != pins[0].0) {
+                    let clear = st.clear_analog(cfg, shard);
+                    if clear.len() >= demand.analog {
+                        let tiles = clear[..demand.analog].to_vec();
+                        for &tile in &tiles {
+                            st.replica_analog[shard].insert(tile, id.0);
+                        }
+                        replicas.push(ShardPlacement {
+                            shard,
+                            digital_tiles: Vec::new(),
+                            analog_tiles: tiles,
+                            scrub_rows: Vec::new(),
+                        });
+                    }
+                }
+            }
+
             // The dataset's load span: one `load_execute` child per
-            // shard chunk, closed once every chunk replied.
+            // shard chunk and per replica, closed once every load
+            // replied.
             let span = self.tracer.open(
                 "dataset_load",
                 SpanId::NONE,
@@ -960,43 +1075,28 @@ impl PoolShared {
                     ("tenant", Value::U64(tenant.0 as u64)),
                     ("kind", Value::Str(kind)),
                     ("shards", Value::U64(assignment.len() as u64)),
+                    ("copies", Value::U64(1 + replicas.len() as u64)),
                 ],
             );
 
-            // Split the load program into per-shard chunks, pin and
-            // relocate each onto its shard's free tiles, and send it.
+            // Split the load program into per-shard chunks, relocate
+            // each onto its pinned tiles and send it; every replica
+            // loads the whole program onto its own tiles with the same
+            // seed.
             let sizes: Vec<usize> = assignment.iter().map(|&(_, n)| n).collect();
             let chunk_programs = if assignment.len() == 1 {
                 vec![instructions]
             } else {
                 split_load_by_tile(&instructions, &sizes)
             };
-            let mut placements = Vec::with_capacity(assignment.len());
-            let mut replies = Vec::with_capacity(assignment.len());
-            for ((shard, digital_chunk), chunk_instructions) in
-                assignment.iter().copied().zip(chunk_programs)
-            {
-                let (digital_tiles, analog_tiles) = st.leading_free(
-                    cfg,
-                    shard,
-                    TileDemand {
-                        digital: digital_chunk,
-                        analog: demand.analog,
-                    },
-                );
-                st.pinned_digital[shard].extend(digital_tiles.iter().copied());
-                st.pinned_analog[shard].extend(analog_tiles.iter().copied());
-
-                let relocated = match relocate(chunk_instructions, &digital_tiles, &analog_tiles) {
+            let mut placements = Vec::with_capacity(pins.len());
+            let mut replies = Vec::with_capacity(pins.len() + replicas.len());
+            let mut load = |shard: usize, program, digital: &[usize], analog: &[usize]| {
+                let relocated = match relocate(program, digital, analog) {
                     Ok(relocated) => relocated,
                     Err(_) => unreachable!("load program stays inside its demand"),
                 };
-                placements.push(ShardPlacement {
-                    shard,
-                    scrub_rows: written_rows(&relocated).collect(),
-                    digital_tiles,
-                    analog_tiles,
-                });
+                let scrub_rows: Vec<(usize, usize)> = written_rows(&relocated).collect();
                 let (reply, result) = channel();
                 // A worker that exited drops the message, and with it
                 // the reply's sender.
@@ -1007,18 +1107,47 @@ impl PoolShared {
                     reply,
                 });
                 replies.push(result);
+                scrub_rows
+            };
+            for replica in &replicas {
+                load(
+                    replica.shard,
+                    chunk_programs[0].clone(),
+                    &[],
+                    &replica.analog_tiles,
+                );
+            }
+            for ((shard, digital_tiles, analog_tiles), program) in
+                pins.into_iter().zip(chunk_programs)
+            {
+                let scrub_rows = load(shard, program, &digital_tiles, &analog_tiles);
+                placements.push(ShardPlacement {
+                    shard,
+                    digital_tiles,
+                    analog_tiles,
+                    scrub_rows,
+                });
             }
 
             let shards: Vec<usize> = placements.iter().map(|p| p.shard).collect();
+            st.telemetry.record_copies(
+                id,
+                shards
+                    .iter()
+                    .take(1)
+                    .chain(replicas.iter().map(|r| &r.shard)),
+            );
             st.datasets.insert(
                 id.0,
                 DatasetRecord {
                     tenant,
                     placements,
+                    replicas,
+                    routed: 0,
                     payload,
                     resident_bytes,
                     resident_rows,
-                    resident_matrices,
+                    resident_blocks,
                 },
             );
             (shards, span, replies)
@@ -1073,21 +1202,28 @@ impl PoolShared {
     }
 
     /// Releases a dataset's lease: drops its record, unpins its tiles
-    /// for future admission and tells each shard holding a chunk to
-    /// scrub them. Called by the last [`crate::DatasetHandle`] drop
-    /// (and by load-failure rollback); idempotent.
+    /// for future admission and tells each shard holding a chunk or a
+    /// replica to scrub them. Called by the last [`crate::DatasetHandle`]
+    /// drop (and by load-failure rollback); idempotent.
     pub(crate) fn release_dataset(&self, id: DatasetId) {
         let mut st = lock(&self.state);
         let Some(record) = st.datasets.remove(&id.0) else {
             return;
         };
-        for placement in record.placements {
+        for placement in &record.placements {
             for t in &placement.digital_tiles {
                 st.pinned_digital[placement.shard].remove(t);
             }
             for t in &placement.analog_tiles {
                 st.pinned_analog[placement.shard].remove(t);
             }
+        }
+        for replica in &record.replicas {
+            for t in &replica.analog_tiles {
+                st.replica_analog[replica.shard].remove(t);
+            }
+        }
+        for placement in record.placements.into_iter().chain(record.replicas) {
             // The scrub is ordered before any batch planned after this
             // point (same FIFO channel), so a fresh lease can never
             // observe the dataset's rows. Ignore send failures: the
@@ -1344,6 +1480,15 @@ mod tests {
     use cim_simkit::bitvec::BitVec;
     use cim_simkit::rng::seeded;
     use cim_xor_cipher::otp::OneTimePad;
+
+    /// The batch of a planning pass that shipped one batch and nothing
+    /// else.
+    fn only_batch(messages: &[(usize, WorkerMsg)]) -> &worker::Batch {
+        match messages {
+            [(_, WorkerMsg::Batch(batch))] => batch,
+            _ => panic!("expected one batch, got {} messages", messages.len()),
+        }
+    }
 
     #[test]
     fn q6_through_pool_matches_scan() {
@@ -1704,11 +1849,15 @@ mod tests {
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
         assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
-        let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
+        let order: Vec<JobId> = only_batch(&batches)
+            .jobs
+            .iter()
+            .map(|p| p.compiled.job)
+            .collect();
         assert_eq!(order, vec![cheap_xor.id(), cheap_q6.id(), expensive.id()]);
         // The three leases share the shard's leading free tiles: each
         // is scrubbed before the next job runs.
-        for placed in &batches[0].1.jobs {
+        for placed in &only_batch(&batches).jobs {
             let demand = placed.compiled.demand.digital;
             assert_eq!(placed.digital_map, (0..demand).collect::<Vec<_>>());
         }
@@ -1843,7 +1992,11 @@ mod tests {
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
         assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
-        let order: Vec<JobId> = batches[0].1.jobs.iter().map(|p| p.compiled.job).collect();
+        let order: Vec<JobId> = only_batch(&batches)
+            .jobs
+            .iter()
+            .map(|p| p.compiled.job)
+            .collect();
         assert_eq!(order, vec![narrow.id(), wide.id()]);
     }
 
@@ -2235,8 +2388,7 @@ mod tests {
             plan(&mut st, pool.config(), &Tracer::disabled())
         };
         assert_eq!(batches.len(), 1, "one shard, one pass: one batch");
-        let order: Vec<(u64, JobId)> = batches[0]
-            .1
+        let order: Vec<(u64, JobId)> = only_batch(&batches)
             .jobs
             .iter()
             .map(|p| (p.compiled.envelope.cost_units, p.compiled.job))
@@ -2249,7 +2401,7 @@ mod tests {
         assert_eq!(order[0].1, cam.id(), "the cheap CAM search goes first");
         // Fresh leases take the leading free tiles, past digital tile 0
         // that the rule table pins.
-        for placed in &batches[0].1.jobs {
+        for placed in &only_batch(&batches).jobs {
             let demand = placed.compiled.demand;
             if placed.compiled.dataset.is_none() {
                 assert_eq!(placed.digital_map, (1..=demand.digital).collect::<Vec<_>>());

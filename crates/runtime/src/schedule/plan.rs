@@ -1,9 +1,10 @@
 //! Planning: turning the pending queue into one batch per shard —
-//! deterministic shard selection, tile placement, cross-shard scatter
-//! of oversized jobs — and marking the planned jobs dispatched in the
-//! job table.
+//! deterministic shard selection, rotation over a dataset's copies,
+//! tile placement, cross-shard scatter of oversized jobs, erasing the
+//! replicas a lease reclaims — and marking the planned jobs dispatched
+//! in the job table.
 
-use super::worker::{Batch, PlacedJob, Tiles};
+use super::worker::{Batch, PlacedJob, Tiles, WorkerMsg};
 use super::{complete, unexecuted_report, GatherState, JobState, PoolConfig, PoolState};
 use crate::compile::{split_by_digital_tile, CompiledJob, TileDemand};
 use crate::job::{JobError, JobRoute};
@@ -16,9 +17,16 @@ use std::time::Instant;
 /// Marks every planned job as dispatched; stamps the dispatch
 /// wall-clock, closes the queue span and opens one `dispatch` span per
 /// placed part (a split job dispatches several).
-pub(super) fn mark_dispatched(st: &mut PoolState, tracer: &Tracer, batches: &mut [(usize, Batch)]) {
+pub(super) fn mark_dispatched(
+    st: &mut PoolState,
+    tracer: &Tracer,
+    messages: &mut [(usize, WorkerMsg)],
+) {
     let now = Instant::now();
-    for (shard, batch) in batches.iter_mut() {
+    for (shard, message) in messages.iter_mut() {
+        let WorkerMsg::Batch(batch) = message else {
+            continue;
+        };
         let batch_id = batch.id;
         for placed in batch.jobs.iter_mut() {
             let Some(entry) = st.jobs.get_mut(&placed.compiled.job.0) else {
@@ -78,6 +86,20 @@ pub(super) fn scatter_assignment(
     (remaining == 0).then_some(assignment)
 }
 
+/// Traces the reclaim of `dataset`'s replica on `shard` as a closed
+/// root `replica_reclaim` span.
+pub(super) fn trace_reclaim(tracer: &Tracer, dataset: u64, shard: usize) {
+    let span = tracer.open(
+        "replica_reclaim",
+        SpanId::NONE,
+        &[
+            ("dataset", Value::U64(dataset)),
+            ("shard", Value::U64(shard as u64)),
+        ],
+    );
+    tracer.close(span, 0.0, &[]);
+}
+
 /// The most a shard may trail the busiest shard in the routing ledger,
 /// in envelope cost units. A shard that sat pinned or idle catches up
 /// for at most this much work before routing alternates again.
@@ -125,14 +147,29 @@ fn scatter(
     }
 }
 
+/// What a planning pass sends one shard, in order: batches of placed
+/// jobs, and the erases of the replicas a lease reclaimed.
+enum Step {
+    Batch(Vec<PlacedJob>),
+    Erase(Vec<usize>),
+}
+
 /// Plans the pending queue: routes each job to a shard and places it
 /// there as it goes — a fresh lease on the shard's leading free
-/// (un-pinned) tiles, a dataset job on its dataset's pinned tiles — and
-/// scatters jobs (or dataset queries) whose tiles span more than one
-/// shard. Each shard's share of the pass ships as one batch, cheapest
-/// job first. Returns `(shard, batch)` pairs in dispatch order.
-pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec<(usize, Batch)> {
+/// (un-pinned) tiles, a dataset job on the tiles of the dataset copy
+/// whose turn it is — and scatters jobs (or dataset queries) whose
+/// tiles span more than one shard. Each shard's share of the pass ships
+/// as one batch, cheapest job first, unless a lease reclaims a replica
+/// there: then the jobs planned so far ship first, the replica's erase
+/// next, and the rest in a second batch. Returns `(shard, message)`
+/// pairs in dispatch order.
+pub(super) fn plan(
+    st: &mut PoolState,
+    cfg: &PoolConfig,
+    tracer: &Tracer,
+) -> Vec<(usize, WorkerMsg)> {
     let mut queues: Vec<Vec<PlacedJob>> = (0..cfg.shards).map(|_| Vec::new()).collect();
+    let mut closed: Vec<Vec<Step>> = (0..cfg.shards).map(|_| Vec::new()).collect();
     // Every pass starts from the cost earlier passes routed, so routing
     // depends on the submission order alone, not on how submissions were
     // grouped into flushes.
@@ -157,9 +194,10 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             if fitting.is_none() && job.splittable && job.demand.analog == 0 {
                 match scatter_assignment(cfg.shards, |s| st.free(cfg, s).0, job.demand.digital) {
                     Some(assignment) => {
+                        // Digital tiles only, so no replica is reclaimed.
                         let chunks = assignment
                             .into_iter()
-                            .map(|(s, n)| (s, st.leading_free(cfg, s, TileDemand::digital(n))))
+                            .map(|(s, n)| (s, st.lease(cfg, s, TileDemand::digital(n)).0))
                             .collect();
                         scatter(st, cfg, job, chunks, &mut queues, &mut loads);
                     }
@@ -182,7 +220,19 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
                 .unwrap_or_else(|| unreachable!("at least one shard"));
             charge(&mut loads, shard, job.envelope.cost_units);
             if fitting.is_some() {
-                let tiles = st.leading_free(cfg, shard, job.demand);
+                let (tiles, reclaimed) = st.lease(cfg, shard, job.demand);
+                if !reclaimed.is_empty() {
+                    // The queries already routed to a reclaimed copy run
+                    // before the shard erases it.
+                    let planned = std::mem::take(&mut queues[shard]);
+                    if !planned.is_empty() {
+                        closed[shard].push(Step::Batch(planned));
+                    }
+                    for (dataset, tiles) in reclaimed {
+                        trace_reclaim(tracer, dataset, shard);
+                        closed[shard].push(Step::Erase(tiles));
+                    }
+                }
                 queues[shard].push(PlacedJob::new(job, tiles, None));
             } else {
                 let (digital_free, analog_free) = st.free(cfg, shard);
@@ -196,12 +246,12 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
             }
             continue;
         };
-        let Some(record) = st.datasets.get(&id.0) else {
+        let Some(record) = st.datasets.get_mut(&id.0) else {
             failures.push((job, 0, JobError::DatasetReleased { dataset: id }));
             continue;
         };
         let mut chunks: Vec<(usize, Tiles)> = record
-            .placements
+            .route()
             .iter()
             .map(|p| (p.shard, (p.digital_tiles.clone(), p.analog_tiles.clone())))
             .collect();
@@ -230,24 +280,33 @@ pub(super) fn plan(st: &mut PoolState, cfg: &PoolConfig, tracer: &Tracer) -> Vec
     }
     st.shard_load = loads;
 
-    // One batch per shard, cheapest job first, so a cheap job is never
-    // head-of-line blocked behind an expensive one planned for the same
-    // shard. Jobs in a batch may share tiles: the worker scrubs each
-    // lease before the next job runs.
+    // One batch per shard (or per side of a reclaim), cheapest job
+    // first, so a cheap job is never head-of-line blocked behind an
+    // expensive one planned for the same shard. Jobs in a batch may
+    // share tiles: the worker scrubs each lease before the next job
+    // runs.
     let mut out = Vec::new();
-    for (shard, mut jobs) in queues.into_iter().enumerate() {
-        if jobs.is_empty() {
-            continue;
+    for (shard, (mut steps, jobs)) in closed.into_iter().zip(queues).enumerate() {
+        if !jobs.is_empty() {
+            steps.push(Step::Batch(jobs));
         }
-        jobs.sort_by_key(|p| (p.compiled.envelope.cost_units, p.compiled.job));
-        out.push((
-            shard,
-            Batch {
-                id: st.next_batch,
-                jobs,
-            },
-        ));
-        st.next_batch += 1;
+        for step in steps {
+            let message = match step {
+                Step::Batch(mut jobs) => {
+                    jobs.sort_by_key(|p| (p.compiled.envelope.cost_units, p.compiled.job));
+                    st.next_batch += 1;
+                    WorkerMsg::Batch(Batch {
+                        id: st.next_batch - 1,
+                        jobs,
+                    })
+                }
+                Step::Erase(analog_tiles) => WorkerMsg::ReleaseDataset {
+                    rows: Vec::new(),
+                    analog_tiles,
+                },
+            };
+            out.push((shard, message));
+        }
     }
 
     // Jobs that failed at planning never reach a shard: they end here.

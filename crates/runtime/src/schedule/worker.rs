@@ -12,6 +12,7 @@ use crate::trace::Attr;
 use cim_core::isa::{CimInstruction, CimResponse, TileFamily};
 use cim_core::{CimAccelerator, DeviceCounters, ExecutionStats};
 use cim_crossbar::energy::OperationCost;
+use cim_lint::Block;
 use cim_obs::{SpanId, Value};
 use cim_simkit::rng::seeded;
 use std::collections::BTreeSet;
@@ -147,22 +148,19 @@ pub(super) fn written_rows(
     })
 }
 
-/// The `(rows, cols)` of the matrix a load stream programs into each of
-/// its `analog` virtual tiles: what queries' MVM operand lengths over
-/// the resident tiles are verified against.
-pub(super) fn programmed_shapes(
-    instructions: &[CimInstruction],
-    analog: usize,
-) -> Vec<(usize, usize)> {
-    let mut shapes = vec![(0, 0); analog];
+/// The matrix blocks a load stream programs into each of its `analog`
+/// virtual tiles: what queries' MVMs over the resident tiles are
+/// verified against.
+pub(super) fn programmed_blocks(instructions: &[CimInstruction], analog: usize) -> Vec<Vec<Block>> {
+    let mut blocks = vec![Vec::new(); analog];
     for instr in instructions {
-        if let CimInstruction::ProgramMatrix { tile, matrix } = instr {
-            if let Some(shape) = shapes.get_mut(*tile) {
-                *shape = (matrix.rows(), matrix.cols());
+        if let CimInstruction::ProgramMatrix { tile, col, matrix } = instr {
+            if let Some(held) = blocks.get_mut(*tile) {
+                held.push(Block::new(*col, (matrix.rows(), matrix.cols())));
             }
         }
     }
-    shapes
+    blocks
 }
 
 /// Runs `f`, containing a panic as its rendered message, so a fault in

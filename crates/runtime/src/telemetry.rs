@@ -34,6 +34,19 @@ pub struct TenantUsage {
     pub stats: ExecutionStats,
 }
 
+/// One exact copy of a resident dataset: the primary (for a dataset
+/// spread over several shards, its first chunk's shard) or a replica.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DatasetCopy {
+    /// The shard holding the copy.
+    pub shard: usize,
+    /// Queries the copy served.
+    pub queries: u64,
+    /// Whether a lease or a pin took the copy's tiles; a reclaimed copy
+    /// serves no further query.
+    pub reclaimed: bool,
+}
+
 /// Load-vs-query accounting of one resident dataset.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DatasetUsage {
@@ -46,8 +59,8 @@ pub struct DatasetUsage {
     /// Bytes resident in the pinned tiles.
     pub resident_bytes: u64,
     /// The one-time load program's statistics (bin writes / matrix
-    /// programming). Paid exactly once per registration, kept out of
-    /// every per-job stat.
+    /// programming), summed over every copy's load. Paid once per copy
+    /// at registration, kept out of every per-job stat.
     pub load_stats: ExecutionStats,
     /// Queries served against the dataset so far.
     pub queries: u64,
@@ -59,6 +72,9 @@ pub struct DatasetUsage {
     pub load_device: DeviceCounters,
     /// Accumulated device-tier counters of the queries served.
     pub query_device: DeviceCounters,
+    /// The dataset's copies, primary first, then its replicas in shard
+    /// order, each with the queries it served.
+    pub copies: Vec<DatasetCopy>,
 }
 
 impl DatasetUsage {
@@ -153,6 +169,14 @@ impl PoolTelemetry {
                 let usage = self.datasets.entry(dataset.0).or_default();
                 if report.output.is_ok() {
                     usage.queries += 1;
+                    // A copy serves a whole query on one shard, and no
+                    // shard holds two copies of a dataset; a query
+                    // scattered over a dataset's chunks reports the first
+                    // chunk's shard, the primary's. A replica reclaimed
+                    // after the plan routed a query to it still ran it.
+                    if let Some(copy) = usage.copies.iter_mut().find(|c| c.shard == report.shard) {
+                        copy.queries += 1;
+                    }
                 }
                 usage.query_stats.accumulate(&report.stats);
                 usage.query_device.accumulate(&report.device);
@@ -179,6 +203,33 @@ impl PoolTelemetry {
         usage.resident_bytes = resident_bytes;
         usage.load_stats.accumulate(stats);
         usage.load_device.accumulate(device);
+    }
+
+    /// Records where a dataset's copies sit when it registers: the
+    /// primary's shard first, then each replica's.
+    pub(crate) fn record_copies<'a>(
+        &mut self,
+        dataset: DatasetId,
+        shards: impl IntoIterator<Item = &'a usize>,
+    ) {
+        self.datasets.entry(dataset.0).or_default().copies = shards
+            .into_iter()
+            .map(|&shard| DatasetCopy {
+                shard,
+                ..DatasetCopy::default()
+            })
+            .collect();
+    }
+
+    /// Marks a dataset's replica on `shard` reclaimed.
+    pub(crate) fn record_reclaim(&mut self, dataset: DatasetId, shard: usize) {
+        if let Some(copy) = self
+            .datasets
+            .get_mut(&dataset.0)
+            .and_then(|usage| usage.copies.iter_mut().find(|c| c.shard == shard))
+        {
+            copy.reclaimed = true;
+        }
     }
 
     /// Total simulated accelerator busy time attributed to jobs.
@@ -252,6 +303,17 @@ impl fmt::Display for PoolTelemetry {
                 usage.query_stats.instructions(),
                 usage.amortized_load_writes_per_query()
             )?;
+            if usage.copies.len() > 1 {
+                let copies: Vec<String> = usage
+                    .copies
+                    .iter()
+                    .map(|c| {
+                        let gone = if c.reclaimed { ", reclaimed" } else { "" };
+                        format!("shard {} ({} queries{gone})", c.shard, c.queries)
+                    })
+                    .collect();
+                writeln!(f, "    copies: {}", copies.join(", "))?;
+            }
         }
         Ok(())
     }

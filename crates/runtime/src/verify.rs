@@ -12,7 +12,7 @@
 //!
 //! This module's job is building the [`LintTarget`]: the compiled job's
 //! declared tile demand plus whatever the queried dataset already made
-//! resident (the rows its load program wrote, the shapes of its
+//! resident (the rows its load program wrote, the blocks of its
 //! programmed prototype or weight matrices), so reads of resident data
 //! verify clean, MVMs of the wrong length over it are rejected, and so
 //! are writes over it.
@@ -60,19 +60,21 @@ pub(crate) fn envelope_of(
 }
 
 /// The pool's per-tile geometry with the job's own tile counts, plus the
-/// shape of the matrix `resident`'s load programmed into each analog
-/// tile — all the cost pass reads of a target.
+/// blocks `resident`'s load programmed into each analog tile — all the
+/// cost pass reads of a target.
 fn analog_target(
     demand: TileDemand,
     cfg: &PoolConfig,
     resident: Option<&ResidentView>,
 ) -> LintTarget {
     let mut target = LintTarget::new(lint_geometry(demand, cfg));
-    for (tile, &shape) in resident
+    for (tile, blocks) in resident
         .iter()
-        .flat_map(|view| view.resident_matrices.iter().enumerate())
+        .flat_map(|view| view.resident_blocks.iter().enumerate())
     {
-        target = target.with_resident_analog(tile, shape);
+        for &block in blocks {
+            target = target.with_resident_analog(tile, block);
+        }
     }
     target
 }
@@ -80,7 +82,7 @@ fn analog_target(
 /// Builds the lint target a job with `demand` runs against: the pool's
 /// per-tile geometry with the job's own tile counts, plus what the
 /// dataset it queries made resident — the rows its load wrote, and the
-/// shape of the matrix its load programmed into each analog tile.
+/// blocks its load programmed into each analog tile.
 pub(crate) fn lint_target(
     demand: TileDemand,
     cfg: &PoolConfig,

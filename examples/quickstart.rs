@@ -62,12 +62,14 @@ fn main() {
     let m = Matrix::from_fn(8, 8, |i, j| ((i as f64) - (j as f64)) / 8.0);
     acc.execute(CimInstruction::ProgramMatrix {
         tile: 0,
+        col: 0,
         matrix: m.clone(),
     });
     let x = vec![0.5, -0.25, 0.75, 0.0, 0.1, -0.6, 0.3, 0.9];
     let y = acc
         .execute(CimInstruction::Mvm {
             tile: 0,
+            col: 0,
             x: x.clone(),
         })
         .into_vector()

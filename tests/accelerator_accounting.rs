@@ -51,6 +51,7 @@ fn per_instruction_costs_sum_to_stats() {
         &mut acc,
         CimInstruction::ProgramMatrix {
             tile: 0,
+            col: 0,
             matrix: Matrix::from_fn(12, 12, |i, j| ((i + j) % 4) as f64 - 1.5),
         },
     );
@@ -58,6 +59,7 @@ fn per_instruction_costs_sum_to_stats() {
         &mut acc,
         CimInstruction::Mvm {
             tile: 0,
+            col: 0,
             x: vec![0.3; 12],
         },
     );
@@ -65,6 +67,7 @@ fn per_instruction_costs_sum_to_stats() {
         &mut acc,
         CimInstruction::MvmT {
             tile: 0,
+            col: 0,
             z: vec![0.2; 12],
         },
     );
@@ -92,6 +95,7 @@ fn instruction_classes_follow_taxonomy() {
     assert_eq!(write.class(), CimClass::Array);
     let program = CimInstruction::ProgramMatrix {
         tile: 0,
+        col: 0,
         matrix: Matrix::zeros(2, 2),
     };
     assert_eq!(program.class(), CimClass::Array);

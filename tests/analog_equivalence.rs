@@ -12,11 +12,12 @@
 //!   and wear ledger, product outputs, pulse counts and per-op costs are
 //!   bit-identical (costs to 1e-12 relative) whenever
 //!   `sigma_prog == 0 && sigma_read == 0`, with and without drift;
-//! * **windows and erase** — scripts program matrices smaller than the
-//!   tile into origin-anchored windows, large and small in turn, and
-//!   erase; every script ends with an erase and a program of a different
-//!   shape. After an erase every device reads `g_min` on both
-//!   implementations, at any sigma;
+//! * **blocks and erase** — scripts program matrices smaller than the
+//!   tile into column blocks at random first columns, large and small in
+//!   turn (a program replacing the blocks it overlaps), run products over
+//!   the block programmed last, and erase; every script ends with an
+//!   erase and a program of a different shape. After an erase every
+//!   device reads `g_min` on both implementations, at any sigma;
 //! * **accounting** — under default (noisy) parameters both
 //!   implementations keep their pulse/energy/latency identities
 //!   (`energy = pulse_energy × pulses`, latency capped by the pulse
@@ -53,9 +54,10 @@ fn rel_close(a: f64, b: f64) -> bool {
 /// One scripted operation, decoded from two random words.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Program a `window`-shaped matrix at the origin.
+    /// Program a `window`-shaped matrix as the block at column `col`.
     Program {
         pattern: u64,
+        col: usize,
         window: (usize, usize),
     },
     /// RESET the pair to `g_min`.
@@ -77,12 +79,17 @@ fn window_of(rows: usize, cols: usize, pattern: u64) -> (usize, usize) {
 fn decode_ops(rows: usize, cols: usize, sels: &[u8], args: &[u64]) -> Vec<Op> {
     // Every script opens with a full-tile program so products never hit
     // an unprogrammed pair, and every erase is followed by a program.
-    let program = |x: u64| Op::Program {
-        pattern: x,
-        window: window_of(rows, cols, x),
+    let program = |x: u64| {
+        let window = window_of(rows, cols, x);
+        Op::Program {
+            pattern: x,
+            col: (hash(x ^ 0xC0) >> 50) as usize % (cols - window.1 + 1),
+            window,
+        }
     };
     let mut ops = vec![Op::Program {
         pattern: 0,
+        col: 0,
         window: (rows, cols),
     }];
     for (&sel, &x) in sels.iter().zip(args) {
@@ -107,6 +114,7 @@ fn decode_ops(rows: usize, cols: usize, sels: &[u8], args: &[u64]) -> Vec<Op> {
         Op::Erase,
         Op::Program {
             pattern: !last.0 as u64,
+            col: 0,
             window: (last.0 % rows + 1, last.1 % cols + 1),
         },
         Op::Mvm { pattern: 1 },
@@ -229,21 +237,22 @@ fn check_equivalence(
     let mut reference = ReferenceDifferentialCrossbar::new(rows, cols, params);
     let mut fast_rng = seeded(seed ^ 0x517E);
     let mut ref_rng = seeded(seed ^ 0x517E);
-    // The window of the matrix programmed last.
-    let mut window = (rows, cols);
+    // The first column and shape of the block programmed last.
+    let (mut col, mut window) = (0, (rows, cols));
 
     for op in decode_ops(rows, cols, sels, args) {
         match op {
             Op::Program {
                 pattern,
+                col: at,
                 window: shape,
             } => {
-                window = shape;
+                (col, window) = (at, shape);
                 let m = pattern_matrix(shape.0, shape.1, pattern);
                 let before_f = fast.stats().program_pulses;
                 let before_r = reference.stats().program_pulses;
-                let fc = fast.program_matrix(&m, &mut fast_rng);
-                let rc = reference.program_matrix(&m, &mut ref_rng);
+                let fc = fast.program_matrix_at(col, &m, &mut fast_rng);
+                let rc = reference.program_matrix_at(col, &m, &mut ref_rng);
                 let dp_f = fast.stats().program_pulses - before_f;
                 let dp_r = reference.stats().program_pulses - before_r;
                 // Accounting identities hold per implementation under any
@@ -266,7 +275,7 @@ fn check_equivalence(
                     prop_assert_eq!(dp_f, dp_r, "pulse counts diverged");
                     prop_assert!(rel_close(fc.energy.0, rc.energy.0));
                     prop_assert!(rel_close(fc.latency.0, rc.latency.0));
-                    let (fm, rm) = (fast.stored_matrix(), reference.stored_matrix());
+                    let (fm, rm) = (fast.stored_matrix_at(col), reference.stored_matrix_at(col));
                     prop_assert_eq!(
                         fm.as_slice(),
                         rm.as_slice(),
@@ -299,8 +308,8 @@ fn check_equivalence(
                 let x = pattern_vec(cols, pattern);
                 let before_f = fast.stats().noise_samples;
                 let before_r = reference.stats().noise_samples;
-                let (fy, fc) = fast.matvec_with_cost(&x, &mut fast_rng);
-                let (ry, rc) = reference.matvec_with_cost(&x, &mut ref_rng);
+                let (fy, fc) = fast.matvec_at(col, &x, &mut fast_rng);
+                let (ry, rc) = reference.matvec_at(col, &x, &mut ref_rng);
                 check_product(
                     &fy,
                     &ry,
@@ -323,8 +332,8 @@ fn check_equivalence(
                 let z = pattern_vec(rows, pattern);
                 let before_f = fast.stats().noise_samples;
                 let before_r = reference.stats().noise_samples;
-                let (fy, fc) = fast.matvec_t_with_cost(&z, &mut fast_rng);
-                let (ry, rc) = reference.matvec_t_with_cost(&z, &mut ref_rng);
+                let (fy, fc) = fast.matvec_t_at(col, &z, &mut fast_rng);
+                let (ry, rc) = reference.matvec_t_at(col, &z, &mut ref_rng);
                 check_product(
                     &fy,
                     &ry,

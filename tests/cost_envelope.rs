@@ -381,13 +381,19 @@ fn raw_analog_spec() -> WorkloadSpec {
         digital_tiles: 0,
         analog_tiles: 1,
         instructions: vec![
-            CimInstruction::ProgramMatrix { tile: 0, matrix },
+            CimInstruction::ProgramMatrix {
+                tile: 0,
+                col: 0,
+                matrix,
+            },
             CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![0.5; 6],
             },
             CimInstruction::MvmT {
                 tile: 0,
+                col: 0,
                 z: vec![0.25; 8],
             },
         ],

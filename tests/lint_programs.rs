@@ -447,20 +447,24 @@ fn resident_matrix_width_mismatch_rejected_l008() {
         (
             CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![0.5; 16],
             },
             CimInstruction::Mvm {
                 tile: 0,
+                col: 0,
                 x: vec![0.5; 2048],
             },
         ),
         (
             CimInstruction::MvmT {
                 tile: 0,
+                col: 0,
                 z: vec![0.5; 8],
             },
             CimInstruction::MvmT {
                 tile: 0,
+                col: 0,
                 z: vec![0.5; 2048],
             },
         ),

@@ -19,13 +19,14 @@ use cim_repro::cim_simkit::rng::seeded;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// A pool with compact analog tiles: program-and-verify cost scales
-/// with tile area (layers are padded to the full tile), so test pools
-/// keep tiles near the layer sizes under test.
+/// A pool with compact analog tiles, near the layer sizes under test.
+/// Layers pack side by side into column blocks, so a two-layer network
+/// fills one or two of these 16 x 32 tiles.
 fn nn_pool(shards: usize) -> RuntimePool {
     RuntimePool::new(PoolConfig {
-        // Four tiles so a resident two-layer network leaves room for a
-        // cold two-layer lease on the same shard.
+        // Four tiles: room for a resident network and a cold lease of
+        // the same network on one shard, whether it packs into one tile
+        // or two.
         analog_tiles: 4,
         analog_rows: 16,
         analog_cols: 32,
@@ -242,6 +243,55 @@ fn resident_nn_amortizes_weight_programming() {
     assert!(
         speedup >= 3.0,
         "resident NN speedup {speedup:.2}x below the 3x acceptance bar"
+    );
+}
+
+/// Three-layer networks fit: `[256, 32, 16, 8]` packs its layers into
+/// columns 0–255, 256–287 and 288–303 of one default 32 x 2,048 analog
+/// tile. Cold `NnInfer` and resident `NnQuery` both serve
+/// `BinarizedMlp::scores` bit for bit, and each resident copy of the
+/// weights pins one of the shard's two analog tiles.
+#[test]
+fn three_layer_network_serves_from_one_tile() {
+    let mlp = BinarizedMlp::random(&[256, 32, 16, 8], 31);
+    let inputs = random_inputs(4, 256, 9);
+    let pool = RuntimePool::new(PoolConfig::with_shards(1));
+    let session = pool.client(TenantId(1));
+    let cold = session
+        .submit(&WorkloadSpec::NnInfer {
+            network: mlp.clone(),
+            inputs: inputs.clone(),
+        })
+        .unwrap()
+        .wait();
+    let weights = DatasetSpec::NnWeights {
+        network: mlp.clone(),
+    };
+    // Two resident copies fill the shard's two analog tiles: each packs
+    // into one.
+    let first = session.register_dataset(&weights).unwrap();
+    let _second = session.register_dataset(&weights).unwrap();
+    let resident = session
+        .submit(&WorkloadSpec::NnQuery {
+            dataset: first.id(),
+            inputs: inputs.clone(),
+        })
+        .unwrap()
+        .wait();
+    for report in [&cold, &resident] {
+        let (predictions, scores) = nn_output(report.output.as_ref().unwrap());
+        for (i, x) in inputs.iter().enumerate() {
+            assert_eq!(scores[i], mlp.scores(x), "input {i}");
+            assert_eq!(predictions[i], mlp.predict(x));
+        }
+        assert_eq!(report.stats.mvms, 3 * 4, "one MVM per layer per input");
+    }
+    assert_eq!(cold.stats.matrix_programs, 3);
+    assert_eq!(resident.stats.matrix_programs, 0);
+    let telemetry = pool.telemetry();
+    assert_eq!(
+        telemetry.datasets[&first.id().0].load_stats.matrix_programs,
+        3
     );
 }
 

@@ -28,6 +28,7 @@
 
 use cim_repro::cim_bitmap_db::tpch::Q6Params;
 use cim_repro::cim_crossbar::scouting::ScoutOp;
+use cim_repro::cim_nn::binarized::BinarizedMlp;
 use cim_repro::cim_obs::{Event, RingRecorder, Snapshot, SpanNode, Value};
 use cim_repro::cim_runtime::{
     CompileError, DatasetHandle, DatasetSpec, JobError, JobHandle, JobReport, PoolClient,
@@ -334,6 +335,77 @@ fn resident_queries_reuse_one_dataset_load_span() {
             "query roots carry their dataset id"
         );
     }
+}
+
+/// Analog datasets keep exact replicas. A registration that places one
+/// traces a `load_execute` per copy under its one `dataset_load`
+/// (attribute `copies`); queries served by either copy trace the full
+/// 7-span route; and a lease that reclaims the replica leaves one
+/// closed root `replica_reclaim` span naming the dataset and the shard.
+#[test]
+fn replica_loads_and_reclaims_close_their_spans() {
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    // Two 16 x 64 analog tiles per shard: the weights pack into one, the
+    // cold network needs both.
+    let cfg = PoolConfig {
+        analog_rows: 16,
+        analog_cols: 64,
+        ..PoolConfig::with_shards(2)
+    };
+    let pool = RuntimePool::with_sink(cfg, ring.clone());
+    let session = pool.client(TenantId(4));
+    let inputs = |len| vec![BitVec::from_fn(len, |j| j % 3 == 0)];
+    let weights = session
+        .register_dataset(&DatasetSpec::NnWeights {
+            network: BinarizedMlp::random(&[32, 16, 4], 1),
+        })
+        .unwrap();
+    let mut reports = Vec::new();
+    for _ in 0..2 {
+        reports.push(
+            session
+                .submit(&WorkloadSpec::NnQuery {
+                    dataset: weights.id(),
+                    inputs: inputs(32),
+                })
+                .unwrap()
+                .wait(),
+        );
+    }
+    reports.push(
+        session
+            .submit(&WorkloadSpec::NnInfer {
+                network: BinarizedMlp::random(&[64, 16, 4], 2),
+                inputs: inputs(64),
+            })
+            .unwrap()
+            .wait(),
+    );
+    let shards: Vec<usize> = reports.iter().map(|r| r.shard).collect();
+    assert_eq!(shards, vec![0, 1, 1], "primary, replica, then the reclaim");
+
+    let snap = ring.snapshot();
+    assert_eq!(snap.unclosed, 0);
+    assert_eq!(snap.orphan_closes, 0);
+    for report in &reports {
+        assert!(report.output.is_ok(), "{:?}", report.output);
+        assert_job_route(&snap, report);
+    }
+    let load = snap.roots_named("dataset_load").next().unwrap();
+    assert!(matches!(load.attr("copies"), Some(Value::U64(2))));
+    let mut loads: Vec<u64> = children_named(load, "load_execute")
+        .iter()
+        .map(|l| match l.attr("shard") {
+            Some(Value::U64(shard)) => *shard,
+            other => panic!("load_execute lacks a shard attr: {other:?}"),
+        })
+        .collect();
+    loads.sort_unstable();
+    assert_eq!(loads, vec![0, 1], "one load per copy");
+    let reclaims: Vec<&SpanNode> = snap.roots_named("replica_reclaim").collect();
+    assert_eq!(reclaims.len(), 1);
+    assert!(matches!(reclaims[0].attr("dataset"), Some(Value::U64(id)) if *id == weights.id().0));
+    assert!(matches!(reclaims[0].attr("shard"), Some(Value::U64(1))));
 }
 
 /// The `(open, close)` wall times of the span named `name` carrying
