@@ -43,6 +43,4 @@ pub mod problem;
 pub mod solver;
 
 pub use problem::CsProblem;
-pub use solver::{
-    AmpResult, AmpSolver, CrossbarBackend, ExactBackend, MatVecBackend, TiledBackend,
-};
+pub use solver::{AmpResult, AmpSolver, CrossbarBackend, ExactBackend, MatVecBackend};

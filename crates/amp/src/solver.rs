@@ -137,64 +137,6 @@ impl MatVecBackend for CrossbarBackend {
     }
 }
 
-/// A backend for matrices larger than one physical tile: the matrix is
-/// sharded over a [`cim_crossbar::tiled::TiledMatrixEngine`] grid (digital partial-sum
-/// accumulation between tiles), which is how a real CIM chip would host
-/// the paper's 1024×1024 measurement matrix from 256×256 macros.
-#[derive(Debug)]
-pub struct TiledBackend {
-    engine: cim_crossbar::tiled::TiledMatrixEngine,
-    rng: StdRng,
-    products: u64,
-    programming_cost: OperationCost,
-}
-
-impl TiledBackend {
-    /// Programs `a` across tiles of at most `tile_size × tile_size`.
-    pub fn new(a: &Matrix, tile_size: usize, params: AnalogParams, seed: u64) -> Self {
-        let mut rng = seeded(seed);
-        let (engine, programming_cost) =
-            cim_crossbar::tiled::TiledMatrixEngine::program(a, tile_size, params, &mut rng);
-        TiledBackend {
-            engine,
-            rng,
-            products: 0,
-            programming_cost,
-        }
-    }
-
-    /// The one-time programming cost.
-    pub fn programming_cost(&self) -> OperationCost {
-        self.programming_cost
-    }
-
-    /// Number of physical tiles in the grid.
-    pub fn tile_count(&self) -> usize {
-        self.engine.tile_count()
-    }
-
-    /// Total crossbar energy spent so far.
-    pub fn total_energy(&self) -> cim_simkit::units::Joules {
-        self.engine.total_energy()
-    }
-}
-
-impl MatVecBackend for TiledBackend {
-    fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        self.products += 1;
-        self.engine.matvec(x, &mut self.rng).0
-    }
-
-    fn adjoint(&mut self, z: &[f64]) -> Vec<f64> {
-        self.products += 1;
-        self.engine.matvec_t(z, &mut self.rng).0
-    }
-
-    fn products(&self) -> u64 {
-        self.products
-    }
-}
-
 /// AMP solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmpSolver {
@@ -439,28 +381,5 @@ mod tests {
         let r = AmpSolver::default().solve(&mut backend, &p.measurements, p.n());
         let nmse = nmse_db(&p.signal, &r.estimate);
         assert!(nmse < -25.0, "ideal crossbar NMSE {nmse} dB");
-    }
-
-    #[test]
-    fn tiled_backend_recovers_like_monolithic() {
-        let p = CsProblem::generate(64, 128, 6, 0.0, 19);
-        let solver = AmpSolver {
-            max_iterations: 40,
-            ..AmpSolver::default()
-        };
-        let mut mono = CrossbarBackend::new(&p.matrix, AnalogParams::default(), 7);
-        let mut tiled = TiledBackend::new(&p.matrix, 32, AnalogParams::default(), 7);
-        assert_eq!(tiled.tile_count(), 2 * 4);
-        let r_mono = solver.solve(&mut mono, &p.measurements, p.n());
-        let r_tiled = solver.solve(&mut tiled, &p.measurements, p.n());
-        let e_mono = nmse_db(&p.signal, &r_mono.estimate);
-        let e_tiled = nmse_db(&p.signal, &r_tiled.estimate);
-        assert!(e_tiled < -10.0, "tiled NMSE {e_tiled}");
-        assert!(
-            (e_tiled - e_mono).abs() < 12.0,
-            "tiled {e_tiled} vs monolithic {e_mono}"
-        );
-        assert!(tiled.total_energy().0 > 0.0);
-        assert!(tiled.programming_cost().energy.0 > 0.0);
     }
 }

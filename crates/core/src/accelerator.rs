@@ -6,8 +6,9 @@
 //! them, and accounts per-class operation counts, energy and busy time.
 //!
 //! Construction goes through [`CimAcceleratorBuilder`] (C-BUILDER): tile
-//! counts and geometries vary per application, and the accelerator owns a
-//! seeded RNG so whole workloads are reproducible.
+//! counts and geometries vary per application, and a seed fixes the
+//! fabrication variation. Each [`CimAccelerator::run`] draws its noise
+//! from the caller's RNG, so whole workloads are reproducible.
 
 use crate::isa::{CimInstruction, CimResponse};
 use cim_crossbar::analog::{AnalogParams, DifferentialCrossbar};
@@ -18,6 +19,7 @@ use cim_simkit::bitvec::BitVec;
 use cim_simkit::rng::seeded;
 use cim_simkit::units::{Joules, Seconds};
 use rand::rngs::StdRng;
+use std::collections::BTreeSet;
 
 /// Aggregate execution statistics of an accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -165,7 +167,8 @@ impl CimAcceleratorBuilder {
         self
     }
 
-    /// Sets the RNG seed used for fabrication variation and runtime noise.
+    /// Sets the seed of the digital tiles' fabrication variation. Runtime
+    /// noise draws from the RNG each [`CimAccelerator::run`] is given.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;
         self
@@ -187,10 +190,7 @@ impl CimAcceleratorBuilder {
         CimAccelerator {
             digital_tiles,
             analog_tiles,
-            rng,
             stats: ExecutionStats::default(),
-            last_bits: None,
-            track_last_bits: true,
         }
     }
 }
@@ -206,15 +206,7 @@ impl Default for CimAcceleratorBuilder {
 pub struct CimAccelerator {
     digital_tiles: Vec<DigitalArray>,
     analog_tiles: Vec<DifferentialCrossbar>,
-    rng: StdRng,
     stats: ExecutionStats,
-    /// Result of the most recent bits-producing instruction, consumed by
-    /// [`CimInstruction::StoreLast`].
-    last_bits: Option<BitVec>,
-    /// Whether `ReadRow`/`Logic` keep a copy of their result for a
-    /// following `StoreLast`. Executors that know a stream contains no
-    /// `StoreLast` disable this to skip the per-instruction clone.
-    track_last_bits: bool,
 }
 
 impl CimAccelerator {
@@ -304,101 +296,6 @@ impl CimAccelerator {
         self.digital_tiles[tile].fabricate();
     }
 
-    /// Executes one instruction, returning its response.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed instructions: unknown tile indices, shape
-    /// mismatches, or unsupported logic fan-in (the conditions documented
-    /// on the underlying tile operations).
-    pub fn execute(&mut self, instruction: CimInstruction) -> CimResponse {
-        self.execute_with_cost(instruction).0
-    }
-
-    /// Executes one instruction, returning the response and its cost.
-    ///
-    /// Stochastic behaviour draws from the accelerator's own stream,
-    /// borrowed directly — no per-instruction RNG cloning.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::execute`].
-    pub fn execute_with_cost(
-        &mut self,
-        instruction: CimInstruction,
-    ) -> (CimResponse, OperationCost) {
-        let CimAccelerator {
-            digital_tiles,
-            analog_tiles,
-            rng,
-            stats,
-            last_bits,
-            track_last_bits,
-        } = self;
-        execute_on(
-            digital_tiles,
-            analog_tiles,
-            stats,
-            last_bits,
-            *track_last_bits,
-            instruction,
-            rng,
-        )
-    }
-
-    /// Executes one instruction drawing all stochastic behaviour (read
-    /// noise, programming noise) from the caller's RNG instead of the
-    /// accelerator's own stream.
-    ///
-    /// This is the entry point the multi-tenant runtime uses: giving
-    /// every job its own seeded stream makes a job's results independent
-    /// of which other jobs share the accelerator and in which order they
-    /// execute.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::execute`], plus `StoreLast` with no
-    /// preceding bits-producing instruction.
-    pub fn execute_with_rng(
-        &mut self,
-        instruction: CimInstruction,
-        rng: &mut StdRng,
-    ) -> (CimResponse, OperationCost) {
-        execute_on(
-            &mut self.digital_tiles,
-            &mut self.analog_tiles,
-            &mut self.stats,
-            &mut self.last_bits,
-            self.track_last_bits,
-            instruction,
-            rng,
-        )
-    }
-
-    /// Controls whether `ReadRow`/`Logic` keep a copy of their result as
-    /// the pending [`CimInstruction::StoreLast`] operand (the default).
-    ///
-    /// Executors that can see a whole instruction stream disable tracking
-    /// for streams containing no `StoreLast`, skipping one bit-vector
-    /// clone per read/logic instruction on the hot path. With tracking
-    /// disabled, `StoreLast` panics; the pending operand is dropped
-    /// immediately.
-    pub fn set_last_bits_tracking(&mut self, enabled: bool) {
-        self.track_last_bits = enabled;
-        if !enabled {
-            self.last_bits = None;
-        }
-    }
-
-    /// Forgets the pending [`CimInstruction::StoreLast`] operand.
-    ///
-    /// The runtime calls this at every job boundary so one tenant's
-    /// sense-amplifier result can never be stored by the next tenant's
-    /// instruction stream.
-    pub fn reset_pipeline(&mut self) {
-        self.last_bits = None;
-    }
-
     /// Zeroes one digital tile row (tenant-isolation scrubbing).
     ///
     /// This is a maintenance write: it costs real write energy on the
@@ -430,112 +327,128 @@ impl CimAccelerator {
         self.analog_tiles[tile].erase()
     }
 
-    /// Runs a straight-line sequence of instructions, returning the last
-    /// response (or `Done` for an empty sequence).
-    pub fn run<I: IntoIterator<Item = CimInstruction>>(&mut self, program: I) -> CimResponse {
-        let mut last = CimResponse::Done;
-        for instr in program {
-            last = self.execute(instr);
+    /// Runs one instruction stream, drawing all stochastic behaviour
+    /// (read noise, programming noise) from `rng`, and returns the
+    /// responses of the instructions `outputs` lists by index, in stream
+    /// order.
+    ///
+    /// The stream owns its result latch: a [`CimInstruction::StoreLast`]
+    /// writes back the latest `ReadRow` or `Logic` result of the same
+    /// call, so nothing one stream sensed can be stored by the next. A
+    /// stream with no `StoreLast` keeps no copy of its results. Giving
+    /// every job its own seeded `rng` makes its results independent of
+    /// which other jobs share the accelerator and in which order they
+    /// run, which is how the multi-tenant runtime calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed instructions: unknown tile indices, shape
+    /// mismatches, unsupported logic fan-in (the conditions documented
+    /// on the underlying tile operations), or a `StoreLast` with no
+    /// earlier read or logic result in the stream. The instructions
+    /// before the faulting one have run and are counted in the stats.
+    pub fn run(
+        &mut self,
+        program: Vec<CimInstruction>,
+        outputs: &[usize],
+        rng: &mut StdRng,
+    ) -> Vec<CimResponse> {
+        let latching = program
+            .iter()
+            .any(|i| matches!(i, CimInstruction::StoreLast { .. }));
+        let mut latch = None;
+        let wanted: BTreeSet<usize> = outputs.iter().copied().collect();
+        let mut responses = Vec::with_capacity(wanted.len());
+        for (index, instruction) in program.into_iter().enumerate() {
+            let response = self.step(instruction, latching, &mut latch, rng);
+            if wanted.contains(&index) {
+                responses.push(response);
+            }
         }
-        last
+        responses
     }
-}
 
-/// The instruction executor, over disjoint borrows of the accelerator's
-/// fields so both the owned-RNG and caller-RNG entry points share it
-/// without cloning RNG state.
-fn execute_on(
-    digital_tiles: &mut [DigitalArray],
-    analog_tiles: &mut [DifferentialCrossbar],
-    stats: &mut ExecutionStats,
-    last_bits: &mut Option<BitVec>,
-    track_last_bits: bool,
-    instruction: CimInstruction,
-    rng: &mut StdRng,
-) -> (CimResponse, OperationCost) {
-    let account = |stats: &mut ExecutionStats, cost: OperationCost| {
-        stats.energy += cost.energy;
-        stats.busy_time += cost.latency;
-    };
-    match instruction {
-        CimInstruction::WriteRow { tile, row, bits } => {
-            let cost = digital_tiles[tile].write_row(row, &bits);
-            stats.row_writes += 1;
-            account(stats, cost);
-            (CimResponse::Done, cost)
-        }
-        CimInstruction::ReadRow { tile, row } => {
-            let (bits, cost) = digital_tiles[tile].read_row_with_cost(row, rng);
-            stats.row_reads += 1;
-            account(stats, cost);
-            if track_last_bits {
-                *last_bits = Some(bits.clone());
+    /// Executes one instruction of a stream. `ReadRow` and `Logic`
+    /// results go to the stream's `latch` when it is `latching`.
+    fn step(
+        &mut self,
+        instruction: CimInstruction,
+        latching: bool,
+        latch: &mut Option<BitVec>,
+        rng: &mut StdRng,
+    ) -> CimResponse {
+        let (response, cost) = match instruction {
+            CimInstruction::WriteRow { tile, row, bits } => {
+                let cost = self.digital_tiles[tile].write_row(row, &bits);
+                self.stats.row_writes += 1;
+                (CimResponse::Done, cost)
             }
-            (CimResponse::Bits(bits), cost)
-        }
-        CimInstruction::Logic { tile, op, rows } => {
-            let (bits, cost) = digital_tiles[tile].scout_with_cost(op, &rows, rng);
-            stats.logic_ops += 1;
-            account(stats, cost);
-            if track_last_bits {
-                *last_bits = Some(bits.clone());
+            CimInstruction::ReadRow { tile, row } => {
+                let (bits, cost) = self.digital_tiles[tile].read_row_with_cost(row, rng);
+                self.stats.row_reads += 1;
+                if latching {
+                    *latch = Some(bits.clone());
+                }
+                (CimResponse::Bits(bits), cost)
             }
-            (CimResponse::Bits(bits), cost)
-        }
-        CimInstruction::StoreLast { tile, row } => {
-            let bits = match last_bits.take() {
-                Some(bits) => bits,
-                None => panic!("StoreLast with no preceding bits-producing instruction"),
-            };
-            let cost = digital_tiles[tile].write_row(row, &bits);
-            stats.row_writes += 1;
-            account(stats, cost);
-            *last_bits = Some(bits);
-            (CimResponse::Done, cost)
-        }
-        CimInstruction::WriteKey {
-            tile,
-            slot,
-            value,
-            care,
-        } => {
-            let cost = digital_tiles[tile].write_key(slot, &value, &care);
-            stats.key_writes += 1;
-            account(stats, cost);
-            (CimResponse::Done, cost)
-        }
-        CimInstruction::MatchSearch {
-            tile,
-            entries,
-            key,
-            kind,
-        } => {
-            // Match sets are entry-indexed (not tile-width), so they are
-            // not a storable `StoreLast` operand — they return to the
-            // host side for gathering/finalization.
-            let (bits, cost) = digital_tiles[tile].match_search(entries, &key, kind, rng);
-            stats.searches += 1;
-            account(stats, cost);
-            (CimResponse::Bits(bits), cost)
-        }
-        CimInstruction::ProgramMatrix { tile, col, matrix } => {
-            let cost = analog_tiles[tile].program_matrix_at(col, &matrix, rng);
-            stats.matrix_programs += 1;
-            account(stats, cost);
-            (CimResponse::Done, cost)
-        }
-        CimInstruction::Mvm { tile, col, x } => {
-            let (y, cost) = analog_tiles[tile].matvec_at(col, &x, rng);
-            stats.mvms += 1;
-            account(stats, cost);
-            (CimResponse::Vector(y), cost)
-        }
-        CimInstruction::MvmT { tile, col, z } => {
-            let (y, cost) = analog_tiles[tile].matvec_t_at(col, &z, rng);
-            stats.mvms += 1;
-            account(stats, cost);
-            (CimResponse::Vector(y), cost)
-        }
+            CimInstruction::Logic { tile, op, rows } => {
+                let (bits, cost) = self.digital_tiles[tile].scout_with_cost(op, &rows, rng);
+                self.stats.logic_ops += 1;
+                if latching {
+                    *latch = Some(bits.clone());
+                }
+                (CimResponse::Bits(bits), cost)
+            }
+            CimInstruction::StoreLast { tile, row } => {
+                let Some(bits) = latch.as_ref() else {
+                    panic!("StoreLast with no preceding bits-producing instruction");
+                };
+                let cost = self.digital_tiles[tile].write_row(row, bits);
+                self.stats.row_writes += 1;
+                (CimResponse::Done, cost)
+            }
+            CimInstruction::WriteKey {
+                tile,
+                slot,
+                value,
+                care,
+            } => {
+                let cost = self.digital_tiles[tile].write_key(slot, &value, &care);
+                self.stats.key_writes += 1;
+                (CimResponse::Done, cost)
+            }
+            CimInstruction::MatchSearch {
+                tile,
+                entries,
+                key,
+                kind,
+            } => {
+                // Match sets are entry-indexed (not tile-width), so they
+                // are not a storable `StoreLast` operand — they return to
+                // the host side for gathering/finalization.
+                let (bits, cost) = self.digital_tiles[tile].match_search(entries, &key, kind, rng);
+                self.stats.searches += 1;
+                (CimResponse::Bits(bits), cost)
+            }
+            CimInstruction::ProgramMatrix { tile, col, matrix } => {
+                let cost = self.analog_tiles[tile].program_matrix_at(col, &matrix, rng);
+                self.stats.matrix_programs += 1;
+                (CimResponse::Done, cost)
+            }
+            CimInstruction::Mvm { tile, col, x } => {
+                let (y, cost) = self.analog_tiles[tile].matvec_at(col, &x, rng);
+                self.stats.mvms += 1;
+                (CimResponse::Vector(y), cost)
+            }
+            CimInstruction::MvmT { tile, col, z } => {
+                let (y, cost) = self.analog_tiles[tile].matvec_t_at(col, &z, rng);
+                self.stats.mvms += 1;
+                (CimResponse::Vector(y), cost)
+            }
+        };
+        self.stats.energy += cost.energy;
+        self.stats.busy_time += cost.latency;
+        response
     }
 }
 
@@ -553,6 +466,41 @@ mod tests {
             .analog_params(AnalogParams::ideal())
             .seed(3)
             .build()
+    }
+
+    /// Runs `program` under a fixed noise stream and returns every
+    /// response.
+    fn run_all(acc: &mut CimAccelerator, program: Vec<CimInstruction>) -> Vec<CimResponse> {
+        let outputs: Vec<usize> = (0..program.len()).collect();
+        acc.run(program, &outputs, &mut seeded(7))
+    }
+
+    /// The bits of the one response of a one-instruction run.
+    fn sense(acc: &mut CimAccelerator, instruction: CimInstruction) -> BitVec {
+        let response = run_all(acc, vec![instruction]).pop();
+        response.and_then(CimResponse::into_bits).unwrap()
+    }
+
+    /// The vector of the one response of a one-instruction run.
+    fn product(acc: &mut CimAccelerator, instruction: CimInstruction) -> Vec<f64> {
+        let response = run_all(acc, vec![instruction]).pop();
+        response.and_then(CimResponse::into_vector).unwrap()
+    }
+
+    fn write(tile: usize, row: usize, bits: &BitVec) -> CimInstruction {
+        CimInstruction::WriteRow {
+            tile,
+            row,
+            bits: bits.clone(),
+        }
+    }
+
+    fn logic(op: ScoutOp) -> CimInstruction {
+        CimInstruction::Logic {
+            tile: 0,
+            op,
+            rows: vec![0, 1],
+        }
     }
 
     #[test]
@@ -576,11 +524,11 @@ mod tests {
     #[test]
     fn take_stats_returns_and_resets() {
         let mut acc = small_accelerator();
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
+        run_all(&mut acc, vec![CimInstruction::ReadRow { tile: 0, row: 0 }]);
         let before = *acc.stats();
         assert_eq!(acc.take_stats(), before);
         assert_eq!(*acc.stats(), ExecutionStats::default());
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
+        run_all(&mut acc, vec![CimInstruction::ReadRow { tile: 0, row: 0 }]);
         assert_eq!(
             acc.take_stats().row_reads,
             1,
@@ -601,13 +549,9 @@ mod tests {
     fn write_read_round_trip() {
         let mut acc = small_accelerator();
         let bits = BitVec::from_fn(32, |i| i % 3 == 0);
-        acc.execute(CimInstruction::WriteRow {
-            tile: 1,
-            row: 4,
-            bits: bits.clone(),
-        });
-        let resp = acc.execute(CimInstruction::ReadRow { tile: 1, row: 4 });
-        assert_eq!(resp.into_bits().unwrap(), bits);
+        run_all(&mut acc, vec![write(1, 4, &bits)]);
+        let read = sense(&mut acc, CimInstruction::ReadRow { tile: 1, row: 4 });
+        assert_eq!(read, bits);
     }
 
     #[test]
@@ -615,62 +559,44 @@ mod tests {
         let mut acc = small_accelerator();
         let a = BitVec::from_fn(32, |i| i % 2 == 0);
         let b = BitVec::from_fn(32, |i| i % 4 == 0);
-        acc.run([
-            CimInstruction::WriteRow {
-                tile: 0,
-                row: 0,
-                bits: a.clone(),
-            },
-            CimInstruction::WriteRow {
-                tile: 0,
-                row: 1,
-                bits: b.clone(),
-            },
-        ]);
-        let and = acc
-            .execute(CimInstruction::Logic {
-                tile: 0,
-                op: ScoutOp::And,
-                rows: vec![0, 1],
-            })
-            .into_bits()
-            .unwrap();
-        assert_eq!(and, a.and(&b));
+        run_all(&mut acc, vec![write(0, 0, &a), write(0, 1, &b)]);
+        assert_eq!(sense(&mut acc, logic(ScoutOp::And)), a.and(&b));
     }
 
     #[test]
     fn mvm_round_trip() {
         let mut acc = small_accelerator();
         let m = Matrix::from_fn(8, 8, |i, j| (i as f64 - j as f64) / 8.0);
-        acc.execute(CimInstruction::ProgramMatrix {
-            tile: 0,
-            col: 0,
-            matrix: m.clone(),
-        });
+        run_all(
+            &mut acc,
+            vec![CimInstruction::ProgramMatrix {
+                tile: 0,
+                col: 0,
+                matrix: m.clone(),
+            }],
+        );
         let x = vec![0.5; 8];
-        let y = acc
-            .execute(CimInstruction::Mvm {
+        let y = product(
+            &mut acc,
+            CimInstruction::Mvm {
                 tile: 0,
                 col: 0,
                 x: x.clone(),
-            })
-            .into_vector()
-            .unwrap();
-        let y_exact = m.matvec(&x);
-        for (a, b) in y.iter().zip(&y_exact) {
+            },
+        );
+        for (a, b) in y.iter().zip(&m.matvec(&x)) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
         let z = vec![0.25; 8];
-        let yt = acc
-            .execute(CimInstruction::MvmT {
+        let yt = product(
+            &mut acc,
+            CimInstruction::MvmT {
                 tile: 0,
                 col: 0,
                 z: z.clone(),
-            })
-            .into_vector()
-            .unwrap();
-        let yt_exact = m.matvec_t(&z);
-        for (a, b) in yt.iter().zip(&yt_exact) {
+            },
+        );
+        for (a, b) in yt.iter().zip(&m.matvec_t(&z)) {
             assert!((a - b).abs() < 1e-2);
         }
     }
@@ -683,16 +609,21 @@ mod tests {
             .seed(4)
             .build();
         let g_min = AnalogParams::default().pcm.g_min.0;
-        acc.execute(CimInstruction::ProgramMatrix {
-            tile: 0,
-            col: 0,
-            matrix: Matrix::from_fn(32, 64, |i, j| ((i * 64 + j) % 5) as f64 - 2.0),
-        });
-        acc.execute(CimInstruction::ProgramMatrix {
-            tile: 0,
-            col: 0,
-            matrix: Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { -0.5 }),
-        });
+        run_all(
+            &mut acc,
+            vec![
+                CimInstruction::ProgramMatrix {
+                    tile: 0,
+                    col: 0,
+                    matrix: Matrix::from_fn(32, 64, |i, j| ((i * 64 + j) % 5) as f64 - 2.0),
+                },
+                CimInstruction::ProgramMatrix {
+                    tile: 0,
+                    col: 0,
+                    matrix: Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { -0.5 }),
+                },
+            ],
+        );
         let cost = acc.scrub_analog_tile(0);
         assert!(
             cost.energy.0 > 0.0,
@@ -705,42 +636,38 @@ mod tests {
                 "the scrub left a device off g_min"
             );
         }
-        acc.execute(CimInstruction::Mvm {
-            tile: 0,
-            col: 0,
-            x: vec![1.0; 4],
-        });
+        run_all(
+            &mut acc,
+            vec![CimInstruction::Mvm {
+                tile: 0,
+                col: 0,
+                x: vec![1.0; 4],
+            }],
+        );
     }
 
     #[test]
     fn stats_count_every_instruction_class() {
         let mut acc = small_accelerator();
-        acc.execute(CimInstruction::WriteRow {
-            tile: 0,
-            row: 0,
-            bits: BitVec::zeros(32),
-        });
-        acc.execute(CimInstruction::WriteRow {
-            tile: 0,
-            row: 1,
-            bits: BitVec::ones(32),
-        });
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
-        acc.execute(CimInstruction::Logic {
-            tile: 0,
-            op: ScoutOp::Or,
-            rows: vec![0, 1],
-        });
-        acc.execute(CimInstruction::ProgramMatrix {
-            tile: 0,
-            col: 0,
-            matrix: Matrix::from_fn(8, 8, |i, j| ((i + j) % 2) as f64),
-        });
-        acc.execute(CimInstruction::Mvm {
-            tile: 0,
-            col: 0,
-            x: vec![0.0; 8],
-        });
+        run_all(
+            &mut acc,
+            vec![
+                write(0, 0, &BitVec::zeros(32)),
+                write(0, 1, &BitVec::ones(32)),
+                CimInstruction::ReadRow { tile: 0, row: 0 },
+                logic(ScoutOp::Or),
+                CimInstruction::ProgramMatrix {
+                    tile: 0,
+                    col: 0,
+                    matrix: Matrix::from_fn(8, 8, |i, j| ((i + j) % 2) as f64),
+                },
+                CimInstruction::Mvm {
+                    tile: 0,
+                    col: 0,
+                    x: vec![0.0; 8],
+                },
+            ],
+        );
         let s = acc.stats();
         assert_eq!(s.row_writes, 2);
         assert_eq!(s.row_reads, 1);
@@ -753,100 +680,109 @@ mod tests {
     }
 
     #[test]
-    fn costs_sum_to_stats() {
-        let mut acc = small_accelerator();
-        let mut total = Joules::ZERO;
-        for row in 0..4 {
-            let (_, c) = acc.execute_with_cost(CimInstruction::WriteRow {
-                tile: 0,
-                row,
-                bits: BitVec::ones(32),
-            });
-            total += c.energy;
-        }
-        let (_, c) = acc.execute_with_cost(CimInstruction::Logic {
-            tile: 0,
-            op: ScoutOp::And,
-            rows: vec![0, 1, 2, 3],
-        });
-        total += c.energy;
-        assert!((acc.stats().energy.0 - total.0).abs() < 1e-18);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let run = || {
             let mut acc = small_accelerator();
-            acc.execute(CimInstruction::WriteRow {
-                tile: 0,
-                row: 0,
-                bits: BitVec::from_fn(32, |i| i % 5 == 0),
-            });
-            acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 })
-                .into_bits()
-                .unwrap()
+            run_all(
+                &mut acc,
+                vec![write(0, 0, &BitVec::from_fn(32, |i| i % 5 == 0))],
+            );
+            sense(&mut acc, CimInstruction::ReadRow { tile: 0, row: 0 })
         };
         assert_eq!(run(), run());
     }
 
+    /// `run` returns the listed outputs alone, in stream order whatever
+    /// order they are listed in.
     #[test]
-    fn store_last_writes_previous_result() {
+    fn run_returns_the_listed_outputs_in_stream_order() {
         let mut acc = small_accelerator();
         let a = BitVec::from_fn(32, |i| i % 2 == 0);
         let b = BitVec::from_fn(32, |i| i % 3 == 0);
-        acc.run([
-            CimInstruction::WriteRow {
-                tile: 0,
-                row: 0,
-                bits: a.clone(),
-            },
-            CimInstruction::WriteRow {
-                tile: 0,
-                row: 1,
-                bits: b.clone(),
-            },
-            CimInstruction::Logic {
-                tile: 0,
-                op: ScoutOp::Or,
-                rows: vec![0, 1],
-            },
-            CimInstruction::StoreLast { tile: 0, row: 2 },
-        ]);
-        assert_eq!(acc.digital_tile(0).stored_row(2), a.or(&b));
+        let responses = acc.run(
+            vec![
+                write(0, 0, &a),
+                write(0, 1, &b),
+                logic(ScoutOp::Or),
+                CimInstruction::ReadRow { tile: 0, row: 1 },
+                logic(ScoutOp::And),
+            ],
+            &[4, 2],
+            &mut seeded(7),
+        );
+        let bits: Vec<BitVec> = responses
+            .into_iter()
+            .map(|r| r.into_bits().unwrap())
+            .collect();
+        assert_eq!(bits, vec![a.or(&b), a.and(&b)]);
     }
 
+    /// A `StoreLast` writes back the latest read or logic result of its
+    /// stream, whether or not that result is one of the run's outputs.
+    #[test]
+    fn store_last_writes_the_latest_result_output_or_not() {
+        let mut acc = small_accelerator();
+        let a = BitVec::from_fn(32, |i| i % 2 == 0);
+        let b = BitVec::from_fn(32, |i| i % 3 == 0);
+        let read_a = CimInstruction::ReadRow { tile: 0, row: 0 };
+        // The read is an output and the later logic result is not: the
+        // logic result is stored.
+        let responses = acc.run(
+            vec![
+                write(0, 0, &a),
+                write(0, 1, &b),
+                read_a.clone(),
+                logic(ScoutOp::Or),
+                CimInstruction::StoreLast { tile: 0, row: 2 },
+            ],
+            &[2],
+            &mut seeded(7),
+        );
+        assert_eq!(responses.len(), 1);
+        assert_eq!(acc.digital_tile(0).stored_row(2), a.or(&b));
+        // The logic result is an output and the later read is not: the
+        // read is stored.
+        let responses = acc.run(
+            vec![
+                logic(ScoutOp::And),
+                read_a,
+                CimInstruction::StoreLast { tile: 1, row: 3 },
+            ],
+            &[0],
+            &mut seeded(7),
+        );
+        assert_eq!(responses.len(), 1);
+        assert_eq!(acc.digital_tile(1).stored_row(3), a);
+    }
+
+    /// The latch belongs to one run: a stream that opens with
+    /// `StoreLast` has nothing to store, even right after another run
+    /// sensed bits.
     #[test]
     #[should_panic(expected = "StoreLast with no preceding")]
-    fn store_last_panics_with_tracking_disabled() {
-        let mut acc = small_accelerator();
-        acc.set_last_bits_tracking(false);
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
-        acc.execute(CimInstruction::StoreLast { tile: 0, row: 1 });
-    }
-
-    #[test]
-    fn disabling_tracking_drops_pending_operand_and_reenables() {
+    fn store_last_opening_a_run_panics_after_an_earlier_run_sensed() {
         let mut acc = small_accelerator();
         let bits = BitVec::from_fn(32, |i| i % 4 == 0);
-        acc.execute(CimInstruction::WriteRow {
-            tile: 0,
-            row: 0,
-            bits: bits.clone(),
-        });
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
-        acc.set_last_bits_tracking(false);
-        acc.set_last_bits_tracking(true);
-        // The operand captured before disabling must not survive.
-        acc.execute(CimInstruction::ReadRow { tile: 0, row: 0 });
-        acc.execute(CimInstruction::StoreLast { tile: 0, row: 3 });
-        assert_eq!(acc.digital_tile(0).stored_row(3), bits);
+        run_all(
+            &mut acc,
+            vec![
+                write(0, 0, &bits),
+                CimInstruction::ReadRow { tile: 0, row: 0 },
+                CimInstruction::StoreLast { tile: 0, row: 1 },
+            ],
+        );
+        assert_eq!(acc.digital_tile(0).stored_row(1), bits);
+        run_all(
+            &mut acc,
+            vec![CimInstruction::StoreLast { tile: 0, row: 2 }],
+        );
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn unknown_tile_panics() {
         let mut acc = small_accelerator();
-        acc.execute(CimInstruction::ReadRow { tile: 9, row: 0 });
+        run_all(&mut acc, vec![CimInstruction::ReadRow { tile: 9, row: 0 }]);
     }
 
     #[test]
@@ -856,24 +792,27 @@ mod tests {
         let keys: Vec<BitVec> = (0..3)
             .map(|s| BitVec::from_fn(32, |j| (j + s) % 4 == 0))
             .collect();
-        for (slot, key) in keys.iter().enumerate() {
-            acc.execute(CimInstruction::WriteKey {
+        let writes = keys
+            .iter()
+            .enumerate()
+            .map(|(slot, key)| CimInstruction::WriteKey {
                 tile: 0,
                 slot,
                 value: key.clone(),
                 care: BitVec::ones(32),
-            });
-        }
+            })
+            .collect();
+        run_all(&mut acc, writes);
         let before = acc.device_counters();
-        let hits = acc
-            .execute(CimInstruction::MatchSearch {
+        let hits = sense(
+            &mut acc,
+            CimInstruction::MatchSearch {
                 tile: 0,
                 entries: 3,
                 key: keys[1].clone(),
                 kind: MatchKind::Exact,
-            })
-            .into_bits()
-            .unwrap();
+            },
+        );
         assert_eq!(hits.to_bools(), vec![false, true, false]);
         let s = acc.stats();
         assert_eq!(s.key_writes, 3);
@@ -890,24 +829,23 @@ mod tests {
         let before = acc.device_counters();
         assert_eq!(before, DeviceCounters::default());
 
-        acc.run([
-            CimInstruction::WriteRow {
-                tile: 0,
-                row: 0,
-                bits: BitVec::from_fn(32, |i| i % 2 == 0),
-            },
-            CimInstruction::ReadRow { tile: 0, row: 0 },
-            CimInstruction::ProgramMatrix {
-                tile: 0,
-                col: 0,
-                matrix: Matrix::from_fn(8, 8, |i, j| (i + j) as f64 / 16.0 - 0.25),
-            },
-            CimInstruction::Mvm {
-                tile: 0,
-                col: 0,
-                x: vec![1.0; 8],
-            },
-        ]);
+        run_all(
+            &mut acc,
+            vec![
+                write(0, 0, &BitVec::from_fn(32, |i| i % 2 == 0)),
+                CimInstruction::ReadRow { tile: 0, row: 0 },
+                CimInstruction::ProgramMatrix {
+                    tile: 0,
+                    col: 0,
+                    matrix: Matrix::from_fn(8, 8, |i, j| (i + j) as f64 / 16.0 - 0.25),
+                },
+                CimInstruction::Mvm {
+                    tile: 0,
+                    col: 0,
+                    x: vec![1.0; 8],
+                },
+            ],
+        );
 
         let delta = acc.device_counters().delta(&before);
         // A 32-bit row write + read touches words on both paths.

@@ -56,8 +56,8 @@ pub enum CimInstruction {
         /// Activated rows (2+ for OR/AND, exactly 2 for XOR).
         rows: Vec<usize>,
     },
-    /// Store the bit-vector result of the previous instruction into a
-    /// digital tile row (Pinatubo-style intermediate write-back).
+    /// Store the latest `ReadRow` or `Logic` result of the same stream
+    /// into a digital tile row (Pinatubo-style intermediate write-back).
     ///
     /// A sense-amplifier result is not a stored operand, so multi-step
     /// reductions must write intermediates back before reusing them.
@@ -179,8 +179,8 @@ pub enum TileFamily {
 
 /// The static effect summary of one instruction: which tile it
 /// addresses, which digital rows it reads and writes, whether it
-/// defines or consumes the accelerator's `last_bits` latch, and which
-/// CAM entry slots it touches.
+/// defines or consumes its stream's `last_bits` latch, and which CAM
+/// entry slots it touches.
 ///
 /// This is the per-instruction ground truth static analyzers build on
 /// (the `cim-lint` abstract interpreter walks a program folding these
@@ -200,8 +200,8 @@ pub struct EffectSummary {
     /// Digital rows the instruction stores into (row writes, latch
     /// write-backs, the value+care row pair of a CAM key write).
     pub rows_written: Vec<usize>,
-    /// Whether the instruction leaves a bit-vector result in the
-    /// `last_bits` latch for a following
+    /// Whether the instruction leaves a bit-vector result in its
+    /// stream's `last_bits` latch for a following
     /// [`CimInstruction::StoreLast`]. Match searches return bits but do
     /// *not* define the latch (match sets are entry-indexed, not
     /// tile-width).
@@ -277,7 +277,7 @@ impl CimInstruction {
     ///
     /// Mirrors the executor in `cim_core::accelerator` effect for
     /// effect: a `StoreLast` both consumes and re-defines the latch
-    /// (the executor puts the taken value back), and a `MatchSearch`
+    /// (the stored value stays latched), and a `MatchSearch`
     /// reads the value+care row pair of every searched entry without
     /// touching the latch.
     pub fn effects(&self) -> EffectSummary {

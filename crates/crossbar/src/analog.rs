@@ -528,18 +528,6 @@ impl AnalogCrossbar {
         (y, cost)
     }
 
-    /// The product `A·x` computed from the block at column 0's
-    /// programmed conductances without noise, drift or quantization —
-    /// the tile's "intent", used to isolate programming error in
-    /// experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile holds no block at column 0.
-    pub fn ideal_matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.stored_matrix().matvec(x)
-    }
-
     fn note_samples(&mut self, samples: u64) {
         if samples == 0 {
             self.stats.nominal_mvms += 1;

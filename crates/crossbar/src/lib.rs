@@ -61,7 +61,6 @@ pub mod energy;
 pub mod mapping;
 pub mod reference;
 pub mod scouting;
-pub mod tiled;
 
 pub use analog::{AnalogCrossbar, AnalogParams, DifferentialCrossbar};
 pub use cam::{CamArray, MatchKind, Rule, RuleSet};
@@ -73,4 +72,3 @@ pub use reference::{
     ReferenceDigitalArray,
 };
 pub use scouting::{ScoutOp, SenseAmplifier};
-pub use tiled::TiledMatrixEngine;

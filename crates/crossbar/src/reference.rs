@@ -529,16 +529,6 @@ impl ReferenceAnalogCrossbar {
         (y, cost)
     }
 
-    /// The product `A·x` computed from programmed conductances without
-    /// noise, drift or quantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile was never programmed.
-    pub fn ideal_matvec(&self, x: &[f64]) -> Vec<f64> {
-        self.stored_matrix().matvec(x)
-    }
-
     /// The pre-refactor analog read path over the block at column `col`:
     /// a scalar double loop drawing one stochastic read per activated
     /// device. The third return is the number of per-device samples

@@ -118,7 +118,7 @@ struct AnalogTile {
     resident: bool,
 }
 
-/// One live definition of the accelerator-global `last_bits` latch.
+/// One live definition of the stream's `last_bits` latch.
 #[derive(Debug, Clone, Copy)]
 struct LatchDef {
     /// Index of the defining instruction.

@@ -20,8 +20,8 @@
 //! * **row initialization** per digital tile — reads of rows no prior
 //!   instruction (or resident dataset) wrote are flagged
 //!   ([`RuleCode::UninitRead`]);
-//! * **latch def-use** — the accelerator-global `last_bits` latch must
-//!   be live when a `StoreLast` consumes it
+//! * **latch def-use** — the stream's `last_bits` latch must be live
+//!   when a `StoreLast` consumes it
 //!   ([`RuleCode::LatchUndef`]), and a latch definition that is never
 //!   stored nor returned is dead code ([`RuleCode::LatchDead`], the one
 //!   warning-severity rule);

@@ -185,9 +185,9 @@ impl Drop for DatasetCore {
 }
 
 /// What a loaded dataset holds host-side: everything query compilation
-/// and finalization need. Cheap to clone (the bulky parts are shared),
-/// so query compilation can snapshot it and run outside the pool lock.
-#[derive(Debug, Clone)]
+/// and finalization need, its bulky parts behind `Arc`s so a finalizer
+/// can keep one without copying it.
+#[derive(Debug)]
 pub(crate) enum ResidentPayload {
     /// Q6 bins: the generating table (host-side aggregation input) and
     /// the entry count of each resident tile.
@@ -234,10 +234,10 @@ impl ResidentPayload {
     }
 }
 
-/// The slice of a [`DatasetRecord`] query compilation needs, snapshot
-/// under the pool lock so the (potentially expensive) lowering itself
-/// runs unlocked.
-#[derive(Debug, Clone)]
+/// What query compilation needs of a resident dataset, built once at
+/// registration and shared by every query, whose (potentially
+/// expensive) lowering runs outside the pool lock.
+#[derive(Debug)]
 pub(crate) struct ResidentView {
     /// The dataset's id.
     pub id: DatasetId,
@@ -255,78 +255,48 @@ pub(crate) struct ResidentView {
     pub resident_bytes: u64,
 }
 
-/// One shard's slice of a resident dataset: the physical tiles pinned
+/// One shard's slice of a dataset copy: the physical tiles it holds
 /// there (covering a contiguous chunk of the dataset's virtual tiles)
 /// and the rows its chunk of the load program wrote.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardPlacement {
     pub shard: usize,
-    /// Physical digital tiles pinned on the shard, in virtual order.
+    /// Physical digital tiles held on the shard, in virtual order.
     pub digital_tiles: Vec<usize>,
-    /// Physical analog tiles pinned on the shard, in virtual order.
+    /// Physical analog tiles held on the shard, in virtual order.
     pub analog_tiles: Vec<usize>,
     /// Physical `(tile, row)` pairs the chunk's load wrote — what the
     /// release scrub must clean on this shard.
     pub scrub_rows: Vec<(usize, usize)>,
 }
 
-/// Pool-side record of one resident dataset. Ordinarily a dataset pins
-/// tiles on a single shard; a dataset bigger than any one shard spans
-/// several placements, each holding a contiguous chunk of its virtual
-/// tiles, and queries are scatter-gathered across them. An analog
-/// dataset may also hold replicas: whole exact copies on other shards,
-/// on tiles the pool still counts as free. The record lives from
-/// registration until release; a query still queued then fails with
+/// Pool-side record of one resident dataset, and the pool's only record
+/// of the tiles it holds. The record lives from registration until
+/// release; a query still queued then fails with
 /// [`crate::JobError::DatasetReleased`].
 #[derive(Debug)]
 pub(crate) struct DatasetRecord {
     pub tenant: TenantId,
-    /// Per-shard placements in virtual tile order (chunk `c` covers
-    /// virtual tiles `sum(len of 0..c) ..+ len(c)`).
-    pub placements: Vec<ShardPlacement>,
-    /// Exact copies of a single-placement analog dataset on other
-    /// shards, in shard order. A reclaimed replica leaves the list.
-    pub replicas: Vec<ShardPlacement>,
-    /// Queries routed so far: the `k`-th is served by copy `k mod n` of
-    /// the primary and its `n − 1` replicas.
+    /// The dataset's copies, each a list of shard placements in virtual
+    /// tile order (chunk `c` covers virtual tiles `sum(len of 0..c) ..+
+    /// len(c)`). Copy 0 is the primary, whose tiles are pinned: one
+    /// placement, or one per shard chunk for a dataset bigger than any
+    /// one shard, whose queries are scatter-gathered across them. Every
+    /// later copy is one placement: an exact replica of an analog
+    /// dataset on another shard, in shard order, on tiles the pool still
+    /// counts as free. A reclaimed replica leaves the list.
+    pub copies: Vec<Vec<ShardPlacement>>,
+    /// Queries routed so far: the `k`-th is served by copy `k mod n`.
     pub routed: u64,
-    pub payload: ResidentPayload,
-    /// Bytes resident in the pinned tiles.
-    pub resident_bytes: u64,
-    /// The resident rows of each virtual digital tile.
-    pub resident_rows: Vec<Range<usize>>,
-    /// The matrix blocks each virtual analog tile holds.
-    pub resident_blocks: Vec<Vec<Block>>,
+    /// What query compilation needs, shared by every query.
+    pub view: Arc<ResidentView>,
 }
 
 impl DatasetRecord {
-    /// Snapshots what query compilation needs of dataset `id`.
-    pub fn view(&self, id: DatasetId) -> ResidentView {
-        ResidentView {
-            id,
-            payload: self.payload.clone(),
-            digital_tiles: self.placements.iter().map(|p| p.digital_tiles.len()).sum(),
-            analog_tiles: self.placements.iter().map(|p| p.analog_tiles.len()).sum(),
-            resident_rows: self.resident_rows.clone(),
-            resident_blocks: self.resident_blocks.clone(),
-            resident_bytes: self.resident_bytes,
-        }
-    }
-
-    /// The primary shard (first placement).
-    pub fn primary_shard(&self) -> usize {
-        self.placements[0].shard
-    }
-
-    /// The copy the next query runs on — the primary's placements, or
-    /// one replica — advancing the rotation.
+    /// The copy the next query runs on, advancing the rotation.
     pub fn route(&mut self) -> &[ShardPlacement] {
-        let copies = 1 + self.replicas.len() as u64;
-        let k = self.routed % copies;
+        let k = self.routed % self.copies.len() as u64;
         self.routed += 1;
-        match k {
-            0 => &self.placements,
-            k => std::slice::from_ref(&self.replicas[k as usize - 1]),
-        }
+        &self.copies[k as usize]
     }
 }

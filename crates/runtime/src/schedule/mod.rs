@@ -41,7 +41,7 @@
 //!    scrubs each lease before the next job runs.
 //!
 //! Every job draws its stochastic behaviour from a private seeded
-//! stream ([`cim_core::CimAccelerator::execute_with_rng`]), takes its
+//! stream ([`cim_core::CimAccelerator::run`]), takes its
 //! stats from the accelerator alone ([`CimAccelerator::take_stats`])
 //! and leases the same leading free tiles whatever it is batched with,
 //! so its results do not depend on co-tenants, on execution order or on
@@ -280,15 +280,9 @@ struct PoolState {
     pending: Vec<CompiledJob>,
     /// Every job from admission until its report is taken, by id.
     jobs: BTreeMap<u64, JobEntry>,
+    /// Every resident dataset by id: the only record of the tiles
+    /// datasets hold.
     datasets: BTreeMap<u64, DatasetRecord>,
-    /// Physical digital tiles pinned by datasets, per shard.
-    pinned_digital: Vec<BTreeSet<usize>>,
-    /// Physical analog tiles pinned by datasets, per shard.
-    pinned_analog: Vec<BTreeSet<usize>>,
-    /// Physical analog tiles holding a dataset replica, per shard, with
-    /// the dataset each one copies. They are not pinned: every fit
-    /// decision counts them as free.
-    replica_analog: Vec<BTreeMap<usize, u64>>,
     /// The routing ledger: envelope `cost_units` routed to each shard,
     /// carried across plan passes. Its least-loaded shard reads zero,
     /// and no shard trails the busiest by more than
@@ -337,12 +331,30 @@ impl PoolState {
             .is_some_and(|e| matches!(e.state, JobState::Queued | JobState::Dispatched))
     }
 
+    /// Every placement of a dataset copy on `shard`, with its dataset
+    /// and whether it is a replica. A primary copy's tiles are pinned; a
+    /// replica's tiles count as free.
+    fn holds(&self, shard: usize) -> impl Iterator<Item = (u64, bool, &ShardPlacement)> {
+        self.datasets.iter().flat_map(move |(&dataset, record)| {
+            record
+                .copies
+                .iter()
+                .enumerate()
+                .flat_map(move |(copy, placements)| {
+                    placements
+                        .iter()
+                        .filter(move |p| p.shard == shard)
+                        .map(move |p| (dataset, copy > 0, p))
+                })
+        })
+    }
+
     /// Unpinned tiles of `shard`, replicas' tiles included: `(digital,
     /// analog)`.
     fn free(&self, cfg: &PoolConfig, shard: usize) -> (usize, usize) {
-        (
-            cfg.digital_tiles - self.pinned_digital[shard].len(),
-            cfg.analog_tiles - self.pinned_analog[shard].len(),
+        self.holds(shard).filter(|&(_, replica, _)| !replica).fold(
+            (cfg.digital_tiles, cfg.analog_tiles),
+            |(d, a), (_, _, p)| (d - p.digital_tiles.len(), a - p.analog_tiles.len()),
         )
     }
 
@@ -355,22 +367,31 @@ impl PoolState {
     /// Takes the leading `demand` free (un-pinned) tiles of `shard`: the
     /// physical tiles a fresh lease or a new dataset pin takes. Analog
     /// tiles that hold no replica go first; a replica tile the demand
-    /// still needs drops that replica, returned as `(dataset, tiles)` for
-    /// the shard to erase. The caller has checked with [`Self::fits`]
-    /// that the demand fits.
+    /// still needs drops that replica, returned as `(dataset, tiles)` in
+    /// tile order for the shard to erase. The caller has checked with
+    /// [`Self::fits`] that the demand fits.
     fn lease(
         &mut self,
         cfg: &PoolConfig,
         shard: usize,
         demand: TileDemand,
     ) -> (Tiles, Vec<(u64, Vec<usize>)>) {
+        let (mut digital_pins, mut analog_pins) = (BTreeSet::new(), BTreeSet::new());
+        let mut replicas = BTreeMap::new();
+        for (dataset, replica, p) in self.holds(shard) {
+            if replica {
+                replicas.extend(p.analog_tiles.iter().map(|&t| (t, dataset)));
+            } else {
+                digital_pins.extend(p.digital_tiles.iter().copied());
+                analog_pins.extend(p.analog_tiles.iter().copied());
+            }
+        }
         let digital: Vec<usize> = (0..cfg.digital_tiles)
-            .filter(|t| !self.pinned_digital[shard].contains(t))
+            .filter(|t| !digital_pins.contains(t))
             .take(demand.digital)
             .collect();
-        let replicas = &self.replica_analog[shard];
         let (clear, held): (Vec<usize>, Vec<usize>) = (0..cfg.analog_tiles)
-            .filter(|t| !self.pinned_analog[shard].contains(t))
+            .filter(|t| !analog_pins.contains(t))
             .partition(|t| !replicas.contains_key(t));
         let mut analog: Vec<usize> = clear.into_iter().chain(held).take(demand.analog).collect();
         debug_assert_eq!(
@@ -381,7 +402,8 @@ impl PoolState {
         analog.sort_unstable();
         let mut reclaimed = Vec::new();
         for tile in &analog {
-            if let Some(&dataset) = self.replica_analog[shard].get(tile) {
+            if let Some(dataset) = replicas.remove(tile) {
+                replicas.retain(|_, held_by| *held_by != dataset);
                 reclaimed.push((dataset, self.drop_replica(dataset, shard)));
             }
         }
@@ -391,11 +413,12 @@ impl PoolState {
     /// The analog tiles of `shard` that neither a pin nor a replica
     /// holds.
     fn clear_analog(&self, cfg: &PoolConfig, shard: usize) -> Vec<usize> {
+        let held: BTreeSet<usize> = self
+            .holds(shard)
+            .flat_map(|(_, _, p)| p.analog_tiles.iter().copied())
+            .collect();
         (0..cfg.analog_tiles)
-            .filter(|t| {
-                !self.pinned_analog[shard].contains(t)
-                    && !self.replica_analog[shard].contains_key(t)
-            })
+            .filter(|t| !held.contains(t))
             .collect()
     }
 
@@ -407,13 +430,13 @@ impl PoolState {
             .datasets
             .get_mut(&dataset)
             .and_then(|record| {
-                let at = record.replicas.iter().position(|p| p.shard == shard)?;
-                Some(record.replicas.remove(at).analog_tiles)
+                let at = record.copies[1..]
+                    .iter()
+                    .position(|copy| copy.iter().any(|p| p.shard == shard))?;
+                let copy = record.copies.remove(1 + at);
+                Some(copy.into_iter().flat_map(|p| p.analog_tiles).collect())
             })
             .unwrap_or_default();
-        for tile in &tiles {
-            self.replica_analog[shard].remove(tile);
-        }
         self.telemetry.record_reclaim(DatasetId(dataset), shard);
         tiles
     }
@@ -441,13 +464,13 @@ impl PoolState {
         }
     }
 
-    /// Snapshots the resident view of the dataset a spec queries, after
-    /// checking it exists and belongs to `tenant`.
+    /// The resident view of the dataset a spec queries, after checking
+    /// it exists and belongs to `tenant`.
     fn resolve_dataset(
         &self,
         tenant: TenantId,
         spec: &WorkloadSpec,
-    ) -> Result<Option<ResidentView>, CompileError> {
+    ) -> Result<Option<Arc<ResidentView>>, CompileError> {
         let Some(id) = spec.dataset() else {
             return Ok(None);
         };
@@ -461,7 +484,7 @@ impl PoolState {
                 owner: record.tenant,
             });
         }
-        Ok(Some(record.view(id)))
+        Ok(Some(Arc::clone(&record.view)))
     }
 }
 
@@ -537,9 +560,6 @@ impl RuntimePool {
                 pending: Vec::new(),
                 jobs: BTreeMap::new(),
                 datasets: BTreeMap::new(),
-                pinned_digital: vec![BTreeSet::new(); cfg.shards],
-                pinned_analog: vec![BTreeSet::new(); cfg.shards],
-                replica_analog: vec![BTreeMap::new(); cfg.shards],
                 shard_load: vec![0; cfg.shards],
                 next_job: 0,
                 next_batch: 0,
@@ -652,8 +672,8 @@ impl PoolShared {
         spec: &WorkloadSpec,
         verify: bool,
     ) -> Result<JobId, CompileError> {
-        // Phase 1 (locked): assign the id and snapshot the queried
-        // dataset. Compilation itself (table generation, HDC training)
+        // Phase 1 (locked): assign the id and take the queried
+        // dataset's view. Compilation itself (table generation, HDC training)
         // runs unlocked below, so one session's heavy submit cannot
         // stall every other session's submit/poll/telemetry. A failed
         // compile leaves a gap in the id sequence, which is harmless:
@@ -690,7 +710,7 @@ impl PoolShared {
             err
         };
         let compile_span = self.tracer.open("compile", root, &[]);
-        let compile_result = compile(spec, job, tenant, &self.cfg, resident.as_ref());
+        let compile_result = compile(spec, job, tenant, &self.cfg, resident.as_deref());
         self.tracer.close(
             compile_span,
             0.0,
@@ -751,7 +771,7 @@ impl PoolShared {
         // failure report is completed immediately and no device state
         // is ever touched. The pool stays fully serviceable.
         if verify && compiled.kind == JobKind::Raw {
-            let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
+            let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_deref());
             if report.has_errors() {
                 let error = JobError::RejectedByVerifier {
                     diagnostics: report.errors(),
@@ -904,8 +924,8 @@ impl PoolShared {
             let st = lock(&self.state);
             (JobId(st.next_job), st.resolve_dataset(tenant, spec)?)
         };
-        let compiled = compile(spec, probe, tenant, &self.cfg, resident.as_ref())?;
-        let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_ref());
+        let compiled = compile(spec, probe, tenant, &self.cfg, resident.as_deref())?;
+        let report = crate::verify::verify_compiled(&compiled, &self.cfg, resident.as_deref());
         Ok((report, compiled.envelope))
     }
 
@@ -1039,8 +1059,6 @@ impl PoolShared {
                         analog_tiles: tiles,
                     });
                 }
-                st.pinned_digital[shard].extend(digital_tiles.iter().copied());
-                st.pinned_analog[shard].extend(analog_tiles.iter().copied());
                 pins.push((shard, digital_tiles, analog_tiles));
             }
             // One exact replica on every other shard whose clear analog
@@ -1050,14 +1068,10 @@ impl PoolShared {
                 for shard in (0..cfg.shards).filter(|&s| s != pins[0].0) {
                     let clear = st.clear_analog(cfg, shard);
                     if clear.len() >= demand.analog {
-                        let tiles = clear[..demand.analog].to_vec();
-                        for &tile in &tiles {
-                            st.replica_analog[shard].insert(tile, id.0);
-                        }
                         replicas.push(ShardPlacement {
                             shard,
                             digital_tiles: Vec::new(),
-                            analog_tiles: tiles,
+                            analog_tiles: clear[..demand.analog].to_vec(),
                             scrub_rows: Vec::new(),
                         });
                     }
@@ -1137,17 +1151,25 @@ impl PoolShared {
                     .take(1)
                     .chain(replicas.iter().map(|r| &r.shard)),
             );
+            let view = ResidentView {
+                id,
+                payload,
+                digital_tiles: placements.iter().map(|p| p.digital_tiles.len()).sum(),
+                analog_tiles: placements.iter().map(|p| p.analog_tiles.len()).sum(),
+                resident_rows,
+                resident_blocks,
+                resident_bytes,
+            };
+            let copies = std::iter::once(placements)
+                .chain(replicas.into_iter().map(|replica| vec![replica]))
+                .collect();
             st.datasets.insert(
                 id.0,
                 DatasetRecord {
                     tenant,
-                    placements,
-                    replicas,
+                    copies,
                     routed: 0,
-                    payload,
-                    resident_bytes,
-                    resident_rows,
-                    resident_blocks,
+                    view: Arc::new(view),
                 },
             );
             (shards, span, replies)
@@ -1210,20 +1232,7 @@ impl PoolShared {
         let Some(record) = st.datasets.remove(&id.0) else {
             return;
         };
-        for placement in &record.placements {
-            for t in &placement.digital_tiles {
-                st.pinned_digital[placement.shard].remove(t);
-            }
-            for t in &placement.analog_tiles {
-                st.pinned_analog[placement.shard].remove(t);
-            }
-        }
-        for replica in &record.replicas {
-            for t in &replica.analog_tiles {
-                st.replica_analog[replica.shard].remove(t);
-            }
-        }
-        for placement in record.placements.into_iter().chain(record.replicas) {
+        for placement in record.copies.into_iter().flatten() {
             // The scrub is ordered before any batch planned after this
             // point (same FIFO channel), so a fresh lease can never
             // observe the dataset's rows. Ignore send failures: the
@@ -1560,7 +1569,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_coalesces_compatible_jobs() {
+    fn one_flush_ships_one_batch_per_shard() {
         let pool = RuntimePool::new(PoolConfig::with_shards(1));
         let handles: Vec<JobHandle> = (0..4)
             .map(|i| {
@@ -1955,7 +1964,101 @@ mod tests {
         );
         let st = pool.shared.state.lock().unwrap();
         assert!(st.datasets.is_empty(), "the record rolled back");
-        assert!(st.pinned_digital[0].is_empty(), "the pins rolled back");
+        let cfg = pool.config();
+        assert_eq!(
+            st.free(cfg, 0),
+            (cfg.digital_tiles, cfg.analog_tiles),
+            "the pins rolled back"
+        );
+    }
+
+    /// A lease that needs several replicas' tiles reclaims them in tile
+    /// order, not in dataset order, and once every handle drops each
+    /// shard's tiles are all free and clear again.
+    #[test]
+    fn a_lease_reclaims_replicas_in_tile_order_and_release_frees_every_tile() {
+        let pool = RuntimePool::new(PoolConfig::with_shards(2));
+        let cfg = *pool.config();
+        let session = pool.client(TenantId(0));
+        let weights = |seed| DatasetSpec::NnWeights {
+            network: BinarizedMlp::random(&[8, 6, 3], seed),
+        };
+        // Two of shard 0's four digital tiles pinned: the networks'
+        // primaries go to the freer shard 1, their replicas to shard 0.
+        let table = session
+            .register_dataset(&DatasetSpec::Q6Table {
+                rows: 2048,
+                table_seed: 1,
+            })
+            .unwrap();
+        assert_eq!(table.shards(), &[0]);
+        let first = session.register_dataset(&weights(1)).unwrap();
+        let second = session.register_dataset(&weights(2)).unwrap();
+        assert_eq!((first.shard(), second.shard()), (1, 1));
+        // Release the first network and register a third: its primary
+        // takes shard 1's analog tile 0, its replica shard 0's tile 0,
+        // below the second network's replica on tile 1.
+        drop(first);
+        let third = session.register_dataset(&weights(3)).unwrap();
+        assert_eq!(third.shard(), 1);
+        {
+            let st = pool.shared.state.lock().unwrap();
+            let replica_tiles = |id: DatasetId| -> Vec<(usize, Vec<usize>)> {
+                st.datasets[&id.0].copies[1..]
+                    .iter()
+                    .flatten()
+                    .map(|p| (p.shard, p.analog_tiles.clone()))
+                    .collect()
+            };
+            assert_eq!(replica_tiles(second.id()), vec![(0, vec![1])]);
+            assert_eq!(replica_tiles(third.id()), vec![(0, vec![0])]);
+            assert_eq!(st.free(&cfg, 0), (2, 2), "replicas count as free");
+            assert_eq!(st.free(&cfg, 1), (4, 0));
+        }
+
+        // A cold job that needs both analog tiles of a shard fits only
+        // shard 0, and reclaims both replicas there.
+        let _cold = session
+            .submit(&WorkloadSpec::Raw {
+                digital_tiles: 0,
+                analog_tiles: 2,
+                instructions: Vec::new(),
+            })
+            .unwrap();
+        let messages = {
+            let mut st = pool.shared.state.lock().unwrap();
+            plan(&mut st, &cfg, &Tracer::disabled())
+        };
+        let steps: Vec<(usize, Option<Vec<usize>>)> = messages
+            .iter()
+            .map(|(shard, message)| match message {
+                WorkerMsg::ReleaseDataset { analog_tiles, .. } => {
+                    (*shard, Some(analog_tiles.clone()))
+                }
+                _ => (*shard, None),
+            })
+            .collect();
+        assert_eq!(
+            steps,
+            vec![(0, Some(vec![0])), (0, Some(vec![1])), (0, None)],
+            "the third network's replica on tile 0 erases first, then the \
+             second's on tile 1, then the batch runs"
+        );
+        {
+            let st = pool.shared.state.lock().unwrap();
+            assert!(st.datasets.values().all(|record| record.copies.len() == 1));
+        }
+        for (shard, message) in messages {
+            pool.shared.send(shard, message);
+        }
+
+        drop((table, second, third));
+        let st = pool.shared.state.lock().unwrap();
+        assert!(st.datasets.is_empty());
+        for shard in 0..cfg.shards {
+            assert_eq!(st.free(&cfg, shard), (cfg.digital_tiles, cfg.analog_tiles));
+            assert_eq!(st.clear_analog(&cfg, shard).len(), cfg.analog_tiles);
+        }
     }
 
     /// Fan-out-weighted costs keep cheapest-first honest: a wide raw

@@ -270,7 +270,7 @@ pub(super) fn plan(
                 digital_capacity: cfg.digital_tiles,
                 analog_capacity: cfg.analog_tiles,
             };
-            failures.push((job, record.primary_shard(), error));
+            failures.push((job, chunks[0].0, error));
         } else {
             // The dataset spans shards: scatter the query so each chunk
             // of reductions runs on the shard pinning its tiles,

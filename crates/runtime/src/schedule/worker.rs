@@ -255,27 +255,7 @@ impl Worker {
     ) -> Executed {
         let accelerator = &mut self.accelerator;
         let device_before = accelerator.device_counters();
-        accelerator.reset_pipeline();
-        // Streams without StoreLast skip the per-instruction operand
-        // clone.
-        accelerator.set_last_bits_tracking(
-            instructions
-                .iter()
-                .any(|i| matches!(i, CimInstruction::StoreLast { .. })),
-        );
-        let executed = contain(|| {
-            let mut rng = seeded(seed);
-            let output_set: BTreeSet<usize> = outputs.iter().copied().collect();
-            let mut responses = Vec::with_capacity(output_set.len());
-            for (index, instr) in instructions.into_iter().enumerate() {
-                let (response, _cost) = accelerator.execute_with_rng(instr, &mut rng);
-                if output_set.contains(&index) {
-                    responses.push(response);
-                }
-            }
-            responses
-        });
-        accelerator.reset_pipeline();
+        let executed = contain(|| accelerator.run(instructions, outputs, &mut seeded(seed)));
         // Every execution takes its own stats, so none are left over
         // from an earlier one.
         let stats = accelerator.take_stats();

@@ -12,6 +12,7 @@ use cim_crossbar::analog::AnalogParams;
 use cim_crossbar::scouting::ScoutOp;
 use cim_simkit::bitvec::BitVec;
 use cim_simkit::linalg::Matrix;
+use cim_simkit::rng::seeded;
 
 fn main() {
     // A small CIM accelerator: one 8×64 digital tile for bit-wise logic,
@@ -22,30 +23,36 @@ fn main() {
         .analog_params(AnalogParams::default())
         .seed(2024)
         .build();
+    // Every stream draws its read and programming noise from the RNG it
+    // is run with.
+    let mut rng = seeded(7);
 
     // --- Scouting Logic: bit-wise ops inside the read periphery -------
+    // One stream writes both operands, then senses OR, AND and XOR;
+    // the three logic results (instructions 2–4) are its outputs.
     let a = BitVec::from_fn(64, |i| i % 2 == 0);
     let b = BitVec::from_fn(64, |i| i % 3 == 0);
-    acc.execute(CimInstruction::WriteRow {
+    let ops = [ScoutOp::Or, ScoutOp::And, ScoutOp::Xor];
+    let mut program = vec![
+        CimInstruction::WriteRow {
+            tile: 0,
+            row: 0,
+            bits: a.clone(),
+        },
+        CimInstruction::WriteRow {
+            tile: 0,
+            row: 1,
+            bits: b.clone(),
+        },
+    ];
+    program.extend(ops.map(|op| CimInstruction::Logic {
         tile: 0,
-        row: 0,
-        bits: a.clone(),
-    });
-    acc.execute(CimInstruction::WriteRow {
-        tile: 0,
-        row: 1,
-        bits: b.clone(),
-    });
-
-    for op in [ScoutOp::Or, ScoutOp::And, ScoutOp::Xor] {
-        let result = acc
-            .execute(CimInstruction::Logic {
-                tile: 0,
-                op,
-                rows: vec![0, 1],
-            })
-            .into_bits()
-            .expect("logic returns bits");
+        op,
+        rows: vec![0, 1],
+    }));
+    let results = acc.run(program, &[2, 3, 4], &mut rng);
+    for (op, response) in ops.into_iter().zip(results) {
+        let result = response.into_bits().expect("logic returns bits");
         let expect = match op {
             ScoutOp::Or => a.or(&b),
             ScoutOp::And => a.and(&b),
@@ -60,19 +67,23 @@ fn main() {
 
     // --- Analog matrix-vector multiplication ---------------------------
     let m = Matrix::from_fn(8, 8, |i, j| ((i as f64) - (j as f64)) / 8.0);
-    acc.execute(CimInstruction::ProgramMatrix {
-        tile: 0,
-        col: 0,
-        matrix: m.clone(),
-    });
     let x = vec![0.5, -0.25, 0.75, 0.0, 0.1, -0.6, 0.3, 0.9];
-    let y = acc
-        .execute(CimInstruction::Mvm {
+    let program = vec![
+        CimInstruction::ProgramMatrix {
+            tile: 0,
+            col: 0,
+            matrix: m.clone(),
+        },
+        CimInstruction::Mvm {
             tile: 0,
             col: 0,
             x: x.clone(),
-        })
-        .into_vector()
+        },
+    ];
+    let y = acc
+        .run(program, &[1], &mut rng)
+        .pop()
+        .and_then(|response| response.into_vector())
         .expect("mvm returns a vector");
     let y_exact = m.matvec(&x);
     println!("\nanalog A·x vs exact:");
